@@ -3,8 +3,9 @@
    snapshot.  CI's telemetry smoke step runs both checks on a corpus
    net; when given both files it also cross-checks that the trace's
    solver-round instants agree with the metrics' round counter.
-   --stability and --allocator validate the stability report and the
-   allocator scaling-bench document respectively.
+   --stability validates the stability report.  Bench documents are
+   validated by their own emitters (scaling.exe --validate,
+   churn.exe --validate).
 
    Run: dune exec bench/telemetry_check.exe -- --trace t.json --metrics m.json *)
 
@@ -235,77 +236,10 @@ let check_stability file =
     runs;
   Printf.printf "%s: schema mmfair.stability/v1 OK, %d runs\n%!" file (List.length runs)
 
-(* Allocator scaling-bench shape (mmfair.bench.allocator/v3): the
-   generated-topology curves section with fitted exponents and the
-   peak-live-words memory audit.  An independent re-check of what
-   scaling.exe --validate enforces, so a bad emitter and a bad
-   validator cannot ship together. *)
-let check_allocator file =
-  let doc = load file in
-  (match Json.member "schema" doc with
-  | Some (Json.Str "mmfair.bench.allocator/v3") -> ()
-  | _ -> fail "%s: missing or wrong \"schema\" (want mmfair.bench.allocator/v3)" file);
-  let is_quick = match Json.member "quick" doc with Some (Json.Bool b) -> b | _ -> false in
-  let curves =
-    match Json.member "curves" doc with
-    | Some (Json.List l) when l <> [] -> l
-    | _ -> fail "%s: missing non-empty \"curves\" array" file
-  in
-  let saw_fat_tree = ref false in
-  List.iteri
-    (fun ci curve ->
-      let ctx = Printf.sprintf "%s: curves[%d]" file ci in
-      let cname =
-        match str_member "name" curve with
-        | Some s when s <> "" -> s
-        | _ -> fail "%s: missing \"name\"" ctx
-      in
-      if cname = "fat-tree" then saw_fat_tree := true;
-      let exp k =
-        match Json.member k curve with
-        | Some (Json.Num v) -> v
-        | _ -> fail "%s (%s): missing numeric %S" ctx cname k
-      in
-      ignore (exp "build_exponent");
-      ignore (exp "solve_exponent");
-      let event_exp = exp "event_exponent" in
-      (* The headline scaling claim: on a committed full run the
-         per-event churn cost must be sub-linear in the session
-         count.  Quick runs are too small for a trustworthy fit. *)
-      if cname = "fat-tree" && (not is_quick) && event_exp >= 1.0 then
-        fail "%s: fat-tree event_exponent %.3f is not sub-linear" ctx event_exp;
-      let points =
-        match Json.member "points" curve with
-        | Some (Json.List l) when List.length l >= 2 -> l
-        | _ -> fail "%s (%s): needs a \"points\" array with at least 2 entries" ctx cname
-      in
-      List.iteri
-        (fun pi pt ->
-          let ctx = Printf.sprintf "%s (%s): points[%d]" ctx cname pi in
-          (match str_member "label" pt with
-          | Some s when s <> "" -> ()
-          | _ -> fail "%s: missing \"label\"" ctx);
-          List.iter
-            (fun k ->
-              match Json.member k pt with
-              | Some (Json.Num v) when v > 0.0 -> ()
-              | _ -> fail "%s: missing positive numeric %S" ctx k)
-            [
-              "sessions"; "links"; "receivers"; "build_ns"; "solve_ns"; "event_ns";
-              "peak_live_words";
-            ])
-        points)
-    curves;
-  if not !saw_fat_tree then fail "%s: no \"fat-tree\" curve" file;
-  Printf.printf "%s: schema mmfair.bench.allocator/v3 OK, %d curves%s\n%!" file
-    (List.length curves)
-    (if is_quick then " (quick)" else "")
-
 let () =
   let trace = ref None in
   let metrics = ref None in
   let stability = ref None in
-  let allocator = ref None in
   let args =
     [
       ("--trace", Arg.String (fun f -> trace := Some f), "FILE Chrome trace JSON to validate");
@@ -313,18 +247,14 @@ let () =
       ( "--stability",
         Arg.String (fun f -> stability := Some f),
         "FILE mmfair stability --json report to validate" );
-      ( "--allocator",
-        Arg.String (fun f -> allocator := Some f),
-        "FILE allocator scaling bench (mmfair.bench.allocator/v3) to validate" );
     ]
   in
   Arg.parse (Arg.align args)
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     "telemetry_check.exe: validate mmfair telemetry artifacts";
-  if !trace = None && !metrics = None && !stability = None && !allocator = None then
-    fail "nothing to do: pass --trace, --metrics, --stability, and/or --allocator";
+  if !trace = None && !metrics = None && !stability = None then
+    fail "nothing to do: pass --trace, --metrics, and/or --stability";
   Option.iter check_stability !stability;
-  Option.iter check_allocator !allocator;
   let trace_rounds = Option.map check_trace !trace in
   let metric_rounds = Option.map check_metrics !metrics in
   match (trace_rounds, metric_rounds) with

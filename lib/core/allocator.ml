@@ -340,7 +340,7 @@ let init_restricted net ~component ~frozen =
     done
   done;
   (* Hot path: indices come straight off the CSR, so skip the bounds
-     checks like the incidence splice does. *)
+     checks. *)
   let cell_first = inc.Network.cell_first and link_cells = inc.Network.link_cells in
   let n_active_links = ref 0 in
   for tp = 0 to !n_touched - 1 do

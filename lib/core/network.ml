@@ -44,13 +44,13 @@ type t = {
   inc : incidence;
   (* bit (gid * n_links + l) set iff receiver [gid] crosses link [l].
      Lazy: only [crosses] (the reference allocator, tests) reads it,
-     and the churn surgeries would otherwise pay a full rebuild of the
-     bitset on every event. *)
+     and churn surgery would otherwise pay a rebuild of the bitset on
+     every join or leave. *)
   crosses_bits : Bytes.t Lazy.t;
 }
 
-(* Flat CSR views of the routing, shared by every [with_*] variant
-   (they never re-route): global receiver ids are session-major.  The
+(* Flat CSR views of the routing, shared by every surgery that leaves
+   the paths alone: global receiver ids are session-major.  The
    link→receiver direction is {e compact}: only the (link, session)
    pairs some receiver actually crosses get a cell, so every pass here
    — and the allocator's warm-up — is linear in the routed path length
@@ -155,123 +155,6 @@ let build_incidence n_links paths =
     recv_cell_of;
   }
 
-(* --- incremental incidence surgery ---------------------------------- *)
-
-(* Splice one receiver out of / into the CSR without the full
-   [build_incidence] rebuild.  Both directions are O(total path length
-   + n_links + n_cells) with straight array blits and one compaction
-   pass — a handful of microseconds on the bench topologies, versus
-   the three routing-order passes of a rebuild.  The dynamic engine's
-   Join/Leave surgery sits on this path, and its speedup over a
-   from-scratch solve is bounded by exactly this constant.
-
-   Invariants preserved (the same ones [build_incidence] establishes,
-   checked field-by-field against a scratch rebuild in the test
-   suite): gids are session-major, a link's cells ascend by session,
-   a cell's member gids ascend, and [recv_cell_of] tags every path
-   position with its compact cell. *)
-
-(* Remove global receiver [g0]: every gid above it shifts down one,
-   each cell on its path loses a member, and a cell whose only member
-   it was dies (later cell ids compact down). *)
-let incidence_remove inc ~g0 =
-  let n = inc.n_receivers in
-  let m = Array.length inc.session_first - 1 in
-  let n_links = Array.length inc.link_row - 1 in
-  let i = inc.receiver_of_gid.(g0).session in
-  let lo = inc.recv_row.(g0) and hi = inc.recv_row.(g0 + 1) in
-  let plen = hi - lo in
-  let total = inc.recv_row.(n) in
-  let total' = total - plen in
-  (* Which cells shrink, and which die (single-member cells on the
-     removed path)?  [dead_before] then maps surviving old cell ids to
-     their compacted ids. *)
-  let loses = Array.make (Stdlib.max inc.n_cells 1) false in
-  let dead_before = Array.make (inc.n_cells + 1) 0 in
-  for p = lo to hi - 1 do
-    let c = inc.recv_cell_of.(p) in
-    loses.(c) <- true;
-    if inc.cell_first.(c + 1) - inc.cell_first.(c) = 1 then dead_before.(c + 1) <- 1
-  done;
-  for c = 1 to inc.n_cells do
-    dead_before.(c) <- dead_before.(c) + dead_before.(c - 1)
-  done;
-  let n_cells' = inc.n_cells - dead_before.(inc.n_cells) in
-  let session_first = Array.make (m + 1) 0 in
-  for j = 0 to m do
-    session_first.(j) <- inc.session_first.(j) - (if inc.session_first.(j) > g0 then 1 else 0)
-  done;
-  let receiver_of_gid = Array.make (Stdlib.max (n - 1) 1) { session = 0; index = 0 } in
-  Array.blit inc.receiver_of_gid 0 receiver_of_gid 0 g0;
-  for g = g0 to n - 2 do
-    let r = inc.receiver_of_gid.(g + 1) in
-    receiver_of_gid.(g) <- (if r.session = i then { r with index = r.index - 1 } else r)
-  done;
-  let recv_row = Array.make n 0 in
-  for g = 0 to n - 1 do
-    recv_row.(g) <- (if g <= g0 then inc.recv_row.(g) else inc.recv_row.(g + 1) - plen)
-  done;
-  let recv_cells = Array.make (Stdlib.max total' 1) 0 in
-  Array.blit inc.recv_cells 0 recv_cells 0 lo;
-  Array.blit inc.recv_cells hi recv_cells lo (total - hi);
-  (* Surviving path positions can only reference surviving cells: a
-     cell dies exactly when its whole membership was the dropped span. *)
-  (* The remap and compaction loops below run over every path position
-     and cell on each churn event — unsafe accesses, with every index
-     bounded by the CSR invariants (and the whole result checked
-     field-by-field against a scratch rebuild in the test suite). *)
-  let recv_cell_of = Array.make (Stdlib.max total' 1) 0 in
-  for p = 0 to lo - 1 do
-    let c = Array.unsafe_get inc.recv_cell_of p in
-    Array.unsafe_set recv_cell_of p (c - Array.unsafe_get dead_before c)
-  done;
-  for p = lo to total' - 1 do
-    let c = Array.unsafe_get inc.recv_cell_of (p + plen) in
-    Array.unsafe_set recv_cell_of p (c - Array.unsafe_get dead_before c)
-  done;
-  (* One compaction sweep rebuilds the link→cell→gid direction: cells
-     keep their relative (hence session-ascending) order, members drop
-     [g0] and shift the gids above it. *)
-  let link_row = Array.make (n_links + 1) 0 in
-  let cell_session = Array.make (Stdlib.max n_cells' 1) 0 in
-  let cell_first = Array.make (n_cells' + 1) 0 in
-  let link_cells = Array.make (Stdlib.max total' 1) 0 in
-  let wc = ref 0 and wp = ref 0 in
-  for l = 0 to n_links - 1 do
-    link_row.(l) <- !wc;
-    for c = inc.link_row.(l) to inc.link_row.(l + 1) - 1 do
-      let clo = Array.unsafe_get inc.cell_first c
-      and chi = Array.unsafe_get inc.cell_first (c + 1) in
-      if not (Array.unsafe_get loses c && chi - clo = 1) then begin
-        Array.unsafe_set cell_session !wc (Array.unsafe_get inc.cell_session c);
-        Array.unsafe_set cell_first !wc !wp;
-        for p = clo to chi - 1 do
-          let g = Array.unsafe_get inc.link_cells p in
-          if g <> g0 then begin
-            Array.unsafe_set link_cells !wp (if g > g0 then g - 1 else g);
-            incr wp
-          end
-        done;
-        incr wc
-      end
-    done
-  done;
-  link_row.(n_links) <- !wc;
-  cell_first.(n_cells') <- !wp;
-  {
-    n_receivers = n - 1;
-    n_cells = n_cells';
-    session_first;
-    receiver_of_gid;
-    link_row;
-    cell_session;
-    cell_first;
-    link_cells;
-    recv_row;
-    recv_cells;
-    recv_cell_of;
-  }
-
 (* Find the compact cell of (link, session), if any: the link's cells
    list sessions in ascending order and there are few of them, so a
    linear scan beats a binary search at realistic fan-in. *)
@@ -285,139 +168,6 @@ let find_cell inc ~session ~link =
   done;
   !found
 
-(* Append a receiver to session [i] with data path [path].  The
-   newcomer takes gid [session_first.(i + 1)] (last of its session),
-   so inside any existing (link, i) cell it appends after the cell's
-   members — all smaller session-[i] gids — and a link the session did
-   not cross gets a cell born at the session-ascending slot. *)
-let incidence_add inc ~session:i ~path =
-  let n = inc.n_receivers in
-  let m = Array.length inc.session_first - 1 in
-  let n_links = Array.length inc.link_row - 1 in
-  let g0 = inc.session_first.(i + 1) in
-  let plen = List.length path in
-  let total = inc.recv_row.(n) in
-  let total' = total + plen in
-  (* Per path link: does (link, i) already exist (gains the newcomer)
-     or is it born?  A born cell's insertion slot is the old cell id it
-     lands in front of; [bump] prefix-sums those slots into the old→new
-     cell id shift. *)
-  let touch = Array.make (Stdlib.max n_links 1) 0 in
-  let bump = Array.make (inc.n_cells + 1) 0 in
-  List.iter
-    (fun l ->
-      if find_cell inc ~session:i ~link:l >= 0 then touch.(l) <- 1
-      else begin
-        touch.(l) <- 2;
-        let slot = ref inc.link_row.(l) in
-        while !slot < inc.link_row.(l + 1) && inc.cell_session.(!slot) < i do
-          incr slot
-        done;
-        (* The birth is emitted before old cell [slot], so that cell
-           shifts too: mark the slot itself. *)
-        bump.(!slot) <- bump.(!slot) + 1
-      end)
-    path;
-  for c = 1 to inc.n_cells do
-    bump.(c) <- bump.(c) + bump.(c - 1)
-  done;
-  let n_born = bump.(inc.n_cells) in
-  let n_cells' = inc.n_cells + n_born in
-  let session_first = Array.make (m + 1) 0 in
-  for j = 0 to m do
-    session_first.(j) <- inc.session_first.(j) + (if j > i then 1 else 0)
-  done;
-  let receiver_of_gid = Array.make (n + 1) { session = 0; index = 0 } in
-  Array.blit inc.receiver_of_gid 0 receiver_of_gid 0 g0;
-  receiver_of_gid.(g0) <- { session = i; index = g0 - inc.session_first.(i) };
-  Array.blit inc.receiver_of_gid g0 receiver_of_gid (g0 + 1) (n - g0);
-  let lo = inc.recv_row.(g0) in
-  let recv_row = Array.make (n + 2) 0 in
-  for g = 0 to g0 do
-    recv_row.(g) <- inc.recv_row.(g)
-  done;
-  for g = g0 + 1 to n + 1 do
-    recv_row.(g) <- inc.recv_row.(g - 1) + plen
-  done;
-  let recv_cells = Array.make (Stdlib.max total' 1) 0 in
-  Array.blit inc.recv_cells 0 recv_cells 0 lo;
-  List.iteri (fun j l -> recv_cells.(lo + j) <- l) path;
-  Array.blit inc.recv_cells lo recv_cells (lo + plen) (total - lo);
-  (* One merge sweep rebuilds the link→cell→gid direction: existing
-     members' gids at or above [g0] shift up, gaining cells append the
-     newcomer, born cells slot in at session order.  The sweep also
-     records each path link's cell id ([cell_of_link]) — the write
-     cursor is the ground truth for new cell ids, which sidesteps the
-     corner where two births land on the same insertion slot (end of
-     one link's range, start of the next). *)
-  let link_row = Array.make (n_links + 1) 0 in
-  let cell_session = Array.make (Stdlib.max n_cells' 1) 0 in
-  let cell_first = Array.make (n_cells' + 1) 0 in
-  let link_cells = Array.make (Stdlib.max total' 1) 0 in
-  let cell_of_link = Array.make (Stdlib.max n_links 1) (-1) in
-  let wc = ref 0 and wp = ref 0 in
-  for l = 0 to n_links - 1 do
-    link_row.(l) <- !wc;
-    let pending_birth = ref (touch.(l) = 2) in
-    for c = inc.link_row.(l) to inc.link_row.(l + 1) - 1 do
-      if !pending_birth && Array.unsafe_get inc.cell_session c > i then begin
-        pending_birth := false;
-        cell_of_link.(l) <- !wc;
-        Array.unsafe_set cell_session !wc i;
-        Array.unsafe_set cell_first !wc !wp;
-        Array.unsafe_set link_cells !wp g0;
-        incr wp;
-        incr wc
-      end;
-      Array.unsafe_set cell_session !wc (Array.unsafe_get inc.cell_session c);
-      Array.unsafe_set cell_first !wc !wp;
-      for p = Array.unsafe_get inc.cell_first c to Array.unsafe_get inc.cell_first (c + 1) - 1 do
-        let g = Array.unsafe_get inc.link_cells p in
-        Array.unsafe_set link_cells !wp (if g >= g0 then g + 1 else g);
-        incr wp
-      done;
-      if touch.(l) = 1 && Array.unsafe_get inc.cell_session c = i then begin
-        cell_of_link.(l) <- !wc;
-        Array.unsafe_set link_cells !wp g0;
-        incr wp
-      end;
-      incr wc
-    done;
-    if !pending_birth then begin
-      cell_of_link.(l) <- !wc;
-      Array.unsafe_set cell_session !wc i;
-      Array.unsafe_set cell_first !wc !wp;
-      Array.unsafe_set link_cells !wp g0;
-      incr wp;
-      incr wc
-    end
-  done;
-  link_row.(n_links) <- !wc;
-  cell_first.(n_cells') <- !wp;
-  let recv_cell_of = Array.make (Stdlib.max total' 1) 0 in
-  for p = 0 to lo - 1 do
-    let c = Array.unsafe_get inc.recv_cell_of p in
-    Array.unsafe_set recv_cell_of p (c + Array.unsafe_get bump c)
-  done;
-  List.iteri (fun j l -> recv_cell_of.(lo + j) <- cell_of_link.(l)) path;
-  for p = lo + plen to total' - 1 do
-    let c = Array.unsafe_get inc.recv_cell_of (p - plen) in
-    Array.unsafe_set recv_cell_of p (c + Array.unsafe_get bump c)
-  done;
-  {
-    n_receivers = n + 1;
-    n_cells = n_cells';
-    session_first;
-    receiver_of_gid;
-    link_row;
-    cell_session;
-    cell_first;
-    link_cells;
-    recv_row;
-    recv_cells;
-    recv_cell_of;
-  }
-
 let build_crosses_bits n_links inc =
   let bits = Bytes.make (((inc.n_receivers * n_links) + 7) / 8) '\000' in
   for gid = 0 to inc.n_receivers - 1 do
@@ -429,9 +179,7 @@ let build_crosses_bits n_links inc =
   done;
   bits
 
-(* Per-session validation (everything but routing).  Factored out so
-   the incremental surgeries ([with_receiver]/[without_receiver]) can
-   re-validate only the touched session instead of the whole network. *)
+(* Per-session validation (everything but routing). *)
 let validate_session graph i s =
   if Array.length s.receivers = 0 then
     invalid_arg (Printf.sprintf "Network.make: session %d has no receivers" i);
@@ -491,8 +239,8 @@ let check_capacities graph =
 
 (* Rebuild the derived views from validated sessions and frozen
    per-receiver paths.  Linear in [n_links * sessions] (the CSR offset
-   arrays) plus the total routed path length — the incremental
-   surgeries pay this (cheap) assembly but skip global re-validation
+   arrays) plus the total routed path length — a surgery that joins or
+   leaves pays this (cheap) assembly but skips global re-validation
    and re-routing (the per-session BFS passes).  The list-shaped
    views ([receivers_on_link], [all_on_link], [session_links]) are
    materialized on demand from the CSR rather than cached here, so
@@ -538,9 +286,13 @@ let session_count t = Array.length t.sessions
    so the fold over every spec would be an O(sessions) term. *)
 let receiver_count t = t.inc.n_receivers
 
-let check_session t i name =
-  if i < 0 || i >= Array.length t.sessions then
+(* The [_in] checks take a spec array so the surgery builder can
+   validate against its accumulated state with the same messages. *)
+let check_session_in sessions i name =
+  if i < 0 || i >= Array.length sessions then
     invalid_arg (Printf.sprintf "Network.%s: unknown session %d" name i)
+
+let check_session t i name = check_session_in t.sessions i name
 
 let session_spec t i =
   check_session t i "session_spec";
@@ -590,10 +342,12 @@ let receivers_of_session t i =
 let all_receivers t =
   Array.concat (List.init (session_count t) (fun i -> receivers_of_session t i))
 
-let check_receiver t r name =
-  check_session t r.session name;
-  if r.index < 0 || r.index >= Array.length t.sessions.(r.session).receivers then
+let check_receiver_in sessions r name =
+  check_session_in sessions r.session name;
+  if r.index < 0 || r.index >= Array.length sessions.(r.session).receivers then
     invalid_arg (Printf.sprintf "Network.%s: unknown receiver %d of session %d" name r.index r.session)
+
+let check_receiver t r name = check_receiver_in t.sessions r name
 
 let data_path t r =
   check_receiver t r "data_path";
@@ -654,13 +408,6 @@ let with_session_types t types =
   let sessions = Array.mapi (fun i s -> { s with session_type = types.(i) }) t.sessions in
   { t with sessions }
 
-let with_rho t i rho =
-  check_session t i "with_rho";
-  if not (rho > 0.0) then invalid_arg "Network.with_rho: rho must be positive";
-  let sessions = Array.copy t.sessions in
-  sessions.(i) <- { sessions.(i) with rho };
-  { t with sessions }
-
 let with_vfns t vfns =
   if Array.length vfns <> Array.length t.sessions then invalid_arg "Network.with_vfns: length mismatch";
   let sessions = Array.mapi (fun i s -> { s with vfn = vfns.(i) }) t.sessions in
@@ -668,117 +415,48 @@ let with_vfns t vfns =
 
 let drop_index arr k = Array.init (Array.length arr - 1) (fun j -> if j < k then arr.(j) else arr.(j + 1))
 
-let without_receiver t r =
-  check_receiver t r "without_receiver";
-  let s = t.sessions.(r.session) in
-  if Array.length s.receivers <= 1 then
-    invalid_arg "Network.without_receiver: session would become empty";
-  (* Removal cannot invalidate anything (members shrink, weights and
-     rho are untouched, every other path is unchanged), so skip global
-     re-validation and re-routing: drop the receiver's row and splice
-     it out of the incidence in place of a rebuild. *)
-  let sessions = Array.copy t.sessions in
-  sessions.(r.session) <-
-    { s with receivers = drop_index s.receivers r.index; weights = drop_index s.weights r.index };
-  let paths = Array.copy t.paths in
-  paths.(r.session) <- drop_index t.paths.(r.session) r.index;
-  let inc = incidence_remove t.inc ~g0:(t.inc.session_first.(r.session) + r.index) in
-  { t with sessions; paths; inc;
-    crosses_bits = lazy (build_crosses_bits (Graph.link_count t.graph) inc) }
+(* --- surgery ------------------------------------------------------------ *)
 
-let with_receiver ?weight t ~session ~node =
-  check_session t session "with_receiver";
-  let s = t.sessions.(session) in
-  let weight = match weight with Some w -> w | None -> s.weights.(0) in
-  if not (weight > 0.0 && Float.is_finite weight) then
-    invalid_arg "Network.with_receiver: weight must be positive and finite";
-  if s.session_type = Single_rate && weight <> s.weights.(0) then
-    invalid_arg "Network.with_receiver: unequal weights in single-rate session";
-  if node < 0 || node >= Graph.node_count t.graph then
-    invalid_arg (Printf.sprintf "Network.with_receiver: unknown node %d" node);
-  if s.sender = node || Array.exists (fun r -> r = node) s.receivers then
-    invalid_arg
-      (Printf.sprintf "Network.with_receiver: session %d already has a member on node %d" session node);
-  let s' =
-    { s with
-      receivers = Array.append s.receivers [| node |];
-      weights = Array.append s.weights [| weight |] }
-  in
-  let sessions = Array.copy t.sessions in
-  sessions.(session) <- s';
-  let paths = Array.copy t.paths in
-  (* Route only the newcomer: one early-exit BFS from the session's
-     sender.  BFS is deterministic, so this is the exact path a full
-     re-route of the session would assign, and every existing
-     receiver's frozen path is reused verbatim. *)
-  let new_path =
-    match Routing.shortest_path t.graph s.sender node with
-    | Some p -> p
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Network.make: session %d receiver %d unreachable" session
-             (Array.length s.receivers))
-  in
-  paths.(session) <- Array.append t.paths.(session) [| new_path |];
-  let inc = incidence_add t.inc ~session ~path:new_path in
-  { t with sessions; paths; inc;
-    crosses_bits = lazy (build_crosses_bits (Graph.link_count t.graph) inc) }
-
-let with_capacity t link cap =
-  if link < 0 || link >= Graph.link_count t.graph then
-    invalid_arg (Printf.sprintf "Network.with_capacity: unknown link %d" link);
-  if not (Float.is_finite cap && cap > 0.0) then
-    invalid_arg (Printf.sprintf "Network.with_capacity: capacity must be positive and finite (got %g)" cap);
-  let graph = Graph.copy t.graph in
-  Graph.set_capacity graph link cap;
-  (* Routing is hop-count BFS, capacity-independent: paths and every
-     view derived from them survive a capacity change untouched. *)
-  { t with graph }
-
-(* --- coalesced surgery ------------------------------------------------ *)
-
-(* A batch of churn events applied through the single-event [with_*]
-   functions pays one full CSR splice {e per event} — O(sessions +
-   path positions) each, so a K-event batch costs K incidence
-   rebuilds.  The surgery builder accumulates every change on private
-   copies of the spec/path arrays (cheap pointer memcpys plus
-   per-touched-session work) and pays {e one} [build_incidence] at
-   commit, which is what lets the batch engine's per-event cost
-   amortize toward the component-local solve at 10⁵–10⁶ sessions.
-
-   Validation and routing semantics are identical to folding the
-   [with_*] functions event by event — each operation validates
-   against the accumulated state and raises the same exceptions — and
+(* The one way to change a network's membership, rates or capacities:
+   a single churn event is a one-event surgery, a coalesced batch a
+   K-event one.  The builder accumulates every change on a private
+   copy of the spec array (cheap pointer memcpy plus per-touched-session
+   work); each operation validates against the accumulated state, and
    a raise leaves the base network untouched (the builder is the only
-   thing dirtied). *)
+   thing dirtied).
 
+   The path array is copied on the first join or leave.  A surgery
+   without one cannot move any path — routing is hop-count BFS, so
+   capacity-independent, and ρ is not a routing input — and its commit
+   shares the base's paths, incidence and lazy [crosses] bitset.  A
+   surgery with one pays one [assemble] at commit, however many events
+   it holds, which is what lets the batch engine's per-event cost
+   amortize toward the component-local solve at 10⁵–10⁶ sessions. *)
+
+(* [srg_graph] and [srg_paths] are the base's own until the first
+   write to each: a capacity write copies the graph, a join or leave
+   the path array, at most once per surgery. *)
 type surgery = {
+  srg_base : t;
   mutable srg_graph : Graph.t;
-  (* The base graph is shared until the first capacity write; copied
-     at most once per surgery, not once per capacity event. *)
-  mutable srg_graph_owned : bool;
   srg_sessions : session_spec array;
-  srg_paths : Routing.path array array;
+  mutable srg_paths : Routing.path array array;
 }
 
 let surgery_begin t =
-  {
-    srg_graph = t.graph;
-    srg_graph_owned = false;
-    srg_sessions = Array.copy t.sessions;
-    srg_paths = Array.copy t.paths;
-  }
+  { srg_base = t; srg_graph = t.graph; srg_sessions = Array.copy t.sessions; srg_paths = t.paths }
+
+let own_paths srg =
+  if srg.srg_paths == srg.srg_base.paths then srg.srg_paths <- Array.copy srg.srg_paths
 
 let surgery_session_count srg = Array.length srg.srg_sessions
 
 let surgery_spec srg i =
-  if i < 0 || i >= Array.length srg.srg_sessions then
-    invalid_arg (Printf.sprintf "Network.surgery_spec: unknown session %d" i);
+  check_session_in srg.srg_sessions i "surgery_spec";
   srg.srg_sessions.(i)
 
 let surgery_join ?weight srg ~session ~node =
-  if session < 0 || session >= Array.length srg.srg_sessions then
-    invalid_arg (Printf.sprintf "Network.with_receiver: unknown session %d" session);
+  check_session_in srg.srg_sessions session "with_receiver";
   let s = srg.srg_sessions.(session) in
   let weight = match weight with Some w -> w | None -> s.weights.(0) in
   if not (weight > 0.0 && Float.is_finite weight) then
@@ -790,36 +468,37 @@ let surgery_join ?weight srg ~session ~node =
   if s.sender = node || Array.exists (fun r -> r = node) s.receivers then
     invalid_arg
       (Printf.sprintf "Network.with_receiver: session %d already has a member on node %d" session node);
+  (* Route only the newcomer: one early-exit BFS from the session's
+     sender.  BFS is deterministic, so this is the exact path a full
+     re-route of the session would assign, and every existing
+     receiver's frozen path is reused verbatim. *)
   let new_path =
     match Routing.shortest_path srg.srg_graph s.sender node with
     | Some p -> p
     | None ->
         invalid_arg
-          (Printf.sprintf "Network.make: session %d receiver %d unreachable" session
-             (Array.length s.receivers))
+          (Printf.sprintf "Network.with_receiver: session %d cannot reach node %d from its sender"
+             session node)
   in
   srg.srg_sessions.(session) <-
     { s with
       receivers = Array.append s.receivers [| node |];
       weights = Array.append s.weights [| weight |] };
+  own_paths srg;
   srg.srg_paths.(session) <- Array.append srg.srg_paths.(session) [| new_path |]
 
 let surgery_leave srg (r : receiver_id) =
-  if r.session < 0 || r.session >= Array.length srg.srg_sessions then
-    invalid_arg (Printf.sprintf "Network.without_receiver: unknown session %d" r.session);
+  check_receiver_in srg.srg_sessions r "without_receiver";
   let s = srg.srg_sessions.(r.session) in
-  if r.index < 0 || r.index >= Array.length s.receivers then
-    invalid_arg
-      (Printf.sprintf "Network.without_receiver: unknown receiver %d of session %d" r.index r.session);
   if Array.length s.receivers <= 1 then
     invalid_arg "Network.without_receiver: session would become empty";
   srg.srg_sessions.(r.session) <-
     { s with receivers = drop_index s.receivers r.index; weights = drop_index s.weights r.index };
+  own_paths srg;
   srg.srg_paths.(r.session) <- drop_index srg.srg_paths.(r.session) r.index
 
 let surgery_rho srg i rho =
-  if i < 0 || i >= Array.length srg.srg_sessions then
-    invalid_arg (Printf.sprintf "Network.with_rho: unknown session %d" i);
+  check_session_in srg.srg_sessions i "with_rho";
   if not (rho > 0.0) then invalid_arg "Network.with_rho: rho must be positive";
   srg.srg_sessions.(i) <- { srg.srg_sessions.(i) with rho }
 
@@ -828,13 +507,22 @@ let surgery_capacity srg link cap =
     invalid_arg (Printf.sprintf "Network.with_capacity: unknown link %d" link);
   if not (Float.is_finite cap && cap > 0.0) then
     invalid_arg (Printf.sprintf "Network.with_capacity: capacity must be positive and finite (got %g)" cap);
-  if not srg.srg_graph_owned then begin
-    srg.srg_graph <- Graph.copy srg.srg_graph;
-    srg.srg_graph_owned <- true
-  end;
+  if srg.srg_graph == srg.srg_base.graph then srg.srg_graph <- Graph.copy srg.srg_graph;
   Graph.set_capacity srg.srg_graph link cap
 
-let surgery_commit srg = assemble srg.srg_graph srg.srg_sessions srg.srg_paths
+let surgery_commit srg =
+  if srg.srg_paths != srg.srg_base.paths then assemble srg.srg_graph srg.srg_sessions srg.srg_paths
+  else { srg.srg_base with graph = srg.srg_graph; sessions = srg.srg_sessions }
+
+let one_event t op =
+  let srg = surgery_begin t in
+  op srg;
+  surgery_commit srg
+
+let with_receiver ?weight t ~session ~node = one_event t (surgery_join ?weight ~session ~node)
+let without_receiver t r = one_event t (fun srg -> surgery_leave srg r)
+let with_rho t i rho = one_event t (fun srg -> surgery_rho srg i rho)
+let with_capacity t link cap = one_event t (fun srg -> surgery_capacity srg link cap)
 
 let pp fmt t =
   Array.iteri

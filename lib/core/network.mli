@@ -141,9 +141,11 @@ type incidence = private {
 }
 (** Flat CSR-style incidence index over the frozen routing — the
     allocator's hot loops iterate these int arrays instead of the
-    list-based [receivers_on_link]/[all_on_link] views.  Built once at
-    construction and shared (the [with_*] variants never re-route).
-    Exposed read-only: never mutate the arrays. *)
+    list-based [receivers_on_link]/[all_on_link] views.  Built at
+    construction; a surgery without a join or leave shares it
+    physically (ρ and capacity never move a path), one with a join or
+    leave rebuilds it once at {!surgery_commit}.  Exposed read-only:
+    never mutate the arrays. *)
 
 val incidence : t -> incidence
 (** The precomputed incidence index.  O(1). *)
@@ -167,24 +169,24 @@ val with_vfns : t -> Redundancy_fn.t array -> t
 
 val with_rho : t -> int -> float -> t
 (** [with_rho t i rho] replaces session [i]'s maximum desired rate
-    ([infinity] = unbounded).  Paths are untouched.  Raises
+    ([infinity] = unbounded): a one-event surgery ({!surgery_rho}).
+    Paths and the incidence are shared with [t].  Raises
     [Invalid_argument] on an unknown session or [rho ≤ 0] (or NaN). *)
 
 val without_receiver : t -> receiver_id -> t
-(** Section-2.5 surgery: remove one receiver.  Incremental: only the
-    touched session is rebuilt (removal cannot invalidate anything
-    else — every other session's validation and routing is reused), so
-    churn replay stays linear in path length rather than re-validating
-    the whole network.  The session must keep at least one receiver;
-    receivers after the removed index shift down by one. *)
+(** Section-2.5 surgery: remove one receiver, as a one-event surgery
+    ({!surgery_leave}).  No session is re-validated or re-routed
+    (removal cannot invalidate anything); the incidence is rebuilt
+    once.  The session must keep at least one receiver; receivers
+    after the removed index shift down by one. *)
 
 val with_receiver : ?weight:float -> t -> session:int -> node:Mmfair_topology.Graph.node -> t
 (** Join surgery: add a receiver on [node] to [session], appended at
-    the highest index.  Incremental like {!without_receiver}: only the
-    touched session is validated and re-routed (one BFS from its
-    sender); all other sessions' frozen paths are reused.  [weight]
-    defaults to the session's first receiver's weight.  Raises
-    [Invalid_argument] when the session is unknown, the node is
+    the highest index, as a one-event surgery ({!surgery_join}).  Only
+    the newcomer is validated and routed (one BFS from its sender);
+    every other frozen path is reused, and the incidence is rebuilt
+    once.  [weight] defaults to the session's first receiver's weight.
+    Raises [Invalid_argument] when the session is unknown, the node is
     unknown or already hosts a member of this session (the paper's τ
     restriction), the weight is non-positive or non-finite, the weight
     differs inside a single-rate session, or the node is unreachable
@@ -192,30 +194,32 @@ val with_receiver : ?weight:float -> t -> session:int -> node:Mmfair_topology.Gr
 
 val with_capacity : t -> Mmfair_topology.Graph.link_id -> float -> t
 (** Capacity surgery: an otherwise identical network with the link's
-    capacity replaced.  Routing is hop-count BFS and therefore
-    capacity-independent, so paths and all derived views are shared
-    unchanged; the graph is copied, never mutated in place.  Raises
-    [Invalid_argument] on an unknown link or a non-positive or
-    non-finite capacity. *)
+    capacity replaced, as a one-event surgery ({!surgery_capacity}).
+    Routing is hop-count BFS and therefore capacity-independent, so
+    paths and the incidence are shared unchanged; the graph is copied,
+    never mutated in place.  Raises [Invalid_argument] on an unknown
+    link or a non-positive or non-finite capacity. *)
 
-(** {2 Coalesced surgery}
+(** {2 Surgery}
 
-    A batch of churn events applied through the single-event [with_*]
-    functions pays one full incidence splice {e per event}.  The
-    surgery builder accumulates any number of changes on private
-    copies of the network's internal arrays and pays {e one} rebuild
-    at {!surgery_commit} — the batch engine's ingest path, where a
-    K-event batch must not cost K incidence rebuilds.  Semantics
-    (validation order, routing, error messages) are identical to
-    folding the corresponding [with_*] calls: each operation validates
-    against the accumulated state, and a raise leaves the base network
-    untouched.  A builder is single-use: discard it after
-    {!surgery_commit}. *)
+    The one way to change a network's membership, rates and
+    capacities: each [with_*] function above is a one-event surgery,
+    and the batch engine applies a whole churn batch as one.  The
+    builder accumulates any number of changes on a private copy of
+    the spec array.  Each operation validates against the accumulated
+    state, and a raise leaves both the base network and the builder
+    untouched.  At {!surgery_commit}, a surgery with a join or leave
+    pays {e one} incidence rebuild, however many events it holds; one
+    without shares the base's paths and incidence.  Error messages
+    name the [with_*] function of the operation.  A builder is
+    single-use: discard it after {!surgery_commit}. *)
 
 type surgery
 
 val surgery_begin : t -> surgery
-(** A builder over [t].  O(sessions) pointer copies, no validation. *)
+(** A builder over [t].  O(sessions) pointer copies of the spec array,
+    no validation; the path array is copied on the first join or
+    leave. *)
 
 val surgery_session_count : surgery -> int
 
@@ -225,21 +229,25 @@ val surgery_spec : surgery -> int -> session_spec
     unknown session. *)
 
 val surgery_join : ?weight:float -> surgery -> session:int -> node:Mmfair_topology.Graph.node -> unit
-(** As {!with_receiver}, against the accumulated state. *)
+(** Add a receiver, with the conditions of {!with_receiver}, against
+    the accumulated state. *)
 
 val surgery_leave : surgery -> receiver_id -> unit
-(** As {!without_receiver}, against the accumulated state. *)
+(** Remove a receiver, with the conditions of {!without_receiver},
+    against the accumulated state. *)
 
 val surgery_rho : surgery -> int -> float -> unit
-(** As {!with_rho}, against the accumulated state. *)
+(** Replace a session's ρ, with the conditions of {!with_rho}. *)
 
 val surgery_capacity : surgery -> Mmfair_topology.Graph.link_id -> float -> unit
-(** As {!with_capacity}, against the accumulated state (the graph is
-    copied at most once per surgery). *)
+(** Replace a link's capacity, with the conditions of
+    {!with_capacity} (the graph is copied at most once per surgery). *)
 
 val surgery_commit : surgery -> t
-(** The network with every accumulated change applied: one incidence
-    rebuild, linear in sessions + links + total routed path length. *)
+(** The network with every accumulated change applied.  With a join
+    or leave: one incidence rebuild, linear in sessions + links +
+    total routed path length.  Without: O(1), sharing the base's
+    paths, incidence and [crosses] bitset. *)
 
 val pp : Format.formatter -> t -> unit
 (** Sessions with their types, senders, receivers and paths. *)

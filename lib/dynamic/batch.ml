@@ -71,40 +71,25 @@ let solver t = t.solver
 
 (* --- event application ------------------------------------------------ *)
 
-let find_receiver_in ~session_count ~spec ~session ~node ~what =
-  if session < 0 || session >= session_count then
-    invalid_arg (Printf.sprintf "Dynamic.Engine.apply: %s targets unknown session %d" what session);
-  let receivers = (spec session).Network.receivers in
-  let found = ref (-1) in
-  Array.iteri (fun k r -> if r = node && !found < 0 then found := k) receivers;
-  if !found < 0 then
-    invalid_arg
-      (Printf.sprintf "Dynamic.Engine.apply: session %d has no receiver on node %d" session node);
-  { Network.session; Network.index = !found }
-
-let find_receiver net ~session ~node ~what =
-  find_receiver_in ~session_count:(Network.session_count net) ~spec:(Network.session_spec net)
-    ~session ~node ~what
-
-let apply_event net (event : Event.t) =
-  match event with
-  | Event.Join { session; node; weight } -> Network.with_receiver ?weight net ~session ~node
-  | Event.Leave { session; node } ->
-      Network.without_receiver net (find_receiver net ~session ~node ~what:"leave")
-  | Event.Rho_change { session; rho } -> Network.with_rho net session rho
-  | Event.Capacity_change { link; cap } -> Network.with_capacity net link cap
-
-(* Same event semantics over the surgery builder: validation runs
-   against the accumulated mid-batch state (a leave sees the batch's
-   earlier joins), and the whole batch pays one incidence rebuild at
-   commit instead of one per event. *)
+(* Event semantics over the surgery builder: validation runs against
+   the accumulated mid-batch state (a leave sees the batch's earlier
+   joins), and a batch with any join or leave pays one incidence
+   rebuild at commit, however many events it holds. *)
 let apply_surgery_event srg (event : Event.t) =
   match event with
   | Event.Join { session; node; weight } -> Network.surgery_join ?weight srg ~session ~node
   | Event.Leave { session; node } ->
-      Network.surgery_leave srg
-        (find_receiver_in ~session_count:(Network.surgery_session_count srg)
-           ~spec:(Network.surgery_spec srg) ~session ~node ~what:"leave")
+      if session < 0 || session >= Network.surgery_session_count srg then
+        invalid_arg (Printf.sprintf "Dynamic.Batch.apply: leave targets unknown session %d" session);
+      let receivers = (Network.surgery_spec srg session).Network.receivers in
+      let index =
+        match Array.find_index (fun r -> r = node) receivers with
+        | Some k -> k
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Dynamic.Batch.apply: session %d has no receiver on node %d" session node)
+      in
+      Network.surgery_leave srg { Network.session; index }
   | Event.Rho_change { session; rho } -> Network.surgery_rho srg session rho
   | Event.Capacity_change { link; cap } -> Network.surgery_capacity srg link cap
 
@@ -210,19 +195,14 @@ let apply t events =
   if events = [] then invalid_arg "Dynamic.Batch.apply: empty batch";
   let old_net = t.network in
   let old_alloc = t.allocation in
-  (* Surgeries run on a local accumulator: a mid-batch validation
-     failure (unknown session, leave of an absent receiver, …) raises
-     before any engine state mutates, exactly like the per-event
-     path.  A single event takes the incremental splice; a real batch
-     goes through the coalesced surgery builder so K events cost one
-     incidence rebuild, not K. *)
+  (* One surgery holds the whole batch (a single event is a one-event
+     surgery): a mid-batch validation failure (unknown session, leave
+     of an absent receiver, …) raises before any engine state mutates,
+     and K events cost at most one incidence rebuild, not K. *)
   let new_net =
-    match events with
-    | [ e ] -> apply_event old_net e
-    | _ ->
-        let srg = Network.surgery_begin old_net in
-        List.iter (apply_surgery_event srg) events;
-        Network.surgery_commit srg
+    let srg = Network.surgery_begin old_net in
+    List.iter (apply_surgery_event srg) events;
+    Network.surgery_commit srg
   in
   let total_receivers = Network.receiver_count new_net in
   let raw = List.length events in
@@ -552,7 +532,7 @@ let apply t events =
        hard rates moved this epoch.  [pinned] rows are the previous
        rates remapped to the new receiver order by node (0 for
        arrivals), so the per-receiver delta matches receivers across
-       the splice and counts a join's rate as a move from zero. *)
+       the surgery and counts a join's rate as a move from zero. *)
     let max_delta = ref 0.0 in
     for s = 0 to Network.session_count new_net - 1 do
       let now = Allocation.unsafe_rates_of_session !alloc s in

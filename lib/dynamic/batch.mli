@@ -2,8 +2,10 @@
 
     A flash crowd delivers joins, leaves and operator knob-turns
     faster than per-event re-solving can keep up.  [Batch] applies a
-    whole burst as {e one} epoch: the events' surgeries are applied in
-    order to produce the final network, the burst is netted out
+    whole burst as {e one} epoch: the events are applied in order as
+    one {!Mmfair_core.Network.surgery} to produce the final network
+    (at most one incidence rebuild per burst, none for a burst of
+    only [ρ]/capacity changes), the burst is netted out
     against the starting state (a join/leave pair on one node cancels;
     repeated [ρ]/capacity writes keep the last value — the max-min
     allocation depends only on the final network, not the event path),
@@ -18,10 +20,11 @@
     the same sound fixed point as the per-event engine (DESIGN.md
     §11–13).
 
-    {!Engine.apply} is the singleton case of {!apply}: both paths are
-    one implementation, so the per-event differential gate covers the
-    batch machinery too; a dedicated gate replays random traces at
-    batch sizes 1/4/16 and requires identical final rates. *)
+    {!Engine.apply} is the singleton case of {!apply}, and a single
+    event is a one-event surgery: there is one implementation, so the
+    per-event differential gate covers the batch machinery too; a
+    dedicated gate replays random traces at batch sizes 1/4/16 and
+    requires identical final rates. *)
 
 type stats = {
   events : int;  (** Raw events submitted. *)
@@ -113,14 +116,16 @@ val store : t -> Store.t
 val solver : t -> Mmfair_core.Solve_engine.t
 
 val apply : t -> Event.t list -> stats
-(** Apply one batch of churn events as a single epoch: sequential
-    surgeries, state diff, union component, restricted solve(s), store
-    push, [epoch] + [batch] probe emission.  Events validate against
-    the {e evolving} network in list order, with the same
-    [Invalid_argument] conditions as {!Engine.apply} (so a join
+(** Apply one batch of churn events as a single epoch: one surgery
+    over all of them, state diff, union component, restricted
+    solve(s), store push, [epoch] + [batch] probe emission.  Events
+    validate against the {e evolving} network in list order (so a join
     followed by a leave of the same node is legal in one batch, and a
-    leave of a receiver that never existed is not); the empty batch is
-    rejected.  On a raise the engine state is unchanged — surgeries
+    leave of a receiver that never existed is not), with the
+    conditions of the {!Mmfair_core.Network} [surgery_*] operations;
+    a leave of an unknown session or an absent node raises
+    [Invalid_argument "Dynamic.Batch.apply: …"].  The empty batch is
+    rejected.  On a raise the engine state is unchanged — the surgery
     and solves happen before any mutation. *)
 
 val apply_result : t -> Event.t list -> (stats, Mmfair_core.Solver_error.t) result

@@ -276,6 +276,18 @@ let test_invalid_event_state_unchanged () =
   Alcotest.(check int) "epoch unchanged" 0 (Engine.epoch eng);
   Alcotest.(check bool) "allocation unchanged" true (Engine.allocation eng == before)
 
+let test_leave_errors_name_batch () =
+  (* Engine.apply is Batch.apply of a singleton, so a bad leave names
+     the function that actually raised. *)
+  let { Paper_nets.net; _ } = Paper_nets.figure2 () in
+  let eng = Engine.create net in
+  Alcotest.check_raises "absent receiver"
+    (Invalid_argument "Dynamic.Batch.apply: session 0 has no receiver on node 999") (fun () ->
+      ignore (Engine.apply eng (Event.Leave { session = 0; node = 999 })));
+  Alcotest.check_raises "unknown session"
+    (Invalid_argument "Dynamic.Batch.apply: leave targets unknown session 99") (fun () ->
+      ignore (Batch.apply eng [ Event.Leave { session = 99; node = 0 } ]))
+
 (* --- batch coalescing --------------------------------------------------- *)
 
 (* Compare two allocations by node placement (membership churn shifts
@@ -551,6 +563,7 @@ let suite =
     Alcotest.test_case "churn generator determinism" `Quick test_generator_determinism;
     Alcotest.test_case "epoch probes reach the registry" `Quick test_epoch_probe_registry;
     Alcotest.test_case "invalid events leave state unchanged" `Quick test_invalid_event_state_unchanged;
+    Alcotest.test_case "leave errors name Batch.apply" `Quick test_leave_errors_name_batch;
     Alcotest.test_case "batch matches per-event replay" `Quick test_batch_matches_per_event;
     Alcotest.test_case "cancelling batches skip the solve" `Quick test_batch_cancellation;
     Alcotest.test_case "repeated writes keep the last value" `Quick test_batch_last_writer_wins;

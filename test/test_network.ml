@@ -214,65 +214,122 @@ let qcheck_incidence_matches_lists =
         (Network.all_receivers net);
       !ok)
 
+let test_join_unreachable () =
+  let g = Graph.create ~nodes:3 in
+  ignore (Graph.add_link g 0 1 1.0);
+  let net = Network.make g [| Network.session ~sender:0 ~receivers:[| 1 |] () |] in
+  Alcotest.check_raises "join of an unreachable node"
+    (Invalid_argument "Network.with_receiver: session 0 cannot reach node 2 from its sender")
+    (fun () -> ignore (Network.with_receiver net ~session:0 ~node:2))
+
+let test_surgery_sharing () =
+  (* A surgery without a join or leave cannot move a path, so its
+     commit shares the base's incidence; one that joins rebuilds it. *)
+  let net = small_net () in
+  let same what net' =
+    Alcotest.(check bool) what true (Network.incidence net' == Network.incidence net)
+  in
+  same "rho change shares the incidence" (Network.with_rho net 0 2.0);
+  same "capacity change shares the incidence" (Network.with_capacity net 1 7.0);
+  let srg = Network.surgery_begin net in
+  Network.surgery_rho srg 1 0.5;
+  Network.surgery_capacity srg 0 4.0;
+  Network.surgery_capacity srg 2 9.0;
+  same "rho + capacity batch shares the incidence" (Network.surgery_commit srg);
+  let joined = Network.with_receiver net ~session:1 ~node:3 in
+  Alcotest.(check bool) "a join rebuilds the incidence" false
+    (Network.incidence joined == Network.incidence net);
+  Alcotest.(check (float 0.0)) "base capacity untouched" 5.0
+    (Graph.capacity (Network.graph net) 1)
+
 let qcheck_surgery_matches_rebuild =
-  (* The incremental incidence splices ([without_receiver] /
-     [with_receiver]) must leave the network indistinguishable from a
-     from-scratch [Network.make] on the same graph and specs: routing
-     is deterministic BFS, so the frozen paths coincide and the whole
-     incidence record — offsets, cells, back-pointers, padding — must
-     be structurally equal.  This is the oracle the churn differential
-     gate cannot provide (both of its sides share the surgical net). *)
+  (* Every surgery — a random mix of joins, leaves, ρ and capacity
+     changes committed at once — must leave the network
+     indistinguishable from a from-scratch [Network.make] on the
+     accumulated graph and specs: routing is deterministic BFS, so the
+     frozen paths coincide and the whole incidence record — offsets,
+     cells, back-pointers, padding — must be structurally equal.  This
+     is the oracle the churn differential gate cannot provide (both of
+     its sides share the surgical net).  A commit without a join or
+     leave must also share the base's incidence physically. *)
   QCheck.Test.make ~name:"receiver surgery incidence equals scratch rebuild" ~count:60
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Mmfair_prng.Xoshiro.create ~seed:(Int64.of_int seed) () in
+      let below = Mmfair_prng.Xoshiro.below rng in
       (* Small, congested nets: joins must regularly give birth to new
-         (link, session) cells mid-CSR — the regime where the splice's
-         id shifting can go wrong.  The roomy default config barely
-         exercises it. *)
+         (link, session) cells mid-CSR.  The roomy default config
+         barely exercises it. *)
       let cfg =
         {
           Mmfair_workload.Random_nets.default with
-          Mmfair_workload.Random_nets.nodes = 8 + Mmfair_prng.Xoshiro.below rng 8;
-          extra_links = 3 + Mmfair_prng.Xoshiro.below rng 5;
-          sessions = 4 + Mmfair_prng.Xoshiro.below rng 4;
+          Mmfair_workload.Random_nets.nodes = 8 + below 8;
+          extra_links = 3 + below 5;
+          sessions = 4 + below 4;
           max_receivers = 4;
         }
       in
       let net = ref (Mmfair_workload.Random_nets.generate ~rng cfg) in
+      (* The oracle's own copy of the accumulated state. *)
+      let graph = Graph.copy (Network.graph !net) in
+      let specs = Array.init (Network.session_count !net) (Network.session_spec !net) in
+      let n_nodes = Graph.node_count graph and n_links = Graph.link_count graph in
       let ok = ref true in
-      let check () =
-        let specs = Array.init (Network.session_count !net) (Network.session_spec !net) in
-        let scratch = Network.make (Network.graph !net) specs in
+      for _step = 1 to 10 do
+        let base = !net in
+        let base_paths = Array.map (Network.data_path base) (Network.all_receivers base) in
+        let srg = Network.surgery_begin base in
+        let moved = ref false in
+        for _op = 1 to 1 + below 4 do
+          let i = below (Array.length specs) in
+          let s = specs.(i) in
+          let n_recv = Array.length s.Network.receivers in
+          match below 4 with
+          | 0 when n_recv >= 2 ->
+              let k = below n_recv in
+              let drop a = Array.of_list (List.filteri (fun j _ -> j <> k) (Array.to_list a)) in
+              Network.surgery_leave srg { Network.session = i; index = k };
+              specs.(i) <-
+                { s with Network.receivers = drop s.Network.receivers; weights = drop s.Network.weights };
+              moved := true
+          | 0 | 1 -> (
+              let node = below n_nodes in
+              (* Skip draws the surgery legitimately rejects (member
+                 node collisions, unreachable nodes); a rejected
+                 operation leaves the builder untouched. *)
+              match Network.surgery_join srg ~session:i ~node with
+              | () ->
+                  specs.(i) <-
+                    {
+                      s with
+                      Network.receivers = Array.append s.Network.receivers [| node |];
+                      weights = Array.append s.Network.weights [| s.Network.weights.(0) |];
+                    };
+                  moved := true
+              | exception Invalid_argument _ -> ())
+          | 2 ->
+              let rho = 0.5 +. float_of_int (below 8) in
+              Network.surgery_rho srg i rho;
+              specs.(i) <- { s with Network.rho }
+          | _ ->
+              let link = below n_links and cap = 1.0 +. float_of_int (below 20) in
+              Network.surgery_capacity srg link cap;
+              Graph.set_capacity graph link cap
+        done;
+        net := Network.surgery_commit srg;
+        if Array.map (Network.data_path base) (Network.all_receivers base) <> base_paths then
+          ok := false;
+        if (not !moved) && Network.incidence !net != Network.incidence base then ok := false;
+        let scratch = Network.make graph specs in
         if Network.incidence !net <> Network.incidence scratch then ok := false;
+        Array.iteri (fun i s -> if Network.session_spec !net i <> s then ok := false) specs;
+        for l = 0 to n_links - 1 do
+          if Graph.capacity (Network.graph !net) l <> Graph.capacity graph l then ok := false
+        done;
         Array.iter
           (fun (r : Network.receiver_id) ->
             if Network.data_path !net r <> Network.data_path scratch r then ok := false)
           (Network.all_receivers !net)
-      in
-      for _step = 1 to 10 do
-        let m = Network.session_count !net in
-        let i = Mmfair_prng.Xoshiro.below rng m in
-        let spec = Network.session_spec !net i in
-        let n_recv = Array.length spec.Network.receivers in
-        if Mmfair_prng.Xoshiro.bool rng && n_recv >= 2 then begin
-          let k = Mmfair_prng.Xoshiro.below rng n_recv in
-          net := Network.without_receiver !net { Network.session = i; index = k };
-          check ()
-        end
-        else begin
-          let node =
-            Mmfair_prng.Xoshiro.below rng (Graph.node_count (Network.graph !net))
-          in
-          (* Skip draws the surgery legitimately rejects (member node
-             collisions, unreachable nodes): the walk only has to keep
-             exercising valid splices. *)
-          match Network.with_receiver !net ~session:i ~node with
-          | net' ->
-              net := net';
-              check ()
-          | exception Invalid_argument _ -> ()
-        end
       done;
       !ok)
 
@@ -293,6 +350,8 @@ let suite =
     Alcotest.test_case "with_vfns" `Quick test_with_vfns;
     Alcotest.test_case "without_receiver" `Quick test_without_receiver;
     Alcotest.test_case "without_receiver last" `Quick test_without_receiver_last;
+    Alcotest.test_case "join of an unreachable node" `Quick test_join_unreachable;
+    Alcotest.test_case "rho/capacity surgery shares incidence" `Quick test_surgery_sharing;
     QCheck_alcotest.to_alcotest qcheck_random_nets_valid;
     QCheck_alcotest.to_alcotest qcheck_incidence_matches_lists;
     QCheck_alcotest.to_alcotest qcheck_surgery_matches_rebuild;
