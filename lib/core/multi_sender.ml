@@ -27,15 +27,13 @@ let expand graph specs =
       if Array.length s.receivers = 0 then
         invalid_arg (Printf.sprintf "Multi_sender.expand: session %d has no receivers" i))
     specs;
-  (* hop distance from every sender (per spec) to every node *)
+  (* hop distance from every sender (per spec) to each of its receivers *)
   let assignments =
     Array.mapi
       (fun i s ->
         let hops =
-          Array.map
-            (fun sender ->
-              Routing.paths_from graph sender |> Array.map (Option.map List.length))
-            s.senders
+          Routing.routes graph (Array.map (fun sender -> (sender, s.receivers)) s.senders)
+          |> Array.map (Array.map (Option.map List.length))
         in
         Array.mapi
           (fun k r ->
@@ -45,7 +43,7 @@ let expand graph specs =
                 (* a sender on the receiver's own node is ineligible
                    (members of one session may not share a node) *)
                 if sender <> r then
-                  match hops.(si).(r) with
+                  match hops.(si).(k) with
                   | Some h when h < !best_hops -> begin
                       best := si;
                       best_hops := h

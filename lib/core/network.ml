@@ -214,17 +214,11 @@ let validate_session graph i s =
   for k = 1 to Array.length sorted - 1 do
     if sorted.(k) = sorted.(k - 1) then
       invalid_arg (Printf.sprintf "Network.make: session %d maps two members to node %d" i sorted.(k))
-  done
-
-(* One BFS from the session's sender routes all its receivers. *)
-let route_session_tree graph i s from_sender =
-  Array.mapi
+  done;
+  Array.iteri
     (fun k r ->
       if r < 0 || r >= Graph.node_count graph then
-        invalid_arg (Printf.sprintf "Network.make: session %d receiver %d on unknown node" i k);
-      match from_sender.(r) with
-      | Some p -> p
-      | None -> invalid_arg (Printf.sprintf "Network.make: session %d receiver %d unreachable" i k))
+        invalid_arg (Printf.sprintf "Network.make: session %d receiver %d on unknown node" i k))
     s.receivers
 
 let check_capacities graph =
@@ -241,7 +235,7 @@ let check_capacities graph =
    per-receiver paths.  Linear in [n_links * sessions] (the CSR offset
    arrays) plus the total routed path length — a surgery that joins or
    leaves pays this (cheap) assembly but skips global re-validation
-   and re-routing (the per-session BFS passes).  The list-shaped
+   and re-routing (the per-sender searches).  The list-shaped
    views ([receivers_on_link], [all_on_link], [session_links]) are
    materialized on demand from the CSR rather than cached here, so
    surgery does not pay for views the caller never reads. *)
@@ -250,32 +244,71 @@ let assemble graph sessions paths =
   let inc = build_incidence n_links paths in
   { graph; sessions; paths; inc; crosses_bits = lazy (build_crosses_bits n_links inc) }
 
+(* Validate everything first, so a validation error always wins over
+   a routing error.  Then route each distinct sender once: sessions are
+   chained by sender through [first] (node-indexed) and [next]
+   (session-indexed), in ascending session order, and each chain's
+   distinct receiver nodes become the targets of one early-exit
+   search.  Listing a node once per sender keeps the search's result
+   arrays small (a flow class's 96 slots share one receiver node) and
+   gives every session of that sender on that node the same physical
+   path list.  [at] is node-indexed: while listing, it holds the head
+   session of the chain that last listed the node; while handing out,
+   the node's position in the current chain's targets. *)
 let validate_and_route graph sessions =
   check_capacities graph;
-  (* Sessions sharing a sender share one BFS tree: multicast workloads
-     at scale source many sessions from few nodes, and each tree costs
-     O(nodes + links).  The cache is bounded (FIFO) so a pathological
-     all-distinct-senders population degrades to the old one-BFS-per-
-     session cost instead of holding every tree live at once. *)
-  let cache = Hashtbl.create 64 in
-  let order = Queue.create () in
-  let tree_of sender =
-    match Hashtbl.find_opt cache sender with
-    | Some t -> t
-    | None ->
-        let t = Routing.paths_from graph sender in
-        if Hashtbl.length cache >= 64 then Hashtbl.remove cache (Queue.pop order);
-        Hashtbl.replace cache sender t;
-        Queue.add sender order;
-        t
+  Array.iteri (validate_session graph) sessions;
+  let m = Array.length sessions and n = Graph.node_count graph in
+  let first = Array.make n (-1) and next = Array.make m (-1) in
+  for i = m - 1 downto 0 do
+    let x = sessions.(i).sender in
+    next.(i) <- first.(x);
+    first.(x) <- i
+  done;
+  let chain x f =
+    let i = ref first.(x) in
+    while !i >= 0 do
+      f !i;
+      i := next.(!i)
+    done
   in
-  let paths =
-    Array.mapi
-      (fun i s ->
-        validate_session graph i s;
-        route_session_tree graph i s (tree_of s.sender))
-      sessions
-  in
+  let at = Array.make n (-1) and groups = ref [] in
+  for h = m - 1 downto 0 do
+    let x = sessions.(h).sender in
+    if first.(x) = h then begin
+      let targets = ref [] in
+      chain x (fun i ->
+          Array.iter
+            (fun r ->
+              if at.(r) <> h then begin
+                at.(r) <- h;
+                targets := r :: !targets
+              end)
+            sessions.(i).receivers);
+      groups := (x, Array.of_list (List.rev !targets)) :: !groups
+    end
+  done;
+  let groups = Array.of_list !groups in
+  let routed = Routing.routes graph groups in
+  (* The lowest unreachable (session, receiver) is the one reported. *)
+  let paths = Array.make m [||] and bad = ref (m, 0) in
+  Array.iteri
+    (fun j (x, targets) ->
+      Array.iteri (fun q r -> at.(r) <- q) targets;
+      chain x (fun i ->
+          paths.(i) <-
+            Array.mapi
+              (fun k r ->
+                match routed.(j).(at.(r)) with
+                | Some p -> p
+                | None ->
+                    bad := min !bad (i, k);
+                    [])
+              sessions.(i).receivers))
+    groups;
+  (match !bad with
+  | i, k when i < m -> invalid_arg (Printf.sprintf "Network.make: session %d receiver %d unreachable" i k)
+  | _ -> ());
   assemble graph sessions paths
 
 let make graph sessions = validate_and_route graph (Array.copy sessions)

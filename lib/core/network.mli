@@ -58,7 +58,21 @@ val make : Mmfair_topology.Graph.t -> session_spec array -> t
     (the paper's restriction on τ), or some receiver is unreachable
     from its sender.  Every constructed [t] is therefore safe to hand
     to any solver: degenerate inputs are rejected here, with a
-    diagnostic naming the offending session or link. *)
+    diagnostic naming the offending session or link.
+
+    Errors come in a fixed order: link capacities, then every session
+    in index order (including the receivers' node range), and only
+    then routing, whose error names the lowest unreachable
+    (session, receiver).  A validation error therefore always wins
+    over an unreachable receiver.
+
+    Cost: sessions are grouped by sender and each distinct sender is
+    routed by one early-exit BFS ({!Mmfair_topology.Routing.routes}),
+    so routing costs O(searched prefix + routed path length) per
+    distinct sender plus O(nodes + sessions) scratch per call — never
+    a path for every node.  Sessions of one sender with a receiver on the
+    same node share that path list physically.  The incidence build
+    is linear in the total routed path length plus [n_links]. *)
 
 val graph : t -> Mmfair_topology.Graph.t
 val session_count : t -> int

@@ -118,14 +118,13 @@ let build_session cfg graph root spec =
   | Aimd _ when n <> 1 -> invalid_arg "Qrunner: AIMD sessions have exactly one receiver"
   | _ -> ());
   let m = cfg.layers in
-  let from_sender = Routing.paths_from graph spec.sender in
   let paths =
     Array.mapi
-      (fun k r ->
-        match from_sender.(r) with
+      (fun k route ->
+        match route with
         | Some p -> Array.of_list p
         | None -> invalid_arg (Printf.sprintf "Qrunner: receiver %d unreachable" k))
-      spec.receivers
+      (Routing.routes graph [| (spec.sender, spec.receivers) |]).(0)
   in
   let node_count = Graph.node_count graph in
   let children = Array.make node_count [] in

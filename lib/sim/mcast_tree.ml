@@ -13,14 +13,14 @@ type t = {
 
 let make g ~sender ~receivers =
   if Array.length receivers = 0 then invalid_arg "Mcast_tree.make: need at least one receiver";
-  let from_sender = Routing.paths_from g sender in
+  let routed = (Routing.routes g [| (sender, receivers) |]).(0) in
   let paths =
     Array.mapi
-      (fun k r ->
-        match from_sender.(r) with
+      (fun k route ->
+        match route with
         | Some p -> Array.of_list p
         | None -> invalid_arg (Printf.sprintf "Mcast_tree.make: receiver %d unreachable" k))
-      receivers
+      routed
   in
   let all_links =
     Array.fold_left (fun acc p -> Array.fold_left (fun acc l -> l :: acc) acc p) [] paths

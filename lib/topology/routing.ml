@@ -1,59 +1,84 @@
 type path = Graph.link_id list
 
-(* BFS with deterministic tie-breaking: neighbors are explored in
-   insertion order, and a node's parent is fixed by the first visit, so
-   the resulting shortest-path tree is unique for a given graph.
-
-   [stop_at] cuts the search once that node has been visited — its
-   parent chain is final on first visit, so the extracted path is
-   identical to the full sweep's.  Single-target callers (the dynamic
-   engine's join surgery routes exactly one newcomer) then pay only
-   for the searched prefix of the graph. *)
-let bfs ?(stop_at = -1) g src =
-  let n = Graph.node_count g in
-  if src < 0 || src >= n then invalid_arg "Routing.bfs: unknown source";
-  let parent = Array.make n (-1) in
-  let parent_link = Array.make n (-1) in
-  let visited = Array.make n false in
-  visited.(src) <- true;
-  let q = Queue.create () in
-  Queue.add src q;
-  let stop = ref (src = stop_at) in
-  while (not !stop) && not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    Graph.iter_neighbors g v ~f:(fun w l ->
-        if not visited.(w) then begin
-          visited.(w) <- true;
-          parent.(w) <- v;
-          parent_link.(w) <- l;
-          if w = stop_at then stop := true;
-          Queue.add w q
-        end)
-  done;
-  (visited, parent, parent_link)
-
 let extract_path src parent parent_link dst =
   let rec go v acc = if v = src then acc else go parent.(v) (parent_link.(v) :: acc) in
   go dst []
 
-let paths_from g src =
-  let visited, parent, parent_link = bfs g src in
-  Array.init (Graph.node_count g) (fun dst ->
-      if not visited.(dst) then None else Some (extract_path src parent parent_link dst))
+(* Every BFS here is one multi-target search: it stops as soon as the
+   last requested target has been visited.  Neighbors are explored in
+   insertion order and a node's parent is fixed by its first visit, so
+   the path to a visited target is final the moment it is seen — an
+   early stop extracts exactly the path a full sweep would.
 
-let shortest_path g src dst =
+   The node-indexed scratch is allocated once per call and reused by
+   every (source, targets) group of that call.  [seen] and [want] hold
+   the group's epoch instead of a flag, so nothing is ever cleared
+   between groups: a stale stamp simply fails the equality test.  A
+   target's [want] stamp turns negative once its path is extracted,
+   and [memo] then hands later duplicates the same physical value. *)
+let search ~name g groups =
   let n = Graph.node_count g in
-  if dst < 0 || dst >= n then invalid_arg "Routing.shortest_path: unknown destination";
-  let visited, parent, parent_link = bfs ~stop_at:dst g src in
-  if not visited.(dst) then None else Some (extract_path src parent parent_link dst)
+  let seen = Array.make n 0 and want = Array.make n 0 in
+  let parent = Array.make n (-1) and parent_link = Array.make n (-1) in
+  let queue = Array.make n 0 and memo = Array.make n None in
+  Array.mapi
+    (fun gi (src, targets) ->
+      if src < 0 || src >= n then invalid_arg (name ^ ": unknown source");
+      let epoch = gi + 1 in
+      let remaining = ref 0 in
+      Array.iter
+        (fun t ->
+          if t < 0 || t >= n then invalid_arg (name ^ ": unknown destination");
+          if want.(t) <> epoch then begin
+            want.(t) <- epoch;
+            incr remaining
+          end)
+        targets;
+      seen.(src) <- epoch;
+      if want.(src) = epoch then decr remaining;
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 in
+      while !remaining > 0 && !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        Graph.iter_neighbors g v ~f:(fun w l ->
+            if seen.(w) <> epoch then begin
+              seen.(w) <- epoch;
+              parent.(w) <- v;
+              parent_link.(w) <- l;
+              if want.(w) = epoch then decr remaining;
+              queue.(!tail) <- w;
+              incr tail
+            end)
+      done;
+      Array.map
+        (fun t ->
+          if seen.(t) <> epoch then None
+          else if want.(t) = -epoch then memo.(t)
+          else begin
+            let p = Some (extract_path src parent parent_link t) in
+            memo.(t) <- p;
+            want.(t) <- -epoch;
+            p
+          end)
+        targets)
+    groups
+
+let routes g groups = search ~name:"Routing.routes" g groups
+
+let paths_from g src =
+  (search ~name:"Routing.paths_from" g [| (src, Array.init (Graph.node_count g) Fun.id) |]).(0)
+
+let shortest_path g src dst = (search ~name:"Routing.shortest_path" g [| (src, [| dst |]) |]).(0).(0)
+
+let reachable g src dst =
+  Option.is_some (search ~name:"Routing.reachable" g [| (src, [| dst |]) |]).(0).(0)
 
 let path_links p = p
 
 let same_path p q =
   let sort = List.sort_uniq compare in
   sort p = sort q
-
-let reachable g src dst = Option.is_some (shortest_path g src dst)
 
 (* A tiny pairing of (cost, node) orderable entries on a binary heap
    would be overkill here: graphs in this reproduction are small, so a

@@ -12,15 +12,37 @@
 type path = Graph.link_id list
 (** A data-path: the links from sender to receiver, in order. *)
 
+val routes : Graph.t -> (Graph.node * Graph.node array) array -> path option array array
+(** [routes g groups] routes every [(src, targets)] group with one BFS
+    from [src]: [(routes g groups).(j).(k)] is
+    [shortest_path g src targets.(k)] for [groups.(j) = (src, targets)].
+
+    Early exit: each search stops as soon as the last of its targets
+    has been visited, and only the targets' paths are extracted, so a
+    group costs O(searched prefix + routed path length) plus one
+    O(nodes) scratch per call, shared by all its groups.  BFS fixes a
+    node's parent on first visit, so an early stop returns exactly the
+    paths of a full sweep.  Duplicate targets in one group get the same
+    physical value ([==]); [src] as its own target gets [Some []].
+    Raises [Invalid_argument "Routing.routes: unknown source"] (or
+    [unknown destination]) on a node outside [[0, node_count)]. *)
+
 val shortest_path : Graph.t -> Graph.node -> Graph.node -> path option
 (** [shortest_path g src dst] is a minimum-hop path, [None] when [dst]
-    is unreachable.  [Some []] when [src = dst]. *)
+    is unreachable.  [Some []] when [src = dst].  One {!routes} group:
+    the search stops once [dst] is visited.  Raises
+    [Invalid_argument "Routing.shortest_path: unknown source"] (or
+    [unknown destination]) on a bad node. *)
 
 val paths_from : Graph.t -> Graph.node -> path option array
 (** [paths_from g src] computes [shortest_path g src dst] for every
-    node [dst] in one BFS (index = destination node).  Tie-breaking
-    matches {!shortest_path}, and the returned paths form a tree: the
-    paths to two destinations agree on their shared prefix. *)
+    node [dst] in one BFS (index = destination node): the {!routes}
+    group whose targets are all nodes.  Tie-breaking matches
+    {!shortest_path}, and the returned paths form a tree: the paths to
+    two destinations agree on their shared prefix.  Callers that need
+    only some destinations should use {!routes}, which stops early.
+    Raises [Invalid_argument "Routing.paths_from: unknown source"] on a
+    bad source. *)
 
 val path_links : path -> Graph.link_id list
 (** The set of links in a path (it is already a list; exposed for
@@ -32,6 +54,8 @@ val same_path : path -> path -> bool
     order. *)
 
 val reachable : Graph.t -> Graph.node -> Graph.node -> bool
+(** [reachable g src dst] is whether [shortest_path g src dst] is a
+    path; errors name [Routing.reachable]. *)
 
 val dijkstra :
   Graph.t -> weight:(Graph.link_id -> float) -> Graph.node -> (path * float) option array

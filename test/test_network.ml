@@ -2,6 +2,7 @@
    surgery operations. *)
 
 module Graph = Mmfair_topology.Graph
+module Routing = Mmfair_topology.Routing
 module Network = Mmfair_core.Network
 module Redundancy_fn = Mmfair_core.Redundancy_fn
 
@@ -70,6 +71,45 @@ let test_validation_unreachable () =
   Alcotest.check_raises "unreachable receiver"
     (Invalid_argument "Network.make: session 0 receiver 0 unreachable") (fun () ->
       ignore (Network.make g [| Network.session ~sender:0 ~receivers:[| 2 |] () |]))
+
+let test_error_order () =
+  (* Every session is validated before any is routed, and the lowest
+     unreachable (session, receiver) is reported even when a later
+     sender's search finds it. *)
+  let g = Graph.create ~nodes:4 in
+  ignore (Graph.add_link g 0 1 1.0);
+  Alcotest.check_raises "validation before routing"
+    (Invalid_argument "Network.make: session 1 has rho <= 0") (fun () ->
+      ignore
+        (Network.make g
+           [| Network.session ~sender:0 ~receivers:[| 2 |] ();
+              Network.session ~rho:0.0 ~sender:0 ~receivers:[| 1 |] () |]));
+  Alcotest.check_raises "receiver range checked before routing"
+    (Invalid_argument "Network.make: session 1 receiver 0 on unknown node") (fun () ->
+      ignore
+        (Network.make g
+           [| Network.session ~sender:0 ~receivers:[| 3 |] ();
+              Network.session ~sender:0 ~receivers:[| 9 |] () |]));
+  Alcotest.check_raises "lowest unreachable receiver wins"
+    (Invalid_argument "Network.make: session 1 receiver 1 unreachable") (fun () ->
+      ignore
+        (Network.make g
+           [| Network.session ~sender:1 ~receivers:[| 0 |] ();
+              Network.session ~sender:0 ~receivers:[| 1; 3; 2 |] ();
+              Network.session ~sender:1 ~receivers:[| 2 |] () |]))
+
+let test_shared_path_lists () =
+  (* Sessions with one sender route in one search, so the same
+     (sender, receiver) pair holds one physical path list. *)
+  let net = small_net () in
+  let g = Network.graph net in
+  let s = Network.session ~sender:0 ~receivers:[| 2 |] () in
+  let t = Network.session ~sender:0 ~receivers:[| 3; 2 |] () in
+  let u = Network.session ~sender:1 ~receivers:[| 2 |] () in
+  let net = Network.make g [| s; u; t; s |] in
+  let path i k = Network.data_path net { Network.session = i; index = k } in
+  Alcotest.(check bool) "same sender, same receiver" true (path 0 0 == path 2 1 && path 0 0 == path 3 0);
+  Alcotest.(check (list int)) "other sender's path" [ 1 ] (path 1 0)
 
 let test_validation_bad_rho () =
   let g = Graph.create ~nodes:2 in
@@ -214,6 +254,38 @@ let qcheck_incidence_matches_lists =
         (Network.all_receivers net);
       !ok)
 
+let qcheck_paths_match_shortest_path =
+  (* Senders come from a small pool, so some sessions share a sender's
+     search and others do not; every frozen data-path must be the one
+     a lone [shortest_path] query returns. *)
+  QCheck.Test.make ~name:"make routes every receiver by shortest_path" ~count:100
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let module X = Mmfair_prng.Xoshiro in
+      let rng = X.create ~seed:(Int64.of_int seed) () in
+      let nodes = 3 + X.below rng 12 in
+      let g =
+        Mmfair_topology.Builders.random_connected ~rng ~nodes ~extra_links:(X.below rng nodes)
+          ~cap_lo:1.0 ~cap_hi:2.0
+      in
+      let pool = Array.init (1 + X.below rng 3) (fun _ -> X.below rng nodes) in
+      let specs =
+        Array.init
+          (1 + X.below rng 8)
+          (fun _ ->
+            let sender = X.pick rng pool in
+            let others = Array.of_list (List.filter (( <> ) sender) (List.init nodes Fun.id)) in
+            X.shuffle rng others;
+            Network.session ~sender ~receivers:(Array.sub others 0 (1 + X.below rng (nodes - 1))) ())
+      in
+      let net = Network.make g specs in
+      Array.for_all
+        (fun (r : Network.receiver_id) ->
+          let s = specs.(r.Network.session) in
+          Routing.shortest_path g s.Network.sender s.Network.receivers.(r.Network.index)
+          = Some (Network.data_path net r))
+        (Network.all_receivers net))
+
 let test_join_unreachable () =
   let g = Graph.create ~nodes:3 in
   ignore (Graph.add_link g 0 1 1.0);
@@ -345,6 +417,8 @@ let suite =
     Alcotest.test_case "validation: shared member node" `Quick test_validation_shared_member_node;
     Alcotest.test_case "validation: unreachable" `Quick test_validation_unreachable;
     Alcotest.test_case "validation: bad rho" `Quick test_validation_bad_rho;
+    Alcotest.test_case "validation errors precede routing errors" `Quick test_error_order;
+    Alcotest.test_case "one sender's sessions share path lists" `Quick test_shared_path_lists;
     Alcotest.test_case "cross-session node sharing ok" `Quick test_different_sessions_share_nodes;
     Alcotest.test_case "with_session_types" `Quick test_with_session_types;
     Alcotest.test_case "with_vfns" `Quick test_with_vfns;
@@ -355,4 +429,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_random_nets_valid;
     QCheck_alcotest.to_alcotest qcheck_incidence_matches_lists;
     QCheck_alcotest.to_alcotest qcheck_surgery_matches_rebuild;
+    QCheck_alcotest.to_alcotest qcheck_paths_match_shortest_path;
   ]

@@ -76,6 +76,23 @@ let test_routing_unreachable () =
   Alcotest.(check bool) "reachable" true (Routing.reachable g 0 1);
   Alcotest.(check bool) "not reachable" false (Routing.reachable g 0 2)
 
+let test_routing_bad_nodes () =
+  (* Each public entry names itself, for a bad source and a bad
+     destination alike. *)
+  let g = chain_graph 3 in
+  let raises what msg f = Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (f ())) in
+  raises "paths_from source" "Routing.paths_from: unknown source" (fun () -> Routing.paths_from g 3);
+  raises "shortest_path source" "Routing.shortest_path: unknown source" (fun () ->
+      Routing.shortest_path g (-1) 0);
+  raises "shortest_path destination" "Routing.shortest_path: unknown destination" (fun () ->
+      Routing.shortest_path g 0 7);
+  raises "reachable source" "Routing.reachable: unknown source" (fun () -> Routing.reachable g 5 0);
+  raises "reachable destination" "Routing.reachable: unknown destination" (fun () ->
+      Routing.reachable g 0 (-2));
+  raises "routes source" "Routing.routes: unknown source" (fun () -> Routing.routes g [| (9, [| 0 |]) |]);
+  raises "routes destination" "Routing.routes: unknown destination" (fun () ->
+      Routing.routes g [| (0, [| 1 |]); (1, [| 0; 3 |]) |])
+
 let test_routing_shortest_over_long () =
   (* Triangle with a two-hop detour: BFS must take the direct link. *)
   let g = Graph.create ~nodes:3 in
@@ -262,6 +279,74 @@ let test_star_of_stars_matches_scenario_shape () =
         t.Builders.hubs)
     [ 1; 2; 5; 8 ]
 
+(* The pre-early-exit search, kept as an independent oracle: a full
+   BFS sweep (insertion-order neighbors, parent fixed on first visit)
+   extracting every node's path. *)
+let full_sweep g src =
+  let n = Graph.node_count g in
+  let parent = Array.make n (-1) and parent_link = Array.make n (-1) in
+  let visited = Array.make n false in
+  visited.(src) <- true;
+  let q = Queue.create () in
+  Queue.add src q;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    List.iter
+      (fun (w, l) ->
+        if not visited.(w) then begin
+          visited.(w) <- true;
+          parent.(w) <- v;
+          parent_link.(w) <- l;
+          Queue.add w q
+        end)
+      (Graph.neighbors g v)
+  done;
+  let rec path v acc = if v = src then acc else path parent.(v) (parent_link.(v) :: acc) in
+  Array.init n (fun v -> if visited.(v) then Some (path v []) else None)
+
+let qcheck_routes_match_full_sweep =
+  (* Random graphs with parallel links and disconnected parts; each
+     group's targets repeat nodes and may include the source. *)
+  QCheck.Test.make ~name:"early-exit routes equal the full-tree paths" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Mmfair_prng.Xoshiro.create ~seed:(Int64.of_int seed) () in
+      let module X = Mmfair_prng.Xoshiro in
+      let n = 1 + X.below rng 14 in
+      let g = Graph.create ~nodes:n in
+      if n > 1 then
+        for _ = 1 to X.below rng (2 * n) do
+          let a = X.below rng n and b = X.below rng n in
+          if a <> b then begin
+            ignore (Graph.add_link g a b 1.0 : int);
+            if X.bernoulli rng 0.2 then ignore (Graph.add_link g a b 1.0 : int)
+          end
+        done;
+      let groups =
+        Array.init
+          (1 + X.below rng 4)
+          (fun _ ->
+            let src = X.below rng n in
+            let targets = Array.init (X.below rng (2 * n + 1)) (fun _ -> X.below rng n) in
+            if X.bool rng then (src, Array.append targets [| src |]) else (src, targets))
+      in
+      let routed = Routing.routes g groups in
+      Array.for_all2
+        (fun (src, targets) got ->
+          let oracle = full_sweep g src and tree = Routing.paths_from g src in
+          tree = oracle
+          && Array.length got = Array.length targets
+          && Array.for_all2 (fun t p -> p = tree.(t) && p = oracle.(t)) targets got
+          && Array.for_all2
+               (fun t p ->
+                 Array.for_all2
+                   (fun t' p' ->
+                     t <> t'
+                     || match (p, p') with Some a, Some b -> a == b | None, None -> true | _ -> false)
+                   targets got)
+               targets got)
+        groups routed)
+
 let qcheck_random_graph_capacities =
   QCheck.Test.make ~name:"random graph capacities stay in range" ~count:50
     QCheck.(pair (int_range 2 15) (int_range 0 10))
@@ -282,6 +367,7 @@ let suite =
     Alcotest.test_case "routing chain" `Quick test_routing_chain;
     Alcotest.test_case "routing unreachable" `Quick test_routing_unreachable;
     Alcotest.test_case "routing shortest over long" `Quick test_routing_shortest_over_long;
+    Alcotest.test_case "routing bad nodes name their entry" `Quick test_routing_bad_nodes;
     Alcotest.test_case "routing tree prefix property" `Quick test_routing_paths_from_tree_property;
     Alcotest.test_case "routing deterministic" `Quick test_routing_deterministic;
     Alcotest.test_case "same_path set semantics" `Quick test_same_path;
@@ -298,4 +384,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_power_law_degrees;
     QCheck_alcotest.to_alcotest qcheck_power_law_deterministic;
     QCheck_alcotest.to_alcotest qcheck_random_graph_capacities;
+    QCheck_alcotest.to_alcotest qcheck_routes_match_full_sweep;
   ]
