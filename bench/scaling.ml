@@ -523,7 +523,11 @@ let validate file =
   (* v3: scaling curves over generated topologies with fitted
      exponents and a live-words audit per point.  On a full (non-quick)
      document the fat-tree per-event exponent must be sub-linear —
-     that is the scan-removal refactor's acceptance gate. *)
+     that is the scan-removal refactor's acceptance gate.  On every
+     document, quick ones included, the power-law solve exponent must
+     stay below 1.5: a cold solve there runs about one round per
+     session, so per-round scans of the solved receivers or the active
+     links show up as an exponent near 2. *)
   (match Json.member "curves" doc with
   | Some (Json.List curves) when curves <> [] ->
       let seen = ref [] in
@@ -537,7 +541,7 @@ let validate file =
             | _ -> fail (Printf.sprintf "curve %S missing numeric %S" cname k)
           in
           ignore (exp "build_exponent");
-          ignore (exp "solve_exponent");
+          let solve_exp = exp "solve_exponent" in
           let event_exp = exp "event_exponent" in
           (match Json.member "points" c with
           | Some (Json.List pts) when List.length pts >= 2 ->
@@ -556,7 +560,12 @@ let validate file =
             fail
               (Printf.sprintf
                  "fat-tree per-event exponent %.3f is not sub-linear — the churn path scans"
-                 event_exp))
+                 event_exp);
+          if cname = "power-law" && solve_exp >= 1.5 then
+            fail
+              (Printf.sprintf
+                 "power-law solve exponent %.3f is not below 1.5 — the water-filling rounds scan"
+                 solve_exp))
         curves;
       if not (List.mem "fat-tree" !seen) then fail "missing the fat-tree curve"
   | _ -> fail "missing or empty \"curves\" array");

@@ -19,12 +19,74 @@ let tol_for x = 1e-9 *. Stdlib.max 1.0 (Float.abs x)
    state lives in prevalidated flat arrays so the hot loops do no
    bounds-checked record chasing and no per-call list allocation.
 
-   Per-round work is restricted to links that still carry active
-   receivers (the [active_links] compact set); when a receiver
-   freezes, only the cells on its own data-path are updated, which
-   keeps every link's linear usage model [const + slope·t] current
-   incrementally instead of rescanning links × sessions × receivers
-   each round. *)
+   The loop is event-driven.  Freezing a receiver updates only the
+   cells on its own data-path, which keeps every link's linear usage
+   model [const + slope·t] current.  An active receiver's rate is
+   implicit ([w·t]) and is written only when it freezes.  The next
+   level comes from two lazy min-heaps instead of per-round scans: the
+   solve's finite-ρ receivers keyed by [ρ/w], and (linear engine) the
+   active links keyed by the level [(cap − const)/slope] at which they
+   saturate.  Freezing a receiver at [a ≤ t] can only raise a link's
+   saturation level, so a stale key is a lower bound: it is refreshed
+   when it reaches the top, and a retired link is dropped when it
+   surfaces.  A round therefore costs O(log links + the path work of
+   the receivers it freezes) when nobody listens for the trace. *)
+
+(* A binary min-heap of (key, int) pairs over flat arrays sized by the
+   caller — restricted solves keep theirs in the arena below. *)
+type heap = { mutable keys : float array; mutable vals : int array; mutable size : int }
+
+let heap_make n = { keys = Array.make (Stdlib.max n 1) 0.0; vals = Array.make (Stdlib.max n 1) 0; size = 0 }
+
+let heap_swap h i j =
+  let k = h.keys.(i) and v = h.vals.(i) in
+  h.keys.(i) <- h.keys.(j);
+  h.vals.(i) <- h.vals.(j);
+  h.keys.(j) <- k;
+  h.vals.(j) <- v
+
+let rec sift_down h i =
+  let l = (2 * i) + 1 in
+  if l < h.size then begin
+    let c = if l + 1 < h.size && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
+    if h.keys.(c) < h.keys.(i) then begin
+      heap_swap h i c;
+      sift_down h c
+    end
+  end
+
+let rec sift_up h i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if h.keys.(i) < h.keys.(p) then begin
+      heap_swap h i p;
+      sift_up h p
+    end
+  end
+
+(* O(size): order entries 0 .. size−1 written directly into the arrays. *)
+let heapify h =
+  for i = (h.size / 2) - 1 downto 0 do
+    sift_down h i
+  done
+
+let heap_push h k v =
+  h.keys.(h.size) <- k;
+  h.vals.(h.size) <- v;
+  h.size <- h.size + 1;
+  sift_up h (h.size - 1)
+
+let heap_pop h =
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.keys.(0) <- h.keys.(h.size);
+    h.vals.(0) <- h.vals.(h.size);
+    sift_down h 0
+  end
+
+let heap_rekey_top h k =
+  h.keys.(0) <- k;
+  sift_down h 0
 
 type state = {
   net : Network.t;
@@ -35,7 +97,7 @@ type state = {
   cap : float array; (* capacity per link *)
   vfn : Redundancy_fn.t array; (* per session *)
   rho : float array; (* per session *)
-  single_rate : bool array; (* per session *)
+  single_rate : bool array; (* per session; cleared once its cascade is queued *)
   weight : float array; (* per gid *)
   rates : float array; (* per gid *)
   active : bool array; (* per gid *)
@@ -53,6 +115,12 @@ type state = {
   active_links : int array;
   link_pos : int array; (* position in active_links, -1 once retired *)
   mutable n_active_links : int;
+  solve : int array; (* the solved sessions, each once *)
+  n_solve : int;
+  link_heap : heap; (* linear engine: active links by saturation level *)
+  rho_heap : heap; (* finite-ρ receivers by ρ/w *)
+  sat : int array; (* per round: saturated links *)
+  cascade : int array; (* per round: single-rate sessions to freeze whole *)
   restricted : (int array * int) option;
       (* Warm starts: the dirty-list (array, length) of links the
          solved sessions cross.  Only these links carry initialized
@@ -119,6 +187,15 @@ let init_state net =
       incr n_active_links
     end
   done;
+  (* Size the per-solve buffers by what the solve can hold: one heap
+     entry per active link or finite-ρ receiver, one cascade slot per
+     single-rate session. *)
+  let session_first = inc.Network.session_first in
+  let n_rho = ref 0 and n_single = ref 0 in
+  for i = 0 to m - 1 do
+    if Float.is_finite rho.(i) then n_rho := !n_rho + session_first.(i + 1) - session_first.(i);
+    if single_rate.(i) then incr n_single
+  done;
   {
     net;
     inc;
@@ -143,6 +220,12 @@ let init_state net =
     active_links;
     link_pos;
     n_active_links = !n_active_links;
+    solve = Array.init m Fun.id;
+    n_solve = m;
+    link_heap = heap_make !n_active_links;
+    rho_heap = heap_make !n_rho;
+    sat = Array.make (Stdlib.max !n_active_links 1) 0;
+    cascade = Array.make (Stdlib.max !n_single 1) 0;
     restricted = None;
   }
 
@@ -170,16 +253,21 @@ type scratch = {
   mutable l_pos : int array;
   mutable l_stamp : int array;
   mutable l_touched : int array;
+  mutable l_sat_list : int array;
+  l_heap : heap;
   (* per session *)
   mutable s_vfn : Redundancy_fn.t array;
   mutable s_rho : float array;
   mutable s_single : bool array;
   mutable s_comp_stamp : int array;
   mutable s_seen_stamp : int array;
+  mutable s_solve : int array;
+  mutable s_cascade : int array;
   (* per global receiver id *)
   mutable g_weight : float array;
   mutable g_rates : float array;
   mutable g_active : bool array;
+  g_rho_heap : heap;
   (* per compact cell *)
   mutable c_active : int array;
   mutable c_max : float array;
@@ -199,14 +287,19 @@ let scratch_key =
         l_pos = [||];
         l_stamp = [||];
         l_touched = [||];
+        l_sat_list = [||];
+        l_heap = heap_make 0;
         s_vfn = [||];
         s_rho = [||];
         s_single = [||];
         s_comp_stamp = [||];
         s_seen_stamp = [||];
+        s_solve = [||];
+        s_cascade = [||];
         g_weight = [||];
         g_rates = [||];
         g_active = [||];
+        g_rho_heap = heap_make 0;
         c_active = [||];
         c_max = [||];
         c_sum = [||];
@@ -257,14 +350,21 @@ let init_restricted net ~component ~frozen =
   sc.l_pos <- ensure_i sc.l_pos nl;
   sc.l_stamp <- ensure_i sc.l_stamp nl;
   sc.l_touched <- ensure_i sc.l_touched nl;
+  sc.l_sat_list <- ensure_i sc.l_sat_list nl;
+  sc.l_heap.keys <- ensure_f sc.l_heap.keys nl;
+  sc.l_heap.vals <- ensure_i sc.l_heap.vals nl;
   sc.s_vfn <- ensure_vfn sc.s_vfn m;
   sc.s_rho <- ensure_f sc.s_rho m;
   sc.s_single <- ensure_b sc.s_single m;
   sc.s_comp_stamp <- ensure_i sc.s_comp_stamp m;
   sc.s_seen_stamp <- ensure_i sc.s_seen_stamp m;
+  sc.s_solve <- ensure_i sc.s_solve m;
+  sc.s_cascade <- ensure_i sc.s_cascade m;
   sc.g_weight <- ensure_f sc.g_weight n;
   sc.g_rates <- ensure_f sc.g_rates n;
   sc.g_active <- ensure_b sc.g_active n;
+  sc.g_rho_heap.keys <- ensure_f sc.g_rho_heap.keys n;
+  sc.g_rho_heap.vals <- ensure_i sc.g_rho_heap.vals n;
   sc.c_active <- ensure_i sc.c_active nc;
   sc.c_max <- ensure_f sc.c_max nc;
   sc.c_sum <- ensure_f sc.c_sum nc;
@@ -273,6 +373,7 @@ let init_restricted net ~component ~frozen =
   let session_first = inc.Network.session_first in
   let rr = inc.Network.recv_row and rc = inc.Network.recv_cells in
   let n_touched = ref 0 in
+  let n_solve = ref 0 in
   let n_active = ref 0 in
   let all_linear = ref true in
   let unit_weights = ref true in
@@ -283,6 +384,8 @@ let init_restricted net ~component ~frozen =
       if sc.s_comp_stamp.(i) <> stamp then begin
         sc.s_comp_stamp.(i) <- stamp;
         sc.s_seen_stamp.(i) <- stamp;
+        sc.s_solve.(!n_solve) <- i;
+        incr n_solve;
         sc.s_vfn.(i) <- Network.vfn net i;
         sc.s_rho.(i) <- Network.rho net i;
         sc.s_single.(i) <- Network.session_type net i = Network.Single_rate;
@@ -293,7 +396,6 @@ let init_restricted net ~component ~frozen =
         for gid = lo to session_first.(i + 1) - 1 do
           if sc.g_weight.(gid) <> 1.0 then unit_weights := false;
           sc.g_active.(gid) <- true;
-          sc.g_rates.(gid) <- 0.0;
           incr n_active;
           for p = rr.(gid) to rr.(gid + 1) - 1 do
             let l = rc.(p) in
@@ -405,6 +507,12 @@ let init_restricted net ~component ~frozen =
       active_links = sc.l_list;
       link_pos = sc.l_pos;
       n_active_links = !n_active_links;
+      solve = sc.s_solve;
+      n_solve = !n_solve;
+      link_heap = sc.l_heap;
+      rho_heap = sc.g_rho_heap;
+      sat = sc.l_sat_list;
+      cascade = sc.s_cascade;
       restricted = Some (sc.l_touched, !n_touched);
     }
   in
@@ -439,12 +547,12 @@ let retire_link st l =
     st.link_pos.(l) <- -1
   end
 
-(* Freeze one receiver at its current rate: O(|data-path|) — update
-   only the cells the receiver's path crosses. *)
-let freeze_gid st gid =
+(* Freeze one receiver at rate [a]: O(|data-path|) — update only the
+   cells the receiver's path crosses. *)
+let freeze_gid st gid a =
   st.active.(gid) <- false;
   st.n_active <- st.n_active - 1;
-  let a = st.rates.(gid) in
+  st.rates.(gid) <- a;
   let i = (st.inc.Network.receiver_of_gid.(gid)).Network.session in
   let rr = st.inc.Network.recv_row in
   for p = rr.(gid) to rr.(gid + 1) - 1 do
@@ -502,21 +610,53 @@ let link_usage_at st ~link t =
   done;
   !s
 
-(* Linear engine round bound: the per-link (const, slope) pairs are
-   already current, so this is one division per link that still
-   carries active receivers. *)
-let linear_bound st t_cur =
-  let bound = ref infinity in
-  for p = 0 to st.n_active_links - 1 do
-    let l = st.active_links.(p) in
-    if st.link_slope.(l) > 0.0 then begin
-      let b = (st.cap.(l) -. st.link_const.(l)) /. st.link_slope.(l) in
-      if b < !bound then bound := b
-    end
-  done;
-  Stdlib.max !bound t_cur
+(* Linear engine: the level at which link [l] saturates under its
+   current usage model; a NaN model never binds. *)
+let link_key st l =
+  let slope = st.link_slope.(l) in
+  if slope > 0.0 then
+    let k = (st.cap.(l) -. st.link_const.(l)) /. slope in
+    if Float.is_nan k then infinity else k
+  else infinity
 
-let bisection_bound st ~solve_sessions t_cur rho_bound =
+(* Bring the link heap's top up to date: drop retired links and
+   refresh stale keys until the top's key is its link's current
+   saturation level — then it is the minimum over all active links,
+   since every other recorded key is a lower bound of its own. *)
+let rec settle_links st =
+  let h = st.link_heap in
+  if h.size > 0 then begin
+    let l = h.vals.(0) in
+    if st.link_pos.(l) < 0 then begin
+      heap_pop h;
+      settle_links st
+    end
+    else
+      let k = link_key st l in
+      if k <> h.keys.(0) then begin
+        heap_rekey_top h k;
+        settle_links st
+      end
+  end
+
+(* The links a solve is judged on: the dirty-list of a restricted
+   solve (usage elsewhere is all-frozen, t-independent, and no concern
+   of this solve's — a stale pin overfilling a link the component never
+   crosses must not clamp the component to zero), or every link. *)
+let iter_solve_links st f =
+  match st.restricted with
+  | Some (touched, nt) ->
+      for tp = 0 to nt - 1 do
+        f touched.(tp)
+      done
+  | None ->
+      for l = 0 to st.nl - 1 do
+        f l
+      done
+
+(* [max_cap] is the solve links' largest capacity: every active
+   receiver crosses at least one of them, so it bounds the search. *)
+let bisection_bound st ~max_cap t_cur rho_bound =
   (* Links with no active receiver have t-independent usage, so once
      they pass at [t_cur] they pass at every t ≥ t_cur: the search
      itself only re-evaluates links that still carry active
@@ -532,50 +672,80 @@ let bisection_bound st ~solve_sessions t_cur rho_bound =
     !ok
   in
   let feasible_all t =
-    (* Restricted solves judge feasibility on the solved sessions'
-       links only: usage elsewhere is all-frozen, t-independent, and
-       no concern of this solve's — a stale pin overfilling a link the
-       component never crosses must not clamp the component to zero. *)
     let ok = ref true in
-    let check l = if link_usage_at st ~link:l t > st.cap.(l) +. tol_for st.cap.(l) then ok := false in
-    (match st.restricted with
-    | Some (touched, nt) ->
-        for tp = 0 to nt - 1 do
-          check touched.(tp)
-        done
-    | None ->
-        for l = 0 to st.nl - 1 do
-          check l
-        done);
+    iter_solve_links st (fun l ->
+        if link_usage_at st ~link:l t > st.cap.(l) +. tol_for st.cap.(l) then ok := false);
     !ok
   in
-  (* Every active receiver crosses at least one dirty-list link, so
-     the dirty-list's largest capacity bounds the search as tightly as
-     the global maximum used to. *)
-  let max_cap = ref 0.0 in
-  (match st.restricted with
-  | Some (touched, nt) ->
-      for tp = 0 to nt - 1 do
-        let c = st.cap.(touched.(tp)) in
-        if c > !max_cap then max_cap := c
-      done
-  | None ->
-      for l = 0 to st.nl - 1 do
-        if st.cap.(l) > !max_cap then max_cap := st.cap.(l)
-      done);
   let session_first = st.inc.Network.session_first in
   let min_weight = ref infinity in
-  Array.iter
-    (fun i ->
-      for gid = session_first.(i) to session_first.(i + 1) - 1 do
-        if st.active.(gid) then min_weight := Stdlib.min !min_weight st.weight.(gid)
-      done)
-    solve_sessions;
+  for si = 0 to st.n_solve - 1 do
+    let i = st.solve.(si) in
+    for gid = session_first.(i) to session_first.(i + 1) - 1 do
+      if st.active.(gid) then min_weight := Stdlib.min !min_weight st.weight.(gid)
+    done
+  done;
   let weight_floor = if Float.is_finite !min_weight && !min_weight > 0.0 then !min_weight else 1.0 in
-  let hi = Stdlib.min rho_bound (t_cur +. (!max_cap /. weight_floor) +. 1.0) in
+  let hi = Stdlib.min rho_bound (t_cur +. (max_cap /. weight_floor) +. 1.0) in
   if not (feasible_all t_cur) then t_cur
   else if feasible_active hi then hi
   else Mmfair_numerics.Bisect.sup_satisfying feasible_active t_cur hi
+
+(* Linear engine: the links saturated at level [t], listed in
+   [st.sat]; returns their count.  Pops every heap entry recorded
+   within [window] of [t] (a recorded key is a lower bound of the
+   link's level, so none is missed), decides each by its exact slack,
+   and pushes the unsaturated ones back with a fresh key.  A saturated
+   link retires this round, so it is not pushed back. *)
+let linear_saturated st ~window t =
+  let h = st.link_heap in
+  let popped = ref 0 in
+  while h.size > 0 && h.keys.(0) <= t +. window do
+    let l = h.vals.(0) in
+    heap_pop h;
+    if st.link_pos.(l) >= 0 then begin
+      st.sat.(!popped) <- l;
+      incr popped
+    end
+  done;
+  let n = ref 0 in
+  for j = 0 to !popped - 1 do
+    let l = st.sat.(j) in
+    let slack = st.cap.(l) -. (st.link_const.(l) +. (st.link_slope.(l) *. t)) in
+    if slack <= tol_for st.cap.(l) then begin
+      st.ever_saturated.(l) <- true;
+      st.sat.(!n) <- l;
+      incr n
+    end
+    else heap_push h (link_key st l) l
+  done;
+  !n
+
+(* Slack sweep over the active links at level [t]: the tightest link
+   and its slack.  With [~collect] (the bisection engine's saturation
+   test) it also marks every link within tolerance of its capacity and
+   lists it in [st.sat] from position [n_sat]; returns the new count.
+   The linear engine runs it only for the trace payload or a
+   no-progress fallback. *)
+let slack_sweep st ~use_linear ~collect t n_sat =
+  let min_slack = ref infinity and min_link = ref (-1) and n_sat = ref n_sat in
+  for p = st.n_active_links - 1 downto 0 do
+    let l = st.active_links.(p) in
+    let u =
+      if use_linear then st.link_const.(l) +. (st.link_slope.(l) *. t) else link_usage_at st ~link:l t
+    in
+    let slack = st.cap.(l) -. u in
+    if collect && slack <= tol_for st.cap.(l) then begin
+      st.ever_saturated.(l) <- true;
+      st.sat.(!n_sat) <- l;
+      incr n_sat
+    end;
+    if slack < !min_slack then begin
+      min_slack := slack;
+      min_link := l
+    end
+  done;
+  (!min_slack, !min_link, !n_sat)
 
 let solver_name = "Allocator"
 
@@ -585,128 +755,146 @@ let solver_name = "Allocator"
    external sinks (metrics registry, Chrome trace, JSONL) observe.
    When probes are disabled and no local [on_round] collector is
    passed, no per-round payload is built at all — the hot loop pays
-   one flag check per round.
+   one flag check per round, and the linear engine never sweeps the
+   active links.
 
-   Shared by the cold and restricted paths; every loop below is
-   bounded by [st.n_*] counters or the solve's own session/link sets,
-   never by [Array.length] of a state array (arena arrays are
-   oversized). *)
-let water_fill ?on_round st ~use_linear ~solve_sessions ~stalled_error =
-  let session_first = st.inc.Network.session_first in
-  let n_solve = Array.length solve_sessions in
+   Shared by the cold and restricted paths and by both engines; the
+   engines differ only in how a round finds its level and its
+   saturated links.  Every loop below is bounded by [st.n_*] counters,
+   heap sizes or the solve's own session/link sets, never by
+   [Array.length] of a state array (arena arrays are oversized). *)
+let water_fill ?on_round st ~use_linear ~stalled_error =
+  let inc = st.inc in
+  let session_first = inc.Network.session_first in
+  let session_of gid = (inc.Network.receiver_of_gid.(gid)).Network.session in
+  let max_cap = ref 0.0 in
+  iter_solve_links st (fun l -> if st.cap.(l) > !max_cap then max_cap := st.cap.(l));
+  let max_cap = !max_cap in
+  (* Every active link's slope is ≥ 1 (unit weights, Scaled factors
+     ≥ 1), so a link whose slack is within [tol_for cap] saturates
+     within [tol_for cap] of the level — the window pops them all, with
+     room for rounding in the recorded keys. *)
+  let window = 2.0 *. tol_for max_cap in
+  let rh = st.rho_heap in
+  rh.size <- 0;
+  for si = 0 to st.n_solve - 1 do
+    let i = st.solve.(si) in
+    let rho = st.rho.(i) in
+    if Float.is_finite rho then
+      for gid = session_first.(i) to session_first.(i + 1) - 1 do
+        rh.keys.(rh.size) <- rho /. st.weight.(gid);
+        rh.vals.(rh.size) <- gid;
+        rh.size <- rh.size + 1
+      done
+  done;
+  heapify rh;
+  let lh = st.link_heap in
+  lh.size <- 0;
+  if use_linear then begin
+    for p = 0 to st.n_active_links - 1 do
+      let l = st.active_links.(p) in
+      lh.keys.(p) <- link_key st l;
+      lh.vals.(p) <- l
+    done;
+    lh.size <- st.n_active_links;
+    heapify lh
+  end;
   let round_no = ref 0 in
-  let last_slack = ref infinity in
   let t_cur = ref 0.0 in
   let guard_links = match st.restricted with Some (_, nt) -> nt | None -> st.nl in
   let guard = ref (st.n_active + guard_links + 2) in
   while st.n_active > 0 do
     (* One flag check per round: when nobody listens, the per-round
-       trace payload (frozen list, saturated set) is never built. *)
+       trace payload (frozen list, saturated set, slack sweep) is never
+       built. *)
     let want = Option.is_some on_round || Obs.Probe.enabled () in
     decr guard;
     incr round_no;
-    if !guard < 0 then Solver_error.raise_error (stalled_error !round_no !last_slack);
-    (* Largest normalized level t at which no active receiver's rate
-       w·t exceeds its session's rho. *)
-    let rho_bound = ref infinity in
-    for si = 0 to n_solve - 1 do
-      let i = solve_sessions.(si) in
-      let rho = st.rho.(i) in
-      if Float.is_finite rho then
-        for gid = session_first.(i) to session_first.(i + 1) - 1 do
-          if st.active.(gid) then rho_bound := Stdlib.min !rho_bound (rho /. st.weight.(gid))
-        done
+    if !guard < 0 then begin
+      let slack, _, _ = slack_sweep st ~use_linear ~collect:false !t_cur 0 in
+      Solver_error.raise_error (stalled_error !round_no slack)
+    end;
+    (* The ρ cursor: skip receivers frozen since; the top is the
+       largest level at which no active receiver's rate w·t exceeds
+       its session's rho. *)
+    while rh.size > 0 && not st.active.(rh.vals.(0)) do
+      heap_pop rh
     done;
+    let rho_bound = if rh.size > 0 then rh.keys.(0) else infinity in
     let t_new =
-      if use_linear then Stdlib.min (linear_bound st !t_cur) !rho_bound
-      else bisection_bound st ~solve_sessions !t_cur !rho_bound
+      if use_linear then begin
+        settle_links st;
+        let bound = if lh.size > 0 then lh.keys.(0) else infinity in
+        Stdlib.min (Stdlib.max bound !t_cur) rho_bound
+      end
+      else bisection_bound st ~max_cap !t_cur rho_bound
     in
     let t_new = Stdlib.max t_new !t_cur in
-    (* Apply the increment to every active receiver. *)
-    for si = 0 to n_solve - 1 do
-      let i = solve_sessions.(si) in
-      for gid = session_first.(i) to session_first.(i + 1) - 1 do
-        if st.active.(gid) then st.rates.(gid) <- st.weight.(gid) *. t_new
-      done
-    done;
-    (* Saturation sweep, restricted to links with active receivers:
-       an all-frozen link's usage no longer changes, so it cannot
-       newly saturate (and its saturation round already froze every
-       receiver crossing it). *)
-    let min_slack = ref infinity and min_slack_link = ref (-1) in
-    for p = st.n_active_links - 1 downto 0 do
-      let l = st.active_links.(p) in
-      let u =
-        if use_linear then st.link_const.(l) +. (st.link_slope.(l) *. t_new)
-        else link_usage_at st ~link:l t_new
-      in
-      let slack = st.cap.(l) -. u in
-      if slack <= tol_for st.cap.(l) then st.ever_saturated.(l) <- true;
-      if slack < !min_slack then begin
-        min_slack := slack;
-        min_slack_link := l
-      end
-    done;
-    last_slack := !min_slack;
+    (* Saturation, judged before anything freezes this round: the link
+       heap's window for the linear engine, a sweep of the active links
+       for bisection.  The sweep also yields the tightest link, which
+       the trace reports. *)
+    let n_sat = if use_linear then linear_saturated st ~window t_new else 0 in
+    let min_slack, min_slack_link, n_sat =
+      if want || not use_linear then slack_sweep st ~use_linear ~collect:(not use_linear) t_new n_sat
+      else (infinity, -1, n_sat)
+    in
     let saturated_set =
       if not want then []
       else begin
-        match st.restricted with
-        | Some (touched, nt) ->
-            let acc = ref [] in
-            for tp = 0 to nt - 1 do
-              let l = touched.(tp) in
-              if st.ever_saturated.(l) then acc := l :: !acc
-            done;
-            List.sort Stdlib.compare !acc
-        | None ->
-            let acc = ref [] in
-            for l = st.nl - 1 downto 0 do
-              if st.ever_saturated.(l) then acc := l :: !acc
-            done;
-            !acc
+        let acc = ref [] in
+        iter_solve_links st (fun l -> if st.ever_saturated.(l) then acc := l :: !acc);
+        List.sort Stdlib.compare !acc
       end
     in
     let frozen_count = ref 0 in
-    let frozen_evs = ref [] in
-    let freeze gid =
+    let frozen_gids = ref [] in
+    let n_cascade = ref 0 in
+    let freeze gid a =
       if st.active.(gid) then begin
-        freeze_gid st gid;
+        freeze_gid st gid a;
         incr frozen_count;
-        if want then begin
-          let r = st.inc.Network.receiver_of_gid.(gid) in
-          frozen_evs := (r.Network.session, r.Network.index, st.rates.(gid)) :: !frozen_evs
+        if want then frozen_gids := gid :: !frozen_gids;
+        let i = session_of gid in
+        if st.single_rate.(i) then begin
+          st.single_rate.(i) <- false;
+          st.cascade.(!n_cascade) <- i;
+          incr n_cascade
         end
       end
     in
-    let on_saturated gid =
-      let rr = st.inc.Network.recv_row in
-      let hit = ref false in
-      let p = ref rr.(gid) in
-      let stop = rr.(gid + 1) in
-      while (not !hit) && !p < stop do
-        if st.ever_saturated.(st.inc.Network.recv_cells.(!p)) then hit := true;
-        incr p
-      done;
-      !hit
-    in
-    (* Step 6: freeze receivers at rho or crossing a saturated link. *)
-    for si = 0 to n_solve - 1 do
-      let i = solve_sessions.(si) in
-      let rho = st.rho.(i) in
-      for gid = session_first.(i) to session_first.(i + 1) - 1 do
-        if st.active.(gid) then
-          if st.weight.(gid) *. t_new >= rho -. tol_for rho then begin
-            st.rates.(gid) <- rho;
-            freeze gid
-          end
-          else if on_saturated gid then freeze gid
+    let freeze_link l =
+      for p = inc.Network.cell_first.(inc.Network.link_row.(l))
+          to inc.Network.cell_first.(inc.Network.link_row.(l + 1)) - 1 do
+        let gid = inc.Network.link_cells.(p) in
+        freeze gid (st.weight.(gid) *. t_new)
       done
+    in
+    (* Step 6: freeze receivers at rho (walking the ρ cursor forward),
+       then every receiver crossing a saturated link. *)
+    let at_rho = ref true in
+    while !at_rho && rh.size > 0 do
+      let gid = rh.vals.(0) in
+      let rho = st.rho.(session_of gid) in
+      if not st.active.(gid) then heap_pop rh
+      else if st.weight.(gid) *. t_new >= rho -. tol_for rho then begin
+        heap_pop rh;
+        freeze gid rho
+      end
+      else at_rho := false
+    done;
+    for j = 0 to n_sat - 1 do
+      freeze_link st.sat.(j)
     done;
     (* Numerical fallback: bisection can stop a hair below saturation;
-       force progress by freezing receivers on the tightest link. *)
+       force progress by freezing receivers on the tightest link.
+       Nothing froze, so the state is still the one the sweep sees. *)
     if !frozen_count = 0 then begin
-      if !min_slack_link < 0 then begin
+      let min_slack, min_slack_link, _ =
+        if want || not use_linear then (min_slack, min_slack_link, 0)
+        else slack_sweep st ~use_linear ~collect:false t_new 0
+      in
+      if min_slack_link < 0 then begin
         (* Every slack comparison failed — usage is NaN somewhere.
            Name the first offending link for the report. *)
         let nan_link = ref None in
@@ -716,30 +904,26 @@ let water_fill ?on_round st ~use_linear ~solve_sessions ~stalled_error =
         done;
         Solver_error.raise_error
           (Solver_error.Stuck_link
-             { solver = solver_name; round = !round_no; link = !nan_link; residual_slack = !min_slack })
+             { solver = solver_name; round = !round_no; link = !nan_link; residual_slack = min_slack })
       end;
-      let l = !min_slack_link in
-      let inc = st.inc in
-      for p = inc.Network.cell_first.(inc.Network.link_row.(l))
-           to inc.Network.cell_first.(inc.Network.link_row.(l + 1)) - 1 do
-        freeze st.inc.Network.link_cells.(p)
-      done
+      freeze_link min_slack_link
     end;
-    (* Step 7: a single-rate session freezes as a unit. *)
-    for si = 0 to n_solve - 1 do
-      let i = solve_sessions.(si) in
-      if st.single_rate.(i) then begin
-        let any_frozen = ref false in
-        for gid = session_first.(i) to session_first.(i + 1) - 1 do
-          if not st.active.(gid) then any_frozen := true
-        done;
-        if !any_frozen then
-          for gid = session_first.(i) to session_first.(i + 1) - 1 do
-            freeze gid
-          done
-      end
+    (* Step 7: a single-rate session freezes as a unit — only the
+       sessions that lost a receiver this round are visited. *)
+    for q = 0 to !n_cascade - 1 do
+      let i = st.cascade.(q) in
+      for gid = session_first.(i) to session_first.(i + 1) - 1 do
+        freeze gid (st.weight.(gid) *. t_new)
+      done
     done;
     if want then begin
+      let frozen =
+        List.map
+          (fun gid ->
+            let r = inc.Network.receiver_of_gid.(gid) in
+            (r.Network.session, r.Network.index, st.rates.(gid)))
+          (List.sort Stdlib.compare !frozen_gids)
+      in
       let ev =
         {
           Obs.Events.solver = solver_name;
@@ -747,10 +931,10 @@ let water_fill ?on_round st ~use_linear ~solve_sessions ~stalled_error =
           level = t_new;
           increment = t_new -. !t_cur;
           active = st.n_active;
-          frozen = List.rev !frozen_evs;
+          frozen;
           saturated_links = saturated_set;
-          bottleneck_link = (if !min_slack_link >= 0 then Some !min_slack_link else None);
-          residual_slack = !min_slack;
+          bottleneck_link = (if min_slack_link >= 0 then Some min_slack_link else None);
+          residual_slack = min_slack;
         }
       in
       Obs.Probe.round ev;
@@ -774,8 +958,7 @@ let run ?on_round engine net =
     | `Bisection -> false
     | `Auto -> all_linear && unit_weights
   in
-  let solve_sessions = Array.init st.m Fun.id in
-  water_fill ?on_round st ~use_linear ~solve_sessions
+  water_fill ?on_round st ~use_linear
     ~stalled_error:(fun round residual_slack ->
       Solver_error.stalled ~solver:solver_name ~vfns:st.vfn ~round ~residual_slack);
   let session_first = st.inc.Network.session_first in
@@ -815,7 +998,7 @@ let run_partial ?on_round engine net ~component ~frozen =
       Solver_error.Non_monotone_vfn { solver = solver_name; session = !non_mono; round }
     else Solver_error.No_progress { solver = solver_name; round; residual_slack }
   in
-  water_fill ?on_round st ~use_linear ~solve_sessions:component ~stalled_error;
+  water_fill ?on_round st ~use_linear ~stalled_error;
   let session_first = st.inc.Network.session_first in
   (* Solved sessions get fresh rows out of the arena; everyone else's
      pinned row is adopted as-is (shared, not copied). *)

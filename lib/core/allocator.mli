@@ -29,9 +29,11 @@ type engine = [ `Auto | `Linear | `Bisection ]
 type round = {
   increment : float;  (** The round's uniform rate increase [Δt_b]. *)
   frozen : Network.receiver_id list;
-      (** Receivers removed from the active set this round. *)
+      (** Receivers removed from the active set this round, in
+          ascending (session, index) order. *)
   saturated_links : Mmfair_topology.Graph.link_id list;
-      (** Links that became fully utilized this round. *)
+      (** Links fully utilized by the end of this round (those of
+          earlier rounds included), ascending. *)
 }
 (** One iteration of the water-filling loop, for tracing/reports.
 

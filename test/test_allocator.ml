@@ -513,9 +513,98 @@ let qcheck_certify_accepts_optimized =
       Mmfair_core.Certify.is_max_min ~eps:1e-6 (Allocator.max_min ~engine:`Linear net)
       && Mmfair_core.Certify.is_max_min ~eps:1e-6 (Allocator.max_min ~engine:`Bisection net))
 
+(* --- event-driven water-filling on hub graphs --- *)
+
+(* Power-law graphs are where almost every receiver gets its own
+   level, so a solve runs hundreds of rounds through the link heap and
+   the ρ cursor.  Capacities from {1, 2, 4} and ρ from a small set make
+   levels tie; single-rate sessions, Scaled and Additive link-rate
+   functions exercise the cascade and the slope bookkeeping. *)
+let power_law_net seed =
+  let rng = Mmfair_prng.Xoshiro.create ~seed:(Int64.of_int seed) () in
+  let module X = Mmfair_prng.Xoshiro in
+  let nodes = 64 + X.below rng 193 in
+  let g = (Mmfair_topology.Builders.power_law ~rng ~nodes ~attach:2 ~cap_lo:1.0 ~cap_hi:2.0).graph in
+  for l = 0 to Graph.link_count g - 1 do
+    Graph.set_capacity g l [| 1.0; 2.0; 4.0 |].(X.below rng 3)
+  done;
+  let session receivers =
+    let sender = ref (X.below rng nodes) in
+    while Array.mem !sender receivers do
+      sender := X.below rng nodes
+    done;
+    let rho = if X.bernoulli rng 0.3 then [| 0.25; 0.5; 1.0 |].(X.below rng 3) else infinity in
+    let session_type = if X.bernoulli rng 0.3 then Network.Single_rate else Network.Multi_rate in
+    let vfn =
+      match X.below rng 5 with
+      | 0 -> Redundancy_fn.Scaled 1.5
+      | 1 -> Redundancy_fn.Additive
+      | _ -> Redundancy_fn.Efficient
+    in
+    Network.session ~session_type ~rho ~vfn ~sender:!sender ~receivers ()
+  in
+  let unicast = Array.init nodes (fun v -> session [| v |]) in
+  let multicast =
+    Array.init 4 (fun _ ->
+        let k = 2 + X.below rng 7 in
+        let first = X.below rng (nodes - k) in
+        session (Array.init k (fun j -> first + j)))
+  in
+  Network.make g (Array.append unicast multicast)
+
+(* One reference solve per case: the seed implementation's bisection
+   engine takes seconds on these graphs, and on linear shapes with unit
+   weights its linear engine computes the same allocation. *)
+let qcheck_power_law_equals_reference =
+  QCheck.Test.make ~name:"power-law hub graphs: both engines equal the reference, partial = full"
+    ~count:30
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let net = power_law_net seed in
+      let m = Network.session_count net in
+      let close ~eps a b =
+        Array.for_all
+          (fun (r : Network.receiver_id) ->
+            let x = Allocation.rate a r and y = Allocation.rate b r in
+            Float.abs (x -. y) <= eps *. Stdlib.max 1.0 y)
+          (Network.all_receivers net)
+      in
+      let reference = Mmfair_core.Allocator_reference.max_min ~engine:`Linear net in
+      let linear = Allocator.max_min ~engine:`Linear net in
+      let frozen = Array.init m (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).receivers) in
+      let partial =
+        Allocator.max_min_partial ~engine:`Linear ~sessions:(Array.init m Fun.id) ~frozen net
+      in
+      close ~eps:1e-9 linear reference
+      && close ~eps:1e-6 (Allocator.max_min ~engine:`Bisection net) reference
+      && close ~eps:1e-9 partial linear)
+
+let test_near_tied_links_saturate_together () =
+  (* Links 0 and 1 saturate 5e-10 apart — inside the 1e-9 tolerance —
+     so they close in the same round; link 2 (5e-9 apart) does not. *)
+  let g = Graph.create ~nodes:6 in
+  let l0 = Graph.add_link g 0 1 1.0 in
+  let l1 = Graph.add_link g 2 3 (1.0 +. 5e-10) in
+  let l2 = Graph.add_link g 4 5 (1.0 +. 5e-9) in
+  let s a b = Network.session ~sender:a ~receivers:[| b |] () in
+  let net = Network.make g [| s 0 1; s 2 3; s 4 5 |] in
+  List.iter
+    (fun engine ->
+      match (Allocator.max_min_trace ~engine net).rounds with
+      | first :: _ ->
+          Alcotest.(check (list int)) "round 1 saturates the near-tied pair" [ l0; l1 ]
+            first.Allocator.saturated_links;
+          Alcotest.(check bool) "the farther link waits" false
+            (List.mem l2 first.Allocator.saturated_links)
+      | [] -> Alcotest.fail "no rounds")
+    [ `Linear; `Bisection ]
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "near-tied links saturate in one round" `Quick
+        test_near_tied_links_saturate_together;
+      QCheck_alcotest.to_alcotest qcheck_power_law_equals_reference;
       QCheck_alcotest.to_alcotest qcheck_certify_equals_fp1;
       QCheck_alcotest.to_alcotest qcheck_weighted_unit_equals_unweighted;
       QCheck_alcotest.to_alcotest qcheck_optimized_equals_reference;
