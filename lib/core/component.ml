@@ -22,6 +22,10 @@ type t = {
   mutable members : int list; (* the member set, insertion order *)
   mutable n_sessions : int;
   mutable n_recv : int; (* total receivers across members *)
+  expanded : (Graph.link_id, unit) Hashtbl.t;
+      (* Links [absorb] has already expanded.  Sparse for the same
+         reason as [binding]'s memo: only component-adjacent links are
+         ever expanded. *)
 }
 
 let create net =
@@ -33,6 +37,7 @@ let create net =
     members = [];
     n_sessions = 0;
     n_recv = 0;
+    expanded = Hashtbl.create 16;
   }
 
 let network t = t.net
@@ -119,10 +124,25 @@ let add t i =
   end
 
 (* Grow by session [i] and everything reachable from it over binding
-   links, stack-based.  Sessions met across a binding link are
-   unioned with the session being expanded — also when already
-   members, which is how separately-seeded groups merge on contact. *)
+   links, stack-based, straight off the incidence CSR.  Sessions met
+   across a binding link are unioned with the session being expanded —
+   also when already members, which is how separately-seeded groups
+   merge on contact.
+
+   Each link is expanded at most once per component: afterwards every
+   session on it is a member and all of them share one group, and
+   since members and groups only ever grow, both facts stay true.  A
+   later visit — from another session on the link, another seed, or a
+   wider [binding] — would add nobody and union nothing, so it is
+   skipped.  The closure therefore costs the cells of the links it
+   absorbs plus the path cells of the sessions it expands: a saturated
+   trunk shared by many sessions is walked once, not once per
+   session. *)
 let absorb t ~binding i =
+  let inc = Network.incidence t.net in
+  let session_first = inc.Network.session_first in
+  let recv_row = inc.Network.recv_row and recv_cells = inc.Network.recv_cells in
+  let link_row = inc.Network.link_row and cell_session = inc.Network.cell_session in
   let stack = ref [ i ] in
   add t i;
   while
@@ -130,30 +150,32 @@ let absorb t ~binding i =
     | [] -> false
     | s :: rest ->
         stack := rest;
-        List.iter
-          (fun l ->
-            if binding l then
-              List.iter
-                (fun (r : Network.receiver_id) ->
-                  let j = r.Network.session in
-                  if not t.in_comp.(j) then begin
-                    add t j;
-                    union t s j;
-                    stack := j :: !stack
-                  end
-                  else union t s j)
-                (Network.all_on_link t.net ~link:l))
-          (Network.session_links t.net s);
+        for p = recv_row.(session_first.(s)) to recv_row.(session_first.(s + 1)) - 1 do
+          let l = recv_cells.(p) in
+          if (not (Hashtbl.mem t.expanded l)) && binding l then begin
+            Hashtbl.add t.expanded l ();
+            for c = link_row.(l) to link_row.(l + 1) - 1 do
+              let j = cell_session.(c) in
+              if not t.in_comp.(j) then begin
+                add t j;
+                stack := j :: !stack
+              end;
+              union t s j
+            done
+          end
+        done;
         true
   do
     ()
   done
 
 let absorb_link t ~binding l =
-  if binding l then
-    List.iter
-      (fun (r : Network.receiver_id) -> absorb t ~binding r.Network.session)
-      (Network.all_on_link t.net ~link:l)
+  if binding l then begin
+    let inc = Network.incidence t.net in
+    for c = inc.Network.link_row.(l) to inc.Network.link_row.(l + 1) - 1 do
+      absorb t ~binding inc.Network.cell_session.(c)
+    done
+  end
 
 (* Shared scan: links on the given sessions' paths that are binding
    and carry both a [member] and a non-[member] receiver. *)

@@ -94,7 +94,11 @@ val absorb : t -> binding:(Mmfair_topology.Graph.link_id -> bool) -> int -> unit
     [binding] answers for the coupling allocation — the previous
     epoch's, or [fun l -> old l || new_ l] during boundary expansion;
     session membership on links is read from the component's
-    network. *)
+    network.  Each binding link is expanded at most once per
+    component, whatever the predicate: afterwards all its sessions are
+    members of one group, so a revisit could change nothing.  The cost
+    is therefore the absorbed links' cells plus the expanded sessions'
+    path cells. *)
 
 val absorb_link :
   t -> binding:(Mmfair_topology.Graph.link_id -> bool) -> Mmfair_topology.Graph.link_id -> unit

@@ -318,7 +318,13 @@ let apply t events =
      absorbed — at worst a group rises too high onto a link another
      group also wants, which the merged-candidate binding check
      catches and resolves by merging.  Recomputed per round: expansion
-     absorbs new members. *)
+     absorbs new members.
+
+     Only needed when some member sits outside the solve that reads
+     the background.  When one solve lists every member, [pinned]
+     itself is the background: a restricted solve never reads the rows
+     of the sessions it lists, so the zeroed copy would be identical
+     and merely cost an O(sessions) copy per epoch. *)
   let background () =
     let bg = Array.copy pinned in
     Array.iter (fun i -> bg.(i) <- Array.make (Array.length pinned.(i)) 0.0) (Component.sessions comp);
@@ -348,7 +354,13 @@ let apply t events =
   let solve_groups groups =
     let packs = pack_groups groups in
     solves := !solves + List.length packs;
-    let frozen = background () in
+    let frozen =
+      match packs with
+      | [ pack ]
+        when List.fold_left (fun n g -> n + Array.length g) 0 pack = Component.cardinal comp ->
+          pinned
+      | _ -> background ()
+    in
     let solved =
       run_tasks
         (List.map

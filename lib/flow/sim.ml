@@ -61,6 +61,7 @@ let check_config (cfg : config) =
   if not (Float.is_finite cfg.horizon && cfg.horizon > 0.0) then
     invalid_arg "Sim.run: horizon must be finite and positive";
   if cfg.domains < 1 then invalid_arg "Sim.run: domains must be >= 1";
+  if cfg.series_capacity < 2 then invalid_arg "Sim.run: series_capacity must be >= 2";
   List.iter
     (fun (at, n) ->
       if not (Float.is_finite at && at >= 0.0) then

@@ -77,6 +77,7 @@ val completion_rate : result -> float
 
 val run : ?config:config -> Scenario.t -> result
 (** Simulate the scenario to the horizon.  Raises [Invalid_argument] on
-    a non-positive or non-finite horizon, [domains < 1] or a malformed
-    pulse; solver errors propagate as
+    a non-positive or non-finite horizon, [domains < 1],
+    [series_capacity < 2] or a malformed pulse — all before the initial
+    solve; solver errors propagate as
     {!Mmfair_core.Solver_error.Error}. *)

@@ -25,11 +25,13 @@
    farmed out to the pool (largest listed count), which is where the
    harness spends its time; the 1e-9 comparisons are unchanged.
 
-   With --topologies fat-tree,power-law the whole battery additionally
-   runs on generated topologies from the builder layer (with the
-   bench's session placements, at differential-checkable scale), so
-   the incremental path is gated on the graph families the scaling
-   curves are measured on, not just on small random nets.
+   With --topologies fat-tree,power-law,star the whole battery
+   additionally runs on generated topologies from the builder layer
+   (with the bench's session placements, at differential-checkable
+   scale), so the incremental path is gated on the graph families the
+   scaling curves are measured on, not just on small random nets.  The
+   star case puts dozens of sessions on each saturated trunk, the
+   high-fan-in shape the other families never reach.
 
      churn_differential.exe [--events N] [--seeds S1,S2,...]
                             [--batch-sizes B1,B2,...] [--domains D1,D2,...]
@@ -287,9 +289,9 @@ let run_seed ~events ~batch_sizes ~domain_counts seed seed_idx =
 (* Generated-topology cases: the same differential replayed on the
    builder layer's families, with the bench's session placements at
    differential-sized scale (the scratch solve runs after every
-   event).  Gates the tentpole: the coalesced-surgery churn path must
-   agree with from-scratch solves on fat-tree and power-law graphs,
-   not just on small random nets. *)
+   event).  The coalesced-surgery churn path must agree with
+   from-scratch solves on fat-tree, power-law and star-of-stars
+   graphs, not just on small random nets. *)
 let topology_net name =
   match name with
   | "fat-tree" ->
@@ -317,7 +319,27 @@ let topology_net name =
             | [] -> assert false)
       in
       Network.make g specs
-  | other -> raise (Arg.Bad (Printf.sprintf "unknown topology %S (fat-tree, power-law)" other))
+  | "star" ->
+      (* Star of stars, 3 clusters of 3 leaves, 30 single-receiver
+         sessions per trunk (every third capped at a small rho): one
+         saturated trunk carries dozens of sessions, the high-fan-in
+         shape of the flow simulator's slot pools, where every member
+         of a closure reaches the same binding link. *)
+      let t =
+        Builders.star_of_stars ~leaves_per_cluster:3 ~clusters:3 ~trunk_capacity:4.0
+          ~leaf_capacity:16.0 ()
+      in
+      let per_trunk = 30 in
+      let specs =
+        Array.init (3 * per_trunk) (fun s ->
+            let rho = if s mod 3 = 0 then 0.02 else Float.infinity in
+            Network.session ~rho ~sender:t.Builders.root
+              ~receivers:[| t.Builders.leaves.(s / per_trunk).(s mod 3) |]
+              ())
+      in
+      Network.make t.Builders.graph specs
+  | other ->
+      raise (Arg.Bad (Printf.sprintf "unknown topology %S (fat-tree, power-law, star)" other))
 
 let run_topology ~events ~batch_sizes ~domain_counts name idx =
   let engine = if idx mod 2 = 0 then `Auto else `Bisection in
@@ -361,8 +383,8 @@ let () =
       ( "--topologies",
         Arg.String
           (fun s -> topologies := String.split_on_char ',' s |> List.filter (( <> ) "")),
-        "T1,T2,...  also replay generated-topology cases (fat-tree, power-law) with the same \
-         gates (default: off)" );
+        "T1,T2,...  also replay generated-topology cases (fat-tree, power-law, star) with the \
+         same gates (default: off)" );
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "churn_differential [options]";

@@ -13,6 +13,9 @@ module Network = Mmfair_core.Network
 module Allocator = Mmfair_core.Allocator
 module Component = Mmfair_core.Component
 module Paper_nets = Mmfair_workload.Paper_nets
+module Random_nets = Mmfair_workload.Random_nets
+module Builders = Mmfair_topology.Builders
+module Xoshiro = Mmfair_prng.Xoshiro
 
 (* Multi-rate Figure 2: rates (2.5, 2, 3) / 2.5 saturate l1 (2.5 + 2.5
    on cap 5), l2 (2 on cap 2) and l3 (3 on cap 3) while the uplink l4
@@ -150,6 +153,159 @@ let test_groups_merge_on_expansion () =
         (Component.group_boundary_links comp ~binding:either merged)
   | gs -> Alcotest.fail (Printf.sprintf "expected one merged group, got %d" (List.length gs)))
 
+(* --- closure oracle ------------------------------------------------------ *)
+
+(* The naive closure, kept as the oracle for [absorb]/[absorb_link]:
+   every expanded session re-walks every binding link on its path,
+   also links some other member already expanded.  Members and
+   union-by-min groups are tracked independently of [Component]. *)
+module Naive = struct
+  type t = { net : Network.t; member : bool array; parent : int array }
+
+  let create net =
+    let m = Network.session_count net in
+    { net; member = Array.make m false; parent = Array.init m Fun.id }
+
+  let rec find o i = if o.parent.(i) = i then i else find o o.parent.(i)
+
+  let union o i j =
+    let ri = find o i and rj = find o j in
+    if ri < rj then o.parent.(rj) <- ri else if rj < ri then o.parent.(ri) <- rj
+
+  let absorb o ~binding i =
+    o.member.(i) <- true;
+    let stack = Stack.create () in
+    Stack.push i stack;
+    while not (Stack.is_empty stack) do
+      let s = Stack.pop stack in
+      List.iter
+        (fun l ->
+          if binding l then
+            List.iter
+              (fun (r : Network.receiver_id) ->
+                let j = r.Network.session in
+                if not o.member.(j) then begin
+                  o.member.(j) <- true;
+                  Stack.push j stack
+                end;
+                union o s j)
+              (Network.all_on_link o.net ~link:l))
+        (Network.session_links o.net s)
+    done
+
+  let absorb_link o ~binding l =
+    if binding l then
+      List.iter
+        (fun (r : Network.receiver_id) -> absorb o ~binding r.Network.session)
+        (Network.all_on_link o.net ~link:l)
+
+  let sessions o =
+    List.filter (fun i -> o.member.(i)) (List.init (Array.length o.member) Fun.id)
+
+  (* Same shape as [Component.groups]: ordered by smallest session,
+     members ascending within. *)
+  let groups o =
+    let ss = sessions o in
+    List.filter_map
+      (fun r -> if find o r = r then Some (Array.of_list (List.filter (fun i -> find o i = r) ss)) else None)
+      ss
+end
+
+(* A fixed random link subset as a pure predicate. *)
+let random_links rng net ~prob =
+  let n = Graph.link_count (Network.graph net) in
+  let bits = Array.init n (fun _ -> Xoshiro.float rng < prob) in
+  fun l -> bits.(l)
+
+(* Drive [Component] and the oracle through the same absorb script —
+   first under [narrow], then under the wider [narrow || extra], as
+   the batch engine's expansion loop widens its predicate — and
+   compare member sets and groups after every step. *)
+let closure_agrees rng net ~narrow ~extra =
+  let comp = Component.create net and naive = Naive.create net in
+  let m = Network.session_count net in
+  let n_links = Graph.link_count (Network.graph net) in
+  let agrees () =
+    Array.to_list (Component.sessions comp) = Naive.sessions naive
+    && Component.groups comp = Naive.groups naive
+  in
+  (* Half the link seeds come off a member's path, so [absorb_link]
+     also revisits links the closure already expanded. *)
+  let pick_link () =
+    let members = Component.sessions comp in
+    let path =
+      if Array.length members = 0 || Xoshiro.below rng 2 = 0 then []
+      else Network.session_links net members.(Xoshiro.below rng (Array.length members))
+    in
+    if path = [] then Xoshiro.below rng n_links
+    else List.nth path (Xoshiro.below rng (List.length path))
+  in
+  let step binding =
+    if Xoshiro.below rng 2 = 0 then begin
+      let l = pick_link () in
+      Component.absorb_link comp ~binding l;
+      Naive.absorb_link naive ~binding l
+    end
+    else begin
+      let i = Xoshiro.below rng m in
+      Component.absorb comp ~binding i;
+      Naive.absorb naive ~binding i
+    end;
+    agrees ()
+  in
+  let rec steps k binding = k = 0 || (step binding && steps (k - 1) binding) in
+  steps (1 + Xoshiro.below rng 4) narrow
+  && steps (1 + Xoshiro.below rng 4) (fun l -> narrow l || extra l)
+
+let qcheck_closure_random_nets =
+  QCheck.Test.make ~name:"absorb matches the naive closure on random networks" ~count:1000
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Xoshiro.create ~seed:(Int64.of_int seed) () in
+      let config =
+        {
+          Random_nets.default with
+          Random_nets.nodes = 8 + Xoshiro.below rng 8;
+          extra_links = 2 + Xoshiro.below rng 6;
+          sessions = 3 + Xoshiro.below rng 8;
+          max_receivers = 4;
+        }
+      in
+      let net = Random_nets.generate ~rng config in
+      let optimum = Component.binding (Allocator.max_min net) in
+      let coin = random_links rng net ~prob:0.3 in
+      let narrow l = optimum l || coin l in
+      closure_agrees rng net ~narrow ~extra:(random_links rng net ~prob:0.3))
+
+(* Slot pools on a star of stars, the flow simulator's shape: per
+   cluster a few active sessions saturate the trunk and dozens of
+   parked ones (tiny rho) sit on it too, so every member reaches the
+   same saturated trunk — the case where re-expanding it per member
+   is quadratic. *)
+let qcheck_closure_slot_pools =
+  QCheck.Test.make ~name:"absorb matches the naive closure on star-of-stars slot pools" ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Xoshiro.create ~seed:(Int64.of_int seed) () in
+      let clusters = 1 + Xoshiro.below rng 4 and leaves_per_cluster = 1 + Xoshiro.below rng 3 in
+      let t =
+        Builders.star_of_stars ~leaves_per_cluster ~clusters ~trunk_capacity:4.0
+          ~leaf_capacity:16.0 ()
+      in
+      let per_cluster = 20 + Xoshiro.below rng 30 in
+      let specs =
+        Array.init (clusters * per_cluster) (fun s ->
+            let c = s / per_cluster in
+            let leaf = t.Builders.leaves.(c).(Xoshiro.below rng leaves_per_cluster) in
+            let rho = if Xoshiro.below rng 4 = 0 then Float.infinity else 1e-9 in
+            Network.session ~rho ~sender:t.Builders.root ~receivers:[| leaf |] ())
+      in
+      let net = Network.make t.Builders.graph specs in
+      let narrow = Component.binding (Allocator.max_min net) in
+      (* Widening adds leaf links, whose sessions are already on the
+         (expanded) trunk, and occasionally other clusters' trunks. *)
+      closure_agrees rng net ~narrow ~extra:(random_links rng net ~prob:0.4))
+
 let suite =
   [
     Alcotest.test_case "binding links on figure 2" `Quick test_binding_predicate;
@@ -159,4 +315,6 @@ let suite =
     Alcotest.test_case "fill covers every session" `Quick test_fill;
     Alcotest.test_case "boundary expansion merges disjoint groups" `Quick
       test_groups_merge_on_expansion;
+    QCheck_alcotest.to_alcotest qcheck_closure_random_nets;
+    QCheck_alcotest.to_alcotest qcheck_closure_slot_pools;
   ]

@@ -553,6 +553,66 @@ let test_scheduler_dropped_task () =
   ignore (Batch.apply eng2 [ Event.Rho_change { session = 1; rho = 1.5 } ]);
   check_matches_scratch "sequential replay of the dropped batch" eng2
 
+(* --- the two background paths of a batch re-solve ------------------------ *)
+
+(* A solve engine that records, per [solve_partial] call, how many
+   sessions it lists and whether the background zeroes the listed
+   sessions' rows. *)
+let recording_engine calls =
+  let module Base = (val Mmfair_core.Solve_engine.default : Mmfair_core.Solve_engine.S) in
+  let module E = struct
+    include Base
+
+    let solve_partial ~sessions ~frozen net =
+      let zeroed =
+        Array.for_all (fun i -> Array.for_all (fun r -> r = 0.0) frozen.(i)) sessions
+      in
+      calls := (Array.length sessions, zeroed) :: !calls;
+      Base.solve_partial ~sessions ~frozen net
+  end in
+  (module E : Mmfair_core.Solve_engine.S)
+
+(* Three sessions, each pinned by its own saturated leaf; sessions 0
+   and 1 also share a slack trunk, session 2 rides a separate path.
+   One batch lifts all three leaves: the first solve lists the whole
+   component (three singleton groups, one task) and shares the pinned
+   rows as background; 0 and 1 then rise onto the trunk together, the
+   boundary scan merges them, and only that dirty pair re-solves —
+   fewer sessions than the component, over the zeroed background. *)
+let test_batch_background_paths () =
+  let g = Graph.create ~nodes:6 in
+  ignore (Graph.add_link g 0 1 4.0);
+  let leaf0 = Graph.add_link g 1 2 1.0 in
+  let leaf1 = Graph.add_link g 1 3 1.0 in
+  ignore (Graph.add_link g 0 4 6.0);
+  let leaf2 = Graph.add_link g 4 5 1.0 in
+  let net =
+    Network.make g
+      [|
+        Network.session ~sender:0 ~receivers:[| 2 |] ();
+        Network.session ~sender:0 ~receivers:[| 3 |] ();
+        Network.session ~sender:0 ~receivers:[| 5 |] ();
+      |]
+  in
+  let calls = ref [] in
+  let eng = Batch.create ~solver:(recording_engine calls) net in
+  let stats =
+    Batch.apply eng
+      (List.map
+         (fun link -> Event.Capacity_change { link; cap = 3.0 })
+         [ leaf0; leaf1; leaf2 ])
+  in
+  let comp = stats.Batch.component_sessions in
+  Alcotest.(check int) "every session is in the component" 3 comp;
+  (match List.rev !calls with
+  | (n_first, zeroed_first) :: rest ->
+      Alcotest.(check int) "first solve lists the whole component" comp n_first;
+      Alcotest.(check bool) "whole-component solve shares the pinned rows" false zeroed_first;
+      Alcotest.(check bool) "a dirty subset re-solves over the zeroed background" true
+        (List.exists (fun (n, zeroed) -> n < comp && zeroed) rest)
+  | [] -> Alcotest.fail "no partial solve recorded");
+  check_matches_scratch "both background paths" eng
+
 let suite =
   [
     Alcotest.test_case "engine matches scratch on figure 2 churn" `Quick test_engine_on_figure2;
@@ -573,4 +633,5 @@ let suite =
     Alcotest.test_case "churn parser batch blocks" `Quick test_churn_parser_batches;
     QCheck_alcotest.to_alcotest qcheck_domains_bitwise_identical;
     Alcotest.test_case "dropped solve tasks are typed errors" `Quick test_scheduler_dropped_task;
+    Alcotest.test_case "whole and dirty-subset re-solves" `Quick test_batch_background_paths;
   ]

@@ -257,6 +257,19 @@ let test_size_parsing_and_means () =
     true
     (Float.abs (mean -. Size.mean dist) < 0.1 *. Size.mean dist)
 
+(* A too-small series capacity is a config error: [Sim.run] must
+   reject it up front, under its own name, not after the initial solve
+   from inside [Timeseries.create]. *)
+let test_series_capacity_validated () =
+  let scn = Scenario.single_link ~size:(Size.Exponential 1.0) ~rate:0.5 () in
+  List.iter
+    (fun series_capacity ->
+      Alcotest.check_raises
+        (Printf.sprintf "series_capacity %d" series_capacity)
+        (Invalid_argument "Sim.run: series_capacity must be >= 2")
+        (fun () -> ignore (Sim.run ~config:{ Sim.default with Sim.series_capacity } scn)))
+    [ 1; 0; -3 ]
+
 let suite =
   [
     Alcotest.test_case "M/M/1 single link obeys Little's law" `Quick test_mm1_littles_law;
@@ -273,4 +286,6 @@ let suite =
     Alcotest.test_case "arrival process is shared and seeded" `Quick test_arrivals_shared_process;
     Alcotest.test_case "size distributions parse and integrate" `Quick
       test_size_parsing_and_means;
+    Alcotest.test_case "series_capacity is validated up front" `Quick
+      test_series_capacity_validated;
   ]
