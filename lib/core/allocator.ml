@@ -33,7 +33,7 @@ let tol_for x = 1e-9 *. Stdlib.max 1.0 (Float.abs x)
    the receivers it freezes) when nobody listens for the trace. *)
 
 (* A binary min-heap of (key, int) pairs over flat arrays sized by the
-   caller — restricted solves keep theirs in the arena below. *)
+   caller — solves keep theirs in the arena below. *)
 type heap = { mutable keys : float array; mutable vals : int array; mutable size : int }
 
 let heap_make n = { keys = Array.make (Stdlib.max n 1) 0.0; vals = Array.make (Stdlib.max n 1) 0; size = 0 }
@@ -91,9 +91,6 @@ let heap_rekey_top h k =
 type state = {
   net : Network.t;
   inc : Network.incidence;
-  m : int; (* sessions *)
-  n : int; (* receivers (global ids) *)
-  nl : int; (* links *)
   cap : float array; (* capacity per link *)
   vfn : Redundancy_fn.t array; (* per session *)
   rho : float array; (* per session *)
@@ -121,127 +118,31 @@ type state = {
   rho_heap : heap; (* finite-ρ receivers by ρ/w *)
   sat : int array; (* per round: saturated links *)
   cascade : int array; (* per round: single-rate sessions to freeze whole *)
-  restricted : (int array * int) option;
-      (* Warm starts: the dirty-list (array, length) of links the
-         solved sessions cross.  Only these links carry initialized
-         aggregates — in a restricted solve the state arrays are
-         arena-owned and oversized, and entries off the dirty-list
-         hold stale garbage from earlier solves.  Only dirty-list
-         links constrain the solve: frozen usage elsewhere is
-         t-independent and none of the solved sessions' business. *)
+  touched : int array;
+  n_touched : int;
+      (* The dirty-list: the links the solved sessions cross.  Only
+         these carry initialized aggregates — the state arrays are
+         arena-owned and oversized, and entries off the dirty-list hold
+         stale garbage from earlier solves.  Only dirty-list links
+         constrain the solve: frozen usage elsewhere is t-independent
+         and none of the solved sessions' business. *)
 }
 
-(* Full (cold) solve: build the all-active state with every per-link
-   and per-cell aggregate initialized.  This is the one-shot path;
-   incremental re-solves go through [init_restricted] below and never
-   pay these O(links + receivers) passes. *)
-let init_state net =
-  let g = Network.graph net in
-  let inc = Network.incidence net in
-  let m = Network.session_count net in
-  let n = inc.Network.n_receivers in
-  let nl = Graph.link_count g in
-  let cap = Array.init nl (Graph.capacity g) in
-  let vfn = Array.init m (Network.vfn net) in
-  let rho = Array.init m (Network.rho net) in
-  let single_rate = Array.init m (fun i -> Network.session_type net i = Network.Single_rate) in
-  let weight = Array.make (Stdlib.max n 1) 1.0 in
-  for i = 0 to m - 1 do
-    let w = (Network.session_spec net i).Network.weights in
-    Array.blit w 0 weight inc.Network.session_first.(i) (Array.length w)
-  done;
-  let nc = inc.Network.n_cells in
-  let link_row = inc.Network.link_row and cell_first = inc.Network.cell_first in
-  let cell_active = Array.make (Stdlib.max nc 1) 0 in
-  for c = 0 to nc - 1 do
-    cell_active.(c) <- cell_first.(c + 1) - cell_first.(c)
-  done;
-  let cell_max_frozen = Array.make (Stdlib.max nc 1) 0.0 in
-  let cell_sum_frozen = Array.make (Stdlib.max nc 1) 0.0 in
-  let link_const = Array.make (Stdlib.max nl 1) 0.0 in
-  let link_slope = Array.make (Stdlib.max nl 1) 0.0 in
-  let link_active = Array.make (Stdlib.max nl 1) 0 in
-  for l = 0 to nl - 1 do
-    for c = link_row.(l) to link_row.(l + 1) - 1 do
-      (match vfn.(inc.Network.cell_session.(c)) with
-      | Redundancy_fn.Efficient ->
-          if cell_active.(c) > 0 then link_slope.(l) <- link_slope.(l) +. 1.0
-          else link_const.(l) <- link_const.(l) +. cell_max_frozen.(c)
-      | Redundancy_fn.Scaled v ->
-          if cell_active.(c) > 0 then link_slope.(l) <- link_slope.(l) +. v
-          else link_const.(l) <- link_const.(l) +. (v *. cell_max_frozen.(c))
-      | Redundancy_fn.Additive ->
-          link_slope.(l) <- link_slope.(l) +. float_of_int cell_active.(c);
-          link_const.(l) <- link_const.(l) +. cell_sum_frozen.(c)
-      | Redundancy_fn.Custom _ -> ());
-      link_active.(l) <- link_active.(l) + cell_active.(c)
-    done
-  done;
-  let active_links = Array.make (Stdlib.max nl 1) 0 in
-  let link_pos = Array.make (Stdlib.max nl 1) (-1) in
-  let n_active_links = ref 0 in
-  for l = 0 to nl - 1 do
-    if link_active.(l) > 0 then begin
-      active_links.(!n_active_links) <- l;
-      link_pos.(l) <- !n_active_links;
-      incr n_active_links
-    end
-  done;
-  (* Size the per-solve buffers by what the solve can hold: one heap
-     entry per active link or finite-ρ receiver, one cascade slot per
-     single-rate session. *)
-  let session_first = inc.Network.session_first in
-  let n_rho = ref 0 and n_single = ref 0 in
-  for i = 0 to m - 1 do
-    if Float.is_finite rho.(i) then n_rho := !n_rho + session_first.(i + 1) - session_first.(i);
-    if single_rate.(i) then incr n_single
-  done;
-  {
-    net;
-    inc;
-    m;
-    n;
-    nl;
-    cap;
-    vfn;
-    rho;
-    single_rate;
-    weight;
-    rates = Array.make (Stdlib.max n 1) 0.0;
-    active = Array.make (Stdlib.max n 1) true;
-    n_active = n;
-    cell_active;
-    cell_max_frozen;
-    cell_sum_frozen;
-    link_const;
-    link_slope;
-    link_active;
-    ever_saturated = Array.make (Stdlib.max nl 1) false;
-    active_links;
-    link_pos;
-    n_active_links = !n_active_links;
-    solve = Array.init m Fun.id;
-    n_solve = m;
-    link_heap = heap_make !n_active_links;
-    rho_heap = heap_make !n_rho;
-    sat = Array.make (Stdlib.max !n_active_links 1) 0;
-    cascade = Array.make (Stdlib.max !n_single 1) 0;
-    restricted = None;
-  }
-
-(* Restricted solves — the churn engine's per-component re-solves —
-   must not pay O(links + receivers) allocation and zeroing per event.
-   Their state arrays live in a per-domain arena: oversized flat
-   arrays recycled across solves, with generation counters ("stamps")
-   marking which entries belong to the current solve.  [stamp] starts
-   at 1 so a freshly grown, all-zero stamp array reads as stale; data
-   arrays grow without preserving contents (every entry the solve
-   reads is re-initialized under the current stamp first).
+(* No solve — a cold [max_min] is the one whose component is every
+   session — pays O(links + receivers) allocation and zeroing.  The
+   state arrays live in a per-domain arena: oversized flat arrays
+   recycled across solves, with generation counters ("stamps") marking
+   which entries belong to the current solve.  [stamp] starts at 1 so
+   a freshly grown, all-zero stamp array reads as stale; data arrays
+   grow without preserving contents (every entry the solve reads is
+   re-initialized under the current stamp first).
 
    The arena is per-domain ([Domain.DLS]), so pooled batch solves each
-   get their own; a restricted solve must not re-enter the allocator
-   from its [on_round] callback (no current caller does). *)
+   get their own.  [busy] marks it taken: a solve started from inside
+   another one on the same domain (an [on_round] callback or probe
+   sink that solves) gets a fresh scratch instead. *)
 type scratch = {
+  mutable busy : bool;
   mutable stamp : int;
   (* per link *)
   mutable l_cap : float array;
@@ -274,36 +175,46 @@ type scratch = {
   mutable c_sum : float array;
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        stamp = 1;
-        l_cap = [||];
-        l_const = [||];
-        l_slope = [||];
-        l_active = [||];
-        l_sat = [||];
-        l_list = [||];
-        l_pos = [||];
-        l_stamp = [||];
-        l_touched = [||];
-        l_sat_list = [||];
-        l_heap = heap_make 0;
-        s_vfn = [||];
-        s_rho = [||];
-        s_single = [||];
-        s_comp_stamp = [||];
-        s_seen_stamp = [||];
-        s_solve = [||];
-        s_cascade = [||];
-        g_weight = [||];
-        g_rates = [||];
-        g_active = [||];
-        g_rho_heap = heap_make 0;
-        c_active = [||];
-        c_max = [||];
-        c_sum = [||];
-      })
+let new_scratch () =
+  {
+    busy = false;
+    stamp = 1;
+    l_cap = [||];
+    l_const = [||];
+    l_slope = [||];
+    l_active = [||];
+    l_sat = [||];
+    l_list = [||];
+    l_pos = [||];
+    l_stamp = [||];
+    l_touched = [||];
+    l_sat_list = [||];
+    l_heap = heap_make 0;
+    s_vfn = [||];
+    s_rho = [||];
+    s_single = [||];
+    s_comp_stamp = [||];
+    s_seen_stamp = [||];
+    s_solve = [||];
+    s_cascade = [||];
+    g_weight = [||];
+    g_rates = [||];
+    g_active = [||];
+    g_rho_heap = heap_make 0;
+    c_active = [||];
+    c_max = [||];
+    c_sum = [||];
+  }
+
+let scratch_key = Domain.DLS.new_key new_scratch
+
+let with_scratch f =
+  let sc = Domain.DLS.get scratch_key in
+  if sc.busy then f (new_scratch ())
+  else begin
+    sc.busy <- true;
+    Fun.protect ~finally:(fun () -> sc.busy <- false) (fun () -> f sc)
+  end
 
 let ensure_f a n = if Array.length a >= n then a else Array.make (Stdlib.max n (2 * Array.length a)) 0.0
 let ensure_i a n = if Array.length a >= n then a else Array.make (Stdlib.max n (2 * Array.length a)) 0
@@ -313,10 +224,10 @@ let ensure_vfn a n =
   if Array.length a >= n then a
   else Array.make (Stdlib.max n (2 * Array.length a)) Redundancy_fn.Efficient
 
-(* Warm start: pin every session outside [component] at its [frozen]
-   row and build the state directly in its post-freeze shape, touching
-   only the component's neighborhood.  Three passes, all proportional
-   to the component's sessions, receivers and incident cells:
+(* Pin every session outside [component] at its [frozen] row and build
+   the state directly in its post-freeze shape, touching only the
+   component's neighborhood.  Three passes, all proportional to the
+   component's sessions, receivers and incident cells:
 
    1. stamp the component's sessions, activate their receivers, and
       collect the dirty-list of links they cross;
@@ -326,12 +237,14 @@ let ensure_vfn a n =
    3. per-cell frozen aggregates and per-link usage models over the
       dirty-list only.
 
+   A cold solve lists every session, so pass 2 pins nobody.
+
    Also decides engine eligibility for the restricted problem: the
    linear model needs every involved session linear — including pinned
    neighbors, whose [Custom] cells would otherwise contribute a bogus
    constant 0 — while the unit-weight requirement only concerns the
    receivers actually being raised. *)
-let init_restricted net ~component ~frozen =
+let init sc net ~component ~frozen =
   let g = Network.graph net in
   let inc = Network.incidence net in
   let m = Network.session_count net in
@@ -340,7 +253,6 @@ let init_restricted net ~component ~frozen =
   let nc = inc.Network.n_cells in
   if Array.length frozen <> m then
     invalid_arg "Allocator.max_min_partial: frozen rates must cover every session";
-  let sc = Domain.DLS.get scratch_key in
   sc.l_cap <- ensure_f sc.l_cap nl;
   sc.l_const <- ensure_f sc.l_const nl;
   sc.l_slope <- ensure_f sc.l_slope nl;
@@ -486,9 +398,6 @@ let init_restricted net ~component ~frozen =
     {
       net;
       inc;
-      m;
-      n;
-      nl;
       cap = sc.l_cap;
       vfn = sc.s_vfn;
       rho = sc.s_rho;
@@ -513,7 +422,8 @@ let init_restricted net ~component ~frozen =
       rho_heap = sc.g_rho_heap;
       sat = sc.l_sat_list;
       cascade = sc.s_cascade;
-      restricted = Some (sc.l_touched, !n_touched);
+      touched = sc.l_touched;
+      n_touched = !n_touched;
     }
   in
   (st, !all_linear, !unit_weights)
@@ -586,11 +496,7 @@ let cell_usage_at st ~cell_lo ~cell_hi i t =
           let x = rate_at j in
           if x > !mx then mx := x
         done;
-        (match st.vfn.(i) with
-        | Redundancy_fn.Scaled k ->
-            if k < 1.0 then invalid_arg "Allocator: Scaled factor must be >= 1";
-            k *. !mx
-        | _ -> !mx)
+        (match st.vfn.(i) with Redundancy_fn.Scaled k -> k *. !mx | _ -> !mx)
     | Redundancy_fn.Additive ->
         let s = ref 0.0 in
         for j = 0 to n - 1 do
@@ -639,23 +545,22 @@ let rec settle_links st =
       end
   end
 
-(* The links a solve is judged on: the dirty-list of a restricted
-   solve (usage elsewhere is all-frozen, t-independent, and no concern
-   of this solve's — a stale pin overfilling a link the component never
-   crosses must not clamp the component to zero), or every link. *)
+(* The links a solve is judged on: its dirty-list.  Usage elsewhere is
+   all-frozen, t-independent, and no concern of this solve's — a stale
+   pin overfilling a link the component never crosses must not clamp
+   the component to zero. *)
 let iter_solve_links st f =
-  match st.restricted with
-  | Some (touched, nt) ->
-      for tp = 0 to nt - 1 do
-        f touched.(tp)
-      done
-  | None ->
-      for l = 0 to st.nl - 1 do
-        f l
-      done
+  for tp = 0 to st.n_touched - 1 do
+    f st.touched.(tp)
+  done
 
-(* [max_cap] is the solve links' largest capacity: every active
-   receiver crosses at least one of them, so it bounds the search. *)
+(* The search bracket is [t_cur, t_cur + max_cap/w_min + 1], with
+   [max_cap] the graph's largest capacity ({!Network.max_capacity}),
+   exactly as in [Allocator_reference]: every active receiver crosses a
+   link no larger, so it bounds the search.  The bracket must not
+   shrink to the dirty-list's largest capacity: for a [Custom] function
+   that is not monotone (a NaN cliff, say) the bisection's answer
+   depends on where it starts, and the engines must agree. *)
 let bisection_bound st ~max_cap t_cur rho_bound =
   (* Links with no active receiver have t-independent usage, so once
      they pass at [t_cur] they pass at every t ≥ t_cur: the search
@@ -749,6 +654,18 @@ let slack_sweep st ~use_linear ~collect t n_sat =
 
 let solver_name = "Allocator"
 
+(* Pinned cells contribute t-independent usage, so only a solved
+   session's [Custom] function can break monotone progress: the
+   verdicts of [Solver_error.stalled], scoped to the solved sessions
+   (all of them in a cold solve, where the two agree). *)
+let stalled_error st round residual_slack =
+  let non_mono = ref (-1) in
+  for si = st.n_solve - 1 downto 0 do
+    if not (Redundancy_fn.is_linear st.vfn.(st.solve.(si))) then non_mono := st.solve.(si)
+  done;
+  if !non_mono >= 0 then Solver_error.Non_monotone_vfn { solver = solver_name; session = !non_mono; round }
+  else Solver_error.No_progress { solver = solver_name; round; residual_slack }
+
 (* The water-filling loop is instrumented with per-round probe events
    (Mmfair_obs.Probe): the round trace consumed by [max_min_trace] /
    [pp_trace] is reconstructed from the same event stream that
@@ -758,22 +675,21 @@ let solver_name = "Allocator"
    one flag check per round, and the linear engine never sweeps the
    active links.
 
-   Shared by the cold and restricted paths and by both engines; the
-   engines differ only in how a round finds its level and its
-   saturated links.  Every loop below is bounded by [st.n_*] counters,
-   heap sizes or the solve's own session/link sets, never by
-   [Array.length] of a state array (arena arrays are oversized). *)
-let water_fill ?on_round st ~use_linear ~stalled_error =
+   One loop for every solve and both engines; the engines differ only
+   in how a round finds its level and its saturated links.  Every loop
+   below is bounded by [st.n_*] counters, heap sizes or the solve's own
+   session/link sets, never by [Array.length] of a state array (arena
+   arrays are oversized). *)
+let water_fill ?on_round st ~use_linear =
   let inc = st.inc in
   let session_first = inc.Network.session_first in
   let session_of gid = (inc.Network.receiver_of_gid.(gid)).Network.session in
-  let max_cap = ref 0.0 in
-  iter_solve_links st (fun l -> if st.cap.(l) > !max_cap then max_cap := st.cap.(l));
-  let max_cap = !max_cap in
+  let max_cap = Network.max_capacity st.net in
   (* Every active link's slope is ≥ 1 (unit weights, Scaled factors
      ≥ 1), so a link whose slack is within [tol_for cap] saturates
      within [tol_for cap] of the level — the window pops them all, with
-     room for rounding in the recorded keys. *)
+     room for rounding in the recorded keys.  A window wider than a
+     link needs only pops it early, to be decided by its exact slack. *)
   let window = 2.0 *. tol_for max_cap in
   let rh = st.rho_heap in
   rh.size <- 0;
@@ -801,8 +717,7 @@ let water_fill ?on_round st ~use_linear ~stalled_error =
   end;
   let round_no = ref 0 in
   let t_cur = ref 0.0 in
-  let guard_links = match st.restricted with Some (_, nt) -> nt | None -> st.nl in
-  let guard = ref (st.n_active + guard_links + 2) in
+  let guard = ref (st.n_active + st.n_touched + 2) in
   while st.n_active > 0 do
     (* One flag check per round: when nobody listens, the per-round
        trace payload (frozen list, saturated set, slack sweep) is never
@@ -812,7 +727,7 @@ let water_fill ?on_round st ~use_linear ~stalled_error =
     incr round_no;
     if !guard < 0 then begin
       let slack, _, _ = slack_sweep st ~use_linear ~collect:false !t_cur 0 in
-      Solver_error.raise_error (stalled_error !round_no slack)
+      Solver_error.raise_error (stalled_error st !round_no slack)
     end;
     (* The ρ cursor: skip receivers frozen since; the top is the
        largest level at which no active receiver's rate w·t exceeds
@@ -943,71 +858,42 @@ let water_fill ?on_round st ~use_linear ~stalled_error =
     t_cur := t_new
   done
 
-let run ?on_round engine net =
-  let st = init_state net in
-  let all_linear = Array.for_all Redundancy_fn.is_linear st.vfn in
-  let unit_weights = Network.all_weights_unit net in
-  let use_linear =
-    match engine with
-    | `Linear ->
-        if not all_linear then
-          invalid_arg "Allocator.max_min: linear engine requires linear link-rate functions";
-        if not unit_weights then
-          invalid_arg "Allocator.max_min: linear engine requires unit weights";
-        true
-    | `Bisection -> false
-    | `Auto -> all_linear && unit_weights
-  in
-  water_fill ?on_round st ~use_linear
-    ~stalled_error:(fun round residual_slack ->
-      Solver_error.stalled ~solver:solver_name ~vfns:st.vfn ~round ~residual_slack);
-  let session_first = st.inc.Network.session_first in
-  let rates =
-    Array.init st.m (fun i ->
-        Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i)))
-  in
-  Allocation.make net rates
+(* Water-fill the sessions in [component], every other session pinned
+   at its [frozen] row as a fixed background load.  Setup, rounds and
+   extraction are all proportional to the component's neighborhood,
+   not the network.  Returns the rows: fresh ones for the solved
+   sessions, the pinned ones adopted as-is (shared, not copied). *)
+let solve ?on_round engine net ~component ~frozen =
+  with_scratch (fun sc ->
+      let st, all_linear, unit_weights = init sc net ~component ~frozen in
+      let use_linear =
+        match engine with
+        | `Linear ->
+            if not all_linear then
+              invalid_arg "Allocator.max_min: linear engine requires linear link-rate functions";
+            if not unit_weights then invalid_arg "Allocator.max_min: linear engine requires unit weights";
+            true
+        | `Bisection -> false
+        | `Auto -> all_linear && unit_weights
+      in
+      water_fill ?on_round st ~use_linear;
+      let session_first = st.inc.Network.session_first in
+      let rows = Array.copy frozen in
+      Array.iter
+        (fun i ->
+          rows.(i) <- Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i)))
+        component;
+      rows)
 
-(* Warm start (incremental re-solve): water-fill only the sessions in
-   [component], every other session pinned at its [frozen] row as a
-   fixed background load.  Setup, rounds and extraction are all
-   proportional to the component's neighborhood, not the network — the
-   scan-free churn path. *)
+(* A cold solve is the restricted solve over every session, with its
+   result validated. *)
+let run ?on_round engine net =
+  let m = Network.session_count net in
+  Allocation.make net
+    (solve ?on_round engine net ~component:(Array.init m Fun.id) ~frozen:(Array.make m [||]))
+
 let run_partial ?on_round engine net ~component ~frozen =
-  let st, all_linear, unit_weights = init_restricted net ~component ~frozen in
-  let use_linear =
-    match engine with
-    | `Linear ->
-        if not all_linear then
-          invalid_arg "Allocator.max_min: linear engine requires linear link-rate functions";
-        if not unit_weights then
-          invalid_arg "Allocator.max_min: linear engine requires unit weights";
-        true
-    | `Bisection -> false
-    | `Auto -> all_linear && unit_weights
-  in
-  let stalled_error round residual_slack =
-    (* Only a solved session's Custom function can break monotone
-       progress — frozen cells contribute t-independent usage.  Same
-       verdicts as [Solver_error.stalled], scoped to the component. *)
-    let non_mono = ref (-1) in
-    Array.iter
-      (fun i -> if !non_mono < 0 && not (Redundancy_fn.is_linear st.vfn.(i)) then non_mono := i)
-      component;
-    if !non_mono >= 0 then
-      Solver_error.Non_monotone_vfn { solver = solver_name; session = !non_mono; round }
-    else Solver_error.No_progress { solver = solver_name; round; residual_slack }
-  in
-  water_fill ?on_round st ~use_linear ~stalled_error;
-  let session_first = st.inc.Network.session_first in
-  (* Solved sessions get fresh rows out of the arena; everyone else's
-     pinned row is adopted as-is (shared, not copied). *)
-  let rows = Array.copy frozen in
-  Array.iter
-    (fun i ->
-      rows.(i) <- Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i)))
-    component;
-  Allocation.unsafe_of_rows net rows
+  Allocation.unsafe_of_rows net (solve ?on_round engine net ~component ~frozen)
 
 (* The round trace is a pure view of the probe stream: collect the
    events of one run and rebuild the classic [round] records. *)

@@ -53,7 +53,20 @@ val max_min : ?engine:engine -> Network.t -> Allocation.t
     {!Solver_error.Error} if the algorithm fails to make progress
     (only possible with a misbehaving [Custom] link-rate function that
     is not monotone) and [Invalid_argument] on an engine/network
-    mismatch.  Use {!max_min_result} for a non-raising variant. *)
+    mismatch.  Use {!max_min_result} for a non-raising variant.
+
+    This is {!max_min_partial} over every session with nothing pinned,
+    plus validation of the result: one solve path.  Its state lives in
+    the per-domain scratch arena, grown to the largest network solved
+    on that domain and then reused, so a repeated solve allocates only
+    its result rows.  Cost: setup linear in sessions plus total routed
+    path length (the links no receiver crosses are never visited), then
+    per round O(log links) plus the path work of the receivers it
+    freezes; the bisection engine and any listener on the round trace
+    add a sweep of the active links per round.  Solves may nest: one
+    started from an [on_round] callback or a probe sink while another
+    runs on the same domain gets a fresh scratch, leaving the outer
+    solve's state alone. *)
 
 val max_min_trace : ?engine:engine -> Network.t -> result
 (** Like {!max_min} but also returns the per-round trace in execution

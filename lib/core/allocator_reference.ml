@@ -174,7 +174,8 @@ let run engine net =
     last_slack := !min_slack;
     let saturated_set = !saturated in
     let on_saturated (r : Network.receiver_id) =
-      List.exists (fun l -> Network.crosses net r l) saturated_set
+      let path = Network.data_path net r in
+      List.exists (fun l -> List.mem l path) saturated_set
     in
     let frozen = ref [] in
     let freeze (r : Network.receiver_id) =

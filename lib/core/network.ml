@@ -42,11 +42,7 @@ type t = {
   sessions : session_spec array;
   paths : Routing.path array array; (* paths.(i).(k) = data-path of r_{i,k} *)
   inc : incidence;
-  (* bit (gid * n_links + l) set iff receiver [gid] crosses link [l].
-     Lazy: only [crosses] (the reference allocator, tests) reads it,
-     and churn surgery would otherwise pay a rebuild of the bitset on
-     every join or leave. *)
-  crosses_bits : Bytes.t Lazy.t;
+  max_cap : float; (* the graph's largest capacity, 0 without links *)
 }
 
 (* Flat CSR views of the routing, shared by every surgery that leaves
@@ -168,43 +164,27 @@ let find_cell inc ~session ~link =
   done;
   !found
 
-let build_crosses_bits n_links inc =
-  let bits = Bytes.make (((inc.n_receivers * n_links) + 7) / 8) '\000' in
-  for gid = 0 to inc.n_receivers - 1 do
-    for p = inc.recv_row.(gid) to inc.recv_row.(gid + 1) - 1 do
-      let bit = (gid * n_links) + inc.recv_cells.(p) in
-      Bytes.unsafe_set bits (bit lsr 3)
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get bits (bit lsr 3)) lor (1 lsl (bit land 7))))
-    done
-  done;
-  bits
-
-(* Per-session validation (everything but routing). *)
-let validate_session graph i s =
-  if Array.length s.receivers = 0 then
-    invalid_arg (Printf.sprintf "Network.make: session %d has no receivers" i);
-  if not (s.rho > 0.0) then
-    invalid_arg (Printf.sprintf "Network.make: session %d has rho <= 0" i);
+(* Per-session validation (everything but routing); [name] is the
+   entry point the message names. *)
+let validate_session ~name graph i s =
+  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg (Printf.sprintf "Network.%s: %s" name msg)) fmt in
+  if Array.length s.receivers = 0 then fail "session %d has no receivers" i;
+  if not (s.rho > 0.0) then fail "session %d has rho <= 0" i;
   (match s.vfn with
   | Redundancy_fn.Scaled k when not (Float.is_finite k && k >= 1.0) ->
-      invalid_arg
-        (Printf.sprintf "Network.make: session %d has Scaled redundancy factor %g (need a finite factor >= 1)" i k)
+      fail "session %d has Scaled redundancy factor %g (need a finite factor >= 1)" i k
   | _ -> ());
-  if Array.length s.weights <> Array.length s.receivers then
-    invalid_arg (Printf.sprintf "Network.make: session %d weight count mismatch" i);
+  if Array.length s.weights <> Array.length s.receivers then fail "session %d weight count mismatch" i;
   Array.iter
     (fun w ->
-      if not (w > 0.0) then
-        invalid_arg (Printf.sprintf "Network.make: session %d has a non-positive weight" i);
-      if not (Float.is_finite w) then
-        invalid_arg (Printf.sprintf "Network.make: session %d has a non-finite weight" i))
+      if not (w > 0.0) then fail "session %d has a non-positive weight" i;
+      if not (Float.is_finite w) then fail "session %d has a non-finite weight" i)
     s.weights;
   if s.sender < 0 || s.sender >= Graph.node_count graph then
-    invalid_arg (Printf.sprintf "Network.make: session %d sender on unknown node %d" i s.sender);
+    fail "session %d sender on unknown node %d" i s.sender;
   (if s.session_type = Single_rate && Array.length s.weights > 0 then begin
      let w0 = s.weights.(0) in
-     if Array.exists (fun w -> w <> w0) s.weights then
-       invalid_arg (Printf.sprintf "Network.make: single-rate session %d has unequal weights" i)
+     if Array.exists (fun w -> w <> w0) s.weights then fail "single-rate session %d has unequal weights" i
    end);
   (* The paper's restriction on τ: no two members of one session
      share a node. *)
@@ -212,24 +192,27 @@ let validate_session graph i s =
   let sorted = Array.copy members in
   Array.sort compare sorted;
   for k = 1 to Array.length sorted - 1 do
-    if sorted.(k) = sorted.(k - 1) then
-      invalid_arg (Printf.sprintf "Network.make: session %d maps two members to node %d" i sorted.(k))
+    if sorted.(k) = sorted.(k - 1) then fail "session %d maps two members to node %d" i sorted.(k)
   done;
   Array.iteri
     (fun k r ->
-      if r < 0 || r >= Graph.node_count graph then
-        invalid_arg (Printf.sprintf "Network.make: session %d receiver %d on unknown node" i k))
+      if r < 0 || r >= Graph.node_count graph then fail "session %d receiver %d on unknown node" i k)
     s.receivers
 
+(* Graph.add_link already rejects NaN/zero/negative capacities; an
+   infinite capacity would make the water-filling bounds meaningless
+   (slack arithmetic produces NaN), so reject it here.  Returns the
+   largest capacity: the allocator's bisection bracket and linear pop
+   window read it in O(1) instead of scanning the links per solve. *)
 let check_capacities graph =
-  (* Graph.add_link already rejects NaN/zero/negative capacities; an
-     infinite capacity would make the water-filling bounds meaningless
-     (slack arithmetic produces NaN), so reject it here. *)
+  let max_cap = ref 0.0 in
   for l = 0 to Graph.link_count graph - 1 do
     let c = Graph.capacity graph l in
     if not (Float.is_finite c) then
-      invalid_arg (Printf.sprintf "Network.make: link %d has non-finite capacity %g" l c)
-  done
+      invalid_arg (Printf.sprintf "Network.make: link %d has non-finite capacity %g" l c);
+    if c > !max_cap then max_cap := c
+  done;
+  !max_cap
 
 (* Rebuild the derived views from validated sessions and frozen
    per-receiver paths.  Linear in [n_links * sessions] (the CSR offset
@@ -239,10 +222,8 @@ let check_capacities graph =
    views ([receivers_on_link], [all_on_link], [session_links]) are
    materialized on demand from the CSR rather than cached here, so
    surgery does not pay for views the caller never reads. *)
-let assemble graph sessions paths =
-  let n_links = Graph.link_count graph in
-  let inc = build_incidence n_links paths in
-  { graph; sessions; paths; inc; crosses_bits = lazy (build_crosses_bits n_links inc) }
+let assemble graph ~max_cap sessions paths =
+  { graph; sessions; paths; inc = build_incidence (Graph.link_count graph) paths; max_cap }
 
 (* Validate everything first, so a validation error always wins over
    a routing error.  Then route each distinct sender once: sessions are
@@ -256,8 +237,8 @@ let assemble graph sessions paths =
    session of the chain that last listed the node; while handing out,
    the node's position in the current chain's targets. *)
 let validate_and_route graph sessions =
-  check_capacities graph;
-  Array.iteri (validate_session graph) sessions;
+  let max_cap = check_capacities graph in
+  Array.iteri (validate_session ~name:"make" graph) sessions;
   let m = Array.length sessions and n = Graph.node_count graph in
   let first = Array.make n (-1) and next = Array.make m (-1) in
   for i = m - 1 downto 0 do
@@ -309,7 +290,7 @@ let validate_and_route graph sessions =
   (match !bad with
   | i, k when i < m -> invalid_arg (Printf.sprintf "Network.make: session %d receiver %d unreachable" i k)
   | _ -> ());
-  assemble graph sessions paths
+  assemble graph ~max_cap sessions paths
 
 let make graph sessions = validate_and_route graph (Array.copy sessions)
 
@@ -343,28 +324,17 @@ let weight t (r : receiver_id) =
 let all_weights_unit t =
   Array.for_all (fun s -> Array.for_all (fun w -> w = 1.0) s.weights) t.sessions
 
+(* Re-validate the changed specs with the entry point's name, so every
+   constructed [t] stays as safe to solve as one from [make]. *)
+let revalidate t name sessions =
+  Array.iteri (validate_session ~name t.graph) sessions;
+  { t with sessions }
+
 let with_weights t w =
   if Array.length w <> Array.length t.sessions then
     invalid_arg "Network.with_weights: session count mismatch";
-  let sessions =
-    Array.mapi
-      (fun i s ->
-        if Array.length w.(i) <> Array.length s.receivers then
-          invalid_arg "Network.with_weights: receiver count mismatch";
-        Array.iter
-          (fun x ->
-            if not (x > 0.0) then invalid_arg "Network.with_weights: non-positive weight";
-            if not (Float.is_finite x) then invalid_arg "Network.with_weights: non-finite weight")
-          w.(i);
-        (if s.session_type = Single_rate && Array.length w.(i) > 0 then begin
-           let w0 = w.(i).(0) in
-           if Array.exists (fun x -> x <> w0) w.(i) then
-             invalid_arg "Network.with_weights: unequal weights in single-rate session"
-         end);
-        { s with weights = Array.copy w.(i) })
-      t.sessions
-  in
-  { t with sessions }
+  revalidate t "with_weights" (Array.mapi (fun i s -> { s with weights = Array.copy w.(i) }) t.sessions)
+
 let rho t i = (session_spec t i).rho
 let vfn t i = (session_spec t i).vfn
 
@@ -420,31 +390,23 @@ let all_on_link t ~link =
   List.init (hi - lo) (fun j -> inc.receiver_of_gid.(inc.link_cells.(lo + j)))
 
 let incidence t = t.inc
+let max_capacity t = t.max_cap
 
 let receiver_gid t r =
   check_receiver t r "receiver_gid";
   t.inc.session_first.(r.session) + r.index
-
-let crosses t r l =
-  check_receiver t r "crosses";
-  l >= 0
-  && l < Graph.link_count t.graph
-  &&
-  let bit = ((t.inc.session_first.(r.session) + r.index) * Graph.link_count t.graph) + l in
-  Char.code (Bytes.unsafe_get (Lazy.force t.crosses_bits) (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
 
 let is_unicast t i = Array.length (session_spec t i).receivers = 1
 
 let with_session_types t types =
   if Array.length types <> Array.length t.sessions then
     invalid_arg "Network.with_session_types: length mismatch";
-  let sessions = Array.mapi (fun i s -> { s with session_type = types.(i) }) t.sessions in
-  { t with sessions }
+  revalidate t "with_session_types"
+    (Array.mapi (fun i s -> { s with session_type = types.(i) }) t.sessions)
 
 let with_vfns t vfns =
   if Array.length vfns <> Array.length t.sessions then invalid_arg "Network.with_vfns: length mismatch";
-  let sessions = Array.mapi (fun i s -> { s with vfn = vfns.(i) }) t.sessions in
-  { t with sessions }
+  revalidate t "with_vfns" (Array.mapi (fun i s -> { s with vfn = vfns.(i) }) t.sessions)
 
 let drop_index arr k = Array.init (Array.length arr - 1) (fun j -> if j < k then arr.(j) else arr.(j + 1))
 
@@ -461,10 +423,10 @@ let drop_index arr k = Array.init (Array.length arr - 1) (fun j -> if j < k then
    The path array is copied on the first join or leave.  A surgery
    without one cannot move any path — routing is hop-count BFS, so
    capacity-independent, and ρ is not a routing input — and its commit
-   shares the base's paths, incidence and lazy [crosses] bitset.  A
-   surgery with one pays one [assemble] at commit, however many events
-   it holds, which is what lets the batch engine's per-event cost
-   amortize toward the component-local solve at 10⁵–10⁶ sessions. *)
+   shares the base's paths and incidence.  A surgery with one pays one
+   [assemble] at commit, however many events it holds, which is what
+   lets the batch engine's per-event cost amortize toward the
+   component-local solve at 10⁵–10⁶ sessions. *)
 
 (* [srg_graph] and [srg_paths] are the base's own until the first
    write to each: a capacity write copies the graph, a join or leave
@@ -543,9 +505,14 @@ let surgery_capacity srg link cap =
   if srg.srg_graph == srg.srg_base.graph then srg.srg_graph <- Graph.copy srg.srg_graph;
   Graph.set_capacity srg.srg_graph link cap
 
+(* A capacity write copied the graph (O(links)), so re-taking the
+   maximum over it costs the same order once per surgery, however many
+   writes it holds; [surgery_capacity] has validated every new value. *)
 let surgery_commit srg =
-  if srg.srg_paths != srg.srg_base.paths then assemble srg.srg_graph srg.srg_sessions srg.srg_paths
-  else { srg.srg_base with graph = srg.srg_graph; sessions = srg.srg_sessions }
+  let base = srg.srg_base in
+  let max_cap = if srg.srg_graph == base.graph then base.max_cap else check_capacities srg.srg_graph in
+  if srg.srg_paths != base.paths then assemble srg.srg_graph ~max_cap srg.srg_sessions srg.srg_paths
+  else { base with graph = srg.srg_graph; sessions = srg.srg_sessions; max_cap }
 
 let one_event t op =
   let srg = surgery_begin t in

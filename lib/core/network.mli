@@ -75,6 +75,16 @@ val make : Mmfair_topology.Graph.t -> session_spec array -> t
     is linear in the total routed path length plus [n_links]. *)
 
 val graph : t -> Mmfair_topology.Graph.t
+(** The graph [t] was built on, shared, not copied: never mutate it
+    afterwards (capacities change through {!with_capacity} or
+    {!surgery_capacity}, which copy it). *)
+
+val max_capacity : t -> float
+(** The largest link capacity in the graph (0 for a graph without
+    links).  O(1): taken where construction and capacity surgery
+    already walk the capacities.  The allocator bounds its search with
+    it. *)
+
 val session_count : t -> int
 (** The paper's [m]. *)
 
@@ -96,8 +106,9 @@ val all_weights_unit : t -> bool
 val with_weights : t -> float array array -> t
 (** [with_weights t w] replaces every session's weight vector
     ([w.(i).(k)] for [r_{i,k}]).  Raises [Invalid_argument] on shape
-    mismatch, non-positive weights, or unequal weights inside a
-    single-rate session. *)
+    mismatch and on anything {!make} rejects (non-positive or
+    non-finite weights, unequal weights inside a single-rate session),
+    with the message naming [Network.with_weights]. *)
 
 val receivers_of_session : t -> int -> receiver_id array
 (** The [k_i] receivers of session [i], in index order. *)
@@ -117,10 +128,6 @@ val receivers_on_link : t -> session:int -> link:Mmfair_topology.Graph.link_id -
 
 val all_on_link : t -> link:Mmfair_topology.Graph.link_id -> receiver_id list
 (** The paper's [R_j]. *)
-
-val crosses : t -> receiver_id -> Mmfair_topology.Graph.link_id -> bool
-(** Whether the receiver's data-path includes the link.  O(1): answered
-    from a precomputed link×receiver bitset. *)
 
 type incidence = private {
   n_receivers : int;  (** Total receivers; global ids are [0..n_receivers-1]. *)
@@ -176,10 +183,13 @@ val with_session_types : t -> session_type array -> t
 (** [with_session_types t types] is the paper's Φ-replacement: an
     otherwise identical network with session [i] given [types.(i)].
     Paths are not re-routed (the topology is unchanged).  Raises
-    [Invalid_argument] on length mismatch. *)
+    [Invalid_argument] on length mismatch, or when a session made
+    single-rate has unequal weights. *)
 
 val with_vfns : t -> Redundancy_fn.t array -> t
-(** Lemma-4 replacement: same network, new redundancy functions. *)
+(** Lemma-4 replacement: same network, new redundancy functions.
+    Raises [Invalid_argument] on length mismatch or a [Scaled] factor
+    below 1 or non-finite, as {!make} does. *)
 
 val with_rho : t -> int -> float -> t
 (** [with_rho t i rho] replaces session [i]'s maximum desired rate
@@ -261,7 +271,9 @@ val surgery_commit : surgery -> t
 (** The network with every accumulated change applied.  With a join
     or leave: one incidence rebuild, linear in sessions + links +
     total routed path length.  Without: O(1), sharing the base's
-    paths, incidence and [crosses] bitset. *)
+    paths and incidence — plus one O(links) pass for
+    {!max_capacity} when a capacity changed, the order of the graph
+    copy that change already paid. *)
 
 val pp : Format.formatter -> t -> unit
 (** Sessions with their types, senders, receivers and paths. *)

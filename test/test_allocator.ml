@@ -599,11 +599,87 @@ let test_near_tied_links_saturate_together () =
       | [] -> Alcotest.fail "no rounds")
     [ `Linear; `Bisection ]
 
+let test_nan_cliff_bracket_is_graph_wide () =
+  (* Distilled from a fuzz case: one session behind link a (capacity
+     3.6) whose Custom function returns NaN above 1.8, while link b,
+     crossed by nobody, has capacity 9.55.  The bisection bracket is
+     [0, max_cap + 1] clipped at rho = 9.5.  Over the whole graph that
+     is rho itself, NaN usage passes the feasibility test, and the
+     receiver freezes at rho — the reference's answer.  Taken over the
+     crossed links only it would stop at 4.6, where the NaN stalls the
+     solve. *)
+  let g = Graph.create ~nodes:3 in
+  ignore (Graph.add_link g 0 1 3.6);
+  ignore (Graph.add_link g 1 2 9.55);
+  let cliff =
+    Redundancy_fn.Custom
+      ("nan-cliff", fun rs -> let m = List.fold_left Float.max 0.0 rs in if m > 1.8 then Float.nan else m)
+  in
+  let net = Network.make g [| Network.session ~rho:9.5 ~vfn:cliff ~sender:0 ~receivers:[| 1 |] () |] in
+  match (Allocator.max_min_result net, Mmfair_core.Allocator_reference.max_min_result net) with
+  | Ok a, Ok b ->
+      let r = { Network.session = 0; index = 0 } in
+      feq "rate agrees with the reference" (Allocation.rate b r) (Allocation.rate a r)
+  | Error _, Error _ -> ()
+  | Ok _, Error e | Error e, Ok _ ->
+      Alcotest.failf "optimized and reference disagree on validity: %s"
+        (Mmfair_core.Solver_error.to_string e)
+
+let test_nested_solves () =
+  (* A probe sink that solves a second network from inside a
+     [max_min_partial] round: the inner solves must not overwrite the
+     outer one's arena state, and every result must equal the same
+     solve run on its own. *)
+  let chain caps =
+    let n = List.length caps in
+    let g = Graph.create ~nodes:(n + 1) in
+    List.iteri (fun l c -> ignore (Graph.add_link g l (l + 1) c)) caps;
+    Network.make g
+      (Array.init n (fun k ->
+           Network.session ~sender:0 ~receivers:(Array.init (n - k) (fun j -> k + j + 1)) ()))
+  in
+  let outer = chain [ 9.0; 4.0; 2.0; 1.0 ] and inner = chain [ 1.0; 5.0; 3.0 ] in
+  let partial net =
+    let m = Network.session_count net in
+    let frozen =
+      Array.init m (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).Network.receivers)
+    in
+    Allocator.max_min_partial ~sessions:(Array.init m Fun.id) ~frozen net
+  in
+  (* The inner solves emit rounds to the same sink: only the outer
+     solve's first round solves. *)
+  let fired = ref false and nested = ref None in
+  let sink =
+    Mmfair_obs.Sink.make
+      ~on_round:(fun _ ->
+        if not !fired then begin
+          fired := true;
+          nested := Some (Allocator.max_min inner, partial inner)
+        end)
+      ()
+  in
+  let got = Mmfair_obs.Probe.with_sink sink (fun () -> partial outer) in
+  let same what a b =
+    Array.iter
+      (fun r -> feq what (Allocation.rate b r) (Allocation.rate a r))
+      (Network.all_receivers (Allocation.network b))
+  in
+  same "outer partial" got (partial outer);
+  match !nested with
+  | None -> Alcotest.fail "the sink never ran"
+  | Some (cold, warm) ->
+      let alone = Allocator.max_min inner in
+      same "inner max_min" cold alone;
+      same "inner max_min_partial" warm alone
+
 let suite =
   suite
   @ [
       Alcotest.test_case "near-tied links saturate in one round" `Quick
         test_near_tied_links_saturate_together;
+      Alcotest.test_case "NaN-cliff bracket spans the whole graph" `Quick
+        test_nan_cliff_bracket_is_graph_wide;
+      Alcotest.test_case "solves nested in a probe sink" `Quick test_nested_solves;
       QCheck_alcotest.to_alcotest qcheck_power_law_equals_reference;
       QCheck_alcotest.to_alcotest qcheck_certify_equals_fp1;
       QCheck_alcotest.to_alcotest qcheck_weighted_unit_equals_unweighted;

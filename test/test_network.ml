@@ -44,8 +44,8 @@ let test_receivers_on_link () =
 let test_crosses () =
   let net = small_net () in
   let r = { Network.session = 0; index = 0 } in
-  Alcotest.(check bool) "crosses l1" true (Network.crosses net r 1);
-  Alcotest.(check bool) "not l2" false (Network.crosses net r 2)
+  Alcotest.(check bool) "crosses l1" true (List.mem 1 (Network.data_path net r));
+  Alcotest.(check bool) "not l2" false (List.mem 2 (Network.data_path net r))
 
 let test_is_unicast () =
   let net = small_net () in
@@ -138,6 +138,28 @@ let test_with_vfns () =
   let swapped = Network.with_vfns net [| Redundancy_fn.Scaled 2.0; Redundancy_fn.Efficient |] in
   Alcotest.(check string) "vfn swapped" "scaled(2)" (Redundancy_fn.name (Network.vfn swapped 0))
 
+(* [with_vfns] and [with_session_types] re-validate like [make], so a
+   network they return is as safe to hand to a solver. *)
+let test_with_vfns_validates () =
+  let net = small_net () in
+  Alcotest.check_raises "Scaled 0.5"
+    (Invalid_argument
+       "Network.with_vfns: session 0 has Scaled redundancy factor 0.5 (need a finite factor >= 1)")
+    (fun () -> ignore (Network.with_vfns net [| Redundancy_fn.Scaled 0.5; Redundancy_fn.Efficient |]));
+  Alcotest.check_raises "Scaled nan"
+    (Invalid_argument
+       "Network.with_vfns: session 1 has Scaled redundancy factor nan (need a finite factor >= 1)")
+    (fun () -> ignore (Network.with_vfns net [| Redundancy_fn.Efficient; Redundancy_fn.Scaled Float.nan |]))
+
+let test_with_session_types_validates () =
+  let g = Graph.create ~nodes:3 in
+  ignore (Graph.add_link g 0 1 1.0);
+  ignore (Graph.add_link g 0 2 1.0);
+  let net = Network.make g [| Network.session ~weights:[| 1.0; 2.0 |] ~sender:0 ~receivers:[| 1; 2 |] () |] in
+  Alcotest.check_raises "single-rate with unequal weights"
+    (Invalid_argument "Network.with_session_types: single-rate session 0 has unequal weights")
+    (fun () -> ignore (Network.with_session_types net [| Network.Single_rate |]))
+
 let test_without_receiver () =
   let net = small_net () in
   let removed = Network.without_receiver net { Network.session = 0; index = 0 } in
@@ -174,8 +196,8 @@ let qcheck_incidence_matches_lists =
   (* The compact CSR incidence index — and the list views derived from
      it — must agree with the raw per-receiver routing ([data_path]
      reads the frozen paths directly, independently of the index):
-     per-(link, session) cells, whole-link ranges, receiver rows, the
-     [recv_cell_of] back-pointers and the crosses bitset. *)
+     per-(link, session) cells, whole-link ranges, receiver rows and
+     the [recv_cell_of] back-pointers. *)
   QCheck.Test.make ~name:"incidence index agrees with the raw routing" ~count:100
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -247,9 +269,6 @@ let qcheck_incidence_matches_lists =
             let c = inc.Network.recv_cell_of.(p) in
             if c < inc.Network.link_row.(l) || c >= inc.Network.link_row.(l + 1) then ok := false;
             if inc.Network.cell_session.(c) <> r.Network.session then ok := false
-          done;
-          for l = 0 to Graph.link_count g - 1 do
-            if Network.crosses net r l <> List.mem l (Network.data_path net r) then ok := false
           done)
         (Network.all_receivers net);
       !ok)
@@ -398,6 +417,9 @@ let qcheck_surgery_matches_rebuild =
         for l = 0 to n_links - 1 do
           if Graph.capacity (Network.graph !net) l <> Graph.capacity graph l then ok := false
         done;
+        if Network.max_capacity !net
+           <> Graph.fold_links graph ~init:0.0 ~f:(fun acc l -> Float.max acc (Graph.capacity graph l))
+        then ok := false;
         Array.iter
           (fun (r : Network.receiver_id) ->
             if Network.data_path !net r <> Network.data_path scratch r then ok := false)
@@ -422,6 +444,8 @@ let suite =
     Alcotest.test_case "cross-session node sharing ok" `Quick test_different_sessions_share_nodes;
     Alcotest.test_case "with_session_types" `Quick test_with_session_types;
     Alcotest.test_case "with_vfns" `Quick test_with_vfns;
+    Alcotest.test_case "with_vfns validates factors" `Quick test_with_vfns_validates;
+    Alcotest.test_case "with_session_types validates weights" `Quick test_with_session_types_validates;
     Alcotest.test_case "without_receiver" `Quick test_without_receiver;
     Alcotest.test_case "without_receiver last" `Quick test_without_receiver_last;
     Alcotest.test_case "join of an unreachable node" `Quick test_join_unreachable;
