@@ -32,16 +32,20 @@ let csv_flag =
 let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (experiments are deterministic per seed).")
 
+let engine_arg =
+  let engine_conv = Arg.enum [ ("auto", `Auto); ("linear", `Linear); ("bisection", `Bisection) ] in
+  Arg.(value & opt engine_conv `Auto & info [ "engine" ] ~doc:"Water-filling engine: auto, linear or bisection.")
+
+let net_file_arg =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network description file.")
+
+let connect_timeout_arg =
+  Arg.(value & opt float 5.0
+       & info [ "connect-timeout" ] ~docv:"SECONDS" ~doc:"How long to retry connecting while the daemon boots.")
+
 (* ------------------------------------------------------------------ *)
 
 let allocate_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network description file.")
-  in
-  let engine_conv = Arg.enum [ ("auto", `Auto); ("linear", `Linear); ("bisection", `Bisection) ] in
-  let engine =
-    Arg.(value & opt engine_conv `Auto & info [ "engine" ] ~doc:"Water-filling engine: auto, linear or bisection.")
-  in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Narrate the water-filling rounds.") in
   let run tele file engine trace =
     Telemetry.wrap tele @@ fun () ->
@@ -103,12 +107,9 @@ let allocate_cmd =
       `Pre Mmfair_workload.Net_parser.example;
     ]
   in
-  Cmd.v (Cmd.info "allocate" ~doc ~man) Term.(const run $ tele_term $ file $ engine $ trace)
+  Cmd.v (Cmd.info "allocate" ~doc ~man) Term.(const run $ tele_term $ net_file_arg $ engine_arg $ trace)
 
 let dot_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network description file.")
-  in
   let run tele file =
     Telemetry.wrap tele @@ fun () ->
     let parsed = Mmfair_workload.Net_parser.parse_file file in
@@ -116,7 +117,7 @@ let dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"export a network description file as Graphviz DOT")
-    Term.(const run $ tele_term $ file)
+    Term.(const run $ tele_term $ net_file_arg)
 
 let example_net_cmd =
   let run tele = Telemetry.wrap tele @@ fun () -> print_string Mmfair_workload.Net_parser.example in
@@ -447,9 +448,6 @@ let churn_cmd =
   let module Churn_parser = Mmfair_workload.Churn_parser in
   let module Churn_gen = Mmfair_workload.Churn_gen in
   let module Net_parser = Mmfair_workload.Net_parser in
-  let net_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network description file.")
-  in
   let trace_file =
     Arg.(value & opt (some file) None
          & info [ "replay" ] ~docv:"TRACE" ~doc:"Churn trace file (.churn) to replay.")
@@ -457,10 +455,6 @@ let churn_cmd =
   let random_events =
     Arg.(value & opt (some int) None
          & info [ "random" ] ~docv:"N" ~doc:"Generate N random events instead of replaying a file (see --seed).")
-  in
-  let engine_conv = Arg.enum [ ("auto", `Auto); ("linear", `Linear); ("bisection", `Bisection) ] in
-  let engine =
-    Arg.(value & opt engine_conv `Auto & info [ "engine" ] ~doc:"Water-filling engine: auto, linear or bisection.")
   in
   let verify =
     Arg.(value & flag
@@ -622,7 +616,7 @@ let churn_cmd =
     ]
   in
   Cmd.v (Cmd.info "churn" ~doc ~man)
-    Term.(const run $ tele_term $ net_file $ trace_file $ random_events $ engine $ verify $ rates
+    Term.(const run $ tele_term $ net_file_arg $ trace_file $ random_events $ engine_arg $ verify $ rates
           $ domains $ coalesce $ seed_arg $ csv_flag)
 
 (* `mmfair churnd`: the serving daemon.  Long-running: ingest .churn
@@ -633,9 +627,6 @@ let churn_cmd =
 let churnd_cmd =
   let module Net_parser = Mmfair_workload.Net_parser in
   let module Daemon = Mmfair_serve.Daemon in
-  let net_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network description file.")
-  in
   let socket =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
@@ -647,10 +638,6 @@ let churnd_cmd =
          & info [ "input" ] ~docv:"FILE"
              ~doc:"Without --socket: the event stream to serve — a file or FIFO, or - for stdin \
                    (default).  Responses go to stdout.")
-  in
-  let engine_conv = Arg.enum [ ("auto", `Auto); ("linear", `Linear); ("bisection", `Bisection) ] in
-  let engine =
-    Arg.(value & opt engine_conv `Auto & info [ "engine" ] ~doc:"Water-filling engine: auto, linear or bisection.")
   in
   let domains =
     Arg.(value & opt int 1
@@ -759,7 +746,7 @@ let churnd_cmd =
     ]
   in
   Cmd.v (Cmd.info "churnd" ~doc ~man)
-    Term.(const run $ tele_term $ net_file $ socket $ input $ engine $ domains $ retain $ max_batch
+    Term.(const run $ tele_term $ net_file_arg $ socket $ input $ engine_arg $ domains $ retain $ max_batch
           $ ack $ poll $ write_timeout $ snapshot_out $ sample_interval $ series_out
           $ series_capacity)
 
@@ -773,9 +760,6 @@ let churnd_load_cmd =
   let module Churn_gen = Mmfair_workload.Churn_gen in
   let module Engine = Mmfair_dynamic.Engine in
   let module Line_reader = Mmfair_serve.Line_reader in
-  let net_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network description file.")
-  in
   let socket =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
@@ -790,11 +774,6 @@ let churnd_load_cmd =
          & info [ "verify" ]
              ~doc:"After streaming, query the daemon's final rates and cross-check them against \
                    an offline replay of the same trace (relative 1e-9).  Needs --socket.")
-  in
-  let connect_timeout =
-    Arg.(value & opt float 5.0
-         & info [ "connect-timeout" ] ~docv:"SECONDS"
-             ~doc:"How long to retry connecting while the daemon boots.")
   in
   let report =
     Arg.(value & flag
@@ -1104,7 +1083,7 @@ let churnd_load_cmd =
     ]
   in
   Cmd.v (Cmd.info "churnd-load" ~doc ~man)
-    Term.(const run $ tele_term $ net_file $ socket $ events $ verify $ connect_timeout $ report
+    Term.(const run $ tele_term $ net_file_arg $ socket $ events $ verify $ connect_timeout_arg $ report
           $ poisson $ seed_arg)
 
 (* `mmfair watch`: live terminal dashboard over a running churnd.
@@ -1129,11 +1108,6 @@ let watch_cmd =
   let once =
     Arg.(value & flag
          & info [ "once" ] ~doc:"Print one snapshot without clearing the screen (implies --count 1).")
-  in
-  let connect_timeout =
-    Arg.(value & opt float 5.0
-         & info [ "connect-timeout" ] ~docv:"SECONDS"
-             ~doc:"How long to retry connecting while the daemon boots.")
   in
   let run tele socket interval count once connect_timeout =
     Telemetry.wrap tele @@ fun () ->
@@ -1259,7 +1233,7 @@ let watch_cmd =
     ]
   in
   Cmd.v (Cmd.info "watch" ~doc ~man)
-    Term.(const run $ tele_term $ socket $ interval $ count $ once $ connect_timeout)
+    Term.(const run $ tele_term $ socket $ interval $ count $ once $ connect_timeout_arg)
 
 let single_rate_cmd =
   let grid = Arg.(value & opt int 12 & info [ "grid" ] ~docv:"N" ~doc:"Candidate rates to sweep.") in
@@ -1452,10 +1426,6 @@ let stability_cmd =
              ~doc:"Domain-pool size for each epoch's component solves (allocations are identical \
                    at every value).")
   in
-  let engine_conv = Arg.enum [ ("auto", `Auto); ("linear", `Linear); ("bisection", `Bisection) ] in
-  let engine =
-    Arg.(value & opt engine_conv `Auto & info [ "engine" ] ~doc:"Water-filling engine: auto, linear or bisection.")
-  in
   let pulses =
     Arg.(value & opt_all string []
          & info [ "pulse" ] ~docv:"T:N"
@@ -1634,7 +1604,7 @@ let stability_cmd =
   in
   Cmd.v (Cmd.info "stability" ~doc ~man)
     Term.(const run $ tele_term $ scenario $ clusters $ slots $ trunk_cap $ capacity $ workload
-          $ load $ sweep $ horizon $ domains $ engine $ pulses $ json_out $ series_out $ expect
+          $ load $ sweep $ horizon $ domains $ engine_arg $ pulses $ json_out $ series_out $ expect
           $ csv_flag $ seed_arg)
 
 let main_cmd =

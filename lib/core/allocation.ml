@@ -60,11 +60,10 @@ let unsafe_rows t = t.rates
 let cell_rate t inc c =
   let i = inc.Network.cell_session.(c) in
   let lo = inc.Network.cell_first.(c) in
+  let rates = t.rates.(i) and g0 = inc.Network.session_first.(i) in
   Redundancy_fn.apply_fold (Network.vfn t.net i)
     ~n:(inc.Network.cell_first.(c + 1) - lo)
-    ~get:(fun j ->
-      let r = inc.Network.receiver_of_gid.(inc.Network.link_cells.(lo + j)) in
-      t.rates.(r.Network.session).(r.Network.index))
+    ~get:(fun j -> rates.(inc.Network.link_cells.(lo + j) - g0))
 
 let session_link_rate t ~session ~link =
   if session < 0 || session >= Network.session_count t.net then

@@ -463,7 +463,7 @@ let freeze_gid st gid a =
   st.active.(gid) <- false;
   st.n_active <- st.n_active - 1;
   st.rates.(gid) <- a;
-  let i = (st.inc.Network.receiver_of_gid.(gid)).Network.session in
+  let i = st.inc.Network.gid_session.(gid) in
   let rr = st.inc.Network.recv_row in
   for p = rr.(gid) to rr.(gid + 1) - 1 do
     let l = st.inc.Network.recv_cells.(p) in
@@ -683,7 +683,7 @@ let stalled_error st round residual_slack =
 let water_fill ?on_round st ~use_linear =
   let inc = st.inc in
   let session_first = inc.Network.session_first in
-  let session_of gid = (inc.Network.receiver_of_gid.(gid)).Network.session in
+  let session_of gid = inc.Network.gid_session.(gid) in
   let max_cap = Network.max_capacity st.net in
   (* Every active link's slope is ≥ 1 (unit weights, Scaled factors
      ≥ 1), so a link whose slack is within [tol_for cap] saturates
@@ -835,8 +835,8 @@ let water_fill ?on_round st ~use_linear =
       let frozen =
         List.map
           (fun gid ->
-            let r = inc.Network.receiver_of_gid.(gid) in
-            (r.Network.session, r.Network.index, st.rates.(gid)))
+            let i = session_of gid in
+            (i, gid - session_first.(i), st.rates.(gid)))
           (List.sort Stdlib.compare !frozen_gids)
       in
       let ev =

@@ -201,8 +201,8 @@ let boundary_scan t ~binding ~member iter_sessions =
               let has_in = ref false and has_out = ref false in
               for q = inc.Network.cell_first.(inc.Network.link_row.(l))
                    to inc.Network.cell_first.(inc.Network.link_row.(l + 1)) - 1 do
-                let r = inc.Network.receiver_of_gid.(inc.Network.link_cells.(q)) in
-                if member r.Network.session then has_in := true else has_out := true
+                if member inc.Network.gid_session.(inc.Network.link_cells.(q)) then has_in := true
+                else has_out := true
               done;
               if !has_in && !has_out then boundary := l :: !boundary
             end

@@ -27,7 +27,7 @@ type incidence = {
   n_receivers : int;
   n_cells : int;
   session_first : int array;
-  receiver_of_gid : receiver_id array;
+  gid_session : int array;
   link_row : int array;
   cell_session : int array;
   cell_first : int array;
@@ -40,59 +40,74 @@ type incidence = {
 type t = {
   graph : Graph.t;
   sessions : session_spec array;
-  paths : Routing.path array array; (* paths.(i).(k) = data-path of r_{i,k} *)
-  inc : incidence;
+  inc : incidence; (* the only stored routing: the forward rows are the data-paths *)
   max_cap : float; (* the graph's largest capacity, 0 without links *)
 }
 
-(* Flat CSR views of the routing, shared by every surgery that leaves
-   the paths alone: global receiver ids are session-major.  The
-   link→receiver direction is {e compact}: only the (link, session)
+(* Where a session's forward rows come from: a routed path per
+   receiver, or the same session's rows in an earlier incidence. *)
+type row_source = Paths of Routing.path array | Copy of incidence
+
+(* Flat CSR views of the routing: global receiver ids are
+   session-major.  This is the one writer of the forward rows, for
+   [make] (every session [Paths]) and for a surgery commit (touched
+   sessions [Paths], every other session one copy of its [Copy] range).
+   The link→receiver direction is {e compact}: only the (link, session)
    pairs some receiver actually crosses get a cell, so every pass here
    — and the allocator's warm-up — is linear in the routed path length
    plus [n_links], never in [n_links * sessions]. *)
-let build_incidence n_links paths =
-  let m = Array.length paths in
+let build_incidence n_links sessions (source : int -> row_source) =
+  let m = Array.length sessions in
   let session_first = Array.make (m + 1) 0 in
   for i = 0 to m - 1 do
-    session_first.(i + 1) <- session_first.(i) + Array.length paths.(i)
+    session_first.(i + 1) <- session_first.(i) + Array.length sessions.(i).receivers
   done;
   let n_receivers = session_first.(m) in
-  let receiver_of_gid = Array.make (Stdlib.max n_receivers 1) { session = 0; index = 0 } in
+  let gid_session = Array.make n_receivers 0 in
   let recv_row = Array.make (n_receivers + 1) 0 in
-  Array.iteri
-    (fun i per_receiver ->
-      Array.iteri
-        (fun k path ->
-          let gid = session_first.(i) + k in
-          receiver_of_gid.(gid) <- { session = i; index = k };
-          recv_row.(gid + 1) <- List.length path)
-        per_receiver)
-    paths;
-  for gid = 0 to n_receivers - 1 do
-    recv_row.(gid + 1) <- recv_row.(gid + 1) + recv_row.(gid)
+  for i = 0 to m - 1 do
+    let src = source i and g0 = session_first.(i) in
+    for gid = g0 to session_first.(i + 1) - 1 do
+      let len =
+        match src with
+        | Paths paths -> List.length paths.(gid - g0)
+        | Copy b ->
+            let bg = b.session_first.(i) + gid - g0 in
+            b.recv_row.(bg + 1) - b.recv_row.(bg)
+      in
+      gid_session.(gid) <- i;
+      recv_row.(gid + 1) <- recv_row.(gid) + len
+    done
   done;
   let total = recv_row.(n_receivers) in
   let recv_cells = Array.make (Stdlib.max total 1) 0 in
-  (* Pass 1: flatten paths into [recv_cells]; count each link's compact
-     cells with a last-session-seen mark (receivers of one session are
-     contiguous in gid order, so a repeat visit of (l, i) is exactly
-     [last_seen.(l) = i]). *)
+  for i = 0 to m - 1 do
+    let g0 = session_first.(i) in
+    match source i with
+    | Paths paths ->
+        Array.iteri (fun k p -> List.iteri (fun j l -> recv_cells.(recv_row.(g0 + k) + j) <- l) p) paths
+    | Copy b ->
+        (* Typed int stores: [Array.blit] into a major-heap array would
+           pay a write barrier per element. *)
+        let shift = b.recv_row.(b.session_first.(i)) - recv_row.(g0) in
+        for p = recv_row.(g0) to recv_row.(session_first.(i + 1)) - 1 do
+          recv_cells.(p) <- b.recv_cells.(p + shift)
+        done
+  done;
+  (* Pass 1: count each link's compact cells with a last-session-seen
+     mark (receivers of one session are contiguous in gid order, so a
+     repeat visit of (l, i) is exactly [last_seen.(l) = i]). *)
   let last_seen = Array.make (Stdlib.max n_links 1) (-1) in
   let link_ncells = Array.make (Stdlib.max n_links 1) 0 in
   for gid = 0 to n_receivers - 1 do
-    let i = receiver_of_gid.(gid).session in
-    let cursor = ref recv_row.(gid) in
-    let k = receiver_of_gid.(gid).index in
-    List.iter
-      (fun l ->
-        recv_cells.(!cursor) <- l;
-        incr cursor;
-        if last_seen.(l) <> i then begin
-          last_seen.(l) <- i;
-          link_ncells.(l) <- link_ncells.(l) + 1
-        end)
-      paths.(i).(k)
+    let i = gid_session.(gid) in
+    for p = recv_row.(gid) to recv_row.(gid + 1) - 1 do
+      let l = recv_cells.(p) in
+      if last_seen.(l) <> i then begin
+        last_seen.(l) <- i;
+        link_ncells.(l) <- link_ncells.(l) + 1
+      end
+    done
   done;
   let link_row = Array.make (n_links + 1) 0 in
   for l = 0 to n_links - 1 do
@@ -109,7 +124,7 @@ let build_incidence n_links paths =
   let cell_cursor = Array.sub link_row 0 (Stdlib.max n_links 1) in
   let cell_at = Array.make (Stdlib.max n_links 1) 0 in
   for gid = 0 to n_receivers - 1 do
-    let i = receiver_of_gid.(gid).session in
+    let i = gid_session.(gid) in
     for p = recv_row.(gid) to recv_row.(gid + 1) - 1 do
       let l = recv_cells.(p) in
       if last_seen.(l) <> i then begin
@@ -141,7 +156,7 @@ let build_incidence n_links paths =
     n_receivers;
     n_cells;
     session_first;
-    receiver_of_gid;
+    gid_session;
     link_row;
     cell_session;
     cell_first;
@@ -214,17 +229,6 @@ let check_capacities graph =
   done;
   !max_cap
 
-(* Rebuild the derived views from validated sessions and frozen
-   per-receiver paths.  Linear in [n_links * sessions] (the CSR offset
-   arrays) plus the total routed path length — a surgery that joins or
-   leaves pays this (cheap) assembly but skips global re-validation
-   and re-routing (the per-sender searches).  The list-shaped
-   views ([receivers_on_link], [all_on_link], [session_links]) are
-   materialized on demand from the CSR rather than cached here, so
-   surgery does not pay for views the caller never reads. *)
-let assemble graph ~max_cap sessions paths =
-  { graph; sessions; paths; inc = build_incidence (Graph.link_count graph) paths; max_cap }
-
 (* Validate everything first, so a validation error always wins over
    a routing error.  Then route each distinct sender once: sessions are
    chained by sender through [first] (node-indexed) and [next]
@@ -233,9 +237,10 @@ let assemble graph ~max_cap sessions paths =
    search.  Listing a node once per sender keeps the search's result
    arrays small (a flow class's 96 slots share one receiver node) and
    gives every session of that sender on that node the same physical
-   path list.  [at] is node-indexed: while listing, it holds the head
-   session of the chain that last listed the node; while handing out,
-   the node's position in the current chain's targets. *)
+   path list, which the incidence writer copies and drops.  [at] is
+   node-indexed: while listing, it holds the head session of the chain
+   that last listed the node; while handing out, the node's position
+   in the current chain's targets. *)
 let validate_and_route graph sessions =
   let max_cap = check_capacities graph in
   Array.iteri (validate_session ~name:"make" graph) sessions;
@@ -290,7 +295,8 @@ let validate_and_route graph sessions =
   (match !bad with
   | i, k when i < m -> invalid_arg (Printf.sprintf "Network.make: session %d receiver %d unreachable" i k)
   | _ -> ());
-  assemble graph ~max_cap sessions paths
+  let inc = build_incidence (Graph.link_count graph) sessions (fun i -> Paths paths.(i)) in
+  { graph; sessions; inc; max_cap }
 
 let make graph sessions = validate_and_route graph (Array.copy sessions)
 
@@ -352,9 +358,14 @@ let check_receiver_in sessions r name =
 
 let check_receiver t r name = check_receiver_in t.sessions r name
 
+(* A receiver's forward row as a fresh path list. *)
+let row_path inc gid =
+  let lo = inc.recv_row.(gid) in
+  List.init (inc.recv_row.(gid + 1) - lo) (fun j -> inc.recv_cells.(lo + j))
+
 let data_path t r =
   check_receiver t r "data_path";
-  t.paths.(r.session).(r.index)
+  row_path t.inc (t.inc.session_first.(r.session) + r.index)
 
 let session_links t i =
   check_session t i "session_links";
@@ -366,6 +377,10 @@ let session_links t i =
     done
   done;
   List.sort_uniq compare !links
+
+let receiver_of inc gid =
+  let session = inc.gid_session.(gid) in
+  { session; index = gid - inc.session_first.(session) }
 
 (* A cell lists its gids ascending, i.e. receiver-index ascending —
    the order the cached lists kept. *)
@@ -379,7 +394,7 @@ let receivers_on_link t ~session ~link =
   | c ->
       List.init
         (inc.cell_first.(c + 1) - inc.cell_first.(c))
-        (fun j -> inc.receiver_of_gid.(inc.link_cells.(inc.cell_first.(c) + j)))
+        (fun j -> receiver_of inc inc.link_cells.(inc.cell_first.(c) + j))
 
 (* A link's whole cell range spans its sessions in ascending order, so
    this is the session-major concatenation the cache used to hold. *)
@@ -387,7 +402,7 @@ let all_on_link t ~link =
   if link < 0 || link >= Graph.link_count t.graph then invalid_arg "Network.all_on_link: unknown link";
   let inc = t.inc in
   let lo = inc.cell_first.(inc.link_row.(link)) and hi = inc.cell_first.(inc.link_row.(link + 1)) in
-  List.init (hi - lo) (fun j -> inc.receiver_of_gid.(inc.link_cells.(lo + j)))
+  List.init (hi - lo) (fun j -> receiver_of inc inc.link_cells.(lo + j))
 
 let incidence t = t.inc
 let max_capacity t = t.max_cap
@@ -420,29 +435,34 @@ let drop_index arr k = Array.init (Array.length arr - 1) (fun j -> if j < k then
    a raise leaves the base network untouched (the builder is the only
    thing dirtied).
 
-   The path array is copied on the first join or leave.  A surgery
-   without one cannot move any path — routing is hop-count BFS, so
-   capacity-independent, and ρ is not a routing input — and its commit
-   shares the base's paths and incidence.  A surgery with one pays one
-   [assemble] at commit, however many events it holds, which is what
-   lets the batch engine's per-event cost amortize toward the
-   component-local solve at 10⁵–10⁶ sessions. *)
+   A surgery without a join or leave cannot move any path — routing is
+   hop-count BFS, so capacity-independent, and ρ is not a routing
+   input — and its commit shares the base's incidence.  A surgery with
+   one pays one [build_incidence] at commit, however many events it
+   holds, which is what lets the batch engine's per-event cost
+   amortize toward the component-local solve at 10⁵–10⁶ sessions. *)
 
-(* [srg_graph] and [srg_paths] are the base's own until the first
-   write to each: a capacity write copies the graph, a join or leave
-   the path array, at most once per surgery. *)
+(* [srg_graph] is the base's own until the first capacity write copies
+   it.  [srg_touched] holds the paths of the sessions a join or leave
+   touched, seeded from the base's rows on first touch; the commit
+   copies every other session's rows from the base. *)
 type surgery = {
   srg_base : t;
   mutable srg_graph : Graph.t;
   srg_sessions : session_spec array;
-  mutable srg_paths : Routing.path array array;
+  srg_touched : (int, Routing.path array) Hashtbl.t;
 }
 
 let surgery_begin t =
-  { srg_base = t; srg_graph = t.graph; srg_sessions = Array.copy t.sessions; srg_paths = t.paths }
+  { srg_base = t; srg_graph = t.graph; srg_sessions = Array.copy t.sessions; srg_touched = Hashtbl.create 8 }
 
-let own_paths srg =
-  if srg.srg_paths == srg.srg_base.paths then srg.srg_paths <- Array.copy srg.srg_paths
+let touched_paths srg i =
+  match Hashtbl.find_opt srg.srg_touched i with
+  | Some paths -> paths
+  | None ->
+      let inc = srg.srg_base.inc in
+      Array.init (Array.length srg.srg_base.sessions.(i).receivers) (fun k ->
+          row_path inc (inc.session_first.(i) + k))
 
 let surgery_session_count srg = Array.length srg.srg_sessions
 
@@ -479,8 +499,7 @@ let surgery_join ?weight srg ~session ~node =
     { s with
       receivers = Array.append s.receivers [| node |];
       weights = Array.append s.weights [| weight |] };
-  own_paths srg;
-  srg.srg_paths.(session) <- Array.append srg.srg_paths.(session) [| new_path |]
+  Hashtbl.replace srg.srg_touched session (Array.append (touched_paths srg session) [| new_path |])
 
 let surgery_leave srg (r : receiver_id) =
   check_receiver_in srg.srg_sessions r "without_receiver";
@@ -489,8 +508,7 @@ let surgery_leave srg (r : receiver_id) =
     invalid_arg "Network.without_receiver: session would become empty";
   srg.srg_sessions.(r.session) <-
     { s with receivers = drop_index s.receivers r.index; weights = drop_index s.weights r.index };
-  own_paths srg;
-  srg.srg_paths.(r.session) <- drop_index srg.srg_paths.(r.session) r.index
+  Hashtbl.replace srg.srg_touched r.session (drop_index (touched_paths srg r.session) r.index)
 
 let surgery_rho srg i rho =
   check_session_in srg.srg_sessions i "with_rho";
@@ -511,8 +529,13 @@ let surgery_capacity srg link cap =
 let surgery_commit srg =
   let base = srg.srg_base in
   let max_cap = if srg.srg_graph == base.graph then base.max_cap else check_capacities srg.srg_graph in
-  if srg.srg_paths != base.paths then assemble srg.srg_graph ~max_cap srg.srg_sessions srg.srg_paths
-  else { base with graph = srg.srg_graph; sessions = srg.srg_sessions; max_cap }
+  if Hashtbl.length srg.srg_touched = 0 then
+    { base with graph = srg.srg_graph; sessions = srg.srg_sessions; max_cap }
+  else
+    let source = Array.make (Array.length srg.srg_sessions) (Copy base.inc) in
+    Hashtbl.iter (fun i paths -> source.(i) <- Paths paths) srg.srg_touched;
+    let inc = build_incidence (Graph.link_count srg.srg_graph) srg.srg_sessions (Array.get source) in
+    { graph = srg.srg_graph; sessions = srg.srg_sessions; inc; max_cap }
 
 let one_event t op =
   let srg = surgery_begin t in
@@ -532,7 +555,7 @@ let pp fmt t =
         s.sender;
       Array.iteri
         (fun k r ->
-          let path = t.paths.(i).(k) in
+          let path = row_path t.inc (t.inc.session_first.(i) + k) in
           Format.fprintf fmt "%sr%d,%d@%d via {%s}" (if k > 0 then "; " else "") (i + 1) (k + 1) r
             (String.concat "," (List.map (Printf.sprintf "l%d") path)))
         s.receivers;

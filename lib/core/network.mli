@@ -70,9 +70,10 @@ val make : Mmfair_topology.Graph.t -> session_spec array -> t
     routed by one early-exit BFS ({!Mmfair_topology.Routing.routes}),
     so routing costs O(searched prefix + routed path length) per
     distinct sender plus O(nodes + sessions) scratch per call — never
-    a path for every node.  Sessions of one sender with a receiver on the
-    same node share that path list physically.  The incidence build
-    is linear in the total routed path length plus [n_links]. *)
+    a path for every node.  The incidence build copies the routed
+    paths into {!incidence}'s forward rows, the only stored routing,
+    and drops them; it is linear in the total routed path length plus
+    [n_links]. *)
 
 val graph : t -> Mmfair_topology.Graph.t
 (** The graph [t] was built on, shared, not copied: never mutate it
@@ -117,7 +118,8 @@ val all_receivers : t -> receiver_id array
 (** Every receiver, session-major order. *)
 
 val data_path : t -> receiver_id -> Mmfair_topology.Routing.path
-(** The receiver's frozen data-path. *)
+(** The receiver's frozen data-path: a fresh list built from its
+    forward row in {!incidence}, O(path length). *)
 
 val session_links : t -> int -> Mmfair_topology.Graph.link_id list
 (** The session's data-path: the union of its receivers' paths,
@@ -136,7 +138,9 @@ type incidence = private {
       (** [m+1] entries; receiver [r_{i,k}]'s global id is
           [session_first.(i) + k], and [session_first.(m)] is
           [n_receivers]. *)
-  receiver_of_gid : receiver_id array;  (** Inverse of the global-id encoding. *)
+  gid_session : int array;
+      (** The session [i] of each global id [g], whose index is then
+          [g - session_first.(i)]: the inverse of the encoding. *)
   link_row : int array;
       (** [n_links + 1] offsets into [cell_session]/[cell_first]: link
           [l]'s compact cells are [link_row.(l) .. link_row.(l+1))], in
@@ -153,8 +157,10 @@ type incidence = private {
   link_cells : int array;  (** Global receiver ids, grouped as above. *)
   recv_row : int array;  (** [n_receivers + 1] offsets into [recv_cells]. *)
   recv_cells : int array;
-      (** Link ids of each receiver's data-path, path order, grouped by
-          global receiver id. *)
+      (** The forward rows: link ids of each receiver's data-path, path
+          order, grouped by global receiver id.  These rows are the only
+          stored copy of the routing; {!data_path} and the other list
+          views are built from the index on demand. *)
   recv_cell_of : int array;
       (** Parallel to [recv_cells]: the compact cell of each path entry,
           so per-receiver updates (freezes) reach their cells without a
@@ -165,8 +171,8 @@ type incidence = private {
     list-based [receivers_on_link]/[all_on_link] views.  Built at
     construction; a surgery without a join or leave shares it
     physically (ρ and capacity never move a path), one with a join or
-    leave rebuilds it once at {!surgery_commit}.  Exposed read-only:
-    never mutate the arrays. *)
+    leave rebuilds it once at {!surgery_commit}, by the same writer
+    {!make} uses.  Exposed read-only: never mutate the arrays. *)
 
 val incidence : t -> incidence
 (** The precomputed incidence index.  O(1). *)
@@ -234,7 +240,7 @@ val with_capacity : t -> Mmfair_topology.Graph.link_id -> float -> t
     state, and a raise leaves both the base network and the builder
     untouched.  At {!surgery_commit}, a surgery with a join or leave
     pays {e one} incidence rebuild, however many events it holds; one
-    without shares the base's paths and incidence.  Error messages
+    without shares the base's incidence.  Error messages
     name the [with_*] function of the operation.  A builder is
     single-use: discard it after {!surgery_commit}. *)
 
@@ -242,8 +248,9 @@ type surgery
 
 val surgery_begin : t -> surgery
 (** A builder over [t].  O(sessions) pointer copies of the spec array,
-    no validation; the path array is copied on the first join or
-    leave. *)
+    no validation.  The first join or leave of a session copies that
+    session's forward rows out of [t]'s incidence into the builder;
+    no other session's rows are copied, and [t] is never written. *)
 
 val surgery_session_count : surgery -> int
 
@@ -270,8 +277,10 @@ val surgery_capacity : surgery -> Mmfair_topology.Graph.link_id -> float -> unit
 val surgery_commit : surgery -> t
 (** The network with every accumulated change applied.  With a join
     or leave: one incidence rebuild, linear in sessions + links +
-    total routed path length.  Without: O(1), sharing the base's
-    paths and incidence — plus one O(links) pass for
+    total routed path length, by the writer {!make} uses: the touched
+    sessions' rows come from the builder, and every other session's
+    rows are copied from the base's incidence.  Without: O(1),
+    sharing the base's incidence — plus one O(links) pass for
     {!max_capacity} when a capacity changed, the order of the graph
     copy that change already paid. *)
 

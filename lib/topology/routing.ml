@@ -74,8 +74,6 @@ let shortest_path g src dst = (search ~name:"Routing.shortest_path" g [| (src, [
 let reachable g src dst =
   Option.is_some (search ~name:"Routing.reachable" g [| (src, [| dst |]) |]).(0).(0)
 
-let path_links p = p
-
 let same_path p q =
   let sort = List.sort_uniq compare in
   sort p = sort q

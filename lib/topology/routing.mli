@@ -44,10 +44,6 @@ val paths_from : Graph.t -> Graph.node -> path option array
     Raises [Invalid_argument "Routing.paths_from: unknown source"] on a
     bad source. *)
 
-val path_links : path -> Graph.link_id list
-(** The set of links in a path (it is already a list; exposed for
-    symmetry with the paper's set-of-links view of a data-path). *)
-
 val same_path : path -> path -> bool
 (** Whether two data-paths traverse the same {e set} of links (the
     paper's condition in same-path-receiver-fairness), regardless of

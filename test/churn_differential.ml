@@ -25,6 +25,12 @@
    farmed out to the pool (largest listed count), which is where the
    harness spends its time; the 1e-9 comparisons are unchanged.
 
+   At the end of every replay, per-event and coalesced, the engine's
+   network must have the incidence a from-scratch Network.make builds
+   on its final graph and specs (structural equality) — the network
+   oracle: every replay's surgeries are otherwise trusted by both
+   sides of the differential.
+
    With --topologies fat-tree,power-law,star the whole battery
    additionally runs on generated topologies from the builder layer
    (with the bench's session placements, at differential-checkable
@@ -73,6 +79,16 @@ let agree a b = Float.abs (a -. b) <= 1e-9 *. Stdlib.max 1.0 (Stdlib.max (Float.
 (* Pool size for the from-scratch reference solves (the harness's
    cost center): the largest count given to --domains. *)
 let scratch_domains = ref 1
+
+(* The network oracle: rebuild the engine's final network from scratch
+   and require a structurally equal incidence. *)
+let check_network ~case net =
+  let specs = Array.init (Network.session_count net) (Network.session_spec net) in
+  match Network.make (Network.graph net) specs with
+  | exception Invalid_argument e -> fail_case ~case "final network does not rebuild: %s" e
+  | rebuilt ->
+      if Network.incidence net <> Network.incidence rebuilt then
+        fail_case ~case "final incidence differs from a Network.make rebuild"
 
 (* One captured replay step awaiting its from-scratch check. *)
 type snapshot = {
@@ -151,7 +167,11 @@ let replay_batched ~case ~engine ~domains ~size net trace =
                 ok := false
             | Ok _stats -> allocs := (Engine.network eng, Engine.allocation eng) :: !allocs)
         (chunks size trace);
-      if !ok then Some (List.rev !allocs) else None
+      if !ok then begin
+        check_network ~case (Engine.network eng);
+        Some (List.rev !allocs)
+      end
+      else None
 
 (* Coalescing + multicore gates for one batch size: the first domain
    count is scratch-checked after every batch (1e-9) and its final
@@ -255,6 +275,7 @@ let replay_case ~case ~engine ~batch_sizes ~domain_counts net trace =
                 :: !snaps)
         trace;
       check_snapshots ~counter:events_checked !snaps;
+      check_network ~case (Engine.network eng);
       (* The trace must round-trip through the .churn renderer/parser:
          parse the rendered trace against the rendered net, then
          re-render with the parsed name tables — the text must come

@@ -100,7 +100,8 @@ let test_error_order () =
 
 let test_shared_path_lists () =
   (* Sessions with one sender route in one search, so the same
-     (sender, receiver) pair holds one physical path list. *)
+     (sender, receiver) pair gets one path.  Paths are stored only as
+     incidence rows, so the lists are equal, not shared. *)
   let net = small_net () in
   let g = Network.graph net in
   let s = Network.session ~sender:0 ~receivers:[| 2 |] () in
@@ -108,7 +109,7 @@ let test_shared_path_lists () =
   let u = Network.session ~sender:1 ~receivers:[| 2 |] () in
   let net = Network.make g [| s; u; t; s |] in
   let path i k = Network.data_path net { Network.session = i; index = k } in
-  Alcotest.(check bool) "same sender, same receiver" true (path 0 0 == path 2 1 && path 0 0 == path 3 0);
+  Alcotest.(check bool) "same sender, same receiver" true (path 0 0 = path 2 1 && path 0 0 = path 3 0);
   Alcotest.(check (list int)) "other sender's path" [ 1 ] (path 1 0)
 
 let test_validation_bad_rho () =
@@ -194,10 +195,11 @@ let qcheck_random_nets_valid =
 
 let qcheck_incidence_matches_lists =
   (* The compact CSR incidence index — and the list views derived from
-     it — must agree with the raw per-receiver routing ([data_path]
-     reads the frozen paths directly, independently of the index):
-     per-(link, session) cells, whole-link ranges, receiver rows and
-     the [recv_cell_of] back-pointers. *)
+     it — must agree with the raw per-receiver routing, taken from
+     [Routing.shortest_path] on each spec's sender and receiver nodes
+     (independent of the index, which [data_path] reads): per-(link,
+     session) cells, whole-link ranges, receiver rows, the
+     [gid_session] inverse and the [recv_cell_of] back-pointers. *)
   QCheck.Test.make ~name:"incidence index agrees with the raw routing" ~count:100
     QCheck.(int_range 0 10_000)
     (fun seed ->
@@ -207,14 +209,19 @@ let qcheck_incidence_matches_lists =
       let inc = Network.incidence net in
       let m = Network.session_count net in
       let gid_of (r : Network.receiver_id) = Network.receiver_gid net r in
+      let route (r : Network.receiver_id) =
+        let s = Network.session_spec net r.Network.session in
+        Option.get (Routing.shortest_path g s.Network.sender s.Network.receivers.(r.Network.index))
+      in
       let ok = ref true in
       if inc.Network.n_receivers <> Network.receiver_count net then ok := false;
+      if Array.length inc.Network.gid_session <> inc.Network.n_receivers then ok := false;
       if inc.Network.n_cells <> inc.Network.link_row.(Graph.link_count g) then ok := false;
       (* Oracle from the raw routing: which gids cross (l, i)? *)
       let expected_cell l i =
         List.filter_map
           (fun (r : Network.receiver_id) ->
-            if r.Network.session = i && List.mem l (Network.data_path net r) then Some (gid_of r)
+            if r.Network.session = i && List.mem l (route r) then Some (gid_of r)
             else None)
           (Array.to_list (Network.all_receivers net))
       in
@@ -254,14 +261,16 @@ let qcheck_incidence_matches_lists =
       Array.iter
         (fun (r : Network.receiver_id) ->
           let gid = gid_of r in
-          if inc.Network.receiver_of_gid.(gid) <> r then ok := false;
+          let i = inc.Network.gid_session.(gid) in
+          if i <> r.Network.session || gid - inc.Network.session_first.(i) <> r.Network.index then
+            ok := false;
           let row =
             Array.to_list
               (Array.sub inc.Network.recv_cells
                  inc.Network.recv_row.(gid)
                  (inc.Network.recv_row.(gid + 1) - inc.Network.recv_row.(gid)))
           in
-          if row <> Network.data_path net r then ok := false;
+          if row <> route r || Network.data_path net r <> route r then ok := false;
           (* Each path entry's back-pointer lands in its link's cell
              range, on this receiver's session. *)
           for p = inc.Network.recv_row.(gid) to inc.Network.recv_row.(gid + 1) - 1 do
