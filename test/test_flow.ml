@@ -257,6 +257,38 @@ let test_size_parsing_and_means () =
     true
     (Float.abs (mean -. Size.mean dist) < 0.1 *. Size.mean dist)
 
+(* The whole trajectory of one seeded run on a star of stars, pinned
+   bit for bit: counts, the float bits of the time-average population,
+   and a digest of the departure log (each entry's time bits, class and
+   slot, in log order).  Any change to the event order, the slot free
+   lists, the drain arithmetic or the allocations shows up here. *)
+let test_star_trajectory_golden () =
+  let scn =
+    Scenario.scale_to_load
+      (Scenario.star_of_stars ~clusters:8 ~slots:32 ~size:(Size.Exponential 1.0) ~rate:1.0 ())
+      ~load:0.8
+  in
+  let config = { Sim.default with Sim.horizon = 40.0; seed = 7L; record_departures = true } in
+  let r = Sim.run ~config scn in
+  let log =
+    String.concat ""
+      (List.map
+         (fun (d : Sim.departure) ->
+           Printf.sprintf "%Lx %d %d\n" (Int64.bits_of_float d.Sim.d_time) d.Sim.d_cls d.Sim.d_slot)
+         r.Sim.departure_log)
+  in
+  Alcotest.(check int) "epochs" 2123 r.Sim.epochs;
+  Alcotest.(check int) "arrivals" 1074 r.Sim.arrivals;
+  Alcotest.(check int) "departures" 1051 r.Sim.departures;
+  Alcotest.(check int) "blocked" 2 r.Sim.blocked;
+  Alcotest.(check int64)
+    "time-avg population bits" 4631735825557151708L
+    (Int64.bits_of_float r.Sim.time_avg_population);
+  Alcotest.(check int) "departure log length" 1051 (List.length r.Sim.departure_log);
+  Alcotest.(check string)
+    "departure log digest" "3c7b754298bd05869069d6f42125ceca"
+    (Digest.to_hex (Digest.string log))
+
 (* A too-small series capacity is a config error: [Sim.run] must
    reject it up front, under its own name, not after the initial solve
    from inside [Timeseries.create]. *)
@@ -279,6 +311,7 @@ let suite =
       test_deterministic_across_domains;
     Alcotest.test_case "figure-2 departure order golden" `Quick
       test_figure2_departure_order_golden;
+    Alcotest.test_case "star-of-stars trajectory golden" `Quick test_star_trajectory_golden;
     Alcotest.test_case "nominal load pinning" `Quick test_nominal_load_pinning;
     Alcotest.test_case "slot exhaustion counts blocked arrivals" `Quick test_blocked_accounting;
     Alcotest.test_case "flash-crowd pulse injects and drains" `Quick test_flash_crowd_pulse;
