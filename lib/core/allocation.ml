@@ -1,6 +1,6 @@
 module Graph = Mmfair_topology.Graph
 
-type t = { net : Network.t; rates : float array array }
+type t = { net : Network.t; rates : float array Pvec.t }
 
 let make net rates =
   if Array.length rates <> Network.session_count net then
@@ -16,7 +16,7 @@ let make net rates =
             invalid_arg (Printf.sprintf "Allocation.make: bad rate in session %d" i))
         per)
     rates;
-  { net; rates = Array.map Array.copy rates }
+  { net; rates = Pvec.init (Array.length rates) (fun i -> Array.copy rates.(i)) }
 
 (* Churn-path constructor: adopts the rows without copying or
    validating them.  The dynamic engine assembles each epoch's rates
@@ -26,7 +26,7 @@ let make net rates =
    on a path the batch engine keeps proportional to the touched
    component.  Callers must never mutate the rows afterwards. *)
 let unsafe_of_rows net rates =
-  if Array.length rates <> Network.session_count net then
+  if Pvec.length rates <> Network.session_count net then
     invalid_arg "Allocation.unsafe_of_rows: session count mismatch";
   { net; rates }
 
@@ -34,23 +34,22 @@ let zero net =
   {
     net;
     rates =
-      Array.init (Network.session_count net) (fun i ->
+      Pvec.init (Network.session_count net) (fun i ->
           Array.make (Array.length (Network.session_spec net i).Network.receivers) 0.0);
   }
 
 let network t = t.net
 
-let rate t (r : Network.receiver_id) = t.rates.(r.Network.session).(r.Network.index)
+let rate t (r : Network.receiver_id) = (Pvec.get t.rates r.Network.session).(r.Network.index)
 
-let rates_of_session t i = Array.copy t.rates.(i)
+let rates_of_session t i = Array.copy (Pvec.get t.rates i)
 
 (* No-copy view for the dynamic engine's row carrying; callers must
    treat the result as read-only. *)
-let unsafe_rates_of_session t i = t.rates.(i)
+let unsafe_rates_of_session t i = Pvec.get t.rates i
 
-(* The live outer array, for bulk row carrying ([Array.copy] on the
-   caller's side is one pointer memcpy instead of a per-session loop);
-   read-only like the rows themselves. *)
+(* The persistent row vector itself, for bulk row carrying: an update
+   of it shares every row and chunk it does not write. *)
 let unsafe_rows t = t.rates
 
 (* Fold a compact incidence cell directly: [link_rate] is swept over
@@ -60,7 +59,7 @@ let unsafe_rows t = t.rates
 let cell_rate t inc c =
   let i = inc.Network.cell_session.(c) in
   let lo = inc.Network.cell_first.(c) in
-  let rates = t.rates.(i) and g0 = inc.Network.session_first.(i) in
+  let rates = Pvec.get t.rates i and g0 = inc.Network.session_first.(i) in
   Redundancy_fn.apply_fold (Network.vfn t.net i)
     ~n:(inc.Network.cell_first.(c + 1) - lo)
     ~get:(fun j -> rates.(inc.Network.link_cells.(lo + j) - g0))
@@ -111,9 +110,7 @@ let link_usages t =
   let session_first = inc.Network.session_first in
   (* Flat per-gid rates so the inner loop does one load per receiver. *)
   let flat = Array.make (Stdlib.max inc.Network.n_receivers 1) 0.0 in
-  Array.iteri
-    (fun i per -> Array.blit per 0 flat session_first.(i) (Array.length per))
-    t.rates;
+  Pvec.iteri (fun i per -> Array.blit per 0 flat session_first.(i) (Array.length per)) t.rates;
   let vfns = Array.init (Network.session_count t.net) (Network.vfn t.net) in
   let link_cells = inc.Network.link_cells in
   let cell_first = inc.Network.cell_first in
@@ -171,7 +168,7 @@ let feasibility_violations ?(eps = 1e-9) t =
   let violations = ref [] in
   for i = Network.session_count net - 1 downto 0 do
     let rho = Network.rho net i in
-    let per = t.rates.(i) in
+    let per = Pvec.get t.rates i in
     Array.iteri
       (fun k a ->
         if a > rho +. (eps *. Stdlib.max 1.0 rho) then
@@ -195,15 +192,15 @@ let feasibility_violations ?(eps = 1e-9) t =
 let is_feasible ?eps t = feasibility_violations ?eps t = []
 
 let ordered_vector t =
-  let all = Array.concat (Array.to_list t.rates) in
+  let all = Array.concat (Array.to_list (Pvec.to_array t.rates)) in
   Array.sort compare all;
   all
 
-let total_throughput t = Array.fold_left (fun acc per -> Array.fold_left ( +. ) acc per) 0.0 t.rates
+let total_throughput t = Pvec.fold_left (fun acc per -> Array.fold_left ( +. ) acc per) 0.0 t.rates
 
 let pp fmt t =
   let g = Network.graph t.net in
-  Array.iteri
+  Pvec.iteri
     (fun i per ->
       Format.fprintf fmt "S%d:" (i + 1);
       Array.iteri (fun k a -> Format.fprintf fmt " a%d,%d=%g" (i + 1) (k + 1) a) per;

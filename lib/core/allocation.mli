@@ -20,9 +20,9 @@ val make : Network.t -> float array array -> t
 val zero : Network.t -> t
 (** The all-zero allocation (always feasible). *)
 
-val unsafe_of_rows : Network.t -> float array array -> t
-(** [unsafe_of_rows net rates] adopts the row arrays without copying
-    or validating them — the churn engine's constructor for rates
+val unsafe_of_rows : Network.t -> float array Pvec.t -> t
+(** [unsafe_of_rows net rates] adopts the row vector without copying
+    or validating it — the churn engine's constructor for rates
     assembled from already-validated rows (solver output and rows
     carried from a previous allocation).  The caller must never mutate
     the rows afterwards; sharing rows between allocations is fine.
@@ -43,11 +43,11 @@ val unsafe_rates_of_session : t -> int -> float array
     carrying, where the per-session copy would reintroduce an
     O(receivers) term per epoch. *)
 
-val unsafe_rows : t -> float array array
-(** The live per-session row array itself, no copying at either level.
-    The caller must not write to the array or any row — the churn
-    engine [Array.copy]s it to seed an epoch's pinned rows in one
-    pointer memcpy instead of an O(sessions) closure loop. *)
+val unsafe_rows : t -> float array Pvec.t
+(** The per-session row vector itself, no copying.  The caller must
+    not write to any row.  The churn engine seeds an epoch's pinned
+    rows with one {!Pvec.update} of it, which shares every row (and
+    every chunk of rows) the epoch does not touch. *)
 
 val session_link_rate : t -> session:int -> link:Mmfair_topology.Graph.link_id -> float
 (** The paper's [u_{i,j}] — [v_i] applied to the downstream receiver

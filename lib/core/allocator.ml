@@ -251,7 +251,7 @@ let init sc net ~component ~frozen =
   let n = inc.Network.n_receivers in
   let nl = Graph.link_count g in
   let nc = inc.Network.n_cells in
-  if Array.length frozen <> m then
+  if Pvec.length frozen <> m then
     invalid_arg "Allocator.max_min_partial: frozen rates must cover every session";
   sc.l_cap <- ensure_f sc.l_cap nl;
   sc.l_const <- ensure_f sc.l_const nl;
@@ -298,11 +298,12 @@ let init sc net ~component ~frozen =
         sc.s_seen_stamp.(i) <- stamp;
         sc.s_solve.(!n_solve) <- i;
         incr n_solve;
-        sc.s_vfn.(i) <- Network.vfn net i;
-        sc.s_rho.(i) <- Network.rho net i;
-        sc.s_single.(i) <- Network.session_type net i = Network.Single_rate;
+        let spec = Network.session_spec net i in
+        sc.s_vfn.(i) <- spec.Network.vfn;
+        sc.s_rho.(i) <- spec.Network.rho;
+        sc.s_single.(i) <- spec.Network.session_type = Network.Single_rate;
         if not (Redundancy_fn.is_linear sc.s_vfn.(i)) then all_linear := false;
-        let w = (Network.session_spec net i).Network.weights in
+        let w = spec.Network.weights in
         let lo = session_first.(i) in
         Array.blit w 0 sc.g_weight lo (Array.length w);
         for gid = lo to session_first.(i + 1) - 1 do
@@ -331,13 +332,14 @@ let init sc net ~component ~frozen =
     if sc.s_seen_stamp.(i) <> stamp then begin
       sc.s_seen_stamp.(i) <- stamp;
       let lo = session_first.(i) and hi = session_first.(i + 1) in
-      if Array.length frozen.(i) <> hi - lo then
+      let row = Pvec.get frozen i in
+      if Array.length row <> hi - lo then
         invalid_arg
           (Printf.sprintf "Allocator.max_min_partial: session %d frozen rate count mismatch" i);
       sc.s_vfn.(i) <- Network.vfn net i;
       if not (Redundancy_fn.is_linear sc.s_vfn.(i)) then all_linear := false;
       for gid = lo to hi - 1 do
-        let r = frozen.(i).(gid - lo) in
+        let r = row.(gid - lo) in
         if not (Float.is_finite r && r >= 0.0) then
           invalid_arg
             (Printf.sprintf
@@ -859,11 +861,11 @@ let water_fill ?on_round st ~use_linear =
   done
 
 (* Water-fill the sessions in [component], every other session pinned
-   at its [frozen] row as a fixed background load.  Setup, rounds and
-   extraction are all proportional to the component's neighborhood,
-   not the network.  Returns the rows: fresh ones for the solved
-   sessions, the pinned ones adopted as-is (shared, not copied). *)
-let solve ?on_round engine net ~component ~frozen =
+   at its [frozen] row as a fixed background load.  Setup and rounds
+   are proportional to the component's neighborhood, not the network.
+   [k] receives the solved rows (a fresh row per listed session) while
+   the arena still holds them. *)
+let solve ?on_round engine net ~component ~frozen k =
   with_scratch (fun sc ->
       let st, all_linear, unit_weights = init sc net ~component ~frozen in
       let use_linear =
@@ -878,22 +880,22 @@ let solve ?on_round engine net ~component ~frozen =
       in
       water_fill ?on_round st ~use_linear;
       let session_first = st.inc.Network.session_first in
-      let rows = Array.copy frozen in
-      Array.iter
-        (fun i ->
-          rows.(i) <- Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i)))
-        component;
-      rows)
+      k (fun i -> Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i))))
 
 (* A cold solve is the restricted solve over every session, with its
-   result validated. *)
+   result validated; nothing is pinned, so [frozen] is never read. *)
 let run ?on_round engine net =
   let m = Network.session_count net in
-  Allocation.make net
-    (solve ?on_round engine net ~component:(Array.init m Fun.id) ~frozen:(Array.make m [||]))
+  solve ?on_round engine net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun row ->
+      Allocation.make net (Array.init m row))
 
+(* A partial solve's result is one batched update of [frozen]: the
+   spine plus the chunks holding the solved sessions are copied, every
+   other row and chunk is shared. *)
 let run_partial ?on_round engine net ~component ~frozen =
-  Allocation.unsafe_of_rows net (solve ?on_round engine net ~component ~frozen)
+  solve ?on_round engine net ~component ~frozen (fun row ->
+      Allocation.unsafe_of_rows net
+        (Pvec.update frozen (fun set -> Array.iter (fun i -> set i (row i)) component)))
 
 (* The round trace is a pure view of the probe stream: collect the
    events of one run and rebuild the classic [round] records. *)

@@ -83,16 +83,19 @@ val max_min_trace_result : ?engine:engine -> Network.t -> (result, Solver_error.
 (** Typed-error variant of {!max_min_trace}. *)
 
 val max_min_partial :
-  ?engine:engine -> sessions:int array -> frozen:float array array -> Network.t -> Allocation.t
+  ?engine:engine -> sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
 (** [max_min_partial ~sessions ~frozen net] is the warm-start entry
     point for incremental re-solves (the churn engine in
     [Mmfair_dynamic]): water-fill only the sessions listed in
     [sessions], holding every other session's receivers fixed at
-    [frozen.(i).(k)] as background load from round one.  [frozen] must
-    have one row per session of [net]; rows of listed sessions are
-    ignored.  Setup, per-round scans and result assembly all touch
-    only the listed sessions and the links they cross, so the cost
-    scales with the fairness component's neighborhood, not the
+    [(Pvec.get frozen i).(k)] as background load from round one.
+    [frozen] must have one row per session of [net]; rows of listed
+    sessions are ignored.  The result's rows are one {!Pvec.update} of
+    [frozen] that writes the listed sessions, so every other row and
+    chunk is shared with it.  Setup, per-round scans and result
+    assembly all touch only the listed sessions and the links they
+    cross, plus the vector's spine of [sessions / 32] pointers, so the
+    cost scales with the fairness component's neighborhood, not the
     network (the state lives in a per-domain scratch arena reused
     across calls).
 
@@ -120,7 +123,7 @@ val max_min_partial :
 val max_min_partial_result :
   ?engine:engine ->
   sessions:int array ->
-  frozen:float array array ->
+  frozen:float array Pvec.t ->
   Network.t ->
   (Allocation.t, Solver_error.t) Stdlib.result
 (** Typed-error variant of {!max_min_partial}. *)

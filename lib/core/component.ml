@@ -7,68 +7,95 @@ module Graph = Mmfair_topology.Graph
    from-scratch solve stays well inside the differential gate. *)
 let eps_bind = 1e-7
 
-(* Beyond the member set, [parent] tracks which members were absorbed
-   through a shared binding link (union-find, union-by-min so a
-   group's root is its smallest session).  Disjoint groups are
-   independent sub-problems: their restricted solves commute, which is
-   what lets the batch engine hand each group to its own domain. *)
+(* Membership, the union-find parents and the per-link marks live in
+   an arena of dense arrays stamped with a generation: an entry belongs
+   to this component only if its stamp is the component's, so starting
+   a component costs O(1) instead of clearing or allocating O(sessions +
+   links).  [create] gets a fresh arena; [with_component] reuses a
+   per-domain one from one epoch to the next.  Membership is a stamped
+   array load, not a hash probe: [absorb] and the boundary scan test it
+   once per cell they walk.
+
+   Beyond the member set, [parent] tracks which members were absorbed
+   through a shared binding link (union-find, union-by-min so a group's
+   root is its smallest session).  Disjoint groups are independent
+   sub-problems: their restricted solves commute, which is what lets
+   the batch engine hand each group to its own domain. *)
+type arena = {
+  mutable busy : bool;
+  mutable stamp : int; (* the current component's generation *)
+  mutable scan : int; (* the current boundary scan's generation *)
+  mutable member : int array; (* per session: [stamp] iff a member *)
+  mutable parent : int array; (* per session; meaningful for members only *)
+  mutable expanded : int array; (* per link: [stamp] iff [absorb] expanded it *)
+  mutable seen : int array; (* per link: [scan] iff the current scan met it *)
+}
+
 type t = {
   net : Network.t;
-  in_comp : bool array; (* per session *)
-  parent : int array; (* per session; meaningful for members only,
-                         initialized in [add] — [create] leaves the
-                         array memset-zero so building a component
-                         costs no O(sessions) closure loop *)
+  arena : arena;
+  stamp : int;
   mutable members : int list; (* the member set, insertion order *)
   mutable n_sessions : int;
   mutable n_recv : int; (* total receivers across members *)
-  expanded : (Graph.link_id, unit) Hashtbl.t;
-      (* Links [absorb] has already expanded.  Sparse for the same
-         reason as [binding]'s memo: only component-adjacent links are
-         ever expanded. *)
 }
 
-let create net =
-  let n = Network.session_count net in
-  {
-    net;
-    in_comp = Array.make n false;
-    parent = Array.make n 0;
-    members = [];
-    n_sessions = 0;
-    n_recv = 0;
-    expanded = Hashtbl.create 16;
-  }
+let new_arena () =
+  { busy = false; stamp = 0; scan = 0; member = [||]; parent = [||]; expanded = [||]; seen = [||] }
+
+(* Arrays grow without keeping their contents: zero is never a live
+   stamp, since both generations are bumped before use. *)
+let ensure a n = if Array.length a >= n then a else Array.make (Stdlib.max n (2 * Array.length a)) 0
+
+let start arena net =
+  let n = Network.session_count net and nl = Graph.link_count (Network.graph net) in
+  arena.member <- ensure arena.member n;
+  arena.parent <- ensure arena.parent n;
+  arena.expanded <- ensure arena.expanded nl;
+  arena.seen <- ensure arena.seen nl;
+  arena.stamp <- arena.stamp + 1;
+  { net; arena; stamp = arena.stamp; members = []; n_sessions = 0; n_recv = 0 }
+
+let create net = start (new_arena ()) net
+let arena_key = Domain.DLS.new_key new_arena
+
+let with_component net f =
+  let arena = Domain.DLS.get arena_key in
+  if arena.busy then f (create net)
+  else begin
+    arena.busy <- true;
+    Fun.protect ~finally:(fun () -> arena.busy <- false) (fun () -> f (start arena net))
+  end
 
 let network t = t.net
-let mem t i = t.in_comp.(i)
+let mem t i = t.arena.member.(i) = t.stamp
 let cardinal t = t.n_sessions
 let is_empty t = t.n_sessions = 0
-let is_full t = t.n_sessions = Array.length t.in_comp
+let is_full t = t.n_sessions = Network.session_count t.net
 
 (* Every enumeration below walks the member list (sorted ascending for
-   determinism) instead of the per-session flag array: the churn
-   engine's components are tiny next to the network, and an O(sessions)
-   sweep per batch is exactly what the incremental path must avoid. *)
+   determinism) instead of the per-session stamps: the churn engine's
+   components are tiny next to the network, and an O(sessions) sweep
+   per batch is exactly what the incremental path must avoid. *)
 let sorted_members t = List.sort Stdlib.compare t.members
 
 let rec find t i =
-  let p = t.parent.(i) in
+  let p = t.arena.parent.(i) in
   if p = i then i
   else begin
     let root = find t p in
-    t.parent.(i) <- root;
+    t.arena.parent.(i) <- root;
     root
   end
 
 let union t i j =
   let ri = find t i and rj = find t j in
-  if ri < rj then t.parent.(rj) <- ri else if rj < ri then t.parent.(ri) <- rj
+  if ri < rj then t.arena.parent.(rj) <- ri else if rj < ri then t.arena.parent.(ri) <- rj
 
 let fill t =
-  let n = Array.length t.in_comp in
-  Array.fill t.in_comp 0 n true;
-  Array.fill t.parent 0 n 0;
+  let n = Network.session_count t.net in
+  Array.fill t.arena.member 0 n t.stamp;
+  Array.fill t.arena.parent 0 n 0;
   t.members <- List.init n Fun.id;
   t.n_sessions <- n;
   t.n_recv <- Network.receiver_count t.net
@@ -114,9 +141,9 @@ let binding alloc =
         b
 
 let add t i =
-  if not t.in_comp.(i) then begin
-    t.in_comp.(i) <- true;
-    t.parent.(i) <- i;
+  if not (mem t i) then begin
+    t.arena.member.(i) <- t.stamp;
+    t.arena.parent.(i) <- i;
     t.members <- i :: t.members;
     t.n_sessions <- t.n_sessions + 1;
     t.n_recv <-
@@ -152,11 +179,11 @@ let absorb t ~binding i =
         stack := rest;
         for p = recv_row.(session_first.(s)) to recv_row.(session_first.(s + 1)) - 1 do
           let l = recv_cells.(p) in
-          if (not (Hashtbl.mem t.expanded l)) && binding l then begin
-            Hashtbl.add t.expanded l ();
+          if t.arena.expanded.(l) <> t.stamp && binding l then begin
+            t.arena.expanded.(l) <- t.stamp;
             for c = link_row.(l) to link_row.(l + 1) - 1 do
               let j = cell_session.(c) in
-              if not t.in_comp.(j) then begin
+              if not (mem t j) then begin
                 add t j;
                 stack := j :: !stack
               end;
@@ -181,10 +208,10 @@ let absorb_link t ~binding l =
    and carry both a [member] and a non-[member] receiver. *)
 let boundary_scan t ~binding ~member iter_sessions =
   let inc = Network.incidence t.net in
-  (* Sparse visited set: the scan only touches the member sessions'
-     path links, so a dense O(links) array per call would dominate the
-     per-group cost on large topologies. *)
-  let seen = Hashtbl.create 64 in
+  (* A fresh scan generation marks the links this scan has met. *)
+  let arena = t.arena in
+  arena.scan <- arena.scan + 1;
+  let scan = arena.scan in
   let boundary = ref [] in
   (* A boundary link carries at least one member receiver, so only
      links on the member sessions' paths can qualify: enumerate those
@@ -193,8 +220,8 @@ let boundary_scan t ~binding ~member iter_sessions =
       for gid = inc.Network.session_first.(i) to inc.Network.session_first.(i + 1) - 1 do
         for p = inc.Network.recv_row.(gid) to inc.Network.recv_row.(gid + 1) - 1 do
           let l = inc.Network.recv_cells.(p) in
-          if not (Hashtbl.mem seen l) then begin
-            Hashtbl.add seen l ();
+          if arena.seen.(l) <> scan then begin
+            arena.seen.(l) <- scan;
             if binding l then begin
               (* Straight off the CSR: does the saturated link carry
                  both member and frozen receivers? *)
@@ -213,7 +240,7 @@ let boundary_scan t ~binding ~member iter_sessions =
 
 let boundary_links t ~binding =
   boundary_scan t ~binding
-    ~member:(fun s -> t.in_comp.(s))
+    ~member:(mem t)
     (fun f -> List.iter f (sorted_members t))
 
 let group_boundary_links t ~binding group =
@@ -221,6 +248,6 @@ let group_boundary_links t ~binding group =
   else begin
     let root = find t group.(0) in
     boundary_scan t ~binding
-      ~member:(fun s -> t.in_comp.(s) && find t s = root)
+      ~member:(fun s -> mem t s && find t s = root)
       (fun f -> Array.iter f group)
   end

@@ -33,7 +33,16 @@ val create : Network.t -> t
 (** The empty component of the network.  The network fixes both the
     session universe and the link incidence the closure walks — pass
     the {e post-surgery} network when growing a component for a
-    re-solve. *)
+    re-solve.  Allocates O(sessions + links) of marks; see
+    {!with_component} for the per-epoch form. *)
+
+val with_component : Network.t -> (t -> 'a) -> 'a
+(** [with_component net f] is [f] applied to the empty component of
+    [net], built on arrays reused from the previous call on this domain
+    (generation-stamped, so starting costs O(1) once they have grown to
+    the network).  The component must not be used after [f] returns.
+    A call nested inside another's [f] gets fresh arrays, as
+    {!create}. *)
 
 val network : t -> Network.t
 val mem : t -> int -> bool

@@ -39,7 +39,7 @@ type incidence = {
 
 type t = {
   graph : Graph.t;
-  sessions : session_spec array;
+  sessions : session_spec Pvec.t; (* surgeries share every untouched spec and chunk *)
   inc : incidence; (* the only stored routing: the forward rows are the data-paths *)
   max_cap : float; (* the graph's largest capacity, 0 without links *)
 }
@@ -57,11 +57,9 @@ type row_source = Paths of Routing.path array | Copy of incidence
    — and the allocator's warm-up — is linear in the routed path length
    plus [n_links], never in [n_links * sessions]. *)
 let build_incidence n_links sessions (source : int -> row_source) =
-  let m = Array.length sessions in
+  let m = Pvec.length sessions in
   let session_first = Array.make (m + 1) 0 in
-  for i = 0 to m - 1 do
-    session_first.(i + 1) <- session_first.(i) + Array.length sessions.(i).receivers
-  done;
+  Pvec.iteri (fun i s -> session_first.(i + 1) <- session_first.(i) + Array.length s.receivers) sessions;
   let n_receivers = session_first.(m) in
   let gid_session = Array.make n_receivers 0 in
   let recv_row = Array.make (n_receivers + 1) 0 in
@@ -295,68 +293,68 @@ let validate_and_route graph sessions =
   (match !bad with
   | i, k when i < m -> invalid_arg (Printf.sprintf "Network.make: session %d receiver %d unreachable" i k)
   | _ -> ());
+  let sessions = Pvec.of_array sessions in
   let inc = build_incidence (Graph.link_count graph) sessions (fun i -> Paths paths.(i)) in
   { graph; sessions; inc; max_cap }
 
-let make graph sessions = validate_and_route graph (Array.copy sessions)
+let make = validate_and_route
 
 let graph t = t.graph
-let session_count t = Array.length t.sessions
+let session_count t = Pvec.length t.sessions
 (* Straight off the incidence — the churn engine reads this per batch,
    so the fold over every spec would be an O(sessions) term. *)
 let receiver_count t = t.inc.n_receivers
 
-(* The [_in] checks take a spec array so the surgery builder can
-   validate against its accumulated state with the same messages. *)
-let check_session_in sessions i name =
-  if i < 0 || i >= Array.length sessions then
+let check_session t i name =
+  if i < 0 || i >= Pvec.length t.sessions then
     invalid_arg (Printf.sprintf "Network.%s: unknown session %d" name i)
-
-let check_session t i name = check_session_in t.sessions i name
 
 let session_spec t i =
   check_session t i "session_spec";
-  t.sessions.(i)
+  Pvec.get t.sessions i
 
 let session_type t i = (session_spec t i).session_type
 
 let weight t (r : receiver_id) =
-  check_session t r.session "weight";
-  let spec = t.sessions.(r.session) in
+  let spec = session_spec t r.session in
   if r.index < 0 || r.index >= Array.length spec.weights then
     invalid_arg "Network.weight: unknown receiver";
   spec.weights.(r.index)
 
 let all_weights_unit t =
-  Array.for_all (fun s -> Array.for_all (fun w -> w = 1.0) s.weights) t.sessions
+  Pvec.fold_left (fun unit s -> unit && Array.for_all (fun w -> w = 1.0) s.weights) true t.sessions
 
-(* Re-validate the changed specs with the entry point's name, so every
-   constructed [t] stays as safe to solve as one from [make]. *)
-let revalidate t name sessions =
-  Array.iteri (validate_session ~name t.graph) sessions;
+(* Rebuild every spec with [f], re-validated with the entry point's
+   name, so every constructed [t] stays as safe to solve as one from
+   [make]. *)
+let revalidate t name f =
+  let sessions = Pvec.init (session_count t) (fun i -> f i (Pvec.get t.sessions i)) in
+  Pvec.iteri (validate_session ~name t.graph) sessions;
   { t with sessions }
 
 let with_weights t w =
-  if Array.length w <> Array.length t.sessions then
-    invalid_arg "Network.with_weights: session count mismatch";
-  revalidate t "with_weights" (Array.mapi (fun i s -> { s with weights = Array.copy w.(i) }) t.sessions)
+  if Array.length w <> session_count t then invalid_arg "Network.with_weights: session count mismatch";
+  revalidate t "with_weights" (fun i s -> { s with weights = Array.copy w.(i) })
 
 let rho t i = (session_spec t i).rho
 let vfn t i = (session_spec t i).vfn
 
 let receivers_of_session t i =
   check_session t i "receivers_of_session";
-  Array.init (Array.length t.sessions.(i).receivers) (fun k -> { session = i; index = k })
+  Array.init (Array.length (Pvec.get t.sessions i).receivers) (fun k -> { session = i; index = k })
 
 let all_receivers t =
   Array.concat (List.init (session_count t) (fun i -> receivers_of_session t i))
 
-let check_receiver_in sessions r name =
-  check_session_in sessions r.session name;
-  if r.index < 0 || r.index >= Array.length sessions.(r.session).receivers then
+(* The spec argument lets the surgery builder validate against its
+   accumulated state with the same messages. *)
+let check_receiver_of spec r name =
+  if r.index < 0 || r.index >= Array.length spec.receivers then
     invalid_arg (Printf.sprintf "Network.%s: unknown receiver %d of session %d" name r.index r.session)
 
-let check_receiver t r name = check_receiver_in t.sessions r name
+let check_receiver t r name =
+  check_session t r.session name;
+  check_receiver_of (Pvec.get t.sessions r.session) r name
 
 (* A receiver's forward row as a fresh path list. *)
 let row_path inc gid =
@@ -414,14 +412,12 @@ let receiver_gid t r =
 let is_unicast t i = Array.length (session_spec t i).receivers = 1
 
 let with_session_types t types =
-  if Array.length types <> Array.length t.sessions then
-    invalid_arg "Network.with_session_types: length mismatch";
-  revalidate t "with_session_types"
-    (Array.mapi (fun i s -> { s with session_type = types.(i) }) t.sessions)
+  if Array.length types <> session_count t then invalid_arg "Network.with_session_types: length mismatch";
+  revalidate t "with_session_types" (fun i s -> { s with session_type = types.(i) })
 
 let with_vfns t vfns =
-  if Array.length vfns <> Array.length t.sessions then invalid_arg "Network.with_vfns: length mismatch";
-  revalidate t "with_vfns" (Array.mapi (fun i s -> { s with vfn = vfns.(i) }) t.sessions)
+  if Array.length vfns <> session_count t then invalid_arg "Network.with_vfns: length mismatch";
+  revalidate t "with_vfns" (fun i s -> { s with vfn = vfns.(i) })
 
 let drop_index arr k = Array.init (Array.length arr - 1) (fun j -> if j < k then arr.(j) else arr.(j + 1))
 
@@ -429,11 +425,12 @@ let drop_index arr k = Array.init (Array.length arr - 1) (fun j -> if j < k then
 
 (* The one way to change a network's membership, rates or capacities:
    a single churn event is a one-event surgery, a coalesced batch a
-   K-event one.  The builder accumulates every change on a private
-   copy of the spec array (cheap pointer memcpy plus per-touched-session
-   work); each operation validates against the accumulated state, and
-   a raise leaves the base network untouched (the builder is the only
-   thing dirtied).
+   K-event one.  The builder keeps only the touched sessions' specs;
+   each operation validates against the accumulated state, and a raise
+   leaves the base network untouched (the builder is the only thing
+   dirtied).  The commit writes the touched specs into the base's spec
+   vector in one batched update, so a surgery costs its touched
+   sessions plus the vector's spine, never a copy of every spec.
 
    A surgery without a join or leave cannot move any path — routing is
    hop-count BFS, so capacity-independent, and ρ is not a routing
@@ -443,36 +440,39 @@ let drop_index arr k = Array.init (Array.length arr - 1) (fun j -> if j < k then
    amortize toward the component-local solve at 10⁵–10⁶ sessions. *)
 
 (* [srg_graph] is the base's own until the first capacity write copies
-   it.  [srg_touched] holds the paths of the sessions a join or leave
-   touched, seeded from the base's rows on first touch; the commit
-   copies every other session's rows from the base. *)
+   it.  [srg_specs] holds the specs of the sessions some operation
+   touched; [srg_touched] the paths of those a join or leave touched,
+   seeded from the base's rows on first touch.  The commit copies
+   every other session's rows from the base. *)
 type surgery = {
   srg_base : t;
   mutable srg_graph : Graph.t;
-  srg_sessions : session_spec array;
+  srg_specs : (int, session_spec) Hashtbl.t;
   srg_touched : (int, Routing.path array) Hashtbl.t;
 }
 
 let surgery_begin t =
-  { srg_base = t; srg_graph = t.graph; srg_sessions = Array.copy t.sessions; srg_touched = Hashtbl.create 8 }
+  { srg_base = t; srg_graph = t.graph; srg_specs = Hashtbl.create 8; srg_touched = Hashtbl.create 8 }
 
 let touched_paths srg i =
   match Hashtbl.find_opt srg.srg_touched i with
   | Some paths -> paths
   | None ->
       let inc = srg.srg_base.inc in
-      Array.init (Array.length srg.srg_base.sessions.(i).receivers) (fun k ->
+      Array.init (Array.length (Pvec.get srg.srg_base.sessions i).receivers) (fun k ->
           row_path inc (inc.session_first.(i) + k))
 
-let surgery_session_count srg = Array.length srg.srg_sessions
+let surgery_session_count srg = session_count srg.srg_base
 
-let surgery_spec srg i =
-  check_session_in srg.srg_sessions i "surgery_spec";
-  srg.srg_sessions.(i)
+(* The accumulated spec of session [i], checked under [name]. *)
+let accumulated srg i name =
+  check_session srg.srg_base i name;
+  match Hashtbl.find_opt srg.srg_specs i with Some s -> s | None -> Pvec.get srg.srg_base.sessions i
+
+let surgery_spec srg i = accumulated srg i "surgery_spec"
 
 let surgery_join ?weight srg ~session ~node =
-  check_session_in srg.srg_sessions session "with_receiver";
-  let s = srg.srg_sessions.(session) in
+  let s = accumulated srg session "with_receiver" in
   let weight = match weight with Some w -> w | None -> s.weights.(0) in
   if not (weight > 0.0 && Float.is_finite weight) then
     invalid_arg "Network.with_receiver: weight must be positive and finite";
@@ -495,25 +495,25 @@ let surgery_join ?weight srg ~session ~node =
           (Printf.sprintf "Network.with_receiver: session %d cannot reach node %d from its sender"
              session node)
   in
-  srg.srg_sessions.(session) <-
+  Hashtbl.replace srg.srg_specs session
     { s with
       receivers = Array.append s.receivers [| node |];
       weights = Array.append s.weights [| weight |] };
   Hashtbl.replace srg.srg_touched session (Array.append (touched_paths srg session) [| new_path |])
 
 let surgery_leave srg (r : receiver_id) =
-  check_receiver_in srg.srg_sessions r "without_receiver";
-  let s = srg.srg_sessions.(r.session) in
+  let s = accumulated srg r.session "without_receiver" in
+  check_receiver_of s r "without_receiver";
   if Array.length s.receivers <= 1 then
     invalid_arg "Network.without_receiver: session would become empty";
-  srg.srg_sessions.(r.session) <-
+  Hashtbl.replace srg.srg_specs r.session
     { s with receivers = drop_index s.receivers r.index; weights = drop_index s.weights r.index };
   Hashtbl.replace srg.srg_touched r.session (drop_index (touched_paths srg r.session) r.index)
 
 let surgery_rho srg i rho =
-  check_session_in srg.srg_sessions i "with_rho";
+  let s = accumulated srg i "with_rho" in
   if not (rho > 0.0) then invalid_arg "Network.with_rho: rho must be positive";
-  srg.srg_sessions.(i) <- { srg.srg_sessions.(i) with rho }
+  Hashtbl.replace srg.srg_specs i { s with rho }
 
 let surgery_capacity srg link cap =
   if link < 0 || link >= Graph.link_count srg.srg_graph then
@@ -529,13 +529,15 @@ let surgery_capacity srg link cap =
 let surgery_commit srg =
   let base = srg.srg_base in
   let max_cap = if srg.srg_graph == base.graph then base.max_cap else check_capacities srg.srg_graph in
-  if Hashtbl.length srg.srg_touched = 0 then
-    { base with graph = srg.srg_graph; sessions = srg.srg_sessions; max_cap }
+  let sessions =
+    if Hashtbl.length srg.srg_specs = 0 then base.sessions
+    else Pvec.update base.sessions (fun set -> Hashtbl.iter set srg.srg_specs)
+  in
+  if Hashtbl.length srg.srg_touched = 0 then { base with graph = srg.srg_graph; sessions; max_cap }
   else
-    let source = Array.make (Array.length srg.srg_sessions) (Copy base.inc) in
-    Hashtbl.iter (fun i paths -> source.(i) <- Paths paths) srg.srg_touched;
-    let inc = build_incidence (Graph.link_count srg.srg_graph) srg.srg_sessions (Array.get source) in
-    { graph = srg.srg_graph; sessions = srg.srg_sessions; inc; max_cap }
+    let source i = match Hashtbl.find_opt srg.srg_touched i with Some p -> Paths p | None -> Copy base.inc in
+    let inc = build_incidence (Graph.link_count srg.srg_graph) sessions source in
+    { graph = srg.srg_graph; sessions; inc; max_cap }
 
 let one_event t op =
   let srg = surgery_begin t in
@@ -548,7 +550,7 @@ let with_rho t i rho = one_event t (fun srg -> surgery_rho srg i rho)
 let with_capacity t link cap = one_event t (fun srg -> surgery_capacity srg link cap)
 
 let pp fmt t =
-  Array.iteri
+  Pvec.iteri
     (fun i s ->
       let ty = match s.session_type with Single_rate -> "S" | Multi_rate -> "M" in
       Format.fprintf fmt "S%d [%s, rho=%g, v=%a]: X@%d -> " (i + 1) ty s.rho Redundancy_fn.pp s.vfn

@@ -235,8 +235,8 @@ val with_capacity : t -> Mmfair_topology.Graph.link_id -> float -> t
     The one way to change a network's membership, rates and
     capacities: each [with_*] function above is a one-event surgery,
     and the batch engine applies a whole churn batch as one.  The
-    builder accumulates any number of changes on a private copy of
-    the spec array.  Each operation validates against the accumulated
+    builder accumulates any number of changes as private specs of the
+    touched sessions.  Each operation validates against the accumulated
     state, and a raise leaves both the base network and the builder
     untouched.  At {!surgery_commit}, a surgery with a join or leave
     pays {e one} incidence rebuild, however many events it holds; one
@@ -247,8 +247,8 @@ val with_capacity : t -> Mmfair_topology.Graph.link_id -> float -> t
 type surgery
 
 val surgery_begin : t -> surgery
-(** A builder over [t].  O(sessions) pointer copies of the spec array,
-    no validation.  The first join or leave of a session copies that
+(** A builder over [t].  O(1): nothing is copied and nothing is
+    validated up front.  The first join or leave of a session copies that
     session's forward rows out of [t]'s incidence into the builder;
     no other session's rows are copied, and [t] is never written. *)
 
@@ -279,8 +279,11 @@ val surgery_commit : surgery -> t
     or leave: one incidence rebuild, linear in sessions + links +
     total routed path length, by the writer {!make} uses: the touched
     sessions' rows come from the builder, and every other session's
-    rows are copied from the base's incidence.  Without: O(1),
-    sharing the base's incidence — plus one O(links) pass for
+    rows are copied from the base's incidence.  Without: the touched
+    specs written into the base's spec vector in one {!Pvec.update}
+    (the touched sessions plus a spine of [sessions / 32] pointers;
+    every other spec is shared), and the base's incidence shared —
+    plus one O(links) pass for
     {!max_capacity} when a capacity changed, the order of the graph
     copy that change already paid. *)
 

@@ -13,11 +13,11 @@ module type S = sig
   val solve_result : Network.t -> (Allocation.t, Solver_error.t) result
 
   val solve_partial :
-    sessions:int array -> frozen:float array array -> Network.t -> Allocation.t
+    sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
 
   val solve_partial_result :
     sessions:int array ->
-    frozen:float array array ->
+    frozen:float array Pvec.t ->
     Network.t ->
     (Allocation.t, Solver_error.t) result
 end
@@ -51,7 +51,7 @@ let admits (module E : S) net =
    silently degrading to a full solve, so callers (the churn engine's
    batch path) make the fallback decision explicitly off
    [capabilities.partial]. *)
-let no_partial name : sessions:int array -> frozen:float array array -> Network.t -> Allocation.t
+let no_partial name : sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
     =
  fun ~sessions:_ ~frozen:_ _ ->
   invalid_arg (name ^ ".solve_partial: engine has no warm-start entry point")

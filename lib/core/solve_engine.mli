@@ -51,16 +51,16 @@ module type S = sig
   (** Typed-error variant of {!solve}. *)
 
   val solve_partial :
-    sessions:int array -> frozen:float array array -> Network.t -> Allocation.t
+    sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
   (** Warm-start restricted solve — the contract of
       {!Allocator.max_min_partial}: water-fill only [sessions],
-      pinning every other session's receivers at [frozen.(i).(k)].
+      pinning every other session's receivers at their [frozen] rows.
       Raises [Invalid_argument] when [capabilities.partial] is
       [false]. *)
 
   val solve_partial_result :
     sessions:int array ->
-    frozen:float array array ->
+    frozen:float array Pvec.t ->
     Network.t ->
     (Allocation.t, Solver_error.t) result
   (** Typed-error variant of {!solve_partial}. *)

@@ -4,6 +4,7 @@ module Allocation = Mmfair_core.Allocation
 module Component = Mmfair_core.Component
 module Solve_engine = Mmfair_core.Solve_engine
 module Solver_error = Mmfair_core.Solver_error
+module Pvec = Mmfair_core.Pvec
 module Obs = Mmfair_obs
 
 type stats = {
@@ -213,8 +214,8 @@ let apply t events =
      is the complete candidate set, and only candidates are diffed at
      all.  The old-vs-new comparison sweeps over all sessions and all
      links are gone from the per-batch cost; what remains is work
-     proportional to the events themselves (plus the pointer-memcpy
-     of the pinned-row array below). *)
+     proportional to the events themselves (plus the spines of the
+     persistent spec and row vectors). *)
   let cand_sessions = Hashtbl.create 16 in
   let cand_links = Hashtbl.create 16 in
   List.iter
@@ -256,8 +257,9 @@ let apply t events =
   let net_events = !membership_net + !rho_net + !cap_net in
   let cancelled = raw - net_events in
   (* The union fairness component: everything any surviving change can
-     reach over the previous epoch's binding links. *)
-  let comp = Component.create new_net in
+     reach over the previous epoch's binding links.  Its arrays are
+     reused from the previous epoch; it lives until [apply] returns. *)
+  Component.with_component new_net @@ fun comp ->
   let old_binding = Component.binding old_alloc in
   List.iter (fun i -> Component.absorb comp ~binding:old_binding i) seeds;
   List.iter
@@ -275,11 +277,13 @@ let apply t events =
         (fun path -> List.iter (fun l -> Component.absorb_link comp ~binding:old_binding l) path)
         d.departed_paths)
     cand_diffs;
-  (* Unchanged sessions pin their previous rows by pointer — one
-     memcpy of the outer array — and only the diffed candidates get a
-     remapped row. *)
-  let pinned = Array.copy (Allocation.unsafe_rows old_alloc) in
-  List.iter (fun (i, d) -> pinned.(i) <- d.frozen_row) cand_diffs;
+  (* Unchanged sessions pin their previous rows by sharing — one
+     batched update of the persistent row vector writes the diffed
+     candidates' remapped rows and shares every other chunk. *)
+  let pinned =
+    Pvec.update (Allocation.unsafe_rows old_alloc) (fun set ->
+        List.iter (fun (i, d) -> set i d.frozen_row) cand_diffs)
+  in
   let (module E : Solve_engine.S) = t.solver in
   let has_partial = E.capabilities.Solve_engine.partial in
   let solves = ref 0 in
@@ -323,23 +327,27 @@ let apply t events =
      Only needed when some member sits outside the solve that reads
      the background.  When one solve lists every member, [pinned]
      itself is the background: a restricted solve never reads the rows
-     of the sessions it lists, so the zeroed copy would be identical
-     and merely cost an O(sessions) copy per epoch. *)
+     of the sessions it lists, so the zeroed update would be identical
+     work for nothing. *)
   let background () =
-    let bg = Array.copy pinned in
-    Array.iter (fun i -> bg.(i) <- Array.make (Array.length pinned.(i)) 0.0) (Component.sessions comp);
-    bg
+    Pvec.update pinned (fun set ->
+        Array.iter
+          (fun i -> set i (Array.make (Array.length (Pvec.get pinned i)) 0.0))
+          (Component.sessions comp))
   in
-  (* Scheduler-task granularity: a restricted solve still pays an
-     O(sessions) row copy to assemble its result no matter how few
-     sessions it lists, so scheduling every tiny component as its own
-     task would make a 64-cluster flash crowd pay sixty-four of those
-     where the old union solve paid one.  Groups are packed, in root
-     order, into tasks of at least [min_task_sessions] sessions;
-     components stay the unit of independence and merging, packing
-     only amortizes per-solve assembly.  Packing is deterministic —
-     independent of the domain count — so allocations stay bitwise
-     identical at every count. *)
+  (* Scheduler-task granularity: a restricted solve has a fixed cost
+     however few sessions it lists — arena setup, its result's copy of
+     the row vector's spine ([sessions / 32] pointers) and its own
+     [Allocation] — so scheduling every tiny component as its own task
+     would make a 64-cluster flash crowd pay sixty-four of those where
+     one union solve pays one (unpacked, a 64-event ρ batch on the
+     104,976-session fat tree costs about 1.4× more per event, where
+     the spine copies dominate; at 1,152 sessions the two tie).
+     Groups are packed, in root order, into tasks of at least
+     [min_task_sessions] sessions; components stay the unit of
+     independence and merging, packing only amortizes the per-solve
+     cost.  Packing is deterministic — independent of the domain count
+     — so allocations stay bitwise identical at every count. *)
   let min_task_sessions = 256 in
   let pack_groups groups =
     let packs, last, _ =
@@ -377,17 +385,17 @@ let apply t events =
      group solved over the same pinned background, and the groups are
      disjoint, so each group's rows come from its own solve and every
      unsolved session keeps its pin.  Rows are shared by pointer in
-     both directions (no row is ever mutated once built); only the
-     outer per-session array is fresh. *)
+     both directions (no row is ever mutated once built); one batched
+     update of [pinned] writes the groups' rows. *)
   let merge groups allocs =
     match allocs with
     | [ a ] -> a
     | _ ->
-        let rates = Array.copy pinned in
-        List.iter2
-          (fun g a -> Array.iter (fun i -> rates.(i) <- Allocation.unsafe_rates_of_session a i) g)
-          groups allocs;
-        Allocation.unsafe_of_rows new_net rates
+        Allocation.unsafe_of_rows new_net
+          (Pvec.update pinned (fun set ->
+               List.iter2
+                 (fun g a -> Array.iter (fun i -> set i (Allocation.unsafe_rates_of_session a i)) g)
+                 groups allocs))
   in
   let final_components = ref 0 in
   let alloc =
@@ -544,17 +552,19 @@ let apply t events =
        hard rates moved this epoch.  [pinned] rows are the previous
        rates remapped to the new receiver order by node (0 for
        arrivals), so the per-receiver delta matches receivers across
-       the surgery and counts a join's rate as a move from zero. *)
+       the surgery and counts a join's rate as a move from zero.  A row
+       physically equal to its pin is unchanged, and chunks the two
+       vectors share are skipped whole, so only re-solved rows are
+       walked. *)
     let max_delta = ref 0.0 in
-    for s = 0 to Network.session_count new_net - 1 do
-      let now = Allocation.unsafe_rates_of_session !alloc s in
-      let before = pinned.(s) in
-      Array.iteri
-        (fun k r ->
-          let d = Float.abs (r -. before.(k)) in
-          if d > !max_delta then max_delta := d)
-        now
-    done;
+    Pvec.iter_changed
+      (fun _ now before ->
+        Array.iteri
+          (fun k r ->
+            let d = Float.abs (r -. before.(k)) in
+            if d > !max_delta then max_delta := d)
+          now)
+      (Allocation.unsafe_rows !alloc) pinned;
     let largest =
       if Component.is_empty comp then 0
       else if stats.full_solve then Component.cardinal comp

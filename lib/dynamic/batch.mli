@@ -52,10 +52,11 @@ type stats = {
 type scheduler = { run : (unit -> unit) list -> unit }
 (** How the batch's water-filling passes execute.  [run] receives one
     task per {e pack} of disjoint fairness components — a restricted
-    solve pays O(network) setup however small the component, so
-    components are coalesced (in deterministic root order) into tasks
-    of at least a few sessions each; a component above that floor is
-    its own task.  Tasks must all complete before [run] returns; they
+    solve has a fixed cost however small the component (setup, and a
+    result that copies the row vector's spine of [sessions / 32]
+    pointers), so components are coalesced (in deterministic root
+    order) into tasks of at least a few sessions each; a component
+    above that floor is its own task.  Tasks must all complete before [run] returns; they
     write to disjoint slots, so any execution order (or true
     parallelism) yields the same result.  A task the scheduler drops
     surfaces as {!Mmfair_core.Solver_error.Scheduler_failure}. *)

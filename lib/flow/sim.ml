@@ -86,11 +86,27 @@ let run ?(config = default) scn =
   let streams =
     Array.init nc (fun c -> Arrivals.poisson ~rate:classes.(c).Scenario.rate rngs.(c))
   in
-  let active = Array.init nc (fun _ -> Array.make slots false) in
-  let residual = Array.init nc (fun _ -> Array.make slots 0.0) in
-  let arrived = Array.init nc (fun _ -> Array.make slots 0.0) in
-  let size_of = Array.init nc (fun _ -> Array.make slots 0.0) in
-  let rate = Array.init nc (fun _ -> Array.make slots 0.0) in
+  (* Per-flow state is indexed by [f = c * slots + s].  The active
+     flows are [live.(0 .. population - 1)] ([pos] is each one's place
+     there, so removal swaps in the last): every per-epoch scan walks
+     the population, not every class × slot. *)
+  let residual = Array.make (nc * slots) 0.0 in
+  let arrived = Array.make (nc * slots) 0.0 in
+  let size_of = Array.make (nc * slots) 0.0 in
+  let rate = Array.make (nc * slots) 0.0 in
+  let live = Array.make (nc * slots) 0 and pos = Array.make (nc * slots) 0 in
+  let population = ref 0 in
+  let activate f =
+    live.(!population) <- f;
+    pos.(f) <- !population;
+    incr population
+  in
+  let deactivate f =
+    decr population;
+    let last = live.(!population) in
+    live.(pos.(f)) <- last;
+    pos.(last) <- pos.(f)
+  in
   let free = Array.init nc (fun _ -> List.init slots (fun s -> s)) in
   let sojourn = Log_histogram.create ~lo:1e-4 ~hi:1e5 ~bins:108 in
   let flow_rate = Log_histogram.create ~lo:1e-5 ~hi:1e4 ~bins:108 in
@@ -98,7 +114,6 @@ let run ?(config = default) scn =
   let pulses = ref (List.sort compare config.pulses) in
   let rr = ref 0 in
   let t = ref 0.0 in
-  let population = ref 0 in
   let arrivals = ref 0 in
   let departures = ref 0 in
   let blocked = ref 0 in
@@ -125,13 +140,12 @@ let run ?(config = default) scn =
   in
   let refresh_rates () =
     let alloc = Engine.allocation eng in
-    for c = 0 to nc - 1 do
-      for s = 0 to slots - 1 do
-        if active.(c).(s) then
-          rate.(c).(s) <-
-            Allocation.rate alloc
-              { Mmfair_core.Network.session = Scenario.session_of scn ~cls:c ~slot:s; index = 0 }
-      done
+    for j = 0 to !population - 1 do
+      let f = live.(j) in
+      rate.(f) <-
+        Allocation.rate alloc
+          { Mmfair_core.Network.session = Scenario.session_of scn ~cls:(f / slots) ~slot:(f mod slots);
+            index = 0 }
     done
   in
   (* One admission: sample the workload first (the offered stream does
@@ -146,11 +160,11 @@ let run ?(config = default) scn =
         evs
     | s :: rest ->
         free.(c) <- rest;
-        active.(c).(s) <- true;
-        residual.(c).(s) <- w;
-        size_of.(c).(s) <- w;
-        arrived.(c).(s) <- now;
-        incr population;
+        let f = (c * slots) + s in
+        activate f;
+        residual.(f) <- w;
+        size_of.(f) <- w;
+        arrived.(f) <- now;
         if !population > !max_population then max_population := !population;
         Event.Rho_change
           { session = Scenario.session_of scn ~cls:c ~slot:s;
@@ -165,24 +179,21 @@ let run ?(config = default) scn =
       if Arrivals.peek streams.(c) < !t_arr then t_arr := Arrivals.peek streams.(c)
     done;
     let t_dep = ref infinity in
-    for c = 0 to nc - 1 do
-      for s = 0 to slots - 1 do
-        if active.(c).(s) && rate.(c).(s) > 0.0 then begin
-          let d = !t +. (residual.(c).(s) /. rate.(c).(s)) in
-          if d < !t_dep then t_dep := d
-        end
-      done
+    for j = 0 to !population - 1 do
+      let f = live.(j) in
+      if rate.(f) > 0.0 then begin
+        let d = !t +. (residual.(f) /. rate.(f)) in
+        if d < !t_dep then t_dep := d
+      end
     done;
     let t_pulse = match !pulses with [] -> infinity | (at, _) :: _ -> at in
     let t_next = Float.min (Float.min !t_arr !t_dep) (Float.min t_pulse horizon) in
     integrate !t t_next !population;
     let dt = t_next -. !t in
     if dt > 0.0 then
-      for c = 0 to nc - 1 do
-        for s = 0 to slots - 1 do
-          if active.(c).(s) then
-            residual.(c).(s) <- Float.max 0.0 (residual.(c).(s) -. (rate.(c).(s) *. dt))
-        done
+      for j = 0 to !population - 1 do
+        let f = live.(j) in
+        residual.(f) <- Float.max 0.0 (residual.(f) -. (rate.(f) *. dt))
       done;
     t := t_next;
     if t_next >= horizon then finished := true
@@ -190,38 +201,38 @@ let run ?(config = default) scn =
       let had_population = !population > 0 in
       let evs = ref [] in
       (* Completions first (they free slots for same-instant arrivals):
-         every flow whose scheduled finish is (numerically) now. *)
+         every flow whose scheduled finish is (numerically) now, taken
+         in (class, slot) order so the free lists and the event order
+         do not depend on the order of [live]. *)
       let dep_tol = 1e-12 *. (1.0 +. Float.abs t_next) in
-      if !t_dep <= t_next +. dep_tol then
-        for c = 0 to nc - 1 do
-          for s = 0 to slots - 1 do
-            if
-              active.(c).(s) && rate.(c).(s) > 0.0
-              (* After draining exactly (residual/rate)·rate the leftover
-                 is rounding noise of order eps·size, so the done-test
-                 tolerance scales with the flow's size. *)
-              && residual.(c).(s) <= 1e-9 *. (1.0 +. size_of.(c).(s))
-            then begin
-              active.(c).(s) <- false;
-              residual.(c).(s) <- 0.0;
-              free.(c) <- s :: free.(c);
-              decr population;
-              incr departures;
-              let so = t_next -. arrived.(c).(s) in
-              Log_histogram.add sojourn so;
-              if so > 0.0 then Log_histogram.add flow_rate (size_of.(c).(s) /. so);
-              if config.record_departures then
-                dep_log :=
-                  { d_time = t_next; d_cls = c; d_slot = s; d_size = size_of.(c).(s);
-                    d_sojourn = so }
-                  :: !dep_log;
-              evs :=
-                Event.Rho_change
-                  { session = Scenario.session_of scn ~cls:c ~slot:s; rho = park_rho }
-                :: !evs
-            end
-          done
+      if !t_dep <= t_next +. dep_tol then begin
+        let done_ = ref [] in
+        for j = 0 to !population - 1 do
+          let f = live.(j) in
+          (* After draining exactly (residual/rate)·rate the leftover is
+             rounding noise of order eps·size, so the done-test
+             tolerance scales with the flow's size. *)
+          if rate.(f) > 0.0 && residual.(f) <= 1e-9 *. (1.0 +. size_of.(f)) then done_ := f :: !done_
         done;
+        List.iter
+          (fun f ->
+            let c = f / slots and s = f mod slots in
+            deactivate f;
+            residual.(f) <- 0.0;
+            free.(c) <- s :: free.(c);
+            incr departures;
+            let so = t_next -. arrived.(f) in
+            Log_histogram.add sojourn so;
+            if so > 0.0 then Log_histogram.add flow_rate (size_of.(f) /. so);
+            if config.record_departures then
+              dep_log :=
+                { d_time = t_next; d_cls = c; d_slot = s; d_size = size_of.(f); d_sojourn = so }
+                :: !dep_log;
+            evs :=
+              Event.Rho_change { session = Scenario.session_of scn ~cls:c ~slot:s; rho = park_rho }
+              :: !evs)
+          (List.sort Int.compare !done_)
+      end;
       (* Poisson arrivals landing at this instant. *)
       for c = 0 to nc - 1 do
         while Arrivals.peek streams.(c) <= t_next do

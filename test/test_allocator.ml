@@ -571,7 +571,9 @@ let qcheck_power_law_equals_reference =
       in
       let reference = Mmfair_core.Allocator_reference.max_min ~engine:`Linear net in
       let linear = Allocator.max_min ~engine:`Linear net in
-      let frozen = Array.init m (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).receivers) in
+      let frozen =
+        Mmfair_core.Pvec.init m (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).receivers)
+      in
       let partial =
         Allocator.max_min_partial ~engine:`Linear ~sessions:(Array.init m Fun.id) ~frozen net
       in
@@ -642,7 +644,8 @@ let test_nested_solves () =
   let partial net =
     let m = Network.session_count net in
     let frozen =
-      Array.init m (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).Network.receivers)
+      Mmfair_core.Pvec.init m (fun i ->
+          Array.map (fun _ -> 0.0) (Network.session_spec net i).Network.receivers)
     in
     Allocator.max_min_partial ~sessions:(Array.init m Fun.id) ~frozen net
   in

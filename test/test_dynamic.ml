@@ -565,7 +565,9 @@ let recording_engine calls =
 
     let solve_partial ~sessions ~frozen net =
       let zeroed =
-        Array.for_all (fun i -> Array.for_all (fun r -> r = 0.0) frozen.(i)) sessions
+        Array.for_all
+          (fun i -> Array.for_all (fun r -> r = 0.0) (Mmfair_core.Pvec.get frozen i))
+          sessions
       in
       calls := (Array.length sessions, zeroed) :: !calls;
       Base.solve_partial ~sessions ~frozen net
@@ -613,6 +615,104 @@ let test_batch_background_paths () =
   | [] -> Alcotest.fail "no partial solve recorded");
   check_matches_scratch "both background paths" eng
 
+(* --- persistence of the row vectors -------------------------------------- *)
+
+let rate_bits alloc =
+  Array.init
+    (Network.session_count (Allocation.network alloc))
+    (fun i -> Array.map Int64.bits_of_float (Allocation.rates_of_session alloc i))
+
+(* Epochs share untouched rows and chunks with their predecessors, so a
+   later epoch writing into a shared chunk would show in an earlier
+   one.  Every retained epoch must still read, bit for bit, what the
+   engine held right after the batch that made it. *)
+let test_store_epochs_stay_bitwise () =
+  let rng = Xoshiro.create ~seed:0x5707eL () in
+  let config =
+    {
+      Random_nets.nodes = 40;
+      extra_links = 30;
+      sessions = 90;
+      max_receivers = 4;
+      single_rate_prob = 0.2;
+      finite_rho_prob = 0.3;
+      scaled_vfn_prob = 0.2;
+      cap_lo = 1.0;
+      cap_hi = 10.0;
+    }
+  in
+  let net = Random_nets.generate ~rng config in
+  let events =
+    Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events = 60; max_receivers = 5 }
+  in
+  let eng = Batch.create ~retain:8 net in
+  let seen = Hashtbl.create 32 in
+  Hashtbl.replace seen 0 (rate_bits (Batch.allocation eng));
+  (* Batches of one to three consecutive events of the trace. *)
+  let rec replay k = function
+    | [] -> ()
+    | evs ->
+        let n = 1 + (k mod 3) in
+        ignore (Batch.apply eng (List.filteri (fun j _ -> j < n) evs));
+        Alcotest.(check bool) "the store holds the engine's allocation" true
+          ((Store.current (Batch.store eng)).Store.allocation == Batch.allocation eng);
+        Hashtbl.replace seen (Batch.epoch eng) (rate_bits (Batch.allocation eng));
+        replay (k + 1) (List.filteri (fun j _ -> j >= n) evs)
+  in
+  replay 0 events;
+  let retained = Store.retained_epochs (Batch.store eng) in
+  Alcotest.(check int) "eight epochs retained" 8 (List.length retained);
+  List.iter
+    (fun e ->
+      match Store.find (Batch.store eng) e with
+      | None -> Alcotest.failf "epoch %d missing" e
+      | Some entry ->
+          Alcotest.(check bool)
+            (Printf.sprintf "epoch %d reads as it landed" e)
+            true
+            (rate_bits entry.Store.allocation = Hashtbl.find seen e))
+    retained
+
+(* A ρ-only epoch on the 3,072-session flow-star network copies no
+   O(sessions) array.  Arrays above the minor heap's size limit (256
+   words) are allocated directly on the major heap, so the direct major
+   words per event ([major_words − promoted_words]) would be several
+   times the session count with a per-epoch spec, row, component or
+   background copy. *)
+let test_rho_epoch_major_allocation () =
+  let module Scenario = Mmfair_flow.Scenario in
+  let scn =
+    Scenario.scale_to_load
+      (Scenario.star_of_stars ~clusters:32 ~slots:96 ~size:(Mmfair_flow.Size.Exponential 1.0) ~rate:1.0 ())
+      ~load:0.8
+  in
+  let net = Scenario.network scn in
+  let m = Network.session_count net in
+  Alcotest.(check int) "flow-star size" 3072 m;
+  let active = Scenario.active_rho (Scenario.classes scn).(0) and park = Scenario.park_rho scn in
+  let on = Array.make m false in
+  let event k =
+    let s = k * 7919 mod m in
+    on.(s) <- not on.(s);
+    Event.Rho_change { session = s; rho = (if on.(s) then active else park) }
+  in
+  let eng = Batch.create net in
+  for k = 0 to 199 do
+    ignore (Batch.apply eng [ event k ])
+  done;
+  let _, promoted0, major0 = Gc.counters () in
+  let n = 1000 in
+  for k = 200 to 200 + n - 1 do
+    ignore (Batch.apply eng [ event k ])
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = (major1 -. major0 -. (promoted1 -. promoted0)) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f direct major words per event < %d" direct m)
+    true
+    (direct < float_of_int m);
+  check_matches_scratch "after 1,200 rho events" eng
+
 let suite =
   [
     Alcotest.test_case "engine matches scratch on figure 2 churn" `Quick test_engine_on_figure2;
@@ -634,4 +734,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_domains_bitwise_identical;
     Alcotest.test_case "dropped solve tasks are typed errors" `Quick test_scheduler_dropped_task;
     Alcotest.test_case "whole and dirty-subset re-solves" `Quick test_batch_background_paths;
+    Alcotest.test_case "retained epochs stay bitwise" `Quick test_store_epochs_stay_bitwise;
+    Alcotest.test_case "rho epochs copy no O(sessions) array" `Quick test_rho_epoch_major_allocation;
   ]

@@ -8,6 +8,7 @@ let () =
       ("numerics", Test_numerics.suite);
       ("topology", Test_topology.suite);
       ("network", Test_network.suite);
+      ("pvec", Test_pvec.suite);
       ("allocation", Test_allocation.suite);
       ("allocator", Test_allocator.suite);
       ("properties", Test_properties.suite);

@@ -31,7 +31,7 @@ let common_net () =
   Network.make g [| s 2; s 3; s 2 |]
 
 let frozen_of net alloc =
-  Array.init (Network.session_count net) (fun i ->
+  Mmfair_core.Pvec.init (Network.session_count net) (fun i ->
       let spec = Network.session_spec net i in
       Array.init (Array.length spec.Network.receivers) (fun index ->
           Allocation.rate alloc { Network.session = i; index }))
