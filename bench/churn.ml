@@ -68,6 +68,7 @@ module Flow = Mmfair_flow
 module LH = Mmfair_stats.Log_histogram
 module Obs = Mmfair_obs
 module Json = Mmfair_obs.Json
+module Descriptive = Mmfair_stats.Descriptive
 
 let schema_id = "mmfair.bench.churn/v6"
 let classes = [ "join"; "leave"; "rho"; "cap" ]
@@ -97,14 +98,6 @@ let time_best ~min_time f =
     (fun acc () -> Float.min acc (one_sample ~min_time f))
     Float.infinity
     (List.init best_of (fun _ -> ()))
-
-let median l =
-  match List.sort compare l with
-  | [] -> nan
-  | sorted ->
-      let n = List.length sorted in
-      let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
-      (a +. b) /. 2.0
 
 (* --- workload ------------------------------------------------------- *)
 
@@ -208,20 +201,20 @@ type row = {
   full_fraction : float;
 }
 
-let measure ~engine ~min_time net base_alloc (kind, events) =
+let measure ~min_time net base_alloc (kind, events) =
   let per_event =
     List.map
       (fun event ->
         let incr_ns =
           time_best ~min_time (fun () ->
-              let eng = Engine.create ~engine ~allocation:base_alloc net in
+              let eng = Batch.create ~allocation:base_alloc net in
               Engine.apply eng event)
         in
         let scratch_ns =
-          time_best ~min_time (fun () -> Allocator.max_min ~engine (surgery net event))
+          time_best ~min_time (fun () -> Allocator.max_min (surgery net event))
         in
         (* One untimed apply for the component statistics. *)
-        let eng = Engine.create ~engine ~allocation:base_alloc net in
+        let eng = Batch.create ~allocation:base_alloc net in
         let stats = Engine.apply eng event in
         (incr_ns, scratch_ns, stats))
       events
@@ -231,9 +224,9 @@ let measure ~engine ~min_time net base_alloc (kind, events) =
     {
       kind;
       events = List.length per_event;
-      incremental_ns = median (List.map (fun (i, _, _) -> i) per_event);
-      scratch_ns = median (List.map (fun (_, s, _) -> s) per_event);
-      speedup = median (List.map (fun (i, s, _) -> s /. i) per_event);
+      incremental_ns = Descriptive.median (Array.of_list (List.map (fun (i, _, _) -> i) per_event));
+      scratch_ns = Descriptive.median (Array.of_list (List.map (fun (_, s, _) -> s) per_event));
+      speedup = Descriptive.median (Array.of_list (List.map (fun (i, s, _) -> s /. i) per_event));
       mean_reuse =
         List.fold_left (fun acc (_, _, st) -> acc +. st.Engine.reuse_fraction) 0.0 per_event /. n;
       full_fraction =
@@ -286,19 +279,19 @@ let flash_crowd net =
     exit 1);
   burst
 
-let measure_batch ~engine ~min_time net base_alloc burst =
+let measure_batch ~min_time net base_alloc burst =
   let per_event_ns =
     time_best ~min_time (fun () ->
-        let eng = Engine.create ~engine ~allocation:base_alloc net in
+        let eng = Batch.create ~allocation:base_alloc net in
         List.iter (fun ev -> ignore (Engine.apply eng ev)) burst)
   in
   let batched_ns =
     time_best ~min_time (fun () ->
-        let eng = Engine.create ~engine ~allocation:base_alloc net in
+        let eng = Batch.create ~allocation:base_alloc net in
         Batch.apply eng burst)
   in
   (* One untimed batched apply for the coalescing statistics. *)
-  let eng = Engine.create ~engine ~allocation:base_alloc net in
+  let eng = Batch.create ~allocation:base_alloc net in
   let stats = Batch.apply eng burst in
   let row =
     {
@@ -371,9 +364,9 @@ type parallel_section = {
 let rate_matrix net alloc =
   Array.init (Network.session_count net) (fun i -> Allocation.rates_of_session alloc i)
 
-let measure_parallel ~engine ~min_time () =
+let measure_parallel ~min_time () =
   let net, spares = star_of_stars () in
-  let base_alloc = Allocator.max_min ~engine net in
+  let base_alloc = Allocator.max_min net in
   let burst =
     List.mapi
       (fun c spare ->
@@ -381,7 +374,7 @@ let measure_parallel ~engine ~min_time () =
       spares
   in
   let apply ~domains =
-    let eng = Engine.create ~engine ~domains ~allocation:base_alloc net in
+    let eng = Batch.create ~domains ~allocation:base_alloc net in
     let stats = Batch.apply eng burst in
     (stats, rate_matrix (Engine.network eng) (Engine.allocation eng))
   in
@@ -407,7 +400,7 @@ let measure_parallel ~engine ~min_time () =
       (fun domains ->
         ( domains,
           time_best ~min_time (fun () ->
-              let eng = Engine.create ~engine ~domains ~allocation:base_alloc net in
+              let eng = Batch.create ~domains ~allocation:base_alloc net in
               Batch.apply eng burst) ))
       parallel_domain_counts
   in
@@ -484,8 +477,7 @@ let serving_run ~sample_interval net trace rendered =
   let config =
     {
       Daemon.default_config with
-      Daemon.engine = `Linear;
-      max_batch = serving_max_batch;
+      Daemon.max_batch = serving_max_batch;
       poll_interval = 0.005;
       sample_interval;
     }
@@ -699,25 +691,12 @@ let measure_stability ~quick () =
 
 (* --- JSON emission -------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let emit ~quick ~min_time ~out net rows batch par serving stability =
   let g = Network.graph net in
   let oc = open_out out in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"%s\",\n" (json_escape schema_id);
+  p "  \"schema\": \"%s\",\n" (Json.escape schema_id);
   p "  \"generated_by\": \"bench/churn.exe\",\n";
   p "  \"quick\": %b,\n" quick;
   p "  \"min_time_s\": %g,\n" min_time;
@@ -728,7 +707,7 @@ let emit ~quick ~min_time ~out net rows batch par serving stability =
   List.iteri
     (fun idx r ->
       p "    {\n";
-      p "      \"kind\": \"%s\",\n" (json_escape r.kind);
+      p "      \"kind\": \"%s\",\n" (Json.escape r.kind);
       p "      \"events\": %d,\n" r.events;
       p "      \"incremental_time_ns\": %.1f,\n" r.incremental_ns;
       p "      \"scratch_time_ns\": %.1f,\n" r.scratch_ns;
@@ -788,7 +767,7 @@ let emit ~quick ~min_time ~out net rows batch par serving stability =
     (fun idx r ->
       p "      {\n";
       p "        \"load\": %g,\n" r.st_load;
-      p "        \"verdict\": \"%s\",\n" (json_escape r.st_verdict);
+      p "        \"verdict\": \"%s\",\n" (Json.escape r.st_verdict);
       p "        \"arrivals\": %d,\n" r.st_arrivals;
       p "        \"departures\": %d,\n" r.st_departures;
       p "        \"blocked\": %d,\n" r.st_blocked;
@@ -1099,9 +1078,8 @@ let () =
   | None ->
       let min_time = if !min_time > 0.0 then !min_time else if !quick then 0.02 else 0.25 in
       let per_class = if !per_class > 0 then !per_class else if !quick then 4 else 15 in
-      let engine = `Linear in
       let net = bench_net () in
-      let base_alloc = Allocator.max_min ~engine net in
+      let base_alloc = Allocator.max_min net in
       let buckets = bucket_events ~per_class net in
       List.iter
         (fun (k, evs) ->
@@ -1109,9 +1087,9 @@ let () =
             Printf.eprintf "churn bench: no applicable %S events generated\n%!" k;
             exit 1))
         buckets;
-      let rows = List.map (measure ~engine ~min_time net base_alloc) buckets in
-      let batch = measure_batch ~engine ~min_time net base_alloc (flash_crowd net) in
-      let par = measure_parallel ~engine ~min_time () in
+      let rows = List.map (measure ~min_time net base_alloc) buckets in
+      let batch = measure_batch ~min_time net base_alloc (flash_crowd net) in
+      let par = measure_parallel ~min_time () in
       (* The parallel rows leave shared pools (2/4/8 domains) parked.
          Parked workers still join every minor-GC stop-the-world
          rendezvous, which on a small host swamps the allocation-heavy

@@ -309,25 +309,30 @@ let measure_curves ~quick ~min_time =
 type entry = {
   name : string;
   kind : string; (* "figure" | "ablation" | "sweep" *)
-  engine : string; (* "auto" | "linear" | "bisection" *)
+  engine : string; (* "auto" | "linear" | "bisection": the engine the input selects *)
   net : Network.t;
   run : unit -> Mmfair_core.Allocation.t;
   reference : (unit -> Mmfair_core.Allocation.t) option;
 }
 
+(* The solve picks its engine from the input, so a "bisection" entry
+   times the same network with every link-rate function wrapped as
+   [Custom]; "linear" and "auto" entries time it as given. *)
 let entry ~kind ~name ~engine net =
-  let eng_of = function
-    | "linear" -> `Linear
-    | "bisection" -> `Bisection
-    | _ -> `Auto
+  let net =
+    if engine = "bisection" then
+      Network.with_vfns net
+        (Array.init (Network.session_count net) (fun i ->
+             Mmfair_core.Redundancy_fn.as_custom (Network.vfn net i)))
+    else net
   in
   {
     name;
     kind;
     engine;
     net;
-    run = (fun () -> Allocator.max_min ~engine:(eng_of engine) net);
-    reference = Some (fun () -> Allocator_reference.max_min ~engine:(eng_of engine) net);
+    run = (fun () -> Allocator.max_min net);
+    reference = Some (fun () -> Allocator_reference.max_min net);
   }
 
 let entries ~quick =
@@ -384,24 +389,11 @@ let entries ~quick =
 
 (* --- JSON emission ------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let emit ~quick ~min_time ~phases ~out ~curves rows =
   let oc = open_out out in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"%s\",\n" (json_escape schema_id);
+  p "  \"schema\": \"%s\",\n" (Json.escape schema_id);
   p "  \"generated_by\": \"bench/scaling.exe\",\n";
   p "  \"quick\": %b,\n" quick;
   p "  \"min_time_s\": %g,\n" min_time;
@@ -409,14 +401,14 @@ let emit ~quick ~min_time ~phases ~out ~curves rows =
   p "  \"phases\": {";
   List.iteri
     (fun i (name, seconds) ->
-      p "%s\"%s\": %.6f" (if i = 0 then " " else ", ") (json_escape name) seconds)
+      p "%s\"%s\": %.6f" (if i = 0 then " " else ", ") (Json.escape name) seconds)
     phases;
   p " },\n";
   p "  \"curves\": [\n";
   List.iteri
     (fun ci c ->
       p "    {\n";
-      p "      \"name\": \"%s\",\n" (json_escape c.c_name);
+      p "      \"name\": \"%s\",\n" (Json.escape c.c_name);
       p "      \"build_exponent\": %.3f,\n" c.build_exponent;
       p "      \"solve_exponent\": %.3f,\n" c.solve_exponent;
       p "      \"event_exponent\": %.3f,\n" c.event_exponent;
@@ -427,7 +419,7 @@ let emit ~quick ~min_time ~phases ~out ~curves rows =
             "        { \"label\": \"%s\", \"sessions\": %d, \"links\": %d, \"receivers\": %d, \
              \"build_ns\": %.1f, \"solve_ns\": %.1f, \"event_ns\": %.1f, \"peak_live_words\": %d \
              }%s\n"
-            (json_escape pt.p_label) pt.p_sessions pt.p_links pt.p_receivers pt.build_ns pt.solve_ns
+            (Json.escape pt.p_label) pt.p_sessions pt.p_links pt.p_receivers pt.build_ns pt.solve_ns
             pt.event_ns pt.peak_live_words
             (if pi = List.length c.c_points - 1 then "" else ","))
         c.c_points;
@@ -440,9 +432,9 @@ let emit ~quick ~min_time ~phases ~out ~curves rows =
     (fun idx (e, timing, ref_timing, rounds, live) ->
       let g = Network.graph e.net in
       p "    {\n";
-      p "      \"name\": \"%s\",\n" (json_escape e.name);
-      p "      \"kind\": \"%s\",\n" (json_escape e.kind);
-      p "      \"engine\": \"%s\",\n" (json_escape e.engine);
+      p "      \"name\": \"%s\",\n" (Json.escape e.name);
+      p "      \"kind\": \"%s\",\n" (Json.escape e.kind);
+      p "      \"engine\": \"%s\",\n" (Json.escape e.engine);
       p "      \"sessions\": %d,\n" (Network.session_count e.net);
       p "      \"receivers\": %d,\n" (Network.receiver_count e.net);
       p "      \"links\": %d,\n" (Graph.link_count g);
@@ -634,7 +626,7 @@ let check_overhead ~tolerance ~mem_tolerance ~min_time baseline_file =
     | None -> fail (Printf.sprintf "baseline has no %S entry" overhead_entry)
   in
   let net = random_net 100 in
-  let f () = Allocator.max_min ~engine:`Linear net in
+  let f () = Allocator.max_min net in
   (* The gate compares a fresh minimum against the committed minimum,
      so give the estimator three times the samples a bench row gets:
      sample averages wobble with machine load, but their min converges

@@ -21,6 +21,10 @@ let exit_solver_error = 3
    always flush stderr before exiting. *)
 let die code fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n%!" s; exit code) fmt
 
+(* The agreement every incremental-vs-scratch check uses: 1e-9
+   relative, absolute below magnitude 1. *)
+let agree a b = Float.abs (a -. b) <= 1e-9 *. Stdlib.max 1.0 (Stdlib.max (Float.abs a) (Float.abs b))
+
 let print_table ~csv table =
   if csv then print_string (E.Table.to_csv table) else E.Table.print table
 
@@ -31,10 +35,6 @@ let csv_flag =
 
 let seed_arg =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (experiments are deterministic per seed).")
-
-let engine_arg =
-  let engine_conv = Arg.enum [ ("auto", `Auto); ("linear", `Linear); ("bisection", `Bisection) ] in
-  Arg.(value & opt engine_conv `Auto & info [ "engine" ] ~doc:"Water-filling engine: auto, linear or bisection.")
 
 let net_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Network description file.")
@@ -47,12 +47,12 @@ let connect_timeout_arg =
 
 let allocate_cmd =
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Narrate the water-filling rounds.") in
-  let run tele file engine trace =
+  let run tele file trace =
     Telemetry.wrap tele @@ fun () ->
     let parsed = Mmfair_workload.Net_parser.parse_file file in
     let net = parsed.Mmfair_workload.Net_parser.net in
     let result =
-      match Allocator.max_min_trace_result ~engine net with
+      match Allocator.max_min_trace_result net with
       | Ok result -> result
       | Error e -> die exit_solver_error "mmfair allocate: %s" (Solver_error.to_string e)
     in
@@ -107,7 +107,7 @@ let allocate_cmd =
       `Pre Mmfair_workload.Net_parser.example;
     ]
   in
-  Cmd.v (Cmd.info "allocate" ~doc ~man) Term.(const run $ tele_term $ net_file_arg $ engine_arg $ trace)
+  Cmd.v (Cmd.info "allocate" ~doc ~man) Term.(const run $ tele_term $ net_file_arg $ trace)
 
 let dot_cmd =
   let run tele file =
@@ -476,7 +476,7 @@ let churn_cmd =
                    blocks in the file; without this flag, file batch blocks are honored as \
                    written.")
   in
-  let run tele net_file trace_file random_events engine verify rates domains coalesce seed csv =
+  let run tele net_file trace_file random_events verify rates domains coalesce seed csv =
     Telemetry.wrap tele @@ fun () ->
     if domains < 1 then die exit_invalid_input "mmfair churn: --domains wants a positive count";
     let parsed = Net_parser.parse_file net_file in
@@ -509,12 +509,9 @@ let churn_cmd =
           chunk [] [] 0 (Churn_parser.flatten items)
     in
     let eng =
-      match Engine.create_result ~engine ~domains net with
+      match Batch.create_result ~domains net with
       | Ok eng -> eng
       | Error e -> die exit_solver_error "mmfair churn: initial solve: %s" (Solver_error.to_string e)
-    in
-    let agree a b =
-      Float.abs (a -. b) <= 1e-9 *. Stdlib.max 1.0 (Stdlib.max (Float.abs a) (Float.abs b))
     in
     let full_solves = ref 0 and reuse_sum = ref 0.0 and divergences = ref 0 in
     let events_total = ref 0 and cancelled_total = ref 0 in
@@ -539,7 +536,7 @@ let churn_cmd =
           cancelled_total := !cancelled_total + stats.Batch.cancelled;
           if verify then begin
             let incremental = Engine.allocation eng and now = Engine.network eng in
-            match Allocator.max_min_result ~engine now with
+            match Allocator.max_min_result now with
             | Error e ->
                 die exit_solver_error "mmfair churn: step %d (%s): scratch solve: %s" (idx + 1)
                   label (Solver_error.to_string e)
@@ -616,7 +613,7 @@ let churn_cmd =
     ]
   in
   Cmd.v (Cmd.info "churn" ~doc ~man)
-    Term.(const run $ tele_term $ net_file_arg $ trace_file $ random_events $ engine_arg $ verify $ rates
+    Term.(const run $ tele_term $ net_file_arg $ trace_file $ random_events $ verify $ rates
           $ domains $ coalesce $ seed_arg $ csv_flag)
 
 (* `mmfair churnd`: the serving daemon.  Long-running: ingest .churn
@@ -683,7 +680,7 @@ let churnd_cmd =
          & info [ "series-capacity" ] ~docv:"N"
              ~doc:"Windows retained per in-memory series before downsampling halves them.")
   in
-  let run tele net_file socket input engine domains retain max_batch ack poll write_timeout
+  let run tele net_file socket input domains retain max_batch ack poll write_timeout
       snapshot_out sample_interval series_out series_capacity =
     Telemetry.wrap tele @@ fun () ->
     if domains < 1 then die exit_invalid_input "mmfair churnd: --domains wants a positive count";
@@ -695,7 +692,7 @@ let churnd_cmd =
       die exit_invalid_input "mmfair churnd: --series-capacity wants at least 2 windows";
     let parsed = Net_parser.parse_file net_file in
     let config =
-      { Mmfair_serve.Daemon.engine; domains; retain; max_batch; ack; poll_interval = poll;
+      { Mmfair_serve.Daemon.domains; retain; max_batch; ack; poll_interval = poll;
         write_timeout; sample_interval; series_capacity; series_out }
     in
     let daemon =
@@ -746,7 +743,7 @@ let churnd_cmd =
     ]
   in
   Cmd.v (Cmd.info "churnd" ~doc ~man)
-    Term.(const run $ tele_term $ net_file_arg $ socket $ input $ engine_arg $ domains $ retain $ max_batch
+    Term.(const run $ tele_term $ net_file_arg $ socket $ input $ domains $ retain $ max_batch
           $ ack $ poll $ write_timeout $ snapshot_out $ sample_interval $ series_out
           $ series_capacity)
 
@@ -759,6 +756,7 @@ let churnd_load_cmd =
   let module Churn_parser = Mmfair_workload.Churn_parser in
   let module Churn_gen = Mmfair_workload.Churn_gen in
   let module Engine = Mmfair_dynamic.Engine in
+  let module Batch = Mmfair_dynamic.Batch in
   let module Line_reader = Mmfair_serve.Line_reader in
   let socket =
     Arg.(value & opt (some string) None
@@ -989,7 +987,7 @@ let churnd_load_cmd =
              chunking is arbitrary, but max-min fairness depends only
              on the final network, so rates must agree within 1e-9. *)
           let offline =
-            match Engine.create_result net with
+            match Batch.create_result net with
             | Ok eng -> eng
             | Error e -> die exit_solver_error "mmfair churnd-load: offline replay: %s" (Solver_error.to_string e)
           in
@@ -999,9 +997,6 @@ let churnd_load_cmd =
               | Ok _ -> ()
               | Error e -> die exit_solver_error "mmfair churnd-load: offline replay: %s" (Solver_error.to_string e))
             trace;
-          let agree a b =
-            Float.abs (a -. b) <= 1e-9 *. Stdlib.max 1.0 (Stdlib.max (Float.abs a) (Float.abs b))
-          in
           let now = Engine.network offline and alloc = Engine.allocation offline in
           let offline_receivers = Network.all_receivers now in
           if Array.length offline_receivers <> k then begin
@@ -1448,8 +1443,8 @@ let stability_cmd =
          & info [ "expect" ] ~docv:"VERDICT"
              ~doc:"Exit non-zero unless every run's verdict matches (CI smoke mode).")
   in
-  let run tele scenario clusters slots trunk_cap capacity workload load sweep horizon domains engine
-      pulses json_out series_out expect csv seed =
+  let run tele scenario clusters slots trunk_cap capacity workload load sweep horizon domains pulses
+      json_out series_out expect csv seed =
     Telemetry.wrap tele @@ fun () ->
     let size = Size.of_string workload in
     let pulses =
@@ -1484,7 +1479,7 @@ let stability_cmd =
       in
       Scenario.scale_to_load base ~load:target
     in
-    let config = { Sim.default with Sim.horizon; seed; engine; domains; pulses } in
+    let config = { Sim.default with Sim.horizon; seed; domains; pulses } in
     let runs =
       List.map
         (fun target ->
@@ -1604,7 +1599,7 @@ let stability_cmd =
   in
   Cmd.v (Cmd.info "stability" ~doc ~man)
     Term.(const run $ tele_term $ scenario $ clusters $ slots $ trunk_cap $ capacity $ workload
-          $ load $ sweep $ horizon $ domains $ engine_arg $ pulses $ json_out $ series_out $ expect
+          $ load $ sweep $ horizon $ domains $ pulses $ json_out $ series_out $ expect
           $ csv_flag $ seed_arg)
 
 let main_cmd =

@@ -1,8 +1,6 @@
 module Graph = Mmfair_topology.Graph
 module Obs = Mmfair_obs
 
-type engine = [ `Auto | `Linear | `Bisection ]
-
 type round = {
   increment : float;
   frozen : Network.receiver_id list;
@@ -239,11 +237,11 @@ let ensure_vfn a n =
 
    A cold solve lists every session, so pass 2 pins nobody.
 
-   Also decides engine eligibility for the restricted problem: the
-   linear model needs every involved session linear — including pinned
-   neighbors, whose [Custom] cells would otherwise contribute a bogus
-   constant 0 — while the unit-weight requirement only concerns the
-   receivers actually being raised. *)
+   Also picks the engine for the restricted problem: the linear model
+   needs every involved session linear — including pinned neighbors,
+   whose [Custom] cells would otherwise contribute a bogus constant 0
+   — while the unit-weight requirement only concerns the receivers
+   actually being raised. *)
 let init sc net ~component ~frozen =
   let g = Network.graph net in
   let inc = Network.incidence net in
@@ -428,7 +426,7 @@ let init sc net ~component ~frozen =
       n_touched = !n_touched;
     }
   in
-  (st, !all_linear, !unit_weights)
+  (st, !all_linear && !unit_weights)
 
 (* (const, slope) contribution of compact cell [c] (session [i]) to
    its link's linear usage model — mirrors the reference engine's
@@ -865,37 +863,27 @@ let water_fill ?on_round st ~use_linear =
    are proportional to the component's neighborhood, not the network.
    [k] receives the solved rows (a fresh row per listed session) while
    the arena still holds them. *)
-let solve ?on_round engine net ~component ~frozen k =
+let solve ?on_round net ~component ~frozen k =
   with_scratch (fun sc ->
-      let st, all_linear, unit_weights = init sc net ~component ~frozen in
-      let use_linear =
-        match engine with
-        | `Linear ->
-            if not all_linear then
-              invalid_arg "Allocator.max_min: linear engine requires linear link-rate functions";
-            if not unit_weights then invalid_arg "Allocator.max_min: linear engine requires unit weights";
-            true
-        | `Bisection -> false
-        | `Auto -> all_linear && unit_weights
-      in
+      let st, use_linear = init sc net ~component ~frozen in
       water_fill ?on_round st ~use_linear;
       let session_first = st.inc.Network.session_first in
       k (fun i -> Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i))))
 
 (* A cold solve is the restricted solve over every session, with its
    result validated; nothing is pinned, so [frozen] is never read. *)
-let run ?on_round engine net =
+let run ?on_round net =
   let m = Network.session_count net in
-  solve ?on_round engine net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun row ->
+  solve ?on_round net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun row ->
       Allocation.make net (Array.init m row))
 
 (* A partial solve's result is one batched update of [frozen]: the
    spine plus the chunks holding the solved sessions are copied, every
    other row and chunk is shared. *)
-let run_partial ?on_round engine net ~component ~frozen =
-  solve ?on_round engine net ~component ~frozen (fun row ->
+let max_min_partial ~sessions ~frozen net =
+  solve net ~component:sessions ~frozen (fun row ->
       Allocation.unsafe_of_rows net
-        (Pvec.update frozen (fun set -> Array.iter (fun i -> set i (row i)) component)))
+        (Pvec.update frozen (fun set -> Array.iter (fun i -> set i (row i)) sessions)))
 
 (* The round trace is a pure view of the probe stream: collect the
    events of one run and rebuild the classic [round] records. *)
@@ -907,25 +895,18 @@ let round_of_event (ev : Obs.Events.round) =
     saturated_links = ev.Obs.Events.saturated_links;
   }
 
-let run_trace engine net =
+let max_min_trace net =
   let events = ref [] in
-  let allocation = run ~on_round:(fun ev -> events := ev :: !events) engine net in
+  let allocation = run ~on_round:(fun ev -> events := ev :: !events) net in
   { allocation; rounds = List.rev_map round_of_event !events }
 
-let max_min_trace ?(engine = `Auto) net = run_trace engine net
-let max_min ?(engine = `Auto) net = run engine net
+let max_min net = run net
 
-let max_min_partial ?(engine = `Auto) ~sessions ~frozen net =
-  run_partial engine net ~component:sessions ~frozen
+let max_min_partial_result ~sessions ~frozen net =
+  Solver_error.protect ~solver:solver_name (fun () -> max_min_partial ~sessions ~frozen net)
 
-let max_min_partial_result ?(engine = `Auto) ~sessions ~frozen net =
-  Solver_error.protect ~solver:solver_name (fun () -> run_partial engine net ~component:sessions ~frozen)
-
-let max_min_trace_result ?(engine = `Auto) net =
-  Solver_error.protect ~solver:solver_name (fun () -> run_trace engine net)
-
-let max_min_result ?(engine = `Auto) net =
-  Solver_error.protect ~solver:solver_name (fun () -> run engine net)
+let max_min_trace_result net = Solver_error.protect ~solver:solver_name (fun () -> max_min_trace net)
+let max_min_result net = Solver_error.protect ~solver:solver_name (fun () -> run net)
 
 let pp_trace fmt { allocation; rounds } =
   List.iteri

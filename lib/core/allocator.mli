@@ -20,11 +20,12 @@
       monotone [Custom] functions (the paper's Section-3 extension
       where [v_i] is an arbitrary redundancy function).
 
-    [`Auto] (the default) picks Linear exactly when all sessions
-    qualify; tests cross-check the engines on networks where both
-    apply. *)
-
-type engine = [ `Auto | `Linear | `Bisection ]
+    The engine is not an option: each solve derives it from its input.
+    Linear runs exactly when every session the solve reads has a
+    linear link-rate function and every receiver it raises has unit
+    weight; otherwise Bisection runs.  To drive Bisection on a linear
+    network (as the engine cross-checks do), wrap its functions with
+    {!Redundancy_fn.as_custom}. *)
 
 type round = {
   increment : float;  (** The round's uniform rate increase [Δt_b]. *)
@@ -48,12 +49,11 @@ type round = {
 
 type result = { allocation : Allocation.t; rounds : round list }
 
-val max_min : ?engine:engine -> Network.t -> Allocation.t
+val max_min : Network.t -> Allocation.t
 (** [max_min net] is the max-min fair allocation of [net].  Raises
     {!Solver_error.Error} if the algorithm fails to make progress
     (only possible with a misbehaving [Custom] link-rate function that
-    is not monotone) and [Invalid_argument] on an engine/network
-    mismatch.  Use {!max_min_result} for a non-raising variant.
+    is not monotone).  Use {!max_min_result} for a non-raising variant.
 
     This is {!max_min_partial} over every session with nothing pinned,
     plus validation of the result: one solve path.  Its state lives in
@@ -68,22 +68,22 @@ val max_min : ?engine:engine -> Network.t -> Allocation.t
     runs on the same domain gets a fresh scratch, leaving the outer
     solve's state alone. *)
 
-val max_min_trace : ?engine:engine -> Network.t -> result
+val max_min_trace : Network.t -> result
 (** Like {!max_min} but also returns the per-round trace in execution
     order. *)
 
-val max_min_result : ?engine:engine -> Network.t -> (Allocation.t, Solver_error.t) Stdlib.result
+val max_min_result : Network.t -> (Allocation.t, Solver_error.t) Stdlib.result
 (** Typed-error variant of {!max_min}: degenerate inputs and solver
     stalls come back as [Error] instead of an exception, so a sweep
     over many networks can report and skip a bad case.  Never raises
     for any constructed {!Network.t} whose [Custom] link-rate
     functions do not themselves raise. *)
 
-val max_min_trace_result : ?engine:engine -> Network.t -> (result, Solver_error.t) Stdlib.result
+val max_min_trace_result : Network.t -> (result, Solver_error.t) Stdlib.result
 (** Typed-error variant of {!max_min_trace}. *)
 
 val max_min_partial :
-  ?engine:engine -> sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
+  sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
 (** [max_min_partial ~sessions ~frozen net] is the warm-start entry
     point for incremental re-solves (the churn engine in
     [Mmfair_dynamic]): water-fill only the sessions listed in
@@ -112,16 +112,14 @@ val max_min_partial :
     rates, while rows of sessions the solve never reads are adopted
     into the returned allocation {e as-is, without copying or
     validation} — callers must treat pinned rows as immutable once
-    passed.  Engine eligibility ([`Auto]'s linear/unit-weight check,
-    [`Linear]'s contract) is likewise judged on the involved sessions
-    only, so a [Custom] session elsewhere in the network no longer
-    forces the component onto the bisection engine.  Raises
+    passed.  The engine is likewise picked from the involved sessions
+    only, so a [Custom] session elsewhere in the network does not
+    force the component onto the bisection engine.  Raises
     [Invalid_argument] on an unknown session id, a shape mismatch or
-    bad pinned rate among the rows it reads, or an engine/component
-    mismatch; {!Solver_error.Error} as for {!max_min}. *)
+    bad pinned rate among the rows it reads; {!Solver_error.Error} as
+    for {!max_min}. *)
 
 val max_min_partial_result :
-  ?engine:engine ->
   sessions:int array ->
   frozen:float array Pvec.t ->
   Network.t ->

@@ -108,6 +108,6 @@ let receiver_id t ~session ~receiver =
     invalid_arg "Multi_sender.receiver_id: unknown receiver";
   t.lowered.(session).(receiver)
 
-let max_min ?engine t = Allocator.max_min ?engine t.net
+let max_min t = Allocator.max_min t.net
 
 let rate t alloc ~session ~receiver = Allocation.rate alloc (receiver_id t ~session ~receiver)

@@ -63,7 +63,7 @@ val receiver_id : t -> session:int -> receiver:int -> Network.receiver_id
 (** The lowered network's id for an original (session, receiver)
     pair. *)
 
-val max_min : ?engine:Allocator.engine -> t -> Allocation.t
+val max_min : t -> Allocation.t
 (** The max-min fair allocation of the lowered network. *)
 
 val rate : t -> Allocation.t -> session:int -> receiver:int -> float

@@ -67,4 +67,8 @@ let is_linear = function
   | Efficient | Scaled _ | Additive -> true
   | Custom _ -> false
 
+let as_custom = function
+  | Custom _ as v -> v
+  | v -> Custom (name v, apply v)
+
 let pp fmt v = Format.pp_print_string fmt (name v)

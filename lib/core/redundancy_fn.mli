@@ -55,4 +55,13 @@ val is_linear : t -> bool
     engine for sessions with this function ([Efficient], [Scaled],
     [Additive]); [Custom] requires the bisection engine. *)
 
+val as_custom : t -> t
+(** The same function wrapped as a [Custom] under the same {!name}:
+    [apply (as_custom v) rates = apply v rates] for every shape, since
+    [Custom]'s clamp at the max changes none of them, but
+    [is_linear (as_custom v)] is [false].  A network whose functions
+    are all wrapped drives the allocator's bisection engine, which is
+    how tests cross-check the two engines on one input.  [Custom]
+    functions are returned unchanged. *)
+
 val pp : Format.formatter -> t -> unit

@@ -48,40 +48,34 @@ let admits (module E : S) net =
 
 (* Shared scaffolding for engines whose underlying solver has no
    warm-start entry point: [solve_partial] fails loudly instead of
-   silently degrading to a full solve, so callers (the churn engine's
-   batch path) make the fallback decision explicitly off
-   [capabilities.partial]. *)
+   silently degrading to a full solve. *)
 let no_partial name : sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
     =
  fun ~sessions:_ ~frozen:_ _ ->
   invalid_arg (name ^ ".solve_partial: engine has no warm-start entry point")
 
-let allocator ?(engine = `Auto) () : t =
+let allocator : t =
   (module struct
     let name = "Allocator"
 
     let capabilities =
       { multicast = true; multi_rate = true; weighted = true; vfn = `Any; partial = true }
 
-    let solve net = Allocator.max_min ~engine net
-    let solve_result net = Allocator.max_min_result ~engine net
-
-    let solve_partial ~sessions ~frozen net =
-      Allocator.max_min_partial ~engine ~sessions ~frozen net
-
-    let solve_partial_result ~sessions ~frozen net =
-      Allocator.max_min_partial_result ~engine ~sessions ~frozen net
+    let solve = Allocator.max_min
+    let solve_result = Allocator.max_min_result
+    let solve_partial = Allocator.max_min_partial
+    let solve_partial_result = Allocator.max_min_partial_result
   end)
 
-let allocator_reference ?(engine = `Auto) () : t =
+let allocator_reference : t =
   (module struct
     let name = "Allocator_reference"
 
     let capabilities =
       { multicast = true; multi_rate = true; weighted = true; vfn = `Any; partial = false }
 
-    let solve net = Allocator_reference.max_min ~engine net
-    let solve_result net = Allocator_reference.max_min_result ~engine net
+    let solve net = Allocator_reference.max_min net
+    let solve_result net = Allocator_reference.max_min_result net
     let solve_partial = no_partial name
 
     let solve_partial_result ~sessions ~frozen net =
@@ -134,8 +128,8 @@ let unicast : t =
       Solver_error.protect ~solver:name (fun () -> solve_partial ~sessions ~frozen net)
   end)
 
-let default = allocator ()
+let default = allocator
 
 let all () =
-  [ allocator (); allocator_reference (); tzeng_siu; unicast ]
+  [ allocator; allocator_reference; tzeng_siu; unicast ]
   |> List.map (fun e -> (name e, e))

@@ -24,8 +24,8 @@ type capabilities = {
           [`Any] (monotone [Custom] too). *)
   partial : bool;
       (** Whether {!S.solve_partial} is a genuine warm start.  Engines
-          without it reject partial solves; callers holding a fairness
-          component should fall back to a full solve. *)
+          without it reject partial solves, so the churn engine
+          ([Mmfair_dynamic.Batch.create]) refuses them. *)
 }
 (** What a solver engine can take.  Capabilities are {e static}
     honesty about each solver's contract — {!admits} checks a concrete
@@ -81,16 +81,17 @@ val admits : t -> Network.t -> bool
     ignores, like weights under {!tzeng_siu}) computes an allocation
     that need not agree with {!default}. *)
 
-val allocator : ?engine:Allocator.engine -> unit -> t
+val allocator : t
 (** The optimized incidence-indexed water-filling allocator
     ({!Allocator}); full capabilities including warm-start partial
-    solves.  [engine] (default [`Auto]) picks the per-round increment
-    computation. *)
+    solves.  Each solve picks its per-round increment engine from the
+    network (see {!Allocator}). *)
 
-val allocator_reference : ?engine:Allocator_reference.engine -> unit -> t
+val allocator_reference : t
 (** The frozen pre-optimization oracle ({!Allocator_reference}) — same
-    receiver-rate definition, no partial solves.  Keep for
-    differential checks; do not put it on a hot path. *)
+    receiver-rate definition and the same input-derived engine choice,
+    no partial solves.  Keep for differential checks; do not put it on
+    a hot path. *)
 
 val tzeng_siu : t
 (** The session-rate max-min definition of the paper's [18]
@@ -103,7 +104,7 @@ val unicast : t
     weights. *)
 
 val default : t
-(** [allocator ()]. *)
+(** {!allocator}. *)
 
 val all : unit -> (string * t) list
 (** Every engine under its [name], for sweeps and differential

@@ -16,7 +16,8 @@
 type t =
   | Invalid_input of { solver : string; what : string }
       (** The input violates the solver's contract (malformed network,
-          engine/network mismatch, shape mismatch).  [what] is a
+          network outside the solver's capabilities, shape
+          mismatch).  [what] is a
           human-readable diagnostic. *)
   | No_progress of { solver : string; round : int; residual_slack : float }
       (** The water-filling loop exhausted its round budget without

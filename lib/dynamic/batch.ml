@@ -41,6 +41,10 @@ type t = {
 let solver_name = "Dynamic"
 
 let create ?(solver = Solve_engine.default) ?scheduler ?(domains = 1) ?retain ?allocation net =
+  if not (Solve_engine.capabilities solver).Solve_engine.partial then
+    invalid_arg
+      (Printf.sprintf "Dynamic.Batch.create: solver %s has no warm-start partial solve"
+         (Solve_engine.name solver));
   let scheduler =
     match scheduler with
     | Some s -> s
@@ -285,7 +289,6 @@ let apply t events =
         List.iter (fun (i, d) -> set i d.frozen_row) cand_diffs)
   in
   let (module E : Solve_engine.S) = t.solver in
-  let has_partial = E.capabilities.Solve_engine.partial in
   let solves = ref 0 in
   let full = ref false in
   (* Every water-filling pass goes through the scheduler seam — one
@@ -405,9 +408,7 @@ let apply t events =
          sharing the previous epoch's rows.  All frozen rows are full
          here — only unchanged sessions leave the component empty. *)
       Allocation.unsafe_of_rows new_net pinned
-    else if
-      (not has_partial)
-      || (Component.is_full comp && match Component.groups comp with [ _ ] -> true | _ -> false)
+    else if Component.is_full comp && match Component.groups comp with [ _ ] -> true | _ -> false
     then begin
       (* A full component in one piece pins nothing — solve fresh.  A
          full component that still splits into disjoint groups (e.g. a

@@ -85,10 +85,11 @@ val create :
   t
 (** [create net] solves epoch 0 through [solver]
     ({!Mmfair_core.Solve_engine.default} unless given) and seeds the
-    store.  Engines whose {!Mmfair_core.Solve_engine.capabilities}
-    lack [partial] still work: every non-empty component falls back to
-    a full solve.  [domains] (default [1]) picks {!pool} over that
-    many domains as the scheduler; an explicit [scheduler] wins over
+    store.  Raises [Invalid_argument] when the solver's
+    {!Mmfair_core.Solve_engine.capabilities} lack [partial]: every
+    epoch after the first is a warm-start restricted solve.  [domains]
+    (default [1]) picks {!pool} over that many domains as the
+    scheduler; an explicit [scheduler] wins over
     [domains].  [retain] bounds the store window ({!Store.create}).
     [allocation] is a {e trusted} warm restore: the caller asserts it
     is the max-min fair allocation of [net] (benchmarks use it to

@@ -1,11 +1,10 @@
-module Solve_engine = Mmfair_core.Solve_engine
 module Solver_error = Mmfair_core.Solver_error
 
 (* The per-event engine is the singleton case of Batch.apply: one
    implementation carries both paths, so the per-event differential
    gate exercises the batch machinery on every event.  This module
-   only adapts the interface (an Allocator.engine choice instead of a
-   Solve_engine.t, per-event stats with the event's kind). *)
+   only adapts the interface (per-event stats with the event's kind);
+   an engine is made by [Batch.create]. *)
 
 type stats = {
   kind : string;
@@ -20,13 +19,6 @@ type stats = {
 type t = Batch.t
 
 let solver_name = "Dynamic"
-
-let create ?(engine = `Auto) ?domains ?retain ?allocation net =
-  Batch.create ~solver:(Solve_engine.allocator ~engine ()) ?domains ?retain ?allocation net
-
-let create_result ?engine ?domains ?retain ?allocation net =
-  Solver_error.protect ~solver:solver_name (fun () ->
-      create ?engine ?domains ?retain ?allocation net)
 
 let network = Batch.network
 let allocation = Batch.allocation

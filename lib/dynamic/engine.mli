@@ -19,10 +19,11 @@
     {!apply} is exactly [Batch.apply] with a singleton batch ([t] {e
     is} [Batch.t], and the equality is exposed so callers can mix
     per-event and coalesced application on one engine).  This module
-    keeps the original per-event interface: an
-    {!Mmfair_core.Allocator.engine} choice instead of a
-    {!Mmfair_core.Solve_engine.t}, and per-event stats carrying the
-    event's kind.
+    keeps the original per-event interface: per-event stats carrying
+    the event's kind.  An engine is made by {!Batch.create} with the
+    default solver, whose restricted solves pick the water-filling
+    increment engine from the network itself
+    ({!Mmfair_core.Allocator}).
 
     The differential harness ([test/churn_differential.ml], CI-gated)
     asserts after every event that the result matches
@@ -41,36 +42,7 @@ type stats = {
     ({!Mmfair_obs.Events.epoch}) for the telemetry sinks. *)
 
 type t = Batch.t
-(** A churn engine {e is} a batch engine; {!create} merely fixes the
-    solver to {!Mmfair_core.Solve_engine.allocator} over the chosen
-    allocator engine. *)
-
-val create :
-  ?engine:Mmfair_core.Allocator.engine ->
-  ?domains:int ->
-  ?retain:int ->
-  ?allocation:Mmfair_core.Allocation.t ->
-  Mmfair_core.Network.t ->
-  t
-(** [create net] solves epoch 0 from scratch and seeds the store.
-    [engine] (default [`Auto]) is used for every subsequent solve;
-    [domains] (default [1]) runs each epoch's disjoint component
-    solves on the shared domain pool of that size ({!Batch.pool}) —
-    allocations are bitwise identical at every count;
-    [retain] bounds the store window ({!Store.create}).  [allocation]
-    is a {e trusted} warm restore: the caller asserts it is the
-    max-min fair allocation of [net] (used by benchmarks to reset an
-    engine between repetitions without paying the initial solve) —
-    passing anything else silently corrupts every later epoch. *)
-
-val create_result :
-  ?engine:Mmfair_core.Allocator.engine ->
-  ?domains:int ->
-  ?retain:int ->
-  ?allocation:Mmfair_core.Allocation.t ->
-  Mmfair_core.Network.t ->
-  (t, Mmfair_core.Solver_error.t) result
-(** Typed-error variant of {!create}. *)
+(** A churn engine {e is} a batch engine ({!Batch.create}). *)
 
 val network : t -> Mmfair_core.Network.t
 (** The current (post-last-event) network. *)

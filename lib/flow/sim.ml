@@ -10,7 +10,6 @@ module Timeseries = Mmfair_obs.Timeseries
 type config = {
   horizon : float;
   seed : int64;
-  engine : Mmfair_core.Allocator.engine;
   domains : int;
   pulses : (float * int) list;
   series_capacity : int;
@@ -21,7 +20,6 @@ let default =
   {
     horizon = 100.0;
     seed = 0x5EED_F10AL;
-    engine = `Auto;
     domains = 1;
     pulses = [];
     series_capacity = 256;
@@ -76,7 +74,7 @@ let run ?(config = default) scn =
   let classes = Scenario.classes scn in
   let park_rho = Scenario.park_rho scn in
   let horizon = config.horizon in
-  let eng = Engine.create ~engine:config.engine ~domains:config.domains (Scenario.network scn) in
+  let eng = Batch.create ~domains:config.domains (Scenario.network scn) in
   (* One child rng per class, split off the master in class order:
      every class's draw sequence (arrival gap, size, gap, size, …) is
      then independent of the other classes, so trajectories are fully

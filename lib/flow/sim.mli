@@ -10,7 +10,10 @@
     is refreshed from the new allocation — processor-sharing fluid
     dynamics with the allocator as the service discipline, exactly the
     model in which stability is governed by nominal load
-    ({!Scenario.offered_load}).
+    ({!Scenario.offered_load}).  The engine is
+    {!Mmfair_dynamic.Batch.create} with the default solver; each
+    epoch's water-filling increment engine follows from the scenario's
+    network ({!Mmfair_core.Allocator}), so no config field picks it.
 
     Determinism: per-class child PRNGs are split off the master seed in
     class order, and the engine's allocations are bitwise identical at
@@ -20,7 +23,6 @@
 type config = {
   horizon : float;  (** Virtual-time end of the run. *)
   seed : int64;  (** Master seed; split per class. *)
-  engine : Mmfair_core.Allocator.engine;  (** Water-filling engine for every epoch. *)
   domains : int;  (** Domain-pool size for component solves (≥ 1). *)
   pulses : (float * int) list;
       (** Flash crowds: at each [(time, n)], [n] simultaneous extra
@@ -31,7 +33,7 @@ type config = {
 }
 
 val default : config
-(** horizon 100, seed [0x5EED_F10A], [`Auto] engine, 1 domain, no
+(** horizon 100, seed [0x5EED_F10A], 1 domain, no
     pulses, 256 windows, no departure log. *)
 
 type departure = {

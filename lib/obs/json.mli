@@ -17,6 +17,11 @@ val to_string : t -> string
     form that round-trips; non-finite numbers degrade to [null] (JSON
     has no Inf/NaN). *)
 
+val escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quote, backslash and control characters escaped, every other byte
+    as-is — for emitters that write a document by hand. *)
+
 exception Bad of string
 (** Parse failure, with a byte offset in the message. *)
 

@@ -14,7 +14,6 @@ module Clock = Mmfair_obs.Clock
 module Json = Mmfair_obs.Json
 
 type config = {
-  engine : Mmfair_core.Allocator.engine;
   domains : int;
   retain : int;
   max_batch : int;
@@ -28,7 +27,6 @@ type config = {
 
 let default_config =
   {
-    engine = `Auto;
     domains = 1;
     retain = 8;
     max_batch = 256;
@@ -78,8 +76,7 @@ let create ?(config = default_config) parsed =
       (Printf.sprintf "Daemon.create: series_capacity must be >= 2 (got %d)"
          config.series_capacity);
   match
-    Engine.create_result ~engine:config.engine ~domains:config.domains ~retain:config.retain
-      parsed.Net_parser.net
+    Batch.create_result ~domains:config.domains ~retain:config.retain parsed.Net_parser.net
   with
   | Error _ as e -> e
   | Ok engine ->

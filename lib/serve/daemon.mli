@@ -1,7 +1,9 @@
 (** The [mmfair churnd] serving loop.
 
     A daemon wraps one incremental churn engine
-    ({!Mmfair_dynamic.Engine}) and feeds it from a byte stream — a
+    ({!Mmfair_dynamic.Engine}, made by {!Mmfair_dynamic.Batch.create}
+    with the default solver, which picks its water-filling increment
+    engine from the network) and feeds it from a byte stream — a
     pipe/FIFO ({!serve_fd}) or a Unix-domain socket with any number of
     concurrent clients ({!serve_socket}) — speaking the {!Protocol}
     line language.
@@ -35,8 +37,7 @@
     query the registry after serving ends. *)
 
 type config = {
-  engine : Mmfair_core.Allocator.engine;  (** Water-filling engine (default [`Auto]). *)
-  domains : int;  (** Component-solve parallelism ({!Mmfair_dynamic.Engine.create}). *)
+  domains : int;  (** Component-solve parallelism ({!Mmfair_dynamic.Batch.create}). *)
   retain : int;  (** Epoch-store window ({!Mmfair_dynamic.Store.create}). *)
   max_batch : int;  (** Most events one coalesced epoch may apply (default 256). *)
   ack : bool;  (** Answer [ok epoch N] per accepted ingestion line (default off). *)

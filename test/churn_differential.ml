@@ -6,8 +6,10 @@
    EVERY event the incremental allocation must match a from-scratch
    Allocator.max_min on the post-event network within a relative 1e-9
    — the correctness gate for the fairness-component construction
-   (DESIGN.md §11).  Seeds alternate the `Auto and `Bisection engines
-   so both bound computations are exercised.
+   (DESIGN.md §11).  Odd seeds and topologies replay the network with
+   every link-rate function wrapped as Custom (Redundancy_fn.as_custom,
+   same rates), which drives the bisection engine on both sides, so
+   both increment computations are exercised.
 
    With --batch-sizes B1,B2,... the same trace is additionally
    replayed coalesced: for each size a fresh engine applies the trace
@@ -94,7 +96,6 @@ let check_network ~case net =
 type snapshot = {
   s_case : string;
   s_label : string;
-  s_engine : Mmfair_core.Allocator.engine;
   s_net : Network.t;
   s_alloc : Allocation.t; (* the incremental engine's answer *)
 }
@@ -110,7 +111,7 @@ let check_snapshots ~counter snapshots =
   let task k () =
     let s = snapshots.(k) in
     slots.(k) <-
-      (match Allocator.max_min_result ~engine:s.s_engine s.s_net with
+      (match Allocator.max_min_result s.s_net with
       | Error e -> Error (Solver_error.to_string e)
       | Ok scratch ->
           let msgs = ref [] in
@@ -150,8 +151,8 @@ let chunks n l =
 (* Replay [trace] coalesced into [size]-event batches on a fresh
    engine with a [domains]-sized pool; per-batch allocations in replay
    order, or [None] after any engine error. *)
-let replay_batched ~case ~engine ~domains ~size net trace =
-  match Engine.create_result ~engine ~domains net with
+let replay_batched ~case ~domains ~size net trace =
+  match Batch.create_result ~domains net with
   | Error e ->
       fail_case ~case "initial solve errored: %s" (Solver_error.to_string e);
       None
@@ -177,13 +178,13 @@ let replay_batched ~case ~engine ~domains ~size net trace =
    count is scratch-checked after every batch (1e-9) and its final
    rates compared against the per-event replay; every further count
    must reproduce each batch's allocation BITWISE. *)
-let check_batched ~case ~engine ~domain_counts ~size net trace reference =
+let check_batched ~case ~domain_counts ~size net trace reference =
   let case0 = Printf.sprintf "%s batch=%d" case size in
   match domain_counts with
   | [] -> ()
   | d0 :: rest -> (
       let case = Printf.sprintf "%s domains=%d" case0 d0 in
-      match replay_batched ~case ~engine ~domains:d0 ~size net trace with
+      match replay_batched ~case ~domains:d0 ~size net trace with
       | None -> ()
       | Some ref_allocs ->
           check_snapshots ~counter:batches_checked
@@ -193,7 +194,6 @@ let check_batched ~case ~engine ~domain_counts ~size net trace reference =
                     {
                       s_case = case;
                       s_label = Printf.sprintf "batch %d" bidx;
-                      s_engine = engine;
                       s_net = bnet;
                       s_alloc = alloc;
                     })
@@ -212,7 +212,7 @@ let check_batched ~case ~engine ~domain_counts ~size net trace reference =
           List.iter
             (fun d ->
               let case = Printf.sprintf "%s domains=%d" case0 d in
-              match replay_batched ~case ~engine ~domains:d ~size net trace with
+              match replay_batched ~case ~domains:d ~size net trace with
               | None -> ()
               | Some allocs ->
                   List.iteri
@@ -243,11 +243,22 @@ let net_config rng =
     cap_hi = 10.0;
   }
 
+(* The same network with every link-rate function wrapped as Custom
+   (same rates): the solves pick their engine from the input, and this
+   one selects bisection. *)
+let bisection_net net =
+  Network.with_vfns net
+    (Array.init (Network.session_count net) (fun i ->
+         Mmfair_core.Redundancy_fn.as_custom (Network.vfn net i)))
+
 (* Replay [trace] per-event on a fresh engine, scratch-checking every
    step at 1e-9, round-trip the trace through the renderer/parsers,
-   then re-run the coalescing + multicore gates for each batch size. *)
-let replay_case ~case ~engine ~batch_sizes ~domain_counts net trace =
-  match Engine.create_result ~engine net with
+   then re-run the coalescing + multicore gates for each batch size.
+   [bisection] replays on [bisection_net net]; the round trip renders
+   [net] itself, since a Custom function has no .net syntax. *)
+let replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace =
+  let solve_net = if bisection then bisection_net net else net in
+  match Batch.create_result solve_net with
   | Error e -> fail_case ~case "initial solve errored: %s" (Solver_error.to_string e)
   | Ok eng ->
       let snaps = ref [] in
@@ -268,7 +279,6 @@ let replay_case ~case ~engine ~batch_sizes ~domain_counts net trace =
                 {
                   s_case = case;
                   s_label = Printf.sprintf "event %d (%s)" idx (Format.asprintf "%a" Event.pp event);
-                  s_engine = engine;
                   s_net = Engine.network eng;
                   s_alloc = Engine.allocation eng;
                 }
@@ -292,20 +302,18 @@ let replay_case ~case ~engine ~batch_sizes ~domain_counts net trace =
                 fail_case ~case "trace round-trip changed the events"));
       let reference = Engine.allocation eng in
       List.iter
-        (fun size -> check_batched ~case ~engine ~domain_counts ~size net trace reference)
+        (fun size -> check_batched ~case ~domain_counts ~size solve_net trace reference)
         batch_sizes
 
 let run_seed ~events ~batch_sizes ~domain_counts seed seed_idx =
-  let engine = if seed_idx mod 2 = 0 then `Auto else `Bisection in
-  let case =
-    Printf.sprintf "seed=%Ld engine=%s" seed (match engine with `Bisection -> "bisection" | _ -> "auto")
-  in
+  let bisection = seed_idx mod 2 = 1 in
+  let case = Printf.sprintf "seed=%Ld engine=%s" seed (if bisection then "bisection" else "auto") in
   let rng = Xoshiro.create ~seed () in
   let net = Random_nets.generate ~rng (net_config rng) in
   let trace =
     Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events; max_receivers = 5 }
   in
-  replay_case ~case ~engine ~batch_sizes ~domain_counts net trace
+  replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace
 
 (* Generated-topology cases: the same differential replayed on the
    builder layer's families, with the bench's session placements at
@@ -363,17 +371,14 @@ let topology_net name =
       raise (Arg.Bad (Printf.sprintf "unknown topology %S (fat-tree, power-law, star)" other))
 
 let run_topology ~events ~batch_sizes ~domain_counts name idx =
-  let engine = if idx mod 2 = 0 then `Auto else `Bisection in
-  let case =
-    Printf.sprintf "topology=%s engine=%s" name
-      (match engine with `Bisection -> "bisection" | _ -> "auto")
-  in
+  let bisection = idx mod 2 = 1 in
+  let case = Printf.sprintf "topology=%s engine=%s" name (if bisection then "bisection" else "auto") in
   let net = topology_net name in
   let rng = Xoshiro.create ~seed:(Int64.of_int (97 + idx)) () in
   let trace =
     Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events; max_receivers = 5 }
   in
-  replay_case ~case ~engine ~batch_sizes ~domain_counts net trace
+  replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace
 
 let () =
   let events = ref 500 and seeds = ref [ 41L; 42L; 43L ] in

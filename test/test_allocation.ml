@@ -39,6 +39,28 @@ let test_vfn_is_linear () =
   Alcotest.(check bool) "custom not" false
     (Redundancy_fn.is_linear (Redundancy_fn.Custom ("x", fun _ -> 1.0)))
 
+let qcheck_vfn_as_custom =
+  (* Wrapping a linear shape as Custom keeps every rate bit for bit
+     (the Custom clamp at the max is a no-op on max, k·max with k >= 1
+     and sum) but hides the shape from the linear engine. *)
+  QCheck.Test.make ~name:"as_custom keeps apply, drops is_linear" ~count:300
+    QCheck.(triple (int_range 0 2) (float_range 1.0 4.0) (small_list (float_range 0.0 100.0)))
+    (fun (shape, k, rates) ->
+      let v =
+        match shape with
+        | 0 -> Redundancy_fn.Efficient
+        | 1 -> Redundancy_fn.Scaled k
+        | _ -> Redundancy_fn.Additive
+      in
+      let c = Redundancy_fn.as_custom v in
+      let n = List.length rates in
+      let get = List.nth rates in
+      Redundancy_fn.apply c rates = Redundancy_fn.apply v rates
+      && Redundancy_fn.apply_fold c ~n ~get = Redundancy_fn.apply_fold v ~n ~get
+      && Redundancy_fn.name c = Redundancy_fn.name v
+      && Redundancy_fn.is_linear v
+      && not (Redundancy_fn.is_linear c))
+
 (* --- Allocation --- *)
 
 (* 0 -l0(6)- 1; receivers r0,0@2 via l1, r0,1@3 via l2; S1 unicast @2. *)
@@ -139,6 +161,7 @@ let suite =
     Alcotest.test_case "vfn custom clamped" `Quick test_vfn_custom_clamped;
     Alcotest.test_case "vfn dominates" `Quick test_vfn_dominates;
     Alcotest.test_case "vfn is_linear" `Quick test_vfn_is_linear;
+    QCheck_alcotest.to_alcotest qcheck_vfn_as_custom;
     Alcotest.test_case "session link rate (max)" `Quick test_session_link_rate_max;
     Alcotest.test_case "session link rate (additive)" `Quick test_session_link_rate_additive;
     Alcotest.test_case "link redundancy" `Quick test_link_redundancy;

@@ -28,6 +28,13 @@ module Random_nets = Mmfair_workload.Random_nets
 let feq ?(eps = 1e-9) what a b =
   Alcotest.(check bool) (Printf.sprintf "%s: %g vs %g" what a b) true (Float.abs (a -. b) <= eps)
 
+(* The same network with every link-rate function wrapped as [Custom]
+   (same rates): the solve picks its engine from the input, and this
+   input selects bisection. *)
+let bisection_net net =
+  Network.with_vfns net
+    (Array.init (Network.session_count net) (fun i -> Redundancy_fn.as_custom (Network.vfn net i)))
+
 let check_rates what net expected =
   let alloc = Allocator.max_min net in
   Array.iteri
@@ -170,8 +177,8 @@ let test_bottleneck_links () =
 let test_engines_agree_on_paper_nets () =
   List.iter
     (fun net ->
-      let lin = Allocator.max_min ~engine:`Linear net in
-      let bis = Allocator.max_min ~engine:`Bisection net in
+      let lin = Allocator.max_min net in
+      let bis = Allocator.max_min (bisection_net net) in
       Array.iter
         (fun (r : Network.receiver_id) ->
           feq ~eps:1e-6 "engine agreement" (Allocation.rate lin r) (Allocation.rate bis r))
@@ -183,12 +190,6 @@ let test_engines_agree_on_paper_nets () =
       (fst (Paper_nets.figure3a ())).Paper_nets.net;
       (fst (Paper_nets.figure3b ())).Paper_nets.net;
     ]
-
-let test_linear_engine_rejects_custom () =
-  let { Paper_nets.net; _ } = Paper_nets.figure4 () in
-  Alcotest.check_raises "custom vfn needs bisection"
-    (Invalid_argument "Allocator.max_min: linear engine requires linear link-rate functions")
-    (fun () -> ignore (Allocator.max_min ~engine:`Linear net))
 
 let test_custom_vfn_equals_scaled () =
   (* A Custom function equal to Scaled 2 must produce the same MMF
@@ -343,8 +344,8 @@ let qcheck_engines_agree =
     (fun seed ->
       let config = { Random_nets.default with Random_nets.scaled_vfn_prob = 0.3 } in
       let net = net_of_seed ~config seed in
-      let lin = Allocator.max_min ~engine:`Linear net in
-      let bis = Allocator.max_min ~engine:`Bisection net in
+      let lin = Allocator.max_min net in
+      let bis = Allocator.max_min (bisection_net net) in
       Array.for_all
         (fun (r : Network.receiver_id) ->
           Float.abs (Allocation.rate lin r -. Allocation.rate bis r)
@@ -391,7 +392,6 @@ let suite =
     Alcotest.test_case "trace rounds" `Quick test_trace_rounds;
     Alcotest.test_case "bottleneck links" `Quick test_bottleneck_links;
     Alcotest.test_case "engines agree on paper nets" `Quick test_engines_agree_on_paper_nets;
-    Alcotest.test_case "linear engine rejects custom" `Quick test_linear_engine_rejects_custom;
     Alcotest.test_case "custom vfn equals scaled" `Quick test_custom_vfn_equals_scaled;
     QCheck_alcotest.to_alcotest qcheck_mmf_feasible;
     QCheck_alcotest.to_alcotest qcheck_lemma1;
@@ -439,7 +439,7 @@ let qcheck_weighted_unit_equals_unweighted =
             Array.map (fun _ -> 1.0) (Network.session_spec net i).Network.receivers)
       in
       let a = Allocator.max_min net in
-      let b = Allocator.max_min ~engine:`Bisection (Network.with_weights net weights) in
+      let b = Allocator.max_min (bisection_net (Network.with_weights net weights)) in
       Array.for_all
         (fun (r : Network.receiver_id) ->
           Float.abs (Allocation.rate a r -. Allocation.rate b r)
@@ -455,9 +455,9 @@ let qcheck_weighted_unit_equals_unweighted =
    Additive), finite and infinite rho, for both engines, and under
    non-unit weights through the bisection engine. *)
 
-let agree ?(eps = 1e-6) ~engine net =
-  let opt = Allocator.max_min ~engine net in
-  let reference = Mmfair_core.Allocator_reference.max_min ~engine net in
+let agree ?(eps = 1e-6) net =
+  let opt = Allocator.max_min net in
+  let reference = Mmfair_core.Allocator_reference.max_min net in
   Array.for_all
     (fun (r : Network.receiver_id) ->
       Float.abs (Allocation.rate opt r -. Allocation.rate reference r)
@@ -491,7 +491,7 @@ let qcheck_optimized_equals_reference =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let net, rng = mixed_shape_net seed in
-      let unit_ok = agree ~engine:`Linear net && agree ~engine:`Bisection net in
+      let unit_ok = agree net && agree (bisection_net net) in
       let weights =
         Array.init (Network.session_count net) (fun i ->
             let k = Array.length (Network.session_spec net i).Network.receivers in
@@ -499,7 +499,7 @@ let qcheck_optimized_equals_reference =
               Array.make k (Mmfair_prng.Xoshiro.uniform rng 0.5 3.0)
             else Array.init k (fun _ -> Mmfair_prng.Xoshiro.uniform rng 0.5 3.0))
       in
-      unit_ok && agree ~engine:`Bisection (Network.with_weights net weights))
+      unit_ok && agree (Network.with_weights net weights))
 
 let qcheck_certify_accepts_optimized =
   (* On the networks Certify covers (all multi-rate, Efficient), the
@@ -510,8 +510,13 @@ let qcheck_certify_accepts_optimized =
     (fun seed ->
       let config = { Random_nets.default with Random_nets.single_rate_prob = 0.0 } in
       let net = net_of_seed ~config seed in
-      Mmfair_core.Certify.is_max_min ~eps:1e-6 (Allocator.max_min ~engine:`Linear net)
-      && Mmfair_core.Certify.is_max_min ~eps:1e-6 (Allocator.max_min ~engine:`Bisection net))
+      (* Certify covers Efficient functions only, so the bisection
+         engine's rates are certified on the unwrapped network. *)
+      let bis = Allocator.max_min (bisection_net net) in
+      Mmfair_core.Certify.is_max_min ~eps:1e-6 (Allocator.max_min net)
+      && Mmfair_core.Certify.is_max_min ~eps:1e-6
+           (Allocation.make net
+              (Array.init (Network.session_count net) (Allocation.rates_of_session bis))))
 
 (* --- event-driven water-filling on hub graphs --- *)
 
@@ -569,16 +574,16 @@ let qcheck_power_law_equals_reference =
             Float.abs (x -. y) <= eps *. Stdlib.max 1.0 y)
           (Network.all_receivers net)
       in
-      let reference = Mmfair_core.Allocator_reference.max_min ~engine:`Linear net in
-      let linear = Allocator.max_min ~engine:`Linear net in
+      let reference = Mmfair_core.Allocator_reference.max_min net in
+      let linear = Allocator.max_min net in
       let frozen =
         Mmfair_core.Pvec.init m (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).receivers)
       in
       let partial =
-        Allocator.max_min_partial ~engine:`Linear ~sessions:(Array.init m Fun.id) ~frozen net
+        Allocator.max_min_partial ~sessions:(Array.init m Fun.id) ~frozen net
       in
       close ~eps:1e-9 linear reference
-      && close ~eps:1e-6 (Allocator.max_min ~engine:`Bisection net) reference
+      && close ~eps:1e-6 (Allocator.max_min (bisection_net net)) reference
       && close ~eps:1e-9 partial linear)
 
 let test_near_tied_links_saturate_together () =
@@ -591,15 +596,15 @@ let test_near_tied_links_saturate_together () =
   let s a b = Network.session ~sender:a ~receivers:[| b |] () in
   let net = Network.make g [| s 0 1; s 2 3; s 4 5 |] in
   List.iter
-    (fun engine ->
-      match (Allocator.max_min_trace ~engine net).rounds with
+    (fun net ->
+      match (Allocator.max_min_trace net).rounds with
       | first :: _ ->
           Alcotest.(check (list int)) "round 1 saturates the near-tied pair" [ l0; l1 ]
             first.Allocator.saturated_links;
           Alcotest.(check bool) "the farther link waits" false
             (List.mem l2 first.Allocator.saturated_links)
       | [] -> Alcotest.fail "no rounds")
-    [ `Linear; `Bisection ]
+    [ net; bisection_net net ]
 
 let test_nan_cliff_bracket_is_graph_wide () =
   (* Distilled from a fuzz case: one session behind link a (capacity

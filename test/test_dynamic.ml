@@ -51,7 +51,7 @@ let receiver_node net (r : Network.receiver_id) =
 
 let test_engine_on_figure2 () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
-  let eng = Engine.create net in
+  let eng = Batch.create net in
   (* Multi-rate Figure 2 golden: (2.5, 2, 3) / 2.5. *)
   feq "fig2 a1,1" 2.5 (Allocation.rate (Engine.allocation eng) { Network.session = 0; index = 0 });
   let r13_node = receiver_node net { Network.session = 0; index = 2 } in
@@ -78,7 +78,7 @@ let test_engine_figure3_swings () =
   let check_swing what build ~before ~after =
     let { Paper_nets.net; _ }, victim = build () in
     let (b31, b11), (a31, a11) = (before, after) in
-    let eng = Engine.create net in
+    let eng = Batch.create net in
     feq (what ^ " r3,1 before") b31
       (Allocation.rate (Engine.allocation eng) { Network.session = 2; index = 0 });
     feq (what ^ " r1,1 before") b11
@@ -98,7 +98,7 @@ let test_engine_figure3_swings () =
 
 let test_store_retention () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
-  let eng = Engine.create ~retain:3 net in
+  let eng = Batch.create ~retain:3 net in
   let store = Engine.store eng in
   Alcotest.(check int) "epoch 0 at creation" 0 (Store.epoch store);
   Alcotest.(check bool) "epoch 0 has no events" true ((Store.current store).Store.events = []);
@@ -156,7 +156,7 @@ let test_leave_rejoin_restores () =
         if Array.length receivers >= 2 then begin
           let k = Xoshiro.below rng (Array.length receivers) in
           let node = receivers.(k) in
-          let eng = Engine.create ~allocation:base net in
+          let eng = Batch.create ~allocation:base net in
           ignore (Engine.apply eng (Event.Leave { session = i; node }));
           ignore (Engine.apply eng (Event.Join { session = i; node; weight = None }));
           let restored = Engine.allocation eng in
@@ -237,7 +237,7 @@ let test_generator_determinism () =
     (Churn_parser.render a <> Churn_parser.render (gen 8L));
   (* Every event is applicable when replayed in order, and joins
      respect the membership cap. *)
-  let eng = Engine.create net in
+  let eng = Batch.create net in
   List.iter
     (fun ev ->
       ignore (Engine.apply eng ev);
@@ -254,7 +254,7 @@ let test_epoch_probe_registry () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let r = Obs.Registry.create () in
   Obs.Probe.with_sink (Obs.Registry.sink r) (fun () ->
-      let eng = Engine.create net in
+      let eng = Batch.create net in
       let r13_node = receiver_node net { Network.session = 0; index = 2 } in
       ignore (Engine.apply eng (Event.Leave { session = 0; node = r13_node }));
       ignore (Engine.apply eng (Event.Join { session = 0; node = r13_node; weight = None }));
@@ -268,7 +268,7 @@ let test_epoch_probe_registry () =
 
 let test_invalid_event_state_unchanged () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
-  let eng = Engine.create net in
+  let eng = Batch.create net in
   let before = Engine.allocation eng in
   (match Engine.apply_result eng (Event.Leave { session = 0; node = 999 }) with
   | Ok _ -> Alcotest.fail "leave of an absent receiver must not succeed"
@@ -280,7 +280,7 @@ let test_leave_errors_name_batch () =
   (* Engine.apply is Batch.apply of a singleton, so a bad leave names
      the function that actually raised. *)
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
-  let eng = Engine.create net in
+  let eng = Batch.create net in
   Alcotest.check_raises "absent receiver"
     (Invalid_argument "Dynamic.Batch.apply: session 0 has no receiver on node 999") (fun () ->
       ignore (Engine.apply eng (Event.Leave { session = 0; node = 999 })));
@@ -318,7 +318,7 @@ let test_batch_matches_per_event () =
       Event.Capacity_change { link = 0; cap = 4.0 };
     ]
   in
-  let per_event = Engine.create net and batched = Engine.create net in
+  let per_event = Batch.create net and batched = Batch.create net in
   List.iter (fun ev -> ignore (Engine.apply per_event ev)) burst;
   let stats = Batch.apply batched burst in
   Alcotest.(check int) "three epochs per-event" 3 (Engine.epoch per_event);
@@ -332,7 +332,7 @@ let test_batch_matches_per_event () =
 
 let test_batch_cancellation () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
-  let eng = Engine.create net in
+  let eng = Batch.create net in
   let before = Engine.allocation eng in
   let stats =
     Batch.apply eng
@@ -350,9 +350,9 @@ let test_batch_cancellation () =
 
 let test_batch_last_writer_wins () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
-  let direct = Engine.create net in
+  let direct = Batch.create net in
   ignore (Engine.apply direct (Event.Rho_change { session = 1; rho = 2.0 }));
-  let batched = Engine.create net in
+  let batched = Batch.create net in
   let stats =
     Batch.apply batched
       [
@@ -366,7 +366,7 @@ let test_batch_last_writer_wins () =
   check_same_rates "last-writer-wins matches a direct write" (Engine.network direct)
     (Engine.allocation direct) (Engine.network batched) (Engine.allocation batched);
   (* A write that lands back on the starting value nets out entirely. *)
-  let noop = Engine.create net in
+  let noop = Batch.create net in
   let stats =
     Batch.apply noop
       [
@@ -379,7 +379,7 @@ let test_batch_last_writer_wins () =
 
 let test_batch_empty_rejected () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
-  let eng = Engine.create net in
+  let eng = Batch.create net in
   (match Batch.apply_result eng [] with
   | Ok _ -> Alcotest.fail "an empty batch must be rejected"
   | Error _ -> ());
@@ -389,7 +389,7 @@ let test_batch_empty_rejected () =
 
 let test_fold_epochs () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
-  let eng = Engine.create ~retain:3 net in
+  let eng = Batch.create ~retain:3 net in
   let store = Engine.store eng in
   for k = 1 to 5 do
     ignore (Engine.apply eng (Event.Rho_change { session = 1; rho = float_of_int k }))
@@ -415,7 +415,7 @@ let test_batch_probe_registry () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let r = Obs.Registry.create () in
   Obs.Probe.with_sink (Obs.Registry.sink r) (fun () ->
-      let eng = Engine.create net in
+      let eng = Batch.create net in
       ignore
         (Batch.apply eng
            [
@@ -515,7 +515,7 @@ let qcheck_domains_bitwise_identical =
       in
       let base = Allocator.max_min net in
       let replay domains =
-        let eng = Engine.create ~domains ~allocation:base net in
+        let eng = Batch.create ~domains ~allocation:base net in
         let stats = Batch.apply eng burst in
         (stats, Engine.network eng, Engine.allocation eng)
       in
@@ -614,6 +614,15 @@ let test_batch_background_paths () =
         (List.exists (fun (n, zeroed) -> n < comp && zeroed) rest)
   | [] -> Alcotest.fail "no partial solve recorded");
   check_matches_scratch "both background paths" eng
+
+(* Every epoch after the first is a restricted solve, so a solver with
+   no warm start is refused up front. *)
+let test_batch_rejects_solver_without_partial () =
+  let { Paper_nets.net; _ } = Paper_nets.figure2 () in
+  Alcotest.check_raises "no warm start, no batch engine"
+    (Invalid_argument
+       "Dynamic.Batch.create: solver Allocator_reference has no warm-start partial solve")
+    (fun () -> ignore (Batch.create ~solver:Mmfair_core.Solve_engine.allocator_reference net))
 
 (* --- persistence of the row vectors -------------------------------------- *)
 
@@ -734,6 +743,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_domains_bitwise_identical;
     Alcotest.test_case "dropped solve tasks are typed errors" `Quick test_scheduler_dropped_task;
     Alcotest.test_case "whole and dirty-subset re-solves" `Quick test_batch_background_paths;
+    Alcotest.test_case "solvers without partial are refused" `Quick
+      test_batch_rejects_solver_without_partial;
     Alcotest.test_case "retained epochs stay bitwise" `Quick test_store_epochs_stay_bitwise;
     Alcotest.test_case "rho epochs copy no O(sessions) array" `Quick test_rho_epoch_major_allocation;
   ]

@@ -61,12 +61,6 @@ let test_weighted_rho_caps_rate_not_normalized () =
   feq ~eps:1e-6 "rho-capped" 1.0 (Allocation.rate alloc { Network.session = 0; index = 0 });
   feq ~eps:1e-6 "rest to the other" 9.0 (Allocation.rate alloc { Network.session = 1; index = 0 })
 
-let test_weighted_linear_engine_rejected () =
-  let net = bottleneck_with_weights [| 1.0; 2.0 |] in
-  Alcotest.check_raises "weights need bisection"
-    (Invalid_argument "Allocator.max_min: linear engine requires unit weights") (fun () ->
-      ignore (Allocator.max_min ~engine:`Linear net))
-
 let test_weighted_validation () =
   let g = Graph.create ~nodes:3 in
   ignore (Graph.add_link g 0 1 1.0);
@@ -386,7 +380,6 @@ let suite =
     Alcotest.test_case "weighted split" `Quick test_weighted_split;
     Alcotest.test_case "unit weights = unweighted" `Quick test_weighted_equals_unweighted_with_unit;
     Alcotest.test_case "weighted rho caps rate" `Quick test_weighted_rho_caps_rate_not_normalized;
-    Alcotest.test_case "weighted rejects linear engine" `Quick test_weighted_linear_engine_rejected;
     Alcotest.test_case "weighted validation" `Quick test_weighted_validation;
     Alcotest.test_case "weights from rtts" `Quick test_weights_from_rtts;
     Alcotest.test_case "weighted properties" `Quick test_weighted_properties;

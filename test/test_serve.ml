@@ -8,6 +8,7 @@ module Network = Mmfair_core.Network
 module Allocation = Mmfair_core.Allocation
 module Solver_error = Mmfair_core.Solver_error
 module Engine = Mmfair_dynamic.Engine
+module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Net_parser = Mmfair_workload.Net_parser
 module Churn_parser = Mmfair_workload.Churn_parser
@@ -315,7 +316,7 @@ let test_daemon_queries () =
   | [ rate; header; row1; row2; row3; metrics; bye ] ->
       (* Offline truth for the same single event. *)
       let offline =
-        match Engine.create_result parsed.Net_parser.net with
+        match Batch.create_result parsed.Net_parser.net with
         | Ok e -> e
         | Error err -> Alcotest.fail (Solver_error.to_string err)
       in
@@ -401,7 +402,7 @@ let test_socket_e2e_matches_offline_replay () =
       (* Offline replay of the identical trace, per event — the
          daemon's arbitrary coalescing must land on the same rates. *)
       let offline =
-        match Engine.create_result net with
+        match Batch.create_result net with
         | Ok e -> e
         | Error err -> Alcotest.fail (Solver_error.to_string err)
       in

@@ -47,7 +47,7 @@ let test_registry () =
   Alcotest.(check bool) "names are distinct" true
     (List.length (List.sort_uniq compare names) = List.length names);
   Alcotest.(check string) "default is the optimized allocator"
-    (Solve_engine.name (Solve_engine.allocator ()))
+    (Solve_engine.name (Solve_engine.allocator))
     (Solve_engine.name Solve_engine.default)
 
 let test_all_engines_agree () =
@@ -87,9 +87,9 @@ let test_capabilities_honest () =
     | _ -> Alcotest.fail (name ^ " solved a network outside its capabilities")
   in
   Alcotest.(check bool) "allocator admits figure 2" true
-    (Solve_engine.admits (Solve_engine.allocator ()) fig2);
+    (Solve_engine.admits (Solve_engine.allocator) fig2);
   Alcotest.(check bool) "reference admits figure 2" true
-    (Solve_engine.admits (Solve_engine.allocator_reference ()) fig2);
+    (Solve_engine.admits (Solve_engine.allocator_reference) fig2);
   (* Tzeng-Siu wants every session Single_rate (figure 2's S2 is
      Multi_rate); Unicast rejects the three-receiver S1. *)
   expect_rejects "tzeng_siu" Solve_engine.tzeng_siu fig2;
@@ -113,7 +113,7 @@ let test_capabilities_honest () =
   Alcotest.(check bool) "unicast does not admit weights" false
     (Solve_engine.admits Solve_engine.unicast weighted);
   Alcotest.(check bool) "allocator admits weights" true
-    (Solve_engine.admits (Solve_engine.allocator ()) weighted)
+    (Solve_engine.admits (Solve_engine.allocator) weighted)
 
 let test_partial_capability () =
   let net = common_net () in

@@ -89,10 +89,15 @@ let test_nan_vfn_classic_raises_typed () =
   | _ -> Alcotest.fail "expected Solver_error.Error"
   | exception Solver_error.Error _ -> ()
 
-let test_engine_mismatch_is_invalid_input () =
-  (* Engine misuse is a contract violation, reported as Invalid_input
+let test_unknown_session_is_invalid_input () =
+  (* Caller misuse is a contract violation, reported as Invalid_input
      through the result API (the raising API keeps Invalid_argument). *)
-  match Allocator.max_min_result ~engine:`Linear (star ~vfn:nan_above_one ()) with
+  let net = star () in
+  let frozen =
+    Mmfair_core.Pvec.init (Network.session_count net) (fun i ->
+        Array.make (Array.length (Network.session_spec net i).Network.receivers) 0.0)
+  in
+  match Allocator.max_min_partial_result ~sessions:[| Network.session_count net |] ~frozen net with
   | Ok _ -> Alcotest.fail "expected Invalid_input"
   | Error (Solver_error.Invalid_input { solver = "Allocator"; _ }) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Solver_error.to_string e)
@@ -154,7 +159,7 @@ let suite =
     Alcotest.test_case "NaN vfn: optimized engine" `Quick test_nan_vfn_typed_error_optimized;
     Alcotest.test_case "NaN vfn: reference engine" `Quick test_nan_vfn_typed_error_reference;
     Alcotest.test_case "NaN vfn: classic raises typed" `Quick test_nan_vfn_classic_raises_typed;
-    Alcotest.test_case "engine mismatch is Invalid_input" `Quick test_engine_mismatch_is_invalid_input;
+    Alcotest.test_case "unknown session is Invalid_input" `Quick test_unknown_session_is_invalid_input;
     Alcotest.test_case "result Ok agrees with classic" `Quick test_result_ok_agrees_with_classic;
     Alcotest.test_case "unicast contract violation" `Quick test_unicast_contract_violation;
     Alcotest.test_case "scheduler failure shape" `Quick test_scheduler_failure_shape;
