@@ -191,6 +191,39 @@ let test_engines_agree_on_paper_nets () =
       (fst (Paper_nets.figure3b ())).Paper_nets.net;
     ]
 
+let test_partial_ignores_distant_custom () =
+  (* Two components share no link: a Custom session behind link 0-1 and
+     two unicast flows on a capacity-6 link 2-3.  A partial solve of the
+     flows reads only their component, so it runs the exact linear
+     engine (3.0 each, bit for bit) despite the Custom session; the full
+     solve runs bisection and agrees to within its tolerance. *)
+  let g = Graph.create ~nodes:6 in
+  ignore (Graph.add_link g 0 1 4.0);
+  ignore (Graph.add_link g 2 3 6.0);
+  ignore (Graph.add_link g 3 4 100.0);
+  ignore (Graph.add_link g 3 5 100.0);
+  let custom = Redundancy_fn.Custom ("2max", fun rs -> 2.0 *. List.fold_left Stdlib.max 0.0 rs) in
+  let net =
+    Network.make g
+      [|
+        Network.session ~vfn:custom ~sender:0 ~receivers:[| 1 |] ();
+        Network.session ~sender:2 ~receivers:[| 4 |] ();
+        Network.session ~sender:2 ~receivers:[| 5 |] ();
+      |]
+  in
+  let frozen =
+    Mmfair_core.Pvec.init 3 (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).receivers)
+  in
+  let partial = Allocator.max_min_partial ~sessions:[| 1; 2 |] ~frozen net in
+  let full = Allocator.max_min net in
+  List.iter
+    (fun session ->
+      let r = { Network.session; index = 0 } in
+      Alcotest.(check (float 0.0)) "partial is exact" 3.0 (Allocation.rate partial r);
+      feq ~eps:1e-6 "full agrees" 3.0 (Allocation.rate full r))
+    [ 1; 2 ];
+  feq ~eps:1e-6 "custom session" 2.0 (Allocation.rate full { Network.session = 0; index = 0 })
+
 let test_custom_vfn_equals_scaled () =
   (* A Custom function equal to Scaled 2 must produce the same MMF
      allocation through the bisection engine. *)
@@ -392,6 +425,7 @@ let suite =
     Alcotest.test_case "trace rounds" `Quick test_trace_rounds;
     Alcotest.test_case "bottleneck links" `Quick test_bottleneck_links;
     Alcotest.test_case "engines agree on paper nets" `Quick test_engines_agree_on_paper_nets;
+    Alcotest.test_case "partial ignores distant custom" `Quick test_partial_ignores_distant_custom;
     Alcotest.test_case "custom vfn equals scaled" `Quick test_custom_vfn_equals_scaled;
     QCheck_alcotest.to_alcotest qcheck_mmf_feasible;
     QCheck_alcotest.to_alcotest qcheck_lemma1;

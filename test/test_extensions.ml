@@ -61,6 +61,20 @@ let test_weighted_rho_caps_rate_not_normalized () =
   feq ~eps:1e-6 "rho-capped" 1.0 (Allocation.rate alloc { Network.session = 0; index = 0 });
   feq ~eps:1e-6 "rest to the other" 9.0 (Allocation.rate alloc { Network.session = 1; index = 0 })
 
+let test_weighted_custom_split () =
+  (* Non-unit weights and Custom functions each select bisection; both
+     at once give the same 1:2:3 split as weights alone. *)
+  let net = bottleneck_with_weights [| 1.0; 2.0; 3.0 |] in
+  let net =
+    Network.with_vfns net
+      (Array.init (Network.session_count net) (fun i ->
+           Mmfair_core.Redundancy_fn.as_custom (Network.vfn net i)))
+  in
+  let alloc = Allocator.max_min net in
+  feq ~eps:1e-6 "flow 1" 2.0 (Allocation.rate alloc { Network.session = 0; index = 0 });
+  feq ~eps:1e-6 "flow 2" 4.0 (Allocation.rate alloc { Network.session = 1; index = 0 });
+  feq ~eps:1e-6 "flow 3" 6.0 (Allocation.rate alloc { Network.session = 2; index = 0 })
+
 let test_weighted_validation () =
   let g = Graph.create ~nodes:3 in
   ignore (Graph.add_link g 0 1 1.0);
@@ -380,6 +394,7 @@ let suite =
     Alcotest.test_case "weighted split" `Quick test_weighted_split;
     Alcotest.test_case "unit weights = unweighted" `Quick test_weighted_equals_unweighted_with_unit;
     Alcotest.test_case "weighted rho caps rate" `Quick test_weighted_rho_caps_rate_not_normalized;
+    Alcotest.test_case "weighted custom split" `Quick test_weighted_custom_split;
     Alcotest.test_case "weighted validation" `Quick test_weighted_validation;
     Alcotest.test_case "weights from rtts" `Quick test_weights_from_rtts;
     Alcotest.test_case "weighted properties" `Quick test_weighted_properties;
