@@ -47,14 +47,15 @@
    Validate: dune exec bench/churn.exe -- --validate BENCH_churn.json
 
    The JSON schema is documented in README.md ("Benchmarking").  The
-   acceptance gates live in --validate: a non-quick file must record a
-   median speedup >= 3x for the join and leave classes, a batch
-   speedup >= 1.5x for the flash-crowd burst, a serving throughput of
-   >= 1000 events/sec with max staleness <= 0.5 s, and — when the
-   generating host had >= 4 CPUs ("host_cpus") — a parallel speedup
-   >= 2x at 4 domains; on smaller hosts the parallel gate is waived
-   with a warning, since domains cannot beat cores.  Non-quick files
-   must also keep the sampler duty cycle <= 5%. *)
+   acceptance gates live in Checks.churn (bench/checks.ml), which
+   --validate runs and test/test_bench_gates.ml pins: a non-quick file
+   must record a median speedup >= 3x for the join and leave classes,
+   a batch speedup >= 1.5x for the flash-crowd burst, a serving
+   throughput of >= 1000 events/sec with max staleness <= 0.5 s, and —
+   when the generating host had >= 4 CPUs ("host_cpus") — a parallel
+   speedup >= 2x at 4 domains; on smaller hosts the parallel gate is
+   waived with a warning, since domains cannot beat cores.  Non-quick
+   files must also keep the sampler duty cycle <= 5%. *)
 
 module Network = Mmfair_core.Network
 module Allocator = Mmfair_core.Allocator
@@ -69,33 +70,16 @@ module LH = Mmfair_stats.Log_histogram
 module Obs = Mmfair_obs
 module Json = Mmfair_obs.Json
 module Descriptive = Mmfair_stats.Descriptive
-
-let schema_id = "mmfair.bench.churn/v6"
-let classes = [ "join"; "leave"; "rho"; "cap" ]
+module Checks = Mmfair_bench.Checks
 
 (* --- timing (same discipline as bench/scaling.ml) ------------------- *)
 
 let best_of = 3
 
-(* Monotonic, like bench/main.ml's Bechamel instance: an NTP step mid
-   sample must not record negative or skewed durations and trip (or
-   mask) the speedup gates.  Wall time is fine only for metadata. *)
-let one_sample ~min_time f =
-  Obs.Probe.with_sink Obs.Sink.null @@ fun () ->
-  let t0 = Obs.Clock.now_ns () in
-  let runs = ref 0 in
-  let elapsed = ref 0.0 in
-  while !elapsed < min_time do
-    ignore (f ());
-    incr runs;
-    elapsed := Obs.Clock.since_s t0
-  done;
-  !elapsed /. float_of_int !runs *. 1e9
-
 let time_best ~min_time f =
   Obs.Probe.with_sink Obs.Sink.null (fun () -> ignore (f ()));
   List.fold_left
-    (fun acc () -> Float.min acc (one_sample ~min_time f))
+    (fun acc () -> Float.min acc (fst (Mmfair_bench.Timing.one_sample ~min_time f)))
     Float.infinity
     (List.init best_of (fun _ -> ()))
 
@@ -189,7 +173,7 @@ let bucket_events ~per_class net =
     trace;
   List.map
     (fun k -> (k, List.rev (Option.value (Hashtbl.find_opt buckets k) ~default:[])))
-    classes
+    Checks.churn_classes
 
 type row = {
   kind : string;
@@ -692,361 +676,90 @@ let measure_stability ~quick () =
 (* --- JSON emission -------------------------------------------------- *)
 
 let emit ~quick ~min_time ~out net rows batch par serving stability =
-  let g = Network.graph net in
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"%s\",\n" (Json.escape schema_id);
-  p "  \"generated_by\": \"bench/churn.exe\",\n";
-  p "  \"quick\": %b,\n" quick;
-  p "  \"min_time_s\": %g,\n" min_time;
-  p "  \"best_of\": %d,\n" best_of;
-  p "  \"topology\": { \"sessions\": %d, \"receivers\": %d, \"links\": %d },\n"
-    (Network.session_count net) (Network.receiver_count net) (Graph.link_count g);
-  p "  \"classes\": [\n";
-  List.iteri
-    (fun idx r ->
-      p "    {\n";
-      p "      \"kind\": \"%s\",\n" (Json.escape r.kind);
-      p "      \"events\": %d,\n" r.events;
-      p "      \"incremental_time_ns\": %.1f,\n" r.incremental_ns;
-      p "      \"scratch_time_ns\": %.1f,\n" r.scratch_ns;
-      p "      \"median_speedup\": %.2f,\n" r.speedup;
-      p "      \"mean_reuse_fraction\": %.4f,\n" r.mean_reuse;
-      p "      \"full_solve_fraction\": %.4f\n" r.full_fraction;
-      p "    }%s\n" (if idx = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"batch\": {\n";
-  p "    \"burst_events\": %d,\n" batch.burst_events;
-  p "    \"per_event_time_ns\": %.1f,\n" batch.per_event_ns;
-  p "    \"batched_time_ns\": %.1f,\n" batch.batched_ns;
-  p "    \"speedup\": %.2f,\n" batch.batch_speedup;
-  p "    \"net_events\": %d,\n" batch.net_events;
-  p "    \"solves\": %d,\n" batch.batch_solves;
-  p "    \"full_solve\": %b\n" batch.batch_full;
-  p "  },\n";
-  p "  \"parallel\": {\n";
-  p "    \"topology\": { \"clusters\": %d, \"sessions\": %d, \"links\": %d },\n" clusters
-    par.par_sessions par.par_links;
-  p "    \"burst_events\": %d,\n" par.par_burst;
-  p "    \"components\": %d,\n" par.par_components;
-  p "    \"host_cpus\": %d,\n" par.par_host_cpus;
-  p "    \"rows\": [\n";
-  List.iteri
-    (fun idx r ->
-      p "      { \"domains\": %d, \"batched_time_ns\": %.1f, \"speedup_vs_1\": %.2f }%s\n"
-        r.p_domains r.p_batched_ns r.p_speedup
-        (if idx = List.length par.par_rows - 1 then "" else ","))
-    par.par_rows;
-  p "    ]\n";
-  p "  },\n";
-  p "  \"serving\": {\n";
-  p "    \"events\": %d,\n" serving.srv_events;
-  p "    \"elapsed_s\": %.4f,\n" serving.srv_elapsed_s;
-  p "    \"events_per_s\": %.1f,\n" serving.srv_events_per_s;
-  p "    \"epochs\": %d,\n" serving.srv_epochs;
-  p "    \"max_batch\": %d,\n" serving_max_batch;
-  p "    \"max_staleness_s\": %.6f,\n" serving.srv_max_staleness_s;
-  p "    \"sampler\": {\n";
-  p "      \"interval_s\": %g,\n" serving_sample_interval;
-  p "      \"ticks\": %d,\n" serving.srv_sampler_ticks;
-  p "      \"events_per_s\": %.1f,\n" serving.srv_sampled_events_per_s;
-  p "      \"overhead_fraction\": %.4f,\n" serving.srv_sampler_overhead;
-  p "      \"tick_cost_s\": %.9f,\n" serving.srv_sampler_tick_cost_s;
-  p "      \"duty_cycle\": %.6f\n" serving.srv_sampler_duty;
-  p "    }\n";
-  p "  },\n";
-  p "  \"stability\": {\n";
-  p "    \"scenario\": { \"clusters\": %d, \"slots\": %d, \"trunk_capacity\": %g },\n"
-    stability.stb_clusters stability.stb_slots stability.stb_trunk;
-  p "    \"workload\": \"exp:1\",\n";
-  p "    \"horizon\": %g,\n" stability.stb_horizon;
-  p "    \"rows\": [\n";
-  List.iteri
-    (fun idx r ->
-      p "      {\n";
-      p "        \"load\": %g,\n" r.st_load;
-      p "        \"verdict\": \"%s\",\n" (Json.escape r.st_verdict);
-      p "        \"arrivals\": %d,\n" r.st_arrivals;
-      p "        \"departures\": %d,\n" r.st_departures;
-      p "        \"blocked\": %d,\n" r.st_blocked;
-      p "        \"max_population\": %d,\n" r.st_max_pop;
-      p "        \"time_avg_population\": %.4f,\n" r.st_mean_pop;
-      p "        \"first_half_mean\": %.4f,\n" r.st_first_half;
-      p "        \"second_half_mean\": %.4f,\n" r.st_second_half;
-      p "        \"epochs\": %d,\n" r.st_epochs;
-      p "        \"events\": %d,\n" r.st_events;
-      p "        \"elapsed_s\": %.4f,\n" r.st_elapsed_s;
-      p "        \"events_per_s\": %.1f,\n" r.st_events_per_s;
-      p "        \"sojourn_p50\": %.6g,\n" r.st_sojourn_p50;
-      p "        \"sojourn_p99\": %.6g,\n" r.st_sojourn_p99;
-      p "        \"flow_rate_p50\": %.6g,\n" r.st_rate_p50;
-      p "        \"flow_rate_p99\": %.6g\n" r.st_rate_p99;
-      p "      }%s\n" (if idx = List.length stability.stb_rows - 1 then "" else ","))
-    stability.stb_rows;
-  p "    ]\n";
-  p "  }\n";
-  p "}\n";
-  close_out oc
-
-(* --- validation (the acceptance gate) ------------------------------- *)
-
-let validate file =
-  let fail msg =
-    Printf.eprintf "BENCH_churn.json validation FAILED (%s): %s\n%!" file msg;
-    exit 1
+  let int n = Json.Num (float_of_int n) in
+  let class_row r =
+    Json.Obj
+      [ ("kind", Json.Str r.kind); ("events", int r.events);
+        ("incremental_time_ns", Json.fixed 1 r.incremental_ns);
+        ("scratch_time_ns", Json.fixed 1 r.scratch_ns); ("median_speedup", Json.fixed 2 r.speedup);
+        ("mean_reuse_fraction", Json.fixed 4 r.mean_reuse);
+        ("full_solve_fraction", Json.fixed 4 r.full_fraction) ]
+  in
+  let parallel_row r =
+    Json.Obj
+      [ ("domains", int r.p_domains); ("batched_time_ns", Json.fixed 1 r.p_batched_ns);
+        ("speedup_vs_1", Json.fixed 2 r.p_speedup) ]
+  in
+  let stability_row r =
+    Json.Obj
+      [ ("load", Json.Num r.st_load); ("verdict", Json.Str r.st_verdict);
+        ("arrivals", int r.st_arrivals); ("departures", int r.st_departures);
+        ("blocked", int r.st_blocked); ("max_population", int r.st_max_pop);
+        ("time_avg_population", Json.fixed 4 r.st_mean_pop);
+        ("first_half_mean", Json.fixed 4 r.st_first_half);
+        ("second_half_mean", Json.fixed 4 r.st_second_half); ("epochs", int r.st_epochs);
+        ("events", int r.st_events); ("elapsed_s", Json.fixed 4 r.st_elapsed_s);
+        ("events_per_s", Json.fixed 1 r.st_events_per_s);
+        ("sojourn_p50", Json.Num r.st_sojourn_p50); ("sojourn_p99", Json.Num r.st_sojourn_p99);
+        ("flow_rate_p50", Json.Num r.st_rate_p50); ("flow_rate_p99", Json.Num r.st_rate_p99) ]
+  in
+  let batch =
+    Json.Obj
+      [ ("burst_events", int batch.burst_events);
+        ("per_event_time_ns", Json.fixed 1 batch.per_event_ns);
+        ("batched_time_ns", Json.fixed 1 batch.batched_ns);
+        ("speedup", Json.fixed 2 batch.batch_speedup); ("net_events", int batch.net_events);
+        ("solves", int batch.batch_solves); ("full_solve", Json.Bool batch.batch_full) ]
+  in
+  let parallel =
+    Json.Obj
+      [ ( "topology",
+          Json.Obj
+            [ ("clusters", int clusters); ("sessions", int par.par_sessions);
+              ("links", int par.par_links) ] );
+        ("burst_events", int par.par_burst); ("components", int par.par_components);
+        ("host_cpus", int par.par_host_cpus);
+        ("rows", Json.List (List.map parallel_row par.par_rows)) ]
+  in
+  let sampler =
+    Json.Obj
+      [ ("interval_s", Json.Num serving_sample_interval); ("ticks", int serving.srv_sampler_ticks);
+        ("events_per_s", Json.fixed 1 serving.srv_sampled_events_per_s);
+        ("overhead_fraction", Json.fixed 4 serving.srv_sampler_overhead);
+        ("tick_cost_s", Json.fixed 9 serving.srv_sampler_tick_cost_s);
+        ("duty_cycle", Json.fixed 6 serving.srv_sampler_duty) ]
+  in
+  let serving =
+    Json.Obj
+      [ ("events", int serving.srv_events); ("elapsed_s", Json.fixed 4 serving.srv_elapsed_s);
+        ("events_per_s", Json.fixed 1 serving.srv_events_per_s);
+        ("epochs", int serving.srv_epochs); ("max_batch", int serving_max_batch);
+        ("max_staleness_s", Json.fixed 6 serving.srv_max_staleness_s); ("sampler", sampler) ]
+  in
+  let stability =
+    Json.Obj
+      [ ( "scenario",
+          Json.Obj
+            [ ("clusters", int stability.stb_clusters); ("slots", int stability.stb_slots);
+              ("trunk_capacity", Json.Num stability.stb_trunk) ] );
+        ("workload", Json.Str "exp:1"); ("horizon", Json.Num stability.stb_horizon);
+        ("rows", Json.List (List.map stability_row stability.stb_rows)) ]
+  in
+  let topology =
+    Json.Obj
+      [ ("sessions", int (Network.session_count net));
+        ("receivers", int (Network.receiver_count net));
+        ("links", int (Graph.link_count (Network.graph net))) ]
   in
   let doc =
-    let ic = try open_in_bin file with Sys_error msg -> fail ("cannot read " ^ msg) in
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    try Json.parse body with Json.Bad m -> fail ("not valid JSON: " ^ m)
+    Json.Obj
+      [ ("schema", Json.Str Checks.churn_schema); ("generated_by", Json.Str "bench/churn.exe");
+        ("quick", Json.Bool quick); ("min_time_s", Json.Num min_time); ("best_of", int best_of);
+        ("topology", topology); ("classes", Json.List (List.map class_row rows));
+        ("batch", batch); ("parallel", parallel); ("serving", serving);
+        ("stability", stability) ]
   in
-  (match Json.member "schema" doc with
-  | Some (Json.Str s) when s = schema_id -> ()
-  | _ -> fail (Printf.sprintf "missing or wrong \"schema\" (want %s)" schema_id));
-  let quick = match Json.member "quick" doc with Some (Json.Bool b) -> b | _ -> fail "missing \"quick\"" in
-  (match Json.member "topology" doc with
-  | Some (Json.Obj _) -> ()
-  | _ -> fail "missing \"topology\" object");
-  let rows =
-    match Json.member "classes" doc with
-    | Some (Json.List l) when l <> [] -> l
-    | _ -> fail "missing or empty \"classes\" array"
-  in
-  let num_field e k =
-    match Json.member k e with
-    | Some (Json.Num f) when f > 0.0 -> f
-    | _ -> fail (Printf.sprintf "class missing positive numeric %S" k)
-  in
-  let by_kind =
-    List.map
-      (fun e ->
-        let kind =
-          match Json.member "kind" e with
-          | Some (Json.Str s) -> s
-          | _ -> fail "class missing \"kind\""
-        in
-        ignore (num_field e "events");
-        ignore (num_field e "incremental_time_ns");
-        ignore (num_field e "scratch_time_ns");
-        (kind, num_field e "median_speedup"))
-      rows
-  in
-  List.iter
-    (fun k -> if not (List.mem_assoc k by_kind) then fail (Printf.sprintf "missing class %S" k))
-    classes;
-  (* The ISSUE-4 acceptance criterion: single-receiver membership churn
-     must re-solve >= 3x faster than from scratch on the 100-session
-     topology.  Quick (CI smoke) files skip the threshold — short
-     timing windows are too noisy to gate on. *)
-  if not quick then
-    List.iter
-      (fun k ->
-        let s = List.assoc k by_kind in
-        if s < 3.0 then
-          fail (Printf.sprintf "class %S median speedup %.2fx is below the required 3x" k s))
-      [ "join"; "leave" ];
-  (* The PR-5 acceptance criterion: coalescing a 16-event flash-crowd
-     burst into one Batch.apply must beat per-event application by
-     >= 1.5x.  Same quick exemption as above. *)
-  let batch =
-    match Json.member "batch" doc with
-    | Some (Json.Obj _ as b) -> b
-    | _ -> fail "missing \"batch\" object"
-  in
-  ignore (num_field batch "burst_events");
-  ignore (num_field batch "per_event_time_ns");
-  ignore (num_field batch "batched_time_ns");
-  let batch_speedup = num_field batch "speedup" in
-  if (not quick) && batch_speedup < 1.5 then
-    fail (Printf.sprintf "batch speedup %.2fx is below the required 1.5x" batch_speedup);
-  (* The ISSUE-6 acceptance criterion: one domain per disjoint fairness
-     component must give >= 2x at 4 domains on the star-of-stars batch
-     — but only when the generating host actually had >= 4 CPUs
-     ("host_cpus" is recorded in the file); OCaml domains cannot beat
-     cores, so on smaller hosts the gate is waived with a warning. *)
-  let parallel =
-    match Json.member "parallel" doc with
-    | Some (Json.Obj _ as b) -> b
-    | _ -> fail "missing \"parallel\" object"
-  in
-  let par_components =
-    match Json.member "components" parallel with
-    | Some (Json.Num f) -> int_of_float f
-    | _ -> fail "parallel missing numeric \"components\""
-  in
-  if par_components < 16 then
-    fail (Printf.sprintf "parallel components %d is below the required 16" par_components);
-  let host_cpus =
-    match Json.member "host_cpus" parallel with
-    | Some (Json.Num f) when f >= 1.0 -> int_of_float f
-    | _ -> fail "parallel missing positive numeric \"host_cpus\""
-  in
-  let par_rows =
-    match Json.member "rows" parallel with
-    | Some (Json.List l) when l <> [] -> l
-    | _ -> fail "parallel missing non-empty \"rows\" array"
-  in
-  let speedup_at d =
-    let row =
-      List.find_opt
-        (fun r -> match Json.member "domains" r with Some (Json.Num f) -> int_of_float f = d | _ -> false)
-        par_rows
-    in
-    match row with
-    | None -> fail (Printf.sprintf "parallel rows missing the %d-domain entry" d)
-    | Some r ->
-        ignore (num_field r "batched_time_ns");
-        num_field r "speedup_vs_1"
-  in
-  List.iter (fun d -> ignore (speedup_at d)) [ 1; 2; 4; 8 ];
-  let par_speedup = speedup_at 4 in
-  let par_note =
-    if quick then " (quick: speedup gates skipped)"
-    else if host_cpus < 4 then
-      Printf.sprintf " (parallel gate waived: generating host had %d CPU%s)" host_cpus
-        (if host_cpus = 1 then "" else "s")
-    else if par_speedup < 2.0 then
-      fail
-        (Printf.sprintf "parallel speedup %.2fx at 4 domains is below the required 2x (host_cpus %d)"
-           par_speedup host_cpus)
-    else ""
-  in
-  (* The ISSUE-7 acceptance criterion: the churnd serving loop must
-     sustain >= 1000 events/sec end to end (pipe, parse, coalesce,
-     re-solve) while keeping every event's queue-to-epoch staleness
-     under 0.5 s.  Quick files record the section but skip the
-     thresholds, like every other timing gate. *)
-  let serving =
-    match Json.member "serving" doc with
-    | Some (Json.Obj _ as s) -> s
-    | _ -> fail "missing \"serving\" object"
-  in
-  ignore (num_field serving "events");
-  ignore (num_field serving "elapsed_s");
-  ignore (num_field serving "epochs");
-  let events_per_s = num_field serving "events_per_s" in
-  let max_staleness =
-    match Json.member "max_staleness_s" serving with
-    | Some (Json.Num f) when f >= 0.0 -> f
-    | _ -> fail "serving missing non-negative numeric \"max_staleness_s\""
-  in
-  if not quick then begin
-    if events_per_s < 1000.0 then
-      fail
-        (Printf.sprintf "serving throughput %.1f events/s is below the required 1000" events_per_s);
-    if max_staleness > 0.5 then
-      fail
-        (Printf.sprintf "serving max staleness %.4f s is above the allowed 0.5 s" max_staleness)
-  end;
-  (* The PR-8 acceptance criterion: the time-series sampler must stay
-     within the same <= 5% tolerance as the disabled-probe overhead
-     gate.  The gated number is the duty cycle — directly timed mean
-     tick cost over the bench cadence — because a single-run A/B
-     throughput delta is dominated by machine noise, not sampler cost
-     (the delta is recorded as "overhead_fraction" for the
-     trajectory).  Quick files record the section but skip the
-     threshold, like every other timing gate. *)
-  let sampler =
-    match Json.member "sampler" serving with
-    | Some (Json.Obj _ as s) -> s
-    | _ -> fail "serving missing \"sampler\" object"
-  in
-  ignore (num_field sampler "interval_s");
-  ignore (num_field sampler "tick_cost_s");
-  (match Json.member "ticks" sampler with
-  | Some (Json.Num f) when f >= 0.0 -> ()
-  | _ -> fail "sampler missing non-negative numeric \"ticks\"");
-  (match Json.member "overhead_fraction" sampler with
-  | Some (Json.Num _) -> ()
-  | _ -> fail "sampler missing numeric \"overhead_fraction\"");
-  let duty =
-    match Json.member "duty_cycle" sampler with
-    | Some (Json.Num f) when f >= 0.0 -> f
-    | _ -> fail "sampler missing non-negative numeric \"duty_cycle\""
-  in
-  if (not quick) && duty > 0.05 then
-    fail
-      (Printf.sprintf "sampler duty cycle %.2f%% is above the allowed 5%%" (duty *. 100.0));
-  (* The PR-9 acceptance criterion: the flow-level stochastic engine
-     must empirically bracket the Bramson stability boundary on the
-     star-of-stars — stable at rho = 0.8, divergent at rho = 1.2.
-     The verdicts come from a fixed-seed virtual-time simulation, so
-     they are deterministic and gate even in quick files; only the
-     wall-clock events/s throughput gate is non-quick. *)
-  let stability =
-    match Json.member "stability" doc with
-    | Some (Json.Obj _ as s) -> s
-    | _ -> fail "missing \"stability\" object"
-  in
-  (match Json.member "scenario" stability with
-  | Some (Json.Obj _) -> ()
-  | _ -> fail "stability missing \"scenario\" object");
-  let st_rows =
-    match Json.member "rows" stability with
-    | Some (Json.List l) when l <> [] -> l
-    | _ -> fail "stability missing non-empty \"rows\" array"
-  in
-  let st_row load =
-    let row =
-      List.find_opt
-        (fun r ->
-          match Json.member "load" r with
-          | Some (Json.Num f) -> Float.abs (f -. load) < 1e-9
-          | _ -> false)
-        st_rows
-    in
-    match row with
-    | None -> fail (Printf.sprintf "stability rows missing the rho=%.1f entry" load)
-    | Some r -> r
-  in
-  let st_verdict r =
-    match Json.member "verdict" r with
-    | Some (Json.Str s) -> s
-    | _ -> fail "stability row missing \"verdict\" string"
-  in
-  let check_row ~load ~want =
-    let r = st_row load in
-    let v = st_verdict r in
-    if v <> want then
-      fail (Printf.sprintf "stability verdict at rho=%.1f is %S (want %S)" load v want);
-    ignore (num_field r "arrivals");
-    ignore (num_field r "events");
-    ignore (num_field r "events_per_s");
-    let departures =
-      match Json.member "departures" r with
-      | Some (Json.Num f) when f >= 0.0 -> f
-      | _ -> fail "stability row missing non-negative \"departures\""
-    in
-    let arrivals = num_field r "arrivals" in
-    if departures > arrivals then
-      fail (Printf.sprintf "stability rho=%.1f: departures %.0f exceed arrivals %.0f" load departures arrivals);
-    let q name =
-      match Json.member name r with
-      | Some (Json.Num f) when f >= 0.0 -> f
-      | _ -> fail (Printf.sprintf "stability row missing non-negative %S" name)
-    in
-    let s50 = q "sojourn_p50" and s99 = q "sojourn_p99" in
-    if s50 > s99 then
-      fail (Printf.sprintf "stability rho=%.1f: sojourn_p50 %.4g > sojourn_p99 %.4g" load s50 s99);
-    let r50 = q "flow_rate_p50" and r99 = q "flow_rate_p99" in
-    if r50 > r99 then
-      fail (Printf.sprintf "stability rho=%.1f: flow_rate_p50 %.4g > flow_rate_p99 %.4g" load r50 r99);
-    r
-  in
-  let stable_row = check_row ~load:0.8 ~want:"stable" in
-  ignore (check_row ~load:1.2 ~want:"divergent");
-  let st_events_per_s = num_field stable_row "events_per_s" in
-  if (not quick) && st_events_per_s < 200.0 then
-    fail
-      (Printf.sprintf "stability throughput %.1f events/s at rho=0.8 is below the required 200"
-         st_events_per_s);
-  Printf.printf
-    "%s: schema %s OK, %d classes, batch speedup %.2fx, parallel %.2fx at 4 domains, serving %.0f events/s (staleness %.4f s, sampler duty %.4f%%), stability stable@0.8 divergent@1.2 (%.0f events/s)%s\n"
-    file schema_id (List.length by_kind) batch_speedup par_speedup events_per_s max_staleness
-    (duty *. 100.0) st_events_per_s par_note
+  Out_channel.with_open_bin out (fun oc -> output_string oc (Json.to_string_indented doc))
 
 (* --- driver --------------------------------------------------------- *)
 
@@ -1073,7 +786,9 @@ let () =
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     "churn.exe: incremental vs from-scratch churn benchmark (JSON trajectory)";
   match !validate_file with
-  | Some f -> validate f
+  | Some f ->
+      print_endline
+        (f ^ ": " ^ Checks.check_file ~failed:"BENCH_churn.json validation FAILED" Checks.churn f)
   | None when !serving_only -> ignore (measure_serving ~quick:!quick (bench_net ()))
   | None ->
       let min_time = if !min_time > 0.0 then !min_time else if !quick then 0.02 else 0.25 in

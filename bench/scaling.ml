@@ -9,7 +9,8 @@
              dune exec bench/scaling.exe -- --quick      (CI smoke)
    Validate: dune exec bench/scaling.exe -- --validate BENCH_allocator.json
 
-   The JSON schema is documented in README.md ("Benchmarking"). *)
+   The JSON schema is documented in README.md ("Benchmarking"); the
+   checker --validate runs is Checks.allocator (bench/checks.ml). *)
 
 module Network = Mmfair_core.Network
 module Allocator = Mmfair_core.Allocator
@@ -21,15 +22,13 @@ module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Obs = Mmfair_obs
 module Json = Mmfair_obs.Json
-
-let schema_id = "mmfair.bench.allocator/v3"
+module Checks = Mmfair_bench.Checks
 
 (* --- timing -------------------------------------------------------- *)
 
-(* Timed regions run with the null probe sink installed, whatever the
-   surrounding bench plumbing does: the committed numbers are the
-   telemetry-disabled baseline that CI's overhead gate compares
-   against. *)
+(* Timed regions run probe-free (Mmfair_bench.Timing): the committed
+   numbers are the telemetry-disabled baseline that CI's overhead gate
+   compares against. *)
 
 let best_of = 3
 
@@ -37,28 +36,12 @@ type timing = { ns : float; runs : int; samples_ns : float list }
 (* [ns] is the best (minimum) of [best_of] sample averages; [runs] is
    the run count behind that best sample. *)
 
-(* Monotonic, like bench/main.ml's Bechamel instance: an NTP step mid
-   sample must not record negative or skewed durations and trip (or
-   mask) the overhead/speedup gates.  Wall time is fine only for
-   metadata. *)
-let one_sample ~min_time f =
-  Obs.Probe.with_sink Obs.Sink.null @@ fun () ->
-  let t0 = Obs.Clock.now_ns () in
-  let runs = ref 0 in
-  let elapsed = ref 0.0 in
-  while !elapsed < min_time do
-    ignore (f ());
-    incr runs;
-    elapsed := Obs.Clock.since_s t0
-  done;
-  (!elapsed /. float_of_int !runs *. 1e9, !runs)
-
 let time_run ~min_time f =
   Obs.Probe.with_sink Obs.Sink.null (fun () ->
       for _ = 1 to 3 do
         ignore (f ())
       done);
-  let samples = List.init best_of (fun _ -> one_sample ~min_time f) in
+  let samples = List.init best_of (fun _ -> Mmfair_bench.Timing.one_sample ~min_time f) in
   let best =
     List.fold_left (fun acc s -> match acc with
         | Some (bns, _) when bns <= fst s -> acc
@@ -390,207 +373,47 @@ let entries ~quick =
 (* --- JSON emission ------------------------------------------------- *)
 
 let emit ~quick ~min_time ~phases ~out ~curves rows =
-  let oc = open_out out in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"%s\",\n" (Json.escape schema_id);
-  p "  \"generated_by\": \"bench/scaling.exe\",\n";
-  p "  \"quick\": %b,\n" quick;
-  p "  \"min_time_s\": %g,\n" min_time;
-  p "  \"best_of\": %d,\n" best_of;
-  p "  \"phases\": {";
-  List.iteri
-    (fun i (name, seconds) ->
-      p "%s\"%s\": %.6f" (if i = 0 then " " else ", ") (Json.escape name) seconds)
-    phases;
-  p " },\n";
-  p "  \"curves\": [\n";
-  List.iteri
-    (fun ci c ->
-      p "    {\n";
-      p "      \"name\": \"%s\",\n" (Json.escape c.c_name);
-      p "      \"build_exponent\": %.3f,\n" c.build_exponent;
-      p "      \"solve_exponent\": %.3f,\n" c.solve_exponent;
-      p "      \"event_exponent\": %.3f,\n" c.event_exponent;
-      p "      \"points\": [\n";
-      List.iteri
-        (fun pi pt ->
-          p
-            "        { \"label\": \"%s\", \"sessions\": %d, \"links\": %d, \"receivers\": %d, \
-             \"build_ns\": %.1f, \"solve_ns\": %.1f, \"event_ns\": %.1f, \"peak_live_words\": %d \
-             }%s\n"
-            (Json.escape pt.p_label) pt.p_sessions pt.p_links pt.p_receivers pt.build_ns pt.solve_ns
-            pt.event_ns pt.peak_live_words
-            (if pi = List.length c.c_points - 1 then "" else ","))
-        c.c_points;
-      p "      ]\n";
-      p "    }%s\n" (if ci = List.length curves - 1 then "" else ","))
-    curves;
-  p "  ],\n";
-  p "  \"entries\": [\n";
-  List.iteri
-    (fun idx (e, timing, ref_timing, rounds, live) ->
-      let g = Network.graph e.net in
-      p "    {\n";
-      p "      \"name\": \"%s\",\n" (Json.escape e.name);
-      p "      \"kind\": \"%s\",\n" (Json.escape e.kind);
-      p "      \"engine\": \"%s\",\n" (Json.escape e.engine);
-      p "      \"sessions\": %d,\n" (Network.session_count e.net);
-      p "      \"receivers\": %d,\n" (Network.receiver_count e.net);
-      p "      \"links\": %d,\n" (Graph.link_count g);
-      p "      \"rounds\": %d,\n" rounds;
-      p "      \"runs\": %d,\n" timing.runs;
-      p "      \"peak_live_words\": %d,\n" live;
-      p "      \"time_ns\": %.1f,\n" timing.ns;
-      p "      \"samples_ns\": [%s],\n"
-        (String.concat ", " (List.map (Printf.sprintf "%.1f") timing.samples_ns));
-      (match ref_timing with
-      | Some ref_t ->
-          p "      \"reference_runs\": %d,\n" ref_t.runs;
-          p "      \"reference_time_ns\": %.1f,\n" ref_t.ns;
-          p "      \"speedup_vs_reference\": %.2f\n" (ref_t.ns /. timing.ns)
-      | None ->
-          p "      \"reference_runs\": null,\n";
-          p "      \"reference_time_ns\": null,\n";
-          p "      \"speedup_vs_reference\": null\n");
-      p "    }%s\n" (if idx = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
-
-
-let load_doc ~on_error file =
-  let ic =
-    try open_in_bin file
-    with Sys_error msg ->
-      Printf.eprintf "%s: cannot read %s\n%!" on_error msg;
-      exit 1
+  let int n = Json.Num (float_of_int n) in
+  let point pt =
+    Json.Obj
+      [ ("label", Json.Str pt.p_label); ("sessions", int pt.p_sessions);
+        ("links", int pt.p_links); ("receivers", int pt.p_receivers);
+        ("build_ns", Json.fixed 1 pt.build_ns); ("solve_ns", Json.fixed 1 pt.solve_ns);
+        ("event_ns", Json.fixed 1 pt.event_ns); ("peak_live_words", int pt.peak_live_words) ]
   in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  try Json.parse body
-  with Json.Bad m ->
-    Printf.eprintf "%s (%s): not valid JSON: %s\n%!" on_error file m;
-    exit 1
-
-let validate file =
-  let fail msg =
-    Printf.eprintf "BENCH_allocator.json validation FAILED (%s): %s\n%!" file msg;
-    exit 1
+  let curve c =
+    Json.Obj
+      [ ("name", Json.Str c.c_name); ("build_exponent", Json.fixed 3 c.build_exponent);
+        ("solve_exponent", Json.fixed 3 c.solve_exponent);
+        ("event_exponent", Json.fixed 3 c.event_exponent);
+        ("points", Json.List (List.map point c.c_points)) ]
   in
-  let doc = load_doc ~on_error:"BENCH_allocator.json validation FAILED" file in
-  (match Json.member "schema" doc with
-  | Some (Json.Str s) when s = schema_id -> ()
-  | _ -> fail (Printf.sprintf "missing or wrong \"schema\" (want %s)" schema_id));
-  (match Json.member "best_of" doc with
-  | Some (Json.Num n) when n >= 3.0 -> ()
-  | _ -> fail "missing \"best_of\" (numeric, >= 3)");
-  (match Json.member "phases" doc with
-  | Some (Json.Obj fields) when fields <> [] ->
-      List.iter
-        (function
-          | _, Json.Num s when s >= 0.0 -> ()
-          | k, _ -> fail (Printf.sprintf "phase %S is not a non-negative number" k))
-        fields
-  | _ -> fail "missing or empty \"phases\" object");
-  let entries =
-    match Json.member "entries" doc with
-    | Some (Json.List l) when l <> [] -> l
-    | _ -> fail "missing or empty \"entries\" array"
+  let entry (e, timing, ref_timing, rounds, live) =
+    let reference =
+      match ref_timing with
+      | Some r -> [ int r.runs; Json.fixed 1 r.ns; Json.fixed 2 (r.ns /. timing.ns) ]
+      | None -> [ Json.Null; Json.Null; Json.Null ]
+    in
+    Json.Obj
+      ([ ("name", Json.Str e.name); ("kind", Json.Str e.kind); ("engine", Json.Str e.engine);
+         ("sessions", int (Network.session_count e.net));
+         ("receivers", int (Network.receiver_count e.net));
+         ("links", int (Graph.link_count (Network.graph e.net))); ("rounds", int rounds);
+         ("runs", int timing.runs); ("peak_live_words", int live);
+         ("time_ns", Json.fixed 1 timing.ns);
+         ("samples_ns", Json.List (List.map (Json.fixed 1) timing.samples_ns)) ]
+      @ List.combine [ "reference_runs"; "reference_time_ns"; "speedup_vs_reference" ] reference)
   in
-  let num_field e k =
-    match Json.member k e with
-    | Some (Json.Num f) when f > 0.0 -> f
-    | _ -> fail (Printf.sprintf "entry missing positive numeric %S" k)
+  let doc =
+    Json.Obj
+      [ ("schema", Json.Str Checks.allocator_schema);
+        ("generated_by", Json.Str "bench/scaling.exe"); ("quick", Json.Bool quick);
+        ("min_time_s", Json.Num min_time); ("best_of", int best_of);
+        ("phases", Json.Obj (List.map (fun (name, s) -> (name, Json.fixed 6 s)) phases));
+        ("curves", Json.List (List.map curve curves));
+        ("entries", Json.List (List.map entry rows)) ]
   in
-  let str_field e k =
-    match Json.member k e with
-    | Some (Json.Str s) when s <> "" -> s
-    | _ -> fail (Printf.sprintf "entry missing string %S" k)
-  in
-  let is_quick = match Json.member "quick" doc with Some (Json.Bool b) -> b | _ -> false in
-  (* v3: scaling curves over generated topologies with fitted
-     exponents and a live-words audit per point.  On a full (non-quick)
-     document the fat-tree per-event exponent must be sub-linear —
-     that is the scan-removal refactor's acceptance gate.  On every
-     document, quick ones included, the power-law solve exponent must
-     stay below 1.5: a cold solve there runs about one round per
-     session, so per-round scans of the solved receivers or the active
-     links show up as an exponent near 2. *)
-  (match Json.member "curves" doc with
-  | Some (Json.List curves) when curves <> [] ->
-      let seen = ref [] in
-      List.iter
-        (fun c ->
-          let cname = str_field c "name" in
-          seen := cname :: !seen;
-          let exp k =
-            match Json.member k c with
-            | Some (Json.Num f) -> f
-            | _ -> fail (Printf.sprintf "curve %S missing numeric %S" cname k)
-          in
-          ignore (exp "build_exponent");
-          let solve_exp = exp "solve_exponent" in
-          let event_exp = exp "event_exponent" in
-          (match Json.member "points" c with
-          | Some (Json.List pts) when List.length pts >= 2 ->
-              List.iter
-                (fun pt ->
-                  ignore (str_field pt "label");
-                  List.iter
-                    (fun k -> ignore (num_field pt k))
-                    [
-                      "sessions"; "links"; "receivers"; "build_ns"; "solve_ns"; "event_ns";
-                      "peak_live_words";
-                    ])
-                pts
-          | _ -> fail (Printf.sprintf "curve %S needs at least two points" cname));
-          if cname = "fat-tree" && (not is_quick) && event_exp >= 1.0 then
-            fail
-              (Printf.sprintf
-                 "fat-tree per-event exponent %.3f is not sub-linear — the churn path scans"
-                 event_exp);
-          if cname = "power-law" && solve_exp >= 1.5 then
-            fail
-              (Printf.sprintf
-                 "power-law solve exponent %.3f is not below 1.5 — the water-filling rounds scan"
-                 solve_exp))
-        curves;
-      if not (List.mem "fat-tree" !seen) then fail "missing the fat-tree curve"
-  | _ -> fail "missing or empty \"curves\" array");
-  let names =
-    List.map
-      (fun e ->
-        let name = str_field e "name" in
-        ignore (str_field e "kind");
-        ignore (str_field e "engine");
-        ignore (num_field e "time_ns");
-        ignore (num_field e "runs");
-        ignore (num_field e "sessions");
-        ignore (num_field e "rounds");
-        ignore (num_field e "peak_live_words");
-        (match Json.member "samples_ns" e with
-        | Some (Json.List samples) when samples <> [] ->
-            let best = num_field e "time_ns" in
-            List.iter
-              (function
-                | Json.Num s when s >= best -> ()
-                | Json.Num _ -> fail "entry has a \"samples_ns\" sample below \"time_ns\" (best-of must be the minimum)"
-                | _ -> fail "entry has a non-numeric \"samples_ns\" sample")
-              samples
-        | _ -> fail "entry missing non-empty \"samples_ns\" array");
-        (match Json.member "reference_time_ns" e with
-        | Some Json.Null | Some (Json.Num _) -> ()
-        | _ -> fail "entry missing \"reference_time_ns\" (number or null)");
-        name)
-      entries
-  in
-  if not (List.mem "ablation/linear-engine-30-sessions" names) then
-    fail "missing the ablation/linear-engine-30-sessions tracking entry";
-  Printf.printf "%s: schema %s OK, %d entries\n" file schema_id (List.length names)
+  Out_channel.with_open_bin out (fun oc -> output_string oc (Json.to_string_indented doc))
 
 (* --- disabled-probe overhead gate (CI) ------------------------------ *)
 
@@ -598,32 +421,13 @@ let validate file =
    installs the null sink) and compares against the committed
    baseline's entry.  Fails when the fresh best-of run is more than
    [tolerance] slower: telemetry must stay free when disabled. *)
-let overhead_entry = "sweep/linear-engine-100-sessions"
-let mem_gate_label = "k=16"
-
 let check_overhead ~tolerance ~mem_tolerance ~min_time baseline_file =
   let fail msg =
     Printf.eprintf "overhead check FAILED (%s): %s\n%!" baseline_file msg;
     exit 1
   in
-  let doc = load_doc ~on_error:"overhead check FAILED" baseline_file in
-  let entries =
-    match Json.member "entries" doc with
-    | Some (Json.List l) -> l
-    | _ -> fail "missing \"entries\" array"
-  in
-  let baseline_ns =
-    let found =
-      List.find_opt
-        (fun e -> match Json.member "name" e with Some (Json.Str s) -> s = overhead_entry | _ -> false)
-        entries
-    in
-    match found with
-    | Some e -> (
-        match Json.member "time_ns" e with
-        | Some (Json.Num f) when f > 0.0 -> f
-        | _ -> fail (Printf.sprintf "entry %S has no positive \"time_ns\"" overhead_entry))
-    | None -> fail (Printf.sprintf "baseline has no %S entry" overhead_entry)
+  let baseline_ns, baseline_words =
+    Checks.check_file ~failed:"overhead check FAILED" Checks.overhead_baseline baseline_file
   in
   let net = random_net 100 in
   let f () = Allocator.max_min net in
@@ -638,13 +442,13 @@ let check_overhead ~tolerance ~mem_tolerance ~min_time baseline_file =
       ignore (f ())
     done;
     List.fold_left
-      (fun acc () -> Float.min acc (fst (one_sample ~min_time f)))
+      (fun acc () -> Float.min acc (fst (Mmfair_bench.Timing.one_sample ~min_time f)))
       Float.infinity
       (List.init gate_samples (fun _ -> ()))
   in
   let ratio = now_ns /. baseline_ns in
   Printf.printf "%s: baseline %.1f ns, now %.1f ns (best of %d), ratio %.3f (tolerance %.2f)\n%!"
-    overhead_entry baseline_ns now_ns gate_samples ratio tolerance;
+    Checks.overhead_entry baseline_ns now_ns gate_samples ratio tolerance;
   if ratio > 1.0 +. tolerance then
     fail
       (Printf.sprintf "disabled-probe run is %.1f%% slower than the committed baseline (limit %.1f%%)"
@@ -655,38 +459,20 @@ let check_overhead ~tolerance ~mem_tolerance ~min_time baseline_file =
      Live words are deterministic up to allocator layout, hence the
      looser default tolerance.  Quick baselines stop below k=16; skip
      with a note rather than inventing a cross-scale comparison. *)
-  let baseline_words =
-    match Json.member "curves" doc with
-    | Some (Json.List curves) ->
-        List.find_map
-          (fun c ->
-            match (Json.member "name" c, Json.member "points" c) with
-            | Some (Json.Str "fat-tree"), Some (Json.List pts) ->
-                List.find_map
-                  (fun pt ->
-                    match (Json.member "label" pt, Json.member "peak_live_words" pt) with
-                    | Some (Json.Str l), Some (Json.Num w) when l = mem_gate_label && w > 0.0 ->
-                        Some w
-                    | _ -> None)
-                  pts
-            | _ -> None)
-          curves
-    | _ -> None
-  in
   (match baseline_words with
   | None ->
       Printf.printf "memory gate skipped: baseline has no fat-tree %S point (quick baseline?)\n%!"
-        mem_gate_label
+        Checks.mem_gate_label
   | Some baseline_w ->
       let p = measure_point ~min_time (fat_tree_workload ~k:16 ~per_host:fat_tree_per_host) in
       let mem_ratio = float_of_int p.peak_live_words /. baseline_w in
       Printf.printf "fat-tree %s: baseline %.0f live words, now %d, ratio %.3f (tolerance %.2f)\n%!"
-        mem_gate_label baseline_w p.peak_live_words mem_ratio mem_tolerance;
+        Checks.mem_gate_label baseline_w p.peak_live_words mem_ratio mem_tolerance;
       if mem_ratio > 1.0 +. mem_tolerance then
         fail
           (Printf.sprintf
              "fat-tree %s peak live words grew %.1f%% over the committed baseline (limit %.1f%%)"
-             mem_gate_label ((mem_ratio -. 1.0) *. 100.0) (mem_tolerance *. 100.0)));
+             Checks.mem_gate_label ((mem_ratio -. 1.0) *. 100.0) (mem_tolerance *. 100.0)));
   Printf.printf "overhead check OK\n%!"
 
 (* --- driver -------------------------------------------------------- *)
@@ -722,7 +508,10 @@ let () =
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     "scaling.exe: allocator scaling benchmark (JSON trajectory)";
   match (!validate_file, !overhead_baseline) with
-  | Some f, _ -> validate f
+  | Some f, _ ->
+      print_endline
+        (f ^ ": "
+        ^ Checks.check_file ~failed:"BENCH_allocator.json validation FAILED" Checks.allocator f)
   | None, Some f ->
       let min_time = if !min_time > 0.0 then !min_time else 0.5 in
       check_overhead ~tolerance:!tolerance ~mem_tolerance:!mem_tolerance ~min_time f

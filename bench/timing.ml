@@ -1,0 +1,26 @@
+(* The one timed sample both bench executables build their best-of
+   estimates from.  It runs with the null probe sink installed,
+   whatever the surrounding bench plumbing does: the committed numbers
+   are the telemetry-disabled baseline that CI's overhead gate compares
+   against.
+
+   Monotonic, like bench/main.ml's Bechamel instance: an NTP step mid
+   sample must not record negative or skewed durations and trip (or
+   mask) the overhead/speedup gates.  Wall time is fine only for
+   metadata. *)
+
+module Obs = Mmfair_obs
+
+(* Repeat [f] until [min_time] seconds have passed; the per-run average
+   in ns and the run count behind it. *)
+let one_sample ~min_time f =
+  Obs.Probe.with_sink Obs.Sink.null @@ fun () ->
+  let t0 = Obs.Clock.now_ns () in
+  let runs = ref 0 in
+  let elapsed = ref 0.0 in
+  while !elapsed < min_time do
+    ignore (f ());
+    incr runs;
+    elapsed := Obs.Clock.since_s t0
+  done;
+  (!elapsed /. float_of_int !runs *. 1e9, !runs)

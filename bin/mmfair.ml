@@ -25,6 +25,32 @@ let die code fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n%!" s; exit cod
    relative, absolute below magnitude 1. *)
 let agree a b = Float.abs (a -. b) <= 1e-9 *. Stdlib.max 1.0 (Stdlib.max (Float.abs a) (Float.abs b))
 
+(* The client side of churnd's socket, for `mmfair SUBCOMMAND`: retry
+   while the daemon boots (no socket file yet, or not yet listening)
+   until [connect_timeout] runs out, then ignore SIGPIPE so a dead
+   daemon surfaces as EPIPE on our own write (and a clean diagnostic),
+   not a fatal signal.  [f] gets the socket and a line reader on it;
+   the socket closes when [f] returns. *)
+let with_daemon ~subcommand ~connect_timeout path f =
+  let deadline = Mmfair_obs.Clock.now_s () +. connect_timeout in
+  let rec connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when Mmfair_obs.Clock.now_s () < deadline ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Unix.sleepf 0.05;
+        connect ()
+    | exception Unix.Unix_error (err, _, _) ->
+        die exit_invalid_input "mmfair %s: connect %s: %s" subcommand path (Unix.error_message err)
+  in
+  let fd = connect () in
+  (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd (Mmfair_serve.Line_reader.of_fd fd))
+
 let print_table ~csv table =
   if csv then print_string (E.Table.to_csv table) else E.Table.print table
 
@@ -640,9 +666,6 @@ let churnd_cmd =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"N" ~doc:"Parallel domains for each epoch's component solves.")
   in
-  let retain =
-    Arg.(value & opt int 8 & info [ "retain" ] ~docv:"N" ~doc:"Recent epochs kept queryable in the store.")
-  in
   let max_batch =
     Arg.(value & opt int 256
          & info [ "max-batch" ] ~docv:"N" ~doc:"Most events one coalesced epoch may apply.")
@@ -680,7 +703,7 @@ let churnd_cmd =
          & info [ "series-capacity" ] ~docv:"N"
              ~doc:"Windows retained per in-memory series before downsampling halves them.")
   in
-  let run tele net_file socket input domains retain max_batch ack poll write_timeout
+  let run tele net_file socket input domains max_batch ack poll write_timeout
       snapshot_out sample_interval series_out series_capacity =
     Telemetry.wrap tele @@ fun () ->
     if domains < 1 then die exit_invalid_input "mmfair churnd: --domains wants a positive count";
@@ -692,7 +715,7 @@ let churnd_cmd =
       die exit_invalid_input "mmfair churnd: --series-capacity wants at least 2 windows";
     let parsed = Net_parser.parse_file net_file in
     let config =
-      { Mmfair_serve.Daemon.domains; retain; max_batch; ack; poll_interval = poll;
+      { Mmfair_serve.Daemon.domains; max_batch; ack; poll_interval = poll;
         write_timeout; sample_interval; series_capacity; series_out }
     in
     let daemon =
@@ -743,7 +766,7 @@ let churnd_cmd =
     ]
   in
   Cmd.v (Cmd.info "churnd" ~doc ~man)
-    Term.(const run $ tele_term $ net_file_arg $ socket $ input $ domains $ retain $ max_batch
+    Term.(const run $ tele_term $ net_file_arg $ socket $ input $ domains $ max_batch
           $ ack $ poll $ write_timeout $ snapshot_out $ sample_interval $ series_out
           $ series_capacity)
 
@@ -815,26 +838,7 @@ let churnd_load_cmd =
     match socket with
     | None -> print_string rendered
     | Some path ->
-        let deadline = Mmfair_obs.Clock.now_s () +. connect_timeout in
-        let rec connect () =
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          match Unix.connect fd (Unix.ADDR_UNIX path) with
-          | () -> fd
-          | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-            when Mmfair_obs.Clock.now_s () < deadline ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              Unix.sleepf 0.05;
-              connect ()
-          | exception Unix.Unix_error (err, _, _) ->
-              die exit_invalid_input "mmfair churnd-load: connect %s: %s" path (Unix.error_message err)
-        in
-        let fd = connect () in
-        (* A dead daemon must surface as EPIPE on our own write (and a
-           clean diagnostic), not a fatal SIGPIPE. *)
-        (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-        Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        @@ fun () ->
-        let reader = Line_reader.of_fd fd in
+        with_daemon ~subcommand:"churnd-load" ~connect_timeout path @@ fun fd reader ->
         (* --report bookkeeping: each completed ingestion item (a lone
            event line, or a whole batch block at its [end]) pushes its
            send instant; each ack/err response pops one.  The daemon
@@ -1111,71 +1115,50 @@ let watch_cmd =
     (match frames with
     | Some n when n < 1 -> die exit_invalid_input "mmfair watch: --count wants a positive count"
     | _ -> ());
-    let deadline = Mmfair_obs.Clock.now_s () +. connect_timeout in
-    let rec connect () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.connect fd (Unix.ADDR_UNIX socket) with
-      | () -> fd
-      | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-        when Mmfair_obs.Clock.now_s () < deadline ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Unix.sleepf 0.05;
-          connect ()
-      | exception Unix.Unix_error (err, _, _) ->
-          die exit_invalid_input "mmfair watch: connect %s: %s" socket (Unix.error_message err)
-    in
-    let fd = connect () in
-    (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
-    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    let reader = Line_reader.of_fd fd in
+    with_daemon ~subcommand:"watch" ~connect_timeout socket @@ fun fd reader ->
     let send s =
       match Unix.write_substring fd s 0 (String.length s) with
       | _ -> ()
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
           die exit_invalid_input "mmfair watch: daemon at %s went away" socket
     in
-    let num j k = match Json.member k j with Some (Json.Num v) -> Some v | _ -> None in
-    let sub j k1 k2 =
-      match Json.member k1 j with Some o -> (match Json.member k2 o with Some (Json.Num v) -> Some v | _ -> None) | None -> None
-    in
+    (* A field the daemon leaves out or nulls renders as n/a. *)
+    let num j path = try Json.num_or_null path j with Json.Bad _ -> None in
     let fmt_ms = function None -> "    n/a" | Some s -> Printf.sprintf "%7.3f" (1e3 *. s) in
     let fmt_rate = function None -> "     n/a" | Some r -> Printf.sprintf "%8.1f" r in
     let prev = ref None in
     let render stats =
       let b = Buffer.create 1024 in
       let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-      let t = num stats "t" in
+      let t = num stats [ "t" ] in
       let rate key =
         match (!prev, t) with
         | Some (pt, pstats), Some now when now > pt -> (
-            match (num stats key, num pstats key) with
+            match (num stats [ key ], num pstats [ key ]) with
             | Some v, Some pv -> Some ((v -. pv) /. (now -. pt))
             | _ -> None)
         | _ -> None
       in
-      let i key = match num stats key with Some v -> Printf.sprintf "%.0f" v | None -> "n/a" in
+      let i path = match num stats path with Some v -> Printf.sprintf "%.0f" v | None -> "n/a" in
+      let ms path = fmt_ms (num stats path) in
       line "mmfair watch — %s" socket;
-      line "  epoch %s   epochs/s %s   ingest/s %s" (i "epoch") (fmt_rate (rate "epochs"))
+      line "  epoch %s   epochs/s %s   ingest/s %s" (i [ "epoch" ]) (fmt_rate (rate "epochs"))
         (fmt_rate (rate "ingested"));
       line "  totals: ingested %s  rejected %s  epochs %s  queries %s  connections %s"
-        (i "ingested") (i "rejected") (i "epochs") (i "queries") (i "connections");
-      line "  solve ms:     p50 %s  p90 %s  p99 %s  max %s" (fmt_ms (sub stats "solve" "p50"))
-        (fmt_ms (sub stats "solve" "p90")) (fmt_ms (sub stats "solve" "p99"))
-        (fmt_ms (sub stats "solve" "max"));
-      line "  staleness ms: p50 %s  p90 %s  p99 %s  hwm %s" (fmt_ms (sub stats "staleness" "p50"))
-        (fmt_ms (sub stats "staleness" "p90")) (fmt_ms (sub stats "staleness" "p99"))
-        (fmt_ms (num stats "staleness_max"));
-      let jain = match num stats "jain" with Some v -> Printf.sprintf "%.4f" v | None -> "n/a" in
+        (i [ "ingested" ]) (i [ "rejected" ]) (i [ "epochs" ]) (i [ "queries" ]) (i [ "connections" ]);
+      line "  solve ms:     p50 %s  p90 %s  p99 %s  max %s" (ms [ "solve"; "p50" ])
+        (ms [ "solve"; "p90" ]) (ms [ "solve"; "p99" ]) (ms [ "solve"; "max" ]);
+      line "  staleness ms: p50 %s  p90 %s  p99 %s  hwm %s" (ms [ "staleness"; "p50" ])
+        (ms [ "staleness"; "p90" ]) (ms [ "staleness"; "p99" ]) (ms [ "staleness_max" ]);
+      let jain = match num stats [ "jain" ] with Some v -> Printf.sprintf "%.4f" v | None -> "n/a" in
       let util =
-        match num stats "pool_utilization" with
+        match num stats [ "pool_utilization" ] with
         | Some v -> Printf.sprintf "%.0f%%" (100.0 *. v)
         | None -> "n/a"
       in
       line "  fairness jain %s   pool utilization %s" jain util;
-      line "  gc: minor %s  major %s  heap %s words" (sub stats "gc" "minor" |> function Some v -> Printf.sprintf "%.0f" v | None -> "n/a")
-        (sub stats "gc" "major" |> function Some v -> Printf.sprintf "%.0f" v | None -> "n/a")
-        (sub stats "gc" "heap_words" |> function Some v -> Printf.sprintf "%.0f" v | None -> "n/a");
+      line "  gc: minor %s  major %s  heap %s words" (i [ "gc"; "minor" ]) (i [ "gc"; "major" ])
+        (i [ "gc"; "heap_words" ]);
       (match t with Some now -> prev := Some (now, stats) | None -> ());
       Buffer.contents b
     in
@@ -1517,48 +1500,46 @@ let stability_cmd =
     (match json_out with
     | None -> ()
     | Some path ->
-        let b = Buffer.create 4096 in
+        let module Json = Mmfair_obs.Json in
+        let int n = Json.Num (float_of_int n) in
         let hist h =
           (* Quantiles and mean degrade to null while empty (JSON has
              no NaN), matching the metrics-registry convention. *)
-          if LH.count h = 0 then
-            "{\"count\":0,\"mean\":null,\"p50\":null,\"p90\":null,\"p99\":null,\"max\":null}"
-          else
-            Printf.sprintf
-              "{\"count\":%d,\"mean\":%.12g,\"p50\":%.12g,\"p90\":%.12g,\"p99\":%.12g,\"max\":%.12g}"
-              (LH.count h)
-              (LH.sum h /. float_of_int (LH.count h))
-              (LH.quantile h 0.5) (LH.quantile h 0.9) (LH.quantile h 0.99) (LH.max_value h)
+          let n = LH.count h in
+          let stat f = if n = 0 then Json.Null else Json.Num (f h) in
+          Json.Obj
+            [ ("count", int n); ("mean", stat (fun h -> LH.sum h /. float_of_int n));
+              ("p50", stat (fun h -> LH.quantile h 0.5)); ("p90", stat (fun h -> LH.quantile h 0.9));
+              ("p99", stat (fun h -> LH.quantile h 0.99)); ("max", stat LH.max_value) ]
         in
-        Buffer.add_string b "{\"schema\":\"mmfair.stability/v1\",";
-        Buffer.add_string b
-          (Printf.sprintf
-             "\"scenario\":%S,\"clusters\":%d,\"slots\":%d,\"workload\":%S,\"horizon\":%.12g,\"seed\":%Ld,\"domains\":%d,\"runs\":["
-             (match scenario with `Star -> "star" | `Single -> "single")
-             (match scenario with `Star -> clusters | `Single -> 1)
-             slots (Size.to_string size) horizon seed domains);
-        List.iteri
-          (fun i (target, (r : Sim.result), (rep : Stability.report)) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Printf.sprintf
-                 "{\"load\":%.12g,\"verdict\":%S,\"arrivals\":%d,\"departures\":%d,\"blocked\":%d,\
-                  \"pulse_arrivals\":%d,\"epochs\":%d,\"applied_events\":%d,\"final_population\":%d,\
-                  \"max_population\":%d,\"time_avg_population\":%.12g,\"first_half_mean\":%.12g,\
-                  \"second_half_mean\":%.12g,\"drift_per_time\":%.12g,\"regenerations\":%d,\
-                  \"sojourn\":%s,\"flow_rate\":%s}"
-                 target
-                 (Stability.verdict_to_string rep.Stability.verdict)
-                 r.Sim.arrivals r.Sim.departures r.Sim.blocked r.Sim.pulse_arrivals r.Sim.epochs
-                 r.Sim.applied_events r.Sim.final_population r.Sim.max_population
-                 r.Sim.time_avg_population r.Sim.first_half_mean r.Sim.second_half_mean
-                 rep.Stability.drift_per_time r.Sim.regenerations (hist r.Sim.sojourn)
-                 (hist r.Sim.flow_rate)))
-          runs;
-        Buffer.add_string b "]}\n";
-        let oc = open_out path in
-        output_string oc (Buffer.contents b);
-        close_out oc);
+        let run (target, (r : Sim.result), (rep : Stability.report)) =
+          Json.Obj
+            [ ("load", Json.Num target);
+              ("verdict", Json.Str (Stability.verdict_to_string rep.Stability.verdict));
+              ("arrivals", int r.Sim.arrivals); ("departures", int r.Sim.departures);
+              ("blocked", int r.Sim.blocked); ("pulse_arrivals", int r.Sim.pulse_arrivals);
+              ("epochs", int r.Sim.epochs); ("applied_events", int r.Sim.applied_events);
+              ("final_population", int r.Sim.final_population);
+              ("max_population", int r.Sim.max_population);
+              ("time_avg_population", Json.Num r.Sim.time_avg_population);
+              ("first_half_mean", Json.Num r.Sim.first_half_mean);
+              ("second_half_mean", Json.Num r.Sim.second_half_mean);
+              ("drift_per_time", Json.Num rep.Stability.drift_per_time);
+              ("regenerations", int r.Sim.regenerations); ("sojourn", hist r.Sim.sojourn);
+              ("flow_rate", hist r.Sim.flow_rate) ]
+        in
+        let doc =
+          Json.Obj
+            [ ("schema", Json.Str Stability.schema_id);
+              ("scenario", Json.Str (match scenario with `Star -> "star" | `Single -> "single"));
+              ("clusters", int (match scenario with `Star -> clusters | `Single -> 1));
+              ("slots", int slots); ("workload", Json.Str (Size.to_string size));
+              ("horizon", Json.Num horizon); ("seed", Json.Num (Int64.to_float seed));
+              ("domains", int domains); ("runs", Json.List (List.map run runs)) ]
+        in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (Json.to_string doc);
+            output_char oc '\n'));
     (match series_out with
     | None -> ()
     | Some path -> (

@@ -5,6 +5,8 @@ let verdict_to_string = function
   | Divergent -> "divergent"
   | Inconclusive -> "inconclusive"
 
+let schema_id = "mmfair.stability/v1"
+
 type config = { growth_factor : float; growth_slack : float; min_arrivals : int }
 
 let default = { growth_factor = 1.5; growth_slack = 3.0; min_arrivals = 20 }

@@ -20,6 +20,10 @@ val verdict_to_string : verdict -> string
 (** ["stable"] / ["divergent"] / ["inconclusive"] — the JSON/CLI
     spelling. *)
 
+val schema_id : string
+(** The [schema] field of [mmfair stability --json]'s report:
+    ["mmfair.stability/v1"]. *)
+
 type config = {
   growth_factor : float;  (** Divergent when [m2 > m1 * factor + slack] (≥ 1). *)
   growth_slack : float;  (** Additive guard so near-empty runs can't trip the ratio (≥ 0). *)

@@ -200,3 +200,111 @@ let parse (s : string) : t =
   v
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+
+(* One field or element per line, two-space indent; a container whose
+   members are all scalars stays on one line, so a committed document
+   diffs one record per line. *)
+let to_string_indented v =
+  let buf = Buffer.create 4096 in
+  let scalar = function List _ | Obj _ -> false | _ -> true in
+  let member (k, x) value =
+    Option.iter
+      (fun k ->
+        Buffer.add_char buf '"';
+        Buffer.add_string buf (escape k);
+        Buffer.add_string buf "\": ")
+      k;
+    value x
+  in
+  let rec value indent v =
+    let members, opening, closing =
+      match v with
+      | Obj f -> (List.map (fun (k, x) -> (Some k, x)) f, "{", "}")
+      | List l -> (List.map (fun x -> (None, x)) l, "[", "]")
+      | _ -> ([], "", "")
+    in
+    if members = [] then write buf v
+    else if List.for_all (fun (_, x) -> scalar x) members then begin
+      let pad = match v with Obj _ -> " " | _ -> "" in
+      Buffer.add_string buf (opening ^ pad);
+      List.iteri
+        (fun i m ->
+          if i > 0 then Buffer.add_string buf ", ";
+          member m (write buf))
+        members;
+      Buffer.add_string buf (pad ^ closing)
+    end
+    else begin
+      let inner = String.make (indent + 2) ' ' in
+      Buffer.add_string buf (opening ^ "\n");
+      List.iteri
+        (fun i m ->
+          if i > 0 then Buffer.add_string buf ",\n";
+          Buffer.add_string buf inner;
+          member m (value (indent + 2)))
+        members;
+      Buffer.add_string buf ("\n" ^ String.make indent ' ' ^ closing)
+    end
+  in
+  value 0 v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let fixed digits x = Num (float_of_string (Printf.sprintf "%.*f" digits x))
+
+(* --- readers --------------------------------------------------------- *)
+
+(* Every reader failure starts with the key path it was reading, in jq
+   notation (".a.b[2].c"), so [each] can prepend an element's path to
+   whatever its callback raised. *)
+
+let path_string path = String.concat "" (List.map (fun k -> "." ^ k) path)
+
+let fail path fmt = Printf.ksprintf (fun m -> raise (Bad (path_string path ^ ": " ^ m))) fmt
+
+let load file =
+  let body =
+    try In_channel.with_open_bin file In_channel.input_all
+    with Sys_error msg -> raise (Bad ("cannot read " ^ msg))
+  in
+  try parse body with Bad m -> raise (Bad (file ^ ": not valid JSON: " ^ m))
+
+let get path v =
+  let rec go seen v = function
+    | [] -> v
+    | k :: rest -> (
+        match v with
+        | Obj fields -> (
+            match List.assoc_opt k fields with
+            | Some x -> go (k :: seen) x rest
+            | None -> fail (List.rev (k :: seen)) "missing")
+        | _ -> fail (List.rev seen) "want an object")
+  in
+  go [] v path
+
+let num ?min ?above path v =
+  match (get path v, min, above) with
+  | Num x, Some lo, _ when not (x >= lo) -> fail path "want a number >= %g, got %g" lo x
+  | Num x, _, Some lo when not (x > lo) -> fail path "want a number > %g, got %g" lo x
+  | Num x, _, _ -> x
+  | _, Some lo, _ -> fail path "want a number >= %g" lo
+  | _, _, Some lo -> fail path "want a number > %g" lo
+  | _ -> fail path "want a number"
+
+let str path v =
+  match get path v with Str s when s <> "" -> s | _ -> fail path "want a non-empty string"
+
+let obj path v = match get path v with Obj fields -> fields | _ -> fail path "want an object"
+
+let items path v =
+  match get path v with List (_ :: _ as l) -> l | _ -> fail path "want a non-empty array"
+
+let num_or_null path v =
+  match get path v with Null -> None | Num x -> Some x | _ -> fail path "want a number or null"
+
+let each path f v =
+  List.mapi
+    (fun i x ->
+      try f x
+      with Bad m -> raise (Bad (Printf.sprintf "%s[%d]%s" (path_string path) i m)))
+    (items path v)

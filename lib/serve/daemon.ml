@@ -15,7 +15,6 @@ module Json = Mmfair_obs.Json
 
 type config = {
   domains : int;
-  retain : int;
   max_batch : int;
   ack : bool;
   poll_interval : float;
@@ -28,7 +27,6 @@ type config = {
 let default_config =
   {
     domains = 1;
-    retain = 8;
     max_batch = 256;
     ack = false;
     poll_interval = 0.05;
@@ -75,9 +73,9 @@ let create ?(config = default_config) parsed =
     invalid_arg
       (Printf.sprintf "Daemon.create: series_capacity must be >= 2 (got %d)"
          config.series_capacity);
-  match
-    Batch.create_result ~domains:config.domains ~retain:config.retain parsed.Net_parser.net
-  with
+  (* No protocol verb reads a past epoch, so the store keeps only the
+     current one. *)
+  match Batch.create_result ~domains:config.domains ~retain:1 parsed.Net_parser.net with
   | Error _ as e -> e
   | Ok engine ->
       let registry = Registry.create () in

@@ -38,7 +38,6 @@
 
 type config = {
   domains : int;  (** Component-solve parallelism ({!Mmfair_dynamic.Batch.create}). *)
-  retain : int;  (** Epoch-store window ({!Mmfair_dynamic.Store.create}). *)
   max_batch : int;  (** Most events one coalesced epoch may apply (default 256). *)
   ack : bool;  (** Answer [ok epoch N] per accepted ingestion line (default off). *)
   poll_interval : float;  (** Seconds between stop-flag polls when idle (default 0.05). *)

@@ -37,4 +37,5 @@ let () =
       ("flow", Test_flow.suite);
       ("obs", Test_obs.suite);
       ("serve", Test_serve.suite);
+      ("bench-gates", Test_bench_gates.suite);
     ]

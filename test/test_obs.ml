@@ -623,6 +623,46 @@ let test_chrome_trace_close_idempotent () =
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "closed trace is not a JSON object"
 
+(* The committed bench files' layout: nested containers one member per
+   line, all-scalar ones inline; numbers as in to_string. *)
+let test_json_indented () =
+  let v =
+    Json.Obj
+      [
+        ("a", Json.Num 1.0);
+        ("row", Json.Obj [ ("k", Json.Str "x"); ("t", Json.fixed 1 12.345) ]);
+        ("xs", Json.List [ Json.Num 0.5; Json.Null ]);
+        ("rows", Json.List [ Json.Obj [ ("d", Json.Num 4.0) ]; Json.Obj [] ]);
+      ]
+  in
+  Alcotest.(check string) "layout"
+    "{\n\
+    \  \"a\": 1,\n\
+    \  \"row\": { \"k\": \"x\", \"t\": 12.3 },\n\
+    \  \"xs\": [0.5, null],\n\
+    \  \"rows\": [\n\
+    \    { \"d\": 4 },\n\
+    \    {}\n\
+    \  ]\n\
+     }\n"
+    (Json.to_string_indented v);
+  Alcotest.(check bool) "parses back" true (Json.parse (Json.to_string_indented v) = v)
+
+(* Reader failures name the key path they were reading, through [each]
+   as well. *)
+let test_json_reader_paths () =
+  let doc = Json.parse {|{"a":{"b":[{"c":1},{"c":-2}]},"s":""}|} in
+  let bad f =
+    match f () with _ -> Alcotest.fail "reader accepted a bad value" | exception Json.Bad m -> m
+  in
+  Alcotest.(check string) "each + num bound" ".a.b[1].c: want a number >= 0, got -2"
+    (bad (fun () -> Json.each [ "a"; "b" ] (Json.num ~min:0.0 [ "c" ]) doc));
+  Alcotest.(check string) "missing" ".a.z: missing" (bad (fun () -> Json.get [ "a"; "z" ] doc));
+  Alcotest.(check string) "empty string" ".s: want a non-empty string"
+    (bad (fun () -> Json.str [ "s" ] doc));
+  Alcotest.(check (list (float 0.0))) "good reads" [ 1.0; -2.0 ]
+    (Json.each [ "a"; "b" ] (Json.num [ "c" ]) doc)
+
 let suite =
   [
     Alcotest.test_case "Json roundtrip" `Quick test_json_roundtrip;
@@ -653,4 +693,6 @@ let suite =
     Alcotest.test_case "golden Chrome trace agrees with rounds" `Quick test_golden_trace;
     Alcotest.test_case "JSONL exporter lines" `Quick test_jsonl_lines;
     Alcotest.test_case "Chrome trace close idempotent" `Quick test_chrome_trace_close_idempotent;
+    Alcotest.test_case "Json indented layout" `Quick test_json_indented;
+    Alcotest.test_case "Json reader key paths" `Quick test_json_reader_paths;
   ]
