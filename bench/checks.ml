@@ -285,12 +285,24 @@ let non_negative_integer path v =
   if not (Float.is_integer x) then Json.fail path "want a non-negative integer";
   x
 
+(* The args every "round" and "epoch" instant must carry. *)
+let instant_args = function
+  | "round" -> [ "solver"; "round"; "level"; "increment"; "active"; "residual_slack" ]
+  | "epoch" ->
+      [
+        "epoch"; "kind"; "events"; "net_events"; "cancelled"; "component_sessions";
+        "component_receivers"; "total_receivers"; "reuse_fraction"; "full_solve"; "solves";
+        "components"; "largest_component"; "jain"; "max_delta_rate";
+      ]
+  | _ -> []
+
 (* Chrome trace shape: {"traceEvents": [...]}, every event an object
    with name/cat/ph/ts/pid/tid, ph one of B/E/i/C, instants carrying
-   "s".  Returns the summary and the number of solver-round
+   "s", and solver-round and churn-epoch instants carrying their full
+   args.  Returns the summary and the number of solver-round
    instants. *)
 let trace doc =
-  let rounds =
+  let instants =
     Json.each [ "traceEvents" ]
       (fun ev ->
         let name = Json.str [ "name" ] ev in
@@ -299,17 +311,19 @@ let trace doc =
         ignore (Json.num ~min:0.0 [ "ts" ] ev);
         ignore (Json.num [ "pid" ] ev);
         ignore (Json.num [ "tid" ] ev);
-        if ph = "i" then ignore (Json.get [ "s" ] ev);
-        let round = name = "round" && ph = "i" in
-        if round then
-          List.iter
-            (fun k -> ignore (Json.get [ "args"; k ] ev))
-            [ "solver"; "round"; "level"; "increment"; "active"; "residual_slack" ];
-        round)
+        if ph <> "i" then ""
+        else begin
+          ignore (Json.get [ "s" ] ev);
+          List.iter (fun k -> ignore (Json.get [ "args"; k ] ev)) (instant_args name);
+          name
+        end)
       doc
   in
-  let n = List.length (List.filter Fun.id rounds) in
-  (Printf.sprintf "%d trace events, %d solver rounds OK" (List.length rounds) n, n)
+  let count name = List.length (List.filter (String.equal name) instants) in
+  let n = count "round" in
+  ( Printf.sprintf "%d trace events, %d solver rounds, %d epochs OK" (List.length instants) n
+      (count "epoch"),
+    n )
 
 (* Metrics snapshot shape: schema id, counters/gauges objects, and
    histograms whose "counts" length matches "bins".  Returns the

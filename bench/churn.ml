@@ -61,7 +61,6 @@ module Network = Mmfair_core.Network
 module Allocator = Mmfair_core.Allocator
 module Allocation = Mmfair_core.Allocation
 module Graph = Mmfair_topology.Graph
-module Engine = Mmfair_dynamic.Engine
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Churn_gen = Mmfair_workload.Churn_gen
@@ -192,14 +191,14 @@ let measure ~min_time net base_alloc (kind, events) =
         let incr_ns =
           time_best ~min_time (fun () ->
               let eng = Batch.create ~allocation:base_alloc net in
-              Engine.apply eng event)
+              Batch.apply eng [ event ])
         in
         let scratch_ns =
           time_best ~min_time (fun () -> Allocator.max_min (surgery net event))
         in
         (* One untimed apply for the component statistics. *)
         let eng = Batch.create ~allocation:base_alloc net in
-        let stats = Engine.apply eng event in
+        let stats = Batch.apply eng [ event ] in
         (incr_ns, scratch_ns, stats))
       events
   in
@@ -212,9 +211,9 @@ let measure ~min_time net base_alloc (kind, events) =
       scratch_ns = Descriptive.median (Array.of_list (List.map (fun (_, s, _) -> s) per_event));
       speedup = Descriptive.median (Array.of_list (List.map (fun (i, s, _) -> s /. i) per_event));
       mean_reuse =
-        List.fold_left (fun acc (_, _, st) -> acc +. st.Engine.reuse_fraction) 0.0 per_event /. n;
+        List.fold_left (fun acc (_, _, st) -> acc +. st.Batch.reuse_fraction) 0.0 per_event /. n;
       full_fraction =
-        List.fold_left (fun acc (_, _, st) -> acc +. if st.Engine.full_solve then 1.0 else 0.0) 0.0
+        List.fold_left (fun acc (_, _, st) -> acc +. if st.Batch.full_solve then 1.0 else 0.0) 0.0
           per_event
         /. n;
     }
@@ -267,7 +266,7 @@ let measure_batch ~min_time net base_alloc burst =
   let per_event_ns =
     time_best ~min_time (fun () ->
         let eng = Batch.create ~allocation:base_alloc net in
-        List.iter (fun ev -> ignore (Engine.apply eng ev)) burst)
+        List.iter (fun ev -> ignore (Batch.apply eng [ ev ])) burst)
   in
   let batched_ns =
     time_best ~min_time (fun () ->
@@ -360,7 +359,7 @@ let measure_parallel ~min_time () =
   let apply ~domains =
     let eng = Batch.create ~domains ~allocation:base_alloc net in
     let stats = Batch.apply eng burst in
-    (stats, rate_matrix (Engine.network eng) (Engine.allocation eng))
+    (stats, rate_matrix (Batch.network eng) (Batch.allocation eng))
   in
   (* Correctness preflight, before any timing: the batch must actually
      split into [clusters] disjoint components, and every domain count

@@ -469,7 +469,6 @@ let session_churn_cmd =
    coalesced batches (file `batch ... end` blocks, or --coalesce
    re-chunking). *)
 let churn_cmd =
-  let module Engine = Mmfair_dynamic.Engine in
   let module Batch = Mmfair_dynamic.Batch in
   let module Churn_parser = Mmfair_workload.Churn_parser in
   let module Churn_gen = Mmfair_workload.Churn_gen in
@@ -561,7 +560,7 @@ let churn_cmd =
           events_total := !events_total + stats.Batch.events;
           cancelled_total := !cancelled_total + stats.Batch.cancelled;
           if verify then begin
-            let incremental = Engine.allocation eng and now = Engine.network eng in
+            let incremental = Batch.allocation eng and now = Batch.network eng in
             match Allocator.max_min_result now with
             | Error e ->
                 die exit_solver_error "mmfair churn: step %d (%s): scratch solve: %s" (idx + 1)
@@ -596,7 +595,7 @@ let churn_cmd =
          ~columns:[ "#"; "step"; "events"; "comps"; "comp sess"; "comp recv"; "reuse"; "solves"; "mode" ]
          rows);
     if rates then begin
-      let alloc = Engine.allocation eng and now = Engine.network eng in
+      let alloc = Batch.allocation eng and now = Batch.network eng in
       (* Post-churn sessions/links line up with the parsed names: churn
          events never add or remove sessions or links. *)
       let rate_rows =
@@ -617,7 +616,7 @@ let churn_cmd =
         "steps: %d, events: %d, coalesced away: %d, full solves: %d, mean reuse: %.2f, final epoch: %d\n"
         (List.length steps) !events_total !cancelled_total !full_solves
         (!reuse_sum /. float_of_int (Stdlib.max 1 (List.length steps)))
-        (Engine.epoch eng);
+        (Batch.epoch eng);
     if verify && !divergences > 0 then
       die exit_solver_error "mmfair churn: %d receiver rate(s) diverged from the from-scratch solve"
         !divergences
@@ -778,7 +777,6 @@ let churnd_load_cmd =
   let module Net_parser = Mmfair_workload.Net_parser in
   let module Churn_parser = Mmfair_workload.Churn_parser in
   let module Churn_gen = Mmfair_workload.Churn_gen in
-  let module Engine = Mmfair_dynamic.Engine in
   let module Batch = Mmfair_dynamic.Batch in
   let module Line_reader = Mmfair_serve.Line_reader in
   let socket =
@@ -997,11 +995,11 @@ let churnd_load_cmd =
           in
           List.iter
             (fun ev ->
-              match Engine.apply_result offline ev with
+              match Batch.apply_result offline [ ev ] with
               | Ok _ -> ()
               | Error e -> die exit_solver_error "mmfair churnd-load: offline replay: %s" (Solver_error.to_string e))
             trace;
-          let now = Engine.network offline and alloc = Engine.allocation offline in
+          let now = Batch.network offline and alloc = Batch.allocation offline in
           let offline_receivers = Network.all_receivers now in
           if Array.length offline_receivers <> k then begin
             incr mismatches;

@@ -103,7 +103,7 @@ val max_min_partial :
     restricted} problem (pinned rates as constants).  It equals the
     global [max_min] precisely when no link carrying both solved and
     pinned receivers is saturated in the combined result — the
-    fairness-component invariant that [Mmfair_dynamic.Engine]
+    fairness-component invariant that [Mmfair_dynamic.Batch]
     establishes before calling (see DESIGN.md §11).
 
     Because only the component's neighborhood is read, validation is

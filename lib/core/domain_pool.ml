@@ -80,17 +80,21 @@ let shutdown t =
 
 (* A sink that defers every event as a closure over the real sink;
    the buffer is mutated only by the domain executing the task and
-   read by the submitting domain after the join barrier. *)
+   read by the submitting domain after the join barrier.  A record
+   literal, not [Sink.make]: a field added to [Sink.t] must be
+   forwarded here or the build fails, instead of silently dropping
+   that event kind from every pooled task. *)
 let buffering buf =
   let push f = buf := f :: !buf in
-  Sink.make
-    ~on_round:(fun ev -> push (fun s -> s.Sink.on_round ev))
-    ~on_epoch:(fun ev -> push (fun s -> s.Sink.on_epoch ev))
-    ~on_batch:(fun ev -> push (fun s -> s.Sink.on_batch ev))
-    ~on_sim:(fun ev -> push (fun s -> s.Sink.on_sim ev))
-    ~on_span_begin:(fun n -> push (fun s -> s.Sink.on_span_begin n))
-    ~on_span_end:(fun n -> push (fun s -> s.Sink.on_span_end n))
-    ()
+  {
+    Sink.enabled = true;
+    on_round = (fun ev -> push (fun s -> s.Sink.on_round ev));
+    on_epoch = (fun ev -> push (fun s -> s.Sink.on_epoch ev));
+    on_pool = (fun ev -> push (fun s -> s.Sink.on_pool ev));
+    on_sim = (fun ev -> push (fun s -> s.Sink.on_sim ev));
+    on_span_begin = (fun n -> push (fun s -> s.Sink.on_span_begin n));
+    on_span_end = (fun n -> push (fun s -> s.Sink.on_span_end n));
+  }
 
 (* Re-raise the lowest-indexed task failure under the documented
    policy: solver-contract exceptions as themselves, anything else as

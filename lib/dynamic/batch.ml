@@ -511,7 +511,6 @@ let apply t events =
       !merged
     end
   in
-  let alloc = ref alloc in
   let component_receivers = Component.receiver_count comp in
   let reuse_fraction =
     if total_receivers = 0 || !full then 0.0
@@ -532,23 +531,9 @@ let apply t events =
     }
   in
   t.network <- new_net;
-  t.allocation <- !alloc;
-  let entry = Store.push t.store ~events ~network:new_net ~allocation:!alloc in
+  t.allocation <- alloc;
+  let entry = Store.push t.store ~events ~network:new_net ~allocation:alloc in
   if Obs.Probe.enabled () then begin
-    let kind = match events with [ e ] -> Event.kind e | _ -> "batch" in
-    Obs.Probe.epoch
-      {
-        Obs.Events.epoch = entry.Store.epoch;
-        kind;
-        component_sessions = stats.component_sessions;
-        component_receivers = stats.component_receivers;
-        total_receivers = stats.total_receivers;
-        reuse_fraction = stats.reuse_fraction;
-        full_solve = stats.full_solve;
-        solves = stats.solves;
-      };
-    Obs.Probe.batch
-      { Obs.Events.b_epoch = entry.Store.epoch; events = raw; net_events; cancelled };
     (* Fairness telemetry: how fair the landed allocation is and how
        hard rates moved this epoch.  [pinned] rows are the previous
        rates remapped to the new receiver order by node (0 for
@@ -565,8 +550,8 @@ let apply t events =
             let d = Float.abs (r -. before.(k)) in
             if d > !max_delta then max_delta := d)
           now)
-      (Allocation.unsafe_rows !alloc) pinned;
-    let largest =
+      (Allocation.unsafe_rows alloc) pinned;
+    let largest_component =
       if Component.is_empty comp then 0
       else if stats.full_solve then Component.cardinal comp
       else
@@ -574,14 +559,23 @@ let apply t events =
           (fun acc g -> Stdlib.max acc (Array.length g))
           0 (Component.groups comp)
     in
-    Obs.Probe.fairness
+    Obs.Probe.epoch
       {
-        Obs.Events.f_epoch = entry.Store.epoch;
-        jain = Mmfair_core.Metrics.jain_index !alloc;
-        max_delta_rate = !max_delta;
-        components = stats.components;
+        Obs.Events.epoch = entry.Store.epoch;
+        kind = (match events with [ e ] -> Event.kind e | _ -> "batch");
+        events = raw;
+        net_events;
+        cancelled;
         component_sessions = stats.component_sessions;
-        largest_component = largest;
+        component_receivers;
+        total_receivers;
+        reuse_fraction;
+        full_solve = stats.full_solve;
+        solves = stats.solves;
+        components = stats.components;
+        largest_component;
+        jain = Mmfair_core.Metrics.jain_index alloc;
+        max_delta_rate = !max_delta;
       }
   end;
   stats

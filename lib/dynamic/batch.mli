@@ -20,11 +20,13 @@
     the same sound fixed point as the per-event engine (DESIGN.md
     §11–13).
 
-    {!Engine.apply} is the singleton case of {!apply}, and a single
-    event is a one-event surgery: there is one implementation, so the
-    per-event differential gate covers the batch machinery too; a
-    dedicated gate replays random traces at batch sizes 1/4/16 and
-    requires identical final rates. *)
+    Per-event churn is the singleton batch [apply t [ ev ]], a
+    one-event surgery: there is one implementation, so the per-event
+    differential gate ([test/churn_differential.ml], which checks
+    every epoch against [Allocator.max_min] from scratch within
+    [1e-9]) covers the batch machinery too; a dedicated gate replays
+    random traces at batch sizes 1/4/16 and requires identical final
+    rates. *)
 
 type stats = {
   events : int;  (** Raw events submitted. *)
@@ -45,9 +47,11 @@ type stats = {
           task, summed over boundary-expansion rounds); [1] on a full
           solve, [0] when nothing could move. *)
 }
-(** What one {!apply} did — also emitted as paired [epoch] and [batch]
-    probe events ({!Mmfair_obs.Events.epoch}, {!Mmfair_obs.Events.batch})
-    for the telemetry sinks. *)
+(** What one {!apply} did — also emitted, with the epoch's fairness
+    telemetry, as one [epoch] probe event ({!Mmfair_obs.Events.epoch})
+    for the telemetry sinks.  The fairness fields (a Jain index over
+    every receiver, the largest rate move) are computed only while a
+    sink listens ({!Mmfair_obs.Probe.enabled}). *)
 
 type scheduler = { run : (unit -> unit) list -> unit }
 (** How the batch's water-filling passes execute.  [run] receives one
@@ -120,7 +124,7 @@ val solver : t -> Mmfair_core.Solve_engine.t
 val apply : t -> Event.t list -> stats
 (** Apply one batch of churn events as a single epoch: one surgery
     over all of them, state diff, union component, restricted
-    solve(s), store push, [epoch] + [batch] probe emission.  Events
+    solve(s), store push, [epoch] probe emission.  Events
     validate against the {e evolving} network in list order (so a join
     followed by a leave of the same node is legal in one batch, and a
     leave of a receiver that never existed is not), with the

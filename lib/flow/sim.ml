@@ -1,4 +1,3 @@
-module Engine = Mmfair_dynamic.Engine
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Allocation = Mmfair_core.Allocation
@@ -137,7 +136,7 @@ let run ?(config = default) scn =
     end
   in
   let refresh_rates () =
-    let alloc = Engine.allocation eng in
+    let alloc = Batch.allocation eng in
     for j = 0 to !population - 1 do
       let f = live.(j) in
       rate.(f) <-

@@ -72,6 +72,7 @@ let on_round t (ev : Events.round) =
 
 let on_epoch t (ev : Events.epoch) =
   let ts = ts_us t in
+  let int n = Json.Num (float_of_int n) in
   push t
     (base ~name:"epoch" ~cat:"dynamic" ~ph:"i" ~ts
        [
@@ -79,53 +80,25 @@ let on_epoch t (ev : Events.epoch) =
          ( "args",
            Json.Obj
              [
-               ("epoch", Json.Num (float_of_int ev.Events.epoch));
+               ("epoch", int ev.Events.epoch);
                ("kind", Json.Str ev.Events.kind);
-               ("component_sessions", Json.Num (float_of_int ev.Events.component_sessions));
-               ("component_receivers", Json.Num (float_of_int ev.Events.component_receivers));
-               ("total_receivers", Json.Num (float_of_int ev.Events.total_receivers));
+               ("events", int ev.Events.events);
+               ("net_events", int ev.Events.net_events);
+               ("cancelled", int ev.Events.cancelled);
+               ("component_sessions", int ev.Events.component_sessions);
+               ("component_receivers", int ev.Events.component_receivers);
+               ("total_receivers", int ev.Events.total_receivers);
                ("reuse_fraction", Json.Num ev.Events.reuse_fraction);
                ("full_solve", Json.Bool ev.Events.full_solve);
-               ("solves", Json.Num (float_of_int ev.Events.solves));
-             ] );
-       ]);
-  counter t ~name:"dynamic:reuse" ~ts [ ("fraction", Json.Num ev.Events.reuse_fraction) ]
-
-let on_batch t (ev : Events.batch) =
-  let ts = ts_us t in
-  push t
-    (base ~name:"batch" ~cat:"dynamic" ~ph:"i" ~ts
-       [
-         ("s", Json.Str "t");
-         ( "args",
-           Json.Obj
-             [
-               ("epoch", Json.Num (float_of_int ev.Events.b_epoch));
-               ("events", Json.Num (float_of_int ev.Events.events));
-               ("net_events", Json.Num (float_of_int ev.Events.net_events));
-               ("cancelled", Json.Num (float_of_int ev.Events.cancelled));
-             ] );
-       ]);
-  counter t ~name:"dynamic:batch-events" ~ts
-    [ ("events", Json.Num (float_of_int ev.Events.events)) ]
-
-let on_fairness t (ev : Events.fairness) =
-  let ts = ts_us t in
-  push t
-    (base ~name:"fairness" ~cat:"dynamic" ~ph:"i" ~ts
-       [
-         ("s", Json.Str "t");
-         ( "args",
-           Json.Obj
-             [
-               ("epoch", Json.Num (float_of_int ev.Events.f_epoch));
+               ("solves", int ev.Events.solves);
+               ("components", int ev.Events.components);
+               ("largest_component", int ev.Events.largest_component);
                ("jain", Json.Num ev.Events.jain);
                ("max_delta_rate", Json.Num ev.Events.max_delta_rate);
-               ("components", Json.Num (float_of_int ev.Events.components));
-               ("component_sessions", Json.Num (float_of_int ev.Events.component_sessions));
-               ("largest_component", Json.Num (float_of_int ev.Events.largest_component));
              ] );
        ]);
+  counter t ~name:"dynamic:reuse" ~ts [ ("fraction", Json.Num ev.Events.reuse_fraction) ];
+  counter t ~name:"dynamic:batch-events" ~ts [ ("events", int ev.Events.events) ];
   counter t ~name:"dynamic:jain" ~ts [ ("index", Json.Num ev.Events.jain) ]
 
 let on_pool t (ev : Events.pool) =
@@ -166,8 +139,7 @@ let on_sim t (ev : Events.sim) =
 let on_span t ph name = push t (base ~name ~cat:"span" ~ph ~ts:(ts_us t) [])
 
 let sink t =
-  Sink.make ~on_round:(on_round t) ~on_epoch:(on_epoch t) ~on_batch:(on_batch t)
-    ~on_fairness:(on_fairness t) ~on_pool:(on_pool t) ~on_sim:(on_sim t)
+  Sink.make ~on_round:(on_round t) ~on_epoch:(on_epoch t) ~on_pool:(on_pool t) ~on_sim:(on_sim t)
     ~on_span_begin:(on_span t "B")
     ~on_span_end:(on_span t "E")
     ()

@@ -4,7 +4,11 @@
 
     Emitted events: spans as B/E duration pairs (cat ["span"]), solver
     rounds as instants (cat ["solver"], name ["round"], full payload
-    under [args]) plus an ["active:<solver>"] counter track, sim queue
+    under [args]) plus an ["active:<solver>"] counter track, churn
+    epochs as instants (cat ["dynamic"], name ["epoch"], every
+    {!Events.epoch} field under [args]) plus the ["dynamic:reuse"],
+    ["dynamic:batch-events"] and ["dynamic:jain"] counter tracks, pool
+    batches as instants plus a ["pool:utilization"] track, sim queue
     depth as a ["sim:queue-depth"] counter track, and drops as
     instants.  Timestamps are microseconds since the writer was
     created, stamped at event receipt by [clock] (default

@@ -18,11 +18,20 @@ type round = {
 }
 
 type epoch = {
-  epoch : int;  (** 1-based epoch index: one per applied churn event. *)
-  kind : string;  (** Churn event class: "join", "leave", "rho", "cap". *)
+  epoch : int;  (** 1-based epoch index: one per applied churn batch. *)
+  kind : string;
+      (** Churn event class of a singleton batch ("join", "leave",
+          "rho", "cap"); "batch" for a multi-event batch. *)
+  events : int;  (** Raw churn events submitted in the batch. *)
+  net_events : int;
+      (** Surviving changes after coalescing: net receiver arrivals and
+          departures (join/leave pairs on one node cancel), sessions
+          whose [ρ] actually moved, links whose capacity actually moved
+          (last writer wins). *)
+  cancelled : int;  (** [events - net_events]: changes coalescing eliminated. *)
   component_sessions : int;  (** Sessions inside the re-solved fairness component. *)
   component_receivers : int;  (** Receivers inside the component. *)
-  total_receivers : int;  (** Receivers in the whole network after the event. *)
+  total_receivers : int;  (** Receivers in the whole network after the epoch. *)
   reuse_fraction : float;
       (** Fraction of receivers whose rates were carried over frozen
           from the previous epoch ([1 - component/total]; 0 on a full
@@ -31,40 +40,19 @@ type epoch = {
   solves : int;
       (** Restricted water-filling passes this epoch (1 + component
           expansions; 1 for a full solve). *)
-}
-(** One epoch of the incremental churn engine ([Mmfair_dynamic]):
-    emitted after each applied event with the size of the re-solved
-    fairness component and how much of the previous allocation was
-    reused. *)
-
-type batch = {
-  b_epoch : int;  (** The epoch the batch produced (matches the paired {!epoch} event). *)
-  events : int;  (** Raw churn events submitted in the batch. *)
-  net_events : int;
-      (** Surviving changes after coalescing: net receiver arrivals and
-          departures (join/leave pairs on one node cancel), sessions
-          whose [ρ] actually moved, links whose capacity actually moved
-          (last writer wins). *)
-  cancelled : int;  (** [events - net_events]: changes coalescing eliminated. *)
-}
-(** One coalesced batch applied by [Mmfair_dynamic.Batch]: how much of
-    the submitted burst survived netting-out.  Emitted alongside the
-    {!epoch} event for the same epoch (a per-event apply is a
-    singleton batch with [events = 1]). *)
-
-type fairness = {
-  f_epoch : int;  (** The epoch this snapshot describes (matches the paired {!epoch} event). *)
+  components : int;  (** Disjoint component groups solved this epoch (0 when nothing moved). *)
+  largest_component : int;  (** Sessions in the largest solved group (0 when nothing moved). *)
   jain : float;  (** Jain fairness index over every receiver rate after the epoch. *)
   max_delta_rate : float;
       (** Largest per-receiver rate move this epoch, matched by
           (session, node); a receiver that just arrived moves from 0. *)
-  components : int;  (** Disjoint component groups solved this epoch (0 when nothing moved). *)
-  component_sessions : int;  (** Sessions across all solved groups. *)
-  largest_component : int;  (** Sessions in the largest solved group (0 when nothing moved). *)
 }
-(** Per-epoch fairness telemetry from the incremental engine: how fair
-    the allocation is, how hard rates moved, and how the re-solved
-    component partitioned.  Emitted alongside {!epoch}/{!batch}. *)
+(** One epoch of the incremental churn engine ([Mmfair_dynamic.Batch]):
+    emitted once per applied batch (a per-event apply is a singleton
+    batch with [events = 1]) with how much of the burst survived
+    netting-out, the size and partition of the re-solved fairness
+    component, how much of the previous allocation was reused, how
+    fair the landed allocation is and how hard rates moved. *)
 
 type pool = {
   p_domains : int;  (** Pool parallelism (submitting domain included). *)

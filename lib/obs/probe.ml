@@ -23,14 +23,6 @@ let epoch ev =
   let s = Domain.DLS.get key in
   if s.Sink.enabled then s.Sink.on_epoch ev
 
-let batch ev =
-  let s = Domain.DLS.get key in
-  if s.Sink.enabled then s.Sink.on_batch ev
-
-let fairness ev =
-  let s = Domain.DLS.get key in
-  if s.Sink.enabled then s.Sink.on_fairness ev
-
 let pool ev =
   let s = Domain.DLS.get key in
   if s.Sink.enabled then s.Sink.on_pool ev

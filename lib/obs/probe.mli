@@ -40,12 +40,6 @@ val round : Events.round -> unit
 val epoch : Events.epoch -> unit
 (** Emit a churn epoch event (no-op when disabled). *)
 
-val batch : Events.batch -> unit
-(** Emit a coalesced churn batch event (no-op when disabled). *)
-
-val fairness : Events.fairness -> unit
-(** Emit a per-epoch fairness event (no-op when disabled). *)
-
 val pool : Events.pool -> unit
 (** Emit a domain-pool batch event (no-op when disabled). *)
 

@@ -312,13 +312,11 @@ let sink ?(clock = Unix.gettimeofday) t =
       if ev.Events.full_solve then incr full_solves;
       incr (counter t ("dynamic.events." ^ ev.Events.kind));
       observe reuse_hist ev.Events.reuse_fraction;
-      observe component_hist (float_of_int ev.Events.component_receivers))
-    ~on_batch:(fun (ev : Events.batch) ->
+      observe component_hist (float_of_int ev.Events.component_receivers);
       incr batches_total;
       incr ~by:ev.Events.events batch_events;
       incr ~by:ev.Events.cancelled batch_cancelled;
-      observe batch_size_hist (float_of_int ev.Events.events))
-    ~on_fairness:(fun (ev : Events.fairness) ->
+      observe batch_size_hist (float_of_int ev.Events.events);
       set jain_g ev.Events.jain;
       observe_log delta_lh ev.Events.max_delta_rate;
       set_max delta_max_g ev.Events.max_delta_rate;

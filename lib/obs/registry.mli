@@ -95,10 +95,13 @@ val sink : ?clock:(unit -> float) -> t -> Sink.t
     [solver.rounds.total], per-solver [solver.rounds.<name>] and
     [solver.level.<name>], [solver.freezes.total],
     [solver.saturated.links.total] and the [solver.round.active]
-    histogram; batch events feed [dynamic.batches.total],
-    [dynamic.batch.events.total], [dynamic.batch.cancelled.total] and
-    the [dynamic.batch.events] size histogram; fairness events feed
-    the [fairness.jain]/[fairness.components]/
+    histogram; epoch events feed [dynamic.epochs.total],
+    [dynamic.solves.total], [dynamic.full_solves.total], per-kind
+    [dynamic.events.<kind>], the [dynamic.epoch.reuse_fraction] and
+    [dynamic.epoch.component_receivers] histograms,
+    [dynamic.batches.total], [dynamic.batch.events.total],
+    [dynamic.batch.cancelled.total], the [dynamic.batch.events] size
+    histogram, the [fairness.jain]/[fairness.components]/
     [fairness.largest_component] gauges, the [fairness.delta_rate]
     log histogram and the [fairness.delta_rate.max] high-water gauge;
     pool events feed [pool.batches.total], [pool.tasks.total], the

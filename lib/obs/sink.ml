@@ -2,8 +2,6 @@ type t = {
   enabled : bool;
   on_round : Events.round -> unit;
   on_epoch : Events.epoch -> unit;
-  on_batch : Events.batch -> unit;
-  on_fairness : Events.fairness -> unit;
   on_pool : Events.pool -> unit;
   on_sim : Events.sim -> unit;
   on_span_begin : string -> unit;
@@ -15,22 +13,18 @@ let null =
     enabled = false;
     on_round = ignore;
     on_epoch = ignore;
-    on_batch = ignore;
-    on_fairness = ignore;
     on_pool = ignore;
     on_sim = ignore;
     on_span_begin = ignore;
     on_span_end = ignore;
   }
 
-let make ?(on_round = ignore) ?(on_epoch = ignore) ?(on_batch = ignore) ?(on_fairness = ignore)
-    ?(on_pool = ignore) ?(on_sim = ignore) ?(on_span_begin = ignore) ?(on_span_end = ignore) () =
+let make ?(on_round = ignore) ?(on_epoch = ignore) ?(on_pool = ignore) ?(on_sim = ignore)
+    ?(on_span_begin = ignore) ?(on_span_end = ignore) () =
   {
     enabled = true;
     on_round;
     on_epoch;
-    on_batch;
-    on_fairness;
     on_pool;
     on_sim;
     on_span_begin;
@@ -53,14 +47,6 @@ let tee a b =
           (fun ev ->
             a.on_epoch ev;
             b.on_epoch ev);
-        on_batch =
-          (fun ev ->
-            a.on_batch ev;
-            b.on_batch ev);
-        on_fairness =
-          (fun ev ->
-            a.on_fairness ev;
-            b.on_fairness ev);
         on_pool =
           (fun ev ->
             a.on_pool ev;

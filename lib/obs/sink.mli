@@ -10,9 +10,9 @@
 type t = {
   enabled : bool;  (** [false] only for {!null}: lets call sites skip event construction entirely. *)
   on_round : Events.round -> unit;  (** One water-filling round completed. *)
-  on_epoch : Events.epoch -> unit;  (** One churn epoch applied by the incremental engine. *)
-  on_batch : Events.batch -> unit;  (** One coalesced churn batch (how much of the burst netted out). *)
-  on_fairness : Events.fairness -> unit;  (** Per-epoch fairness telemetry (Jain index, rate movement, components). *)
+  on_epoch : Events.epoch -> unit;
+      (** One churn epoch applied by the incremental engine (coalescing,
+          component and fairness telemetry in one record). *)
   on_pool : Events.pool -> unit;  (** One domain-pool batch (queue wait, busy time, spread). *)
   on_sim : Events.sim -> unit;  (** Discrete-event simulator activity. *)
   on_span_begin : string -> unit;  (** A named region opened.  The sink stamps its own clock. *)
@@ -25,8 +25,6 @@ val null : t
 val make :
   ?on_round:(Events.round -> unit) ->
   ?on_epoch:(Events.epoch -> unit) ->
-  ?on_batch:(Events.batch -> unit) ->
-  ?on_fairness:(Events.fairness -> unit) ->
   ?on_pool:(Events.pool -> unit) ->
   ?on_sim:(Events.sim -> unit) ->
   ?on_span_begin:(string -> unit) ->

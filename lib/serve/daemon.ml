@@ -1,7 +1,6 @@
 module Network = Mmfair_core.Network
 module Allocation = Mmfair_core.Allocation
 module Solver_error = Mmfair_core.Solver_error
-module Engine = Mmfair_dynamic.Engine
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Net_parser = Mmfair_workload.Net_parser
@@ -43,7 +42,7 @@ type pending = { events : Event.t list; lineno : int; respond : string -> unit }
 type t = {
   config : config;
   parsed : Net_parser.t;
-  engine : Engine.t;
+  engine : Batch.t;
   registry : Registry.t;
   stop : bool Atomic.t;
   mutable queue : pending list;  (* newest first *)
@@ -149,7 +148,7 @@ let flush t =
             Registry.observe_log t.solve_h (Clock.since_s t0);
             Registry.incr t.epochs;
             if t.config.ack then begin
-              let e = Engine.epoch t.engine in
+              let e = Batch.epoch t.engine in
               List.iter (fun p -> p.respond (Printf.sprintf "ok epoch %d" e)) items
             end;
             Ok ()
@@ -223,7 +222,7 @@ let find_name lineno what names name =
   !found
 
 let receiver_rows t =
-  let net = Engine.network t.engine and alloc = Engine.allocation t.engine in
+  let net = Batch.network t.engine and alloc = Batch.allocation t.engine in
   Array.to_list (Network.all_receivers net)
   |> List.map (fun (r : Network.receiver_id) ->
          let spec = Network.session_spec net r.Network.session in
@@ -237,17 +236,17 @@ let answer t ~lineno ~respond (q : Protocol.query) =
   match q with
   | Protocol.Epoch ->
       flush t;
-      respond (Printf.sprintf "epoch %d" (Engine.epoch t.engine))
+      respond (Printf.sprintf "epoch %d" (Batch.epoch t.engine))
   | Protocol.Rates ->
       flush t;
       let rows = receiver_rows t in
-      respond (Printf.sprintf "rates %d epoch %d" (List.length rows) (Engine.epoch t.engine));
+      respond (Printf.sprintf "rates %d epoch %d" (List.length rows) (Batch.epoch t.engine));
       List.iter respond rows
   | Protocol.Rate { session; node } ->
       flush t;
       let si = find_name lineno "session" t.parsed.Net_parser.session_names session in
       let ni = find_name lineno "node" t.parsed.Net_parser.node_names node in
-      let net = Engine.network t.engine in
+      let net = Batch.network t.engine in
       let spec = Network.session_spec net si in
       let index = ref (-1) in
       Array.iteri (fun k n -> if n = ni && !index < 0 then index := k) spec.Network.receivers;
@@ -257,7 +256,7 @@ let answer t ~lineno ~respond (q : Protocol.query) =
              (lineno, Printf.sprintf "session %s has no receiver on node %s" session node));
       respond
         (Printf.sprintf "rate %.17g"
-           (Allocation.rate (Engine.allocation t.engine)
+           (Allocation.rate (Batch.allocation t.engine)
               { Network.session = si; Network.index = !index }))
   | Protocol.Metrics `Json -> respond ("metrics " ^ Json.to_string (snapshot t))
   | Protocol.Metrics `Prometheus ->
@@ -293,7 +292,7 @@ let answer t ~lineno ~respond (q : Protocol.query) =
             (Json.Obj
                [
                  ("t", Json.Num (Clock.now_s ()));
-                 ("epoch", Json.Num (float_of_int (Engine.epoch t.engine)));
+                 ("epoch", Json.Num (float_of_int (Batch.epoch t.engine)));
                  ("ingested", cval "serve.events.ingested.total");
                  ("rejected", cval "serve.events.rejected.total");
                  ("epochs", cval "serve.epochs.total");
@@ -453,9 +452,9 @@ let with_signals t f =
         saved)
     f
 
-(* The registry observes the engine's own probe stream (epoch and batch
-   events feed the dynamic.* instruments) tee'd onto whatever sink the
-   caller already installed. *)
+(* The registry observes the engine's own probe stream (epoch events
+   feed the dynamic.* and fairness.* instruments) tee'd onto whatever
+   sink the caller already installed. *)
 let with_probe t f =
   Probe.with_sink (Sink.tee (Probe.get ()) (Registry.sink ~clock:Clock.now_s t.registry)) f
 

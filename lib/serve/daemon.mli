@@ -1,7 +1,7 @@
 (** The [mmfair churnd] serving loop.
 
     A daemon wraps one incremental churn engine
-    ({!Mmfair_dynamic.Engine}, made by {!Mmfair_dynamic.Batch.create}
+    ({!Mmfair_dynamic.Batch}, made by {!Mmfair_dynamic.Batch.create}
     with the default solver, which picks its water-filling increment
     engine from the network) and feeds it from a byte stream — a
     pipe/FIFO ({!serve_fd}) or a Unix-domain socket with any number of
@@ -70,7 +70,7 @@ val create : ?config:config -> Mmfair_workload.Net_parser.t -> (t, Mmfair_core.S
     [config.series_capacity < 2]; [Sys_error] on an unopenable
     [series_out] path. *)
 
-val engine : t -> Mmfair_dynamic.Engine.t
+val engine : t -> Mmfair_dynamic.Batch.t
 (** The underlying engine (current network, allocation, epoch store). *)
 
 val registry : t -> Mmfair_obs.Registry.t

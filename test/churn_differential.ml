@@ -2,7 +2,7 @@
 
    For each seed: generate a random network (mixed session types,
    rho limits, Scaled link-rate functions), draw a random churn trace
-   (Churn_gen), and replay it through Mmfair_dynamic.Engine.  After
+   (Churn_gen), and replay it through Mmfair_dynamic.Batch.  After
    EVERY event the incremental allocation must match a from-scratch
    Allocator.max_min on the post-event network within a relative 1e-9
    — the correctness gate for the fairness-component construction
@@ -51,7 +51,6 @@ module Network = Mmfair_core.Network
 module Allocation = Mmfair_core.Allocation
 module Allocator = Mmfair_core.Allocator
 module Solver_error = Mmfair_core.Solver_error
-module Engine = Mmfair_dynamic.Engine
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Random_nets = Mmfair_workload.Random_nets
@@ -166,10 +165,10 @@ let replay_batched ~case ~domains ~size net trace =
             | Error e ->
                 fail_case ~case "batch %d: engine errored: %s" bidx (Solver_error.to_string e);
                 ok := false
-            | Ok _stats -> allocs := (Engine.network eng, Engine.allocation eng) :: !allocs)
+            | Ok _stats -> allocs := (Batch.network eng, Batch.allocation eng) :: !allocs)
         (chunks size trace);
       if !ok then begin
-        check_network ~case (Engine.network eng);
+        check_network ~case (Batch.network eng);
         Some (List.rev !allocs)
       end
       else None
@@ -264,14 +263,14 @@ let replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace =
       let snaps = ref [] in
       List.iteri
         (fun idx event ->
-          match Engine.apply_result eng event with
+          match Batch.apply_result eng [ event ] with
           | Error e ->
               fail_case ~case "event %d (%s): engine errored: %s" idx
                 (Format.asprintf "%a" Event.pp event)
                 (Solver_error.to_string e)
           | Ok stats ->
-              if stats.Engine.full_solve then incr full_solves;
-              reuse_sum := !reuse_sum +. stats.Engine.reuse_fraction;
+              if stats.Batch.full_solve then incr full_solves;
+              reuse_sum := !reuse_sum +. stats.Batch.reuse_fraction;
               (* Networks and allocations are immutable snapshots;
                  defer the expensive from-scratch checks to one pooled
                  pass after the replay. *)
@@ -279,13 +278,13 @@ let replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace =
                 {
                   s_case = case;
                   s_label = Printf.sprintf "event %d (%s)" idx (Format.asprintf "%a" Event.pp event);
-                  s_net = Engine.network eng;
-                  s_alloc = Engine.allocation eng;
+                  s_net = Batch.network eng;
+                  s_alloc = Batch.allocation eng;
                 }
                 :: !snaps)
         trace;
       check_snapshots ~counter:events_checked !snaps;
-      check_network ~case (Engine.network eng);
+      check_network ~case (Batch.network eng);
       (* The trace must round-trip through the .churn renderer/parser:
          parse the rendered trace against the rendered net, then
          re-render with the parsed name tables — the text must come
@@ -300,7 +299,7 @@ let replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace =
           | Ok trace' ->
               if Churn_parser.render ~names:parsed trace' <> text then
                 fail_case ~case "trace round-trip changed the events"));
-      let reference = Engine.allocation eng in
+      let reference = Batch.allocation eng in
       List.iter
         (fun size -> check_batched ~case ~domain_counts ~size solve_net trace reference)
         batch_sizes

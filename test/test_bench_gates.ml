@@ -6,6 +6,9 @@
 
 module Json = Mmfair_obs.Json
 module Checks = Mmfair_bench.Checks
+module Obs = Mmfair_obs
+module Batch = Mmfair_dynamic.Batch
+module Event = Mmfair_dynamic.Event
 
 let allocator_doc = lazy (Json.load "../BENCH_allocator.json")
 let churn_doc = lazy (Json.load "../BENCH_churn.json")
@@ -125,6 +128,38 @@ let test_overhead_baseline () =
   in
   Alcotest.(check (option (float 0.0))) "no k=16 point" None (snd (Checks.overhead_baseline quick_like))
 
+(* A trace of one churn epoch, as the Chrome writer emits it, passes;
+   dropping any one arg from its "epoch" instant fails, and the message
+   names the dropped key's path. *)
+let test_trace_epoch_args () =
+  let buf = Buffer.create 1024 in
+  let writer = Obs.Chrome_trace.create ~emit:(Buffer.add_string buf) () in
+  let { Mmfair_workload.Paper_nets.net; _ } = Mmfair_workload.Paper_nets.figure2 () in
+  Obs.Probe.with_sink (Obs.Chrome_trace.sink writer) (fun () ->
+      let eng = Batch.create net in
+      ignore (Batch.apply eng [ Event.Rho_change { session = 1; rho = 2.0 } ]));
+  Obs.Chrome_trace.close writer;
+  let doc = Json.parse (Buffer.contents buf) in
+  passes Checks.trace doc;
+  let events = Json.items [ "traceEvents" ] doc in
+  let i =
+    match List.find_index (fun ev -> Json.member "name" ev = Some (Json.Str "epoch")) events with
+    | Some i -> i
+    | None -> Alcotest.fail "no epoch instant in the trace"
+  in
+  let args = Json.obj [ "args" ] (List.nth events i) in
+  List.iter
+    (fun (k, _) ->
+      let without =
+        update
+          [ K "traceEvents"; Where ("name", Json.Str "epoch"); K "args" ]
+          (fun _ -> Json.Obj (List.remove_assoc k args))
+          doc
+      in
+      fails Checks.trace ~because:(Printf.sprintf ".traceEvents[%d].args.%s: missing" i k) without)
+    args;
+  Alcotest.(check int) "every merged key is checked" 15 (List.length args)
+
 let suite =
   [
     Alcotest.test_case "committed bench files pass" `Quick test_committed_pass;
@@ -151,4 +186,5 @@ let suite =
     Alcotest.test_case "allocator samples_ns >= time_ns" `Quick test_samples_gate;
     Alcotest.test_case "quick documents skip the timing gates" `Quick test_quick_skips_timing;
     Alcotest.test_case "overhead baselines read from the file" `Quick test_overhead_baseline;
+    Alcotest.test_case "trace epoch instants carry every arg" `Quick test_trace_epoch_args;
   ]

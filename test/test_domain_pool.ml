@@ -117,6 +117,77 @@ let test_probe_replay_order () =
       Domain_pool.shutdown pool)
     [ 1; 3 ]
 
+let test_probe_replay_every_kind () =
+  (* Every event kind a task emits reaches the caller's sink exactly
+     once, in emission order and task order, with the pool's own
+     summary event last.  Tasks on a multi-domain pool run under a
+     buffering sink, so a kind it failed to forward would vanish. *)
+  let pool = Domain_pool.create ~domains:2 in
+  let seen = ref [] in
+  let log s = seen := s :: !seen in
+  let sink =
+    Obs.Sink.make
+      ~on_round:(fun ev -> log (Printf.sprintf "round %d" ev.Obs.Events.round))
+      ~on_epoch:(fun ev -> log (Printf.sprintf "epoch %d" ev.Obs.Events.epoch))
+      ~on_pool:(fun ev -> log (Printf.sprintf "pool %d" ev.Obs.Events.p_tasks))
+      ~on_sim:(function
+        | Obs.Events.Dropped { count } -> log (Printf.sprintf "sim %d" count) | _ -> log "sim ?")
+      ~on_span_begin:(fun n -> log ("begin " ^ n))
+      ~on_span_end:(fun n -> log ("end " ^ n))
+      ()
+  in
+  let task i () =
+    Obs.Probe.round
+      {
+        Obs.Events.solver = "Allocator";
+        round = i;
+        level = 0.0;
+        increment = 0.0;
+        active = 0;
+        frozen = [];
+        saturated_links = [];
+        bottleneck_link = None;
+        residual_slack = 0.0;
+      };
+    Obs.Probe.epoch
+      {
+        Obs.Events.epoch = i;
+        kind = "join";
+        events = 1;
+        net_events = 1;
+        cancelled = 0;
+        component_sessions = 1;
+        component_receivers = 1;
+        total_receivers = 1;
+        reuse_fraction = 0.0;
+        full_solve = true;
+        solves = 1;
+        components = 1;
+        largest_component = 1;
+        jain = 1.0;
+        max_delta_rate = 0.0;
+      };
+    (* A nested one-domain pool emits its own pool event in-task. *)
+    Domain_pool.run (Domain_pool.create ~domains:1) (List.init (10 + i) (fun _ () -> ()));
+    Obs.Probe.sim (Obs.Events.Dropped { count = i });
+    Obs.Probe.span (Printf.sprintf "task-%d" i) ignore
+  in
+  Obs.Probe.with_sink sink (fun () -> Domain_pool.run pool [ task 0; task 1 ]);
+  Domain_pool.shutdown pool;
+  let per_task i =
+    [
+      Printf.sprintf "round %d" i;
+      Printf.sprintf "epoch %d" i;
+      Printf.sprintf "pool %d" (10 + i);
+      Printf.sprintf "sim %d" i;
+      Printf.sprintf "begin task-%d" i;
+      Printf.sprintf "end task-%d" i;
+    ]
+  in
+  Alcotest.(check (list string)) "every kind once, in order"
+    (per_task 0 @ per_task 1 @ [ "pool 2" ])
+    (List.rev !seen)
+
 let test_shared_pools () =
   let a = Domain_pool.shared ~domains:2 in
   let b = Domain_pool.shared ~domains:2 in
@@ -172,6 +243,7 @@ let suite =
     Alcotest.test_case "create rejects domains < 1" `Quick test_create_floor;
     Alcotest.test_case "exception policy: wrap, re-raise, survive" `Quick test_exception_policy;
     Alcotest.test_case "task probes replay in task order" `Quick test_probe_replay_order;
+    Alcotest.test_case "task probes replay every event kind" `Quick test_probe_replay_every_kind;
     Alcotest.test_case "shared pools are cached per size" `Quick test_shared_pools;
     Alcotest.test_case "exit hooks: finalize before teardown" `Quick test_exit_hook_ordering;
   ]

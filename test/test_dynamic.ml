@@ -14,7 +14,6 @@ module Graph = Mmfair_topology.Graph
 module Network = Mmfair_core.Network
 module Allocation = Mmfair_core.Allocation
 module Allocator = Mmfair_core.Allocator
-module Engine = Mmfair_dynamic.Engine
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Store = Mmfair_dynamic.Store
@@ -34,8 +33,8 @@ let feq what a b =
   Alcotest.(check bool) (Printf.sprintf "%s: %.17g vs %.17g" what a b) true (agree a b)
 
 let check_matches_scratch what eng =
-  let net = Engine.network eng in
-  let incremental = Engine.allocation eng in
+  let net = Batch.network eng in
+  let incremental = Batch.allocation eng in
   let scratch = Allocator.max_min net in
   Array.iter
     (fun (r : Network.receiver_id) ->
@@ -53,7 +52,7 @@ let test_engine_on_figure2 () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let eng = Batch.create net in
   (* Multi-rate Figure 2 golden: (2.5, 2, 3) / 2.5. *)
-  feq "fig2 a1,1" 2.5 (Allocation.rate (Engine.allocation eng) { Network.session = 0; index = 0 });
+  feq "fig2 a1,1" 2.5 (Allocation.rate (Batch.allocation eng) { Network.session = 0; index = 0 });
   let r13_node = receiver_node net { Network.session = 0; index = 2 } in
   let steps =
     [
@@ -66,10 +65,10 @@ let test_engine_on_figure2 () =
   in
   List.iteri
     (fun i ev ->
-      ignore (Engine.apply eng ev);
+      ignore (Batch.apply eng [ ev ]);
       check_matches_scratch (Printf.sprintf "fig2 step %d (%s)" i (Event.kind ev)) eng)
     steps;
-  Alcotest.(check int) "five epochs applied" 5 (Engine.epoch eng)
+  Alcotest.(check int) "five epochs applied" 5 (Batch.epoch eng)
 
 (* Figure 3's Section-2.5 examples, replayed as churn: removing r3,2
    drops r3,1 (8 -> 6) while r1,1 rises (2 -> 4) in (a), and raises
@@ -80,16 +79,16 @@ let test_engine_figure3_swings () =
     let (b31, b11), (a31, a11) = (before, after) in
     let eng = Batch.create net in
     feq (what ^ " r3,1 before") b31
-      (Allocation.rate (Engine.allocation eng) { Network.session = 2; index = 0 });
+      (Allocation.rate (Batch.allocation eng) { Network.session = 2; index = 0 });
     feq (what ^ " r1,1 before") b11
-      (Allocation.rate (Engine.allocation eng) { Network.session = 0; index = 0 });
+      (Allocation.rate (Batch.allocation eng) { Network.session = 0; index = 0 });
     let node = receiver_node net victim in
-    ignore (Engine.apply eng (Event.Leave { session = victim.Network.session; node }));
+    ignore (Batch.apply eng [ Event.Leave { session = victim.Network.session; node } ]);
     check_matches_scratch (what ^ " after leave") eng;
     feq (what ^ " r3,1 after") a31
-      (Allocation.rate (Engine.allocation eng) { Network.session = 2; index = 0 });
+      (Allocation.rate (Batch.allocation eng) { Network.session = 2; index = 0 });
     feq (what ^ " r1,1 after") a11
-      (Allocation.rate (Engine.allocation eng) { Network.session = 0; index = 0 })
+      (Allocation.rate (Batch.allocation eng) { Network.session = 0; index = 0 })
   in
   check_swing "fig3a" Paper_nets.figure3a ~before:(8.0, 2.0) ~after:(6.0, 4.0);
   check_swing "fig3b" Paper_nets.figure3b ~before:(6.0, 6.0) ~after:(7.0, 5.0)
@@ -99,11 +98,11 @@ let test_engine_figure3_swings () =
 let test_store_retention () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
   let eng = Batch.create ~retain:3 net in
-  let store = Engine.store eng in
+  let store = Batch.store eng in
   Alcotest.(check int) "epoch 0 at creation" 0 (Store.epoch store);
   Alcotest.(check bool) "epoch 0 has no events" true ((Store.current store).Store.events = []);
   for k = 1 to 5 do
-    ignore (Engine.apply eng (Event.Rho_change { session = 1; rho = float_of_int k }))
+    ignore (Batch.apply eng [ Event.Rho_change { session = 1; rho = float_of_int k } ])
   done;
   Alcotest.(check int) "five epochs" 5 (Store.epoch store);
   Alcotest.(check (list int)) "window keeps the newest three" [ 5; 4; 3 ]
@@ -122,7 +121,7 @@ let test_store_retention () =
   | None -> Alcotest.fail "epoch 3 should be retained"
   | Some e -> feq "epoch 3 rho bound applied" 3.0 (Network.rho e.Store.network 1));
   Alcotest.check_raises "retain floor is 1" (Invalid_argument "Store.create: retain must be >= 1")
-    (fun () -> ignore (Store.create ~retain:0 net (Engine.allocation eng)))
+    (fun () -> ignore (Store.create ~retain:0 net (Batch.allocation eng)))
 
 (* --- leave + immediate rejoin restores the allocation ------------------ *)
 
@@ -157,10 +156,10 @@ let test_leave_rejoin_restores () =
           let k = Xoshiro.below rng (Array.length receivers) in
           let node = receivers.(k) in
           let eng = Batch.create ~allocation:base net in
-          ignore (Engine.apply eng (Event.Leave { session = i; node }));
-          ignore (Engine.apply eng (Event.Join { session = i; node; weight = None }));
-          let restored = Engine.allocation eng in
-          let net' = Engine.network eng in
+          ignore (Batch.apply eng [ Event.Leave { session = i; node } ]);
+          ignore (Batch.apply eng [ Event.Join { session = i; node; weight = None } ]);
+          let restored = Batch.allocation eng in
+          let net' = Batch.network eng in
           (* The rejoined receiver re-enters at the session's tail, so
              compare by node placement, not by index. *)
           for j = 0 to Network.session_count net - 1 do
@@ -240,13 +239,13 @@ let test_generator_determinism () =
   let eng = Batch.create net in
   List.iter
     (fun ev ->
-      ignore (Engine.apply eng ev);
-      for i = 0 to Network.session_count (Engine.network eng) - 1 do
+      ignore (Batch.apply eng [ ev ]);
+      for i = 0 to Network.session_count (Batch.network eng) - 1 do
         Alcotest.(check bool) "membership cap respected" true
-          (Array.length (Network.session_spec (Engine.network eng) i).Network.receivers <= 5)
+          (Array.length (Network.session_spec (Batch.network eng) i).Network.receivers <= 5)
       done)
     a;
-  Alcotest.(check int) "trace drives one epoch per event" (List.length a) (Engine.epoch eng)
+  Alcotest.(check int) "trace drives one epoch per event" (List.length a) (Batch.epoch eng)
 
 (* --- epoch probes reach the metrics registry --------------------------- *)
 
@@ -256,9 +255,9 @@ let test_epoch_probe_registry () =
   Obs.Probe.with_sink (Obs.Registry.sink r) (fun () ->
       let eng = Batch.create net in
       let r13_node = receiver_node net { Network.session = 0; index = 2 } in
-      ignore (Engine.apply eng (Event.Leave { session = 0; node = r13_node }));
-      ignore (Engine.apply eng (Event.Join { session = 0; node = r13_node; weight = None }));
-      ignore (Engine.apply eng (Event.Rho_change { session = 1; rho = 2.0 })));
+      ignore (Batch.apply eng [ Event.Leave { session = 0; node = r13_node } ]);
+      ignore (Batch.apply eng [ Event.Join { session = 0; node = r13_node; weight = None } ]);
+      ignore (Batch.apply eng [ Event.Rho_change { session = 1; rho = 2.0 } ]));
   Alcotest.(check int) "one epoch counter tick per event" 3
     (Obs.Registry.counter_value (Obs.Registry.counter r "dynamic.epochs.total"));
   Alcotest.(check int) "per-kind counters" 1
@@ -269,21 +268,21 @@ let test_epoch_probe_registry () =
 let test_invalid_event_state_unchanged () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
   let eng = Batch.create net in
-  let before = Engine.allocation eng in
-  (match Engine.apply_result eng (Event.Leave { session = 0; node = 999 }) with
+  let before = Batch.allocation eng in
+  (match Batch.apply_result eng [ Event.Leave { session = 0; node = 999 } ] with
   | Ok _ -> Alcotest.fail "leave of an absent receiver must not succeed"
   | Error _ -> ());
-  Alcotest.(check int) "epoch unchanged" 0 (Engine.epoch eng);
-  Alcotest.(check bool) "allocation unchanged" true (Engine.allocation eng == before)
+  Alcotest.(check int) "epoch unchanged" 0 (Batch.epoch eng);
+  Alcotest.(check bool) "allocation unchanged" true (Batch.allocation eng == before)
 
 let test_leave_errors_name_batch () =
-  (* Engine.apply is Batch.apply of a singleton, so a bad leave names
-     the function that actually raised. *)
+  (* A per-event apply is a singleton batch, so a bad leave names the
+     function that actually raised. *)
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
   let eng = Batch.create net in
   Alcotest.check_raises "absent receiver"
     (Invalid_argument "Dynamic.Batch.apply: session 0 has no receiver on node 999") (fun () ->
-      ignore (Engine.apply eng (Event.Leave { session = 0; node = 999 })));
+      ignore (Batch.apply eng [ Event.Leave { session = 0; node = 999 } ]));
   Alcotest.check_raises "unknown session"
     (Invalid_argument "Dynamic.Batch.apply: leave targets unknown session 99") (fun () ->
       ignore (Batch.apply eng [ Event.Leave { session = 99; node = 0 } ]))
@@ -319,21 +318,21 @@ let test_batch_matches_per_event () =
     ]
   in
   let per_event = Batch.create net and batched = Batch.create net in
-  List.iter (fun ev -> ignore (Engine.apply per_event ev)) burst;
+  List.iter (fun ev -> ignore (Batch.apply per_event [ ev ])) burst;
   let stats = Batch.apply batched burst in
-  Alcotest.(check int) "three epochs per-event" 3 (Engine.epoch per_event);
-  Alcotest.(check int) "one epoch batched" 1 (Engine.epoch batched);
+  Alcotest.(check int) "three epochs per-event" 3 (Batch.epoch per_event);
+  Alcotest.(check int) "one epoch batched" 1 (Batch.epoch batched);
   Alcotest.(check int) "three raw events" 3 stats.Batch.events;
   Alcotest.(check int) "nothing nets out" 3 stats.Batch.net_events;
   Alcotest.(check int) "nothing cancelled" 0 stats.Batch.cancelled;
-  check_same_rates "batched vs per-event" (Engine.network per_event)
-    (Engine.allocation per_event) (Engine.network batched) (Engine.allocation batched);
+  check_same_rates "batched vs per-event" (Batch.network per_event)
+    (Batch.allocation per_event) (Batch.network batched) (Batch.allocation batched);
   check_matches_scratch "batched vs scratch" batched
 
 let test_batch_cancellation () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let eng = Batch.create net in
-  let before = Engine.allocation eng in
+  let before = Batch.allocation eng in
   let stats =
     Batch.apply eng
       [ Event.Leave { session = 0; node = 3 }; Event.Join { session = 0; node = 3; weight = None } ]
@@ -342,16 +341,16 @@ let test_batch_cancellation () =
   Alcotest.(check int) "both cancelled" 2 stats.Batch.cancelled;
   Alcotest.(check int) "no solve needed" 0 stats.Batch.solves;
   Alcotest.(check bool) "not a full solve" false stats.Batch.full_solve;
-  Alcotest.(check int) "still one epoch" 1 (Engine.epoch eng);
+  Alcotest.(check int) "still one epoch" 1 (Batch.epoch eng);
   (* The rejoined receiver moved to the session's tail; rates must be
      identical node-by-node all the same. *)
-  check_same_rates "pure cancellation leaves rates alone" net before (Engine.network eng)
-    (Engine.allocation eng)
+  check_same_rates "pure cancellation leaves rates alone" net before (Batch.network eng)
+    (Batch.allocation eng)
 
 let test_batch_last_writer_wins () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let direct = Batch.create net in
-  ignore (Engine.apply direct (Event.Rho_change { session = 1; rho = 2.0 }));
+  ignore (Batch.apply direct [ Event.Rho_change { session = 1; rho = 2.0 } ]);
   let batched = Batch.create net in
   let stats =
     Batch.apply batched
@@ -362,9 +361,9 @@ let test_batch_last_writer_wins () =
   in
   Alcotest.(check int) "one surviving rho write" 1 stats.Batch.net_events;
   Alcotest.(check int) "the overwritten one cancelled" 1 stats.Batch.cancelled;
-  feq "last write applied" 2.0 (Network.rho (Engine.network batched) 1);
-  check_same_rates "last-writer-wins matches a direct write" (Engine.network direct)
-    (Engine.allocation direct) (Engine.network batched) (Engine.allocation batched);
+  feq "last write applied" 2.0 (Network.rho (Batch.network batched) 1);
+  check_same_rates "last-writer-wins matches a direct write" (Batch.network direct)
+    (Batch.allocation direct) (Batch.network batched) (Batch.allocation batched);
   (* A write that lands back on the starting value nets out entirely. *)
   let noop = Batch.create net in
   let stats =
@@ -383,16 +382,16 @@ let test_batch_empty_rejected () =
   (match Batch.apply_result eng [] with
   | Ok _ -> Alcotest.fail "an empty batch must be rejected"
   | Error _ -> ());
-  Alcotest.(check int) "epoch unchanged" 0 (Engine.epoch eng)
+  Alcotest.(check int) "epoch unchanged" 0 (Batch.epoch eng)
 
 (* --- epoch range queries over the store -------------------------------- *)
 
 let test_fold_epochs () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 () in
   let eng = Batch.create ~retain:3 net in
-  let store = Engine.store eng in
+  let store = Batch.store eng in
   for k = 1 to 5 do
-    ignore (Engine.apply eng (Event.Rho_change { session = 1; rho = float_of_int k }))
+    ignore (Batch.apply eng [ Event.Rho_change { session = 1; rho = float_of_int k } ])
   done;
   let epochs ?lo ?hi () =
     List.rev (Store.fold_epochs ?lo ?hi store ~init:[] ~f:(fun acc e -> e.Store.epoch :: acc))
@@ -414,7 +413,9 @@ let test_fold_epochs () =
 let test_batch_probe_registry () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let r = Obs.Registry.create () in
-  Obs.Probe.with_sink (Obs.Registry.sink r) (fun () ->
+  let seen = ref [] in
+  let recorder = Obs.Sink.make ~on_epoch:(fun ev -> seen := ev :: !seen) () in
+  Obs.Probe.with_sink (Obs.Sink.tee (Obs.Registry.sink r) recorder) (fun () ->
       let eng = Batch.create net in
       ignore
         (Batch.apply eng
@@ -422,9 +423,17 @@ let test_batch_probe_registry () =
              Event.Leave { session = 0; node = 3 };
              Event.Join { session = 0; node = 3; weight = None };
            ]);
-      ignore (Engine.apply eng (Event.Rho_change { session = 1; rho = 2.0 })));
-  (* Engine.apply is Batch.apply of a singleton, so it too counts as a
-     batch of one. *)
+      Alcotest.(check int) "one apply, one epoch event" 1 (List.length !seen);
+      (* A per-event apply is a singleton batch, so it too counts as a
+         batch of one. *)
+      ignore (Batch.apply eng [ Event.Rho_change { session = 1; rho = 2.0 } ]));
+  (match List.rev !seen with
+  | [ coalesced; single ] ->
+      Alcotest.(check (list int)) "epochs" [ 1; 2 ] [ coalesced.Obs.Events.epoch; single.epoch ];
+      Alcotest.(check (list string)) "kinds" [ "batch"; "rho" ] [ coalesced.kind; single.kind ];
+      Alcotest.(check (list int)) "raw events" [ 2; 1 ] [ coalesced.events; single.events ];
+      Alcotest.(check (list int)) "cancelled" [ 2; 0 ] [ coalesced.cancelled; single.cancelled ]
+  | evs -> Alcotest.failf "want two epoch events, got %d" (List.length evs));
   Alcotest.(check int) "two batches" 2
     (Obs.Registry.counter_value (Obs.Registry.counter r "dynamic.batches.total"));
   Alcotest.(check int) "three raw events" 3
@@ -517,7 +526,7 @@ let qcheck_domains_bitwise_identical =
       let replay domains =
         let eng = Batch.create ~domains ~allocation:base net in
         let stats = Batch.apply eng burst in
-        (stats, Engine.network eng, Engine.allocation eng)
+        (stats, Batch.network eng, Batch.allocation eng)
       in
       let stats1, net1, alloc1 = replay 1 in
       List.for_all
@@ -536,7 +545,7 @@ let test_scheduler_dropped_task () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let drop_all = { Batch.run = (fun _tasks -> ()) } in
   let eng = Batch.create ~scheduler:drop_all net in
-  let before = Engine.allocation eng in
+  let before = Batch.allocation eng in
   (match Batch.apply_result eng [ Event.Rho_change { session = 1; rho = 1.5 } ] with
   | Ok _ -> Alcotest.fail "a dropped solve task must not look like success"
   | Error (Mmfair_core.Solver_error.Scheduler_failure { task; what; _ }) ->
@@ -547,8 +556,8 @@ let test_scheduler_dropped_task () =
         (Printf.sprintf "expected Scheduler_failure, got %s" (Mmfair_core.Solver_error.to_string e)));
   (* The failed batch left the engine at epoch 0 with its allocation
      untouched, and a working scheduler is all it takes to proceed. *)
-  Alcotest.(check int) "epoch unchanged" 0 (Engine.epoch eng);
-  Alcotest.(check bool) "allocation unchanged" true (Engine.allocation eng == before);
+  Alcotest.(check int) "epoch unchanged" 0 (Batch.epoch eng);
+  Alcotest.(check bool) "allocation unchanged" true (Batch.allocation eng == before);
   let eng2 = Batch.create ~scheduler:Batch.sequential ~allocation:before net in
   ignore (Batch.apply eng2 [ Event.Rho_change { session = 1; rho = 1.5 } ]);
   check_matches_scratch "sequential replay of the dropped batch" eng2

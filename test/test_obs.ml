@@ -363,23 +363,41 @@ let test_timeseries_jsonl_deterministic () =
 let test_fairness_probe_bridged () =
   let r = Registry.create () in
   Probe.with_sink (Registry.sink r) (fun () ->
-      Probe.fairness
+      Probe.epoch
         {
-          Obs.Events.f_epoch = 3;
+          Obs.Events.epoch = 3;
+          kind = "batch";
+          events = 6;
+          net_events = 2;
+          cancelled = 4;
+          component_sessions = 9;
+          component_receivers = 12;
+          total_receivers = 48;
+          reuse_fraction = 0.75;
+          full_solve = false;
+          solves = 2;
+          components = 4;
+          largest_component = 5;
           jain = 0.875;
           max_delta_rate = 2.5;
-          components = 4;
-          component_sessions = 9;
-          largest_component = 5;
         });
-  Alcotest.(check (float 1e-12)) "jain gauge" 0.875
-    (Registry.gauge_value (Registry.gauge r "fairness.jain"));
-  Alcotest.(check (float 1e-12)) "delta-rate high-water" 2.5
-    (Registry.gauge_value (Registry.gauge r "fairness.delta_rate.max"));
-  Alcotest.(check (float 1e-12)) "components gauge" 4.0
-    (Registry.gauge_value (Registry.gauge r "fairness.components"));
-  Alcotest.(check (float 1e-12)) "largest component gauge" 5.0
-    (Registry.gauge_value (Registry.gauge r "fairness.largest_component"))
+  let count name = Registry.counter_value (Registry.counter r name) in
+  let gauge name = Registry.gauge_value (Registry.gauge r name) in
+  Alcotest.(check (list int)) "epoch, solve, batch and kind counters" [ 1; 2; 0; 1; 6; 4; 1 ]
+    (List.map count
+       [
+         "dynamic.epochs.total";
+         "dynamic.solves.total";
+         "dynamic.full_solves.total";
+         "dynamic.batches.total";
+         "dynamic.batch.events.total";
+         "dynamic.batch.cancelled.total";
+         "dynamic.events.batch";
+       ]);
+  Alcotest.(check (float 1e-12)) "jain gauge" 0.875 (gauge "fairness.jain");
+  Alcotest.(check (float 1e-12)) "delta-rate high-water" 2.5 (gauge "fairness.delta_rate.max");
+  Alcotest.(check (float 1e-12)) "components gauge" 4.0 (gauge "fairness.components");
+  Alcotest.(check (float 1e-12)) "largest component gauge" 5.0 (gauge "fairness.largest_component")
 
 let test_pool_event_emitted () =
   let pool_events = ref [] in
@@ -586,30 +604,6 @@ let test_golden_trace () =
     (List.length trace.Allocator.rounds)
     (List.length round_instants)
 
-let test_jsonl_lines () =
-  let buf = Buffer.create 256 in
-  let sink = Obs.Jsonl.sink ~clock:(ticking_clock ()) ~emit:(Buffer.add_string buf) () in
-  Probe.with_sink sink (fun () ->
-      Probe.round dummy_round;
-      Probe.sim (Obs.Events.Scheduled { time = 1.5; depth = 2 });
-      Probe.span "phase" Fun.id);
-  let lines = String.split_on_char '\n' (Buffer.contents buf) |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "one line per event" 4 (List.length lines);
-  List.iter
-    (fun line ->
-      let doc = Json.parse line in
-      match (Json.member "type" doc, Json.member "ts" doc) with
-      | Some (Json.Str _), Some (Json.Num _) -> ()
-      | _ -> Alcotest.fail (Printf.sprintf "line missing type/ts: %s" line))
-    lines;
-  let types =
-    List.map (fun l -> match Json.member "type" (Json.parse l) with Some (Json.Str s) -> s | _ -> "?") lines
-  in
-  Alcotest.(check (list string))
-    "event types in order"
-    [ "round"; "sim.scheduled"; "span.begin"; "span.end" ]
-    types
-
 let test_chrome_trace_close_idempotent () =
   let buf = Buffer.create 256 in
   let writer = Obs.Chrome_trace.create ~clock:(ticking_clock ()) ~emit:(Buffer.add_string buf) () in
@@ -691,7 +685,6 @@ let suite =
     Alcotest.test_case "simulator probes" `Quick test_sim_probes;
     Alcotest.test_case "queue drop + high-water mark" `Quick test_sim_drop_and_hwm;
     Alcotest.test_case "golden Chrome trace agrees with rounds" `Quick test_golden_trace;
-    Alcotest.test_case "JSONL exporter lines" `Quick test_jsonl_lines;
     Alcotest.test_case "Chrome trace close idempotent" `Quick test_chrome_trace_close_idempotent;
     Alcotest.test_case "Json indented layout" `Quick test_json_indented;
     Alcotest.test_case "Json reader key paths" `Quick test_json_reader_paths;

@@ -7,7 +7,6 @@
 module Network = Mmfair_core.Network
 module Allocation = Mmfair_core.Allocation
 module Solver_error = Mmfair_core.Solver_error
-module Engine = Mmfair_dynamic.Engine
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Net_parser = Mmfair_workload.Net_parser
@@ -231,7 +230,7 @@ let test_daemon_malformed_recovery () =
     [ 2; 3; 4; 5 ];
   (* Both joins applied despite the noise in between: s2 grows from
      its single seeded receiver to three. *)
-  let net = Engine.network (Daemon.engine daemon) in
+  let net = Batch.network (Daemon.engine daemon) in
   let spec = Network.session_spec net 1 in
   Alcotest.(check int) "both joins landed" 3 (Array.length spec.Network.receivers);
   let reg = Daemon.registry daemon in
@@ -252,7 +251,7 @@ let test_daemon_coalesces_one_wakeup () =
     "one coalesced epoch acked per line"
     [ "ok epoch 1"; "ok epoch 1"; "ok epoch 1"; "ok epoch 1" ]
     responses;
-  Alcotest.(check int) "engine sits at epoch 1" 1 (Engine.epoch (Daemon.engine daemon))
+  Alcotest.(check int) "engine sits at epoch 1" 1 (Batch.epoch (Daemon.engine daemon))
 
 let test_daemon_batch_block_and_failure_isolation () =
   let parsed, daemon = make_daemon ~config:{ Daemon.default_config with Daemon.ack = true } () in
@@ -283,7 +282,7 @@ let test_daemon_batch_block_and_failure_isolation () =
       if not (String.length err > 10 && String.sub err 0 10 = "err line 6") then
         Alcotest.failf "apply failure blamed on its line: %s" err
   | _ -> assert false);
-  let net = Engine.network (Daemon.engine daemon) in
+  let net = Batch.network (Daemon.engine daemon) in
   let spec1 = Network.session_spec net 0 and spec2 = Network.session_spec net 1 in
   Alcotest.(check int) "s1 leaf3 left then re-joined" 3 (Array.length spec1.Network.receivers);
   Alcotest.(check int) "batch join landed" 2 (Array.length spec2.Network.receivers);
@@ -298,7 +297,7 @@ let test_daemon_unclosed_batch () =
     "unclosed block reported at its opening line, nothing applied"
     [ "err line 1: batch never closed (missing end)" ]
     responses;
-  Alcotest.(check int) "no epoch advanced" 0 (Engine.epoch (Daemon.engine daemon))
+  Alcotest.(check int) "no epoch advanced" 0 (Batch.epoch (Daemon.engine daemon))
 
 let test_daemon_quit_discards_buffered () =
   (* Commands buffered behind a quit in the same chunk are dead input:
@@ -321,10 +320,10 @@ let test_daemon_queries () =
         | Error err -> Alcotest.fail (Solver_error.to_string err)
       in
       ignore
-        (Engine.apply offline (Event.Leave { session = 0; node = node_id parsed "leaf2" }));
+        (Batch.apply offline [ Event.Leave { session = 0; node = node_id parsed "leaf2" } ]);
       (* s2 keeps its lone receiver at index 0. *)
       let expected =
-        Allocation.rate (Engine.allocation offline) { Network.session = 1; Network.index = 0 }
+        Allocation.rate (Batch.allocation offline) { Network.session = 1; Network.index = 0 }
       in
       Alcotest.(check string) "rate answer matches offline"
         (Printf.sprintf "rate %.17g" expected) rate;
@@ -406,8 +405,8 @@ let test_socket_e2e_matches_offline_replay () =
         | Ok e -> e
         | Error err -> Alcotest.fail (Solver_error.to_string err)
       in
-      List.iter (fun ev -> ignore (Engine.apply offline ev)) trace;
-      let now = Engine.network offline and alloc = Engine.allocation offline in
+      List.iter (fun ev -> ignore (Batch.apply offline [ ev ])) trace;
+      let now = Batch.network offline and alloc = Batch.allocation offline in
       let receivers = Network.all_receivers now in
       Alcotest.(check int) "daemon served every receiver" (Array.length receivers) k;
       Array.iter
