@@ -70,17 +70,7 @@ module Obs = Mmfair_obs
 module Json = Mmfair_obs.Json
 module Descriptive = Mmfair_stats.Descriptive
 module Checks = Mmfair_bench.Checks
-
-(* --- timing (same discipline as bench/scaling.ml) ------------------- *)
-
-let best_of = 3
-
-let time_best ~min_time f =
-  Obs.Probe.with_sink Obs.Sink.null (fun () -> ignore (f ()));
-  List.fold_left
-    (fun acc () -> Float.min acc (fst (Mmfair_bench.Timing.one_sample ~min_time f)))
-    Float.infinity
-    (List.init best_of (fun _ -> ()))
+module Timing = Mmfair_bench.Timing
 
 (* --- workload ------------------------------------------------------- *)
 
@@ -129,18 +119,12 @@ let bench_net () =
   in
   Network.make g sessions
 
-(* Replicate the engine's network surgery so the scratch side pays the
-   same edit cost before its full solve. *)
-let surgery net = function
-  | Event.Join { session; node; weight } -> Network.with_receiver ?weight net ~session ~node
-  | Event.Leave { session; node } ->
-      let spec = Network.session_spec net session in
-      let index = ref (-1) in
-      Array.iteri (fun k n -> if n = node && !index < 0 then index := k) spec.Network.receivers;
-      if !index < 0 then invalid_arg "bench/churn: leave of an absent receiver";
-      Network.without_receiver net { Network.session; index = !index }
-  | Event.Rho_change { session; rho } -> Network.with_rho net session rho
-  | Event.Capacity_change { link; cap } -> Network.with_capacity net link cap
+(* The engine's network surgery, so the scratch side pays the same
+   edit cost before its full solve. *)
+let surgery net event =
+  let srg = Network.surgery_begin net in
+  Event.apply srg event;
+  Network.surgery_commit srg
 
 (* Draw one generated trace and bucket its events by class.  Every
    event is benchmarked against the SAME base network (not the evolving
@@ -189,12 +173,12 @@ let measure ~min_time net base_alloc (kind, events) =
     List.map
       (fun event ->
         let incr_ns =
-          time_best ~min_time (fun () ->
-              let eng = Batch.create ~allocation:base_alloc net in
-              Batch.apply eng [ event ])
+          (Timing.best ~min_time (fun () ->
+               let eng = Batch.create ~allocation:base_alloc net in
+               Batch.apply eng [ event ])).ns
         in
         let scratch_ns =
-          time_best ~min_time (fun () -> Allocator.max_min (surgery net event))
+          (Timing.best ~min_time (fun () -> Allocator.max_min (surgery net event))).ns
         in
         (* One untimed apply for the component statistics. *)
         let eng = Batch.create ~allocation:base_alloc net in
@@ -264,14 +248,14 @@ let flash_crowd net =
 
 let measure_batch ~min_time net base_alloc burst =
   let per_event_ns =
-    time_best ~min_time (fun () ->
-        let eng = Batch.create ~allocation:base_alloc net in
-        List.iter (fun ev -> ignore (Batch.apply eng [ ev ])) burst)
+    (Timing.best ~min_time (fun () ->
+         let eng = Batch.create ~allocation:base_alloc net in
+         List.iter (fun ev -> ignore (Batch.apply eng [ ev ])) burst)).ns
   in
   let batched_ns =
-    time_best ~min_time (fun () ->
-        let eng = Batch.create ~allocation:base_alloc net in
-        Batch.apply eng burst)
+    (Timing.best ~min_time (fun () ->
+         let eng = Batch.create ~allocation:base_alloc net in
+         Batch.apply eng burst)).ns
   in
   (* One untimed batched apply for the coalescing statistics. *)
   let eng = Batch.create ~allocation:base_alloc net in
@@ -382,9 +366,9 @@ let measure_parallel ~min_time () =
     List.map
       (fun domains ->
         ( domains,
-          time_best ~min_time (fun () ->
-              let eng = Batch.create ~domains ~allocation:base_alloc net in
-              Batch.apply eng burst) ))
+          (Timing.best ~min_time (fun () ->
+               let eng = Batch.create ~domains ~allocation:base_alloc net in
+               Batch.apply eng burst)).ns ))
       parallel_domain_counts
   in
   let t1 = List.assoc 1 timings in
@@ -753,7 +737,7 @@ let emit ~quick ~min_time ~out net rows batch par serving stability =
   let doc =
     Json.Obj
       [ ("schema", Json.Str Checks.churn_schema); ("generated_by", Json.Str "bench/churn.exe");
-        ("quick", Json.Bool quick); ("min_time_s", Json.Num min_time); ("best_of", int best_of);
+        ("quick", Json.Bool quick); ("min_time_s", Json.Num min_time); ("best_of", int Timing.best_of);
         ("topology", topology); ("classes", Json.List (List.map class_row rows));
         ("batch", batch); ("parallel", parallel); ("serving", serving);
         ("stability", stability) ]

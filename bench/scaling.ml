@@ -23,43 +23,13 @@ module Event = Mmfair_dynamic.Event
 module Obs = Mmfair_obs
 module Json = Mmfair_obs.Json
 module Checks = Mmfair_bench.Checks
+module Timing = Mmfair_bench.Timing
 
-(* --- timing -------------------------------------------------------- *)
+(* --- rounds -------------------------------------------------------- *)
 
-(* Timed regions run probe-free (Mmfair_bench.Timing): the committed
-   numbers are the telemetry-disabled baseline that CI's overhead gate
-   compares against. *)
-
-let best_of = 3
-
-type timing = { ns : float; runs : int; samples_ns : float list }
-(* [ns] is the best (minimum) of [best_of] sample averages; [runs] is
-   the run count behind that best sample. *)
-
-let time_run ~min_time f =
-  Obs.Probe.with_sink Obs.Sink.null (fun () ->
-      for _ = 1 to 3 do
-        ignore (f ())
-      done);
-  let samples = List.init best_of (fun _ -> Mmfair_bench.Timing.one_sample ~min_time f) in
-  let best =
-    List.fold_left (fun acc s -> match acc with
-        | Some (bns, _) when bns <= fst s -> acc
-        | _ -> Some s)
-      None samples
-  in
-  match best with
-  | Some (ns, runs) -> { ns; runs; samples_ns = List.map fst samples }
-  | None -> assert false
-
-(* A separate untimed run counts water-filling rounds through the
-   probe stream. *)
-let count_rounds f =
-  let n = ref 0 in
-  Obs.Probe.with_sink
-    (Obs.Sink.make ~on_round:(fun _ -> incr n) ())
-    (fun () -> ignore (f ()));
-  !n
+(* Timed regions run probe-free (Timing.best), so a separate untimed
+   run counts water-filling rounds through the probe stream. *)
+let count_rounds f = List.length (snd (Obs.Probe.rounds (fun () -> ignore (f ()))))
 
 (* --- workloads ----------------------------------------------------- *)
 
@@ -203,7 +173,7 @@ let measure_point ~min_time w =
   ignore (note_mem ());
   let last_alloc = ref None in
   let solve_t =
-    time_run ~min_time (fun () ->
+    Timing.best ~min_time (fun () ->
         let a = Allocator.max_min net in
         last_alloc := Some a;
         a)
@@ -229,7 +199,7 @@ let measure_point ~min_time w =
     ignore (Batch.apply batch joins);
     ignore (Batch.apply batch leaves)
   in
-  let churn_t = time_run ~min_time churn in
+  let churn_t = Timing.best ~min_time churn in
   ignore (note_mem ());
   let events_per_run = 2 * List.length w.w_toggles in
   let p =
@@ -388,10 +358,10 @@ let emit ~quick ~min_time ~phases ~out ~curves rows =
         ("event_exponent", Json.fixed 3 c.event_exponent);
         ("points", Json.List (List.map point c.c_points)) ]
   in
-  let entry (e, timing, ref_timing, rounds, live) =
+  let entry (e, (timing : Timing.best), ref_timing, rounds, live) =
     let reference =
       match ref_timing with
-      | Some r -> [ int r.runs; Json.fixed 1 r.ns; Json.fixed 2 (r.ns /. timing.ns) ]
+      | Some (r : Timing.best) -> [ int r.runs; Json.fixed 1 r.ns; Json.fixed 2 (r.ns /. timing.ns) ]
       | None -> [ Json.Null; Json.Null; Json.Null ]
     in
     Json.Obj
@@ -408,7 +378,7 @@ let emit ~quick ~min_time ~phases ~out ~curves rows =
     Json.Obj
       [ ("schema", Json.Str Checks.allocator_schema);
         ("generated_by", Json.Str "bench/scaling.exe"); ("quick", Json.Bool quick);
-        ("min_time_s", Json.Num min_time); ("best_of", int best_of);
+        ("min_time_s", Json.Num min_time); ("best_of", int Timing.best_of);
         ("phases", Json.Obj (List.map (fun (name, s) -> (name, Json.fixed 6 s)) phases));
         ("curves", Json.List (List.map curve curves));
         ("entries", Json.List (List.map entry rows)) ]
@@ -417,7 +387,7 @@ let emit ~quick ~min_time ~phases ~out ~curves rows =
 
 (* --- disabled-probe overhead gate (CI) ------------------------------ *)
 
-(* Re-times the linear-100 sweep workload (probes off — time_run
+(* Re-times the linear-100 sweep workload (probes off — Timing.best
    installs the null sink) and compares against the committed
    baseline's entry.  Fails when the fresh best-of run is more than
    [tolerance] slower: telemetry must stay free when disabled. *)
@@ -435,17 +405,8 @@ let check_overhead ~tolerance ~mem_tolerance ~min_time baseline_file =
      so give the estimator three times the samples a bench row gets:
      sample averages wobble with machine load, but their min converges
      on the uncontaminated per-run cost. *)
-  let gate_samples = 3 * best_of in
-  let now_ns =
-    Obs.Probe.with_sink Obs.Sink.null @@ fun () ->
-    for _ = 1 to 3 do
-      ignore (f ())
-    done;
-    List.fold_left
-      (fun acc () -> Float.min acc (fst (Mmfair_bench.Timing.one_sample ~min_time f)))
-      Float.infinity
-      (List.init gate_samples (fun _ -> ()))
-  in
+  let gate_samples = 3 * Timing.best_of in
+  let now_ns = (Timing.best ~samples:gate_samples ~min_time f).ns in
   let ratio = now_ns /. baseline_ns in
   Printf.printf "%s: baseline %.1f ns, now %.1f ns (best of %d), ratio %.3f (tolerance %.2f)\n%!"
     Checks.overhead_entry baseline_ns now_ns gate_samples ratio tolerance;
@@ -520,12 +481,12 @@ let () =
       let es = entries ~quick:!quick in
       (* Phase wall-times are captured through the span machinery (the
          same stream [--trace-out] records); timed regions themselves
-         stay probe-free — see [time_run]. *)
+         stay probe-free — see [Timing.best]. *)
       let recorder, completed_spans = Obs.Sink.span_recorder () in
       let measure e =
         let rounds = count_rounds e.run in
-        let timing = time_run ~min_time e.run in
-        let ref_timing = Option.map (fun f -> time_run ~min_time f) e.reference in
+        let timing = Timing.best ~min_time e.run in
+        let ref_timing = Option.map (fun f -> Timing.best ~min_time f) e.reference in
         (* Live-words audit: hold one result live across a compaction so
            the entry's resident footprint gates alongside its time. *)
         let held = Sys.opaque_identity (e.run ()) in

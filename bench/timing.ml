@@ -1,8 +1,8 @@
 (* The one timed sample both bench executables build their best-of
-   estimates from.  It runs with the null probe sink installed,
-   whatever the surrounding bench plumbing does: the committed numbers
-   are the telemetry-disabled baseline that CI's overhead gate compares
-   against.
+   estimates from, and that estimate.  A sample runs with the null
+   probe sink installed, whatever the surrounding bench plumbing does:
+   the committed numbers are the telemetry-disabled baseline that CI's
+   overhead gate compares against.
 
    Monotonic, like bench/main.ml's Bechamel instance: an NTP step mid
    sample must not record negative or skewed durations and trip (or
@@ -24,3 +24,23 @@ let one_sample ~min_time f =
     elapsed := Obs.Clock.since_s t0
   done;
   (!elapsed /. float_of_int !runs *. 1e9, !runs)
+
+let best_of = 3
+
+type best = { ns : float; runs : int; samples_ns : float list }
+(* [ns] is the best (minimum) of the sample averages; [runs] is the
+   run count behind that best sample. *)
+
+(* Three untimed warm-up runs, under the null sink like the samples,
+   then the best of [samples] (default [best_of]) samples. *)
+let best ?(samples = best_of) ~min_time f =
+  Obs.Probe.with_sink Obs.Sink.null (fun () ->
+      for _ = 1 to 3 do
+        ignore (f ())
+      done);
+  let samples = List.init samples (fun _ -> one_sample ~min_time f) in
+  let ns, runs =
+    List.fold_left (fun (bns, bruns) (ns, runs) -> if ns < bns then (ns, runs) else (bns, bruns))
+      (infinity, 0) samples
+  in
+  { ns; runs; samples_ns = List.map fst samples }

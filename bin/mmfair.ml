@@ -71,19 +71,33 @@ let connect_timeout_arg =
 
 (* ------------------------------------------------------------------ *)
 
+(* One line of the `allocate --trace` narration: the round's increment,
+   the links saturated so far, and the receivers it froze.  A
+   receiver's rate is written once, when it freezes, so the event
+   already carries its final rate. *)
+let print_round (ev : Mmfair_obs.Events.round) =
+  let items label f = function
+    | [] -> ""
+    | xs -> Printf.sprintf "; %s %s" label (String.concat ", " (List.map f xs))
+  in
+  Printf.printf "round %d: +%g%s%s\n" ev.round ev.increment
+    (items "saturated" (Printf.sprintf "l%d") ev.saturated_links)
+    (items "froze" (fun (s, i, rate) -> Printf.sprintf "r%d,%d@%g" (s + 1) (i + 1) rate) ev.frozen)
+
 let allocate_cmd =
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Narrate the water-filling rounds.") in
   let run tele file trace =
     Telemetry.wrap tele @@ fun () ->
     let parsed = Mmfair_workload.Net_parser.parse_file file in
     let net = parsed.Mmfair_workload.Net_parser.net in
-    let result =
-      match Allocator.max_min_trace_result net with
-      | Ok result -> result
+    let solve () = Allocator.max_min_result net in
+    let result, rounds = if trace then Mmfair_obs.Probe.rounds solve else (solve (), []) in
+    let alloc =
+      match result with
+      | Ok alloc -> alloc
       | Error e -> die exit_solver_error "mmfair allocate: %s" (Solver_error.to_string e)
     in
-    if trace then Allocator.pp_trace Format.std_formatter result;
-    let alloc = result.Allocator.allocation in
+    List.iter print_round rounds;
     let g = Network.graph net in
     let receiver_rows =
       Array.to_list

@@ -1,10 +1,9 @@
 (* Convergence traces, two timescales.
 
    First the allocator itself: the water-filling rounds of one
-   [Allocator.max_min] run, observed through the probe stream
-   ([Mmfair_obs.Probe] with a collecting sink) rather than by
-   constructing trace records by hand — the probe API supersedes
-   direct [pp_trace]-style round construction.
+   [Allocator.max_min] run, read from the probe stream, the solver's
+   one round trace: [Mmfair_obs.Probe.rounds] collects the round
+   events the run emits.
 
    Then the protocols: each protocol's expected joined level as it
    climbs from layer 1, rendered as ASCII trajectories from the exact
@@ -50,11 +49,7 @@ let water_filling_section () =
         Network.session ~sender:0 ~receivers:[| leaves.(0) |] ();
       |]
   in
-  let rounds = ref [] in
-  let sink = Obs.Sink.make ~on_round:(fun ev -> rounds := ev :: !rounds) () in
-  let alloc = Obs.Probe.with_sink sink (fun () -> Allocator.max_min net) in
-  ignore alloc;
-  let rounds = List.rev !rounds in
+  let _, rounds = Obs.Probe.rounds (fun () -> Allocator.max_min net) in
   Format.printf "Water-filling convergence of one max-min run (via the probe stream):@.@.";
   List.iter
     (fun (ev : Obs.Events.round) ->

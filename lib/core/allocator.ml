@@ -1,14 +1,6 @@
 module Graph = Mmfair_topology.Graph
 module Obs = Mmfair_obs
 
-type round = {
-  increment : float;
-  frozen : Network.receiver_id list;
-  saturated_links : Graph.link_id list;
-}
-
-type result = { allocation : Allocation.t; rounds : round list }
-
 let tol_for x = 1e-9 *. Stdlib.max 1.0 (Float.abs x)
 
 (* The water-filling loop below works on the flat incidence index
@@ -137,8 +129,8 @@ type state = {
 
    The arena is per-domain ([Domain.DLS]), so pooled batch solves each
    get their own.  [busy] marks it taken: a solve started from inside
-   another one on the same domain (an [on_round] callback or probe
-   sink that solves) gets a fresh scratch instead. *)
+   another one on the same domain (a probe sink that solves) gets a
+   fresh scratch instead. *)
 type scratch = {
   mutable busy : bool;
   mutable stamp : int;
@@ -667,20 +659,17 @@ let stalled_error st round residual_slack =
   else Solver_error.No_progress { solver = solver_name; round; residual_slack }
 
 (* The water-filling loop is instrumented with per-round probe events
-   (Mmfair_obs.Probe): the round trace consumed by [max_min_trace] /
-   [pp_trace] is reconstructed from the same event stream that
-   external sinks (metrics registry, Chrome trace, JSONL) observe.
-   When probes are disabled and no local [on_round] collector is
-   passed, no per-round payload is built at all — the hot loop pays
-   one flag check per round, and the linear engine never sweeps the
-   active links.
+   (Mmfair_obs.Probe), the only way to observe its rounds.  When
+   probes are disabled no per-round payload is built at all — the hot
+   loop pays one flag check per round, and the linear engine never
+   sweeps the active links.
 
    One loop for every solve and both engines; the engines differ only
    in how a round finds its level and its saturated links.  Every loop
    below is bounded by [st.n_*] counters, heap sizes or the solve's own
    session/link sets, never by [Array.length] of a state array (arena
    arrays are oversized). *)
-let water_fill ?on_round st ~use_linear =
+let water_fill st ~use_linear =
   let inc = st.inc in
   let session_first = inc.Network.session_first in
   let session_of gid = inc.Network.gid_session.(gid) in
@@ -722,7 +711,7 @@ let water_fill ?on_round st ~use_linear =
     (* One flag check per round: when nobody listens, the per-round
        trace payload (frozen list, saturated set, slack sweep) is never
        built. *)
-    let want = Option.is_some on_round || Obs.Probe.enabled () in
+    let want = Obs.Probe.enabled () in
     decr guard;
     incr round_no;
     if !guard < 0 then begin
@@ -852,8 +841,7 @@ let water_fill ?on_round st ~use_linear =
           residual_slack = min_slack;
         }
       in
-      Obs.Probe.round ev;
-      match on_round with Some f -> f ev | None -> ()
+      Obs.Probe.round ev
     end;
     t_cur := t_new
   done
@@ -863,18 +851,18 @@ let water_fill ?on_round st ~use_linear =
    are proportional to the component's neighborhood, not the network.
    [k] receives the solved rows (a fresh row per listed session) while
    the arena still holds them. *)
-let solve ?on_round net ~component ~frozen k =
+let solve net ~component ~frozen k =
   with_scratch (fun sc ->
       let st, use_linear = init sc net ~component ~frozen in
-      water_fill ?on_round st ~use_linear;
+      water_fill st ~use_linear;
       let session_first = st.inc.Network.session_first in
       k (fun i -> Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i))))
 
 (* A cold solve is the restricted solve over every session, with its
    result validated; nothing is pinned, so [frozen] is never read. *)
-let run ?on_round net =
+let max_min net =
   let m = Network.session_count net in
-  solve ?on_round net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun row ->
+  solve net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun row ->
       Allocation.make net (Array.init m row))
 
 (* A partial solve's result is one batched update of [frozen]: the
@@ -885,50 +873,10 @@ let max_min_partial ~sessions ~frozen net =
       Allocation.unsafe_of_rows net
         (Pvec.update frozen (fun set -> Array.iter (fun i -> set i (row i)) sessions)))
 
-(* The round trace is a pure view of the probe stream: collect the
-   events of one run and rebuild the classic [round] records. *)
-let round_of_event (ev : Obs.Events.round) =
-  {
-    increment = ev.Obs.Events.increment;
-    frozen =
-      List.map (fun (s, i, _) -> { Network.session = s; Network.index = i }) ev.Obs.Events.frozen;
-    saturated_links = ev.Obs.Events.saturated_links;
-  }
-
-let max_min_trace net =
-  let events = ref [] in
-  let allocation = run ~on_round:(fun ev -> events := ev :: !events) net in
-  { allocation; rounds = List.rev_map round_of_event !events }
-
-let max_min net = run net
-
 let max_min_partial_result ~sessions ~frozen net =
   Solver_error.protect ~solver:solver_name (fun () -> max_min_partial ~sessions ~frozen net)
 
-let max_min_trace_result net = Solver_error.protect ~solver:solver_name (fun () -> max_min_trace net)
-let max_min_result net = Solver_error.protect ~solver:solver_name (fun () -> run net)
-
-let pp_trace fmt { allocation; rounds } =
-  List.iteri
-    (fun b round ->
-      Format.fprintf fmt "round %d: +%g" (b + 1) round.increment;
-      (match round.saturated_links with
-      | [] -> ()
-      | ls ->
-          Format.fprintf fmt "; saturated %s"
-            (String.concat ", " (List.map (Printf.sprintf "l%d") ls)));
-      (match round.frozen with
-      | [] -> ()
-      | rs ->
-          Format.fprintf fmt "; froze %s"
-            (String.concat ", "
-               (List.map
-                  (fun (r : Network.receiver_id) ->
-                    Printf.sprintf "r%d,%d@%g" (r.Network.session + 1) (r.Network.index + 1)
-                      (Allocation.rate allocation r))
-                  rs)));
-      Format.fprintf fmt "@.")
-    rounds
+let max_min_result net = Solver_error.protect ~solver:solver_name (fun () -> max_min net)
 
 let bottleneck_links alloc r =
   let net = Allocation.network alloc in

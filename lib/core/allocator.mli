@@ -25,31 +25,15 @@
     linear link-rate function and every receiver it raises has unit
     weight; otherwise Bisection runs.  To drive Bisection on a linear
     network (as the engine cross-checks do), wrap its functions with
-    {!Redundancy_fn.as_custom}. *)
+    {!Redundancy_fn.as_custom}.
 
-type round = {
-  increment : float;  (** The round's uniform rate increase [Δt_b]. *)
-  frozen : Network.receiver_id list;
-      (** Receivers removed from the active set this round, in
-          ascending (session, index) order. *)
-  saturated_links : Mmfair_topology.Graph.link_id list;
-      (** Links fully utilized by the end of this round (those of
-          earlier rounds included), ascending. *)
-}
-(** One iteration of the water-filling loop, for tracing/reports.
+    Every round a solve executes is emitted as one
+    {!Mmfair_obs.Events.round} probe event (its level, increment,
+    frozen receivers with their rates, and saturated links); that
+    stream is the only round trace.  {!Mmfair_obs.Probe.rounds}
+    collects the rounds of one solve. *)
 
-    Since the telemetry layer landed, [round] values are a {e view} of
-    the probe stream: every round the solver executes is emitted as a
-    {!Mmfair_obs.Events.round} event (richer — it also carries the
-    bottleneck level, active-set size and residual slack), and this
-    record is rebuilt from that event.  Constructing [round] lists by
-    hand is deprecated; subscribe to the probe stream instead
-    ([Mmfair_obs.Probe.with_sink (Mmfair_obs.Sink.make ~on_round ())
-    ...]). *)
-
-type result = { allocation : Allocation.t; rounds : round list }
-
-val max_min : Network.t -> Allocation.t
+val max_min: Network.t -> Allocation.t
 (** [max_min net] is the max-min fair allocation of [net].  Raises
     {!Solver_error.Error} if the algorithm fails to make progress
     (only possible with a misbehaving [Custom] link-rate function that
@@ -62,15 +46,10 @@ val max_min : Network.t -> Allocation.t
     its result rows.  Cost: setup linear in sessions plus total routed
     path length (the links no receiver crosses are never visited), then
     per round O(log links) plus the path work of the receivers it
-    freezes; the bisection engine and any listener on the round trace
-    add a sweep of the active links per round.  Solves may nest: one
-    started from an [on_round] callback or a probe sink while another
-    runs on the same domain gets a fresh scratch, leaving the outer
-    solve's state alone. *)
-
-val max_min_trace : Network.t -> result
-(** Like {!max_min} but also returns the per-round trace in execution
-    order. *)
+    freezes; the bisection engine and an enabled probe sink add a
+    sweep of the active links per round.  Solves may nest: one started
+    from a probe sink while another runs on the same domain gets a
+    fresh scratch, leaving the outer solve's state alone. *)
 
 val max_min_result : Network.t -> (Allocation.t, Solver_error.t) Stdlib.result
 (** Typed-error variant of {!max_min}: degenerate inputs and solver
@@ -78,9 +57,6 @@ val max_min_result : Network.t -> (Allocation.t, Solver_error.t) Stdlib.result
     over many networks can report and skip a bad case.  Never raises
     for any constructed {!Network.t} whose [Custom] link-rate
     functions do not themselves raise. *)
-
-val max_min_trace_result : Network.t -> (result, Solver_error.t) Stdlib.result
-(** Typed-error variant of {!max_min_trace}. *)
 
 val max_min_partial :
   sessions:int array -> frozen:float array Pvec.t -> Network.t -> Allocation.t
@@ -125,14 +101,6 @@ val max_min_partial_result :
   Network.t ->
   (Allocation.t, Solver_error.t) Stdlib.result
 (** Typed-error variant of {!max_min_partial}. *)
-
-val pp_trace : Format.formatter -> result -> unit
-(** Human-readable water-filling narration: one line per round with
-    the increment, the links that saturated, and the receivers frozen
-    — the Appendix-A execution made visible (used by
-    [mmfair allocate --trace]).  Kept as a thin wrapper over the
-    probe-derived rounds in [result]; for machine consumption prefer
-    the probe stream itself (see {!round}). *)
 
 val bottleneck_links : Allocation.t -> Network.receiver_id -> Mmfair_topology.Graph.link_id list
 (** The fully utilized links on a receiver's data-path under the given

@@ -74,30 +74,6 @@ let epoch t = Store.epoch t.store
 let store t = t.store
 let solver t = t.solver
 
-(* --- event application ------------------------------------------------ *)
-
-(* Event semantics over the surgery builder: validation runs against
-   the accumulated mid-batch state (a leave sees the batch's earlier
-   joins), and a batch with any join or leave pays one incidence
-   rebuild at commit, however many events it holds. *)
-let apply_surgery_event srg (event : Event.t) =
-  match event with
-  | Event.Join { session; node; weight } -> Network.surgery_join ?weight srg ~session ~node
-  | Event.Leave { session; node } ->
-      if session < 0 || session >= Network.surgery_session_count srg then
-        invalid_arg (Printf.sprintf "Dynamic.Batch.apply: leave targets unknown session %d" session);
-      let receivers = (Network.surgery_spec srg session).Network.receivers in
-      let index =
-        match Array.find_index (fun r -> r = node) receivers with
-        | Some k -> k
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Dynamic.Batch.apply: session %d has no receiver on node %d" session node)
-      in
-      Network.surgery_leave srg { Network.session; index }
-  | Event.Rho_change { session; rho } -> Network.surgery_rho srg session rho
-  | Event.Capacity_change { link; cap } -> Network.surgery_capacity srg link cap
-
 (* --- coalescing diff --------------------------------------------------- *)
 
 (* What a session looks like after the whole batch, relative to before.
@@ -206,7 +182,7 @@ let apply t events =
      and K events cost at most one incidence rebuild, not K. *)
   let new_net =
     let srg = Network.surgery_begin old_net in
-    List.iter (apply_surgery_event srg) events;
+    List.iter (Event.apply srg) events;
     Network.surgery_commit srg
   in
   let total_receivers = Network.receiver_count new_net in

@@ -27,3 +27,12 @@ val kind : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering, [.churn]-style but with 1-based session labels. *)
+
+val apply : Mmfair_core.Network.surgery -> t -> unit
+(** [apply srg ev] records [ev] on an open surgery: the one mapping
+    from events to network edits.  [surgery_begin], one [apply] and
+    [surgery_commit] cost what the matching [Network.with_*] call
+    does.  Raises [Invalid_argument] on a leave of an unknown session
+    or of a node the session has no receiver on (judged against the
+    surgery's state so far), or as the [Network.surgery_*] edit it
+    maps to. *)

@@ -15,6 +15,11 @@ let with_sink s f =
   Domain.DLS.set key s;
   Fun.protect ~finally:(fun () -> Domain.DLS.set key prev) f
 
+let rounds f =
+  let acc = ref [] in
+  let x = with_sink (Sink.tee (get ()) (Sink.make ~on_round:(fun ev -> acc := ev :: !acc) ())) f in
+  (x, List.rev !acc)
+
 let round ev =
   let s = Domain.DLS.get key in
   if s.Sink.enabled then s.Sink.on_round ev

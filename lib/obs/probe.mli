@@ -34,6 +34,12 @@ val with_sink : Sink.t -> (unit -> 'a) -> 'a
 (** [with_sink s f] runs [f] with [s] installed and restores the
     previous sink afterwards (also on exceptions). *)
 
+val rounds : (unit -> 'a) -> 'a * Events.round list
+(** [rounds f] runs [f] and returns its result with the round events
+    it emitted, in emission order.  The collector is teed after the
+    installed sink, which keeps seeing every event.  If [f] raises,
+    the exception propagates and the rounds are lost. *)
+
 val round : Events.round -> unit
 (** Emit a solver round event (no-op when disabled). *)
 

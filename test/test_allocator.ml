@@ -156,12 +156,15 @@ let test_additive_vfn_splits () =
 
 let test_trace_rounds () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
-  let { Allocator.rounds; allocation } = Allocator.max_min_trace net in
+  let allocation, rounds = Mmfair_obs.Probe.rounds (fun () -> Allocator.max_min net) in
   Alcotest.(check bool) "at least two rounds" true (List.length rounds >= 2);
-  let total_frozen = List.fold_left (fun acc r -> acc + List.length r.Allocator.frozen) 0 rounds in
+  let total_frozen =
+    List.fold_left (fun acc (r : Mmfair_obs.Events.round) -> acc + List.length r.frozen) 0 rounds
+  in
   Alcotest.(check int) "every receiver frozen exactly once" 4 total_frozen;
   List.iter
-    (fun r -> Alcotest.(check bool) "increments non-negative" true (r.Allocator.increment >= 0.0))
+    (fun (r : Mmfair_obs.Events.round) ->
+      Alcotest.(check bool) "increments non-negative" true (r.increment >= 0.0))
     rounds;
   Alcotest.(check bool) "result feasible" true (Allocation.is_feasible allocation)
 
@@ -631,12 +634,12 @@ let test_near_tied_links_saturate_together () =
   let net = Network.make g [| s 0 1; s 2 3; s 4 5 |] in
   List.iter
     (fun net ->
-      match (Allocator.max_min_trace net).rounds with
+      match snd (Mmfair_obs.Probe.rounds (fun () -> Allocator.max_min net)) with
       | first :: _ ->
           Alcotest.(check (list int)) "round 1 saturates the near-tied pair" [ l0; l1 ]
-            first.Allocator.saturated_links;
+            first.Mmfair_obs.Events.saturated_links;
           Alcotest.(check bool) "the farther link waits" false
-            (List.mem l2 first.Allocator.saturated_links)
+            (List.mem l2 first.Mmfair_obs.Events.saturated_links)
       | [] -> Alcotest.fail "no rounds")
     [ net; bisection_net net ]
 
