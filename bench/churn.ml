@@ -158,16 +158,10 @@ let bucket_events ~per_class net =
     (fun k -> (k, List.rev (Option.value (Hashtbl.find_opt buckets k) ~default:[])))
     Checks.churn_classes
 
-type row = {
-  kind : string;
-  events : int;
-  incremental_ns : float;  (* median over events of per-event best-of *)
-  scratch_ns : float;
-  speedup : float;  (* median over events of per-event scratch/incremental *)
-  mean_reuse : float;
-  full_fraction : float;
-}
+let int n = Json.Num (float_of_int n)
 
+(* One "classes" row: medians over events of the per-event best-of
+   times and of the per-event scratch/incremental speedup. *)
 let measure ~min_time net base_alloc (kind, events) =
   let per_event =
     List.map
@@ -186,27 +180,23 @@ let measure ~min_time net base_alloc (kind, events) =
         (incr_ns, scratch_ns, stats))
       events
   in
-  let n = float_of_int (List.length per_event) in
-  let row =
-    {
-      kind;
-      events = List.length per_event;
-      incremental_ns = Descriptive.median (Array.of_list (List.map (fun (i, _, _) -> i) per_event));
-      scratch_ns = Descriptive.median (Array.of_list (List.map (fun (_, s, _) -> s) per_event));
-      speedup = Descriptive.median (Array.of_list (List.map (fun (i, s, _) -> s /. i) per_event));
-      mean_reuse =
-        List.fold_left (fun acc (_, _, st) -> acc +. st.Batch.reuse_fraction) 0.0 per_event /. n;
-      full_fraction =
-        List.fold_left (fun acc (_, _, st) -> acc +. if st.Batch.full_solve then 1.0 else 0.0) 0.0
-          per_event
-        /. n;
-    }
-  in
+  let events = List.length per_event in
+  let median f = Descriptive.median (Array.of_list (List.map f per_event)) in
+  let mean f = List.fold_left (fun acc e -> acc +. f e) 0.0 per_event /. float_of_int events in
+  let incremental_ns = median (fun (i, _, _) -> i) in
+  let scratch_ns = median (fun (_, s, _) -> s) in
+  let speedup = median (fun (i, s, _) -> s /. i) in
+  let mean_reuse = mean (fun (_, _, st) -> st.Batch.reuse_fraction) in
+  let full_fraction = mean (fun (_, _, st) -> if st.Batch.full_solve then 1.0 else 0.0) in
   Printf.printf
     "%-6s %3d events  incremental %10.1f ns  scratch %12.1f ns  speedup %6.2fx  reuse %.2f  full %.2f\n%!"
-    row.kind row.events row.incremental_ns row.scratch_ns row.speedup row.mean_reuse
-    row.full_fraction;
-  row
+    kind events incremental_ns scratch_ns speedup mean_reuse full_fraction;
+  Json.Obj
+    [ ("kind", Json.Str kind); ("events", int events);
+      ("incremental_time_ns", Json.fixed 1 incremental_ns);
+      ("scratch_time_ns", Json.fixed 1 scratch_ns); ("median_speedup", Json.fixed 2 speedup);
+      ("mean_reuse_fraction", Json.fixed 4 mean_reuse);
+      ("full_solve_fraction", Json.fixed 4 full_fraction) ]
 
 (* --- flash-crowd batch ---------------------------------------------- *)
 
@@ -216,15 +206,6 @@ let measure ~min_time net base_alloc (kind, events) =
    the burst models the paper's flash-crowd scenario and nothing nets
    out — the speedup comes purely from coalescing the solves, not from
    cancellation. *)
-type batch_row = {
-  burst_events : int;
-  per_event_ns : float;
-  batched_ns : float;
-  batch_speedup : float;
-  net_events : int;
-  batch_solves : int;
-  batch_full : bool;
-}
 
 let flash_crowd net =
   let rng = Mmfair_prng.Xoshiro.create ~seed:777L () in
@@ -260,22 +241,16 @@ let measure_batch ~min_time net base_alloc burst =
   (* One untimed batched apply for the coalescing statistics. *)
   let eng = Batch.create ~allocation:base_alloc net in
   let stats = Batch.apply eng burst in
-  let row =
-    {
-      burst_events = List.length burst;
-      per_event_ns;
-      batched_ns;
-      batch_speedup = per_event_ns /. batched_ns;
-      net_events = stats.Batch.net_events;
-      batch_solves = stats.Batch.solves;
-      batch_full = stats.Batch.full_solve;
-    }
-  in
+  let burst_events = List.length burst in
+  let speedup = per_event_ns /. batched_ns in
   Printf.printf
     "batch  %3d events  per-event   %10.1f ns  batched %12.1f ns  speedup %6.2fx  net %d  solves %d\n%!"
-    row.burst_events row.per_event_ns row.batched_ns row.batch_speedup row.net_events
-    row.batch_solves;
-  row
+    burst_events per_event_ns batched_ns speedup stats.Batch.net_events stats.Batch.solves;
+  Json.Obj
+    [ ("burst_events", int burst_events); ("per_event_time_ns", Json.fixed 1 per_event_ns);
+      ("batched_time_ns", Json.fixed 1 batched_ns); ("speedup", Json.fixed 2 speedup);
+      ("net_events", int stats.Batch.net_events); ("solves", int stats.Batch.solves);
+      ("full_solve", Json.Bool stats.Batch.full_solve) ]
 
 (* --- parallel disjoint components ----------------------------------- *)
 
@@ -316,17 +291,6 @@ let star_of_stars () =
     spares := spare :: !spares
   done;
   (Network.make g (Array.of_list (List.rev !specs)), List.rev !spares)
-
-type parallel_row = { p_domains : int; p_batched_ns : float; p_speedup : float }
-
-type parallel_section = {
-  par_sessions : int;
-  par_links : int;
-  par_burst : int;
-  par_components : int;
-  par_host_cpus : int;
-  par_rows : parallel_row list;
-}
 
 let rate_matrix net alloc =
   Array.init (Network.session_count net) (fun i -> Allocation.rates_of_session alloc i)
@@ -374,22 +338,22 @@ let measure_parallel ~min_time () =
   let t1 = List.assoc 1 timings in
   let rows =
     List.map
-      (fun (domains, ns) -> { p_domains = domains; p_batched_ns = ns; p_speedup = t1 /. ns })
+      (fun (domains, ns) ->
+        let speedup = t1 /. ns in
+        Printf.printf "parallel %2d domains  batched %12.1f ns  speedup vs 1 %6.2fx\n%!" domains ns
+          speedup;
+        Json.Obj
+          [ ("domains", int domains); ("batched_time_ns", Json.fixed 1 ns);
+            ("speedup_vs_1", Json.fixed 2 speedup) ])
       timings
   in
-  List.iter
-    (fun r ->
-      Printf.printf "parallel %2d domains  batched %12.1f ns  speedup vs 1 %6.2fx\n%!" r.p_domains
-        r.p_batched_ns r.p_speedup)
-    rows;
-  {
-    par_sessions = Network.session_count net;
-    par_links = Graph.link_count (Network.graph net);
-    par_burst = List.length burst;
-    par_components = stats1.Batch.components;
-    par_host_cpus = Domain.recommended_domain_count ();
-    par_rows = rows;
-  }
+  Json.Obj
+    [ ( "topology",
+        Json.Obj
+          [ ("clusters", int clusters); ("sessions", int (Network.session_count net));
+            ("links", int (Graph.link_count (Network.graph net))) ] );
+      ("burst_events", int (List.length burst)); ("components", int stats1.Batch.components);
+      ("host_cpus", int (Domain.recommended_domain_count ())); ("rows", Json.List rows) ]
 
 (* --- serving throughput (churnd) ------------------------------------ *)
 
@@ -410,20 +374,6 @@ let serving_max_batch = 512
    cycle measured here bounds the default-configuration overhead with
    a 20x margin. *)
 let serving_sample_interval = 0.05
-
-type serving_row = {
-  srv_events : int;
-  srv_elapsed_s : float;
-  srv_events_per_s : float;
-  srv_epochs : int;
-  srv_max_staleness_s : float;
-  (* sampler A/B + direct tick pricing (schema v5) *)
-  srv_sampled_events_per_s : float;
-  srv_sampler_ticks : int;
-  srv_sampler_overhead : float;  (* 1 - sampled/plain throughput; informational *)
-  srv_sampler_tick_cost_s : float;  (* directly timed mean tick cost *)
-  srv_sampler_duty : float;  (* tick cost / bench cadence; gated <= 5% *)
-}
 
 (* Daemon.create wants parsed names; the bench network is synthetic, so
    give it the n<i>/l<j>/s<i> names Churn_parser.render defaults to —
@@ -536,34 +486,35 @@ let measure_serving ~quick net =
     Obs.Clock.since_s t0 /. float_of_int ticks
   in
   let events_per_s = float_of_int ingested /. elapsed in
-  let sampled_events_per_s = float_of_int ingested /. sampled_elapsed in
-  let row =
-    {
-      srv_events = ingested;
-      srv_elapsed_s = elapsed;
-      srv_events_per_s = events_per_s;
-      srv_epochs = counter "serve.epochs.total";
-      srv_max_staleness_s =
-        Obs.Registry.gauge_value (Obs.Registry.gauge reg "serve.staleness.max.seconds");
-      srv_sampled_events_per_s = sampled_events_per_s;
-      srv_sampler_ticks = sampler_ticks;
-      srv_sampler_overhead = 1.0 -. (sampled_events_per_s /. events_per_s);
-      srv_sampler_tick_cost_s = tick_cost_s;
-      srv_sampler_duty = tick_cost_s /. serving_sample_interval;
-    }
+  let epochs = counter "serve.epochs.total" in
+  let max_staleness_s =
+    Obs.Registry.gauge_value (Obs.Registry.gauge reg "serve.staleness.max.seconds")
   in
+  let sampled_events_per_s = float_of_int ingested /. sampled_elapsed in
+  (* 1 - sampled/plain throughput: informational only. *)
+  let overhead = 1.0 -. (sampled_events_per_s /. events_per_s) in
+  (* Tick cost over the bench cadence: gated <= 5%. *)
+  let duty = tick_cost_s /. serving_sample_interval in
   Printf.printf
     "serving %5d events in %6.3f s  %10.1f events/s  %4d epochs  max staleness %.4f s\n%!"
-    row.srv_events row.srv_elapsed_s row.srv_events_per_s row.srv_epochs row.srv_max_staleness_s;
+    ingested elapsed events_per_s epochs max_staleness_s;
   Printf.printf "serving   engine: %d batches  %d solves (%d full)  %d rounds\n%!"
     (counter "dynamic.batches.total") (counter "dynamic.solves.total")
     (counter "dynamic.full_solves.total") (counter "solver.rounds.total");
   Printf.printf
     "serving   sampler: %d ticks at %g s, %10.1f events/s sampled (overhead %+.1f%%), tick %.1f us, duty %.4f%%\n%!"
-    row.srv_sampler_ticks serving_sample_interval row.srv_sampled_events_per_s
-    (row.srv_sampler_overhead *. 100.0) (row.srv_sampler_tick_cost_s *. 1e6)
-    (row.srv_sampler_duty *. 100.0);
-  row
+    sampler_ticks serving_sample_interval sampled_events_per_s (overhead *. 100.0)
+    (tick_cost_s *. 1e6) (duty *. 100.0);
+  Json.Obj
+    [ ("events", int ingested); ("elapsed_s", Json.fixed 4 elapsed);
+      ("events_per_s", Json.fixed 1 events_per_s); ("epochs", int epochs);
+      ("max_batch", int serving_max_batch); ("max_staleness_s", Json.fixed 6 max_staleness_s);
+      ( "sampler",
+        Json.Obj
+          [ ("interval_s", Json.Num serving_sample_interval); ("ticks", int sampler_ticks);
+            ("events_per_s", Json.fixed 1 sampled_events_per_s);
+            ("overhead_fraction", Json.fixed 4 overhead); ("tick_cost_s", Json.fixed 9 tick_cost_s);
+            ("duty_cycle", Json.fixed 6 duty) ] ) ]
 
 (* --- flow-level stability (mmfair_flow) ----------------------------- *)
 
@@ -576,34 +527,6 @@ let measure_serving ~quick net =
    rho = 0.8 run's wall clock prices the fluid loop (Batch.apply
    epochs + rate refreshes) as events/s, gated only in full files like
    every other timing number. *)
-
-type stability_row = {
-  st_load : float;
-  st_verdict : string;
-  st_arrivals : int;
-  st_departures : int;
-  st_blocked : int;
-  st_max_pop : int;
-  st_mean_pop : float;
-  st_first_half : float;
-  st_second_half : float;
-  st_epochs : int;
-  st_events : int;
-  st_elapsed_s : float;
-  st_events_per_s : float;
-  st_sojourn_p50 : float;
-  st_sojourn_p99 : float;
-  st_rate_p50 : float;
-  st_rate_p99 : float;
-}
-
-type stability_section = {
-  stb_clusters : int;
-  stb_slots : int;
-  stb_trunk : float;
-  stb_horizon : float;
-  stb_rows : stability_row list;
-}
 
 let measure_stability ~quick () =
   let clusters = if quick then 4 else 8 in
@@ -621,113 +544,37 @@ let measure_stability ~quick () =
     let r = Obs.Probe.with_sink Obs.Sink.null (fun () -> Flow.Sim.run ~config scn) in
     let elapsed = Obs.Clock.since_s t0 in
     let rep = Flow.Stability.assess r in
-    let row =
-      {
-        st_load = load;
-        st_verdict = Flow.Stability.verdict_to_string rep.Flow.Stability.verdict;
-        st_arrivals = r.Flow.Sim.arrivals;
-        st_departures = r.Flow.Sim.departures;
-        st_blocked = r.Flow.Sim.blocked;
-        st_max_pop = r.Flow.Sim.max_population;
-        st_mean_pop = r.Flow.Sim.time_avg_population;
-        st_first_half = r.Flow.Sim.first_half_mean;
-        st_second_half = r.Flow.Sim.second_half_mean;
-        st_epochs = r.Flow.Sim.epochs;
-        st_events = r.Flow.Sim.applied_events;
-        st_elapsed_s = elapsed;
-        st_events_per_s = float_of_int r.Flow.Sim.applied_events /. elapsed;
-        st_sojourn_p50 = LH.quantile r.Flow.Sim.sojourn 0.5;
-        st_sojourn_p99 = LH.quantile r.Flow.Sim.sojourn 0.99;
-        st_rate_p50 = LH.quantile r.Flow.Sim.flow_rate 0.5;
-        st_rate_p99 = LH.quantile r.Flow.Sim.flow_rate 0.99;
-      }
-    in
+    let verdict = Flow.Stability.verdict_to_string rep.Flow.Stability.verdict in
+    let events = r.Flow.Sim.applied_events in
+    let events_per_s = float_of_int events /. elapsed in
     Printf.printf
       "stability rho=%.1f: %-9s %5d arrivals %5d departures  max pop %4d  mean %7.2f  %6d events in %6.3f s (%8.1f events/s)\n%!"
-      load row.st_verdict row.st_arrivals row.st_departures row.st_max_pop row.st_mean_pop
-      row.st_events elapsed row.st_events_per_s;
-    row
+      load verdict r.Flow.Sim.arrivals r.Flow.Sim.departures r.Flow.Sim.max_population
+      r.Flow.Sim.time_avg_population events elapsed events_per_s;
+    Json.Obj
+      [ ("load", Json.Num load); ("verdict", Json.Str verdict);
+        ("arrivals", int r.Flow.Sim.arrivals); ("departures", int r.Flow.Sim.departures);
+        ("blocked", int r.Flow.Sim.blocked); ("max_population", int r.Flow.Sim.max_population);
+        ("time_avg_population", Json.fixed 4 r.Flow.Sim.time_avg_population);
+        ("first_half_mean", Json.fixed 4 r.Flow.Sim.first_half_mean);
+        ("second_half_mean", Json.fixed 4 r.Flow.Sim.second_half_mean);
+        ("epochs", int r.Flow.Sim.epochs); ("events", int events);
+        ("elapsed_s", Json.fixed 4 elapsed); ("events_per_s", Json.fixed 1 events_per_s);
+        ("sojourn_p50", Json.Num (LH.quantile r.Flow.Sim.sojourn 0.5));
+        ("sojourn_p99", Json.Num (LH.quantile r.Flow.Sim.sojourn 0.99));
+        ("flow_rate_p50", Json.Num (LH.quantile r.Flow.Sim.flow_rate 0.5));
+        ("flow_rate_p99", Json.Num (LH.quantile r.Flow.Sim.flow_rate 0.99)) ]
   in
-  {
-    stb_clusters = clusters;
-    stb_slots = slots;
-    stb_trunk = trunk;
-    stb_horizon = horizon;
-    stb_rows = [ row 0.8; row 1.2 ];
-  }
+  Json.Obj
+    [ ( "scenario",
+        Json.Obj
+          [ ("clusters", int clusters); ("slots", int slots); ("trunk_capacity", Json.Num trunk) ] );
+      ("workload", Json.Str "exp:1"); ("horizon", Json.Num horizon);
+      ("rows", Json.List [ row 0.8; row 1.2 ]) ]
 
-(* --- JSON emission -------------------------------------------------- *)
+(* --- JSON document -------------------------------------------------- *)
 
-let emit ~quick ~min_time ~out net rows batch par serving stability =
-  let int n = Json.Num (float_of_int n) in
-  let class_row r =
-    Json.Obj
-      [ ("kind", Json.Str r.kind); ("events", int r.events);
-        ("incremental_time_ns", Json.fixed 1 r.incremental_ns);
-        ("scratch_time_ns", Json.fixed 1 r.scratch_ns); ("median_speedup", Json.fixed 2 r.speedup);
-        ("mean_reuse_fraction", Json.fixed 4 r.mean_reuse);
-        ("full_solve_fraction", Json.fixed 4 r.full_fraction) ]
-  in
-  let parallel_row r =
-    Json.Obj
-      [ ("domains", int r.p_domains); ("batched_time_ns", Json.fixed 1 r.p_batched_ns);
-        ("speedup_vs_1", Json.fixed 2 r.p_speedup) ]
-  in
-  let stability_row r =
-    Json.Obj
-      [ ("load", Json.Num r.st_load); ("verdict", Json.Str r.st_verdict);
-        ("arrivals", int r.st_arrivals); ("departures", int r.st_departures);
-        ("blocked", int r.st_blocked); ("max_population", int r.st_max_pop);
-        ("time_avg_population", Json.fixed 4 r.st_mean_pop);
-        ("first_half_mean", Json.fixed 4 r.st_first_half);
-        ("second_half_mean", Json.fixed 4 r.st_second_half); ("epochs", int r.st_epochs);
-        ("events", int r.st_events); ("elapsed_s", Json.fixed 4 r.st_elapsed_s);
-        ("events_per_s", Json.fixed 1 r.st_events_per_s);
-        ("sojourn_p50", Json.Num r.st_sojourn_p50); ("sojourn_p99", Json.Num r.st_sojourn_p99);
-        ("flow_rate_p50", Json.Num r.st_rate_p50); ("flow_rate_p99", Json.Num r.st_rate_p99) ]
-  in
-  let batch =
-    Json.Obj
-      [ ("burst_events", int batch.burst_events);
-        ("per_event_time_ns", Json.fixed 1 batch.per_event_ns);
-        ("batched_time_ns", Json.fixed 1 batch.batched_ns);
-        ("speedup", Json.fixed 2 batch.batch_speedup); ("net_events", int batch.net_events);
-        ("solves", int batch.batch_solves); ("full_solve", Json.Bool batch.batch_full) ]
-  in
-  let parallel =
-    Json.Obj
-      [ ( "topology",
-          Json.Obj
-            [ ("clusters", int clusters); ("sessions", int par.par_sessions);
-              ("links", int par.par_links) ] );
-        ("burst_events", int par.par_burst); ("components", int par.par_components);
-        ("host_cpus", int par.par_host_cpus);
-        ("rows", Json.List (List.map parallel_row par.par_rows)) ]
-  in
-  let sampler =
-    Json.Obj
-      [ ("interval_s", Json.Num serving_sample_interval); ("ticks", int serving.srv_sampler_ticks);
-        ("events_per_s", Json.fixed 1 serving.srv_sampled_events_per_s);
-        ("overhead_fraction", Json.fixed 4 serving.srv_sampler_overhead);
-        ("tick_cost_s", Json.fixed 9 serving.srv_sampler_tick_cost_s);
-        ("duty_cycle", Json.fixed 6 serving.srv_sampler_duty) ]
-  in
-  let serving =
-    Json.Obj
-      [ ("events", int serving.srv_events); ("elapsed_s", Json.fixed 4 serving.srv_elapsed_s);
-        ("events_per_s", Json.fixed 1 serving.srv_events_per_s);
-        ("epochs", int serving.srv_epochs); ("max_batch", int serving_max_batch);
-        ("max_staleness_s", Json.fixed 6 serving.srv_max_staleness_s); ("sampler", sampler) ]
-  in
-  let stability =
-    Json.Obj
-      [ ( "scenario",
-          Json.Obj
-            [ ("clusters", int stability.stb_clusters); ("slots", int stability.stb_slots);
-              ("trunk_capacity", Json.Num stability.stb_trunk) ] );
-        ("workload", Json.Str "exp:1"); ("horizon", Json.Num stability.stb_horizon);
-        ("rows", Json.List (List.map stability_row stability.stb_rows)) ]
-  in
+let emit ~quick ~min_time ~out net sections =
   let topology =
     Json.Obj
       [ ("sessions", int (Network.session_count net));
@@ -736,11 +583,10 @@ let emit ~quick ~min_time ~out net rows batch par serving stability =
   in
   let doc =
     Json.Obj
-      [ ("schema", Json.Str Checks.churn_schema); ("generated_by", Json.Str "bench/churn.exe");
-        ("quick", Json.Bool quick); ("min_time_s", Json.Num min_time); ("best_of", int Timing.best_of);
-        ("topology", topology); ("classes", Json.List (List.map class_row rows));
-        ("batch", batch); ("parallel", parallel); ("serving", serving);
-        ("stability", stability) ]
+      ([ ("schema", Json.Str Checks.churn_schema); ("generated_by", Json.Str "bench/churn.exe");
+         ("quick", Json.Bool quick); ("min_time_s", Json.Num min_time);
+         ("best_of", int Timing.best_of); ("topology", topology) ]
+      @ sections)
   in
   Out_channel.with_open_bin out (fun oc -> output_string oc (Json.to_string_indented doc))
 
@@ -785,7 +631,7 @@ let () =
             Printf.eprintf "churn bench: no applicable %S events generated\n%!" k;
             exit 1))
         buckets;
-      let rows = List.map (measure ~min_time net base_alloc) buckets in
+      let classes = List.map (measure ~min_time net base_alloc) buckets in
       let batch = measure_batch ~min_time net base_alloc (flash_crowd net) in
       let par = measure_parallel ~min_time () in
       (* The parallel rows leave shared pools (2/4/8 domains) parked.
@@ -795,6 +641,8 @@ let () =
       Mmfair_core.Domain_pool.shutdown_shared ();
       let serving = measure_serving ~quick:!quick net in
       let stability = measure_stability ~quick:!quick () in
-      emit ~quick:!quick ~min_time ~out:!out net rows batch par serving stability;
+      emit ~quick:!quick ~min_time ~out:!out net
+        [ ("classes", Json.List classes); ("batch", batch); ("parallel", par);
+          ("serving", serving); ("stability", stability) ];
       Printf.printf "wrote %s (%d classes + batch + parallel + serving + stability)\n" !out
-        (List.length rows)
+        (List.length classes)

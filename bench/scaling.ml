@@ -74,14 +74,6 @@ type curve_point = {
   peak_live_words : int;
 }
 
-type curve = {
-  c_name : string;
-  c_points : curve_point list;
-  build_exponent : float;
-  solve_exponent : float;
-  event_exponent : float;
-}
-
 type curve_workload = {
   w_label : string;
   w_graph : Graph.t;
@@ -234,14 +226,23 @@ let fit_exponent points get =
       in
       ((n *. sxy) -. (sx *. sy)) /. ((n *. sxx) -. (sx *. sx))
 
-let finish_curve name points =
-  {
-    c_name = name;
-    c_points = points;
-    build_exponent = fit_exponent points (fun p -> p.build_ns);
-    solve_exponent = fit_exponent points (fun p -> p.solve_ns);
-    event_exponent = fit_exponent points (fun p -> p.event_ns);
-  }
+let int n = Json.Num (float_of_int n)
+
+(* One "curves" element: the fitted exponents, then the points. *)
+let curve name points =
+  let point pt =
+    Json.Obj
+      [ ("label", Json.Str pt.p_label); ("sessions", int pt.p_sessions);
+        ("links", int pt.p_links); ("receivers", int pt.p_receivers);
+        ("build_ns", Json.fixed 1 pt.build_ns); ("solve_ns", Json.fixed 1 pt.solve_ns);
+        ("event_ns", Json.fixed 1 pt.event_ns); ("peak_live_words", int pt.peak_live_words) ]
+  in
+  Json.Obj
+    [ ("name", Json.Str name);
+      ("build_exponent", Json.fixed 3 (fit_exponent points (fun p -> p.build_ns)));
+      ("solve_exponent", Json.fixed 3 (fit_exponent points (fun p -> p.solve_ns)));
+      ("event_exponent", Json.fixed 3 (fit_exponent points (fun p -> p.event_ns)));
+      ("points", Json.List (List.map point points)) ]
 
 let fat_tree_per_host = 9
 
@@ -251,11 +252,11 @@ let measure_curves ~quick ~min_time =
   let fat_ks = if quick then [ 6; 10; 14 ] else [ 8; 16; 24; 36 ] in
   let pl_nodes = if quick then [ 256; 1024 ] else [ 512; 2048; 8192 ] in
   [
-    finish_curve "fat-tree"
+    curve "fat-tree"
       (List.map
          (fun k -> measure_point ~min_time (fat_tree_workload ~k ~per_host:fat_tree_per_host))
          fat_ks);
-    finish_curve "power-law"
+    curve "power-law"
       (List.map (fun nodes -> measure_point ~min_time (power_law_workload ~nodes)) pl_nodes);
   ]
 
@@ -343,21 +344,6 @@ let entries ~quick =
 (* --- JSON emission ------------------------------------------------- *)
 
 let emit ~quick ~min_time ~phases ~out ~curves rows =
-  let int n = Json.Num (float_of_int n) in
-  let point pt =
-    Json.Obj
-      [ ("label", Json.Str pt.p_label); ("sessions", int pt.p_sessions);
-        ("links", int pt.p_links); ("receivers", int pt.p_receivers);
-        ("build_ns", Json.fixed 1 pt.build_ns); ("solve_ns", Json.fixed 1 pt.solve_ns);
-        ("event_ns", Json.fixed 1 pt.event_ns); ("peak_live_words", int pt.peak_live_words) ]
-  in
-  let curve c =
-    Json.Obj
-      [ ("name", Json.Str c.c_name); ("build_exponent", Json.fixed 3 c.build_exponent);
-        ("solve_exponent", Json.fixed 3 c.solve_exponent);
-        ("event_exponent", Json.fixed 3 c.event_exponent);
-        ("points", Json.List (List.map point c.c_points)) ]
-  in
   let entry (e, (timing : Timing.best), ref_timing, rounds, live) =
     let reference =
       match ref_timing with
@@ -380,7 +366,7 @@ let emit ~quick ~min_time ~phases ~out ~curves rows =
         ("generated_by", Json.Str "bench/scaling.exe"); ("quick", Json.Bool quick);
         ("min_time_s", Json.Num min_time); ("best_of", int Timing.best_of);
         ("phases", Json.Obj (List.map (fun (name, s) -> (name, Json.fixed 6 s)) phases));
-        ("curves", Json.List (List.map curve curves));
+        ("curves", Json.List curves);
         ("entries", Json.List (List.map entry rows)) ]
   in
   Out_channel.with_open_bin out (fun oc -> output_string oc (Json.to_string_indented doc))

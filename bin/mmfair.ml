@@ -711,25 +711,18 @@ let churnd_cmd =
              ~doc:"Append every sampler tick to FILE as mmfair.series/v1 JSONL (one header line \
                    per daemon start, one line per tick, flushed per line).")
   in
-  let series_capacity =
-    Arg.(value & opt int 512
-         & info [ "series-capacity" ] ~docv:"N"
-             ~doc:"Windows retained per in-memory series before downsampling halves them.")
-  in
   let run tele net_file socket input domains max_batch ack poll write_timeout
-      snapshot_out sample_interval series_out series_capacity =
+      snapshot_out sample_interval series_out =
     Telemetry.wrap tele @@ fun () ->
     if domains < 1 then die exit_invalid_input "mmfair churnd: --domains wants a positive count";
     if max_batch < 1 then die exit_invalid_input "mmfair churnd: --max-batch wants a positive count";
     if poll <= 0.0 then die exit_invalid_input "mmfair churnd: --poll-interval wants a positive duration";
     if write_timeout <= 0.0 then
       die exit_invalid_input "mmfair churnd: --write-timeout wants a positive duration";
-    if series_capacity < 2 then
-      die exit_invalid_input "mmfair churnd: --series-capacity wants at least 2 windows";
     let parsed = Net_parser.parse_file net_file in
     let config =
       { Mmfair_serve.Daemon.domains; max_batch; ack; poll_interval = poll;
-        write_timeout; sample_interval; series_capacity; series_out }
+        write_timeout; sample_interval; series_out }
     in
     let daemon =
       match Daemon.create ~config parsed with
@@ -771,8 +764,10 @@ let churnd_cmd =
           .churn grammar plus queries:";
       `Pre "rate SESSION NODE\nrates\nepoch\nmetrics [json|prom]\nstats\nseries METRIC [WINDOW]\nquit";
       `P "SIGINT/SIGTERM finish the loop cleanly (flush, snapshot, restore signal dispositions); \
-          SIGPIPE is ignored while serving.  A sampler walks the metrics registry every \
-          $(b,--sample-interval) seconds into fixed-capacity in-memory time series (queryable \
+          SIGPIPE is ignored while serving: a reader that goes away drops only its own \
+          connection, and in pipe mode ends the loop (queued events still land, the snapshot is \
+          still written).  A sampler walks the metrics registry every $(b,--sample-interval) \
+          seconds into in-memory time series of 512 windows each (queryable \
           live via $(b,series), renderable via $(b,mmfair watch)) and, with $(b,--series-out), \
           appends each tick to a JSONL file for offline plotting.  Pair with \
           $(b,mmfair churnd-load) for soak testing.";
@@ -780,8 +775,7 @@ let churnd_cmd =
   in
   Cmd.v (Cmd.info "churnd" ~doc ~man)
     Term.(const run $ tele_term $ net_file_arg $ socket $ input $ domains $ max_batch
-          $ ack $ poll $ write_timeout $ snapshot_out $ sample_interval $ series_out
-          $ series_capacity)
+          $ ack $ poll $ write_timeout $ snapshot_out $ sample_interval $ series_out)
 
 (* `mmfair churnd-load`: load generator and soak harness for churnd.
    Generates a seeded Churn_gen trace; either prints it (pipe mode) or

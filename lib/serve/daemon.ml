@@ -19,9 +19,12 @@ type config = {
   poll_interval : float;
   write_timeout : float;
   sample_interval : float;
-  series_capacity : int;
   series_out : string option;
 }
+
+(* Windows retained per in-memory time series before downsampling
+   halves them. *)
+let series_capacity = 512
 
 let default_config =
   {
@@ -31,7 +34,6 @@ let default_config =
     poll_interval = 0.05;
     write_timeout = 5.0;
     sample_interval = 1.0;
-    series_capacity = 512;
     series_out = None;
   }
 
@@ -68,10 +70,6 @@ let create ?(config = default_config) parsed =
   if config.write_timeout <= 0.0 then
     invalid_arg
       (Printf.sprintf "Daemon.create: write_timeout must be > 0 (got %g)" config.write_timeout);
-  if config.series_capacity < 2 then
-    invalid_arg
-      (Printf.sprintf "Daemon.create: series_capacity must be >= 2 (got %d)"
-         config.series_capacity);
   (* No protocol verb reads a past epoch, so the store keeps only the
      current one. *)
   match Batch.create_result ~domains:config.domains ~retain:1 parsed.Net_parser.net with
@@ -112,7 +110,7 @@ let create ?(config = default_config) parsed =
           staleness_h =
             Registry.log_histogram registry ~lo:1e-6 ~hi:100.0 ~bins:48 "serve.staleness.seconds";
           staleness_max = Registry.gauge registry "serve.staleness.max.seconds";
-          series = Timeseries.create ~capacity:config.series_capacity ();
+          series = Timeseries.create ~capacity:series_capacity ();
           series_oc;
           last_sample = 0.0;
         }
@@ -394,13 +392,13 @@ exception Write_timeout
 
 (* Full write, EINTR-safe.  On a non-blocking fd a full send buffer
    surfaces as EAGAIN/EWOULDBLOCK; we then wait for writability via
-   select — bounded by [timeout] seconds for the whole write when
-   given, raising [Write_timeout] on expiry so one client that stopped
-   reading costs its own connection, never the daemon.
-   EPIPE/ECONNRESET raise to the caller, which drops the connection
-   (SIGPIPE itself is ignored while serving). *)
-let write_all ?timeout fd s =
-  let deadline = Option.map (fun d -> Clock.now_s () +. d) timeout in
+   select, bounded by [timeout] seconds for the whole write, raising
+   [Write_timeout] on expiry so one client that stopped reading costs
+   its own connection, never the daemon.  EPIPE/ECONNRESET raise to
+   the caller, which drops the connection (SIGPIPE itself is ignored
+   while serving). *)
+let write_all ~timeout fd s =
+  let deadline = Clock.now_s () +. timeout in
   let b = Bytes.of_string s in
   let n = Bytes.length b in
   let rec go pos =
@@ -409,23 +407,15 @@ let write_all ?timeout fd s =
       | written -> go (pos + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          let wait =
-            match deadline with
-            | None -> -1.0 (* unbounded: block until writable *)
-            | Some d ->
-                let left = d -. Clock.now_s () in
-                if left <= 0.0 then raise Write_timeout;
-                left
-          in
-          (match Unix.select [] [ fd ] [] wait with
-          | _, [], _ -> if deadline <> None then raise Write_timeout
+          let left = deadline -. Clock.now_s () in
+          if left <= 0.0 then raise Write_timeout;
+          (match Unix.select [] [ fd ] [] left with
+          | _, [], _ -> raise Write_timeout
           | _, _ :: _, _ -> ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
           go pos
   in
   go 0
-
-let respond_fd fd line = write_all fd (line ^ "\n")
 
 (* Serve with SIGINT/SIGTERM flipping the stop flag (the select loop
    polls it) and SIGPIPE ignored (a dead client must surface as EPIPE
@@ -463,40 +453,95 @@ let select_read fds timeout =
   | ready, _, _ -> ready
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
+(* The connection loop behind both transports.  [conns] maps each live
+   connection's input fd to its line reader, line state and liveness
+   guard.  The guard exists because respond closures outlive a
+   connection (queued acks, lines still draining after a drop) and a
+   raw fd number freed by close can be reused at once by a concurrent
+   connect/accept — so every respond checks it first and a stale one
+   becomes a no-op instead of a write into somebody else's socket.
+   [listener], when given, admits new clients; without one the loop
+   ends once its last connection is gone.  [release] is what dropping
+   a connection does to its fd. *)
+let serve_conns t ?listener ~release initial =
+  let conns : (Unix.file_descr, Line_reader.t * conn * bool ref) Hashtbl.t = Hashtbl.create 8 in
+  (* After [quit] nothing is answered, not even an open block's error:
+     bye is the connection's last word. *)
+  let close_conn ?(finish = true) fd =
+    match Hashtbl.find_opt conns fd with
+    | None -> ()
+    | Some (_, c, alive) ->
+        Hashtbl.remove conns fd;
+        if finish then finish_conn t c;
+        alive := false;
+        release fd
+  in
+  let respond_conn fd output alive line =
+    if !alive then
+      try write_all ~timeout:t.config.write_timeout output (line ^ "\n") with
+      | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) | Write_timeout ->
+          (* The peer went away mid-answer, or stopped reading and its
+             buffer stayed full for write_timeout seconds: drop this
+             connection rather than the daemon or its other clients. *)
+          close_conn fd
+  in
+  let add ~input ~output =
+    Registry.incr t.connections;
+    let alive = ref true in
+    Hashtbl.replace conns input
+      (Line_reader.of_fd input, make_conn (respond_conn input output alive), alive)
+  in
+  (* One wakeup = at most one read() per ready connection plus every
+     line it completed. *)
+  let serve_ready fd =
+    match Hashtbl.find_opt conns fd with
+    | None -> ()
+    | Some (reader, c, alive) -> (
+        match Line_reader.refill reader with
+        | status -> (
+            (* A respond mid-loop may drop the connection; its remaining
+               lines are then dead input, not commands. *)
+            let rec go () =
+              if not !alive then `Continue
+              else
+                match Line_reader.pending_line reader with
+                | None -> `Continue
+                | Some raw -> ( match handle_line t c raw with `Quit -> `Quit | `Continue -> go ())
+            in
+            match (go (), status) with
+            | `Quit, _ -> close_conn ~finish:false fd
+            | `Continue, `Eof -> close_conn fd
+            | `Continue, `Data -> ())
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn fd)
+  in
+  let accept listener =
+    match Unix.accept listener with
+    | client, _ ->
+        Unix.set_nonblock client;
+        add ~input:client ~output:client
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  let live () = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
+  List.iter (fun (input, output) -> add ~input ~output) initial;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close_conn (live ());
+      flush t)
+    (fun () ->
+      while (not (stopped t)) && (listener <> None || Hashtbl.length conns > 0) do
+        let fds = Option.to_list listener @ live () in
+        List.iter
+          (fun fd -> if Some fd = listener then accept fd else serve_ready fd)
+          (select_read fds t.config.poll_interval);
+        (* One coalesced epoch per wakeup, across every connection. *)
+        flush t;
+        maybe_sample t
+      done)
+
 let serve_fd t ~input ~output =
   with_signals t @@ fun () ->
-  with_probe t @@ fun () ->
-  Registry.incr t.connections;
-  let reader = Line_reader.of_fd input in
-  let c = make_conn (respond_fd output) in
-  let quit = ref false in
-  (* One wakeup = at most one read() plus every line it completed;
-     the queue coalesces into a single epoch per wakeup. *)
-  let drain_lines () =
-    let rec go () =
-      match Line_reader.pending_line reader with
-      | None -> ()
-      | Some raw -> ( match handle_line t c raw with `Quit -> quit := true | `Continue -> go ())
-    in
-    go ()
-  in
-  while (not (stopped t)) && (not !quit) && not (Line_reader.at_eof reader) do
-    (match select_read [ input ] t.config.poll_interval with
-    | [] -> ()
-    | _ :: _ ->
-        ignore (Line_reader.refill reader);
-        drain_lines ());
-    flush t;
-    maybe_sample t
-  done;
-  (* EOF may leave a terminator-less trailing line buffered; after a
-     [quit], though, anything still buffered (commands sent past quit
-     in the same chunk) is dead input and must not be answered. *)
-  if not !quit then begin
-    drain_lines ();
-    if not !quit then finish_conn t c
-  end;
-  flush t
+  with_probe t @@ fun () -> serve_conns t ~release:ignore [ (input, output) ]
 
 let serve_socket t ~path =
   with_signals t @@ fun () ->
@@ -506,87 +551,11 @@ let serve_socket t ~path =
   Unix.bind listener (Unix.ADDR_UNIX path);
   Unix.listen listener 16;
   (* Non-blocking, so a connection aborted between select and accept
-     surfaces as EAGAIN below instead of blocking the whole loop. *)
+     surfaces as EAGAIN in [accept] instead of blocking the whole loop. *)
   Unix.set_nonblock listener;
-  (* fd -> live connection.  The [bool ref] is a liveness guard:
-     respond closures outlive the socket (queued acks, lines still
-     draining after a drop), and a raw fd number freed by close can be
-     reused at once by a concurrent connect/accept — so every respond
-     checks the guard first and a stale one becomes a no-op instead of
-     a write into somebody else's socket. *)
-  let conns : (Unix.file_descr, Line_reader.t * conn * bool ref) Hashtbl.t = Hashtbl.create 8 in
-  let close_conn fd =
-    match Hashtbl.find_opt conns fd with
-    | None -> ()
-    | Some (_, c, alive) ->
-        Hashtbl.remove conns fd;
-        finish_conn t c;
-        alive := false;
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-  in
-  let respond_conn fd alive line =
-    if !alive then
-      try write_all ~timeout:t.config.write_timeout fd (line ^ "\n") with
-      | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-          (* The client went away mid-answer; drop it, keep serving. *)
-          close_conn fd
-      | Write_timeout ->
-          (* The client stopped reading and its buffer stayed full for
-             write_timeout seconds; drop it rather than wedge every
-             other connection behind one stalled fd. *)
-          close_conn fd
-  in
   Fun.protect
     ~finally:(fun () ->
-      List.iter close_conn (Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []);
       (try Unix.close listener with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      flush t)
+      try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
-      while not (stopped t) do
-        let fds = listener :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
-        let ready = select_read fds t.config.poll_interval in
-        List.iter
-          (fun fd ->
-            if fd = listener then begin
-              match Unix.accept listener with
-              | client, _ ->
-                  Unix.set_nonblock client;
-                  Registry.incr t.connections;
-                  let alive = ref true in
-                  Hashtbl.replace conns client
-                    (Line_reader.of_fd client, make_conn (respond_conn client alive), alive)
-              | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                -> ()
-            end
-            else
-              match Hashtbl.find_opt conns fd with
-              | None -> ()
-              | Some (reader, c, alive) -> (
-                  match Line_reader.refill reader with
-                  | status -> (
-                      (* A respond mid-loop may drop the connection
-                         (slow or dead client); its remaining lines are
-                         then dead input, not commands. *)
-                      let rec go () =
-                        if not !alive then `Continue
-                        else
-                          match Line_reader.pending_line reader with
-                          | None -> `Continue
-                          | Some raw -> (
-                              match handle_line t c raw with
-                              | `Quit -> `Quit
-                              | `Continue -> go ())
-                      in
-                      match (go (), status) with
-                      | `Quit, _ | _, `Eof -> close_conn fd
-                      | `Continue, `Data -> ())
-                  | exception
-                      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                      ()
-                  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn fd))
-          ready;
-        (* One coalesced epoch per wakeup, across every connection. *)
-        flush t;
-        maybe_sample t
-      done)
+      serve_conns t ~listener ~release:(fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [])

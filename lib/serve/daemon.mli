@@ -48,9 +48,6 @@ type config = {
       (** Seconds between time-series sampler ticks (default 1.0);
           [<= 0] disables sampling entirely ([series] queries then
           answer zero windows). *)
-  series_capacity : int;
-      (** Windows retained per time series before downsampling halves
-          them (default 512).  Must be >= 2. *)
   series_out : string option;
       (** When set, every sampler tick is also appended to this JSONL
           file ([mmfair.series/v1]: one header line per daemon start,
@@ -66,9 +63,8 @@ val create : ?config:config -> Mmfair_workload.Net_parser.t -> (t, Mmfair_core.S
 (** Solve epoch 0 and stand the daemon up (no I/O yet; the
     [series_out] appender, if any, is opened and its header written —
     a bad path fails here, not mid-soak).  Raises [Invalid_argument]
-    when [config.max_batch < 1], [config.write_timeout <= 0] or
-    [config.series_capacity < 2]; [Sys_error] on an unopenable
-    [series_out] path. *)
+    when [config.max_batch < 1] or [config.write_timeout <= 0];
+    [Sys_error] on an unopenable [series_out] path. *)
 
 val engine : t -> Mmfair_dynamic.Batch.t
 (** The underlying engine (current network, allocation, epoch store). *)
@@ -114,7 +110,12 @@ val sample : t -> unit
 
 val serve_fd : t -> input:Unix.file_descr -> output:Unix.file_descr -> unit
 (** Serve one pre-connected stream (pipe, FIFO, stdin/stdout) until
-    EOF, a [quit] line, or {!stop}.  Responses go to [output]. *)
+    EOF, a [quit] line, {!stop}, or a failed response write (the
+    reader of [output] went away, or a non-blocking [output] stalled
+    for [config.write_timeout]).  Responses go to [output].  Either
+    way queued events are applied before it returns; it closes
+    neither fd.  Runs the same connection loop as {!serve_socket},
+    with this one connection and no listener. *)
 
 val serve_socket : t -> path:string -> unit
 (** Listen on a Unix-domain socket (an existing file at [path] is

@@ -306,6 +306,22 @@ let test_daemon_quit_discards_buffered () =
   let responses = serve_string daemon "epoch\nquit\nrates\nmetrics\n" in
   Alcotest.(check (list string)) "bye is the last word" [ "epoch 0"; "bye" ] responses
 
+let test_daemon_dead_output () =
+  (* The reader of the response stream is gone (as under `| head -1`):
+     the answer's EPIPE must end the session, not escape serve_fd, and
+     the join queued ahead of the query still lands. *)
+  let _, daemon = make_daemon () in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  Unix.close out_r;
+  write_all in_w "join s2 leaf3\nepoch\n";
+  Unix.close in_w;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close in_r;
+      Unix.close out_w)
+    (fun () -> Daemon.serve_fd daemon ~input:in_r ~output:out_w);
+  Alcotest.(check int) "the join landed" 1 (Batch.epoch (Daemon.engine daemon))
+
 let test_daemon_queries () =
   let parsed, daemon = make_daemon () in
   let responses =
@@ -643,6 +659,7 @@ let suite =
       test_daemon_unclosed_batch;
     Alcotest.test_case "daemon: quit discards buffered commands" `Quick
       test_daemon_quit_discards_buffered;
+    Alcotest.test_case "daemon: dead output ends a pipe session" `Quick test_daemon_dead_output;
     Alcotest.test_case "daemon: rate/rates/metrics answers" `Quick test_daemon_queries;
     Alcotest.test_case "socket e2e matches offline replay at 1e-9" `Quick
       test_socket_e2e_matches_offline_replay;
