@@ -162,7 +162,7 @@ let int n = Json.Num (float_of_int n)
 
 (* One "classes" row: medians over events of the per-event best-of
    times and of the per-event scratch/incremental speedup. *)
-let measure ~min_time net base_alloc (kind, events) =
+let measure ~min_time net base_alloc (kind, bucket) =
   let per_event =
     List.map
       (fun event ->
@@ -178,7 +178,7 @@ let measure ~min_time net base_alloc (kind, events) =
         let eng = Batch.create ~allocation:base_alloc net in
         let stats = Batch.apply eng [ event ] in
         (incr_ns, scratch_ns, stats))
-      events
+      bucket
   in
   let events = List.length per_event in
   let median f = Descriptive.median (Array.of_list (List.map f per_event)) in
