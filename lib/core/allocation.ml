@@ -2,21 +2,31 @@ module Graph = Mmfair_topology.Graph
 
 type t = { net : Network.t; rates : float array Pvec.t }
 
+(* The one validating constructor: session [i]'s row is [row i],
+   checked as it arrives and adopted as it is.  Rows are gathered
+   straight into the persistent vector's small chunks: one flat array
+   of every row would be a major-heap block, and filling it with young
+   rows would cost a forced minor collection and a write barrier per
+   session. *)
+let of_fresh_rows net row =
+  let rates =
+    Pvec.init (Network.session_count net) (fun i ->
+        let per = row i in
+        if Array.length per <> Array.length (Network.session_spec net i).Network.receivers then
+          invalid_arg (Printf.sprintf "Allocation.make: receiver count mismatch in session %d" i);
+        for k = 0 to Array.length per - 1 do
+          let a = per.(k) in
+          if Float.is_nan a || a < 0.0 then
+            invalid_arg (Printf.sprintf "Allocation.make: bad rate in session %d" i)
+        done;
+        per)
+  in
+  { net; rates }
+
 let make net rates =
   if Array.length rates <> Network.session_count net then
     invalid_arg "Allocation.make: session count mismatch";
-  Array.iteri
-    (fun i per ->
-      let spec = Network.session_spec net i in
-      if Array.length per <> Array.length spec.Network.receivers then
-        invalid_arg (Printf.sprintf "Allocation.make: receiver count mismatch in session %d" i);
-      Array.iter
-        (fun a ->
-          if Float.is_nan a || a < 0.0 then
-            invalid_arg (Printf.sprintf "Allocation.make: bad rate in session %d" i))
-        per)
-    rates;
-  { net; rates = Pvec.init (Array.length rates) (fun i -> Array.copy rates.(i)) }
+  of_fresh_rows net (fun i -> Array.copy rates.(i))
 
 (* Churn-path constructor: adopts the rows without copying or
    validating them.  The dynamic engine assembles each epoch's rates

@@ -17,6 +17,14 @@ val make : Network.t -> float array array -> t
     allocations are first-class so that max-min comparisons (Lemma 1)
     and counterexamples can be expressed. *)
 
+val of_fresh_rows : Network.t -> (int -> float array) -> t
+(** [of_fresh_rows net row] is the allocation whose session [i] has
+    the rates [row i], called once per session in index order.  Each
+    row is validated as it arrives, like {!make} and with its messages,
+    and adopted without copying — the cold solver's constructor for the
+    rows it cuts from its arena.  The caller must hold no other
+    reference to a returned row. *)
+
 val zero : Network.t -> t
 (** The all-zero allocation (always feasible). *)
 

@@ -1,7 +1,13 @@
 module Graph = Mmfair_topology.Graph
 module Obs = Mmfair_obs
 
-let tol_for x = 1e-9 *. Stdlib.max 1.0 (Float.abs x)
+(* Monomorphic copies of Stdlib's [min] and [max] for floats.  The
+   polymorphic ones call the C compare on boxed floats; [Float.min] and
+   [Float.max] would order a NaN differently.  These are the Stdlib
+   definitions themselves, so every level and bound is bit-identical. *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
+let[@inline] tol_for x = 1e-9 *. fmax 1.0 (Float.abs x)
 
 (* The water-filling loop below works on the flat incidence index
    (Network.incidence): receivers are global ids, each link×session
@@ -26,33 +32,44 @@ let tol_for x = 1e-9 *. Stdlib.max 1.0 (Float.abs x)
    caller — solves keep theirs in the arena below. *)
 type heap = { mutable keys : float array; mutable vals : int array; mutable size : int }
 
-let heap_make n = { keys = Array.make (Stdlib.max n 1) 0.0; vals = Array.make (Stdlib.max n 1) 0; size = 0 }
+let heap_make n = { keys = Array.make (Int.max n 1) 0.0; vals = Array.make (Int.max n 1) 0; size = 0 }
 
-let heap_swap h i j =
+(* Both sifts move a hole: the entry at [i] is written once, at its
+   final slot.  They make the comparisons a swapping sift makes and
+   leave the same array, so pop order and ties do not depend on it. *)
+let sift_down h i =
   let k = h.keys.(i) and v = h.vals.(i) in
-  h.keys.(i) <- h.keys.(j);
-  h.vals.(i) <- h.vals.(j);
-  h.keys.(j) <- k;
-  h.vals.(j) <- v
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 in
-  if l < h.size then begin
-    let c = if l + 1 < h.size && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
-    if h.keys.(c) < h.keys.(i) then begin
-      heap_swap h i c;
-      sift_down h c
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= h.size then moving := false
+    else begin
+      let c = if l + 1 < h.size && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
+      if h.keys.(c) < k then begin
+        h.keys.(!i) <- h.keys.(c);
+        h.vals.(!i) <- h.vals.(c);
+        i := c
+      end
+      else moving := false
     end
-  end
+  done;
+  h.keys.(!i) <- k;
+  h.vals.(!i) <- v
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if h.keys.(i) < h.keys.(p) then begin
-      heap_swap h i p;
-      sift_up h p
+let sift_up h i =
+  let k = h.keys.(i) and v = h.vals.(i) in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if k < h.keys.(p) then begin
+      h.keys.(!i) <- h.keys.(p);
+      h.vals.(!i) <- h.vals.(p);
+      i := p
     end
-  end
+    else moving := false
+  done;
+  h.keys.(!i) <- k;
+  h.vals.(!i) <- v
 
 (* O(size): order entries 0 .. size−1 written directly into the arrays. *)
 let heapify h =
@@ -60,7 +77,9 @@ let heapify h =
     sift_down h i
   done
 
-let heap_push h k v =
+(* Inlined, as is every helper below that takes or returns a float on
+   the round path: a call would box the float. *)
+let[@inline] heap_push h k v =
   h.keys.(h.size) <- k;
   h.vals.(h.size) <- v;
   h.size <- h.size + 1;
@@ -74,7 +93,7 @@ let heap_pop h =
     sift_down h 0
   end
 
-let heap_rekey_top h k =
+let[@inline] heap_rekey_top h k =
   h.keys.(0) <- k;
   sift_down h 0
 
@@ -108,6 +127,11 @@ type state = {
   rho_heap : heap; (* finite-ρ receivers by ρ/w *)
   sat : int array; (* per round: saturated links *)
   cascade : int array; (* per round: single-rate sessions to freeze whole *)
+  (* per round, reset at its start *)
+  mutable want : bool; (* a probe listens: build the trace payload *)
+  mutable n_frozen : int;
+  mutable frozen_gids : int list; (* only while [want] *)
+  mutable n_cascade : int;
   touched : int array;
   n_touched : int;
       (* The dirty-list: the links the solved sessions cross.  Only
@@ -206,13 +230,13 @@ let with_scratch f =
     Fun.protect ~finally:(fun () -> sc.busy <- false) (fun () -> f sc)
   end
 
-let ensure_f a n = if Array.length a >= n then a else Array.make (Stdlib.max n (2 * Array.length a)) 0.0
-let ensure_i a n = if Array.length a >= n then a else Array.make (Stdlib.max n (2 * Array.length a)) 0
-let ensure_b a n = if Array.length a >= n then a else Array.make (Stdlib.max n (2 * Array.length a)) false
+let ensure_f a n = if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0.0
+let ensure_i a n = if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0
+let ensure_b a n = if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) false
 
 let ensure_vfn a n =
   if Array.length a >= n then a
-  else Array.make (Stdlib.max n (2 * Array.length a)) Redundancy_fn.Efficient
+  else Array.make (Int.max n (2 * Array.length a)) Redundancy_fn.Efficient
 
 (* Pin every session outside [component] at its [frozen] row and build
    the state directly in its post-freeze shape, touching only the
@@ -279,70 +303,70 @@ let init sc net ~component ~frozen =
   let n_active = ref 0 in
   let all_linear = ref true in
   let unit_weights = ref true in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= m then
-        invalid_arg (Printf.sprintf "Allocator.max_min_partial: unknown session %d" i);
-      if sc.s_comp_stamp.(i) <> stamp then begin
-        sc.s_comp_stamp.(i) <- stamp;
-        sc.s_seen_stamp.(i) <- stamp;
-        sc.s_solve.(!n_solve) <- i;
-        incr n_solve;
-        let spec = Network.session_spec net i in
-        sc.s_vfn.(i) <- spec.Network.vfn;
-        sc.s_rho.(i) <- spec.Network.rho;
-        sc.s_single.(i) <- spec.Network.session_type = Network.Single_rate;
-        if not (Redundancy_fn.is_linear sc.s_vfn.(i)) then all_linear := false;
-        let w = spec.Network.weights in
-        let lo = session_first.(i) in
-        Array.blit w 0 sc.g_weight lo (Array.length w);
-        for gid = lo to session_first.(i + 1) - 1 do
-          if sc.g_weight.(gid) <> 1.0 then unit_weights := false;
-          sc.g_active.(gid) <- true;
-          incr n_active;
-          for p = rr.(gid) to rr.(gid + 1) - 1 do
-            let l = rc.(p) in
-            if sc.l_stamp.(l) <> stamp then begin
-              sc.l_stamp.(l) <- stamp;
-              sc.l_touched.(!n_touched) <- l;
-              incr n_touched;
-              sc.l_cap.(l) <- Graph.capacity g l;
-              sc.l_const.(l) <- 0.0;
-              sc.l_slope.(l) <- 0.0;
-              sc.l_active.(l) <- 0;
-              sc.l_sat.(l) <- false;
-              sc.l_pos.(l) <- -1
-            end
-          done
-        done
-      end)
-    component;
-  let link_row = inc.Network.link_row and cell_session = inc.Network.cell_session in
-  let touch_frozen i =
-    if sc.s_seen_stamp.(i) <> stamp then begin
+  for ci = 0 to Array.length component - 1 do
+    let i = component.(ci) in
+    if i < 0 || i >= m then
+      invalid_arg (Printf.sprintf "Allocator.max_min_partial: unknown session %d" i);
+    if sc.s_comp_stamp.(i) <> stamp then begin
+      sc.s_comp_stamp.(i) <- stamp;
       sc.s_seen_stamp.(i) <- stamp;
-      let lo = session_first.(i) and hi = session_first.(i + 1) in
-      let row = Pvec.get frozen i in
-      if Array.length row <> hi - lo then
-        invalid_arg
-          (Printf.sprintf "Allocator.max_min_partial: session %d frozen rate count mismatch" i);
-      sc.s_vfn.(i) <- Network.vfn net i;
+      sc.s_solve.(!n_solve) <- i;
+      incr n_solve;
+      let spec = Network.session_spec net i in
+      sc.s_vfn.(i) <- spec.Network.vfn;
+      sc.s_rho.(i) <- spec.Network.rho;
+      sc.s_single.(i) <- spec.Network.session_type = Network.Single_rate;
       if not (Redundancy_fn.is_linear sc.s_vfn.(i)) then all_linear := false;
-      for gid = lo to hi - 1 do
-        let r = row.(gid - lo) in
-        if not (Float.is_finite r && r >= 0.0) then
-          invalid_arg
-            (Printf.sprintf
-               "Allocator.max_min_partial: session %d has a negative or non-finite frozen rate" i);
-        sc.g_active.(gid) <- false;
-        sc.g_rates.(gid) <- r
+      let w = spec.Network.weights in
+      let lo = session_first.(i) in
+      for gid = lo to session_first.(i + 1) - 1 do
+        let wk = w.(gid - lo) in
+        sc.g_weight.(gid) <- wk;
+        if wk <> 1.0 then unit_weights := false;
+        sc.g_active.(gid) <- true;
+        incr n_active;
+        for p = rr.(gid) to rr.(gid + 1) - 1 do
+          let l = rc.(p) in
+          if sc.l_stamp.(l) <> stamp then begin
+            sc.l_stamp.(l) <- stamp;
+            sc.l_touched.(!n_touched) <- l;
+            incr n_touched;
+            sc.l_cap.(l) <- Graph.capacity g l;
+            sc.l_const.(l) <- 0.0;
+            sc.l_slope.(l) <- 0.0;
+            sc.l_active.(l) <- 0;
+            sc.l_sat.(l) <- false;
+            sc.l_pos.(l) <- -1
+          end
+        done
       done
     end
+  done;
+  let link_row = inc.Network.link_row and cell_session = inc.Network.cell_session in
+  let touch_frozen i =
+    sc.s_seen_stamp.(i) <- stamp;
+    let lo = session_first.(i) and hi = session_first.(i + 1) in
+    let row = Pvec.get frozen i in
+    if Array.length row <> hi - lo then
+      invalid_arg
+        (Printf.sprintf "Allocator.max_min_partial: session %d frozen rate count mismatch" i);
+    sc.s_vfn.(i) <- Network.vfn net i;
+    if not (Redundancy_fn.is_linear sc.s_vfn.(i)) then all_linear := false;
+    for gid = lo to hi - 1 do
+      let r = row.(gid - lo) in
+      if not (Float.is_finite r && r >= 0.0) then
+        invalid_arg
+          (Printf.sprintf
+             "Allocator.max_min_partial: session %d has a negative or non-finite frozen rate" i);
+      sc.g_active.(gid) <- false;
+      sc.g_rates.(gid) <- r
+    done
   in
   for tp = 0 to !n_touched - 1 do
     let l = sc.l_touched.(tp) in
     for c = link_row.(l) to link_row.(l + 1) - 1 do
-      touch_frozen cell_session.(c)
+      let i = cell_session.(c) in
+      if sc.s_seen_stamp.(i) <> stamp then touch_frozen i
     done
   done;
   (* Hot path: indices come straight off the CSR, so skip the bounds
@@ -414,29 +438,15 @@ let init sc net ~component ~frozen =
       rho_heap = sc.g_rho_heap;
       sat = sc.l_sat_list;
       cascade = sc.s_cascade;
+      want = false;
+      n_frozen = 0;
+      frozen_gids = [];
+      n_cascade = 0;
       touched = sc.l_touched;
       n_touched = !n_touched;
     }
   in
   (st, !all_linear && !unit_weights)
-
-(* (const, slope) contribution of compact cell [c] (session [i]) to
-   its link's linear usage model — mirrors the reference engine's
-   per-round classification, but evaluated only when the cell
-   changes. *)
-let cell_const st i c =
-  match st.vfn.(i) with
-  | Redundancy_fn.Efficient -> if st.cell_active.(c) > 0 then 0.0 else st.cell_max_frozen.(c)
-  | Redundancy_fn.Scaled v -> if st.cell_active.(c) > 0 then 0.0 else v *. st.cell_max_frozen.(c)
-  | Redundancy_fn.Additive -> st.cell_sum_frozen.(c)
-  | Redundancy_fn.Custom _ -> 0.0
-
-let cell_slope st i c =
-  match st.vfn.(i) with
-  | Redundancy_fn.Efficient -> if st.cell_active.(c) > 0 then 1.0 else 0.0
-  | Redundancy_fn.Scaled v -> if st.cell_active.(c) > 0 then v else 0.0
-  | Redundancy_fn.Additive -> float_of_int st.cell_active.(c)
-  | Redundancy_fn.Custom _ -> 0.0
 
 let retire_link st l =
   let p = st.link_pos.(l) in
@@ -449,25 +459,72 @@ let retire_link st l =
     st.link_pos.(l) <- -1
   end
 
-(* Freeze one receiver at rate [a]: O(|data-path|) — update only the
-   cells the receiver's path crosses. *)
-let freeze_gid st gid a =
-  st.active.(gid) <- false;
-  st.n_active <- st.n_active - 1;
-  st.rates.(gid) <- a;
-  let i = st.inc.Network.gid_session.(gid) in
-  let rr = st.inc.Network.recv_row in
-  for p = rr.(gid) to rr.(gid + 1) - 1 do
-    let l = st.inc.Network.recv_cells.(p) in
-    let c = st.inc.Network.recv_cell_of.(p) in
-    let oc = cell_const st i c and os = cell_slope st i c in
-    st.cell_active.(c) <- st.cell_active.(c) - 1;
-    if a > st.cell_max_frozen.(c) then st.cell_max_frozen.(c) <- a;
-    st.cell_sum_frozen.(c) <- st.cell_sum_frozen.(c) +. a;
-    st.link_const.(l) <- st.link_const.(l) +. (cell_const st i c -. oc);
-    st.link_slope.(l) <- st.link_slope.(l) +. (cell_slope st i c -. os);
-    st.link_active.(l) <- st.link_active.(l) - 1;
-    if st.link_active.(l) = 0 then retire_link st l
+(* Apply a cell's change of (const, slope) contribution to its link's
+   usage model. *)
+let[@inline] shift st l ~oc ~os ~nc ~ns =
+  st.link_const.(l) <- st.link_const.(l) +. (nc -. oc);
+  st.link_slope.(l) <- st.link_slope.(l) +. (ns -. os)
+
+(* Freeze receiver [gid] at rate [a] unless it is frozen already:
+   O(|data-path|), updating only the cells its path crosses.  Each
+   cell's old and new (const, slope) contribution comes from one
+   dispatch on the session's function — the reference engine's
+   per-round classification, evaluated only when the cell changes.  A
+   single-rate session losing its first receiver is queued for the
+   round's cascade. *)
+let[@inline] freeze st gid a =
+  if st.active.(gid) then begin
+    st.active.(gid) <- false;
+    st.n_active <- st.n_active - 1;
+    st.rates.(gid) <- a;
+    let inc = st.inc in
+    let i = inc.Network.gid_session.(gid) in
+    let vfn = st.vfn.(i) in
+    let rr = inc.Network.recv_row in
+    for p = rr.(gid) to rr.(gid + 1) - 1 do
+      let l = inc.Network.recv_cells.(p) and c = inc.Network.recv_cell_of.(p) in
+      let n_old = st.cell_active.(c) in
+      let max_old = st.cell_max_frozen.(c) and sum_old = st.cell_sum_frozen.(c) in
+      let n_new = n_old - 1 in
+      st.cell_active.(c) <- n_new;
+      if a > max_old then st.cell_max_frozen.(c) <- a;
+      st.cell_sum_frozen.(c) <- sum_old +. a;
+      let max_new = st.cell_max_frozen.(c) and sum_new = st.cell_sum_frozen.(c) in
+      (match vfn with
+      | Redundancy_fn.Efficient ->
+          shift st l
+            ~oc:(if n_old > 0 then 0.0 else max_old)
+            ~os:(if n_old > 0 then 1.0 else 0.0)
+            ~nc:(if n_new > 0 then 0.0 else max_new)
+            ~ns:(if n_new > 0 then 1.0 else 0.0)
+      | Redundancy_fn.Scaled v ->
+          shift st l
+            ~oc:(if n_old > 0 then 0.0 else v *. max_old)
+            ~os:(if n_old > 0 then v else 0.0)
+            ~nc:(if n_new > 0 then 0.0 else v *. max_new)
+            ~ns:(if n_new > 0 then v else 0.0)
+      | Redundancy_fn.Additive ->
+          shift st l ~oc:sum_old ~os:(float_of_int n_old) ~nc:sum_new ~ns:(float_of_int n_new)
+      | Redundancy_fn.Custom _ -> shift st l ~oc:0.0 ~os:0.0 ~nc:0.0 ~ns:0.0);
+      st.link_active.(l) <- st.link_active.(l) - 1;
+      if st.link_active.(l) = 0 then retire_link st l
+    done;
+    st.n_frozen <- st.n_frozen + 1;
+    if st.want then st.frozen_gids <- gid :: st.frozen_gids;
+    if st.single_rate.(i) then begin
+      st.single_rate.(i) <- false;
+      st.cascade.(st.n_cascade) <- i;
+      st.n_cascade <- st.n_cascade + 1
+    end
+  end
+
+(* Freeze every active receiver crossing link [l] at level [t]. *)
+let[@inline] freeze_link st l t =
+  let inc = st.inc in
+  for p = inc.Network.cell_first.(inc.Network.link_row.(l))
+      to inc.Network.cell_first.(inc.Network.link_row.(l + 1)) - 1 do
+    let gid = inc.Network.link_cells.(p) in
+    freeze st gid (st.weight.(gid) *. t)
   done
 
 (* Session usage on one link at common normalized level [t]:
@@ -510,7 +567,7 @@ let link_usage_at st ~link t =
 
 (* Linear engine: the level at which link [l] saturates under its
    current usage model; a NaN model never binds. *)
-let link_key st l =
+let[@inline] link_key st l =
   let slope = st.link_slope.(l) in
   if slope > 0.0 then
     let k = (st.cap.(l) -. st.link_const.(l)) /. slope in
@@ -579,11 +636,11 @@ let bisection_bound st ~max_cap t_cur rho_bound =
   for si = 0 to st.n_solve - 1 do
     let i = st.solve.(si) in
     for gid = session_first.(i) to session_first.(i + 1) - 1 do
-      if st.active.(gid) then min_weight := Stdlib.min !min_weight st.weight.(gid)
+      if st.active.(gid) then min_weight := fmin !min_weight st.weight.(gid)
     done
   done;
   let weight_floor = if Float.is_finite !min_weight && !min_weight > 0.0 then !min_weight else 1.0 in
-  let hi = Stdlib.min rho_bound (t_cur +. (max_cap /. weight_floor) +. 1.0) in
+  let hi = fmin rho_bound (t_cur +. (max_cap /. weight_floor) +. 1.0) in
   if not (feasible_all t_cur) then t_cur
   else if feasible_active hi then hi
   else Mmfair_numerics.Bisect.sup_satisfying feasible_active t_cur hi
@@ -594,7 +651,7 @@ let bisection_bound st ~max_cap t_cur rho_bound =
    link's level, so none is missed), decides each by its exact slack,
    and pushes the unsaturated ones back with a fresh key.  A saturated
    link retires this round, so it is not pushed back. *)
-let linear_saturated st ~window t =
+let[@inline] linear_saturated st ~window t =
   let h = st.link_heap in
   let popped = ref 0 in
   while h.size > 0 && h.keys.(0) <= t +. window do
@@ -672,7 +729,7 @@ let stalled_error st round residual_slack =
 let water_fill st ~use_linear =
   let inc = st.inc in
   let session_first = inc.Network.session_first in
-  let session_of gid = inc.Network.gid_session.(gid) in
+  let gid_session = inc.Network.gid_session in
   let max_cap = Network.max_capacity st.net in
   (* Every active link's slope is ≥ 1 (unit weights, Scaled factors
      ≥ 1), so a link whose slack is within [tol_for cap] saturates
@@ -712,6 +769,10 @@ let water_fill st ~use_linear =
        trace payload (frozen list, saturated set, slack sweep) is never
        built. *)
     let want = Obs.Probe.enabled () in
+    st.want <- want;
+    st.n_frozen <- 0;
+    st.frozen_gids <- [];
+    st.n_cascade <- 0;
     decr guard;
     incr round_no;
     if !guard < 0 then begin
@@ -729,11 +790,11 @@ let water_fill st ~use_linear =
       if use_linear then begin
         settle_links st;
         let bound = if lh.size > 0 then lh.keys.(0) else infinity in
-        Stdlib.min (Stdlib.max bound !t_cur) rho_bound
+        fmin (fmax bound !t_cur) rho_bound
       end
       else bisection_bound st ~max_cap !t_cur rho_bound
     in
-    let t_new = Stdlib.max t_new !t_cur in
+    let t_new = fmax t_new !t_cur in
     (* Saturation, judged before anything freezes this round: the link
        heap's window for the linear engine, a sweep of the active links
        for bisection.  The sweep also yields the tightest link, which
@@ -748,52 +809,29 @@ let water_fill st ~use_linear =
       else begin
         let acc = ref [] in
         iter_solve_links st (fun l -> if st.ever_saturated.(l) then acc := l :: !acc);
-        List.sort Stdlib.compare !acc
+        List.sort Int.compare !acc
       end
-    in
-    let frozen_count = ref 0 in
-    let frozen_gids = ref [] in
-    let n_cascade = ref 0 in
-    let freeze gid a =
-      if st.active.(gid) then begin
-        freeze_gid st gid a;
-        incr frozen_count;
-        if want then frozen_gids := gid :: !frozen_gids;
-        let i = session_of gid in
-        if st.single_rate.(i) then begin
-          st.single_rate.(i) <- false;
-          st.cascade.(!n_cascade) <- i;
-          incr n_cascade
-        end
-      end
-    in
-    let freeze_link l =
-      for p = inc.Network.cell_first.(inc.Network.link_row.(l))
-          to inc.Network.cell_first.(inc.Network.link_row.(l + 1)) - 1 do
-        let gid = inc.Network.link_cells.(p) in
-        freeze gid (st.weight.(gid) *. t_new)
-      done
     in
     (* Step 6: freeze receivers at rho (walking the ρ cursor forward),
        then every receiver crossing a saturated link. *)
     let at_rho = ref true in
     while !at_rho && rh.size > 0 do
       let gid = rh.vals.(0) in
-      let rho = st.rho.(session_of gid) in
+      let rho = st.rho.(gid_session.(gid)) in
       if not st.active.(gid) then heap_pop rh
       else if st.weight.(gid) *. t_new >= rho -. tol_for rho then begin
         heap_pop rh;
-        freeze gid rho
+        freeze st gid rho
       end
       else at_rho := false
     done;
     for j = 0 to n_sat - 1 do
-      freeze_link st.sat.(j)
+      freeze_link st st.sat.(j) t_new
     done;
     (* Numerical fallback: bisection can stop a hair below saturation;
        force progress by freezing receivers on the tightest link.
        Nothing froze, so the state is still the one the sweep sees. *)
-    if !frozen_count = 0 then begin
+    if st.n_frozen = 0 then begin
       let min_slack, min_slack_link, _ =
         if want || not use_linear then (min_slack, min_slack_link, 0)
         else slack_sweep st ~use_linear ~collect:false t_new 0
@@ -810,23 +848,23 @@ let water_fill st ~use_linear =
           (Solver_error.Stuck_link
              { solver = solver_name; round = !round_no; link = !nan_link; residual_slack = min_slack })
       end;
-      freeze_link min_slack_link
+      freeze_link st min_slack_link t_new
     end;
     (* Step 7: a single-rate session freezes as a unit — only the
        sessions that lost a receiver this round are visited. *)
-    for q = 0 to !n_cascade - 1 do
+    for q = 0 to st.n_cascade - 1 do
       let i = st.cascade.(q) in
       for gid = session_first.(i) to session_first.(i + 1) - 1 do
-        freeze gid (st.weight.(gid) *. t_new)
+        freeze st gid (st.weight.(gid) *. t_new)
       done
     done;
     if want then begin
       let frozen =
         List.map
           (fun gid ->
-            let i = session_of gid in
+            let i = gid_session.(gid) in
             (i, gid - session_first.(i), st.rates.(gid)))
-          (List.sort Stdlib.compare !frozen_gids)
+          (List.sort Int.compare st.frozen_gids)
       in
       let ev =
         {
@@ -859,11 +897,12 @@ let solve net ~component ~frozen k =
       k (fun i -> Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i))))
 
 (* A cold solve is the restricted solve over every session, with its
-   result validated; nothing is pinned, so [frozen] is never read. *)
+   result validated; nothing is pinned, so [frozen] is never read.
+   Each row is cut once from the arena, validated and adopted. *)
 let max_min net =
   let m = Network.session_count net in
   solve net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun row ->
-      Allocation.make net (Array.init m row))
+      Allocation.of_fresh_rows net row)
 
 (* A partial solve's result is one batched update of [frozen]: the
    spine plus the chunks holding the solved sessions are copied, every

@@ -40,10 +40,12 @@ val max_min: Network.t -> Allocation.t
     is not monotone).  Use {!max_min_result} for a non-raising variant.
 
     This is {!max_min_partial} over every session with nothing pinned,
-    plus validation of the result: one solve path.  Its state lives in
-    the per-domain scratch arena, grown to the largest network solved
-    on that domain and then reused, so a repeated solve allocates only
-    its result rows.  Cost: setup linear in sessions plus total routed
+    plus validation of the result rows, each cut once from the solver's
+    state and adopted by {!Allocation.of_fresh_rows}: one solve path.
+    Its state lives in the per-domain scratch arena, grown to the
+    largest network solved on that domain and then reused, so a
+    repeated solve allocates only its result rows; with no probe sink a
+    linear-engine round allocates nothing.  Cost: setup linear in sessions plus total routed
     path length (the links no receiver crosses are never visited), then
     per round O(log links) plus the path work of the receivers it
     freezes; the bisection engine and an enabled probe sink add a

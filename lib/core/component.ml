@@ -45,7 +45,7 @@ let new_arena () =
 
 (* Arrays grow without keeping their contents: zero is never a live
    stamp, since both generations are bumped before use. *)
-let ensure a n = if Array.length a >= n then a else Array.make (Stdlib.max n (2 * Array.length a)) 0
+let ensure a n = if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0
 
 let start arena net =
   let n = Network.session_count net and nl = Graph.link_count (Network.graph net) in
@@ -77,7 +77,7 @@ let is_full t = t.n_sessions = Network.session_count t.net
    determinism) instead of the per-session stamps: the churn engine's
    components are tiny next to the network, and an O(sessions) sweep
    per batch is exactly what the incremental path must avoid. *)
-let sorted_members t = List.sort Stdlib.compare t.members
+let sorted_members t = List.sort Int.compare t.members
 
 let rec find t i =
   let p = t.arena.parent.(i) in
@@ -136,7 +136,9 @@ let binding alloc =
     | Some b -> b
     | None ->
         let c = Graph.capacity g l in
-        let b = Allocation.link_rate alloc l >= c -. (eps_bind *. Stdlib.max 1.0 c) in
+        (* [max 1.0 c], spelled monomorphically. *)
+        let scale = if 1.0 >= c then 1.0 else c in
+        let b = Allocation.link_rate alloc l >= c -. (eps_bind *. scale) in
         Hashtbl.add cache l b;
         b
 

@@ -136,6 +136,31 @@ let test_make_negative_rate () =
   Alcotest.check_raises "negative rate" (Invalid_argument "Allocation.make: bad rate in session 0")
     (fun () -> ignore (Allocation.make net [| [| -1.0; 0.0 |]; [| 0.0 |] |]))
 
+(* The solver's constructor checks each row as [make] does, with its
+   messages, and keeps the very rows it is handed. *)
+let test_of_fresh_rows_rejects () =
+  let net = diamond () in
+  let of_rows rows = ignore (Allocation.of_fresh_rows net (Array.get rows)) in
+  Alcotest.check_raises "NaN rate" (Invalid_argument "Allocation.make: bad rate in session 1")
+    (fun () -> of_rows [| [| 1.0; 2.0 |]; [| Float.nan |] |]);
+  Alcotest.check_raises "negative rate" (Invalid_argument "Allocation.make: bad rate in session 0")
+    (fun () -> of_rows [| [| 1.0; -0.5 |]; [| 1.0 |] |]);
+  Alcotest.check_raises "row length"
+    (Invalid_argument "Allocation.make: receiver count mismatch in session 1") (fun () ->
+      of_rows [| [| 1.0; 2.0 |]; [| 1.0; 1.0 |] |])
+
+let test_of_fresh_rows_adopts () =
+  let net = diamond () in
+  let rows = [| [| 2.0; 3.0 |]; [| 1.0 |] |] in
+  let adopted = Allocation.of_fresh_rows net (Array.get rows) in
+  let copied = Allocation.make net rows in
+  Array.iteri
+    (fun i row ->
+      Alcotest.(check bool) "of_fresh_rows adopts" true
+        (Allocation.unsafe_rates_of_session adopted i == row);
+      Alcotest.(check bool) "make copies" false (Allocation.unsafe_rates_of_session copied i == row))
+    rows
+
 let test_ordered_vector () =
   let net = diamond () in
   let alloc = Allocation.make net [| [| 3.0; 1.0 |]; [| 2.0 |] |] in
@@ -171,6 +196,8 @@ let suite =
     Alcotest.test_case "feasibility single-rate" `Quick test_feasibility_single_rate;
     Alcotest.test_case "make shape mismatch" `Quick test_make_shape_mismatch;
     Alcotest.test_case "make negative rate" `Quick test_make_negative_rate;
+    Alcotest.test_case "of_fresh_rows rejects bad rows" `Quick test_of_fresh_rows_rejects;
+    Alcotest.test_case "of_fresh_rows adopts its rows" `Quick test_of_fresh_rows_adopts;
     Alcotest.test_case "ordered vector" `Quick test_ordered_vector;
     Alcotest.test_case "zero allocation" `Quick test_zero_feasible;
     Alcotest.test_case "fully utilized" `Quick test_fully_utilized;

@@ -168,6 +168,40 @@ let test_trace_rounds () =
     rounds;
   Alcotest.(check bool) "result feasible" true (Allocation.is_feasible allocation)
 
+(* With no probe sink a round allocates nothing (DESIGN §8), so a
+   solve's minor allocation does not depend on how many rounds it runs:
+   1,000 disjoint one-hop unicasts saturate one link per round under
+   distinct capacities and all in one round under equal ones. *)
+let test_rounds_allocation_free () =
+  let n = 1000 in
+  let net cap =
+    let g = Graph.create ~nodes:(2 * n) in
+    for i = 0 to n - 1 do
+      ignore (Graph.add_link g (2 * i) ((2 * i) + 1) (cap i))
+    done;
+    Network.make g (Array.init n (fun i -> Network.session ~sender:(2 * i) ~receivers:[| (2 * i) + 1 |] ()))
+  in
+  let distinct = net (fun i -> 1.0 +. float_of_int i) and equal = net (fun _ -> 1.0) in
+  let _, rounds = Mmfair_obs.Probe.rounds (fun () -> Allocator.max_min distinct) in
+  Alcotest.(check int) "distinct capacities: one round per link" n (List.length rounds);
+  let _, rounds = Mmfair_obs.Probe.rounds (fun () -> Allocator.max_min equal) in
+  Alcotest.(check int) "equal capacities: one round" 1 (List.length rounds);
+  let minor_words net =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Allocator.max_min net));
+    Gc.minor_words () -. w0
+  in
+  let many = minor_words distinct and one = minor_words equal in
+  Alcotest.(check (float 0.0)) "minor words: 1,000 rounds vs 1 round" one many
+
+(* A network without sessions solves to the empty allocation. *)
+let test_zero_sessions () =
+  let g = Graph.create ~nodes:2 in
+  ignore (Graph.add_link g 0 1 1.0);
+  match Allocator.max_min_result (Network.make g [||]) with
+  | Ok a -> Alcotest.(check (float 0.0)) "no throughput" 0.0 (Allocation.total_throughput a)
+  | Error e -> Alcotest.fail (Mmfair_core.Solver_error.to_string e)
+
 let test_bottleneck_links () =
   let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
   let alloc = Allocator.max_min net in
@@ -426,6 +460,8 @@ let suite =
     Alcotest.test_case "single-rate binds session" `Quick test_single_rate_binds_session;
     Alcotest.test_case "additive vfn splits" `Quick test_additive_vfn_splits;
     Alcotest.test_case "trace rounds" `Quick test_trace_rounds;
+    Alcotest.test_case "rounds are allocation-free" `Quick test_rounds_allocation_free;
+    Alcotest.test_case "zero sessions" `Quick test_zero_sessions;
     Alcotest.test_case "bottleneck links" `Quick test_bottleneck_links;
     Alcotest.test_case "engines agree on paper nets" `Quick test_engines_agree_on_paper_nets;
     Alcotest.test_case "partial ignores distant custom" `Quick test_partial_ignores_distant_custom;
