@@ -486,10 +486,10 @@ let[@inline] freeze st gid a =
       let n_old = st.cell_active.(c) in
       let max_old = st.cell_max_frozen.(c) and sum_old = st.cell_sum_frozen.(c) in
       let n_new = n_old - 1 in
+      let max_new = if a > max_old then a else max_old and sum_new = sum_old +. a in
       st.cell_active.(c) <- n_new;
-      if a > max_old then st.cell_max_frozen.(c) <- a;
-      st.cell_sum_frozen.(c) <- sum_old +. a;
-      let max_new = st.cell_max_frozen.(c) and sum_new = st.cell_sum_frozen.(c) in
+      st.cell_max_frozen.(c) <- max_new;
+      st.cell_sum_frozen.(c) <- sum_new;
       (match vfn with
       | Redundancy_fn.Efficient ->
           shift st l
