@@ -460,8 +460,6 @@ let suite =
     Alcotest.test_case "single-rate binds session" `Quick test_single_rate_binds_session;
     Alcotest.test_case "additive vfn splits" `Quick test_additive_vfn_splits;
     Alcotest.test_case "trace rounds" `Quick test_trace_rounds;
-    Alcotest.test_case "rounds are allocation-free" `Quick test_rounds_allocation_free;
-    Alcotest.test_case "zero sessions" `Quick test_zero_sessions;
     Alcotest.test_case "bottleneck links" `Quick test_bottleneck_links;
     Alcotest.test_case "engines agree on paper nets" `Quick test_engines_agree_on_paper_nets;
     Alcotest.test_case "partial ignores distant custom" `Quick test_partial_ignores_distant_custom;
@@ -766,4 +764,6 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_weighted_unit_equals_unweighted;
       QCheck_alcotest.to_alcotest qcheck_optimized_equals_reference;
       QCheck_alcotest.to_alcotest qcheck_certify_accepts_optimized;
+      Alcotest.test_case "rounds are allocation-free" `Quick test_rounds_allocation_free;
+      Alcotest.test_case "zero sessions" `Quick test_zero_sessions;
     ]
