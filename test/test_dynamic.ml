@@ -590,7 +590,7 @@ let recording_engine calls =
    rows as background; 0 and 1 then rise onto the trunk together, the
    boundary scan merges them, and only that dirty pair re-solves —
    fewer sessions than the component, over the zeroed background. *)
-let test_batch_background_paths () =
+let three_leaf_net () =
   let g = Graph.create ~nodes:6 in
   ignore (Graph.add_link g 0 1 4.0);
   let leaf0 = Graph.add_link g 1 2 1.0 in
@@ -605,14 +605,13 @@ let test_batch_background_paths () =
         Network.session ~sender:0 ~receivers:[| 5 |] ();
       |]
   in
+  (net, List.map (fun link -> Event.Capacity_change { link; cap = 3.0 }) [ leaf0; leaf1; leaf2 ])
+
+let test_batch_background_paths () =
+  let net, lift_leaves = three_leaf_net () in
   let calls = ref [] in
   let eng = Batch.create ~solver:(recording_engine calls) net in
-  let stats =
-    Batch.apply eng
-      (List.map
-         (fun link -> Event.Capacity_change { link; cap = 3.0 })
-         [ leaf0; leaf1; leaf2 ])
-  in
+  let stats = Batch.apply eng lift_leaves in
   let comp = stats.Batch.component_sessions in
   Alcotest.(check int) "every session is in the component" 3 comp;
   (match List.rev !calls with
@@ -731,6 +730,58 @@ let test_rho_epoch_major_allocation () =
     (direct < float_of_int m);
   check_matches_scratch "after 1,200 rho events" eng
 
+(* --- pool telemetry follows the domain count ----------------------------- *)
+
+(* At one domain a batch's solve tasks run in order on the calling
+   thread and no [pool] event is emitted.  Above one, every hand-off to
+   the domain pool emits exactly one, and the tasks those events count
+   are the epoch's solves.  Figure 2's ρ change re-solves in one
+   hand-off; lifting the three leaves takes two (the whole component,
+   then the merged pair that rose onto the shared trunk). *)
+let test_pool_events_per_domains () =
+  let pools = ref [] in
+  let sink = Obs.Sink.make ~on_pool:(fun ev -> pools := ev :: !pools) () in
+  let replay ~domains net events =
+    let eng = Batch.create ~domains net in
+    pools := [];
+    let stats = Obs.Probe.with_sink sink (fun () -> Batch.apply eng events) in
+    check_matches_scratch (Printf.sprintf "replay at %d domains" domains) eng;
+    (stats, List.rev !pools)
+  in
+  let { Paper_nets.net = fig2; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
+  let leaves, lift_leaves = three_leaf_net () in
+  List.iter
+    (fun (what, net, events, handoffs) ->
+      let _, sequential = replay ~domains:1 net events in
+      Alcotest.(check int) (what ^ ": no pool event at one domain") 0 (List.length sequential);
+      let stats, pooled = replay ~domains:2 net events in
+      Alcotest.(check int) (what ^ ": one pool event per hand-off") handoffs (List.length pooled);
+      List.iter
+        (fun (ev : Obs.Events.pool) ->
+          Alcotest.(check int) (what ^ ": pool parallelism") 2 ev.Obs.Events.p_domains)
+        pooled;
+      Alcotest.(check int) (what ^ ": pooled tasks are the solves") stats.Batch.solves
+        (List.fold_left (fun n (ev : Obs.Events.pool) -> n + ev.Obs.Events.p_tasks) 0 pooled))
+    [
+      ("figure 2 rho change", fig2, [ Event.Rho_change { session = 1; rho = 1.5 } ], 1);
+      ("three lifted leaves", leaves, lift_leaves, 2);
+    ]
+
+(* --- the domain count is validated at creation --------------------------- *)
+
+let test_batch_rejects_zero_domains () =
+  let { Paper_nets.net; _ } = Paper_nets.figure2 () in
+  let what = "Dynamic.Batch.create: domains must be >= 1 (got 0)" in
+  Alcotest.check_raises "create" (Invalid_argument what) (fun () ->
+      ignore (Batch.create ~domains:0 net));
+  match Batch.create_result ~domains:0 net with
+  | Error (Mmfair_core.Solver_error.Invalid_input { what = got; _ }) ->
+      Alcotest.(check string) "create_result" what got
+  | Error e ->
+      Alcotest.fail
+        (Printf.sprintf "expected Invalid_input, got %s" (Mmfair_core.Solver_error.to_string e))
+  | Ok _ -> Alcotest.fail "create_result accepted zero domains"
+
 let suite =
   [
     Alcotest.test_case "engine matches scratch on figure 2 churn" `Quick test_engine_on_figure2;
@@ -756,4 +807,6 @@ let suite =
       test_batch_rejects_solver_without_partial;
     Alcotest.test_case "retained epochs stay bitwise" `Quick test_store_epochs_stay_bitwise;
     Alcotest.test_case "rho epochs copy no O(sessions) array" `Quick test_rho_epoch_major_allocation;
+    Alcotest.test_case "pool events follow the domain count" `Quick test_pool_events_per_domains;
+    Alcotest.test_case "zero domains are rejected" `Quick test_batch_rejects_zero_domains;
   ]
