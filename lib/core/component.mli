@@ -11,8 +11,8 @@
     This module owns the component machinery — the closure, the
     binding-link predicate, and the boundary scan that drives the
     expansion loop to a sound fixed point — so both the per-event
-    churn engine and the batch coalescer in [Mmfair_dynamic] (and any
-    future domain-sharded scheduler) share one audited implementation.
+    churn engine and the batch coalescer in [Mmfair_dynamic] share one
+    audited implementation.
 
     A component is session-granular: single-rate coupling and the
     max-shape of the [Efficient]/[Scaled] link-rate functions tie a
@@ -67,7 +67,7 @@ val groups : t -> int array list
     their smallest session, members ascending within.  Disjoint
     groups share no binding link, so their restricted solves are
     independent sub-problems; the batch engine hands each to its own
-    scheduler task and re-checks the split against the merged
+    solve task and re-checks the split against the merged
     candidate with {!group_boundary_links}. *)
 
 val group_boundary_links :

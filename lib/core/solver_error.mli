@@ -40,15 +40,14 @@ type t =
           termination argument requires monotone usage in the common
           rate. *)
   | Scheduler_failure of { solver : string; task : int; what : string }
-      (** A scheduler (the batch engine's solve-task seam, or a
-          {!Domain_pool} worker) failed to complete solve task [task]:
-          it dropped the task without running it, or the task raised
-          an exception the solver contract does not cover — [what] is
-          the dropped-task diagnostic or the worker exception,
-          re-raised on the joining domain with the task's index as
-          context.  Solver-contract exceptions ({!Error},
-          [Invalid_argument]) raised inside a pooled task are {e not}
-          wrapped: they re-raise as themselves. *)
+      (** Solve task [task] run on a {!Domain_pool} raised an
+          exception the solver contract does not cover — [what] is the
+          worker exception, re-raised on the joining domain with the
+          task's index as context.  The batch engine also reports an
+          internal regrouping fault this way.  Solver-contract
+          exceptions ({!Error}, [Invalid_argument]) raised inside a
+          pooled task are {e not} wrapped: they re-raise as
+          themselves. *)
 
 exception Error of t
 (** Raised by the classic (non-[_result]) solver entry points on solver

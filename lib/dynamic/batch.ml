@@ -20,19 +20,9 @@ type stats = {
   solves : int;
 }
 
-type scheduler = { run : (unit -> unit) list -> unit }
-
-let sequential = { run = (fun tasks -> List.iter (fun f -> f ()) tasks) }
-
-let pool ~domains =
-  if domains < 1 then
-    invalid_arg (Printf.sprintf "Dynamic.Batch.pool: domains must be >= 1 (got %d)" domains);
-  let p = Mmfair_core.Domain_pool.shared ~domains in
-  { run = (fun tasks -> Mmfair_core.Domain_pool.run p tasks) }
-
 type t = {
   solver : Solve_engine.t;
-  scheduler : scheduler;
+  run : (unit -> unit) list -> unit;
   store : Store.t;
   mutable network : Network.t;
   mutable allocation : Allocation.t;
@@ -40,20 +30,18 @@ type t = {
 
 let solver_name = "Dynamic"
 
-let create ?(solver = Solve_engine.default) ?scheduler ?(domains = 1) ?retain ?allocation net =
+let create ?(solver = Solve_engine.default) ?(domains = 1) ?retain ?allocation net =
   if not (Solve_engine.capabilities solver).Solve_engine.partial then
     invalid_arg
       (Printf.sprintf "Dynamic.Batch.create: solver %s has no warm-start partial solve"
          (Solve_engine.name solver));
-  let scheduler =
-    match scheduler with
-    | Some s -> s
-    | None ->
-        if domains < 1 then
-          invalid_arg
-            (Printf.sprintf "Dynamic.Batch.create: domains must be >= 1 (got %d)" domains)
-        else if domains > 1 then pool ~domains
-        else sequential
+  if domains < 1 then
+    invalid_arg (Printf.sprintf "Dynamic.Batch.create: domains must be >= 1 (got %d)" domains);
+  (* At one domain the tasks run in order on the calling thread and no
+     [pool] event is emitted. *)
+  let run =
+    if domains = 1 then List.iter (fun f -> f ())
+    else Mmfair_core.Domain_pool.run (Mmfair_core.Domain_pool.shared ~domains)
   in
   let allocation =
     match allocation with
@@ -62,17 +50,16 @@ let create ?(solver = Solve_engine.default) ?scheduler ?(domains = 1) ?retain ?a
         let (module E : Solve_engine.S) = solver in
         E.solve net
   in
-  { solver; scheduler; store = Store.create ?retain net allocation; network = net; allocation }
+  { solver; run; store = Store.create ?retain net allocation; network = net; allocation }
 
-let create_result ?solver ?scheduler ?domains ?retain ?allocation net =
+let create_result ?solver ?domains ?retain ?allocation net =
   Solver_error.protect ~solver:solver_name (fun () ->
-      create ?solver ?scheduler ?domains ?retain ?allocation net)
+      create ?solver ?domains ?retain ?allocation net)
 
 let network t = t.network
 let allocation t = t.allocation
 let epoch t = Store.epoch t.store
 let store t = t.store
-let solver t = t.solver
 
 (* --- coalescing diff --------------------------------------------------- *)
 
@@ -217,11 +204,11 @@ let apply t events =
       end)
     cand_links;
   (* Sorted for deterministic absorb order regardless of hashing. *)
-  let changed_links = List.sort Stdlib.compare !changed_links in
+  let changed_links = List.sort Int.compare !changed_links in
   let cand_diffs =
     List.map
       (fun i -> (i, diff_session old_net old_alloc new_net i))
-      (List.sort Stdlib.compare (Hashtbl.fold (fun i () acc -> i :: acc) cand_sessions []))
+      (List.sort Int.compare (Hashtbl.fold (fun i () acc -> i :: acc) cand_sessions []))
   in
   let rho_net = ref 0 in
   let membership_net = ref 0 in
@@ -267,22 +254,14 @@ let apply t events =
   let (module E : Solve_engine.S) = t.solver in
   let solves = ref 0 in
   let full = ref false in
-  (* Every water-filling pass goes through the scheduler seam — one
-     task per disjoint group.  Each task writes its allocation into
-     its own slot, so tasks never share mutable state; a slot the
-     scheduler left empty is a typed scheduler failure. *)
+  (* Every water-filling pass goes through the task runner — one task
+     per pack of disjoint groups.  Each task writes its allocation into
+     its own slot, so tasks never share mutable state; the runner
+     returns only once every task has run, or raises. *)
   let run_tasks fs =
     let out = Array.make (List.length fs) None in
-    t.scheduler.run (List.mapi (fun k f () -> out.(k) <- Some (f ())) fs);
-    Array.mapi
-      (fun k slot ->
-        match slot with
-        | Some a -> a
-        | None ->
-            Solver_error.raise_error
-              (Solver_error.Scheduler_failure
-                 { solver = solver_name; task = k; what = "scheduler dropped the solve task" }))
-      out
+    t.run (List.mapi (fun k f () -> out.(k) <- Some (f ())) fs);
+    Array.map Option.get out
   in
   let solve_full () =
     full := true;
@@ -314,7 +293,7 @@ let apply t events =
           (fun i -> set i (Array.make (Array.length (Pvec.get pinned i)) 0.0))
           (Component.sessions comp))
   in
-  (* Scheduler-task granularity: a restricted solve has a fixed cost
+  (* Task granularity: a restricted solve has a fixed cost
      however few sessions it lists — arena setup, its result's copy of
      the row vector's spine ([sessions / 32] pointers) and its own
      [Allocation] — so scheduling every tiny component as its own task
@@ -390,7 +369,7 @@ let apply t events =
          full component that still splits into disjoint groups (e.g. a
          flash crowd touching every cluster of a link-disjoint
          network) keeps the partitioned path: the groups are
-         independent solves, one scheduler task each. *)
+         independent solves, one task each. *)
       let a = solve_full () in
       final_components := 1;
       a
@@ -532,7 +511,7 @@ let apply t events =
       else if stats.full_solve then Component.cardinal comp
       else
         List.fold_left
-          (fun acc g -> Stdlib.max acc (Array.length g))
+          (fun acc g -> Int.max acc (Array.length g))
           0 (Component.groups comp)
     in
     Obs.Probe.epoch

@@ -13,9 +13,9 @@
     into {e disjoint} components ({!Mmfair_core.Component.groups}) —
     each re-solved as its own restricted problem through the
     {!Mmfair_core.Solve_engine} seam with everything outside it frozen
-    at the carried-over rates, one {!scheduler} task per component (a
-    domain {!pool} runs them in parallel), the per-component solves
-    stitched into one candidate and boundary-expanded — merging
+    at the carried-over rates (small components share one solve task;
+    with [domains > 1] the tasks run in parallel, see {!create}), the
+    per-component solves stitched into one candidate and boundary-expanded — merging
     components that turn out to lean on a shared saturated link — to
     the same sound fixed point as the per-event engine (DESIGN.md
     §11–13).
@@ -34,8 +34,8 @@ type stats = {
   cancelled : int;  (** [events - net_events]. *)
   components : int;
       (** Disjoint fairness components in the final partition — the
-          unit of independence (small ones share a scheduler task, see
-          {!scheduler}); [1] on a full solve, [0] when nothing could
+          unit of independence (small ones share a solve task, see
+          {!create}); [1] on a full solve, [0] when nothing could
           move. *)
   component_sessions : int;  (** Sessions inside the union component. *)
   component_receivers : int;  (** Receivers inside the union component. *)
@@ -53,35 +53,10 @@ type stats = {
     every receiver, the largest rate move) are computed only while a
     sink listens ({!Mmfair_obs.Probe.enabled}). *)
 
-type scheduler = { run : (unit -> unit) list -> unit }
-(** How the batch's water-filling passes execute.  [run] receives one
-    task per {e pack} of disjoint fairness components — a restricted
-    solve has a fixed cost however small the component (setup, and a
-    result that copies the row vector's spine of [sessions / 32]
-    pointers), so components are coalesced (in deterministic root
-    order) into tasks of at least a few sessions each; a component
-    above that floor is its own task.  Tasks must all complete before [run] returns; they
-    write to disjoint slots, so any execution order (or true
-    parallelism) yields the same result.  A task the scheduler drops
-    surfaces as {!Mmfair_core.Solver_error.Scheduler_failure}. *)
-
-val sequential : scheduler
-(** Runs each task in order on the calling thread. *)
-
-val pool : domains:int -> scheduler
-(** Tasks run on the process-wide domain pool of that size
-    ({!Mmfair_core.Domain_pool.shared}) — the submitting domain plus
-    [domains - 1] persistent workers.  [pool ~domains:1] behaves
-    exactly like {!sequential}.  Allocations are bitwise identical at
-    every pool size: tasks are deterministic and share nothing, and
-    their probe events are buffered per task and replayed in task
-    order on the caller's sink. *)
-
 type t
 
 val create :
   ?solver:Mmfair_core.Solve_engine.t ->
-  ?scheduler:scheduler ->
   ?domains:int ->
   ?retain:int ->
   ?allocation:Mmfair_core.Allocation.t ->
@@ -91,10 +66,24 @@ val create :
     ({!Mmfair_core.Solve_engine.default} unless given) and seeds the
     store.  Raises [Invalid_argument] when the solver's
     {!Mmfair_core.Solve_engine.capabilities} lack [partial]: every
-    epoch after the first is a warm-start restricted solve.  [domains]
-    (default [1]) picks {!pool} over that many domains as the
-    scheduler; an explicit [scheduler] wins over
-    [domains].  [retain] bounds the store window ({!Store.create}).
+    epoch after the first is a warm-start restricted solve.
+
+    [domains] (default [1]) picks where each batch's solve tasks run:
+    in order on the calling thread at [1], on the process-wide domain
+    pool of that size ({!Mmfair_core.Domain_pool.shared}) — the calling
+    domain plus [domains - 1] persistent workers — above it, and
+    [Invalid_argument] below it.  A task is one pack of disjoint
+    fairness components: a restricted solve has a fixed cost however
+    small the component (setup, and a result that copies the row
+    vector's spine of [sessions / 32] pointers), so components are
+    coalesced in deterministic root order into tasks of at least a few
+    sessions each.  Allocations are bitwise identical at every domain
+    count: tasks are deterministic and write disjoint slots, and their
+    probe events are buffered per task and replayed in task order on
+    the caller's sink.  The pool adds one [pool] probe event per
+    hand-off ({!Mmfair_obs.Events.pool}); one domain adds none.
+
+    [retain] bounds the store window ({!Store.create}).
     [allocation] is a {e trusted} warm restore: the caller asserts it
     is the max-min fair allocation of [net] (benchmarks use it to
     reset an engine between repetitions without paying the initial
@@ -103,7 +92,6 @@ val create :
 
 val create_result :
   ?solver:Mmfair_core.Solve_engine.t ->
-  ?scheduler:scheduler ->
   ?domains:int ->
   ?retain:int ->
   ?allocation:Mmfair_core.Allocation.t ->
@@ -119,7 +107,6 @@ val allocation : t -> Mmfair_core.Allocation.t
 
 val epoch : t -> int
 val store : t -> Store.t
-val solver : t -> Mmfair_core.Solve_engine.t
 
 val apply : t -> Event.t list -> stats
 (** Apply one batch of churn events as a single epoch: one surgery

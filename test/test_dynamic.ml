@@ -539,28 +539,62 @@ let qcheck_domains_bitwise_identical =
                (Network.all_receivers net1))
         [ 2; 4 ])
 
-(* --- a scheduler that drops tasks surfaces as a typed error ------------- *)
+(* Three sessions, each pinned by its own saturated leaf; sessions 0
+   and 1 also share a slack trunk, session 2 rides a separate path.
+   Returns the net and the batch that lifts all three leaves. *)
+let three_leaf_net () =
+  let g = Graph.create ~nodes:6 in
+  ignore (Graph.add_link g 0 1 4.0);
+  let leaf0 = Graph.add_link g 1 2 1.0 in
+  let leaf1 = Graph.add_link g 1 3 1.0 in
+  ignore (Graph.add_link g 0 4 6.0);
+  let leaf2 = Graph.add_link g 4 5 1.0 in
+  let net =
+    Network.make g
+      [|
+        Network.session ~sender:0 ~receivers:[| 2 |] ();
+        Network.session ~sender:0 ~receivers:[| 3 |] ();
+        Network.session ~sender:0 ~receivers:[| 5 |] ();
+      |]
+  in
+  (net, List.map (fun link -> Event.Capacity_change { link; cap = 3.0 }) [ leaf0; leaf1; leaf2 ])
 
+(* --- a pooled solve task that fails surfaces as a typed error ---------- *)
+
+(* The default engine, except that every warm-start solve raises a
+   [Failure] — an exception outside the solver contract, which the
+   domain pool re-raises as a typed failure of its task. *)
+let failing_partial_engine =
+  let module Base = (val Mmfair_core.Solve_engine.default : Mmfair_core.Solve_engine.S) in
+  let module E = struct
+    include Base
+
+    let solve_partial ~sessions:_ ~frozen:_ _ = failwith "solve_partial lost its task"
+  end in
+  (module E : Mmfair_core.Solve_engine.S)
+
+(* Lifting session 2's leaf re-solves session 2 alone, warm, in one
+   task. *)
 let test_scheduler_dropped_task () =
-  let { Paper_nets.net; _ } = Paper_nets.figure2 ~session1_type:Network.Multi_rate () in
-  let drop_all = { Batch.run = (fun _tasks -> ()) } in
-  let eng = Batch.create ~scheduler:drop_all net in
+  let net, lift_leaves = three_leaf_net () in
+  let batch = [ List.nth lift_leaves 2 ] in
+  let eng = Batch.create ~solver:failing_partial_engine ~domains:2 net in
   let before = Batch.allocation eng in
-  (match Batch.apply_result eng [ Event.Rho_change { session = 1; rho = 1.5 } ] with
-  | Ok _ -> Alcotest.fail "a dropped solve task must not look like success"
-  | Error (Mmfair_core.Solver_error.Scheduler_failure { task; what; _ }) ->
-      Alcotest.(check int) "the first dropped slot is blamed" 0 task;
-      Alcotest.(check string) "dropped-task diagnostic" "scheduler dropped the solve task" what
+  (match Batch.apply_result eng batch with
+  | Ok _ -> Alcotest.fail "a failed solve task must not look like success"
+  | Error (Mmfair_core.Solver_error.Scheduler_failure { task; _ }) ->
+      Alcotest.(check int) "the failed task is blamed" 0 task
   | Error e ->
       Alcotest.fail
         (Printf.sprintf "expected Scheduler_failure, got %s" (Mmfair_core.Solver_error.to_string e)));
   (* The failed batch left the engine at epoch 0 with its allocation
-     untouched, and a working scheduler is all it takes to proceed. *)
+     untouched, and a working solver is all it takes to proceed. *)
   Alcotest.(check int) "epoch unchanged" 0 (Batch.epoch eng);
   Alcotest.(check bool) "allocation unchanged" true (Batch.allocation eng == before);
-  let eng2 = Batch.create ~scheduler:Batch.sequential ~allocation:before net in
-  ignore (Batch.apply eng2 [ Event.Rho_change { session = 1; rho = 1.5 } ]);
-  check_matches_scratch "sequential replay of the dropped batch" eng2
+  let eng2 = Batch.create ~allocation:before net in
+  let stats = Batch.apply eng2 batch in
+  Alcotest.(check bool) "the replay is a warm start" false stats.Batch.full_solve;
+  check_matches_scratch "default replay of the failed batch" eng2
 
 (* --- the two background paths of a batch re-solve ------------------------ *)
 
@@ -583,30 +617,12 @@ let recording_engine calls =
   end in
   (module E : Mmfair_core.Solve_engine.S)
 
-(* Three sessions, each pinned by its own saturated leaf; sessions 0
-   and 1 also share a slack trunk, session 2 rides a separate path.
-   One batch lifts all three leaves: the first solve lists the whole
-   component (three singleton groups, one task) and shares the pinned
-   rows as background; 0 and 1 then rise onto the trunk together, the
-   boundary scan merges them, and only that dirty pair re-solves —
-   fewer sessions than the component, over the zeroed background. *)
-let three_leaf_net () =
-  let g = Graph.create ~nodes:6 in
-  ignore (Graph.add_link g 0 1 4.0);
-  let leaf0 = Graph.add_link g 1 2 1.0 in
-  let leaf1 = Graph.add_link g 1 3 1.0 in
-  ignore (Graph.add_link g 0 4 6.0);
-  let leaf2 = Graph.add_link g 4 5 1.0 in
-  let net =
-    Network.make g
-      [|
-        Network.session ~sender:0 ~receivers:[| 2 |] ();
-        Network.session ~sender:0 ~receivers:[| 3 |] ();
-        Network.session ~sender:0 ~receivers:[| 5 |] ();
-      |]
-  in
-  (net, List.map (fun link -> Event.Capacity_change { link; cap = 3.0 }) [ leaf0; leaf1; leaf2 ])
-
+(* One batch lifts all three leaves of [three_leaf_net]: the first
+   solve lists the whole component (three singleton groups, one task)
+   and shares the pinned rows as background; 0 and 1 then rise onto
+   the trunk together, the boundary scan merges them, and only that
+   dirty pair re-solves — fewer sessions than the component, over the
+   zeroed background. *)
 let test_batch_background_paths () =
   let net, lift_leaves = three_leaf_net () in
   let calls = ref [] in

@@ -1,7 +1,8 @@
-(* Solve_engine seam tests: every solver reachable through the one
-   signature, engines agreeing where their fairness definitions
-   coincide, capabilities staying honest about what each solver
-   rejects, and partial solves gated on the [partial] capability.
+(* Solve_engine seam tests: the production allocator and its frozen
+   reference reachable through the one signature, the Tzeng-Siu and
+   unicast oracles agreeing with them where their fairness definitions
+   coincide and rejecting networks outside them, and partial solves
+   gated on the [partial] capability.
 
    The deep definitional comparisons (Tzeng-Siu vs receiver-granular
    on the paper nets, reference-vs-optimized fuzz) live in their own
@@ -19,9 +20,9 @@ let agree a b = Float.abs (a -. b) <= 1e-9 *. Stdlib.max 1.0 (Stdlib.max (Float.
 let feq what a b =
   Alcotest.(check bool) (Printf.sprintf "%s: %.17g vs %.17g" what a b) true (agree a b)
 
-(* Three single-rate unicast sessions over a shared uplink: inside
-   every engine's capabilities (single receivers, Single_rate,
-   Efficient vfns, unit weights), so all four definitions coincide. *)
+(* Three single-rate unicast sessions over a shared uplink: single
+   receivers, Single_rate, Efficient vfns and unit weights, so the
+   receiver-rate, session-rate and unicast definitions coincide. *)
 let common_net () =
   let g = Graph.create ~nodes:4 in
   let _l0 = Graph.add_link g 0 1 6.0 in
@@ -36,107 +37,86 @@ let frozen_of net alloc =
       Array.init (Array.length spec.Network.receivers) (fun index ->
           Allocation.rate alloc { Network.session = i; index }))
 
+let engines = [ Solve_engine.allocator; Solve_engine.allocator_reference ]
+
 let test_registry () =
-  let engines = Solve_engine.all () in
-  Alcotest.(check int) "four engines" 4 (List.length engines);
-  List.iter
-    (fun (name, e) ->
-      Alcotest.(check string) "registered under its own name" name (Solve_engine.name e))
-    engines;
-  let names = List.map fst engines in
+  Alcotest.(check string) "default is the optimized allocator" "Allocator"
+    (Solve_engine.name Solve_engine.default);
   Alcotest.(check bool) "names are distinct" true
-    (List.length (List.sort_uniq compare names) = List.length names);
-  Alcotest.(check string) "default is the optimized allocator"
-    (Solve_engine.name (Solve_engine.allocator))
-    (Solve_engine.name Solve_engine.default)
+    (Solve_engine.name Solve_engine.allocator
+    <> Solve_engine.name Solve_engine.allocator_reference)
 
 let test_all_engines_agree () =
   let net = common_net () in
   let reference = Allocator.max_min net in
+  let check_rates name alloc =
+    Array.iter
+      (fun (r : Network.receiver_id) ->
+        feq
+          (Printf.sprintf "%s receiver (%d,%d)" name r.Network.session r.Network.index)
+          (Allocation.rate reference r) (Allocation.rate alloc r))
+      (Network.all_receivers net)
+  in
   List.iter
-    (fun (name, e) ->
-      Alcotest.(check bool) (name ^ " admits the common net") true (Solve_engine.admits e net);
+    (fun e ->
       let module E = (val e : Solve_engine.S) in
       let alloc = E.solve net in
-      Array.iter
-        (fun (r : Network.receiver_id) ->
-          feq
-            (Printf.sprintf "%s receiver (%d,%d)" name r.Network.session r.Network.index)
-            (Allocation.rate reference r) (Allocation.rate alloc r))
-        (Network.all_receivers net);
+      check_rates E.name alloc;
       match E.solve_result net with
       | Ok alloc' ->
           Array.iter
             (fun (r : Network.receiver_id) ->
-              feq (name ^ " solve_result matches solve") (Allocation.rate alloc r)
+              feq (E.name ^ " solve_result matches solve") (Allocation.rate alloc r)
                 (Allocation.rate alloc' r))
             (Network.all_receivers net)
       | Error err ->
-          Alcotest.fail (name ^ " solve_result errored: " ^ Mmfair_core.Solver_error.to_string err))
-    (Solve_engine.all ())
+          Alcotest.fail (E.name ^ " solve_result errored: " ^ Mmfair_core.Solver_error.to_string err))
+    engines;
+  let module Tzeng_siu = Mmfair_core.Tzeng_siu in
+  check_rates "Tzeng_siu" (Tzeng_siu.to_allocation net (Tzeng_siu.max_min_session_rates net));
+  check_rates "Unicast"
+    (Allocation.make net
+       (Array.map (fun r -> [| r |]) (Mmfair_core.Unicast.max_min_flow_rates net)))
 
 let test_capabilities_honest () =
   (* Figure 2 (default): a three-receiver Single_rate session plus a
-     Multi_rate unicast session. *)
+     Multi_rate unicast session.  Tzeng-Siu wants every session
+     Single_rate (S2 is Multi_rate); Unicast rejects the three-receiver
+     S1. *)
   let { Paper_nets.net = fig2; _ } = Paper_nets.figure2 () in
-  let expect_rejects name e net =
-    Alcotest.(check bool) (name ^ " does not admit") false (Solve_engine.admits e net);
-    let module E = (val e : Solve_engine.S) in
-    match E.solve net with
+  let expect_rejects name solve =
+    match solve fig2 with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail (name ^ " solved a network outside its capabilities")
+    | _ -> Alcotest.fail (name ^ " solved a network outside its definition")
   in
-  Alcotest.(check bool) "allocator admits figure 2" true
-    (Solve_engine.admits (Solve_engine.allocator) fig2);
-  Alcotest.(check bool) "reference admits figure 2" true
-    (Solve_engine.admits (Solve_engine.allocator_reference) fig2);
-  (* Tzeng-Siu wants every session Single_rate (figure 2's S2 is
-     Multi_rate); Unicast rejects the three-receiver S1. *)
-  expect_rejects "tzeng_siu" Solve_engine.tzeng_siu fig2;
-  expect_rejects "unicast" Solve_engine.unicast fig2;
-  (* Weights: Tzeng-Siu's session-rate definition ignores them rather
-     than raising, so admits must flag the net even though solve
-     succeeds — its answer is for the unweighted problem. *)
-  let g = Graph.create ~nodes:3 in
-  let _ = Graph.add_link g 0 1 4.0 in
-  let _ = Graph.add_link g 0 2 4.0 in
-  let weighted =
-    Network.make g
-      [|
-        Network.session ~session_type:Network.Single_rate ~weights:[| 2.0 |] ~sender:0
-          ~receivers:[| 1 |] ();
-        Network.session ~session_type:Network.Single_rate ~sender:0 ~receivers:[| 2 |] ();
-      |]
-  in
-  Alcotest.(check bool) "tzeng_siu does not admit weights" false
-    (Solve_engine.admits Solve_engine.tzeng_siu weighted);
-  Alcotest.(check bool) "unicast does not admit weights" false
-    (Solve_engine.admits Solve_engine.unicast weighted);
-  Alcotest.(check bool) "allocator admits weights" true
-    (Solve_engine.admits (Solve_engine.allocator) weighted)
+  expect_rejects "tzeng_siu" Mmfair_core.Tzeng_siu.max_min_session_rates;
+  expect_rejects "unicast" Mmfair_core.Unicast.max_min_flow_rates
 
 let test_partial_capability () =
   let net = common_net () in
   List.iter
-    (fun (name, e) ->
-      let caps = Solve_engine.capabilities e in
+    (fun e ->
       let module E = (val e : Solve_engine.S) in
       let full = E.solve net in
       let frozen = frozen_of net full in
-      if caps.Solve_engine.partial then (
+      if E.capabilities.Solve_engine.partial then (
         (* Re-solving one session with every other pinned at the
            optimum must reproduce the optimum. *)
         let partial = E.solve_partial ~sessions:[| 0 |] ~frozen net in
         Array.iter
           (fun (r : Network.receiver_id) ->
-            feq (name ^ " warm start reproduces the optimum") (Allocation.rate full r)
+            feq (E.name ^ " warm start reproduces the optimum") (Allocation.rate full r)
               (Allocation.rate partial r))
           (Network.all_receivers net))
       else
         match E.solve_partial ~sessions:[| 0 |] ~frozen net with
         | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail (name ^ " claims no partial solves yet performed one"))
-    (Solve_engine.all ())
+        | _ -> Alcotest.fail (E.name ^ " claims no partial solves yet performed one"))
+    engines;
+  Alcotest.(check bool) "the allocator warm-starts" true
+    (Solve_engine.capabilities Solve_engine.allocator).Solve_engine.partial;
+  Alcotest.(check bool) "the reference does not" false
+    (Solve_engine.capabilities Solve_engine.allocator_reference).Solve_engine.partial
 
 let suite =
   [

@@ -134,7 +134,7 @@ let test_unicast_contract_violation () =
 
 (* Scheduler_failure: rendering, attribution, and the of_exn contract
    (an unrecognized exception is a bug, not a typed error — only the
-   scheduler seam itself wraps them, with the task index attached). *)
+   domain pool wraps them, with the task index attached). *)
 let test_scheduler_failure_shape () =
   let e =
     Solver_error.Scheduler_failure { solver = "Domain_pool"; task = 3; what = "Stack_overflow" }
