@@ -62,10 +62,9 @@ let unsafe_rates_of_session t i = Pvec.get t.rates i
    of it shares every row and chunk it does not write. *)
 let unsafe_rows t = t.rates
 
-(* Fold a compact incidence cell directly: [link_rate] is swept over
-   every link by feasibility checks and the dynamic engine's
-   saturation scans, so it must not materialize per-cell lists and
-   must skip (link, session) pairs nobody crosses. *)
+(* Fold a compact incidence cell directly: feasibility checks sweep
+   [link_rate] over every link, so it must not materialize per-cell
+   lists and must skip (link, session) pairs nobody crosses. *)
 let cell_rate t inc c =
   let i = inc.Network.cell_session.(c) in
   let lo = inc.Network.cell_first.(c) in
@@ -105,58 +104,6 @@ let link_rate t link =
 let fully_utilized ?(eps = 1e-9) t link =
   let c = Graph.capacity (Network.graph t.net) link in
   link_rate t link >= c -. (eps *. Stdlib.max 1.0 c)
-
-(* All links' usages in one pass over the compact cells.  The dynamic
-   engine sweeps every link twice per epoch (previous-epoch binding
-   set, then the post-solve boundary check); per-link [link_rate]
-   calls pay a closure-based fold per cell, which dominates the
-   incremental path's budget.  Here the three built-in link-rate
-   shapes are folded inline; only [Custom] falls back to the generic
-   fold. *)
-let link_usages t =
-  let inc = Network.incidence t.net in
-  let nl = Graph.link_count (Network.graph t.net) in
-  let usages = Array.make (Stdlib.max nl 1) 0.0 in
-  let session_first = inc.Network.session_first in
-  (* Flat per-gid rates so the inner loop does one load per receiver. *)
-  let flat = Array.make (Stdlib.max inc.Network.n_receivers 1) 0.0 in
-  Pvec.iteri (fun i per -> Array.blit per 0 flat session_first.(i) (Array.length per)) t.rates;
-  let vfns = Array.init (Network.session_count t.net) (Network.vfn t.net) in
-  let link_cells = inc.Network.link_cells in
-  let cell_first = inc.Network.cell_first in
-  for l = 0 to nl - 1 do
-    let s = ref 0.0 in
-    for c = inc.Network.link_row.(l) to inc.Network.link_row.(l + 1) - 1 do
-      let lo = cell_first.(c) and hi = cell_first.(c + 1) in
-      (s :=
-         !s
-         +.
-         match vfns.(inc.Network.cell_session.(c)) with
-         | Redundancy_fn.Efficient ->
-             let mx = ref 0.0 in
-             for p = lo to hi - 1 do
-               let a = flat.(link_cells.(p)) in
-               if a > !mx then mx := a
-             done;
-             !mx
-         | Redundancy_fn.Scaled k ->
-             let mx = ref 0.0 in
-             for p = lo to hi - 1 do
-               let a = flat.(link_cells.(p)) in
-               if a > !mx then mx := a
-             done;
-             k *. !mx
-         | Redundancy_fn.Additive ->
-             let sum = ref 0.0 in
-             for p = lo to hi - 1 do
-               sum := !sum +. flat.(link_cells.(p))
-             done;
-             !sum
-         | Redundancy_fn.Custom _ -> cell_rate t inc c)
-    done;
-    usages.(l) <- !s
-  done;
-  usages
 
 let link_redundancy t ~session ~link =
   let downstream = Network.receivers_on_link t.net ~session ~link in

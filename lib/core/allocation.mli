@@ -67,13 +67,6 @@ val link_rate : t -> Mmfair_topology.Graph.link_id -> float
 val fully_utilized : ?eps:float -> t -> Mmfair_topology.Graph.link_id -> bool
 (** [u_j ≥ c_j − eps] (default [eps = 1e-9] scaled by capacity). *)
 
-val link_usages : t -> float array
-(** Every link's [u_j] in one pass ([usages.(j) = link_rate t j]).
-    Callers sweeping all links — the dynamic engine's binding-set and
-    boundary scans — should prefer this over per-link {!link_rate}:
-    it folds the compact incidence cells inline instead of paying a
-    generic fold per cell. *)
-
 val link_redundancy : t -> session:int -> link:Mmfair_topology.Graph.link_id -> float option
 (** Definition 3: [u_{i,j} / max{a_{i,k} : r_{i,k} ∈ R_{i,j}}].
     [None] when the session has no receiver crossing the link or the

@@ -7,6 +7,34 @@ module Graph = Mmfair_topology.Graph
    from-scratch solve stays well inside the differential gate. *)
 let eps_bind = 1e-7
 
+(* One allocation's link summary, filled lazily one link at a time.
+   A single pass over a link's cells yields everything the closure and
+   the boundary scan ask about it: whether it binds (its usage summed
+   in [Allocation.link_rate]'s order, so the bit is the one
+   [link_rate] gives), the highest normalised rate among its receivers below
+   their ρ ([top]), and per cell the highest normalised rate of the
+   cell's receivers ([norm]) and that rate again if every one of them
+   sits at its ρ, infinity otherwise ([pin]).  After that no reader
+   folds the link's rates a second time.  The per-cell pairs are
+   appended to [cells] as links are summarised, so a summary costs the
+   cells it was asked about, not the network's.
+
+   [top] is negative when no receiver on the link may stay out: some
+   session on it is single-rate or not [Efficient] (outside the domain
+   of the local max-min characterisation), or the allocation's
+   incidence is not the component's, so its cell numbers mean nothing
+   to the walks.  The link's cells are then not recorded. *)
+type summary = {
+  mutable alloc : Allocation.t option; (* the summarised allocation; [None] = free *)
+  mutable gen : int; (* bumped whenever the slot is rebound *)
+  mutable used : int; (* clock of the last lookup, for eviction *)
+  mutable link : int array; (* per link: [2 gen + 1] if binding, [2 gen] if not *)
+  mutable top : float array; (* per link *)
+  mutable first : int array; (* per link: where its cells' pairs start in [cells] *)
+  mutable cells : float array; (* [norm; pin] per recorded cell, in link order *)
+  mutable fill : int; (* used length of [cells] *)
+}
+
 (* Membership, the union-find parents and the per-link marks live in
    an arena of dense arrays stamped with a generation: an entry belongs
    to this component only if its stamp is the component's, so starting
@@ -20,15 +48,27 @@ let eps_bind = 1e-7
    through a shared binding link (union-find, union-by-min so a group's
    root is its smallest session).  Disjoint groups are independent
    sub-problems: their restricted solves commute, which is what lets
-   the batch engine hand each group to its own domain. *)
+   the batch engine hand each group to its own domain.
+
+   The arena also holds three link summaries, one per allocation a
+   binding names at most (the previous epoch's, a pack's solve and the
+   merged candidate in the expansion loop).  The least recently used
+   one is evicted and just recomputed when it is asked for again;
+   resolving one binding never evicts a summary it has just resolved. *)
 type arena = {
   mutable busy : bool;
   mutable stamp : int; (* the current component's generation *)
   mutable scan : int; (* the current boundary scan's generation *)
+  mutable clock : int;
   mutable member : int array; (* per session: [stamp] iff a member *)
   mutable parent : int array; (* per session; meaningful for members only *)
+  mutable bucket : int array; (* per session: scratch for [groups] *)
   mutable expanded : int array; (* per link: [stamp] iff [absorb] expanded it *)
+  mutable anchor : int array;
+      (* per expanded link: the session that expanded it, or -1 if
+         every session on it joined then *)
   mutable seen : int array; (* per link: [scan] iff the current scan met it *)
+  summaries : summary array;
 }
 
 type t = {
@@ -40,18 +80,47 @@ type t = {
   mutable n_recv : int; (* total receivers across members *)
 }
 
+let n_summaries = 3
+
 let new_arena () =
-  { busy = false; stamp = 0; scan = 0; member = [||]; parent = [||]; expanded = [||]; seen = [||] }
+  {
+    busy = false;
+    stamp = 0;
+    scan = 0;
+    clock = 0;
+    member = [||];
+    parent = [||];
+    bucket = [||];
+    expanded = [||];
+    anchor = [||];
+    seen = [||];
+    summaries =
+      Array.init n_summaries (fun _ ->
+          {
+            alloc = None;
+            gen = 0;
+            used = 0;
+            link = [||];
+            top = [||];
+            first = [||];
+            cells = [||];
+            fill = 0;
+          });
+  }
 
 (* Arrays grow without keeping their contents: zero is never a live
-   stamp, since both generations are bumped before use. *)
+   stamp, since every generation is bumped before use. *)
 let ensure a n = if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0
+let ensure_f a n = if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0.0
+
 
 let start arena net =
   let n = Network.session_count net and nl = Graph.link_count (Network.graph net) in
   arena.member <- ensure arena.member n;
   arena.parent <- ensure arena.parent n;
+  arena.bucket <- ensure arena.bucket n;
   arena.expanded <- ensure arena.expanded nl;
+  arena.anchor <- ensure arena.anchor nl;
   arena.seen <- ensure arena.seen nl;
   arena.stamp <- arena.stamp + 1;
   { net; arena; stamp = arena.stamp; members = []; n_sessions = 0; n_recv = 0 }
@@ -64,7 +133,14 @@ let with_component net f =
   if arena.busy then f (create net)
   else begin
     arena.busy <- true;
-    Fun.protect ~finally:(fun () -> arena.busy <- false) (fun () -> f (start arena net))
+    (* Summaries never outlive their component: which cells they
+       record depends on the component's network, and the arena must
+       not keep an old epoch's allocations alive. *)
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter (fun s -> s.alloc <- None) arena.summaries;
+        arena.busy <- false)
+      (fun () -> f (start arena net))
   end
 
 let network t = t.net
@@ -104,43 +180,172 @@ let sessions t = Array.of_list (sorted_members t)
 
 let groups t =
   (* Ascending iteration meets each group at its smallest session,
-     which union-by-min makes the root: buckets come out keyed and
-     ordered by root, members ascending within. *)
-  let buckets = Hashtbl.create 16 in
-  let roots = ref [] in
+     which union-by-min makes the root: numbering roots as they come
+     orders the buckets by root, and filling them from the largest
+     member down leaves each ascending. *)
+  let members = sorted_members t in
+  let bucket = t.arena.bucket in
+  let n =
+    List.fold_left
+      (fun n i ->
+        if find t i = i then begin
+          bucket.(i) <- n;
+          n + 1
+        end
+        else n)
+      0 members
+  in
+  let buckets = Array.make n [] in
   List.iter
     (fun i ->
-      let r = find t i in
-      match Hashtbl.find_opt buckets r with
-      | None ->
-          Hashtbl.add buckets r (ref [ i ]);
-          roots := r :: !roots
-      | Some members -> members := i :: !members)
-    (sorted_members t);
-  List.rev_map (fun r -> Array.of_list (List.rev !(Hashtbl.find buckets r))) !roots
+      let b = bucket.(find t i) in
+      buckets.(b) <- i :: buckets.(b))
+    (List.rev members);
+  Array.to_list (Array.map Array.of_list buckets)
 
 let receiver_count t = t.n_recv
 
-(* Per-link binding test, lazy and memoized.  The memo is sparse (a
-   hash table, not an O(links) array): the churn engine builds one of
-   these per group per boundary-fixed-point iteration, and only
-   component-adjacent links are ever queried, so a dense cache would
-   put an O(links) allocation on every disjoint group of every batch.
-   Capacities come from the allocation's own network, so a
-   pre-surgery allocation is judged against pre-surgery capacities. *)
-let binding alloc =
-  let g = Network.graph (Allocation.network alloc) in
-  let cache = Hashtbl.create 64 in
-  fun l ->
-    match Hashtbl.find_opt cache l with
-    | Some b -> b
+(* --- link summaries --------------------------------------------------- *)
+
+type binding = Allocation.t list
+
+let binding ?(also = []) alloc =
+  if List.length also >= n_summaries then
+    invalid_arg
+      (Printf.sprintf "Component.binding: at most %d allocations besides the first"
+         (n_summaries - 1));
+  alloc :: also
+
+(* The arena's summary of [alloc]: the slot already bound to it, or
+   the least recently used one, rebound. *)
+let summary t alloc =
+  let arena = t.arena in
+  arena.clock <- arena.clock + 1;
+  let slots = arena.summaries in
+  let rec bound k =
+    if k = n_summaries then None
+    else match slots.(k).alloc with Some a when a == alloc -> Some slots.(k) | _ -> bound (k + 1)
+  in
+  let s =
+    match bound 0 with
+    | Some s -> s
     | None ->
-        let c = Graph.capacity g l in
-        (* [max 1.0 c], spelled monomorphically. *)
-        let scale = if 1.0 >= c then 1.0 else c in
-        let b = Allocation.link_rate alloc l >= c -. (eps_bind *. scale) in
-        Hashtbl.add cache l b;
-        b
+        let s = ref slots.(0) in
+        Array.iter (fun x -> if x.used < !s.used then s := x) slots;
+        let s = !s in
+        let nl = Graph.link_count (Network.graph (Allocation.network alloc)) in
+        s.alloc <- Some alloc;
+        s.gen <- s.gen + 1;
+        s.link <- ensure s.link nl;
+        s.top <- ensure_f s.top nl;
+        s.first <- ensure s.first nl;
+        s.fill <- 0;
+        s
+  in
+  s.used <- arena.clock;
+  s
+
+(* A binding resolved against the arena: the judge's summary and the
+   others'. *)
+type views = { judge : summary; others : summary list }
+
+let views t (binding : binding) =
+  match binding with
+  | judge :: others ->
+      let judge = summary t judge in
+      { judge; others = List.map (summary t) others }
+  | [] -> assert false
+
+let alloc_of s = match s.alloc with Some a -> a | None -> assert false
+
+(* The one pass over link [l]'s cells under [s]'s allocation. *)
+let summarise t s l =
+  if s.link.(l) lsr 1 <> s.gen then begin
+    let alloc = alloc_of s in
+    let net = Allocation.network alloc in
+    let inc = Network.incidence net in
+    let session_first = inc.Network.session_first and cell_first = inc.Network.cell_first in
+    let link_cells = inc.Network.link_cells in
+    let lo_cell = inc.Network.link_row.(l) and hi_cell = inc.Network.link_row.(l + 1) in
+    let usage = ref 0.0 and top = ref 0.0 in
+    let local = ref (inc == Network.incidence t.net) in
+    let base = s.fill in
+    if !local && Array.length s.cells < base + (2 * (hi_cell - lo_cell)) then begin
+      let grown = Array.make (Int.max 64 (2 * (base + (2 * (hi_cell - lo_cell))))) 0.0 in
+      Array.blit s.cells 0 grown 0 base;
+      s.cells <- grown
+    end;
+    for c = lo_cell to hi_cell - 1 do
+      let i = inc.Network.cell_session.(c) in
+      let spec = Network.session_spec net i in
+      let rates = Allocation.unsafe_rates_of_session alloc i and g0 = session_first.(i) in
+      let lo = cell_first.(c) and hi = cell_first.(c + 1) in
+      match (spec.Network.vfn, spec.Network.session_type) with
+      | Redundancy_fn.Efficient, Network.Multi_rate when !local ->
+          (* [Redundancy_fn.apply_fold]'s max, inlined next to the
+             per-receiver reads; the same comparisons give the same
+             bits. *)
+          let mx = ref 0.0 and norm = ref 0.0 and pinned = ref true in
+          let rho = spec.Network.rho in
+          for p = lo to hi - 1 do
+            let k = link_cells.(p) - g0 in
+            let a = rates.(k) in
+            if a > !mx then mx := a;
+            let x = a /. spec.Network.weights.(k) in
+            if x > !norm then norm := x;
+            if a < rho then begin
+              pinned := false;
+              if x > !top then top := x
+            end
+          done;
+          usage := !usage +. !mx;
+          let k = base + (2 * (c - lo_cell)) in
+          s.cells.(k) <- !norm;
+          s.cells.(k + 1) <- (if !pinned then !norm else Float.infinity)
+      | vfn, _ ->
+          local := false;
+          usage :=
+            !usage
+            +. Redundancy_fn.apply_fold vfn ~n:(hi - lo) ~get:(fun j ->
+                   rates.(link_cells.(lo + j) - g0))
+    done;
+    let cap = Graph.capacity (Network.graph net) l in
+    (* [max 1.0 cap], spelled monomorphically. *)
+    let scale = if 1.0 >= cap then 1.0 else cap in
+    let binds = !usage >= cap -. (eps_bind *. scale) in
+    s.link.(l) <- (2 * s.gen) + if binds then 1 else 0;
+    if !local then begin
+      s.top.(l) <- !top;
+      s.first.(l) <- base - (2 * lo_cell);
+      s.fill <- base + (2 * (hi_cell - lo_cell))
+    end
+    else s.top.(l) <- -1.0
+  end
+
+(* A recorded cell's pair: only for links whose [top] is not negative. *)
+let norm s l c = s.cells.(s.first.(l) + (2 * c))
+let pin s l c = s.cells.(s.first.(l) + (2 * c) + 1)
+
+let binds_one t s l =
+  summarise t s l;
+  s.link.(l) land 1 = 1
+
+(* The others first: the previous epoch's allocation is usually among
+   them and already summarised by the closure. *)
+let rec binds_any t l = function [] -> false | s :: rest -> binds_one t s l || binds_any t l rest
+let binds_in t v l = binds_any t l v.others || binds_one t v.judge l
+let binds t binding l = binds_in t (views t binding) l
+
+(* Whether a non-member's cell [c] on [l] may stay out of the closure:
+   it sits at its ρ, below the judge's top among the link's unpinned
+   receivers.  The judge's summary is only made when a non-member
+   asks. *)
+let stays_out t v l c =
+  summarise t v.judge l;
+  let top = v.judge.top.(l) in
+  top >= 0.0 && pin v.judge l c < (1.0 -. eps_bind) *. top
+
+(* --- closure ------------------------------------------------------------ *)
 
 let add t i =
   if not (mem t i) then begin
@@ -158,20 +363,28 @@ let add t i =
    also when already members, which is how separately-seeded groups
    merge on contact.
 
-   Each link is expanded at most once per component: afterwards every
-   session on it is a member and all of them share one group, and
-   since members and groups only ever grow, both facts stay true.  A
-   later visit — from another session on the link, another seed, or a
-   wider [binding] — would add nobody and union nothing, so it is
-   skipped.  The closure therefore costs the cells of the links it
-   absorbs plus the path cells of the sessions it expands: a saturated
-   trunk shared by many sessions is walked once, not once per
-   session. *)
-let absorb t ~binding i =
+   A non-member whose cell on the link sits at its ρ, below the
+   first view's top ([stays_out]), stays out: it is certified by
+   its own ρ, and no receiver whose certificate is this link rates
+   lower.  Everyone else on the link is absorbed.
+
+   Each link is expanded at most once per component and, if somebody
+   stayed out, remembers the session that expanded it ([anchor]).
+   Afterwards every member on it shares the anchor's group: the
+   members it met were unioned then, and a session absorbed later (one
+   that stayed out here and joined through another link) walks its own
+   path, meets the expanded link and unions with the anchor.  A later visit — from another session
+   on the link, another seed, or a wider binding — therefore has no
+   group left to merge, and is skipped.  The closure costs the cells
+   of the links it expands plus the path cells of the sessions it
+   absorbs: a saturated trunk shared by many sessions is walked once,
+   not once per session. *)
+let absorb_views t views i =
   let inc = Network.incidence t.net in
   let session_first = inc.Network.session_first in
   let recv_row = inc.Network.recv_row and recv_cells = inc.Network.recv_cells in
   let link_row = inc.Network.link_row and cell_session = inc.Network.cell_session in
+  let arena = t.arena in
   let stack = ref [ i ] in
   add t i;
   while
@@ -181,16 +394,23 @@ let absorb t ~binding i =
         stack := rest;
         for p = recv_row.(session_first.(s)) to recv_row.(session_first.(s + 1)) - 1 do
           let l = recv_cells.(p) in
-          if t.arena.expanded.(l) <> t.stamp && binding l then begin
-            t.arena.expanded.(l) <- t.stamp;
+          if arena.expanded.(l) = t.stamp then begin
+            if arena.anchor.(l) >= 0 then union t s arena.anchor.(l)
+          end
+          else if binds_in t views l then begin
+            arena.expanded.(l) <- t.stamp;
+            let skipped = ref false in
             for c = link_row.(l) to link_row.(l + 1) - 1 do
               let j = cell_session.(c) in
-              if not (mem t j) then begin
+              if mem t j then union t s j
+              else if stays_out t views l c then skipped := true
+              else begin
                 add t j;
-                stack := j :: !stack
-              end;
-              union t s j
-            done
+                stack := j :: !stack;
+                union t s j
+              end
+            done;
+            arena.anchor.(l) <- (if !skipped then s else -1)
           end
         done;
         true
@@ -198,58 +418,84 @@ let absorb t ~binding i =
     ()
   done
 
+let absorb t ~binding i = absorb_views t (views t binding) i
+
 let absorb_link t ~binding l =
-  if binding l then begin
+  let views = views t binding in
+  if binds_in t views l then begin
     let inc = Network.incidence t.net in
     for c = inc.Network.link_row.(l) to inc.Network.link_row.(l + 1) - 1 do
-      absorb t ~binding inc.Network.cell_session.(c)
+      let j = inc.Network.cell_session.(c) in
+      if mem t j || not (stays_out t views l c) then absorb_views t views j
     done
   end
 
-(* Shared scan: links on the given sessions' paths that are binding
-   and carry both a [member] and a non-[member] receiver. *)
-let boundary_scan t ~binding ~member iter_sessions =
+(* --- boundary scan ------------------------------------------------------ *)
+
+(* Whether the binding link [l] carries an outside receiver that may
+   not stay out.  Another group's member never stays out (the
+   multi-pack background pins it at zero).  A non-member stays out if
+   its cell sits at its ρ below the top of the inside cells on the
+   link, under the judge: then no inside receiver whose certificate is
+   the link rates lower.  The judge's summary is only read when a
+   non-member is outside. *)
+let flags t v ~inside l =
+  let inc = Network.incidence t.net in
+  let cell_session = inc.Network.cell_session in
+  let lo = inc.Network.link_row.(l) and hi = inc.Network.link_row.(l + 1) in
+  let other_group = ref false and non_member = ref false in
+  for c = lo to hi - 1 do
+    let j = cell_session.(c) in
+    if not (inside j) then if mem t j then other_group := true else non_member := true
+  done;
+  !other_group
+  || !non_member
+     &&
+     let s = v.judge in
+     summarise t s l;
+     s.top.(l) < 0.0
+     ||
+     let top = ref 0.0 and out = ref 0.0 in
+     for c = lo to hi - 1 do
+       if inside cell_session.(c) then begin
+         if norm s l c > !top then top := norm s l c
+       end
+       else if pin s l c > !out then out := pin s l c
+     done;
+     not (!out < (1.0 -. eps_bind) *. !top)
+
+(* Links on the [inside] sessions' paths that bind and are flagged. *)
+let boundary_scan t ~binding ~inside iter_sessions =
+  let views = views t binding in
   let inc = Network.incidence t.net in
   (* A fresh scan generation marks the links this scan has met. *)
   let arena = t.arena in
   arena.scan <- arena.scan + 1;
   let scan = arena.scan in
   let boundary = ref [] in
-  (* A boundary link carries at least one member receiver, so only
-     links on the member sessions' paths can qualify: enumerate those
-     straight off the receiver CSR instead of scanning every link. *)
+  (* A boundary link carries an inside receiver, so only links on the
+     inside sessions' paths can qualify: enumerate those straight off
+     the receiver CSR instead of scanning every link. *)
   iter_sessions (fun i ->
       for gid = inc.Network.session_first.(i) to inc.Network.session_first.(i + 1) - 1 do
         for p = inc.Network.recv_row.(gid) to inc.Network.recv_row.(gid + 1) - 1 do
           let l = inc.Network.recv_cells.(p) in
           if arena.seen.(l) <> scan then begin
             arena.seen.(l) <- scan;
-            if binding l then begin
-              (* Straight off the CSR: does the saturated link carry
-                 both member and frozen receivers? *)
-              let has_in = ref false and has_out = ref false in
-              for q = inc.Network.cell_first.(inc.Network.link_row.(l))
-                   to inc.Network.cell_first.(inc.Network.link_row.(l + 1)) - 1 do
-                if member inc.Network.gid_session.(inc.Network.link_cells.(q)) then has_in := true
-                else has_out := true
-              done;
-              if !has_in && !has_out then boundary := l :: !boundary
-            end
+            if binds_in t views l && flags t views ~inside l then boundary := l :: !boundary
           end
         done
       done);
   !boundary
 
 let boundary_links t ~binding =
-  boundary_scan t ~binding
-    ~member:(mem t)
-    (fun f -> List.iter f (sorted_members t))
+  boundary_scan t ~binding ~inside:(mem t) (fun f -> List.iter f (sorted_members t))
 
 let group_boundary_links t ~binding group =
   if Array.length group = 0 then []
   else begin
     let root = find t group.(0) in
     boundary_scan t ~binding
-      ~member:(fun s -> mem t s && find t s = root)
+      ~inside:(fun s -> mem t s && find t s = root)
       (fun f -> Array.iter f group)
   end

@@ -29,6 +29,25 @@ val eps_bind : float
 type t
 (** A growing set of sessions of one network. *)
 
+type binding
+(** Which links couple sessions: those within {!eps_bind} (relative) of
+    saturation under any of a few allocations.  Usages are judged
+    against each allocation's {e own} network's capacities — for a
+    pre-surgery allocation those are the pre-surgery capacities, which
+    is what its binding set means.
+
+    A frozen receiver pinned at its [ρ] may stay out of a component
+    although it crosses a binding link.  The link is {e pinned-exempt}
+    for a non-member session, under an allocation and a [top], when
+    every session on the link is multi-rate [Efficient] (the domain of
+    {!Certify}'s local characterisation) and each of the session's
+    receivers crossing it is at its [ρ] with a normalised rate
+    ([rate / weight]) below [(1 − eps_bind) · top].  Such a receiver
+    is certified by its own [ρ], and no receiver whose certificate is
+    the link rates lower.  Only an allocation whose network shares the
+    component's incidence (no join or leave in between) exempts
+    anybody. *)
+
 val create : Network.t -> t
 (** The empty component of the network.  The network fixes both the
     session universe and the link incidence the closure walks — pass
@@ -70,59 +89,60 @@ val groups : t -> int array list
     solve task and re-checks the split against the merged
     candidate with {!group_boundary_links}. *)
 
-val group_boundary_links :
-  t ->
-  binding:(Mmfair_topology.Graph.link_id -> bool) ->
-  int array ->
-  Mmfair_topology.Graph.link_id list
-(** {!boundary_links} restricted to one group of {!groups}: the links
-    that are saturated (per [binding]) and carry both a receiver of
-    the group and a receiver outside it — where "outside" includes
-    {e other groups'} members, so a link two groups both lean on is
-    flagged and absorbing it merges them.  The empty list certifies
+val binding : ?also:Allocation.t list -> Allocation.t -> binding
+(** [binding ~also a]: the links binding under [a] or under any of
+    [also] (at most two; [Invalid_argument] otherwise); [a] also judges
+    which frozen receivers stay out.  Nothing
+    is computed here: a component summarises each link it asks about
+    once per allocation, in one pass over the link's cells, into arrays
+    its arena reuses from epoch to epoch. *)
+
+val binds : t -> binding -> Mmfair_topology.Graph.link_id -> bool
+(** Whether the link binds under [binding]. *)
+
+val group_boundary_links : t -> binding:binding -> int array -> Mmfair_topology.Graph.link_id list
+(** {!boundary_links} restricted to one group of {!groups}: the binding
+    links that carry both a receiver of the group and an outside
+    receiver that may not stay out.  "Outside" includes {e other
+    groups'} members, which never stay out: a link two groups both
+    lean on is flagged, and absorbing it merges them.  A non-member
+    stays out when, under [binding]'s first allocation, the link is
+    pinned-exempt ({!type-binding}) for it with [top] the highest normalised rate of
+    the group's own receivers on the link.  The empty list certifies
     the group's restricted solve against everything it was frozen
     against. *)
 
 val receiver_count : t -> int
 (** Total receivers over the member sessions. *)
 
-val binding : Allocation.t -> Mmfair_topology.Graph.link_id -> bool
-(** [binding alloc] is a memoized per-link predicate: is the link
-    within {!eps_bind} (relative) of saturation under [alloc]?  Usages
-    are judged against the allocation's {e own} network's capacities —
-    for a pre-surgery allocation those are the pre-surgery capacities,
-    which is what its binding set means.  Lazy on purpose: the closure
-    and the boundary scan only ever ask about links the member
-    sessions cross, so sweeping every link's usage up front
-    ([Allocation.link_usages]) would waste most of an incremental
-    re-solve's budget. *)
-
-val absorb : t -> binding:(Mmfair_topology.Graph.link_id -> bool) -> int -> unit
+val absorb : t -> binding:binding -> int -> unit
 (** [absorb t ~binding i] grows the component by session [i] and
-    everything reachable from it across binding links (transitive).
-    [binding] answers for the coupling allocation — the previous
-    epoch's, or [fun l -> old l || new_ l] during boundary expansion;
-    session membership on links is read from the component's
-    network.  Each binding link is expanded at most once per
-    component, whatever the predicate: afterwards all its sessions are
-    members of one group, so a revisit could change nothing.  The cost
-    is therefore the absorbed links' cells plus the expanded sessions'
-    path cells. *)
+    everything reachable from it across binding links (transitive);
+    session membership on links is read from the component's network.
+    On each binding link, a non-member for which the link is
+    pinned-exempt ({!type-binding}) under [binding]'s first allocation, with [top] the
+    highest normalised rate of the link's receivers below their [ρ],
+    stays out; everyone else on it joins.  Each binding link is
+    expanded at most once per component and keeps the session that
+    expanded it: a session that stayed out there and joins later
+    through another link is unioned with that session's group, so
+    every member crossing an expanded link shares one group and a
+    revisit could change nothing.  The cost is therefore the expanded
+    links' cells plus the absorbed sessions' path cells. *)
 
-val absorb_link :
-  t -> binding:(Mmfair_topology.Graph.link_id -> bool) -> Mmfair_topology.Graph.link_id -> unit
-(** [absorb_link t ~binding l] absorbs every session crossing [l]
-    (with their closures) — but only if [binding l] holds.  Used to
-    seed from a departed receiver's old path: its links are gone from
-    the session's new link set, yet their freed capacity lets
-    bystanders rise. *)
+val absorb_link : t -> binding:binding -> Mmfair_topology.Graph.link_id -> unit
+(** [absorb_link t ~binding l] absorbs every member and every
+    non-member that may not stay out on [l] (with their closures) — but
+    only if [l] binds.  Used to seed from a departed receiver's old
+    path (its links are gone from the session's new link set, yet their
+    freed capacity lets bystanders rise) and to absorb a flagged
+    boundary link. *)
 
-val boundary_links :
-  t -> binding:(Mmfair_topology.Graph.link_id -> bool) -> Mmfair_topology.Graph.link_id list
-(** The links that violate the restricted-solve invariant: saturated
-    (per [binding], which should answer for the {e candidate}
-    allocation) and carrying both a member and a non-member receiver.
-    A restricted solve is the global optimum precisely when this list
-    is empty; otherwise absorb the boundary links' sessions and
+val boundary_links : t -> binding:binding -> Mmfair_topology.Graph.link_id list
+(** The links that violate the restricted-solve invariant: binding (per
+    [binding], whose first allocation should be the {e candidate}) and
+    carrying both a member and a non-member receiver that may not stay
+    out.  A restricted solve is the global optimum precisely when this
+    list is empty; otherwise absorb the boundary links' sessions and
     re-solve (DESIGN.md §11).  Scans only the member sessions' paths
     straight off the incidence CSR, not every link of the network. *)

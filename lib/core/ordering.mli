@@ -13,8 +13,6 @@
 val sort : float array -> float array
 (** Ascending copy — make an arbitrary rate vector "ordered". *)
 
-val is_ordered : float array -> bool
-
 val leq : float array -> float array -> bool
 (** [leq x y] is [X ≼_m Y].  Inputs must be ordered and of equal
     length; raises [Invalid_argument] otherwise. *)

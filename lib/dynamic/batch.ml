@@ -224,8 +224,9 @@ let apply t events =
   let net_events = !membership_net + !rho_net + !cap_net in
   let cancelled = raw - net_events in
   (* The union fairness component: everything any surviving change can
-     reach over the previous epoch's binding links.  Its arrays are
-     reused from the previous epoch; it lives until [apply] returns. *)
+     reach over the previous epoch's binding links, less the receivers
+     pinned at their rho there.  Its arrays are reused from the
+     previous epoch; it lives until [apply] returns. *)
   Component.with_component new_net @@ fun comp ->
   let old_binding = Component.binding old_alloc in
   List.iter (fun i -> Component.absorb comp ~binding:old_binding i) seeds;
@@ -380,7 +381,9 @@ let apply t events =
       let merged = ref (merge !groups !allocs) in
       (* Expansion to a sound fixed point: a restricted solve is the
          global optimum only if no saturated link ends up carrying
-         both solved and frozen receivers.  With disjoint groups
+         both solved and frozen receivers, other than frozen ones
+         pinned at their rho below the group's top there (judged on
+         the merged candidate).  With disjoint groups
          "frozen" includes the *other* groups, and a link can look
          saturated in three distinct views: under the previous epoch
          (its freeze certificates), under one group's own solve (the
@@ -393,14 +396,12 @@ let apply t events =
          the full network). *)
       let continue_ = ref true in
       while !continue_ do
-        let merged_binding = Component.binding !merged in
         let flagged = ref false in
         List.iter2
           (fun g a ->
-            let view_binding =
-              match !allocs with [ _ ] -> merged_binding | _ -> Component.binding a
-            in
-            let bind l = old_binding l || view_binding l || merged_binding l in
+            (* The merged candidate comes first: it judges which
+               ρ-pinned receivers stay out of the group. *)
+            let bind = Component.binding ~also:[ old_alloc; a ] !merged in
             match Component.group_boundary_links comp ~binding:bind g with
             | [] -> ()
             | links ->

@@ -3,6 +3,7 @@ module Random_joins = Mmfair_layering.Random_joins
 type point = { receivers : int; expected : float; simulated : float option }
 type curve = { label : string; points : point list }
 
+(* Log-spaced receiver counts 1..100 (the figure's x-axis). *)
 let receiver_counts = [ 1; 2; 3; 5; 7; 10; 15; 20; 30; 50; 70; 100 ]
 
 let run ?(simulate = false) ?(seed = 7L) () =

@@ -10,9 +10,6 @@ type point = { receivers : int; expected : float; simulated : float option }
 
 type curve = { label : string; points : point list }
 
-val receiver_counts : int list
-(** Log-spaced receiver counts 1..100 (the figure's x-axis). *)
-
 val run : ?simulate:bool -> ?seed:int64 -> unit -> curve list
 (** [simulate] (default false) adds Monte-Carlo estimates
     (1000-packet quanta × 200 quanta per point). *)

@@ -3,9 +3,7 @@
     Each [run_*] computes the max-min fair allocation of the
     corresponding {!Mmfair_workload.Paper_nets} network with the
     Appendix-A allocator, checks the four fairness properties, and
-    reports everything next to the paper's stated values.  The
-    [expected_*] values are the paper's numbers; golden tests assert
-    the computed allocations match them exactly. *)
+    reports everything next to the paper's stated values. *)
 
 type outcome = {
   table : Table.t;
@@ -13,16 +11,7 @@ type outcome = {
   properties : Mmfair_core.Properties.report;
 }
 
-val expected_figure1 : float array array
-(** [[|1|]; [|1;2|]; [|1;2|]] — receiver rates per session. *)
-
 val run_figure1 : unit -> outcome
-
-val expected_figure2_single : float array array
-(** [[|2;2;2|]; [|3|]]. *)
-
-val expected_figure2_multi : float array array
-(** [[|2.5;2;3|]; [|2.5|]]. *)
 
 val run_figure2 : session1_type:Mmfair_core.Network.session_type -> unit -> outcome
 
@@ -32,20 +21,8 @@ type removal_outcome = {
   after : Mmfair_core.Allocation.t;
 }
 
-val expected_figure3a : (float array array * float array array)
-(** Before [[|2|]; [|2|]; [|8;2|]], after [[|4|]; [|2|]; [|6|]]:
-    removing [r₃,₂] lowers [r₃,₁] and raises [r₁,₁]. *)
-
 val run_figure3a : unit -> removal_outcome
 
-val expected_figure3b : (float array array * float array array)
-(** Before [[|6|]; [|2|]; [|6;2|]], after [[|5|]; [|4|]; [|7|]]:
-    removing [r₃,₂] raises [r₃,₁] and lowers [r₁,₁]. *)
-
 val run_figure3b : unit -> removal_outcome
-
-val expected_figure4 : float array array
-(** [[|2;2;2|]; [|2|]] — and FP3/FP4 fail for [S₂] while FP1/FP2
-    hold. *)
 
 val run_figure4 : unit -> outcome

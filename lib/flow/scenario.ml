@@ -22,6 +22,8 @@ type t = {
   net : Network.t;
 }
 
+(* Small enough that a full pool of parked slots consumes a negligible
+   fraction of any link modelled at O(1) capacity. *)
 let default_park_rho = 1e-9
 
 let check_class i c =

@@ -39,10 +39,6 @@ val cls :
 
 type t
 
-val default_park_rho : float
-(** [1e-9] — small enough that a full pool of parked slots consumes a
-    negligible fraction of any link modelled at O(1) capacity. *)
-
 val make : ?park_rho:float -> ?slots:int -> Mmfair_topology.Graph.t -> cls array -> t
 (** Validates the classes, builds the slot-pool network and routes it
     once.  Raises [Invalid_argument] on empty classes, [slots < 1],

@@ -38,6 +38,8 @@ let figure5_point config ~receivers =
   let rates = Array.init receivers config.rate_of in
   expected_redundancy ~lambda:1.0 ~rates
 
+(* Appendix E's expected link rate [E U] of a layered session (see
+   [multi_layer_redundancy] in the interface). *)
 let multi_layer_link_rate ~scheme ~rates =
   if Array.length rates = 0 then invalid_arg "Random_joins.multi_layer_link_rate: need a receiver";
   let top = Scheme.top_rate scheme in

@@ -43,25 +43,23 @@ val figure5_configs : figure5_config list
 val figure5_point : figure5_config -> receivers:int -> float
 (** Expected redundancy with the given receiver count ([λ = 1]). *)
 
-val multi_layer_link_rate : scheme:Scheme.t -> rates:float array -> float
-(** Expected link rate when the session splits its stream over the
+val multi_layer_redundancy : scheme:Scheme.t -> rates:float array -> float
+(** Expected redundancy when the session splits its stream over the
     scheme's layers instead of one fat layer (the technical report's
-    Appendix E).  A receiver with target rate [a] subscribes fully to
-    the layers its rate covers ([level_for_rate]) and picks a uniform
-    random fraction of the next layer's packets to make up the
-    remainder; subscriptions to full layers are deterministic, so only
-    the topmost partial layer suffers Appendix-B union inflation:
+    Appendix E): the expected link rate over [max rates].  A receiver
+    with target rate [a] subscribes fully to the layers its rate covers
+    ([level_for_rate]) and picks a uniform random fraction of the next
+    layer's packets to make up the remainder; subscriptions to full
+    layers are deterministic, so only the topmost partial layer suffers
+    Appendix-B union inflation:
 
     [E U = Σ_L λ_L (1 − Π_t (1 − p_{t,L}))]
 
     with [p_{t,L} = 1] when receiver [t] is fully subscribed to layer
     [L], the leftover fraction when [L] is its partial layer, and [0]
-    above.  Rates must lie within [[0, top_rate scheme]]. *)
-
-val multi_layer_redundancy : scheme:Scheme.t -> rates:float array -> float
-(** [multi_layer_link_rate / max rates].  The TR's Appendix-E finding,
-    which tests assert: more layers never increase redundancy beyond
-    the single-layer value and usually decrease it. *)
+    above.  Rates must lie within [[0, top_rate scheme]].  The TR's
+    Appendix-E finding, which tests assert: more layers never increase
+    redundancy beyond the single-layer value and usually decrease it. *)
 
 val simulate_redundancy :
   rng:Mmfair_prng.Xoshiro.t ->

@@ -13,7 +13,6 @@ let schedule_at t ~time ev =
   Event_queue.add t.queue ~time ev
 
 let pending t = Event_queue.size t.queue
-let queue_high_water_mark t = Event_queue.high_water_mark t.queue
 
 type control = Continue | Stop
 

@@ -23,10 +23,6 @@ val schedule_at : 'a t -> time:float -> 'a -> unit
 val pending : 'a t -> int
 (** Events still queued. *)
 
-val queue_high_water_mark : 'a t -> int
-(** Largest queue depth observed since creation (or the last
-    {!reset}); see {!Event_queue.high_water_mark}. *)
-
 type control = Continue | Stop
 
 val run : ?until:float -> 'a t -> handler:(float -> 'a -> control) -> unit

@@ -39,7 +39,10 @@
    scale), so the incremental path is gated on the graph families the
    scaling curves are measured on, not just on small random nets.  The
    star case puts dozens of sessions on each saturated trunk, the
-   high-fan-in shape the other families never reach.
+   high-fan-in shape the other families never reach; parked-star is
+   the flow simulator's slot pool, most slots parked at a negligible
+   rho and a trace that only toggles slots between parked and
+   unbounded, so the parked slots stay out of every component.
 
      churn_differential.exe [--events N] [--seeds S1,S2,...]
                             [--batch-sizes B1,B2,...] [--domains D1,D2,...]
@@ -314,6 +317,10 @@ let run_seed ~events ~batch_sizes ~domain_counts seed seed_idx =
   in
   replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace
 
+let park_rho = 1e-9
+let parked_slots = 32
+let max_live = 6
+
 (* Generated-topology cases: the same differential replayed on the
    builder layer's families, with the bench's session placements at
    differential-sized scale (the scratch solve runs after every
@@ -366,8 +373,45 @@ let topology_net name =
               ())
       in
       Network.make t.Builders.graph specs
+  | "parked-star" ->
+      (* The flow simulator's slot pools: 3 clusters of one leaf, 32
+         single-receiver slots per trunk, all parked at a negligible
+         rho.  Its trace (below) only toggles slots between parked and
+         unbounded, so each trunk carries a few live flows and dozens
+         of parked slots that stay out of the component. *)
+      let t =
+        Builders.star_of_stars ~leaves_per_cluster:1 ~clusters:3 ~trunk_capacity:4.0
+          ~leaf_capacity:16.0 ()
+      in
+      Network.make t.Builders.graph
+        (Array.init (3 * parked_slots) (fun s ->
+             Network.session ~rho:park_rho ~sender:t.Builders.root
+               ~receivers:[| t.Builders.leaves.(s / parked_slots).(0) |]
+               ()))
   | other ->
-      raise (Arg.Bad (Printf.sprintf "unknown topology %S (fat-tree, power-law, star)" other))
+      raise
+        (Arg.Bad
+           (Printf.sprintf "unknown topology %S (fat-tree, power-law, star, parked-star)" other))
+
+(* Arrivals and departures as the flow simulator makes them: a random
+   slot toggles between parked and unbounded, except that a cluster
+   with [max_live] flows live parks one of them instead. *)
+let parked_star_trace rng net ~events =
+  let m = Network.session_count net in
+  let live = Array.make m false in
+  let live_in c =
+    List.filter (fun s -> live.(s)) (List.init parked_slots (fun k -> (c * parked_slots) + k))
+  in
+  List.init events (fun _ ->
+      let s = Xoshiro.below rng m in
+      let s =
+        match live_in (s / parked_slots) with
+        | flows when (not live.(s)) && List.length flows >= max_live ->
+            List.nth flows (Xoshiro.below rng (List.length flows))
+        | _ -> s
+      in
+      live.(s) <- not live.(s);
+      Event.Rho_change { session = s; rho = (if live.(s) then Float.infinity else park_rho) })
 
 let run_topology ~events ~batch_sizes ~domain_counts name idx =
   let bisection = idx mod 2 = 1 in
@@ -375,7 +419,8 @@ let run_topology ~events ~batch_sizes ~domain_counts name idx =
   let net = topology_net name in
   let rng = Xoshiro.create ~seed:(Int64.of_int (97 + idx)) () in
   let trace =
-    Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events; max_receivers = 5 }
+    if name = "parked-star" then parked_star_trace rng net ~events
+    else Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events; max_receivers = 5 }
   in
   replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace
 
@@ -408,8 +453,8 @@ let () =
       ( "--topologies",
         Arg.String
           (fun s -> topologies := String.split_on_char ',' s |> List.filter (( <> ) "")),
-        "T1,T2,...  also replay generated-topology cases (fat-tree, power-law, star) with the \
-         same gates (default: off)" );
+        "T1,T2,...  also replay generated-topology cases (fat-tree, power-law, star, \
+         parked-star) with the same gates (default: off)" );
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "churn_differential [options]";

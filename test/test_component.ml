@@ -12,6 +12,7 @@ module Graph = Mmfair_topology.Graph
 module Network = Mmfair_core.Network
 module Allocator = Mmfair_core.Allocator
 module Component = Mmfair_core.Component
+module Allocation = Mmfair_core.Allocation
 module Paper_nets = Mmfair_workload.Paper_nets
 module Random_nets = Mmfair_workload.Random_nets
 module Builders = Mmfair_topology.Builders
@@ -26,9 +27,11 @@ let test_binding_predicate () =
   let net = fig2 () in
   let alloc = Allocator.max_min net in
   let binding = Component.binding alloc in
+  let comp = Component.create net in
   List.iter
     (fun (l, expect) ->
-      Alcotest.(check bool) (Printf.sprintf "link %d binding" l) expect (binding l))
+      Alcotest.(check bool) (Printf.sprintf "link %d binding" l) expect
+        (Component.binds comp binding l))
     [ (0, true); (1, true); (2, true); (3, false) ]
 
 let test_absorb_closure () =
@@ -113,10 +116,12 @@ let test_groups_merge_on_expansion () =
   let net_old, trunk, l1, l2 = build ~leaf_cap:1.0 in
   (* Old optimum (1, 1): the private leaves bind, the trunk keeps
      2 of 4 slack. *)
-  let old_binding = Component.binding (Allocator.max_min net_old) in
-  Alcotest.(check bool) "leaf l1 binds before" true (old_binding l1);
-  Alcotest.(check bool) "leaf l2 binds before" true (old_binding l2);
-  Alcotest.(check bool) "trunk slack before" false (old_binding trunk);
+  let old_alloc = Allocator.max_min net_old in
+  let old_binding = Component.binding old_alloc in
+  let probe = Component.create net_old in
+  Alcotest.(check bool) "leaf l1 binds before" true (Component.binds probe old_binding l1);
+  Alcotest.(check bool) "leaf l2 binds before" true (Component.binds probe old_binding l2);
+  Alcotest.(check bool) "trunk slack before" false (Component.binds probe old_binding trunk);
   (* The batch raises both leaf capacities; growing the touched
      sessions' closures under the old binding view leaves them
      separate — each was pinned by its own private leaf. *)
@@ -134,8 +139,7 @@ let test_groups_merge_on_expansion () =
      rises to (2, 2) and saturates the trunk; the per-group scan must
      flag it for each group — the "outside" receiver is the other
      group's. *)
-  let new_binding = Component.binding (Allocator.max_min net_new) in
-  let either l = old_binding l || new_binding l in
+  let either = Component.binding ~also:[ old_alloc ] (Allocator.max_min net_new) in
   List.iter
     (fun grp ->
       Alcotest.(check (list int))
@@ -157,10 +161,44 @@ let test_groups_merge_on_expansion () =
 
 (* The naive closure, kept as the oracle for [absorb]/[absorb_link]:
    every expanded session re-walks every binding link on its path,
-   also links some other member already expanded.  Members and
-   union-by-min groups are tracked independently of [Component]. *)
+   also links some other member already expanded, and judges every
+   pinned receiver from the receiver lists.  Members and union-by-min
+   groups are tracked independently of [Component].  A binding is a
+   list of allocations: a link binds under any of them, and the first
+   judges who stays out. *)
 module Naive = struct
   type t = { net : Network.t; member : bool array; parent : int array }
+
+  let binds allocs l =
+    List.exists
+      (fun a ->
+        let c = Graph.capacity (Network.graph (Allocation.network a)) l in
+        Allocation.link_rate a l >= c -. (Component.eps_bind *. Float.max 1.0 c))
+      allocs
+
+  (* Session [j] stays out of link [l] under [judge]: every session on
+     the link is multi-rate Efficient, and each of [j]'s receivers on
+     it sits at its rho below the top normalised rate of the link's
+     receivers that are below theirs. *)
+  let stays_out o judge l j =
+    let net = o.net in
+    let on_link = Network.all_on_link net ~link:l in
+    let norm r = Allocation.rate judge r /. Network.weight net r in
+    let pinned (r : Network.receiver_id) =
+      Allocation.rate judge r >= Network.rho net r.Network.session
+    in
+    let top =
+      List.fold_left (fun acc r -> if pinned r then acc else Float.max acc (norm r)) 0.0 on_link
+    in
+    List.for_all
+      (fun (r : Network.receiver_id) ->
+        let i = r.Network.session in
+        Network.session_type net i = Network.Multi_rate
+        && match Network.vfn net i with Mmfair_core.Redundancy_fn.Efficient -> true | _ -> false)
+      on_link
+    && List.for_all
+         (fun r -> pinned r && norm r < (1.0 -. Component.eps_bind) *. top)
+         (Network.receivers_on_link net ~session:j ~link:l)
 
   let create net =
     let m = Network.session_count net in
@@ -180,23 +218,26 @@ module Naive = struct
       let s = Stack.pop stack in
       List.iter
         (fun l ->
-          if binding l then
+          if binds binding l then
             List.iter
               (fun (r : Network.receiver_id) ->
                 let j = r.Network.session in
-                if not o.member.(j) then begin
+                if o.member.(j) then union o s j
+                else if not (stays_out o (List.hd binding) l j) then begin
                   o.member.(j) <- true;
-                  Stack.push j stack
-                end;
-                union o s j)
+                  Stack.push j stack;
+                  union o s j
+                end)
               (Network.all_on_link o.net ~link:l))
         (Network.session_links o.net s)
     done
 
   let absorb_link o ~binding l =
-    if binding l then
+    if binds binding l then
       List.iter
-        (fun (r : Network.receiver_id) -> absorb o ~binding r.Network.session)
+        (fun (r : Network.receiver_id) ->
+          let j = r.Network.session in
+          if o.member.(j) || not (stays_out o (List.hd binding) l j) then absorb o ~binding j)
         (Network.all_on_link o.net ~link:l)
 
   let sessions o =
@@ -211,17 +252,22 @@ module Naive = struct
       ss
 end
 
-(* A fixed random link subset as a pure predicate. *)
-let random_links rng net ~prob =
-  let n = Graph.link_count (Network.graph net) in
-  let bits = Array.init n (fun _ -> Xoshiro.float rng < prob) in
-  fun l -> bits.(l)
+(* Random rates up to [hi] on every receiver: a random binding set
+   wherever they overfill a link. *)
+let random_alloc rng net ~hi =
+  Allocation.make net
+    (Array.init (Network.session_count net) (fun i ->
+         Array.init
+           (Array.length (Network.session_spec net i).Network.receivers)
+           (fun _ -> Xoshiro.float rng *. hi)))
 
 (* Drive [Component] and the oracle through the same absorb script —
-   first under [narrow], then under the wider [narrow || extra], as
-   the batch engine's expansion loop widens its predicate — and
-   compare member sets and groups after every step. *)
-let closure_agrees rng net ~narrow ~extra =
+   first under [judge] or [coin], then also under [extra], as the
+   batch engine's expansion loop widens its predicate — and compare
+   member sets and groups after every step.  [judge] decides who stays
+   out throughout. *)
+let closure_agrees rng net ~judge ~coin ~extra =
+  let narrow = [ judge; coin ] and wide = [ judge; coin; extra ] in
   let comp = Component.create net and naive = Naive.create net in
   let m = Network.session_count net in
   let n_links = Graph.link_count (Network.graph net) in
@@ -240,22 +286,22 @@ let closure_agrees rng net ~narrow ~extra =
     if path = [] then Xoshiro.below rng n_links
     else List.nth path (Xoshiro.below rng (List.length path))
   in
-  let step binding =
+  let step allocs =
+    let binding = Component.binding ~also:(List.tl allocs) (List.hd allocs) in
     if Xoshiro.below rng 2 = 0 then begin
       let l = pick_link () in
       Component.absorb_link comp ~binding l;
-      Naive.absorb_link naive ~binding l
+      Naive.absorb_link naive ~binding:allocs l
     end
     else begin
       let i = Xoshiro.below rng m in
       Component.absorb comp ~binding i;
-      Naive.absorb naive ~binding i
+      Naive.absorb naive ~binding:allocs i
     end;
     agrees ()
   in
-  let rec steps k binding = k = 0 || (step binding && steps (k - 1) binding) in
-  steps (1 + Xoshiro.below rng 4) narrow
-  && steps (1 + Xoshiro.below rng 4) (fun l -> narrow l || extra l)
+  let rec steps k allocs = k = 0 || (step allocs && steps (k - 1) allocs) in
+  steps (1 + Xoshiro.below rng 4) narrow && steps (1 + Xoshiro.below rng 4) wide
 
 let qcheck_closure_random_nets =
   QCheck.Test.make ~name:"absorb matches the naive closure on random networks" ~count:1000
@@ -272,10 +318,8 @@ let qcheck_closure_random_nets =
         }
       in
       let net = Random_nets.generate ~rng config in
-      let optimum = Component.binding (Allocator.max_min net) in
-      let coin = random_links rng net ~prob:0.3 in
-      let narrow l = optimum l || coin l in
-      closure_agrees rng net ~narrow ~extra:(random_links rng net ~prob:0.3))
+      closure_agrees rng net ~judge:(Allocator.max_min net) ~coin:(random_alloc rng net ~hi:2.0)
+        ~extra:(random_alloc rng net ~hi:2.0))
 
 (* Slot pools on a star of stars, the flow simulator's shape: per
    cluster a few active sessions saturate the trunk and dozens of
@@ -301,10 +345,21 @@ let qcheck_closure_slot_pools =
             Network.session ~rho ~sender:t.Builders.root ~receivers:[| leaf |] ())
       in
       let net = Network.make t.Builders.graph specs in
-      let narrow = Component.binding (Allocator.max_min net) in
-      (* Widening adds leaf links, whose sessions are already on the
-         (expanded) trunk, and occasionally other clusters' trunks. *)
-      closure_agrees rng net ~narrow ~extra:(random_links rng net ~prob:0.4))
+      (* The optimum parks most slots at their rho below the trunk's
+         active rate, so they stay out; widening adds leaf links, and
+         other clusters' trunks, under random rates. *)
+      closure_agrees rng net ~judge:(Allocator.max_min net)
+        ~coin:(random_alloc rng net ~hi:0.05) ~extra:(random_alloc rng net ~hi:1.0))
+
+(* The arena keeps three summaries, so one binding names at most three
+   allocations: a fourth would evict the judge's summary while it is in
+   use. *)
+let test_binding_arity () =
+  let a = Allocator.max_min (fig2 ()) in
+  ignore (Component.binding ~also:[ a; a ] a);
+  Alcotest.check_raises "a fourth allocation"
+    (Invalid_argument "Component.binding: at most 2 allocations besides the first") (fun () ->
+      ignore (Component.binding ~also:[ a; a; a ] a))
 
 let suite =
   [
@@ -317,4 +372,5 @@ let suite =
       test_groups_merge_on_expansion;
     QCheck_alcotest.to_alcotest qcheck_closure_random_nets;
     QCheck_alcotest.to_alcotest qcheck_closure_slot_pools;
+    Alcotest.test_case "a binding names at most three allocations" `Quick test_binding_arity;
   ]

@@ -798,6 +798,62 @@ let test_batch_rejects_zero_domains () =
         (Printf.sprintf "expected Invalid_input, got %s" (Mmfair_core.Solver_error.to_string e))
   | Ok _ -> Alcotest.fail "create_result accepted zero domains"
 
+(* --- receivers pinned at their rho stay out ------------------------------ *)
+
+(* Session M's receivers sit behind link L (0-1, cap 2) and behind a
+   private fat link (0-3); bystander B shares L and is pinned at its
+   rho 1.2.  Lifting M's rho from 0.5 leaves L slack in the old epoch,
+   so the component is M alone, and its solve gives M 0.8 on L (10
+   off it) while B holds 1.2 — more than M's receiver on L.  B may stay
+   out only below the top of M's receivers {e crossing} L: read
+   against M's off-link 10 instead, it would keep 1.2 where the
+   optimum shares L at 1.0 each. *)
+let test_pinned_bystander_off_link () =
+  let g = Graph.create ~nodes:4 in
+  let _l = Graph.add_link g 0 1 2.0 in
+  let _ = Graph.add_link g 1 2 10.0 in
+  let _ = Graph.add_link g 0 3 10.0 in
+  let net =
+    Network.make g
+      [|
+        Network.session ~rho:0.5 ~sender:0 ~receivers:[| 2; 3 |] ();
+        Network.session ~rho:1.2 ~sender:0 ~receivers:[| 1 |] ();
+      |]
+  in
+  let eng = Batch.create net in
+  let stats = Batch.apply eng [ Event.Rho_change { session = 0; rho = Float.infinity } ] in
+  Alcotest.(check int) "the bystander is absorbed" 2 stats.Batch.component_sessions;
+  feq "shared link split evenly" 1.0
+    (Allocation.rate (Batch.allocation eng) { Network.session = 1; index = 0 });
+  check_matches_scratch "pinned bystander" eng
+
+(* The flow simulator's shape: on a star of stars of 96-slot pools, a
+   lone arrival re-solves the trunk's live flows and itself — the
+   parked slots on the trunk stay at their rho, outside the
+   component.  Component sizes are exact, so this pins on any host. *)
+let test_lone_rho_event_component () =
+  let module Scenario = Mmfair_flow.Scenario in
+  let scn =
+    Scenario.star_of_stars ~clusters:4 ~slots:96 ~size:(Mmfair_flow.Size.Exponential 1.0)
+      ~rate:1.0 ()
+  in
+  let net = Scenario.network scn in
+  let active = Scenario.active_rho (Scenario.classes scn).(0) in
+  let slot k = Scenario.session_of scn ~cls:0 ~slot:k in
+  let eng = Batch.create net in
+  ignore
+    (Batch.apply eng
+       (List.init 4 (fun k -> Event.Rho_change { session = slot k; rho = active })));
+  let arrive = Batch.apply eng [ Event.Rho_change { session = slot 4; rho = active } ] in
+  Alcotest.(check int) "arrival: four live flows plus the seed" 5
+    arrive.Batch.component_sessions;
+  check_matches_scratch "after the arrival" eng;
+  let depart =
+    Batch.apply eng [ Event.Rho_change { session = slot 0; rho = Scenario.park_rho scn } ]
+  in
+  Alcotest.(check int) "departure: the five live flows" 5 depart.Batch.component_sessions;
+  check_matches_scratch "after the departure" eng
+
 let suite =
   [
     Alcotest.test_case "engine matches scratch on figure 2 churn" `Quick test_engine_on_figure2;
@@ -825,4 +881,6 @@ let suite =
     Alcotest.test_case "rho epochs copy no O(sessions) array" `Quick test_rho_epoch_major_allocation;
     Alcotest.test_case "pool events follow the domain count" `Quick test_pool_events_per_domains;
     Alcotest.test_case "zero domains are rejected" `Quick test_batch_rejects_zero_domains;
+    Alcotest.test_case "pinned bystander judged on the link" `Quick test_pinned_bystander_off_link;
+    Alcotest.test_case "lone rho event re-solves live flows" `Quick test_lone_rho_event_component;
   ]
