@@ -1,7 +1,8 @@
 (* Churn bench: incremental re-solve (lib/dynamic) vs from-scratch
    Allocator.max_min, per event class, on the 100-session ablation
-   topology (the same generator and seed as bench/scaling.ml, so the
-   rows stay comparable with BENCH_allocator.json's sweep entries).
+   topology (Standard_nets.churn_bench, reshaped from the
+   Standard_nets.ablation net that BENCH_allocator.json's sweep rows
+   time).
 
    For each class (join / leave / rho / cap) a bucket of generated
    events is timed two ways:
@@ -71,53 +72,19 @@ module Json = Mmfair_obs.Json
 module Descriptive = Mmfair_stats.Descriptive
 module Checks = Mmfair_bench.Checks
 module Timing = Mmfair_bench.Timing
+module Standard_nets = Mmfair_workload.Standard_nets
 
 (* --- workload ------------------------------------------------------- *)
 
-(* The 100-session ablation topology: sessions spread over 400 nodes
-   with short random paths, capacities reshaped into a last-mile
-   bottleneck regime.
-
-   The raw generator draws capacities independently of sharing, which
-   makes the binding links percolate: on this seed they form one
-   connected backbone, every fairness component covers all 100
-   sessions, and incremental replay correctly degenerates to full
-   solves (the engine's honest worst case — the differential gate in
-   test/churn_differential.ml still passes there).  To measure the
-   regime the incremental engine is built for — saturation localized
-   on access links, as in the paper's receiver-heterogeneity
-   discussion — we overprovision every link shared by two or more
-   sessions (proportionally to how many cross it, so it can never
-   bind) and tighten every single-session link.  Sessions keep a
-   finite rho below the shared headroom so a session crossing no
-   tight link is rho-bound rather than unbounded.  Binding links are
-   then access links private to one session, and a membership event's
-   fairness component stays a small island. *)
-let bench_net () =
-  let rng = Mmfair_prng.Xoshiro.create ~seed:123L () in
-  let raw =
-    Mmfair_workload.Random_nets.generate ~rng
-      {
-        Mmfair_workload.Random_nets.default with
-        Mmfair_workload.Random_nets.sessions = 100;
-        nodes = 400;
-        max_receivers = 4;
-        extra_links = 100;
-      }
-  in
-  let g = Graph.copy (Network.graph raw) in
-  let inc = Network.incidence raw in
-  for l = 0 to Graph.link_count g - 1 do
-    let crossing = inc.Network.link_row.(l + 1) - inc.Network.link_row.(l) in
-    if crossing >= 2 then Graph.set_capacity g l (50.0 *. float_of_int crossing)
-    else if crossing = 1 then Graph.set_capacity g l (2.0 +. (0.5 *. float_of_int (l mod 8)))
-  done;
-  let sessions =
-    Array.init (Network.session_count raw) (fun i ->
-        let spec = Network.session_spec raw i in
-        { spec with Network.rho = Float.min spec.Network.rho 10.0 })
-  in
-  Network.make g sessions
+(* The network is Standard_nets.churn_bench: the 100-session ablation
+   net with its capacities reshaped into a last-mile bottleneck regime.
+   On the raw net the binding links percolate into one backbone, every
+   fairness component covers all 100 sessions, and incremental replay
+   correctly degenerates to full solves (the engine's honest worst
+   case, still gated by test/churn_differential.ml's random nets).  The
+   reshaped net keeps saturation on access links private to one
+   session, as in the paper's receiver-heterogeneity discussion, so a
+   membership event's component stays a small island. *)
 
 (* The engine's network surgery, so the scratch side pays the same
    edit cost before its full solve. *)
@@ -618,11 +585,11 @@ let () =
   | Some f ->
       print_endline
         (f ^ ": " ^ Checks.check_file ~failed:"BENCH_churn.json validation FAILED" Checks.churn f)
-  | None when !serving_only -> ignore (measure_serving ~quick:!quick (bench_net ()))
+  | None when !serving_only -> ignore (measure_serving ~quick:!quick (Standard_nets.churn_bench ()))
   | None ->
       let min_time = if !min_time > 0.0 then !min_time else if !quick then 0.02 else 0.25 in
       let per_class = if !per_class > 0 then !per_class else if !quick then 4 else 15 in
-      let net = bench_net () in
+      let net = Standard_nets.churn_bench () in
       let base_alloc = Allocator.max_min net in
       let buckets = bucket_events ~per_class net in
       List.iter

@@ -75,19 +75,8 @@ let test_replacement =
 
 (* --- ablations ----------------------------------------------------- *)
 
-let random_net sessions =
-  let rng = Mmfair_prng.Xoshiro.create ~seed:123L () in
-  Mmfair_workload.Random_nets.generate ~rng
-    {
-      Mmfair_workload.Random_nets.default with
-      Mmfair_workload.Random_nets.sessions;
-      nodes = 4 * sessions;
-      max_receivers = 4;
-      extra_links = sessions;
-    }
-
-let net10 = random_net 10
-let net30 = random_net 30
+let net10 = Mmfair_workload.Standard_nets.ablation ~sessions:10
+let net30 = Mmfair_workload.Standard_nets.ablation ~sessions:30
 
 (* The same network with every link-rate function wrapped as [Custom]:
    the solve picks its engine from the input, and this one selects

@@ -16,6 +16,7 @@ module Network = Mmfair_core.Network
 module Allocator = Mmfair_core.Allocator
 module Allocator_reference = Mmfair_core.Allocator_reference
 module Paper_nets = Mmfair_workload.Paper_nets
+module Standard_nets = Mmfair_workload.Standard_nets
 module Graph = Mmfair_topology.Graph
 module Builders = Mmfair_topology.Builders
 module Batch = Mmfair_dynamic.Batch
@@ -30,21 +31,6 @@ module Timing = Mmfair_bench.Timing
 (* Timed regions run probe-free (Timing.best), so a separate untimed
    run counts water-filling rounds through the probe stream. *)
 let count_rounds f = List.length (snd (Obs.Probe.rounds (fun () -> ignore (f ()))))
-
-(* --- workloads ----------------------------------------------------- *)
-
-let random_net sessions =
-  (* Same generator and seed as bench/main.ml's ablations, so the
-     "ablation/*" entries here and the Bechamel rows stay comparable. *)
-  let rng = Mmfair_prng.Xoshiro.create ~seed:123L () in
-  Mmfair_workload.Random_nets.generate ~rng
-    {
-      Mmfair_workload.Random_nets.default with
-      Mmfair_workload.Random_nets.sessions;
-      nodes = 4 * sessions;
-      max_receivers = 4;
-      extra_links = sessions;
-    }
 
 (* --- scaling curves (v3) ------------------------------------------- *)
 
@@ -86,66 +72,43 @@ type curve_workload = {
 
 let n_toggle = 64
 
-(* Fat-tree population: [per_host] single-receiver sessions per host,
-   each confined to its own edge switch's host group (sender and
-   receiver share the edge), so data-paths are two host links and
-   fairness components stay cluster-sized however large the tree
-   grows.  Sender-major order lets [Network.make]'s per-sender routing
-   cache do one BFS per host.  Needs k ≥ 6 so each edge has a third
-   host for the churn toggle. *)
+(* Fat-tree population (Standard_nets.fat_tree): fairness components
+   stay cluster-sized however large the tree grows, and sender-major
+   order lets [Network.make]'s per-sender routing cache do one BFS per
+   host.  Each toggle joins a sibling distinct from both the sender and
+   the current receiver; k ≥ 6 guarantees one exists. *)
 let fat_tree_workload ~k ~per_host =
-  let t = Builders.fat_tree ~k () in
+  let t, specs = Standard_nets.fat_tree ~k ~per_host in
   let half = k / 2 in
   let hosts = t.Builders.hosts in
-  let nh = Array.length hosts in
-  let total = nh * per_host in
-  let peer h j =
-    let base = h / half * half in
-    let local = h - base in
-    base + ((local + 1 + (j mod (half - 1))) mod half)
-  in
-  let specs =
-    Array.init total (fun s ->
-        let h = s / per_host and j = s mod per_host in
-        Network.session ~sender:hosts.(h) ~receivers:[| hosts.(peer h j) |] ())
-  in
+  let total = Array.length specs in
   let toggles =
     List.init n_toggle (fun i ->
         let s = i * total / n_toggle in
-        let h = s / per_host and j = s mod per_host in
-        let base = h / half * half in
-        let local = h - base in
-        let r1 = peer h j - base in
-        (* Any sibling distinct from both the sender and the current
-           receiver; half ≥ 3 guarantees one exists. *)
-        let r2 = ref 0 in
-        while !r2 = local || !r2 = r1 do
+        let spec = specs.(s) in
+        let base = s / per_host / half * half in
+        let r2 = ref base in
+        while hosts.(!r2) = spec.Network.sender || hosts.(!r2) = spec.Network.receivers.(0) do
           incr r2
         done;
-        (s, hosts.(base + !r2)))
+        (s, hosts.(!r2)))
   in
   { w_label = Printf.sprintf "k=%d" k; w_graph = t.Builders.graph; w_specs = specs;
     w_toggles = toggles }
 
-(* Power-law population: one session per node, receiver its first
-   neighbor — hubs concentrate sharing, so churn components are large
-   and the curve shows what preferential attachment costs the
-   incremental path relative to the fat tree's clustered sessions. *)
+(* Power-law population (Standard_nets.power_law, fixed seed): hubs
+   concentrate sharing, so churn components are large and the curve
+   shows what preferential attachment costs the incremental path
+   relative to the fat tree's clustered sessions.  Each toggle joins
+   the sender's first neighbor other than its receiver. *)
 let power_law_workload ~nodes =
   let rng = Mmfair_prng.Xoshiro.create ~seed:20260809L () in
-  let t = Builders.power_law ~rng ~nodes ~attach:2 ~cap_lo:1.0 ~cap_hi:4.0 in
-  let g = t.Builders.graph in
-  let first_neighbor v =
-    match Graph.neighbors g v with (u, _) :: _ -> u | [] -> assert false
-  in
-  let specs =
-    Array.init nodes (fun v -> Network.session ~sender:v ~receivers:[| first_neighbor v |] ())
-  in
+  let g, specs = Standard_nets.power_law ~rng ~nodes ~attach:2 in
   let toggles =
     List.filter_map
       (fun i ->
         let v = i * nodes / n_toggle in
-        let u1 = first_neighbor v in
+        let u1 = specs.(v).Network.receivers.(0) in
         match List.find_opt (fun (u, _) -> u <> u1) (Graph.neighbors g v) with
         | Some (u2, _) -> Some (v, u2)
         | None -> None)
@@ -308,13 +271,13 @@ let entries ~quick =
   let ablations =
     [
       entry ~kind:"ablation" ~name:"ablation/linear-engine-10-sessions" ~engine:"linear"
-        (random_net 10);
+        (Standard_nets.ablation ~sessions:10);
       entry ~kind:"ablation" ~name:"ablation/bisection-engine-10-sessions" ~engine:"bisection"
-        (random_net 10);
+        (Standard_nets.ablation ~sessions:10);
       entry ~kind:"ablation" ~name:"ablation/linear-engine-30-sessions" ~engine:"linear"
-        (random_net 30);
+        (Standard_nets.ablation ~sessions:30);
       entry ~kind:"ablation" ~name:"ablation/bisection-engine-30-sessions" ~engine:"bisection"
-        (random_net 30);
+        (Standard_nets.ablation ~sessions:30);
     ]
   in
   let sweep_sizes engine = if quick then [ 10 ] else match engine with
@@ -329,7 +292,7 @@ let entries ~quick =
             let e =
               entry ~kind:"sweep"
                 ~name:(Printf.sprintf "sweep/%s-engine-%d-sessions" engine sessions)
-                ~engine (random_net sessions)
+                ~engine (Standard_nets.ablation ~sessions)
             in
             (* The frozen oracle is quadratic-ish; cap its runs to the
                sizes where a single run stays sub-second. *)
@@ -385,7 +348,7 @@ let check_overhead ~tolerance ~mem_tolerance ~min_time baseline_file =
   let baseline_ns, baseline_words =
     Checks.check_file ~failed:"overhead check FAILED" Checks.overhead_baseline baseline_file
   in
-  let net = random_net 100 in
+  let net = Standard_nets.ablation ~sessions:100 in
   let f () = Allocator.max_min net in
   (* The gate compares a fresh minimum against the committed minimum,
      so give the estimator three times the samples a bench row gets:

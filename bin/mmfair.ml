@@ -167,11 +167,10 @@ let example_net_cmd =
 
 (* Generated topologies with placed sessions, emitted in the network
    description format so the output pipes straight into `mmfair
-   allocate` / `mmfair dot` / churn traces.  Placements mirror the
-   scaling bench's: fat-tree sessions stay inside their edge switch's
-   host group, power-law sessions run node -> first neighbor, and
-   star-of-stars carries one multicast session from the root to every
-   leaf (the paper's shared-trunk shape). *)
+   allocate` / `mmfair dot` / churn traces.  Fat-tree and power-law
+   are Standard_nets' (the scaling bench's networks); star-of-stars
+   carries one multicast session from the root to every leaf (the
+   paper's shared-trunk shape). *)
 let topo_cmd =
   let module Builders = Mmfair_topology.Builders in
   let kind_conv =
@@ -217,37 +216,12 @@ let topo_cmd =
             die exit_invalid_input "mmfair topo: fat-tree needs an even -k >= 4 (got %d)" k;
           if per_host < 0 then
             die exit_invalid_input "mmfair topo: --per-host must be >= 0 (got %d)" per_host;
-          let t = Builders.fat_tree ~k () in
-          let half = k / 2 in
-          let hosts = t.Builders.hosts in
-          (* Sibling under the same edge switch, rotating through the
-             host group so repeated sessions from one host spread out. *)
-          let peer h j =
-            let base = h / half * half in
-            base + ((h - base + 1 + (j mod (half - 1))) mod half)
-          in
-          let specs =
-            Array.init
-              (Array.length hosts * per_host)
-              (fun s ->
-                let h = s / per_host and j = s mod per_host in
-                Network.session ~sender:hosts.(h) ~receivers:[| hosts.(peer h j) |] ())
-          in
+          let t, specs = Mmfair_workload.Standard_nets.fat_tree ~k ~per_host in
           (t.Builders.graph, specs)
-      | `Power_law ->
+      | `Power_law -> (
           let rng = Mmfair_prng.Xoshiro.create ~seed () in
-          let t =
-            try Builders.power_law ~rng ~nodes ~attach ~cap_lo:1.0 ~cap_hi:4.0
-            with Invalid_argument msg -> die exit_invalid_input "mmfair topo: %s" msg
-          in
-          let g = t.Builders.graph in
-          let specs =
-            Array.init nodes (fun v ->
-                match Graph.neighbors g v with
-                | (u, _) :: _ -> Network.session ~sender:v ~receivers:[| u |] ()
-                | [] -> die exit_invalid_input "mmfair topo: isolated node %d" v)
-          in
-          (g, specs)
+          try Mmfair_workload.Standard_nets.power_law ~rng ~nodes ~attach
+          with Invalid_argument msg -> die exit_invalid_input "mmfair topo: %s" msg)
       | `Star_of_stars ->
           let t =
             try
@@ -845,12 +819,11 @@ let churnd_load_cmd =
     | None -> print_string rendered
     | Some path ->
         with_daemon ~subcommand:"churnd-load" ~connect_timeout path @@ fun fd reader ->
-        (* --report bookkeeping: each completed ingestion item (a lone
-           event line, or a whole batch block at its [end]) pushes its
-           send instant; each ack/err response pops one.  The daemon
-           answers items in submission order, so FIFO matching gives
-           honest per-item round-trips — including the coalescing
-           delay, which IS part of end-to-end latency. *)
+        (* --report bookkeeping: each sent event line pushes its send
+           instant; each ack/err response pops one.  The daemon answers
+           lines in submission order, so FIFO matching gives honest
+           per-event round-trips — including the coalescing delay,
+           which IS part of end-to-end latency. *)
         let pending_sends : int64 Queue.t = Queue.create () in
         let latencies = ref [] in
         let note_response l =
@@ -908,11 +881,8 @@ let churnd_load_cmd =
         in
         if not report && poisson = None then send rendered
         else begin
-          (* Line-at-a-time so each item's send instant is sharp.  A
-             batch block is one ingestion item: its clock starts at the
-             [end] line that completes it. *)
-          let in_batch = ref false in
-          let next_time = ref 0 in
+          (* One event line at a time, so each event's send instant is
+             sharp. *)
           let t0 = Mmfair_obs.Clock.now_s () in
           (* Open-loop pacing: hold each event line back until its
              Poisson instant, draining daemon responses while waiting
@@ -925,38 +895,12 @@ let churnd_load_cmd =
               pace until
             end
           in
-          List.iter
-            (fun line ->
-              let body =
-                match String.index_opt line '#' with
-                | Some i -> String.sub line 0 i
-                | None -> line
-              in
-              let kind =
-                match String.trim body with
-                | "" -> `Blank
-                | "batch" -> `Batch
-                | "end" -> `End
-                | _ -> `Event
-              in
-              (if kind = `Event && poisson <> None && !next_time < Array.length times then begin
-                 pace (t0 +. times.(!next_time));
-                 incr next_time
-               end);
-              send (line ^ "\n");
-              if report then
-                match kind with
-                | `Blank -> ()
-                | `Batch -> in_batch := true
-                | `End ->
-                    in_batch := false;
-                    Queue.add (Mmfair_obs.Clock.now_ns ()) pending_sends
-                | `Event ->
-                    if not !in_batch then Queue.add (Mmfair_obs.Clock.now_ns ()) pending_sends)
-            (match String.split_on_char '\n' rendered with
-            | lines -> (
-                (* render ends with a newline: drop the empty tail. *)
-                match List.rev lines with "" :: rest -> List.rev rest | _ -> lines))
+          List.iteri
+            (fun i ev ->
+              if poisson <> None then pace (t0 +. times.(i));
+              send (Churn_parser.render ~names:parsed [ ev ]);
+              if report then Queue.add (Mmfair_obs.Clock.now_ns ()) pending_sends)
+            trace
         end;
         let read_line what =
           match Line_reader.next_line reader with
@@ -1305,51 +1249,7 @@ let membership_cmd =
 let all_cmd =
   let run tele seed =
     Telemetry.wrap tele @@ fun () ->
-    let o = E.Fig_examples.run_figure1 () in
-    E.Table.print o.E.Fig_examples.table;
-    let o = E.Fig_examples.run_figure2 ~session1_type:Network.Single_rate () in
-    E.Table.print o.E.Fig_examples.table;
-    let o = E.Fig_examples.run_figure2 ~session1_type:Network.Multi_rate () in
-    E.Table.print o.E.Fig_examples.table;
-    let a = E.Fig_examples.run_figure3a () in
-    E.Table.print a.E.Fig_examples.table;
-    let b = E.Fig_examples.run_figure3b () in
-    E.Table.print b.E.Fig_examples.table;
-    let o = E.Fig_examples.run_figure4 () in
-    E.Table.print o.E.Fig_examples.table;
-    let n = E.Nonexistence.run () in
-    E.Table.print n.E.Nonexistence.table;
-    E.Table.print (E.Fig5_random_joins.to_table (E.Fig5_random_joins.run ~seed ()));
-    E.Table.print (E.Fig6_fair_rate.to_table (E.Fig6_fair_rate.run ()));
-    E.Table.print (E.Replacement.run_figure2 ()).E.Replacement.table;
-    List.iter
-      (fun grid -> E.Table.print (E.Markov_redundancy.to_table grid))
-      (E.Markov_redundancy.run ~shared_loss:0.0001 ());
-    List.iter
-      (fun shared ->
-        let curves = E.Fig8_protocols.run ~shared_loss:shared ~seed () in
-        E.Table.print (E.Fig8_protocols.to_table ~shared_loss:shared curves))
-      [ 0.0001; 0.05 ];
-    E.Table.print (E.Extensions.latency_table (E.Extensions.leave_latency ~seed ~independent_loss:0.03 ()));
-    E.Table.print (E.Extensions.priority_table (E.Extensions.priority_dropping ~seed ~independent_loss:0.03 ()));
-    E.Table.print
-      (E.Extensions.layers_table ~receivers:50 ~rate:0.35
-         (E.Extensions.layers_vs_redundancy ~receivers:50 ~rate:0.35 ()));
-    E.Table.print (E.Extensions.tcp_fairness ~rtts:[| 0.01; 0.02; 0.05; 0.1 |] ()).E.Extensions.table;
-    E.Table.print (E.Extensions.churn ~seed ~sessions:4 ()).E.Extensions.table;
-    E.Table.print (E.Convergence.to_table (E.Convergence.run ~seed ()));
-    E.Table.print (E.Single_rate_study.run_figure2 ()).E.Single_rate_study.table;
-    List.iter (fun o -> E.Table.print o.E.Closed_loop.table) (E.Closed_loop.run ());
-    E.Table.print (E.Ecn_study.to_table (E.Ecn_study.run ~seed ()));
-    E.Table.print (E.Competition.to_table (E.Competition.run ~seed ()));
-    E.Table.print (E.Tcp_friendly.to_table (E.Tcp_friendly.run ~seed ()));
-    E.Table.print
-      (E.Scaling_claims.scaling_table
-         (E.Scaling_claims.receiver_scaling ~seed ~packets:20_000 ~independent_loss:0.03 ()));
-    E.Table.print
-      (E.Scaling_claims.hetero_table
-         (E.Scaling_claims.heterogeneous_loss ~seed ~receivers:60 ~packets:20_000 ~mean_loss:0.03 ()));
-    E.Table.print (E.Membership_study.to_table (E.Membership_study.run ~seed ~duration:90.0 ()))
+    List.iter (fun e -> List.iter E.Table.print (e.E.Index.run ~seed)) E.Index.all
   in
   Cmd.v (Cmd.info "all" ~doc:"run every experiment at quick scale (the EXPERIMENTS.md sweep)")
     Term.(const run $ tele_term $ seed_arg)

@@ -10,13 +10,9 @@
 type point = { redundancy : float; closed_form : float; allocator : float }
 type curve = { ratio : float; points : point list }
 
-val ratios : float list
-(** The paper's curves: m/n ∈ {0.01, 0.05, 0.1, 1}. *)
-
-val redundancies : float list
-(** x-axis: v ∈ {1, 2, …, 10}. *)
-
 val run : ?sessions:int -> unit -> curve list
-(** Default [sessions = 100] so that [m/n = 0.01] is one session. *)
+(** The paper's curves, m/n ∈ {0.01, 0.05, 0.1, 1}, over redundancy
+    v ∈ {1, 2, …, 10}.  Default [sessions = 100] so that [m/n = 0.01]
+    is one session. *)
 
 val to_table : curve list -> Table.t

@@ -16,6 +16,3 @@ type outcome = {
 val run_figure2 : ?grid:int -> unit -> outcome
 (** Sweep S1 of the Figure-2 network (default 12-point grid). *)
 
-val run :
-  Mmfair_core.Network.t -> session:int -> ?grid:int -> unit -> outcome
-(** The same study on any network/session. *)

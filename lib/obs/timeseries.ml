@@ -23,7 +23,6 @@ let create ?(capacity = 256) () =
   if capacity < 2 then invalid_arg "Timeseries.create: capacity must be >= 2";
   { cap = capacity; series = Hashtbl.create 32 }
 
-let capacity t = t.cap
 
 let merge a b =
   {

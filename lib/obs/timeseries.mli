@@ -34,16 +34,12 @@ val create : ?capacity:int -> unit -> t
 (** A fresh collection; every series holds at most [capacity] (default
     256) windows.  Raises [Invalid_argument] when [capacity < 2]. *)
 
-val capacity : t -> int
 
 val observe : t -> ts:float -> string -> float -> unit
 (** Append one observation at time [ts] to the named series (created
     on first use), downsampling first if the series is full.  Callers
     must feed each series monotonically non-decreasing timestamps —
     the sampler does. *)
-
-val names : t -> string list
-(** Every series name, sorted. *)
 
 val points : t -> string -> point list
 (** The named series' windows, oldest first (empty for an unknown

@@ -13,7 +13,6 @@ let create ?(seed = 0x123456789ABCDEF0L) () =
   let sm = Splitmix64.create seed in
   of_state [| Splitmix64.next sm; Splitmix64.next sm; Splitmix64.next sm; Splitmix64.next sm |]
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
 let next t =
   let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in

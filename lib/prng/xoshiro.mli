@@ -19,9 +19,6 @@ val of_state : int64 array -> t
     [Invalid_argument] unless [Array.length s = 4] and not all words
     are zero. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with [t]'s current state. *)
-
 val split : t -> t
 (** [split t] draws a child seed from [t] and creates an independent
     generator from it (via SplitMix64 expansion). *)

@@ -16,7 +16,6 @@ let create ?(mode = Wrr) scheme =
   { mode; rates; total = Scheme.top_rate scheme; credits = Array.make m 0.0 }
 
 let mode t = t.mode
-let layers t = Array.length t.rates
 
 let next t ~rng =
   match t.mode with

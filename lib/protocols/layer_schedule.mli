@@ -20,8 +20,6 @@ val create : ?mode:mode -> Mmfair_layering.Scheme.t -> t
 
 val mode : t -> mode
 
-val layers : t -> int
-
 val next : t -> rng:Mmfair_prng.Xoshiro.t -> int
 (** The next slot's layer, in [[1, layers]].  The [rng] is consulted
     only in [Random] mode. *)

@@ -212,13 +212,6 @@ let enqueue t ~lineno ~respond events =
 (* ------------------------------------------------------------------ *)
 (* Queries.                                                            *)
 
-let find_name lineno what names name =
-  let found = ref (-1) in
-  Array.iteri (fun i n -> if n = name && !found < 0 then found := i) names;
-  if !found < 0 then
-    raise (Churn_parser.Parse_error (lineno, Printf.sprintf "unknown %s %S" what name));
-  !found
-
 let receiver_rows t =
   let net = Batch.network t.engine and alloc = Batch.allocation t.engine in
   Array.to_list (Network.all_receivers net)
@@ -242,8 +235,8 @@ let answer t ~lineno ~respond (q : Protocol.query) =
       List.iter respond rows
   | Protocol.Rate { session; node } ->
       flush t;
-      let si = find_name lineno "session" t.parsed.Net_parser.session_names session in
-      let ni = find_name lineno "node" t.parsed.Net_parser.node_names node in
+      let si = Churn_parser.find_name ~lineno "session" t.parsed.Net_parser.session_names session in
+      let ni = Churn_parser.find_name ~lineno "node" t.parsed.Net_parser.node_names node in
       let net = Batch.network t.engine in
       let spec = Network.session_spec net si in
       let index = ref (-1) in

@@ -87,20 +87,10 @@ val series : t -> Mmfair_obs.Timeseries.t
 val snapshot : t -> Mmfair_obs.Json.t
 (** {!Mmfair_obs.Registry.snapshot} of {!registry}. *)
 
-val prometheus : t -> string
-(** {!Mmfair_obs.Registry.to_prometheus} of {!registry}. *)
-
 val stop : t -> unit
 (** Ask the serve loop to finish (signal-handler safe: one atomic
     store).  The loop notices within [poll_interval], flushes queued
     events, and returns. *)
-
-val stopped : t -> bool
-
-val flush : t -> unit
-(** Apply queued events as one coalesced epoch now.  Called by the
-    serve loops at each wakeup and before answering rate/epoch
-    queries; exposed for tests. *)
 
 val sample : t -> unit
 (** Take one time-series sampler tick now (GC gauges refreshed, the

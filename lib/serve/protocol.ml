@@ -12,16 +12,8 @@ type command = Churn of Churn_parser.line | Query of query | Quit
 
 let fail lineno msg = raise (Churn_parser.Parse_error (lineno, msg))
 
-let strip_comment s =
-  match String.index_opt s '#' with Some i -> String.sub s 0 i | None -> s
-
-let split_ws s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun tok -> tok <> "")
-
 let parse p ~lineno raw =
-  match split_ws (String.trim (strip_comment raw)) with
+  match Churn_parser.tokens raw with
   | [] -> Churn Churn_parser.Blank
   | [ "rate"; session; node ] -> Query (Rate { session; node })
   | "rate" :: _ -> fail lineno "rate wants: rate SESSION NODE"

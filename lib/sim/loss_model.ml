@@ -19,10 +19,6 @@ let create ~rng ~links ~loss_rate =
 let check t l name =
   if l < 0 || l >= Array.length t then invalid_arg (Printf.sprintf "Loss_model.%s: unknown link" name)
 
-let loss_rate t l =
-  check t l "loss_rate";
-  t.(l).p
-
 let drops t l =
   check t l "drops";
   let s = t.(l) in

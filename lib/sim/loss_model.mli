@@ -18,8 +18,6 @@ val create :
     to [loss_rate l] (must be in [[0, 1]]; raises [Invalid_argument]
     otherwise). *)
 
-val loss_rate : t -> Mmfair_topology.Graph.link_id -> float
-
 val drops : t -> Mmfair_topology.Graph.link_id -> bool
 (** Sample once: does this link drop the current packet?  Each call
     advances the link's stream. *)

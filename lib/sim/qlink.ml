@@ -49,7 +49,6 @@ let create ~capacity ?(delay = 0.001) ?(buffer = 32) ?(marking = No_marking) ?rn
     busy = 0.0;
   }
 
-let capacity t = t.capacity
 
 let prune t ~now = t.departures <- List.filter (fun d -> d > now) t.departures
 

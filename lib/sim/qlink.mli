@@ -41,8 +41,6 @@ val create :
     ≥ 1).  [marking] defaults to {!No_marking}; [Red] requires an
     [rng] (raises [Invalid_argument] otherwise). *)
 
-val capacity : t -> float
-
 type verdict =
   | Accepted of { delivery : float; marked : bool }
       (** Delivery time at the far end (service completion +

@@ -41,7 +41,6 @@ val overflow : t -> int
 
 val bins : t -> int
 val lo : t -> float
-val hi : t -> float
 
 val bin_count : t -> int -> int
 (** [bin_count t i] is bucket [i]'s tally (0-indexed).  Raises

@@ -6,27 +6,27 @@ exception Parse_error of int * string
 
 let fail line msg = raise (Parse_error (line, msg))
 
-let split_ws s =
-  String.split_on_char ' ' s |> List.concat_map (String.split_on_char '\t')
+let tokens raw =
+  let line = match String.index_opt raw '#' with Some i -> String.sub raw 0 i | None -> raw in
+  String.split_on_char ' ' (String.trim line)
+  |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun tok -> tok <> "")
-
-let strip_comment s = match String.index_opt s '#' with Some i -> String.sub s 0 i | None -> s
 
 let parse_float line what s =
   match float_of_string_opt s with Some f -> f | None -> fail line (Printf.sprintf "bad %s: %S" what s)
 
-let index_of names line what name =
+let find_name ~lineno what names name =
   let found = ref (-1) in
   Array.iteri (fun i n -> if n = name && !found < 0 then found := i) names;
-  if !found < 0 then fail line (Printf.sprintf "unknown %s %S" what name);
+  if !found < 0 then fail lineno (Printf.sprintf "unknown %s %S" what name);
   !found
 
 type line = Blank | Event of Event.t | Batch_open | Batch_end
 
 let event_of_tokens (p : Net_parser.t) lineno toks =
-  let session line name = index_of p.Net_parser.session_names line "session" name in
-  let node line name = index_of p.Net_parser.node_names line "node" name in
-  let link line name = index_of p.Net_parser.link_names line "link" name in
+  let session lineno name = find_name ~lineno "session" p.Net_parser.session_names name in
+  let node lineno name = find_name ~lineno "node" p.Net_parser.node_names name in
+  let link lineno name = find_name ~lineno "link" p.Net_parser.link_names name in
   let event lineno = function
     | [ "join"; s; n ] ->
         Event.Join { session = session lineno s; node = node lineno n; weight = None }
@@ -59,15 +59,13 @@ let event_of_tokens (p : Net_parser.t) lineno toks =
   event lineno toks
 
 let parse_line p ~lineno raw =
-  let line = String.trim (strip_comment raw) in
-  if line = "" then Blank
-  else
-    match split_ws line with
-    | [ "batch" ] -> Batch_open
-    | "batch" :: _ -> fail lineno "batch takes no arguments"
-    | [ "end" ] -> Batch_end
-    | "end" :: _ -> fail lineno "end takes no arguments"
-    | toks -> Event (event_of_tokens p lineno toks)
+  match tokens raw with
+  | [] -> Blank
+  | [ "batch" ] -> Batch_open
+  | "batch" :: _ -> fail lineno "batch takes no arguments"
+  | [ "end" ] -> Batch_end
+  | "end" :: _ -> fail lineno "end takes no arguments"
+  | toks -> Event (event_of_tokens p lineno toks)
 
 (* Fold the line classifier through batch ... end structure.  Shared by
    the whole-document parser below and the serving daemon's streaming
@@ -127,7 +125,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let parse_file p path = parse_string p (read_file path)
 let parse_items_file p path = parse_items p (read_file path)
 
 (* Default names match [Net_parser.render]'s conventions (n<i>, l<j>,

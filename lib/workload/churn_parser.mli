@@ -36,6 +36,17 @@ type item = Single of Mmfair_dynamic.Event.t | Batch of Mmfair_dynamic.Event.t l
 exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
+val tokens : string -> string list
+(** The whitespace-separated (space or tab) tokens of one raw line,
+    after dropping a [#] comment; [[]] for a blank or comment-only
+    line.  The tokenizer of traces and of the churnd line protocol. *)
+
+val find_name : lineno:int -> string -> string array -> string -> int
+(** [find_name ~lineno what names name] is the first index of [name]
+    in [names].  Raises {!Parse_error} [(lineno, "unknown WHAT \"NAME\"")]
+    when it is absent: the name lookup of traces and of churnd's
+    queries. *)
+
 type line = Blank | Event of Mmfair_dynamic.Event.t | Batch_open | Batch_end
 (** One classified input line: nothing (blank / comment-only), a churn
     event, or a [batch] / [end] block delimiter. *)
@@ -89,10 +100,6 @@ val parse_string : Net_parser.t -> string -> Mmfair_dynamic.Event.t list
 
 val parse_string_result : Net_parser.t -> string -> (Mmfair_dynamic.Event.t list, string) result
 (** Non-raising variant of {!parse_string}. *)
-
-val parse_file : Net_parser.t -> string -> Mmfair_dynamic.Event.t list
-(** Reads the file and applies {!parse_string}.  Raises [Sys_error]
-    when unreadable. *)
 
 val render_items : ?names:Net_parser.t -> item list -> string
 (** A [.churn] document that {!parse_items} reconstructs into the same

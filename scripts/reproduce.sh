@@ -24,8 +24,8 @@ fi
 
 echo "== per-experiment CSV dumps =="
 mkdir -p results/csv
-for cmd in fig5 fig6 latency priority layers tcpfair churn convergence single-rate compete ecn tcpfriendly membership claims; do
-  dune exec bin/mmfair.exe -- "$cmd" --csv > "results/csv/$cmd.csv" 2>/dev/null || true
+for cmd in fig5 fig6 latency priority layers tcpfair session-churn convergence single-rate compete ecn tcpfriendly membership claims; do
+  dune exec bin/mmfair.exe -- "$cmd" --csv > "results/csv/$cmd.csv"
 done
 echo "  -> results/csv/*.csv"
 

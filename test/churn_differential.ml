@@ -35,14 +35,18 @@
 
    With --topologies fat-tree,power-law,star the whole battery
    additionally runs on generated topologies from the builder layer
-   (with the bench's session placements, at differential-checkable
-   scale), so the incremental path is gated on the graph families the
-   scaling curves are measured on, not just on small random nets.  The
-   star case puts dozens of sessions on each saturated trunk, the
+   (Standard_nets' placements, at differential-checkable scale), so
+   the incremental path is gated on the graph families the scaling
+   curves are measured on, not just on small random nets.  The star
+   case puts dozens of sessions on each saturated trunk, the
    high-fan-in shape the other families never reach; parked-star is
    the flow simulator's slot pool, most slots parked at a negligible
    rho and a trace that only toggles slots between parked and
    unbounded, so the parked slots stay out of every component.
+   headroom is the churn bench's network, where small components are
+   the rule: the random nets mostly fall back to full solves, so this
+   case fails if more than half of its epochs take the full-solve
+   path, keeping the 1e-9 gate on restricted solves.
 
      churn_differential.exe [--events N] [--seeds S1,S2,...]
                             [--batch-sizes B1,B2,...] [--domains D1,D2,...]
@@ -57,6 +61,7 @@ module Solver_error = Mmfair_core.Solver_error
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Random_nets = Mmfair_workload.Random_nets
+module Standard_nets = Mmfair_workload.Standard_nets
 module Churn_gen = Mmfair_workload.Churn_gen
 module Churn_parser = Mmfair_workload.Churn_parser
 module Net_parser = Mmfair_workload.Net_parser
@@ -331,28 +336,10 @@ let topology_net name =
   match name with
   | "fat-tree" ->
       (* k=4: 16 hosts, 2 edge-confined sessions per host. *)
-      let t = Builders.fat_tree ~k:4 () in
-      let hosts = t.Builders.hosts in
-      let specs =
-        Array.init
-          (2 * Array.length hosts)
-          (fun s ->
-            let h = s / 2 in
-            let base = h / 2 * 2 in
-            let peer = base + ((h - base + 1) mod 2) in
-            Network.session ~sender:hosts.(h) ~receivers:[| hosts.(peer) |] ())
-      in
+      let t, specs = Standard_nets.fat_tree ~k:4 ~per_host:2 in
       Network.make t.Builders.graph specs
   | "power-law" ->
-      let rng = Xoshiro.create ~seed:7L () in
-      let t = Builders.power_law ~rng ~nodes:48 ~attach:2 ~cap_lo:1.0 ~cap_hi:4.0 in
-      let g = t.Builders.graph in
-      let specs =
-        Array.init 48 (fun v ->
-            match Mmfair_topology.Graph.neighbors g v with
-            | (u, _) :: _ -> Network.session ~sender:v ~receivers:[| u |] ()
-            | [] -> assert false)
-      in
+      let g, specs = Standard_nets.power_law ~rng:(Xoshiro.create ~seed:7L ()) ~nodes:48 ~attach:2 in
       Network.make g specs
   | "star" ->
       (* Star of stars, 3 clusters of 3 leaves, 30 single-receiver
@@ -388,10 +375,17 @@ let topology_net name =
              Network.session ~rho:park_rho ~sender:t.Builders.root
                ~receivers:[| t.Builders.leaves.(s / parked_slots).(0) |]
                ()))
+  | "headroom" ->
+      (* The churn bench's network: shared links far above their load,
+         saturation on access links private to one session, so most
+         epochs take the restricted-solve path (run_topology bounds the
+         full solves). *)
+      Standard_nets.churn_bench ()
   | other ->
       raise
         (Arg.Bad
-           (Printf.sprintf "unknown topology %S (fat-tree, power-law, star, parked-star)" other))
+           (Printf.sprintf "unknown topology %S (fat-tree, power-law, star, parked-star, headroom)"
+              other))
 
 (* Arrivals and departures as the flow simulator makes them: a random
    slot toggles between parked and unbounded, except that a cluster
@@ -422,7 +416,13 @@ let run_topology ~events ~batch_sizes ~domain_counts name idx =
     if name = "parked-star" then parked_star_trace rng net ~events
     else Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events; max_receivers = 5 }
   in
-  replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace
+  let full_before = !full_solves in
+  replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace;
+  (* On headroom the gate must compare restricted solves against full
+     ones, not two full solves. *)
+  let full = !full_solves - full_before and epochs = List.length trace in
+  if name = "headroom" && 2 * full > epochs then
+    fail_case ~case "%d of %d epochs took the full-solve path (at most half may)" full epochs
 
 let () =
   let events = ref 500 and seeds = ref [ 41L; 42L; 43L ] in
@@ -454,7 +454,7 @@ let () =
         Arg.String
           (fun s -> topologies := String.split_on_char ',' s |> List.filter (( <> ) "")),
         "T1,T2,...  also replay generated-topology cases (fat-tree, power-law, star, \
-         parked-star) with the same gates (default: off)" );
+         parked-star, headroom) with the same gates (default: off)" );
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "churn_differential [options]";

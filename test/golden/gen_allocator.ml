@@ -59,11 +59,10 @@ let mixed ~custom =
 
 (* perfbench's solve-powerlaw input at its tiny size. *)
 let power_law () =
-  let nodes = 128 in
-  let rng = Xoshiro.create ~seed:1L () in
-  let g = (Builders.power_law ~rng ~nodes ~attach:2 ~cap_lo:1.0 ~cap_hi:4.0).Builders.graph in
-  let first v = match Graph.neighbors g v with (u, _) :: _ -> u | [] -> assert false in
-  Network.make g (Array.init nodes (fun v -> Network.session ~sender:v ~receivers:[| first v |] ()))
+  let g, specs =
+    Mmfair_workload.Standard_nets.power_law ~rng:(Xoshiro.create ~seed:1L ()) ~nodes:128 ~attach:2
+  in
+  Network.make g specs
 
 let print name net =
   let a = Allocator.max_min net in
