@@ -12,23 +12,25 @@ let validate net =
     (match Network.vfn net i with
     | Redundancy_fn.Efficient -> ()
     | _ -> invalid_arg "Certify: sessions must use the efficient link-rate function")
-  done
+  done;
+  if not (Network.all_weights_unit net) then invalid_arg "Certify: weights must be 1"
 
 let rate_tol eps x = eps *. Stdlib.max 1.0 (Float.abs x)
 
-let witness_for ~eps alloc (r : Network.receiver_id) =
-  let net = Allocation.network alloc in
-  let a = Allocation.rate alloc r in
-  let rho = Network.rho net r.Network.session in
-  if Float.is_finite rho && Float.abs (a -. rho) <= rate_tol eps rho then Some At_rho
+let at_rho ~eps alloc (r : Network.receiver_id) =
+  let rho = Network.rho (Allocation.network alloc) r.Network.session in
+  Float.is_finite rho && Float.abs (Allocation.rate alloc r -. rho) <= rate_tol eps rho
+
+let witness ?(eps = 1e-9) ~value alloc r =
+  if at_rho ~eps alloc r then Some At_rho
   else
+    let a = value r in
+    let net = Allocation.network alloc in
     List.find_map
       (fun l ->
         if
           Allocation.fully_utilized ~eps alloc l
-          && List.for_all
-               (fun r' -> Allocation.rate alloc r' <= a +. rate_tol eps a)
-               (Network.all_on_link net ~link:l)
+          && List.for_all (fun r' -> value r' <= a +. rate_tol eps a) (Network.all_on_link net ~link:l)
         then Some (Bottleneck l)
         else None)
       (Network.data_path net r)
@@ -39,10 +41,11 @@ let check ?(eps = 1e-9) alloc =
   match Allocation.feasibility_violations ~eps alloc with
   | _ :: _ as violations -> Infeasible violations
   | [] ->
+      let value = Allocation.rate alloc in
       let witnesses = ref [] and missing = ref [] in
       Array.iter
         (fun r ->
-          match witness_for ~eps alloc r with
+          match witness ~eps ~value alloc r with
           | Some w -> witnesses := (r, w) :: !witnesses
           | None -> missing := r :: !missing)
         (Network.all_receivers net);

@@ -15,35 +15,17 @@ type report = {
   per_session_link : per_session_link_violation list;
 }
 
-let rate_tol eps x = eps *. Stdlib.max 1.0 (Float.abs x)
+let fully_utilized_receiver_fair ?(eps = 1e-9) ?value alloc =
+  let value = Option.value value ~default:(Allocation.rate alloc) in
+  Network.all_receivers (Allocation.network alloc)
+  |> Array.to_list
+  |> List.filter_map (fun r ->
+         match Certify.witness ~eps ~value alloc r with
+         | None -> Some ({ receiver = r } : fully_utilized_violation)
+         | Some _ -> None)
 
-let at_rho ~eps alloc (r : Network.receiver_id) =
-  let net = Allocation.network alloc in
-  let rho = Network.rho net r.Network.session in
-  Float.is_finite rho && Float.abs (Allocation.rate alloc r -. rho) <= rate_tol eps rho
-
-let fully_utilized_receiver_fair ?(eps = 1e-9) alloc =
-  let net = Allocation.network alloc in
-  let violations = ref [] in
-  Array.iter
-    (fun (r : Network.receiver_id) ->
-      if not (at_rho ~eps alloc r) then begin
-        let a = Allocation.rate alloc r in
-        let justified =
-          List.exists
-            (fun l ->
-              Allocation.fully_utilized ~eps alloc l
-              && List.for_all
-                   (fun r' -> Allocation.rate alloc r' <= a +. rate_tol eps a)
-                   (Network.all_on_link net ~link:l))
-            (Network.data_path net r)
-        in
-        if not justified then violations := ({ receiver = r } : fully_utilized_violation) :: !violations
-      end)
-    (Network.all_receivers net);
-  List.rev !violations
-
-let same_path_receiver_fair ?(eps = 1e-9) alloc =
+let same_path_receiver_fair ?(eps = 1e-9) ?value alloc =
+  let value = Option.value value ~default:(Allocation.rate alloc) in
   let net = Allocation.network alloc in
   let receivers = Network.all_receivers net in
   let paths = Array.map (fun r -> List.sort_uniq compare (Network.data_path net r)) receivers in
@@ -53,11 +35,11 @@ let same_path_receiver_fair ?(eps = 1e-9) alloc =
     for y = x + 1 to n - 1 do
       if paths.(x) = paths.(y) then begin
         let rx = receivers.(x) and ry = receivers.(y) in
-        let ax = Allocation.rate alloc rx and ay = Allocation.rate alloc ry in
-        let equal = Float.abs (ax -. ay) <= rate_tol eps (Stdlib.max ax ay) in
+        let ax = value rx and ay = value ry in
+        let equal = Float.abs (ax -. ay) <= Certify.rate_tol eps (Stdlib.max ax ay) in
         (* The lower rate must be pinned at its own session's rho. *)
         let excused =
-          (ax < ay && at_rho ~eps alloc rx) || (ay < ax && at_rho ~eps alloc ry)
+          (ax < ay && Certify.at_rho ~eps alloc rx) || (ay < ax && Certify.at_rho ~eps alloc ry)
         in
         if not (equal || excused) then
           violations :=
@@ -75,7 +57,7 @@ let session_max_on_link ~eps alloc ~session ~link =
   for i' = 0 to m - 1 do
     if i' <> session then begin
       let u' = Allocation.session_link_rate alloc ~session:i' ~link in
-      if u' > u +. rate_tol eps u then ok := false
+      if u' > u +. Certify.rate_tol eps u then ok := false
     end
   done;
   !ok
@@ -85,7 +67,7 @@ let per_receiver_link_fair ?(eps = 1e-9) alloc =
   let violations = ref [] in
   Array.iter
     (fun (r : Network.receiver_id) ->
-      if not (at_rho ~eps alloc r) then begin
+      if not (Certify.at_rho ~eps alloc r) then begin
         let justified =
           List.exists
             (fun l ->
@@ -103,7 +85,7 @@ let per_session_link_fair ?(eps = 1e-9) alloc =
   let violations = ref [] in
   for i = 0 to Network.session_count net - 1 do
     let all_at_rho =
-      Array.for_all (fun r -> at_rho ~eps alloc r) (Network.receivers_of_session net i)
+      Array.for_all (fun r -> Certify.at_rho ~eps alloc r) (Network.receivers_of_session net i)
     in
     if not all_at_rho then begin
       let justified =

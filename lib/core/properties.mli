@@ -7,7 +7,9 @@
     through exactly such witnesses).
 
     Tolerances: a link is "fully utilized" within a relative [eps]
-    (default [1e-9]); rate comparisons use the same tolerance. *)
+    (default [1e-9]); rate comparisons use the same tolerance
+    ({!Certify.rate_tol}).  Fairness Property 1 is {!Certify}'s witness
+    search; {!Weighted} runs Properties 1 and 2 on normalized rates. *)
 
 type fully_utilized_violation = {
   receiver : Network.receiver_id;  (** The receiver whose rate has no justifying bottleneck. *)
@@ -23,7 +25,9 @@ type same_path_violation = {
   second_rate : float;
 }
 (** Fairness Property 2 violation: identical data-paths, different
-    rates, and neither rate is explained by its session's [ρ]. *)
+    rates, and neither rate is explained by its session's [ρ].  The
+    two rates are the compared values: raw, or normalized [a/w] when
+    {!Weighted} reports. *)
 
 type per_receiver_link_violation = {
   receiver : Network.receiver_id;
@@ -47,17 +51,22 @@ type report = {
   per_session_link : per_session_link_violation list;       (** FP 4. *)
 }
 
-val fully_utilized_receiver_fair : ?eps:float -> Allocation.t -> fully_utilized_violation list
+val fully_utilized_receiver_fair :
+  ?eps:float -> ?value:(Network.receiver_id -> float) -> Allocation.t -> fully_utilized_violation list
 (** Fairness Property 1 (fully-utilized-receiver-fairness): each
     receiver has [a_{i,k} = ρ_i] or a fully utilized link [l_j] on its
     data-path with [a_{i',k'} ≤ a_{i,k}] for every [r_{i',k'} ∈ R_j].
-    Returns the violating receivers (empty = property holds). *)
+    Returns the receivers for which {!Certify.witness} finds no
+    witness (empty = property holds).  [value] (default: the raw rate)
+    is the view the link's receivers are compared under; the weighted
+    analogue passes [a/w]. *)
 
-val same_path_receiver_fair : ?eps:float -> Allocation.t -> same_path_violation list
+val same_path_receiver_fair :
+  ?eps:float -> ?value:(Network.receiver_id -> float) -> Allocation.t -> same_path_violation list
 (** Fairness Property 2 (same-path-receiver-fairness): any two
     receivers (of any sessions) whose data-paths traverse the same set
-    of links have equal rates, unless the lower one sits at its
-    session's [ρ]. *)
+    of links have equal [value]s (default: the raw rate), unless the
+    lower one sits at its session's [ρ]. *)
 
 val per_receiver_link_fair : ?eps:float -> Allocation.t -> per_receiver_link_violation list
 (** Fairness Property 3 (per-receiver-link-fairness): for each

@@ -134,57 +134,3 @@ let agrees_with_general_allocator ?(eps = 1e-7) net =
       if Float.abs (a -. rate) > eps *. Stdlib.max 1.0 rate then ok := false)
     classic;
   !ok
-
-type property1_violation = { session : int }
-
-let to_allocation net rates =
-  Allocation.make net (Array.map (fun r -> [| r |]) rates)
-
-let property1 ?(eps = 1e-9) net rates =
-  validate net;
-  if Array.length rates <> Network.session_count net then invalid_arg "Unicast.property1: length";
-  let alloc = to_allocation net rates in
-  let violations = ref [] in
-  for i = Network.session_count net - 1 downto 0 do
-    let rho = Network.rho net i in
-    let at_rho = Float.is_finite rho && rates.(i) >= rho -. (eps *. Stdlib.max 1.0 rho) in
-    if not at_rho then begin
-      let justified =
-        List.exists
-          (fun l ->
-            Allocation.fully_utilized ~eps alloc l
-            && List.for_all
-                 (fun i' ->
-                   Allocation.session_link_rate alloc ~session:i' ~link:l
-                   <= Allocation.session_link_rate alloc ~session:i ~link:l
-                      +. (eps *. Stdlib.max 1.0 rates.(i)))
-                 (List.init (Network.session_count net) Fun.id))
-          (Network.session_links net i)
-      in
-      if not justified then violations := { session = i } :: !violations
-    end
-  done;
-  !violations
-
-type property2_violation = { first : int; second : int }
-
-let property2 ?(eps = 1e-9) net rates =
-  validate net;
-  if Array.length rates <> Network.session_count net then invalid_arg "Unicast.property2: length";
-  let m = Network.session_count net in
-  let paths = Array.init m (fun i -> List.sort_uniq compare (Network.session_links net i)) in
-  let at_rho i =
-    let rho = Network.rho net i in
-    Float.is_finite rho && rates.(i) >= rho -. (eps *. Stdlib.max 1.0 rho)
-  in
-  let violations = ref [] in
-  for x = 0 to m - 1 do
-    for y = x + 1 to m - 1 do
-      if paths.(x) = paths.(y) then begin
-        let equal = Float.abs (rates.(x) -. rates.(y)) <= eps *. Stdlib.max 1.0 rates.(x) in
-        let excused = (rates.(x) < rates.(y) && at_rho x) || (rates.(y) < rates.(x) && at_rho y) in
-        if not (equal || excused) then violations := { first = x; second = y } :: !violations
-      end
-    done
-  done;
-  List.rev !violations

@@ -7,8 +7,10 @@
     1–4.  This module implements the textbook algorithm {e
     independently} of the multicast allocator — the standard
     iterative bottleneck construction over flows — so the reduction
-    claim is machine-checked, and provides the two unicast properties
-    as checkers in their original form. *)
+    claim is machine-checked.  Unicast Fairness Properties 1 and 2 are
+    Fairness Properties 1 and 2 on single-receiver sessions, so
+    {!Properties} checks them on [Allocation.make] of the flow
+    rates. *)
 
 val max_min_flow_rates : Network.t -> float array
 (** The Bertsekas–Gallagher construction: repeatedly find the link
@@ -27,19 +29,3 @@ val agrees_with_general_allocator : ?eps:float -> Network.t -> bool
 (** Whether this construction matches {!Allocator.max_min} on the
     network (the paper's base-case sanity: both must yield the unique
     unicast max-min fair allocation). *)
-
-type property1_violation = { session : int }
-(** Unicast Fairness Property 1 fails for this session: its rate is
-    below [ρ_i] and no fully utilized link on its path gives it a
-    maximal session link rate. *)
-
-val property1 : ?eps:float -> Network.t -> float array -> property1_violation list
-(** Check Unicast Fairness Property 1 (unicast max-min fairness) for
-    an assignment of flow rates. *)
-
-type property2_violation = { first : int; second : int }
-(** Two sessions with identical data-paths and unequal rates, neither
-    pinned at its [ρ]. *)
-
-val property2 : ?eps:float -> Network.t -> float array -> property2_violation list
-(** Check Unicast Fairness Property 2 (same-path fairness). *)

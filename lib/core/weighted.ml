@@ -1,10 +1,9 @@
-let normalized_vector alloc =
+let normalized alloc =
   let net = Allocation.network alloc in
-  let all =
-    Array.map
-      (fun r -> Allocation.rate alloc r /. Network.weight net r)
-      (Network.all_receivers net)
-  in
+  fun r -> Allocation.rate alloc r /. Network.weight net r
+
+let normalized_vector alloc =
+  let all = Array.map (normalized alloc) (Network.all_receivers (Allocation.network alloc)) in
   Array.sort compare all;
   all
 
@@ -15,63 +14,11 @@ let weights_from_rtts rtts =
       1.0 /. rtt)
     rtts
 
-type violation = {
-  first : Network.receiver_id;
-  second : Network.receiver_id;
-  first_normalized : float;
-  second_normalized : float;
-}
+let same_path_weighted_fair ?eps alloc =
+  Properties.same_path_receiver_fair ?eps ~value:(normalized alloc) alloc
 
-let rate_tol eps x = eps *. Stdlib.max 1.0 (Float.abs x)
-
-let at_rho ~eps alloc (r : Network.receiver_id) =
-  let net = Allocation.network alloc in
-  let rho = Network.rho net r.Network.session in
-  Float.is_finite rho && Float.abs (Allocation.rate alloc r -. rho) <= rate_tol eps rho
-
-let same_path_weighted_fair ?(eps = 1e-9) alloc =
-  let net = Allocation.network alloc in
-  let receivers = Network.all_receivers net in
-  let paths = Array.map (fun r -> List.sort_uniq compare (Network.data_path net r)) receivers in
-  let norm r = Allocation.rate alloc r /. Network.weight net r in
-  let violations = ref [] in
-  let n = Array.length receivers in
-  for x = 0 to n - 1 do
-    for y = x + 1 to n - 1 do
-      if paths.(x) = paths.(y) then begin
-        let rx = receivers.(x) and ry = receivers.(y) in
-        let nx = norm rx and ny = norm ry in
-        let equal = Float.abs (nx -. ny) <= rate_tol eps (Stdlib.max nx ny) in
-        let excused = (nx < ny && at_rho ~eps alloc rx) || (ny < nx && at_rho ~eps alloc ry) in
-        if not (equal || excused) then
-          violations :=
-            { first = rx; second = ry; first_normalized = nx; second_normalized = ny } :: !violations
-      end
-    done
-  done;
-  List.rev !violations
-
-type unjustified = { receiver : Network.receiver_id }
-
-let fully_utilized_weighted_fair ?(eps = 1e-9) alloc =
-  let net = Allocation.network alloc in
-  let norm r = Allocation.rate alloc r /. Network.weight net r in
-  let violations = ref [] in
-  Array.iter
-    (fun (r : Network.receiver_id) ->
-      if not (at_rho ~eps alloc r) then begin
-        let nr = norm r in
-        let justified =
-          List.exists
-            (fun l ->
-              Allocation.fully_utilized ~eps alloc l
-              && List.for_all (fun r' -> norm r' <= nr +. rate_tol eps nr) (Network.all_on_link net ~link:l))
-            (Network.data_path net r)
-        in
-        if not justified then violations := { receiver = r } :: !violations
-      end)
-    (Network.all_receivers net);
-  List.rev !violations
+let fully_utilized_weighted_fair ?eps alloc =
+  Properties.fully_utilized_receiver_fair ?eps ~value:(normalized alloc) alloc
 
 let holds_all ?eps alloc =
   same_path_weighted_fair ?eps alloc = [] && fully_utilized_weighted_fair ?eps alloc = []

@@ -7,9 +7,16 @@
 
     With per-receiver weights [w_{i,k}] (see
     {!Network.session_spec.weights}), progressive filling raises the
-    {e normalized} rates [a_{i,k}/w_{i,k}] together, so the allocator
-    already computes the weighted max-min fair allocation; this module
-    adds the weighted analogues of the analysis tools:
+    {e normalized} rates [a_{i,k}/w_{i,k}] together.  The allocator
+    computes the weighted max-min fair allocation when every session
+    is unicast, or when each session's receivers on a link have equal
+    weights.  Outside that domain it is not exact, and neither is the
+    weighted Fairness Property 1 below: with session A = (a1 w=1,
+    a2 w=3) and session B = (b w=1) on one capacity-4 trunk (each
+    receiver on its own capacity-100 leaf), the allocator returns
+    (1, 3, 1) and {!holds_all} accepts it, yet (3, 3, 1) is feasible
+    and raises a1 without lowering anyone.  This module adds the
+    weighted analogues of the analysis tools:
 
     - the normalized ordered vector (feeding the [≼_m] ordering, whose
       lemmas apply verbatim to normalized rates);
@@ -30,29 +37,18 @@ val weights_from_rtts : float array -> float array
     [1/rtt] (Section 5's proposal).  Raises [Invalid_argument] on a
     non-positive RTT. *)
 
-type violation = {
-  first : Network.receiver_id;
-  second : Network.receiver_id;
-  first_normalized : float;
-  second_normalized : float;
-}
-(** A pair of same-path receivers whose normalized rates differ with
-    neither pinned at its [ρ]. *)
-
-val same_path_weighted_fair : ?eps:float -> Allocation.t -> violation list
+val same_path_weighted_fair : ?eps:float -> Allocation.t -> Properties.same_path_violation list
 (** Weighted Fairness Property 2: receivers with identical data-paths
     have equal normalized rates [a/w] unless the lower one sits at its
-    session's [ρ].  With unit weights this is exactly
-    {!Properties.same_path_receiver_fair} (up to witness format). *)
+    session's [ρ].  This is {!Properties.same_path_receiver_fair} on
+    normalized rates, so the violation's two rates are normalized. *)
 
-type unjustified = { receiver : Network.receiver_id }
-(** A receiver below [ρ] with no saturated link on its path where its
-    normalized rate is maximal. *)
-
-val fully_utilized_weighted_fair : ?eps:float -> Allocation.t -> unjustified list
+val fully_utilized_weighted_fair :
+  ?eps:float -> Allocation.t -> Properties.fully_utilized_violation list
 (** Weighted Fairness Property 1: each receiver is at [ρ_i] or crosses
     a fully utilized link on which no other receiver has a strictly
-    larger normalized rate. *)
+    larger normalized rate.  This is
+    {!Properties.fully_utilized_receiver_fair} on normalized rates. *)
 
 val holds_all : ?eps:float -> Allocation.t -> bool
 (** Both weighted properties hold. *)

@@ -58,6 +58,19 @@ let test_rejects_single_rate_networks () =
     (Invalid_argument "Certify: all sessions must be multi-rate") (fun () ->
       ignore (Certify.check (Allocator.max_min net)))
 
+let test_rejects_weighted_networks () =
+  (* Weights 1 and 2 on one capacity-3 link: the weighted max-min fair
+     (1, 2) is not max-min fair on raw rates, so the raw-rate witness
+     does not apply and Certify must refuse rather than answer. *)
+  let g = Mmfair_topology.Graph.create ~nodes:2 in
+  ignore (Mmfair_topology.Graph.add_link g 0 1 3.0);
+  let s w = Network.session ~weights:[| w |] ~sender:0 ~receivers:[| 1 |] () in
+  let net = Network.make g [| s 1.0; s 2.0 |] in
+  let alloc = Allocator.max_min net in
+  Alcotest.(check bool) "weighted max-min fair" true (Mmfair_core.Weighted.holds_all ~eps:1e-6 alloc);
+  Alcotest.check_raises "weighted unsupported" (Invalid_argument "Certify: weights must be 1")
+    (fun () -> ignore (Certify.check alloc))
+
 let qcheck_certifies_allocator_output =
   QCheck.Test.make ~name:"the allocator's output is always certified" ~count:150
     QCheck.(int_range 0 100_000)
@@ -97,4 +110,5 @@ let suite =
     Alcotest.test_case "rejects single-rate networks" `Quick test_rejects_single_rate_networks;
     QCheck_alcotest.to_alcotest qcheck_certifies_allocator_output;
     QCheck_alcotest.to_alcotest qcheck_rejects_scaled_down;
+    Alcotest.test_case "rejects weighted networks" `Quick test_rejects_weighted_networks;
   ]

@@ -6,6 +6,7 @@ module Allocator = Mmfair_core.Allocator
 module Allocation = Mmfair_core.Allocation
 module Tzeng_siu = Mmfair_core.Tzeng_siu
 module Ordering = Mmfair_core.Ordering
+module Properties = Mmfair_core.Properties
 module Net_parser = Mmfair_workload.Net_parser
 module Random_nets = Mmfair_workload.Random_nets
 
@@ -127,11 +128,16 @@ let test_unicast_rho () =
   Alcotest.(check (array (float 1e-9))) "rho honored" [| 1.0; 8.0 |]
     (Unicast.max_min_flow_rates net)
 
+(* One rate per unicast session, as an allocation of its one receiver. *)
+let flow_allocation net rates = Allocation.make net (Array.map (fun r -> [| r |]) rates)
+
 let test_unicast_properties_on_mmf () =
   let net = unicast_net 3 in
-  let rates = Unicast.max_min_flow_rates net in
-  Alcotest.(check int) "Unicast Property 1 holds" 0 (List.length (Unicast.property1 ~eps:1e-6 net rates));
-  Alcotest.(check int) "Unicast Property 2 holds" 0 (List.length (Unicast.property2 ~eps:1e-6 net rates))
+  let alloc = flow_allocation net (Unicast.max_min_flow_rates net) in
+  Alcotest.(check int) "Unicast Property 1 holds" 0
+    (List.length (Properties.fully_utilized_receiver_fair ~eps:1e-6 alloc));
+  Alcotest.(check int) "Unicast Property 2 holds" 0
+    (List.length (Properties.same_path_receiver_fair ~eps:1e-6 alloc))
 
 let test_unicast_property_violations_detected () =
   let g = Graph.create ~nodes:3 in
@@ -140,9 +146,11 @@ let test_unicast_property_violations_detected () =
   let s () = Network.session ~sender:0 ~receivers:[| 2 |] () in
   let net = Network.make g [| s (); s () |] in
   (* uneven split: same path, unequal, link full *)
-  Alcotest.(check int) "P2 violated" 1 (List.length (Unicast.property2 net [| 1.0; 3.0 |]));
+  Alcotest.(check int) "P2 violated" 1
+    (List.length (Properties.same_path_receiver_fair (flow_allocation net [| 1.0; 3.0 |])));
   (* wasteful: nothing full *)
-  Alcotest.(check int) "P1 violated for both" 2 (List.length (Unicast.property1 net [| 1.0; 1.0 |]))
+  Alcotest.(check int) "P1 violated for both" 2
+    (List.length (Properties.fully_utilized_receiver_fair (flow_allocation net [| 1.0; 1.0 |])))
 
 let test_unicast_rejects_multicast () =
   let g = Graph.create ~nodes:3 in
