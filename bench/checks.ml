@@ -326,27 +326,15 @@ let trace doc =
     n )
 
 (* Metrics snapshot shape: schema id, counters/gauges objects, and
-   histograms whose "counts" length matches "bins".  Returns the
-   summary and solver.rounds.total. *)
+   log histograms whose "counts" length matches "bins" and whose
+   tallies sum to "count".  Returns the summary and
+   solver.rounds.total. *)
 let metrics doc =
   schema Mmfair_obs.Registry.schema_id doc;
   List.iter
     (fun (k, _) -> ignore (non_negative_integer [ "counters"; k ] doc))
     (Json.obj [ "counters" ] doc);
   List.iter (fun (k, _) -> ignore (Json.num [ "gauges"; k ] doc)) (Json.obj [ "gauges" ] doc);
-  let counts_match_bins path bins =
-    match Json.get path doc with
-    | Json.List counts when List.length counts = int_of_float bins -> ()
-    | _ -> Json.fail path "length does not match \"bins\""
-  in
-  List.iter
-    (fun (k, _) ->
-      let at f = [ "histograms"; k; f ] in
-      List.iter
-        (fun f -> ignore (Json.num (at f) doc))
-        [ "lo"; "hi"; "count"; "sum"; "underflow"; "overflow" ];
-      counts_match_bins (at "counts") (Json.num (at "bins") doc))
-    (Json.obj [ "histograms" ] doc);
   List.iter
     (fun (k, _) ->
       let at f = [ "log_histograms"; k; f ] in
@@ -361,7 +349,9 @@ let metrics doc =
         (fun f ->
           match Json.get (at f) doc with Json.Null when count = 0.0 -> () | _ -> ignore (num f))
         [ "p50"; "p90"; "p99"; "max" ];
-      counts_match_bins (at "counts") (num "bins");
+      (match Json.get (at "counts") doc with
+      | Json.List counts when List.length counts = int_of_float (num "bins") -> ()
+      | _ -> Json.fail (at "counts") "length does not match \"bins\"");
       let in_range =
         List.fold_left ( +. ) 0.0 (Json.each (at "counts") (non_negative_integer []) doc)
       in

@@ -62,6 +62,7 @@ module Network = Mmfair_core.Network
 module Allocator = Mmfair_core.Allocator
 module Allocation = Mmfair_core.Allocation
 module Graph = Mmfair_topology.Graph
+module Builders = Mmfair_topology.Builders
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Churn_gen = Mmfair_workload.Churn_gen
@@ -221,15 +222,16 @@ let measure_batch ~min_time net base_alloc burst =
 
 (* --- parallel disjoint components ----------------------------------- *)
 
-(* Star-of-stars: a root R with [clusters] hubs hanging off it, one
-   tight trunk link R--hub per cluster, and [cluster_sessions]
-   sessions per cluster sending from R through the trunk to leaf
-   receivers below the hub.  The trunk is the only link that can bind
-   (leaf links are overprovisioned), so each cluster's sessions form
-   one fairness component and no link is shared between clusters: a
-   batch with one join per cluster partitions into [clusters]
-   link-disjoint components, each solvable on its own domain.  One
-   spare leaf per cluster hosts the joining receiver. *)
+(* Star-of-stars (Builders.star_of_stars): a root R with [clusters]
+   hubs hanging off it, one tight trunk link R--hub per cluster, and
+   [cluster_sessions] sessions per cluster sending from R through the
+   trunk to [receivers_per_session] leaves each below the hub.  The
+   trunk is the only link that can bind (leaf links are
+   overprovisioned), so each cluster's sessions form one fairness
+   component and no link is shared between clusters: a batch with one
+   join per cluster partitions into [clusters] link-disjoint
+   components, each solvable on its own domain.  One spare leaf per
+   cluster (the last) hosts the joining receiver. *)
 
 let clusters = 16
 let cluster_sessions = 6
@@ -237,27 +239,24 @@ let receivers_per_session = 3
 let parallel_domain_counts = [ 1; 2; 4; 8 ]
 
 let star_of_stars () =
-  let g = Graph.create ~nodes:1 in
-  let root = 0 in
-  let specs = ref [] in
-  let spares = ref [] in
-  for _c = 1 to clusters do
-    let hub = Graph.add_node g in
-    ignore (Graph.add_link g root hub (2.5 *. float_of_int cluster_sessions));
-    for _s = 1 to cluster_sessions do
-      let receivers =
-        Array.init receivers_per_session (fun _ ->
-            let leaf = Graph.add_node g in
-            ignore (Graph.add_link g hub leaf 10.0);
-            leaf)
-      in
-      specs := Network.session ~sender:root ~receivers () :: !specs
-    done;
-    let spare = Graph.add_node g in
-    ignore (Graph.add_link g hub spare 10.0);
-    spares := spare :: !spares
-  done;
-  (Network.make g (Array.of_list (List.rev !specs)), List.rev !spares)
+  let s =
+    Builders.star_of_stars
+      ~leaves_per_cluster:((cluster_sessions * receivers_per_session) + 1)
+      ~clusters
+      ~trunk_capacity:(2.5 *. float_of_int cluster_sessions)
+      ~leaf_capacity:10.0 ()
+  in
+  let specs =
+    Array.init (clusters * cluster_sessions) (fun i ->
+        let c = i / cluster_sessions and k = i mod cluster_sessions in
+        Network.session ~sender:s.Builders.root
+          ~receivers:(Array.sub s.Builders.leaves.(c) (k * receivers_per_session) receivers_per_session)
+          ())
+  in
+  let spares =
+    List.init clusters (fun c -> s.Builders.leaves.(c).(cluster_sessions * receivers_per_session))
+  in
+  (Network.make s.Builders.graph specs, spares)
 
 let rate_matrix net alloc =
   Array.init (Network.session_count net) (fun i -> Allocation.rates_of_session alloc i)

@@ -428,10 +428,17 @@ let () =
   | None, None ->
       let min_time = if !min_time > 0.0 then !min_time else if !quick then 0.05 else 0.5 in
       let es = entries ~quick:!quick in
-      (* Phase wall-times are captured through the span machinery (the
-         same stream [--trace-out] records); timed regions themselves
-         stay probe-free — see [Timing.best]. *)
-      let recorder, completed_spans = Obs.Sink.span_recorder () in
+      (* Phase wall-times are the per-name span sums of a registry
+         (the same span stream [--trace-out] records).  Only the span
+         callbacks are forwarded, so the untimed runs between samples
+         feed no round events; timed regions themselves stay
+         probe-free — see [Timing.best]. *)
+      let registry = Obs.Registry.create () in
+      let spans = Obs.Registry.sink registry in
+      let recorder =
+        Obs.Sink.make ~on_span_begin:spans.Obs.Sink.on_span_begin
+          ~on_span_end:spans.Obs.Sink.on_span_end ()
+      in
       let measure e =
         let rounds = count_rounds e.run in
         let timing = Timing.best ~min_time e.run in
@@ -460,5 +467,13 @@ let () =
         Obs.Probe.with_sink recorder (fun () ->
             Obs.Probe.span "curves" (fun () -> measure_curves ~quick:!quick ~min_time))
       in
-      emit ~quick:!quick ~min_time ~phases:(completed_spans ()) ~out:!out ~curves rows;
+      let phases =
+        List.map
+          (fun kind ->
+            ( kind,
+              Mmfair_stats.Log_histogram.sum
+                (Obs.Registry.log_histogram_stats (Obs.Registry.span_seconds registry kind)) ))
+          (kinds @ [ "curves" ])
+      in
+      emit ~quick:!quick ~min_time ~phases ~out:!out ~curves rows;
       Printf.printf "wrote %s (%d entries, %d curves)\n" !out (List.length rows) (List.length curves)

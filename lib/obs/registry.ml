@@ -1,24 +1,13 @@
-module Histogram = Mmfair_stats.Histogram
 module Log_histogram = Mmfair_stats.Log_histogram
 
 type counter = { c_name : string; mutable c_value : int }
 type gauge = { g_name : string; mutable g_value : float; mutable g_set : bool }
 
-type histogram = {
-  h_name : string;
-  h_lo : float;
-  h_hi : float;
-  h_bins : int;
-  h : Histogram.t;
-  mutable h_sum : float;
-}
-
-type log_histogram = { l_name : string; l_lo : float; l_hi : float; l_bins : int; l : Log_histogram.t }
+type log_histogram = { l_name : string; l : Log_histogram.t }
 
 type instrument =
   | Counter of counter
   | Gauge of gauge
-  | Histo of histogram
   | Log_histo of log_histogram
 
 type t = { instruments : (string, instrument) Hashtbl.t }
@@ -28,7 +17,6 @@ let create () = { instruments = Hashtbl.create 32 }
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
-  | Histo _ -> "histogram"
   | Log_histo _ -> "log_histogram"
 
 let clash name want got =
@@ -68,33 +56,17 @@ let set_max g v = if (not g.g_set) || v > g.g_value then set g v
 let gauge_value g = g.g_value
 let gauge_is_set g = g.g_set
 
-let histogram t ~lo ~hi ~bins name =
-  match Hashtbl.find_opt t.instruments name with
-  | Some (Histo h) ->
-      if h.h_lo <> lo || h.h_hi <> hi || h.h_bins <> bins then
-        invalid_arg
-          (Printf.sprintf "Registry.histogram: %S re-registered with different bucketing" name);
-      h
-  | Some other -> clash name "histogram" other
-  | None ->
-      let h = { h_name = name; h_lo = lo; h_hi = hi; h_bins = bins; h = Histogram.create ~lo ~hi ~bins; h_sum = 0.0 } in
-      Hashtbl.add t.instruments name (Histo h);
-      h
-
-let observe h x =
-  Histogram.add h.h x;
-  h.h_sum <- h.h_sum +. x
-
 let log_histogram t ~lo ~hi ~bins name =
   match Hashtbl.find_opt t.instruments name with
   | Some (Log_histo l) ->
-      if l.l_lo <> lo || l.l_hi <> hi || l.l_bins <> bins then
+      if Log_histogram.lo l.l <> lo || Log_histogram.hi l.l <> hi || Log_histogram.bins l.l <> bins
+      then
         invalid_arg
           (Printf.sprintf "Registry.log_histogram: %S re-registered with different bucketing" name);
       l
   | Some other -> clash name "log_histogram" other
   | None ->
-      let l = { l_name = name; l_lo = lo; l_hi = hi; l_bins = bins; l = Log_histogram.create ~lo ~hi ~bins } in
+      let l = { l_name = name; l = Log_histogram.create ~lo ~hi ~bins } in
       Hashtbl.add t.instruments name (Log_histo l);
       l
 
@@ -111,12 +83,11 @@ let sorted_instruments t =
          let name = function
            | Counter c -> c.c_name
            | Gauge g -> g.g_name
-           | Histo h -> h.h_name
            | Log_histo l -> l.l_name
          in
          compare (name a) (name b))
 
-let schema_id = "mmfair.metrics/v2"
+let schema_id = "mmfair.metrics/v3"
 
 let snapshot t : Json.t =
   let instruments = sorted_instruments t in
@@ -128,43 +99,21 @@ let snapshot t : Json.t =
   let gauges =
     List.filter_map (function Gauge g -> Some (g.g_name, Json.Num g.g_value) | _ -> None) instruments
   in
-  let histograms =
-    List.filter_map
-      (function
-        | Histo h ->
-            let counts =
-              List.init h.h_bins (fun i -> Json.Num (float_of_int (Histogram.bin_count h.h i)))
-            in
-            Some
-              ( h.h_name,
-                Json.Obj
-                  [
-                    ("lo", Json.Num h.h_lo);
-                    ("hi", Json.Num h.h_hi);
-                    ("bins", Json.Num (float_of_int h.h_bins));
-                    ("count", Json.Num (float_of_int (Histogram.count h.h)));
-                    ("sum", Json.Num h.h_sum);
-                    ("underflow", Json.Num (float_of_int (Histogram.underflow h.h)));
-                    ("overflow", Json.Num (float_of_int (Histogram.overflow h.h)));
-                    ("counts", Json.List counts);
-                  ] )
-        | _ -> None)
-      instruments
-  in
   let log_histograms =
     List.filter_map
       (function
         | Log_histo l ->
+            let bins = Log_histogram.bins l.l in
             let counts =
-              List.init l.l_bins (fun i -> Json.Num (float_of_int (Log_histogram.bin_count l.l i)))
+              List.init bins (fun i -> Json.Num (float_of_int (Log_histogram.bin_count l.l i)))
             in
             Some
               ( l.l_name,
                 Json.Obj
                   [
-                    ("lo", Json.Num l.l_lo);
-                    ("hi", Json.Num l.l_hi);
-                    ("bins", Json.Num (float_of_int l.l_bins));
+                    ("lo", Json.Num (Log_histogram.lo l.l));
+                    ("hi", Json.Num (Log_histogram.hi l.l));
+                    ("bins", Json.Num (float_of_int bins));
                     ("count", Json.Num (float_of_int (Log_histogram.count l.l)));
                     ("sum", Json.Num (Log_histogram.sum l.l));
                     ("underflow", Json.Num (float_of_int (Log_histogram.underflow l.l)));
@@ -183,7 +132,6 @@ let snapshot t : Json.t =
       ("schema", Json.Str schema_id);
       ("counters", Json.Obj counters);
       ("gauges", Json.Obj gauges);
-      ("histograms", Json.Obj histograms);
       ("log_histograms", Json.Obj log_histograms);
     ]
 
@@ -194,12 +142,6 @@ let sample t =
     (function
       | Counter c -> [ (c.c_name, float_of_int c.c_value) ]
       | Gauge g -> if g.g_set then [ (g.g_name, g.g_value) ] else []
-      | Histo h ->
-          let n = Histogram.count h.h in
-          [
-            (h.h_name ^ ".count", float_of_int n);
-            (h.h_name ^ ".mean", if n = 0 then 0.0 else h.h_sum /. float_of_int n);
-          ]
       | Log_histo l ->
           let n = Log_histogram.count l.l in
           if n = 0 then [ (l.l_name ^ ".count", 0.0) ]
@@ -226,21 +168,24 @@ let prom_name name =
     name;
   Buffer.contents b
 
-(* Cumulative buckets; underflow observations (x < lo) are counted as
-   <= every edge, which is the tightest sound bound available without
-   their values.  Shared by the linear and log kinds — only the edge
-   sequence differs. *)
-let prom_histogram b ~name ~bins ~underflow ~edge ~bin_count ~total ~sum =
-  let n = prom_name name in
+(* Cumulative buckets at the geometric upper edges; underflow
+   observations (x < lo) are counted as <= every edge, which is the
+   tightest sound bound available without their values. *)
+let prom_histogram b l =
+  let n = prom_name l.l_name in
+  let total = Log_histogram.count l.l in
   Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
-  let cum = ref underflow in
-  for i = 0 to bins - 1 do
-    cum := !cum + bin_count i;
+  let cum = ref (Log_histogram.underflow l.l) in
+  for i = 0 to Log_histogram.bins l.l - 1 do
+    cum := !cum + Log_histogram.bin_count l.l i;
     Buffer.add_string b
-      (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (Json.to_string (Json.Num (edge i))) !cum)
+      (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n
+         (Json.to_string (Json.Num (Log_histogram.edge l.l (i + 1))))
+         !cum)
   done;
   Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n total);
-  Buffer.add_string b (Printf.sprintf "%s_sum %s\n" n (Json.to_string (Json.Num sum)));
+  Buffer.add_string b
+    (Printf.sprintf "%s_sum %s\n" n (Json.to_string (Json.Num (Log_histogram.sum l.l))));
   Buffer.add_string b (Printf.sprintf "%s_count %d\n" n total)
 
 let to_prometheus t =
@@ -253,34 +198,30 @@ let to_prometheus t =
       | Gauge g ->
           let n = prom_name g.g_name in
           Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (Json.to_string (Json.Num g.g_value)))
-      | Histo h ->
-          prom_histogram b ~name:h.h_name ~bins:h.h_bins ~underflow:(Histogram.underflow h.h)
-            ~edge:(fun i -> snd (Histogram.bin_edges h.h i))
-            ~bin_count:(Histogram.bin_count h.h) ~total:(Histogram.count h.h) ~sum:h.h_sum
-      | Log_histo l ->
-          prom_histogram b ~name:l.l_name ~bins:l.l_bins ~underflow:(Log_histogram.underflow l.l)
-            ~edge:(fun i -> snd (Log_histogram.bin_edges l.l i))
-            ~bin_count:(Log_histogram.bin_count l.l) ~total:(Log_histogram.count l.l)
-            ~sum:(Log_histogram.sum l.l))
+      | Log_histo l -> prom_histogram b l)
     (sorted_instruments t);
   Buffer.contents b
 
 (* --- the standard probe -> registry bridge --------------------------- *)
 
+let span_seconds t name = log_histogram t ~lo:1e-6 ~hi:1e4 ~bins:60 ("span.seconds." ^ name)
+
 let sink ?(clock = Unix.gettimeofday) t =
   let rounds_total = counter t "solver.rounds.total" in
   let freezes_total = counter t "solver.freezes.total" in
   let saturations = counter t "solver.saturated.links.total" in
-  let active_hist = histogram t ~lo:0.0 ~hi:256.0 ~bins:32 "solver.round.active" in
+  let active_lh = log_histogram t ~lo:1.0 ~hi:1048576.0 ~bins:40 "solver.round.active" in
   let epochs_total = counter t "dynamic.epochs.total" in
   let full_solves = counter t "dynamic.full_solves.total" in
   let component_solves = counter t "dynamic.solves.total" in
-  let reuse_hist = histogram t ~lo:0.0 ~hi:1.0 ~bins:20 "dynamic.epoch.reuse_fraction" in
-  let component_hist = histogram t ~lo:0.0 ~hi:256.0 ~bins:32 "dynamic.epoch.component_receivers" in
+  let resolved_lh = log_histogram t ~lo:1e-6 ~hi:2.0 ~bins:42 "dynamic.epoch.resolved_fraction" in
+  let component_lh =
+    log_histogram t ~lo:1.0 ~hi:1048576.0 ~bins:40 "dynamic.epoch.component_receivers"
+  in
   let batches_total = counter t "dynamic.batches.total" in
   let batch_events = counter t "dynamic.batch.events.total" in
   let batch_cancelled = counter t "dynamic.batch.cancelled.total" in
-  let batch_size_hist = histogram t ~lo:0.0 ~hi:64.0 ~bins:32 "dynamic.batch.events" in
+  let batch_size_lh = log_histogram t ~lo:1.0 ~hi:65536.0 ~bins:32 "dynamic.batch.events" in
   let jain_g = gauge t "fairness.jain" in
   let delta_lh = log_histogram t ~lo:1e-6 ~hi:1e3 ~bins:36 "fairness.delta_rate" in
   let delta_max_g = gauge t "fairness.delta_rate.max" in
@@ -296,14 +237,13 @@ let sink ?(clock = Unix.gettimeofday) t =
   let fired = counter t "sim.events.fired.total" in
   let dropped = counter t "sim.events.dropped.total" in
   let depth_hwm = gauge t "sim.queue.depth.hwm" in
-  let span_seconds = histogram t ~lo:0.0 ~hi:10.0 ~bins:50 "span.seconds" in
   let span_stack = ref [] in
   Sink.make
     ~on_round:(fun (ev : Events.round) ->
       incr rounds_total;
       incr ~by:(List.length ev.Events.frozen) freezes_total;
       incr ~by:(List.length ev.Events.saturated_links) saturations;
-      observe active_hist (float_of_int ev.Events.active);
+      observe_log active_lh (float_of_int ev.Events.active);
       incr (counter t ("solver.rounds." ^ ev.Events.solver));
       set (gauge t ("solver.level." ^ ev.Events.solver)) ev.Events.level)
     ~on_epoch:(fun (ev : Events.epoch) ->
@@ -311,12 +251,12 @@ let sink ?(clock = Unix.gettimeofday) t =
       incr ~by:ev.Events.solves component_solves;
       if ev.Events.full_solve then incr full_solves;
       incr (counter t ("dynamic.events." ^ ev.Events.kind));
-      observe reuse_hist ev.Events.reuse_fraction;
-      observe component_hist (float_of_int ev.Events.component_receivers);
+      observe_log resolved_lh (1.0 -. ev.Events.reuse_fraction);
+      observe_log component_lh (float_of_int ev.Events.component_receivers);
       incr batches_total;
       incr ~by:ev.Events.events batch_events;
       incr ~by:ev.Events.cancelled batch_cancelled;
-      observe batch_size_hist (float_of_int ev.Events.events);
+      observe_log batch_size_lh (float_of_int ev.Events.events);
       set jain_g ev.Events.jain;
       observe_log delta_lh ev.Events.max_delta_rate;
       set_max delta_max_g ev.Events.max_delta_rate;
@@ -346,7 +286,6 @@ let sink ?(clock = Unix.gettimeofday) t =
       match !span_stack with
       | (top, t0) :: rest when top = name ->
           span_stack := rest;
-          incr (counter t ("span.count." ^ name));
-          observe span_seconds (clock () -. t0)
+          observe_log (span_seconds t name) (clock () -. t0)
       | _ -> ())
     ()

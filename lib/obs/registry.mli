@@ -1,9 +1,10 @@
-(** A named-metrics registry: monotonic counters, gauges, fixed-bucket
-    histograms (bucketing semantics are exactly
-    {!Mmfair_stats.Histogram}'s: half-open [\[lo, hi)] range, equal
-    bins, separate under/overflow tallies), and log-bucketed quantile
-    histograms ({!Mmfair_stats.Log_histogram}: geometric bucket edges,
-    bucket-bound quantile estimates, exact max).
+(** A named-metrics registry with three instrument kinds: monotonic
+    counters, gauges, and log-bucketed histograms
+    ({!Mmfair_stats.Log_histogram}: half-open [\[lo, hi)] range,
+    geometric bucket edges, separate under/overflow tallies,
+    bucket-bound quantile estimates, exact sum and max).  One histogram
+    kind serves every distribution the repo records, from microsecond
+    spans to whole-network component sizes.
 
     Instruments are get-or-create by name; asking for an existing name
     with a different kind (or a histogram with different bucketing)
@@ -13,7 +14,6 @@
 type t
 type counter
 type gauge
-type histogram
 type log_histogram
 
 val create : unit -> t
@@ -42,13 +42,6 @@ val gauge_is_set : gauge -> bool
 (** Whether the gauge has ever been [set] (a fresh gauge reads 0.0 but
     is unset — consumers rendering "n/a" need the distinction). *)
 
-val histogram : t -> lo:float -> hi:float -> bins:int -> string -> histogram
-(** Get or create a histogram over [\[lo, hi)] with [bins] equal
-    buckets.  Raises [Invalid_argument] on a bucketing mismatch with
-    an existing histogram of the same name. *)
-
-val observe : histogram -> float -> unit
-
 val log_histogram : t -> lo:float -> hi:float -> bins:int -> string -> log_histogram
 (** Get or create a log-bucketed histogram over [\[lo, hi)] with [bins]
     geometrically-spaced buckets (see {!Mmfair_stats.Log_histogram}).
@@ -66,48 +59,64 @@ val log_histogram_stats : log_histogram -> Mmfair_stats.Log_histogram.t
 (** The underlying histogram, for count/sum/max/bounds access. *)
 
 val schema_id : string
-(** The [schema] field of {!snapshot}: ["mmfair.metrics/v2"]. *)
+(** The [schema] field of {!snapshot}: ["mmfair.metrics/v3"]. *)
 
 val snapshot : t -> Json.t
 (** Deterministic snapshot: instruments sorted by name, shape
-    [{schema; counters; gauges; histograms; log_histograms}].
-    Histograms carry [lo/hi/bins/count/sum/underflow/overflow/counts];
-    log histograms additionally carry [max] and the [p50/p90/p99]
-    quantile estimates (so over/underflow and tails are visible to
-    every snapshot consumer). *)
+    [{schema; counters; gauges; log_histograms}].  Log histograms carry
+    [lo/hi/bins/count/sum/underflow/overflow/max/p50/p90/p99/counts],
+    so over/underflow and tails are visible to every snapshot
+    consumer. *)
 
 val sample : t -> (string * float) list
 (** Deterministic flat readout for time-series capture, sorted by
     instrument name: a counter or set gauge contributes its value
-    under its own name (unset gauges are skipped); a histogram
-    contributes [name.count] and [name.mean]; a log histogram
+    under its own name (unset gauges are skipped); a log histogram
     contributes [name.count] plus — once non-empty —
     [name.p50]/[name.p90]/[name.p99]/[name.max]. *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition.  Names are sanitized ([^a-zA-Z0-9_]
-    becomes [_]) and prefixed [mmfair_]; both histogram kinds emit
-    cumulative [_bucket{le=...}] lines (log histograms with geometric
-    [le] boundaries) plus [_sum]/[_count]. *)
+    becomes [_]) and prefixed [mmfair_]; log histograms emit
+    cumulative [_bucket{le=...}] lines at their geometric edges plus
+    [_sum]/[_count]. *)
+
+val span_seconds : t -> string -> log_histogram
+(** [span_seconds t name] is the [span.seconds.<name>] histogram
+    {!sink} feeds (get-or-create, over [\[1 µs, 10⁴ s)]): its count is
+    the number of completed [name] spans, its sum their total
+    duration. *)
 
 val sink : ?clock:(unit -> float) -> t -> Sink.t
-(** The standard probe-to-registry bridge.  Solver rounds feed
-    [solver.rounds.total], per-solver [solver.rounds.<name>] and
-    [solver.level.<name>], [solver.freezes.total],
-    [solver.saturated.links.total] and the [solver.round.active]
-    histogram; epoch events feed [dynamic.epochs.total],
-    [dynamic.solves.total], [dynamic.full_solves.total], per-kind
-    [dynamic.events.<kind>], the [dynamic.epoch.reuse_fraction] and
-    [dynamic.epoch.component_receivers] histograms,
+(** The standard probe-to-registry bridge.  Every distribution it
+    records is a log histogram; zero (a round that leaves no receiver
+    active, an epoch that re-solves nothing) tallies as underflow.
+
+    Solver rounds feed [solver.rounds.total], per-solver
+    [solver.rounds.<name>] and [solver.level.<name>],
+    [solver.freezes.total], [solver.saturated.links.total] and the
+    [solver.round.active] histogram (receivers, [\[1, 2²⁰)]).
+
+    Epoch events feed [dynamic.epochs.total], [dynamic.solves.total],
+    [dynamic.full_solves.total], per-kind [dynamic.events.<kind>],
     [dynamic.batches.total], [dynamic.batch.events.total],
-    [dynamic.batch.cancelled.total], the [dynamic.batch.events] size
-    histogram, the [fairness.jain]/[fairness.components]/
-    [fairness.largest_component] gauges, the [fairness.delta_rate]
-    log histogram and the [fairness.delta_rate.max] high-water gauge;
-    pool events feed [pool.batches.total], [pool.tasks.total], the
+    [dynamic.batch.cancelled.total], the
+    [dynamic.epoch.resolved_fraction] histogram (the re-solved share
+    [1 - reuse_fraction], [\[10⁻⁶, 2)]), the
+    [dynamic.epoch.component_receivers] histogram ([\[1, 2²⁰)]), the
+    [dynamic.batch.events] size histogram ([\[1, 2¹⁶)]), the
+    [fairness.jain]/[fairness.components]/[fairness.largest_component]
+    gauges, the [fairness.delta_rate] histogram and the
+    [fairness.delta_rate.max] high-water gauge.
+
+    Pool events feed [pool.batches.total], [pool.tasks.total], the
     [pool.domains]/[pool.utilization] gauges and the per-batch-mean
-    [pool.task.{wait,busy}.seconds] log histograms; sim events feed
-    [sim.events.{scheduled,fired,dropped}.total]
-    and the [sim.queue.depth.hwm] gauge; spans feed
-    [span.count.<name>] and the [span.seconds] histogram.  [clock]
-    (default [Unix.gettimeofday]) only times spans. *)
+    [pool.task.{wait,busy}.seconds] histograms.
+
+    Sim events feed [sim.events.{scheduled,fired,dropped}.total] and
+    the [sim.queue.depth.hwm] gauge.
+
+    Spans feed one {!span_seconds} histogram per span name, created on
+    the name's first completed span; an end that does not match the
+    innermost open span is dropped.  [clock] (default
+    [Unix.gettimeofday]) only times spans. *)

@@ -66,19 +66,3 @@ let tee a b =
       }
 
 let tee_all sinks = List.fold_left tee null sinks
-
-let span_recorder ?(clock = Unix.gettimeofday) () =
-  let stack = ref [] in
-  let completed = ref [] in
-  let sink =
-    make
-      ~on_span_begin:(fun name -> stack := (name, clock ()) :: !stack)
-      ~on_span_end:(fun name ->
-        match !stack with
-        | (top, t0) :: rest when top = name ->
-            stack := rest;
-            completed := (name, clock () -. t0) :: !completed
-        | _ -> () (* unbalanced end: drop it rather than corrupt the stack *))
-      ()
-  in
-  (sink, fun () -> List.rev !completed)

@@ -5,7 +5,13 @@
     exactly one load and one branch when the installed sink is
     {!null} — event payloads are only constructed {e after} the
     [enabled] check passes, so disabled probes compile to no-ops on
-    the hot paths. *)
+    the hot paths.
+
+    A sink is told only span names; the consumer stamps its own clock.
+    Span durations are timed in one place, {!Registry.sink}, which
+    keeps the open-span stack and records one [span.seconds.<name>]
+    log histogram per name ({!Chrome_trace.sink} emits the raw
+    begin/end pairs). *)
 
 type t = {
   enabled : bool;  (** [false] only for {!null}: lets call sites skip event construction entirely. *)
@@ -39,10 +45,3 @@ val tee : t -> t -> t
 
 val tee_all : t list -> t
 (** [tee] folded over a list; [null] for the empty list. *)
-
-val span_recorder : ?clock:(unit -> float) -> unit -> t * (unit -> (string * float) list)
-(** A sink that records span durations, and a function returning the
-    completed [(name, seconds)] pairs in completion order.  [clock]
-    defaults to [Unix.gettimeofday]; inject a fake for deterministic
-    tests.  A mismatched [on_span_end] (name differing from the most
-    recent open span) is dropped. *)

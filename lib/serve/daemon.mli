@@ -73,8 +73,8 @@ val registry : t -> Mmfair_obs.Registry.t
 (** The daemon's metrics: [serve.events.ingested.total],
     [serve.events.rejected.total], [serve.queries.total],
     [serve.epochs.total], [serve.connections.total], the
-    [serve.solve.seconds] and [serve.staleness.seconds] {e log}
-    histograms (quantile-capable, geometric buckets over
+    [serve.solve.seconds] and [serve.staleness.seconds] histograms
+    (quantile-capable, geometric buckets over
     [\[1e-6, 10)] / [\[1e-6, 100)] seconds) and the
     [serve.staleness.max.seconds] gauge — plus the standard
     [dynamic.*]/[fairness.*]/[pool.*] instruments bridged from the

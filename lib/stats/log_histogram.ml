@@ -68,6 +68,7 @@ let bins t = Array.length t.counts
 let sum t = t.sum
 let max_value t = t.max_seen
 let lo t = t.lo
+let hi t = t.hi
 
 let bin_count t i =
   if i < 0 || i >= Array.length t.counts then invalid_arg "Log_histogram.bin_count: out of range";

@@ -1,12 +1,14 @@
-(** Log-bucketed histograms with quantile estimation.
+(** Log-bucketed histograms with quantile estimation: the repo's one
+    histogram kind, behind every [Mmfair_obs.Registry] histogram, the
+    daemon's serve timings and the flow simulator's sojourn times.
 
-    Fixed equal-width bins ({!Histogram}) saturate on long-tailed
-    timing data: everything interesting lands in one bin or in the
-    overflow tally.  This variant covers the half-open range
-    [\[lo, hi)] with [bins] geometrically-spaced buckets — constant
-    {e relative} resolution — so one histogram can resolve both a 10 µs
-    and a 1 s latency, and a quantile estimate is off by at most one
-    bucket's ratio.
+    Fixed equal-width bins saturate on long-tailed timing data and on
+    sizes that span orders of magnitude: everything interesting lands
+    in one bin or in the overflow tally.  A log histogram covers the
+    half-open range [\[lo, hi)] with [bins] geometrically-spaced
+    buckets — constant {e relative} resolution — so one histogram can
+    resolve both a 10 µs and a 1 s latency, and a quantile estimate is
+    off by at most one bucket's ratio.
 
     Observations below [lo] (including zero and negatives) tally as
     underflow, observations at or above [hi] as overflow; the exact
@@ -41,6 +43,7 @@ val overflow : t -> int
 
 val bins : t -> int
 val lo : t -> float
+val hi : t -> float
 
 val bin_count : t -> int -> int
 (** [bin_count t i] is bucket [i]'s tally (0-indexed).  Raises

@@ -50,12 +50,6 @@ let test_mat_pp () =
   let s = render_to_string Mmfair_numerics.Mat.pp m in
   Alcotest.(check bool) "rows rendered" true (contains s "|")
 
-let test_histogram_pp () =
-  let h = Mmfair_stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:2 in
-  Mmfair_stats.Histogram.add h 0.25;
-  let s = render_to_string (Mmfair_stats.Histogram.pp ?width:None) h in
-  Alcotest.(check bool) "bars rendered" true (contains s "#")
-
 let test_ci_pp () =
   let ci = { Mmfair_stats.Ci.mean = 1.5; half_width = 0.25; level = 0.95; n = 30 } in
   let s = render_to_string Mmfair_stats.Ci.pp ci in
@@ -115,7 +109,6 @@ let suite =
     Alcotest.test_case "violation pp" `Quick test_violation_pp;
     Alcotest.test_case "Vec.pp" `Quick test_vec_pp;
     Alcotest.test_case "Mat.pp" `Quick test_mat_pp;
-    Alcotest.test_case "Histogram.pp" `Quick test_histogram_pp;
     Alcotest.test_case "Ci.pp" `Quick test_ci_pp;
     Alcotest.test_case "Scheme.pp" `Quick test_scheme_pp;
     Alcotest.test_case "Redundancy_fn names" `Quick test_redundancy_fn_names;

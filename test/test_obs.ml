@@ -1,15 +1,15 @@
 (* Telemetry-layer tests: registry semantics (counter monotonicity,
-   histogram bucketing vs Mmfair_stats.Histogram, snapshot
-   determinism), span nesting through the recorder sink, null-sink
-   no-op guarantees, probe-stream/trace agreement on the allocator,
-   simulator probes, and the committed golden Chrome trace. *)
+   kind and bucketing clashes, snapshot determinism), per-name span
+   timing through the registry sink, the sink's documented instrument
+   set, null-sink no-op guarantees, probe-stream/trace agreement on the
+   allocator, simulator probes, and the committed golden Chrome
+   trace. *)
 
 module Obs = Mmfair_obs
 module Json = Mmfair_obs.Json
 module Registry = Mmfair_obs.Registry
 module Sink = Mmfair_obs.Sink
 module Probe = Mmfair_obs.Probe
-module Histogram = Mmfair_stats.Histogram
 module Allocator = Mmfair_core.Allocator
 module Engine = Mmfair_sim.Engine
 module Event_queue = Mmfair_sim.Event_queue
@@ -74,52 +74,15 @@ let test_kind_clash () =
      ignore (Registry.gauge r "x");
      Alcotest.fail "kind clash not rejected"
    with Invalid_argument _ -> ());
-  ignore (Registry.histogram r ~lo:0.0 ~hi:1.0 ~bins:4 "h");
+  (try
+     ignore (Registry.log_histogram r ~lo:1.0 ~hi:2.0 ~bins:4 "x");
+     Alcotest.fail "counter re-registered as a log histogram"
+   with Invalid_argument _ -> ());
+  ignore (Registry.log_histogram r ~lo:1.0 ~hi:2.0 ~bins:4 "h");
   try
-    ignore (Registry.histogram r ~lo:0.0 ~hi:2.0 ~bins:4 "h");
+    ignore (Registry.log_histogram r ~lo:1.0 ~hi:4.0 ~bins:4 "h");
     Alcotest.fail "bucketing mismatch not rejected"
   with Invalid_argument _ -> ()
-
-let hist_field snap name field =
-  match Json.member "histograms" snap with
-  | Some hists -> (
-      match Json.member name hists with
-      | Some h -> (
-          match Json.member field h with
-          | Some v -> v
-          | None -> Alcotest.fail (Printf.sprintf "histogram %s missing %s" name field))
-      | None -> Alcotest.fail (Printf.sprintf "missing histogram %s" name))
-  | None -> Alcotest.fail "snapshot missing histograms"
-
-let test_histogram_matches_stats () =
-  (* The registry's bucketing must be exactly Mmfair_stats.Histogram's:
-     same half-open [lo, hi) range, same bin edges, same under/overflow
-     split. *)
-  let observations = [ -0.5; 0.0; 1.9; 2.0; 5.5; 9.999; 10.0; 55.0 ] in
-  let r = Registry.create () in
-  let h = Registry.histogram r ~lo:0.0 ~hi:10.0 ~bins:5 "obs" in
-  let raw = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter
-    (fun x ->
-      Registry.observe h x;
-      Histogram.add raw x)
-    observations;
-  let snap = Registry.snapshot r in
-  let counts =
-    match hist_field snap "obs" "counts" with
-    | Json.List l -> List.map (function Json.Num f -> int_of_float f | _ -> -1) l
-    | _ -> Alcotest.fail "counts not a list"
-  in
-  Alcotest.(check (list int))
-    "per-bin counts"
-    (List.init (Histogram.bins raw) (Histogram.bin_count raw))
-    counts;
-  Alcotest.(check bool) "underflow" true
-    (hist_field snap "obs" "underflow" = Json.Num (float_of_int (Histogram.underflow raw)));
-  Alcotest.(check bool) "overflow" true
-    (hist_field snap "obs" "overflow" = Json.Num (float_of_int (Histogram.overflow raw)));
-  Alcotest.(check bool) "count" true
-    (hist_field snap "obs" "count" = Json.Num (float_of_int (Histogram.count raw)))
 
 let test_snapshot_deterministic () =
   let build () =
@@ -129,12 +92,12 @@ let test_snapshot_deterministic () =
     Registry.incr (Registry.counter r "b");
     Registry.incr ~by:2 (Registry.counter r "a");
     Registry.set (Registry.gauge r "g") 1.5;
-    Registry.observe (Registry.histogram r ~lo:0.0 ~hi:1.0 ~bins:2 "h") 0.25;
+    Registry.observe_log (Registry.log_histogram r ~lo:0.1 ~hi:1.0 ~bins:2 "h") 0.25;
     r
   in
   let build_swapped () =
     let r = Registry.create () in
-    Registry.observe (Registry.histogram r ~lo:0.0 ~hi:1.0 ~bins:2 "h") 0.25;
+    Registry.observe_log (Registry.log_histogram r ~lo:0.1 ~hi:1.0 ~bins:2 "h") 0.25;
     Registry.set (Registry.gauge r "g") 1.5;
     Registry.incr ~by:2 (Registry.counter r "a");
     Registry.incr (Registry.counter r "b");
@@ -169,7 +132,7 @@ let contains_substring text needle =
 let test_prometheus_shape () =
   let r = Registry.create () in
   Registry.incr ~by:3 (Registry.counter r "solver.rounds.total");
-  Registry.observe (Registry.histogram r ~lo:0.0 ~hi:4.0 ~bins:2 "lat") 1.0;
+  Registry.observe_log (Registry.log_histogram r ~lo:1.0 ~hi:4.0 ~bins:2 "lat") 1.0;
   let text = Registry.to_prometheus r in
   List.iter
     (fun needle ->
@@ -433,24 +396,38 @@ let ticking_clock () =
     incr n;
     t
 
+(* The registry sink times spans: one span.seconds.<name> log
+   histogram per name, whose count is the completed spans and whose
+   sum is their total time. *)
+let span_totals r name =
+  let h = Registry.log_histogram_stats (Registry.span_seconds r name) in
+  (Mmfair_stats.Log_histogram.count h, Mmfair_stats.Log_histogram.sum h)
+
+let log_histogram_names r =
+  match Json.member "log_histograms" (Registry.snapshot r) with
+  | Some (Json.Obj fields) -> List.map fst fields
+  | _ -> Alcotest.fail "snapshot missing log_histograms"
+
 let test_span_nesting () =
-  let recorder, completed = Sink.span_recorder ~clock:(ticking_clock ()) () in
-  Probe.with_sink recorder (fun () ->
-      Probe.span "outer" (fun () -> Probe.span "inner" Fun.id));
-  (* begin outer @0, begin inner @1, end inner @2, end outer @3 *)
-  Alcotest.(check (list (pair string (float 0.0))))
-    "inner completes first, durations nest"
-    [ ("inner", 1.0); ("outer", 3.0) ]
-    (completed ())
+  let r = Registry.create () in
+  Probe.with_sink (Registry.sink ~clock:(ticking_clock ()) r) (fun () ->
+      Probe.span "outer" (fun () ->
+          Probe.span "inner" Fun.id;
+          Probe.span "inner" Fun.id));
+  (* begin outer @0, inner @1-@2, inner @3-@4, end outer @5 *)
+  Alcotest.(check (pair int (float 0.0))) "inner: two spans, 1 s each" (2, 2.0) (span_totals r "inner");
+  Alcotest.(check (pair int (float 0.0))) "outer encloses both" (1, 5.0) (span_totals r "outer")
 
 let test_span_mismatch_dropped () =
-  let recorder, completed = Sink.span_recorder ~clock:(ticking_clock ()) () in
-  Probe.with_sink recorder (fun () ->
+  let r = Registry.create () in
+  Probe.with_sink (Registry.sink ~clock:(ticking_clock ()) r) (fun () ->
       Probe.span_begin "a";
       (* not the open span: dropped without consuming a clock tick *)
       Probe.span_end "b";
       Probe.span_end "a");
-  Alcotest.(check (list (pair string (float 0.0)))) "mismatched end dropped" [ ("a", 1.0) ] (completed ())
+  Alcotest.(check (pair int (float 0.0))) "a timed once" (1, 1.0) (span_totals r "a");
+  Alcotest.(check bool) "the mismatched end records nothing" false
+    (List.mem "span.seconds.b" (log_histogram_names r))
 
 let test_null_sink_noop () =
   Alcotest.(check bool) "probes disabled by default" false (Probe.enabled ());
@@ -651,13 +628,109 @@ let test_json_reader_paths () =
   Alcotest.(check (list (float 0.0))) "good reads" [ 1.0; -2.0 ]
     (Json.each [ "a"; "b" ] (Json.num [ "c" ]) doc)
 
+(* Registry.sink's instrument set is exactly the one registry.mli
+   documents, and every distribution lands in its log buckets: a cold
+   solve's 2,048 active receivers, a 256-event batch and a full
+   re-solve (resolved share 1.0) are neither underflow nor overflow.
+   An epoch that re-solves nothing has resolved share 0, which no log
+   bucket holds: it tallies as underflow, never as overflow. *)
+let test_sink_instrument_set () =
+  let r = Registry.create () in
+  let epoch ~epoch ~reuse_fraction ~full_solve =
+    {
+      Obs.Events.epoch;
+      kind = "join";
+      events = 256;
+      net_events = 256;
+      cancelled = 0;
+      component_sessions = 100;
+      component_receivers = 2048;
+      total_receivers = 4096;
+      reuse_fraction;
+      full_solve;
+      solves = 1;
+      components = 1;
+      largest_component = 100;
+      jain = 0.9;
+      max_delta_rate = 0.5;
+    }
+  in
+  Probe.with_sink (Registry.sink ~clock:(ticking_clock ()) r) (fun () ->
+      Probe.round { dummy_round with Obs.Events.active = 2048; frozen = [ (0, 0, 1.0) ] };
+      Probe.epoch (epoch ~epoch:1 ~reuse_fraction:1.0 ~full_solve:false);
+      Probe.epoch (epoch ~epoch:2 ~reuse_fraction:0.0 ~full_solve:true);
+      Probe.pool
+        {
+          Obs.Events.p_domains = 2;
+          p_tasks = 4;
+          p_wall = 1e-3;
+          p_wait_total = 4e-5;
+          p_wait_max = 2e-5;
+          p_busy_total = 1.6e-3;
+          p_busy_max = 5e-4;
+          p_busy_by_domain = [| 9e-4; 7e-4 |];
+        };
+      Probe.sim (Obs.Events.Scheduled { time = 1.0; depth = 3 });
+      Probe.sim (Obs.Events.Fired { time = 1.0; depth = 2 });
+      Probe.sim (Obs.Events.Dropped { count = 2 });
+      Probe.span "outer" (fun () -> Probe.span "inner" Fun.id));
+  let snap = Registry.snapshot r in
+  let section name =
+    match Json.member name snap with
+    | Some (Json.Obj fields) -> fields
+    | _ -> Alcotest.failf "snapshot missing %s" name
+  in
+  Alcotest.(check (list string)) "snapshot sections"
+    [ "schema"; "counters"; "gauges"; "log_histograms" ]
+    (match snap with Json.Obj fields -> List.map fst fields | _ -> []);
+  Alcotest.(check bool) "schema v3" true (Json.member "schema" snap = Some (Json.Str "mmfair.metrics/v3"));
+  let names name = List.map fst (section name) in
+  let sorted = List.sort compare in
+  Alcotest.(check (list string)) "counters"
+    (sorted
+       [
+         "solver.rounds.total"; "solver.rounds.Test"; "solver.freezes.total";
+         "solver.saturated.links.total"; "dynamic.epochs.total"; "dynamic.solves.total";
+         "dynamic.full_solves.total"; "dynamic.events.join"; "dynamic.batches.total";
+         "dynamic.batch.events.total"; "dynamic.batch.cancelled.total"; "pool.batches.total";
+         "pool.tasks.total"; "sim.events.scheduled.total"; "sim.events.fired.total";
+         "sim.events.dropped.total";
+       ])
+    (names "counters");
+  Alcotest.(check (list string)) "gauges"
+    (sorted
+       [
+         "solver.level.Test"; "fairness.jain"; "fairness.components"; "fairness.largest_component";
+         "fairness.delta_rate.max"; "pool.domains"; "pool.utilization"; "sim.queue.depth.hwm";
+       ])
+    (names "gauges");
+  Alcotest.(check (list string)) "log histograms"
+    (sorted
+       [
+         "solver.round.active"; "dynamic.epoch.resolved_fraction";
+         "dynamic.epoch.component_receivers"; "dynamic.batch.events"; "fairness.delta_rate";
+         "pool.task.wait.seconds"; "pool.task.busy.seconds"; "span.seconds.outer";
+         "span.seconds.inner";
+       ])
+    (names "log_histograms");
+  List.iter
+    (fun (name, h) ->
+      let tally f = match Json.member f h with Some (Json.Num x) -> int_of_float x | _ -> -1 in
+      let want_under = if name = "dynamic.epoch.resolved_fraction" then 1 else 0 in
+      Alcotest.(check (pair int int))
+        (name ^ ": underflow, overflow")
+        (want_under, 0)
+        (tally "underflow", tally "overflow");
+      Alcotest.(check bool) (name ^ ": observed") true (tally "count" > 0))
+    (section "log_histograms");
+  Alcotest.(check (pair int (float 0.0))) "inner span" (1, 1.0) (span_totals r "inner");
+  Alcotest.(check (pair int (float 0.0))) "outer span" (1, 3.0) (span_totals r "outer")
+
 let suite =
   [
     Alcotest.test_case "Json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "counter monotonicity" `Quick test_counter_monotonic;
     Alcotest.test_case "instrument kind clash" `Quick test_kind_clash;
-    Alcotest.test_case "histogram bucketing = Mmfair_stats.Histogram" `Quick
-      test_histogram_matches_stats;
     Alcotest.test_case "snapshot determinism" `Quick test_snapshot_deterministic;
     Alcotest.test_case "gauge set_max" `Quick test_gauge_set_max;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_shape;
@@ -682,4 +755,6 @@ let suite =
     Alcotest.test_case "Chrome trace close idempotent" `Quick test_chrome_trace_close_idempotent;
     Alcotest.test_case "Json indented layout" `Quick test_json_indented;
     Alcotest.test_case "Json reader key paths" `Quick test_json_reader_paths;
+    Alcotest.test_case "registry sink: documented instruments, log buckets" `Quick
+      test_sink_instrument_set;
   ]

@@ -1,10 +1,8 @@
-(* Stats tests: descriptive, running moments, confidence intervals,
+(* Stats tests: descriptive, confidence intervals, log-bucketed
    histograms. *)
 
 module D = Mmfair_stats.Descriptive
-module R = Mmfair_stats.Running
 module Ci = Mmfair_stats.Ci
-module H = Mmfair_stats.Histogram
 module LH = Mmfair_stats.Log_histogram
 
 let feq ?(eps = 1e-9) what a b =
@@ -56,39 +54,6 @@ let test_quantile_invalid () =
   Alcotest.check_raises "q > 1" (Invalid_argument "Descriptive.quantile: q outside [0,1]") (fun () ->
       ignore (D.quantile [| 1.0 |] 1.5))
 
-let test_running_matches_descriptive () =
-  let xs = Array.init 1000 (fun i -> sin (float_of_int i) *. 10.0) in
-  let r = R.create () in
-  Array.iter (R.add r) xs;
-  feq ~eps:1e-9 "running mean" (D.mean xs) (R.mean r);
-  feq ~eps:1e-6 "running variance" (D.variance xs) (R.variance r);
-  feq "running min" (D.min xs) (R.min r);
-  feq "running max" (D.max xs) (R.max r);
-  Alcotest.(check int) "count" 1000 (R.count r)
-
-let test_running_merge () =
-  let xs = Array.init 500 (fun i -> float_of_int i) in
-  let ys = Array.init 300 (fun i -> float_of_int (i * 2)) in
-  let ra = R.create () and rb = R.create () in
-  Array.iter (R.add ra) xs;
-  Array.iter (R.add rb) ys;
-  let merged = R.merge ra rb in
-  let all = Array.append xs ys in
-  feq ~eps:1e-9 "merged mean" (D.mean all) (R.mean merged);
-  feq ~eps:1e-6 "merged variance" (D.variance all) (R.variance merged);
-  Alcotest.(check int) "merged count" 800 (R.count merged)
-
-let test_running_merge_empty () =
-  let ra = R.create () and rb = R.create () in
-  R.add rb 5.0;
-  R.add rb 7.0;
-  let merged = R.merge ra rb in
-  feq "merge with empty" 6.0 (R.mean merged)
-
-let test_running_empty () =
-  Alcotest.check_raises "empty running mean" (Invalid_argument "Running.mean: empty") (fun () ->
-      ignore (R.mean (R.create ())))
-
 let test_t_critical_table () =
   feq ~eps:1e-9 "df=1, 95%" 12.706 (Ci.t_critical ~level:0.95 ~df:1);
   feq ~eps:1e-9 "df=29, 95%" 2.045 (Ci.t_critical ~level:0.95 ~df:29);
@@ -134,33 +99,6 @@ let test_ci_coverage () =
   Alcotest.(check bool) (Printf.sprintf "coverage %.3f in [0.90, 0.99]" rate) true
     (rate >= 0.90 && rate <= 0.99)
 
-let test_histogram_basic () =
-  let h = H.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (H.add h) [ 0.5; 1.5; 2.5; 9.9; -1.0; 10.0 ];
-  Alcotest.(check int) "count" 6 (H.count h);
-  Alcotest.(check int) "bin0" 2 (H.bin_count h 0);
-  Alcotest.(check int) "bin1" 1 (H.bin_count h 1);
-  Alcotest.(check int) "bin4" 1 (H.bin_count h 4);
-  Alcotest.(check int) "underflow" 1 (H.underflow h);
-  Alcotest.(check int) "overflow" 1 (H.overflow h)
-
-let test_histogram_edges () =
-  let h = H.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  let lo, hi = H.bin_edges h 1 in
-  feq "edge lo" 0.25 lo;
-  feq "edge hi" 0.5 hi
-
-let test_histogram_frequencies () =
-  let h = H.create ~lo:0.0 ~hi:1.0 ~bins:2 in
-  List.iter (H.add h) [ 0.1; 0.2; 0.7 ];
-  let f = H.frequencies h in
-  feq ~eps:1e-12 "freq0" (2.0 /. 3.0) f.(0);
-  feq ~eps:1e-12 "freq1" (1.0 /. 3.0) f.(1)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "lo >= hi" (Invalid_argument "Histogram.create: need lo < hi") (fun () ->
-      ignore (H.create ~lo:1.0 ~hi:1.0 ~bins:3))
-
 let test_log_histogram_basic () =
   let h = LH.create ~lo:1e-3 ~hi:10.0 ~bins:8 in
   List.iter (LH.add h) [ 1e-4; 0.0; 0.5; 2.0; 10.0; 50.0 ];
@@ -170,7 +108,8 @@ let test_log_histogram_basic () =
   feq "max" 50.0 (LH.max_value h);
   feq ~eps:1e-9 "sum" 62.5001 (LH.sum h);
   feq "edge 0 = lo" 1e-3 (LH.edge h 0);
-  feq ~eps:1e-12 "edge bins = hi" 10.0 (LH.edge h (LH.bins h))
+  feq ~eps:1e-12 "edge bins = hi" 10.0 (LH.edge h (LH.bins h));
+  feq "hi" 10.0 (LH.hi h)
 
 let test_log_histogram_geometric_edges () =
   (* lo 1, hi 16, 4 bins: edges 1, 2, 4, 8, 16 — exact powers. *)
@@ -254,19 +193,11 @@ let suite =
     Alcotest.test_case "quantile bounds" `Quick test_quantile_bounds;
     Alcotest.test_case "quantile interpolation" `Quick test_quantile_interp;
     Alcotest.test_case "quantile invalid" `Quick test_quantile_invalid;
-    Alcotest.test_case "running matches descriptive" `Quick test_running_matches_descriptive;
-    Alcotest.test_case "running merge" `Quick test_running_merge;
-    Alcotest.test_case "running merge with empty" `Quick test_running_merge_empty;
-    Alcotest.test_case "running empty" `Quick test_running_empty;
     Alcotest.test_case "t critical table" `Quick test_t_critical_table;
     Alcotest.test_case "t critical invalid" `Quick test_t_critical_invalid;
     Alcotest.test_case "ci of samples" `Quick test_ci_of_samples;
     Alcotest.test_case "ci relative half width" `Quick test_ci_relative;
     Alcotest.test_case "ci coverage" `Slow test_ci_coverage;
-    Alcotest.test_case "histogram basic" `Quick test_histogram_basic;
-    Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
-    Alcotest.test_case "histogram frequencies" `Quick test_histogram_frequencies;
-    Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
     Alcotest.test_case "log histogram basic" `Quick test_log_histogram_basic;
     Alcotest.test_case "log histogram geometric edges" `Quick test_log_histogram_geometric_edges;
     Alcotest.test_case "log histogram quantiles" `Quick test_log_histogram_quantiles;
