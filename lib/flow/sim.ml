@@ -256,7 +256,11 @@ let run ?(config = default) scn =
       (match !evs with
       | [] -> ()
       | evs ->
-          let stats = Batch.apply eng evs in
+          (* [evs] holds the newest event first.  Applied in the order
+             they were issued, a completion that parks a slot lands
+             before a same-instant arrival that takes the slot back, so
+             the last write leaves the slot active. *)
+          let stats = Batch.apply eng (List.rev evs) in
           incr epochs;
           applied_events := !applied_events + stats.Batch.events;
           refresh_rates ());

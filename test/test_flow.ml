@@ -302,6 +302,42 @@ let test_series_capacity_validated () =
         (fun () -> ignore (Sim.run ~config:{ Sim.default with Sim.series_capacity } scn)))
     [ 1; 0; -3 ]
 
+(* The refresh's cancellation edge.  One slot, unit sizes at unit
+   capacity, a negligible Poisson stream and a pulse at the exact
+   instant the first flow completes: the departure parks the slot and
+   the pulse's arrival takes it back in the same epoch, so the two ρ
+   writes net out and the slot's row is not re-solved.  The second
+   flow must still run at the rate the slot holds, and finish one
+   time unit later. *)
+let test_cancelled_slot_keeps_its_rate () =
+  let scn = Scenario.single_link ~slots:1 ~size:(Size.Deterministic 1.0) ~rate:1e-9 () in
+  let config =
+    {
+      Sim.default with
+      Sim.horizon = 3.5;
+      seed = 3L;
+      pulses = [ (0.0, 1); (1.0, 1) ];
+      record_departures = true;
+    }
+  in
+  let epochs = ref [] in
+  let sink = Mmfair_obs.Sink.make ~on_epoch:(fun ev -> epochs := ev :: !epochs) () in
+  let r = Mmfair_obs.Probe.with_sink sink (fun () -> Sim.run ~config scn) in
+  check_accounting r;
+  (match List.rev !epochs with
+  | [ _; swap; _ ] ->
+      Alcotest.(check int) "the swap's two writes" 2 swap.Mmfair_obs.Events.events;
+      Alcotest.(check int) "the swap nets out" 0 swap.Mmfair_obs.Events.net_events;
+      Alcotest.(check int) "nothing re-solved" 0 swap.Mmfair_obs.Events.solves
+  | evs -> Alcotest.failf "%d epoch events, expected 3" (List.length evs));
+  Alcotest.(check int) "arrivals" 2 r.Sim.arrivals;
+  Alcotest.(check int) "blocked" 0 r.Sim.blocked;
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "departures (time, sojourn)"
+    [ (1.0, 1.0); (2.0, 1.0) ]
+    (List.map (fun (d : Sim.departure) -> (d.Sim.d_time, d.Sim.d_sojourn)) r.Sim.departure_log);
+  Alcotest.(check int) "epochs" 3 r.Sim.epochs
+
 let suite =
   [
     Alcotest.test_case "M/M/1 single link obeys Little's law" `Quick test_mm1_littles_law;
@@ -321,4 +357,5 @@ let suite =
       test_size_parsing_and_means;
     Alcotest.test_case "series_capacity is validated up front" `Quick
       test_series_capacity_validated;
+    Alcotest.test_case "a cancelled slot keeps its rate" `Quick test_cancelled_slot_keeps_its_rate;
   ]
