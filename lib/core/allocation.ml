@@ -1,6 +1,11 @@
 module Graph = Mmfair_topology.Graph
 
-type t = { net : Network.t; rates : float array Pvec.t }
+type usage =
+  | No_usage
+  | Solved of { links : Graph.link_id array; usage : float array }
+  | Every_link of float Pvec.t
+
+type t = { net : Network.t; rates : float array Pvec.t; usage : usage }
 
 (* The one validating constructor: session [i]'s row is [row i],
    checked as it arrives and adopted as it is.  Rows are gathered
@@ -21,7 +26,7 @@ let of_fresh_rows net row =
         done;
         per)
   in
-  { net; rates }
+  { net; rates; usage = No_usage }
 
 let make net rates =
   if Array.length rates <> Network.session_count net then
@@ -35,10 +40,10 @@ let make net rates =
    re-walking every receiver here would put an O(receivers) term back
    on a path the batch engine keeps proportional to the touched
    component.  Callers must never mutate the rows afterwards. *)
-let unsafe_of_rows net rates =
+let unsafe_of_rows ?(usage = No_usage) net rates =
   if Pvec.length rates <> Network.session_count net then
     invalid_arg "Allocation.unsafe_of_rows: session count mismatch";
-  { net; rates }
+  { net; rates; usage }
 
 let zero net =
   {
@@ -46,6 +51,7 @@ let zero net =
     rates =
       Pvec.init (Network.session_count net) (fun i ->
           Array.make (Array.length (Network.session_spec net i).Network.receivers) 0.0);
+    usage = No_usage;
   }
 
 let network t = t.net
@@ -61,17 +67,16 @@ let unsafe_rates_of_session t i = Pvec.get t.rates i
 (* The persistent row vector itself, for bulk row carrying: an update
    of it shares every row and chunk it does not write. *)
 let unsafe_rows t = t.rates
+let usage t = t.usage
 
 (* Fold a compact incidence cell directly: feasibility checks sweep
    [link_rate] over every link, so it must not materialize per-cell
    lists and must skip (link, session) pairs nobody crosses. *)
 let cell_rate t inc c =
   let i = inc.Network.cell_session.(c) in
-  let lo = inc.Network.cell_first.(c) in
-  let rates = Pvec.get t.rates i and g0 = inc.Network.session_first.(i) in
-  Redundancy_fn.apply_fold (Network.vfn t.net i)
-    ~n:(inc.Network.cell_first.(c + 1) - lo)
-    ~get:(fun j -> rates.(inc.Network.link_cells.(lo + j) - g0))
+  Redundancy_fn.apply_indexed (Network.vfn t.net i) (Pvec.get t.rates i) inc.Network.link_cells
+    ~offset:inc.Network.session_first.(i) ~lo:inc.Network.cell_first.(c)
+    ~hi:inc.Network.cell_first.(c + 1)
 
 let session_link_rate t ~session ~link =
   if session < 0 || session >= Network.session_count t.net then

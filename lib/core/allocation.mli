@@ -5,10 +5,31 @@
     derive the session link rates [u_{i,j}] and link rates
     [u_j = Σ_i u_{i,j}], and can test the paper's feasibility
     conditions: [0 ≤ a_{i,k} ≤ ρ_i] for every receiver, [u_j ≤ c_j]
-    for every link, and rate equality inside single-rate sessions. *)
+    for every link, and rate equality inside single-rate sessions.
+
+    An allocation may also carry link usages [u_j] its producer already
+    knows ({!type-usage}): a warm-start solve knows those of the links
+    it touched, and the churn engine carries every link's from one
+    epoch to the next.  A carried usage is bitwise the one {!link_rate}
+    sums; it is what the fairness component reads its binding links
+    from. *)
 
 type t
 (** An immutable allocation bound to its network. *)
+
+type usage =
+  | No_usage  (** Nothing carried: every constructor below but {!unsafe_of_rows}. *)
+  | Solved of { links : Mmfair_topology.Graph.link_id array; usage : float array }
+      (** [usage.(k)] is [u_j] of [links.(k)]: a warm-start solve's
+          result ({!Allocator.max_min_partial}) carries the links it
+          touched, each once. *)
+  | Every_link of float Pvec.t
+      (** [u_j] of every link, indexed by link id, shared between
+          epochs like the rows ({!Pvec}). *)
+(** Link usages carried with an allocation.  Each value is the one
+    {!link_rate} returns, bit for bit: summed over the link's cells in
+    link order, each cell folded as {!Redundancy_fn.apply_fold} folds
+    it. *)
 
 val make : Network.t -> float array array -> t
 (** [make net rates] with [rates.(i).(k)] the rate of [r_{i,k}].
@@ -28,14 +49,16 @@ val of_fresh_rows : Network.t -> (int -> float array) -> t
 val zero : Network.t -> t
 (** The all-zero allocation (always feasible). *)
 
-val unsafe_of_rows : Network.t -> float array Pvec.t -> t
-(** [unsafe_of_rows net rates] adopts the row vector without copying
-    or validating it — the churn engine's constructor for rates
+val unsafe_of_rows : ?usage:usage -> Network.t -> float array Pvec.t -> t
+(** [unsafe_of_rows ~usage net rates] adopts the row vector without
+    copying or validating it — the churn engine's constructor for rates
     assembled from already-validated rows (solver output and rows
     carried from a previous allocation).  The caller must never mutate
     the rows afterwards; sharing rows between allocations is fine.
-    Raises [Invalid_argument] only on a session-count mismatch.
-    Everyone else should use {!make}. *)
+    [usage] (default {!No_usage}) is trusted as well: each value must
+    be the one {!link_rate} gives on the result.  Raises
+    [Invalid_argument] only on a session-count mismatch.  Everyone else
+    should use {!make}. *)
 
 val network : t -> Network.t
 
@@ -56,6 +79,9 @@ val unsafe_rows : t -> float array Pvec.t
     not write to any row.  The churn engine seeds an epoch's pinned
     rows with one {!Pvec.update} of it, which shares every row (and
     every chunk of rows) the epoch does not touch. *)
+
+val usage : t -> usage
+(** The link usages the allocation carries. *)
 
 val session_link_rate : t -> session:int -> link:Mmfair_topology.Graph.link_id -> float
 (** The paper's [u_{i,j}] — [v_i] applied to the downstream receiver

@@ -887,30 +887,59 @@ let water_fill st ~use_linear =
 (* Water-fill the sessions in [component], every other session pinned
    at its [frozen] row as a fixed background load.  Setup and rounds
    are proportional to the component's neighborhood, not the network.
-   [k] receives the solved rows (a fresh row per listed session) while
-   the arena still holds them. *)
+   [k] reads the finished state while the arena still holds it. *)
 let solve net ~component ~frozen k =
   with_scratch (fun sc ->
       let st, use_linear = init sc net ~component ~frozen in
       water_fill st ~use_linear;
-      let session_first = st.inc.Network.session_first in
-      k (fun i -> Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i))))
+      k st)
+
+(* Session [i]'s solved rates, a fresh row cut from the arena. *)
+let row st i =
+  let session_first = st.inc.Network.session_first in
+  Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i))
+
+(* The final usage of every link the solve touched, summed as
+   [Allocation.link_rate] sums it (cells in link order, each folded by
+   [Redundancy_fn.apply_indexed]), from the arena's rates: every
+   receiver on a touched link is frozen or pinned by now, and the
+   result's rows hold the same values.  The same additions in the same
+   order give the same bits. *)
+let solved_usage st =
+  let inc = st.inc in
+  let link_row = inc.Network.link_row and cell_first = inc.Network.cell_first in
+  let links = Array.sub st.touched 0 st.n_touched in
+  let usage = Array.create_float st.n_touched in
+  for k = 0 to st.n_touched - 1 do
+    let l = links.(k) in
+    let u = ref 0.0 in
+    for c = link_row.(l) to link_row.(l + 1) - 1 do
+      u :=
+        !u
+        +. Redundancy_fn.apply_indexed st.vfn.(inc.Network.cell_session.(c)) st.rates
+             inc.Network.link_cells ~offset:0 ~lo:cell_first.(c) ~hi:cell_first.(c + 1)
+    done;
+    usage.(k) <- !u
+  done;
+  Allocation.Solved { links; usage }
 
 (* A cold solve is the restricted solve over every session, with its
    result validated; nothing is pinned, so [frozen] is never read.
-   Each row is cut once from the arena, validated and adopted. *)
+   Each row is cut once from the arena, validated and adopted.  It
+   carries no usage. *)
 let max_min net =
   let m = Network.session_count net in
-  solve net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun row ->
-      Allocation.of_fresh_rows net row)
+  solve net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun st ->
+      Allocation.of_fresh_rows net (row st))
 
 (* A partial solve's result is one batched update of [frozen]: the
    spine plus the chunks holding the solved sessions are copied, every
-   other row and chunk is shared. *)
+   other row and chunk is shared.  It carries its touched links'
+   usages. *)
 let max_min_partial ~sessions ~frozen net =
-  solve net ~component:sessions ~frozen (fun row ->
-      Allocation.unsafe_of_rows net
-        (Pvec.update frozen (fun set -> Array.iter (fun i -> set i (row i)) sessions)))
+  solve net ~component:sessions ~frozen (fun st ->
+      Allocation.unsafe_of_rows ~usage:(solved_usage st) net
+        (Pvec.update frozen (fun set -> Array.iter (fun i -> set i (row st i)) sessions)))
 
 let max_min_partial_result ~sessions ~frozen net =
   Solver_error.protect ~solver:solver_name (fun () -> max_min_partial ~sessions ~frozen net)

@@ -70,7 +70,9 @@ val max_min_partial :
     [frozen] must have one row per session of [net]; rows of listed
     sessions are ignored.  The result's rows are one {!Pvec.update} of
     [frozen] that writes the listed sessions, so every other row and
-    chunk is shared with it.  Setup, per-round scans and result
+    chunk is shared with it.  The result carries the final usage of
+    every link the listed sessions cross ({!Allocation.Solved}), bit
+    for bit {!Allocation.link_rate}'s.  Setup, per-round scans and result
     assembly all touch only the listed sessions and the links they
     cross, plus the vector's spine of [sessions / 32] pointers, so the
     cost scales with the fairness component's neighborhood, not the

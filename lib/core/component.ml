@@ -7,17 +7,27 @@ module Graph = Mmfair_topology.Graph
    from-scratch solve stays well inside the differential gate. *)
 let eps_bind = 1e-7
 
-(* One allocation's link summary, filled lazily one link at a time.
-   A single pass over a link's cells yields everything the closure and
-   the boundary scan ask about it: whether it binds (its usage summed
-   in [Allocation.link_rate]'s order, so the bit is the one
-   [link_rate] gives), the highest normalised rate among its receivers below
-   their ρ ([top]), and per cell the highest normalised rate of the
-   cell's receivers ([norm]) and that rate again if every one of them
-   sits at its ρ, infinity otherwise ([pin]).  After that no reader
-   folds the link's rates a second time.  The per-cell pairs are
-   appended to [cells] as links are summarised, so a summary costs the
-   cells it was asked about, not the network's.
+(* What a component knows of one allocation's links, filled lazily one
+   link at a time.
+
+   Whether a link binds comes from the usage the allocation carries
+   when it carries it ([Allocation.usage]): a read of the carried
+   vector, or a bit set from a solve's touched links when the slot is
+   bound.  Only for a link the allocation carries nothing about is the
+   bit the summary's.
+
+   A summary is a single pass over a link's cells.  It yields whether
+   the link binds (its usage summed in [Allocation.link_rate]'s order,
+   so the bit is the one [link_rate] gives), the highest normalised
+   rate among its receivers below their ρ ([top]), and per cell the
+   highest normalised rate of the cell's receivers ([norm]) and that
+   rate again if every one of them sits at its ρ, infinity otherwise
+   ([pin]).  Only [stays_out] and the boundary scan's [flags] need
+   [top] and the pairs, so only they summarise a link whose bit is
+   carried.  After that no reader folds the link's rates a second
+   time.  The per-cell pairs are appended to [cells] as links are
+   summarised, so a summary costs the cells it was asked about, not
+   the network's.
 
    [top] is negative when no receiver on the link may stay out: some
    session on it is single-rate or not [Efficient] (outside the domain
@@ -29,6 +39,7 @@ type summary = {
   mutable gen : int; (* bumped whenever the slot is rebound *)
   mutable used : int; (* clock of the last lookup, for eviction *)
   mutable link : int array; (* per link: [2 gen + 1] if binding, [2 gen] if not *)
+  mutable summed : int array; (* per link: [gen] once summarised *)
   mutable top : float array; (* per link *)
   mutable first : int array; (* per link: where its cells' pairs start in [cells] *)
   mutable cells : float array; (* [norm; pin] per recorded cell, in link order *)
@@ -101,6 +112,7 @@ let new_arena () =
             gen = 0;
             used = 0;
             link = [||];
+            summed = [||];
             top = [||];
             first = [||];
             cells = [||];
@@ -216,8 +228,16 @@ let binding ?(also = []) alloc =
          (n_summaries - 1));
   alloc :: also
 
+(* Whether usage [u] binds link [l] of graph [g]. *)
+let[@inline] binds_at g l u =
+  let cap = Graph.capacity g l in
+  (* [max 1.0 cap], spelled monomorphically. *)
+  let scale = if 1.0 >= cap then 1.0 else cap in
+  u >= cap -. (eps_bind *. scale)
+
 (* The arena's summary of [alloc]: the slot already bound to it, or
-   the least recently used one, rebound. *)
+   the least recently used one, rebound.  Binding a slot to a solve's
+   result sets the bits of the links the solve touched. *)
 let summary t alloc =
   let arena = t.arena in
   arena.clock <- arena.clock + 1;
@@ -237,9 +257,18 @@ let summary t alloc =
         s.alloc <- Some alloc;
         s.gen <- s.gen + 1;
         s.link <- ensure s.link nl;
+        s.summed <- ensure s.summed nl;
         s.top <- ensure_f s.top nl;
         s.first <- ensure s.first nl;
         s.fill <- 0;
+        (match Allocation.usage alloc with
+        | Allocation.Solved { links; usage } ->
+            let g = Network.graph (Allocation.network alloc) in
+            for k = 0 to Array.length links - 1 do
+              let l = links.(k) in
+              s.link.(l) <- (2 * s.gen) + if binds_at g l usage.(k) then 1 else 0
+            done
+        | Allocation.No_usage | Allocation.Every_link _ -> ());
         s
   in
   s.used <- arena.clock;
@@ -260,7 +289,7 @@ let alloc_of s = match s.alloc with Some a -> a | None -> assert false
 
 (* The one pass over link [l]'s cells under [s]'s allocation. *)
 let summarise t s l =
-  if s.link.(l) lsr 1 <> s.gen then begin
+  if s.summed.(l) <> s.gen then begin
     let alloc = alloc_of s in
     let net = Allocation.network alloc in
     let inc = Network.incidence net in
@@ -282,7 +311,7 @@ let summarise t s l =
       let lo = cell_first.(c) and hi = cell_first.(c + 1) in
       match (spec.Network.vfn, spec.Network.session_type) with
       | Redundancy_fn.Efficient, Network.Multi_rate when !local ->
-          (* [Redundancy_fn.apply_fold]'s max, inlined next to the
+          (* [Redundancy_fn.apply_indexed]'s max, next to the
              per-receiver reads; the same comparisons give the same
              bits. *)
           let mx = ref 0.0 and norm = ref 0.0 and pinned = ref true in
@@ -304,16 +333,10 @@ let summarise t s l =
           s.cells.(k + 1) <- (if !pinned then !norm else Float.infinity)
       | vfn, _ ->
           local := false;
-          usage :=
-            !usage
-            +. Redundancy_fn.apply_fold vfn ~n:(hi - lo) ~get:(fun j ->
-                   rates.(link_cells.(lo + j) - g0))
+          usage := !usage +. Redundancy_fn.apply_indexed vfn rates link_cells ~offset:g0 ~lo ~hi
     done;
-    let cap = Graph.capacity (Network.graph net) l in
-    (* [max 1.0 cap], spelled monomorphically. *)
-    let scale = if 1.0 >= cap then 1.0 else cap in
-    let binds = !usage >= cap -. (eps_bind *. scale) in
-    s.link.(l) <- (2 * s.gen) + if binds then 1 else 0;
+    s.link.(l) <- (2 * s.gen) + if binds_at (Network.graph net) l !usage then 1 else 0;
+    s.summed.(l) <- s.gen;
     if !local then begin
       s.top.(l) <- !top;
       s.first.(l) <- base - (2 * lo_cell);
@@ -327,8 +350,13 @@ let norm s l c = s.cells.(s.first.(l) + (2 * c))
 let pin s l c = s.cells.(s.first.(l) + (2 * c) + 1)
 
 let binds_one t s l =
-  summarise t s l;
-  s.link.(l) land 1 = 1
+  let alloc = alloc_of s in
+  match Allocation.usage alloc with
+  | Allocation.Every_link u ->
+      binds_at (Network.graph (Allocation.network alloc)) l (Pvec.get u l)
+  | Allocation.No_usage | Allocation.Solved _ ->
+      if s.link.(l) lsr 1 <> s.gen then summarise t s l;
+      s.link.(l) land 1 = 1
 
 (* The others first: the previous epoch's allocation is usually among
    them and already summarised by the closure. *)

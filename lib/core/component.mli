@@ -34,7 +34,9 @@ type binding
     saturation under any of a few allocations.  Usages are judged
     against each allocation's {e own} network's capacities — for a
     pre-surgery allocation those are the pre-surgery capacities, which
-    is what its binding set means.
+    is what its binding set means.  A usage is the one the allocation
+    carries ({!Allocation.usage}) when it carries it, and is otherwise
+    summed from the link's cells; the two are bitwise equal.
 
     A frozen receiver pinned at its [ρ] may stay out of a component
     although it crosses a binding link.  The link is {e pinned-exempt}
@@ -92,10 +94,14 @@ val groups : t -> int array list
 val binding : ?also:Allocation.t list -> Allocation.t -> binding
 (** [binding ~also a]: the links binding under [a] or under any of
     [also] (at most two; [Invalid_argument] otherwise); [a] also judges
-    which frozen receivers stay out.  Nothing
-    is computed here: a component summarises each link it asks about
-    once per allocation, in one pass over the link's cells, into arrays
-    its arena reuses from epoch to epoch. *)
+    which frozen receivers stay out.  Nothing is computed here.  A
+    component reads whether a link binds from the usage the allocation
+    carries: an array read for a churn epoch's allocation
+    ({!Allocation.Every_link}), a bit set once from a solve's touched
+    links ({!Allocation.Solved}).  It folds a link's cells only to
+    judge a ρ pin on a binding link, or for a link the allocation
+    carries nothing about: once per allocation and link, in one pass,
+    into arrays its arena reuses from epoch to epoch. *)
 
 val binds : t -> binding -> Mmfair_topology.Graph.link_id -> bool
 (** Whether the link binds under [binding]. *)

@@ -43,6 +43,14 @@ val apply_fold : t -> n:int -> get:(int -> float) -> float
     directly.  [Custom] functions consume a [float list] by
     construction, so that shape alone still materializes the rates. *)
 
+val apply_indexed :
+  t -> float array -> int array -> offset:int -> lo:int -> hi:int -> float
+(** [apply_indexed v rates idx ~offset ~lo ~hi] is
+    [apply_fold v ~n:(hi - lo) ~get:(fun j -> rates.(idx.(lo + j) - offset))]
+    bit for bit: one incidence cell's link rate, the receivers listed
+    in [idx.(lo .. hi - 1)] and their rates read at [rates.(gid - offset)].
+    An [Efficient] cell is folded without a closure. *)
+
 val name : t -> string
 (** Short human-readable name for reports. *)
 

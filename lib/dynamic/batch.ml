@@ -30,6 +30,15 @@ type t = {
 
 let solver_name = "Dynamic"
 
+(* Every link's usage under [a], folded from its rows. *)
+let every_link_usage a =
+  let nl = Graph.link_count (Network.graph (Allocation.network a)) in
+  Allocation.Every_link (Pvec.init nl (Allocation.link_rate a))
+
+(* [a] carrying [usage]. *)
+let with_usage a usage =
+  Allocation.unsafe_of_rows ~usage (Allocation.network a) (Allocation.unsafe_rows a)
+
 let create ?(solver = Solve_engine.default) ?(domains = 1) ?retain ?allocation net =
   if not (Solve_engine.capabilities solver).Solve_engine.partial then
     invalid_arg
@@ -49,6 +58,12 @@ let create ?(solver = Solve_engine.default) ?(domains = 1) ?retain ?allocation n
     | None ->
         let (module E : Solve_engine.S) = solver in
         E.solve net
+  in
+  (* Every epoch carries its links' usages into the next one. *)
+  let allocation =
+    match Allocation.usage allocation with
+    | Allocation.Every_link _ -> allocation
+    | Allocation.No_usage | Allocation.Solved _ -> with_usage allocation (every_link_usage allocation)
   in
   { solver; run; store = Store.create ?retain net allocation; network = net; allocation }
 
@@ -72,6 +87,11 @@ type session_diff = {
   changed : bool;
       (* The receiver multiset (node, weight) moved; rates cannot be
          carried over (and receiver indices may have shifted). *)
+  rebuilt : bool;
+      (* The surgery rebuilt the session's receiver arrays (a join or
+         leave touched it, maybe netting out): its receivers may sit in
+         a new order, so its cells' folds may differ in the last bit
+         from the previous epoch's. *)
   arrived : int; (* Final nodes absent before, or present with a new weight. *)
   departed : int; (* Initial nodes absent after. *)
   frozen_row : float array;
@@ -96,6 +116,7 @@ type session_diff = {
 let unchanged_diff old_alloc i =
   {
     changed = false;
+    rebuilt = false;
     arrived = 0;
     departed = 0;
     frozen_row = Allocation.unsafe_rates_of_session old_alloc i;
@@ -153,11 +174,64 @@ let diff_session old_net old_alloc new_net i =
   let changed = (not !ok) || !departed > 0 in
   {
     changed;
+    rebuilt = true;
     arrived = !arrived;
     departed = !departed;
     frozen_row;
     departed_paths = !departed_paths;
   }
+
+(* The usages the epoch's allocation [final] is to carry: the previous
+   epoch's, shared, except where this epoch may have moved them.
+
+   - A link touched by exactly one of the [solved] allocations takes
+     that solve's value.  Every component member crossing the link was
+     solved there (another member's solve would touch it too), and
+     every other session on it holds the same pinned row in that
+     solve's background and in [final].
+   - A link touched by two solves is folded again from [final]: a
+     multi-pack background pins the other packs' members at zero.
+   - So is every link in [refold].
+   - Every link is folded after a full solve, or when a usage is
+     missing.
+   - A link nobody touched keeps its value: its cells and their rows
+     did not change. *)
+let carry_usage ~old ~final ~full ~solved ~refold =
+  match Allocation.usage old with
+  | Allocation.Every_link prev when not full -> (
+      let parts =
+        List.filter_map
+          (fun a ->
+            match Allocation.usage a with
+            | Allocation.Solved { links; usage } -> Some (links, usage)
+            | Allocation.No_usage | Allocation.Every_link _ -> None)
+          solved
+      in
+      if List.compare_lengths parts solved <> 0 then every_link_usage final
+      else
+        let refold =
+          match parts with
+          | [] | [ _ ] -> refold
+          | _ ->
+              let seen = Hashtbl.create 64 and refold = ref refold in
+              List.iter
+                (fun (links, _) ->
+                  Array.iter
+                    (fun l -> if Hashtbl.mem seen l then refold := l :: !refold else Hashtbl.add seen l ())
+                    links)
+                parts;
+              !refold
+        in
+        match (parts, refold) with
+        | [], [] -> Allocation.Every_link prev
+        | _ ->
+            Allocation.Every_link
+              (Pvec.update prev (fun set ->
+                   List.iter
+                     (fun (links, usage) -> Array.iteri (fun k l -> set l usage.(k)) links)
+                     parts;
+                   List.iter (fun l -> set l (Allocation.link_rate final l)) refold)))
+  | Allocation.Every_link _ | Allocation.No_usage | Allocation.Solved _ -> every_link_usage final
 
 let apply t events =
   if events = [] then invalid_arg "Dynamic.Batch.apply: empty batch";
@@ -357,6 +431,8 @@ let apply t events =
                  groups allocs))
   in
   let final_components = ref 0 in
+  (* The solves whose rows the candidate holds. *)
+  let solved = ref [] in
   let alloc =
     if Component.is_empty comp then
       (* Nobody's rates can move (pure cancellation, or a capacity
@@ -464,8 +540,24 @@ let apply t events =
         end
       done;
       final_components := (if !full then 1 else List.length !groups);
+      solved := List.fold_left (fun acc a -> if List.memq a acc then acc else a :: acc) [] !allocs;
       !merged
     end
+  in
+  (* Links whose cells changed without a solve touching them: a
+     departed receiver's old path, and the links of a rebuilt session
+     left out of the component. *)
+  let refold =
+    List.concat_map
+      (fun (i, d) ->
+        let paths = List.concat d.departed_paths in
+        if d.rebuilt && not (Component.mem comp i) then Network.session_links new_net i @ paths
+        else paths)
+      cand_diffs
+  in
+  let alloc =
+    with_usage alloc
+      (carry_usage ~old:old_alloc ~final:alloc ~full:!full ~solved:!solved ~refold)
   in
   let component_receivers = Component.receiver_count comp in
   let reuse_fraction =

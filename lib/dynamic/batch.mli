@@ -20,6 +20,14 @@
     the same sound fixed point as the per-event engine (DESIGN.md
     §11–13).
 
+    Every epoch's allocation carries every link's usage
+    ({!Mmfair_core.Allocation.Every_link}), shared with the previous
+    epoch's except on the links the epoch's solves touched, the links
+    whose cells it changed, and every link after a full solve; the next
+    epoch's closure reads its binding links from it instead of folding
+    their cells again.  Each carried value is bitwise
+    {!Mmfair_core.Allocation.link_rate}'s.
+
     Per-event churn is the singleton batch [apply t [ ev ]], a
     one-event surgery: there is one implementation, so the per-event
     differential gate ([test/churn_differential.ml], which checks
@@ -63,7 +71,8 @@ val create :
   Mmfair_core.Network.t ->
   t
 (** [create net] solves epoch 0 through [solver]
-    ({!Mmfair_core.Solve_engine.default} unless given) and seeds the
+    ({!Mmfair_core.Solve_engine.default} unless given), folds every
+    link's usage for it unless it carries them already, and seeds the
     store.  Raises [Invalid_argument] when the solver's
     {!Mmfair_core.Solve_engine.capabilities} lack [partial]: every
     epoch after the first is a warm-start restricted solve.

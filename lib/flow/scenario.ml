@@ -90,10 +90,16 @@ let scale_to_load ?park_rho ?slots:slots' t ~load =
   if current <= 0.0 then invalid_arg "Scenario.scale_to_load: scenario offers no load";
   let f = load /. current in
   let classes = Array.map (fun c -> { c with rate = c.rate *. f }) t.classes in
-  make
-    ~park_rho:(Option.value park_rho ~default:t.park_rho)
-    ~slots:(Option.value slots' ~default:t.slots)
-    t.graph classes
+  let park_rho = Option.value park_rho ~default:t.park_rho in
+  let slots = Option.value slots' ~default:t.slots in
+  (* The network holds only the slot pool (senders, attach nodes,
+     [park_rho]), never a class rate: with the pool unchanged it is
+     reused as it is. *)
+  if slots = t.slots && Float.equal park_rho t.park_rho then begin
+    Array.iteri check_class classes;
+    { t with classes }
+  end
+  else make ~park_rho ~slots t.graph classes
 
 let single_link ?(capacity = 1.0) ?(slots = 64) ?park_rho ~size ~rate () =
   if not (Float.is_finite capacity && capacity > 0.0) then

@@ -74,9 +74,12 @@ val offered_load : t -> float
 
 val scale_to_load : ?park_rho:float -> ?slots:int -> t -> load:float -> t
 (** A copy with every class rate scaled by one factor so that
-    {!offered_load} equals [load] (optionally resizing the pool).
-    Raises [Invalid_argument] on a non-positive target or a scenario
-    offering no load. *)
+    {!offered_load} equals [load] (optionally resizing the pool).  With
+    the pool's [slots] and [park_rho] unchanged the copy shares the
+    network, which holds no class rate; otherwise the network is built
+    anew.  Raises [Invalid_argument] on a non-positive target, a
+    scenario offering no load or a scaled class {!make} would
+    reject. *)
 
 val single_link :
   ?capacity:float -> ?slots:int -> ?park_rho:float -> size:Size.t -> rate:float -> unit -> t

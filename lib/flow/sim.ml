@@ -1,6 +1,7 @@
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
 module Allocation = Mmfair_core.Allocation
+module Pvec = Mmfair_core.Pvec
 module Xoshiro = Mmfair_prng.Xoshiro
 module Arrivals = Mmfair_workload.Churn_gen.Arrivals
 module Log_histogram = Mmfair_stats.Log_histogram
@@ -137,15 +138,16 @@ let run ?(config = default) scn =
       int_second := !int_second +. (n *. (t1 -. mid))
     end
   in
+  (* [rate] mirrors every slot's allocated rate; a flow's index [f] is
+     its slot's session ([Scenario.session_of]), and a slot session has
+     one receiver.  An epoch shares every row it did not re-solve, so
+     the refresh reads only the rows that changed. *)
+  let rows = ref (Allocation.unsafe_rows (Batch.allocation eng)) in
+  Pvec.iteri (fun f row -> rate.(f) <- row.(0)) !rows;
   let refresh_rates () =
-    let alloc = Batch.allocation eng in
-    for j = 0 to !population - 1 do
-      let f = live.(j) in
-      rate.(f) <-
-        Allocation.rate alloc
-          { Mmfair_core.Network.session = Scenario.session_of scn ~cls:(f / slots) ~slot:(f mod slots);
-            index = 0 }
-    done
+    let now = Allocation.unsafe_rows (Batch.allocation eng) in
+    Pvec.iter_changed (fun f _ row -> rate.(f) <- row.(0)) !rows now;
+    rows := now
   in
   (* One admission: sample the workload first (the offered stream does
      not depend on admission), then take a slot or count the loss. *)

@@ -706,13 +706,10 @@ let test_store_epochs_stay_bitwise () =
             (rate_bits entry.Store.allocation = Hashtbl.find seen e))
     retained
 
-(* A ρ-only epoch on the 3,072-session flow-star network copies no
-   O(sessions) array.  Arrays above the minor heap's size limit (256
-   words) are allocated directly on the major heap, so the direct major
-   words per event ([major_words − promoted_words]) would be several
-   times the session count with a per-epoch spec, row, component or
-   background copy. *)
-let test_rho_epoch_major_allocation () =
+(* An engine on the 3,072-session flow-star network after 200 lone ρ
+   events, and the event stream: event [k] toggles one slot between
+   parked and active. *)
+let flow_star_rho_events () =
   let module Scenario = Mmfair_flow.Scenario in
   let scn =
     Scenario.scale_to_load
@@ -733,6 +730,17 @@ let test_rho_epoch_major_allocation () =
   for k = 0 to 199 do
     ignore (Batch.apply eng [ event k ])
   done;
+  (eng, event)
+
+(* A ρ-only epoch on the 3,072-session flow-star network copies no
+   O(sessions) array.  Arrays above the minor heap's size limit (256
+   words) are allocated directly on the major heap, so the direct major
+   words per event ([major_words − promoted_words]) would be several
+   times the session count with a per-epoch spec, row, component or
+   background copy. *)
+let test_rho_epoch_major_allocation () =
+  let eng, event = flow_star_rho_events () in
+  let m = Network.session_count (Batch.network eng) in
   let _, promoted0, major0 = Gc.counters () in
   let n = 1000 in
   for k = 200 to 200 + n - 1 do
@@ -744,6 +752,26 @@ let test_rho_epoch_major_allocation () =
     (Printf.sprintf "%.0f direct major words per event < %d" direct m)
     true
     (direct < float_of_int m);
+  check_matches_scratch "after 1,200 rho events" eng
+
+(* The words a lone ρ epoch allocates on the minor heap, pinned on the
+   flow-star network.  The count is exact for one binary (2,819 words
+   per event when this gate was set); the bound leaves about 10 % for
+   compiler and library drift.  An O(sessions) array per epoch (3,072
+   words here) or a closure per cell on the binding path (about 960
+   words) would cross it. *)
+let test_rho_epoch_minor_words () =
+  let eng, event = flow_star_rho_events () in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for k = 200 to 200 + n - 1 do
+    ignore (Batch.apply eng [ event k ])
+  done;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int n in
+  let bound = 3100.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per event <= %.0f" per_event bound)
+    true (per_event <= bound);
   check_matches_scratch "after 1,200 rho events" eng
 
 (* --- pool telemetry follows the domain count ----------------------------- *)
@@ -854,6 +882,162 @@ let test_lone_rho_event_component () =
   Alcotest.(check int) "departure: the five live flows" 5 depart.Batch.component_sessions;
   check_matches_scratch "after the departure" eng
 
+(* --- carried link usage ----------------------------------------------- *)
+
+(* Every epoch's allocation carries each link's usage, and the carried
+   value is [Allocation.link_rate]'s bit for bit: the fairness
+   component reads its binding links from it, so one flipped bit could
+   grow a different component. *)
+let carried_usage_exact eng =
+  let alloc = Batch.allocation eng in
+  match Allocation.usage alloc with
+  | Allocation.Every_link u ->
+      let nl = Graph.link_count (Network.graph (Batch.network eng)) in
+      Mmfair_core.Pvec.length u = nl
+      && List.for_all
+           (fun l ->
+             Int64.equal
+               (Int64.bits_of_float (Mmfair_core.Pvec.get u l))
+               (Int64.bits_of_float (Allocation.link_rate alloc l)))
+           (List.init nl Fun.id)
+  | Allocation.No_usage | Allocation.Solved _ -> false
+
+(* Replays [batches] and checks the carried usage after every epoch;
+   returns the engine and the epochs' stats. *)
+let replay_carrying ?domains net batches =
+  let eng = Batch.create ?domains net in
+  if not (carried_usage_exact eng) then QCheck.Test.fail_report "epoch 0 carries no exact usage";
+  let stats =
+    List.mapi
+      (fun k batch ->
+        let stats = Batch.apply eng batch in
+        if not (carried_usage_exact eng) then
+          QCheck.Test.fail_reportf "epoch %d: carried usage differs from link_rate" (k + 1);
+        stats)
+      batches
+  in
+  (eng, stats)
+
+let rec chunks n = function
+  | [] -> []
+  | l ->
+      let rec take k acc = function
+        | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let c, rest = take n [] l in
+      c :: chunks n rest
+
+(* Four shapes per case:
+   - a random net's join/leave/ρ/capacity trace at batch size 1 or 16,
+     then a leave and rejoin of one node netted out in one batch (the
+     session's receivers come back in a new order) — departed paths,
+     full-solve fallbacks and rebuilt sessions;
+   - two 300-slot clusters whose live flows each fill a trunk, with
+     bursts over both clusters at two domains: two packs per solve,
+     both touching a shared uplink;
+   - a one-session net: a capacity change on an unused link leaves the
+     component empty, a netted leave and rejoin reorders the additive
+     session's receivers outside any solve, and a ρ change takes the
+     full solve. *)
+let qcheck_carried_usage =
+  QCheck.Test.make ~name:"carried link usage equals link_rate bitwise" ~count:12
+    QCheck.(int_range 0 100_000)
+    (fun case ->
+      let rng = Xoshiro.create ~seed:(Int64.of_int (0xca77 + case)) () in
+      (* Random nets, both batch sizes. *)
+      let config =
+        {
+          Random_nets.nodes = 10 + Xoshiro.below rng 10;
+          extra_links = 3 + Xoshiro.below rng 6;
+          sessions = 4 + Xoshiro.below rng 5;
+          max_receivers = 4;
+          single_rate_prob = 0.2;
+          finite_rho_prob = 0.3;
+          scaled_vfn_prob = 0.2;
+          cap_lo = 1.0;
+          cap_hi = 10.0;
+        }
+      in
+      let net = Random_nets.generate ~rng config in
+      let trace =
+        Churn_gen.generate ~rng net
+          { Churn_gen.default with Churn_gen.events = 40; max_receivers = 5 }
+      in
+      List.iter
+        (fun size ->
+          let eng, _ = replay_carrying net (chunks size trace) in
+          let net' = Batch.network eng in
+          match
+            List.find_opt
+              (fun i -> Array.length (Network.session_spec net' i).Network.receivers >= 2)
+              (List.init (Network.session_count net') Fun.id)
+          with
+          | None -> ()
+          | Some session ->
+              let node = (Network.session_spec net' session).Network.receivers.(0) in
+              let stats =
+                Batch.apply eng
+                  [ Event.Leave { session; node }; Event.Join { session; node; weight = None } ]
+              in
+              if stats.Batch.net_events <> 0 then QCheck.Test.fail_report "rejoin did not net out";
+              if not (carried_usage_exact eng) then
+                QCheck.Test.fail_reportf "netted rejoin, batch size %d" size)
+        [ 1; 16 ];
+      (* Two packs at two domains.  Two clusters of 300 slots behind
+         their own trunks share one wide uplink, so both packs' solves
+         touch it. *)
+      let g = Graph.create ~nodes:6 in
+      let _ = Graph.add_link g 0 1 10_000.0 in
+      List.iter (fun (a, b, cap) -> ignore (Graph.add_link g a b cap)) [ (1, 2, 4.0); (1, 3, 4.0); (2, 4, 16.0); (3, 5, 16.0) ];
+      let park = 1e-9 in
+      let slot c k = (300 * c) + k in
+      let pools =
+        Network.make g
+          (Array.init 600 (fun s -> Network.session ~rho:park ~sender:0 ~receivers:[| 4 + (s / 300) |] ()))
+      in
+      let all_on =
+        List.init 600 (fun s -> Event.Rho_change { session = s; rho = Float.infinity })
+      in
+      let burst () =
+        List.init 16 (fun j ->
+            Event.Rho_change
+              {
+                session = slot (j mod 2) (Xoshiro.below rng 300);
+                rho = (if Xoshiro.below rng 3 = 0 then park else Float.infinity);
+              })
+      in
+      let _, stats = replay_carrying ~domains:2 pools (all_on :: List.init 3 (fun _ -> burst ())) in
+      if not (List.exists (fun st -> st.Batch.solves >= 2 && not st.Batch.full_solve) stats) then
+        QCheck.Test.fail_report "no multi-pack epoch";
+      (* An additive session on 0.1/0.2/0.3 leaves, whose trunk usage
+         depends on the order its receivers are summed in, an unused
+         link, and a full solve. *)
+      let g = Graph.create ~nodes:7 in
+      let _ = Graph.add_link g 0 1 10.0 in
+      List.iteri (fun k cap -> ignore (Graph.add_link g 1 (2 + k) cap)) [ 0.1; 0.2; 0.3 ];
+      let unused = Graph.add_link g 5 6 5.0 in
+      let small =
+        Network.make g
+          [| Network.session ~vfn:Mmfair_core.Redundancy_fn.Additive ~sender:0 ~receivers:[| 2; 3; 4 |] () |]
+      in
+      let _, stats =
+        replay_carrying small
+          [
+            [ Event.Capacity_change { link = unused; cap = 1.0 +. Xoshiro.float rng } ];
+            [ Event.Leave { session = 0; node = 2 }; Event.Join { session = 0; node = 2; weight = None } ];
+            [ Event.Rho_change { session = 0; rho = 0.1 +. Xoshiro.float rng } ];
+          ]
+      in
+      (match stats with
+      | [ cap; rejoin; rho ] ->
+          if cap.Batch.component_sessions <> 0 then QCheck.Test.fail_report "unused link moved";
+          if rejoin.Batch.net_events <> 0 || rejoin.Batch.component_sessions <> 0 then
+            QCheck.Test.fail_report "rejoin re-solved";
+          if not rho.Batch.full_solve then QCheck.Test.fail_report "no full solve"
+      | _ -> assert false);
+      true)
+
 let suite =
   [
     Alcotest.test_case "engine matches scratch on figure 2 churn" `Quick test_engine_on_figure2;
@@ -883,4 +1067,6 @@ let suite =
     Alcotest.test_case "zero domains are rejected" `Quick test_batch_rejects_zero_domains;
     Alcotest.test_case "pinned bystander judged on the link" `Quick test_pinned_bystander_off_link;
     Alcotest.test_case "lone rho event re-solves live flows" `Quick test_lone_rho_event_component;
+    QCheck_alcotest.to_alcotest qcheck_carried_usage;
+    Alcotest.test_case "rho epochs allocate bounded minor words" `Quick test_rho_epoch_minor_words;
   ]
