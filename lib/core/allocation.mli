@@ -18,7 +18,7 @@ type t
 (** An immutable allocation bound to its network. *)
 
 type usage =
-  | No_usage  (** Nothing carried: every constructor below but {!unsafe_of_rows}. *)
+  | No_usage  (** Nothing carried: what {!make}, {!of_fresh_rows} and {!zero} build. *)
   | Solved of { links : Mmfair_topology.Graph.link_id array; usage : float array }
       (** [usage.(k)] is [u_j] of [links.(k)]: a warm-start solve's
           result ({!Allocator.max_min_partial}) carries the links it
@@ -88,7 +88,8 @@ val session_link_rate : t -> session:int -> link:Mmfair_topology.Graph.link_id -
     rates on that link ([0.] when the session does not use the link). *)
 
 val link_rate : t -> Mmfair_topology.Graph.link_id -> float
-(** The paper's [u_j = Σ_i u_{i,j}]. *)
+(** The paper's [u_j = Σ_i u_{i,j}], always summed from the rows; it
+    never reads a carried {!type-usage}. *)
 
 val fully_utilized : ?eps:float -> t -> Mmfair_topology.Graph.link_id -> bool
 (** [u_j ≥ c_j − eps] (default [eps = 1e-9] scaled by capacity). *)

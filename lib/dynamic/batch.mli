@@ -26,7 +26,9 @@
     whose cells it changed, and every link after a full solve; the next
     epoch's closure reads its binding links from it instead of folding
     their cells again.  Each carried value is bitwise
-    {!Mmfair_core.Allocation.link_rate}'s.
+    {!Mmfair_core.Allocation.link_rate}'s.  (An engine restored from an
+    allocation without usages carries none until its next full solve;
+    see {!create}.)
 
     Per-event churn is the singleton batch [apply t [ ev ]], a
     one-event surgery: there is one implementation, so the per-event
@@ -72,8 +74,7 @@ val create :
   t
 (** [create net] solves epoch 0 through [solver]
     ({!Mmfair_core.Solve_engine.default} unless given), folds every
-    link's usage for it unless it carries them already, and seeds the
-    store.  Raises [Invalid_argument] when the solver's
+    link's usage for it, and seeds the store.  Raises [Invalid_argument] when the solver's
     {!Mmfair_core.Solve_engine.capabilities} lack [partial]: every
     epoch after the first is a warm-start restricted solve.
 
@@ -97,7 +98,10 @@ val create :
     is the max-min fair allocation of [net] (benchmarks use it to
     reset an engine between repetitions without paying the initial
     solve) — passing anything else silently corrupts every later
-    epoch. *)
+    epoch.  It is kept as it is: unless it carries every link's usage
+    (an earlier engine's allocation does), the engine carries none, and
+    folds the links its closures ask about, until its next full
+    solve. *)
 
 val create_result :
   ?solver:Mmfair_core.Solve_engine.t ->

@@ -939,7 +939,7 @@ let rec chunks n = function
    - a one-session net: a capacity change on an unused link leaves the
      component empty, a netted leave and rejoin reorders the additive
      session's receivers outside any solve, and a ρ change takes the
-     full solve. *)
+     full solve, which also gives a restored engine its usages. *)
 let qcheck_carried_usage =
   QCheck.Test.make ~name:"carried link usage equals link_rate bitwise" ~count:12
     QCheck.(int_range 0 100_000)
@@ -1021,14 +1021,12 @@ let qcheck_carried_usage =
         Network.make g
           [| Network.session ~vfn:Mmfair_core.Redundancy_fn.Additive ~sender:0 ~receivers:[| 2; 3; 4 |] () |]
       in
-      let _, stats =
-        replay_carrying small
-          [
-            [ Event.Capacity_change { link = unused; cap = 1.0 +. Xoshiro.float rng } ];
-            [ Event.Leave { session = 0; node = 2 }; Event.Join { session = 0; node = 2; weight = None } ];
-            [ Event.Rho_change { session = 0; rho = 0.1 +. Xoshiro.float rng } ];
-          ]
+      let cap = [ Event.Capacity_change { link = unused; cap = 1.0 +. Xoshiro.float rng } ] in
+      let rejoin =
+        [ Event.Leave { session = 0; node = 2 }; Event.Join { session = 0; node = 2; weight = None } ]
       in
+      let rho = [ Event.Rho_change { session = 0; rho = 0.1 +. Xoshiro.float rng } ] in
+      let _, stats = replay_carrying small [ cap; rejoin; rho ] in
       (match stats with
       | [ cap; rejoin; rho ] ->
           if cap.Batch.component_sessions <> 0 then QCheck.Test.fail_report "unused link moved";
@@ -1036,6 +1034,16 @@ let qcheck_carried_usage =
             QCheck.Test.fail_report "rejoin re-solved";
           if not rho.Batch.full_solve then QCheck.Test.fail_report "no full solve"
       | _ -> assert false);
+      (* A restored allocation without usages leaves the engine
+         carrying none until its next full solve. *)
+      let eng = Batch.create ~allocation:(Allocator.max_min small) small in
+      ignore (Batch.apply eng cap);
+      (match Allocation.usage (Batch.allocation eng) with
+      | Allocation.No_usage -> ()
+      | Allocation.Solved _ | Allocation.Every_link _ ->
+          QCheck.Test.fail_report "a restored engine carries usages");
+      ignore (Batch.apply eng rho);
+      if not (carried_usage_exact eng) then QCheck.Test.fail_report "full solve after a restore";
       true)
 
 let suite =
