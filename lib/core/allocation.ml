@@ -14,10 +14,11 @@ type t = { net : Network.t; rates : float array Pvec.t; usage : usage }
    rows would cost a forced minor collection and a write barrier per
    session. *)
 let of_fresh_rows net row =
+  let session_first = (Network.incidence net).Network.session_first in
   let rates =
     Pvec.init (Network.session_count net) (fun i ->
         let per = row i in
-        if Array.length per <> Array.length (Network.session_spec net i).Network.receivers then
+        if Array.length per <> session_first.(i + 1) - session_first.(i) then
           invalid_arg (Printf.sprintf "Allocation.make: receiver count mismatch in session %d" i);
         for k = 0 to Array.length per - 1 do
           let a = per.(k) in
@@ -69,14 +70,33 @@ let unsafe_rates_of_session t i = Pvec.get t.rates i
 let unsafe_rows t = t.rates
 let usage t = t.usage
 
+(* A cell of a session whose function is not [Efficient]: off the
+   fast path, and out of line, so [cell_rate] holds no closure and can
+   be inlined. *)
+let fold_other vfn rates link_cells ~offset ~lo ~hi =
+  Redundancy_fn.apply_fold vfn ~n:(hi - lo) ~get:(fun j -> rates.(link_cells.(lo + j) - offset))
+
 (* Fold a compact incidence cell directly: feasibility checks sweep
    [link_rate] over every link, so it must not materialize per-cell
-   lists and must skip (link, session) pairs nobody crosses. *)
-let cell_rate t inc c =
+   lists and must skip (link, session) pairs nobody crosses.  [specs]
+   and [rows] are the spines of the network's specs and of the rows,
+   read in place: an [Efficient] cell, the common one, is folded here
+   with [Redundancy_fn.apply_fold]'s comparisons, with no call and no
+   boxed float. *)
+let[@inline] cell_rate specs rows inc c =
   let i = inc.Network.cell_session.(c) in
-  Redundancy_fn.apply_indexed (Network.vfn t.net i) (Pvec.get t.rates i) inc.Network.link_cells
-    ~offset:inc.Network.session_first.(i) ~lo:inc.Network.cell_first.(c)
-    ~hi:inc.Network.cell_first.(c + 1)
+  let rates = rows.(i lsr 5).(i land 31) and offset = inc.Network.session_first.(i) in
+  let lo = inc.Network.cell_first.(c) and hi = inc.Network.cell_first.(c + 1) in
+  let link_cells = inc.Network.link_cells in
+  match specs.(i lsr 5).(i land 31).Network.vfn with
+  | Redundancy_fn.Efficient ->
+      let mx = ref 0.0 in
+      for p = lo to hi - 1 do
+        let x = rates.(link_cells.(p) - offset) in
+        if x > !mx then mx := x
+      done;
+      !mx
+  | vfn -> fold_other vfn rates link_cells ~offset ~lo ~hi
 
 let session_link_rate t ~session ~link =
   if session < 0 || session >= Network.session_count t.net then
@@ -84,13 +104,14 @@ let session_link_rate t ~session ~link =
   if link < 0 || link >= Graph.link_count (Network.graph t.net) then
     invalid_arg "Allocation.session_link_rate: unknown link";
   let inc = Network.incidence t.net in
+  let specs = Pvec.unsafe_spine (Network.unsafe_specs t.net) and rows = Pvec.unsafe_spine t.rates in
   let rate = ref 0.0 in
   let c = ref inc.Network.link_row.(link) in
   let hi = inc.Network.link_row.(link + 1) in
   while !c < hi do
     let s = inc.Network.cell_session.(!c) in
     if s = session then begin
-      rate := cell_rate t inc !c;
+      rate := cell_rate specs rows inc !c;
       c := hi
     end
     else if s > session then c := hi
@@ -100,9 +121,10 @@ let session_link_rate t ~session ~link =
 
 let link_rate t link =
   let inc = Network.incidence t.net in
+  let specs = Pvec.unsafe_spine (Network.unsafe_specs t.net) and rows = Pvec.unsafe_spine t.rates in
   let s = ref 0.0 in
   for c = inc.Network.link_row.(link) to inc.Network.link_row.(link + 1) - 1 do
-    s := !s +. cell_rate t inc c
+    s := !s +. cell_rate specs rows inc c
   done;
   !s
 

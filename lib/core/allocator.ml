@@ -298,6 +298,10 @@ let init sc net ~component ~frozen =
   let stamp = sc.stamp in
   let session_first = inc.Network.session_first in
   let rr = inc.Network.recv_row and rc = inc.Network.recv_cells in
+  (* Specs and frozen rows are read off their spines: a call per
+     session would be a real one in a build without cross-module
+     inlining (DESIGN §11). *)
+  let specs = Pvec.unsafe_spine (Network.unsafe_specs net) in
   let n_touched = ref 0 in
   let n_solve = ref 0 in
   let n_active = ref 0 in
@@ -312,11 +316,12 @@ let init sc net ~component ~frozen =
       sc.s_seen_stamp.(i) <- stamp;
       sc.s_solve.(!n_solve) <- i;
       incr n_solve;
-      let spec = Network.session_spec net i in
-      sc.s_vfn.(i) <- spec.Network.vfn;
+      let spec = specs.(i lsr 5).(i land 31) in
+      let vfn = spec.Network.vfn in
+      sc.s_vfn.(i) <- vfn;
       sc.s_rho.(i) <- spec.Network.rho;
       sc.s_single.(i) <- spec.Network.session_type = Network.Single_rate;
-      if not (Redundancy_fn.is_linear sc.s_vfn.(i)) then all_linear := false;
+      (match vfn with Redundancy_fn.Custom _ -> all_linear := false | _ -> ());
       let w = spec.Network.weights in
       let lo = session_first.(i) in
       for gid = lo to session_first.(i + 1) - 1 do
@@ -330,85 +335,91 @@ let init sc net ~component ~frozen =
           if sc.l_stamp.(l) <> stamp then begin
             sc.l_stamp.(l) <- stamp;
             sc.l_touched.(!n_touched) <- l;
-            incr n_touched;
-            sc.l_cap.(l) <- Graph.capacity g l;
-            sc.l_const.(l) <- 0.0;
-            sc.l_slope.(l) <- 0.0;
-            sc.l_active.(l) <- 0;
-            sc.l_sat.(l) <- false;
-            sc.l_pos.(l) <- -1
+            incr n_touched
           end
         done
       done
     end
   done;
+  (* Passes 2 and 3 walk every cell of the dirty-list: the arena's
+     arrays are read through locals, and pass 3 sums each link's usage
+     model in locals (from 0, in cell order) and stores it with the
+     link's other state once.  Indices come straight off the CSR (and
+     a frozen row's length is checked before it is read), so both
+     passes skip the bounds checks. *)
   let link_row = inc.Network.link_row and cell_session = inc.Network.cell_session in
-  let touch_frozen i =
-    sc.s_seen_stamp.(i) <- stamp;
-    let lo = session_first.(i) and hi = session_first.(i + 1) in
-    let row = Pvec.get frozen i in
-    if Array.length row <> hi - lo then
-      invalid_arg
-        (Printf.sprintf "Allocator.max_min_partial: session %d frozen rate count mismatch" i);
-    sc.s_vfn.(i) <- Network.vfn net i;
-    if not (Redundancy_fn.is_linear sc.s_vfn.(i)) then all_linear := false;
-    for gid = lo to hi - 1 do
-      let r = row.(gid - lo) in
-      if not (Float.is_finite r && r >= 0.0) then
-        invalid_arg
-          (Printf.sprintf
-             "Allocator.max_min_partial: session %d has a negative or non-finite frozen rate" i);
-      sc.g_active.(gid) <- false;
-      sc.g_rates.(gid) <- r
-    done
-  in
+  let cell_first = inc.Network.cell_first and link_cells = inc.Network.link_cells in
+  let frozen_rows = Pvec.unsafe_spine frozen in
+  let seen = sc.s_seen_stamp and s_vfn = sc.s_vfn in
+  let g_active = sc.g_active and g_rates = sc.g_rates in
   for tp = 0 to !n_touched - 1 do
     let l = sc.l_touched.(tp) in
     for c = link_row.(l) to link_row.(l + 1) - 1 do
-      let i = cell_session.(c) in
-      if sc.s_seen_stamp.(i) <> stamp then touch_frozen i
+      let i = Array.unsafe_get cell_session c in
+      if Array.unsafe_get seen i <> stamp then begin
+        Array.unsafe_set seen i stamp;
+        let lo = Array.unsafe_get session_first i and hi = Array.unsafe_get session_first (i + 1) in
+        let row = Array.unsafe_get (Array.unsafe_get frozen_rows (i lsr 5)) (i land 31) in
+        if Array.length row <> hi - lo then
+          invalid_arg
+            (Printf.sprintf "Allocator.max_min_partial: session %d frozen rate count mismatch" i);
+        let vfn = (Array.unsafe_get (Array.unsafe_get specs (i lsr 5)) (i land 31)).Network.vfn in
+        Array.unsafe_set s_vfn i vfn;
+        (match vfn with Redundancy_fn.Custom _ -> all_linear := false | _ -> ());
+        for gid = lo to hi - 1 do
+          let r = Array.unsafe_get row (gid - lo) in
+          if not (Float.is_finite r && r >= 0.0) then
+            invalid_arg
+              (Printf.sprintf
+                 "Allocator.max_min_partial: session %d has a negative or non-finite frozen rate" i);
+          Array.unsafe_set g_active gid false;
+          Array.unsafe_set g_rates gid r
+        done
+      end
     done
   done;
-  (* Hot path: indices come straight off the CSR, so skip the bounds
-     checks. *)
-  let cell_first = inc.Network.cell_first and link_cells = inc.Network.link_cells in
+  let c_active = sc.c_active and c_max = sc.c_max and c_sum = sc.c_sum in
   let n_active_links = ref 0 in
   for tp = 0 to !n_touched - 1 do
     let l = sc.l_touched.(tp) in
+    let const = ref 0.0 and slope = ref 0.0 and active = ref 0 in
     for c = link_row.(l) to link_row.(l + 1) - 1 do
       let lo = Array.unsafe_get cell_first c and hi = Array.unsafe_get cell_first (c + 1) in
       let n_act = ref 0 in
       let mx = ref 0.0 and sum = ref 0.0 in
       for p = lo to hi - 1 do
         let gid = Array.unsafe_get link_cells p in
-        if Array.unsafe_get sc.g_active gid then incr n_act
+        if Array.unsafe_get g_active gid then incr n_act
         else begin
-          let a = Array.unsafe_get sc.g_rates gid in
+          let a = Array.unsafe_get g_rates gid in
           if a > !mx then mx := a;
           sum := !sum +. a
         end
       done;
-      Array.unsafe_set sc.c_active c !n_act;
-      Array.unsafe_set sc.c_max c !mx;
-      Array.unsafe_set sc.c_sum c !sum;
-      (match sc.s_vfn.(cell_session.(c)) with
-      | Redundancy_fn.Efficient ->
-          if !n_act > 0 then sc.l_slope.(l) <- sc.l_slope.(l) +. 1.0
-          else sc.l_const.(l) <- sc.l_const.(l) +. !mx
+      Array.unsafe_set c_active c !n_act;
+      Array.unsafe_set c_max c !mx;
+      Array.unsafe_set c_sum c !sum;
+      (match Array.unsafe_get s_vfn (Array.unsafe_get cell_session c) with
+      | Redundancy_fn.Efficient -> if !n_act > 0 then slope := !slope +. 1.0 else const := !const +. !mx
       | Redundancy_fn.Scaled v ->
-          if !n_act > 0 then sc.l_slope.(l) <- sc.l_slope.(l) +. v
-          else sc.l_const.(l) <- sc.l_const.(l) +. (v *. !mx)
+          if !n_act > 0 then slope := !slope +. v else const := !const +. (v *. !mx)
       | Redundancy_fn.Additive ->
-          sc.l_slope.(l) <- sc.l_slope.(l) +. float_of_int !n_act;
-          sc.l_const.(l) <- sc.l_const.(l) +. !sum
+          slope := !slope +. float_of_int !n_act;
+          const := !const +. !sum
       | Redundancy_fn.Custom _ -> ());
-      sc.l_active.(l) <- sc.l_active.(l) + !n_act
+      active := !active + !n_act
     done;
-    if sc.l_active.(l) > 0 then begin
+    sc.l_cap.(l) <- Graph.capacity g l;
+    sc.l_const.(l) <- !const;
+    sc.l_slope.(l) <- !slope;
+    sc.l_active.(l) <- !active;
+    sc.l_sat.(l) <- false;
+    if !active > 0 then begin
       sc.l_list.(!n_active_links) <- l;
       sc.l_pos.(l) <- !n_active_links;
       incr n_active_links
     end
+    else sc.l_pos.(l) <- -1
   done;
   let st =
     {
@@ -901,23 +912,33 @@ let row st i =
 
 (* The final usage of every link the solve touched, summed as
    [Allocation.link_rate] sums it (cells in link order, each folded by
-   [Redundancy_fn.apply_indexed]), from the arena's rates: every
-   receiver on a touched link is frozen or pinned by now, and the
-   result's rows hold the same values.  The same additions in the same
-   order give the same bits. *)
+   [Redundancy_fn.apply_fold]'s comparisons, an [Efficient] cell in
+   place), from the arena's rates: every receiver on a touched link is
+   frozen or pinned by now, and the result's rows hold the same
+   values.  The same comparisons and additions in the same order give
+   the same bits.  Indices come off the CSR into arena arrays sized
+   for the network, so the reads skip the bounds checks. *)
 let solved_usage st =
   let inc = st.inc in
   let link_row = inc.Network.link_row and cell_first = inc.Network.cell_first in
+  let cell_session = inc.Network.cell_session and link_cells = inc.Network.link_cells in
+  let rates = st.rates and vfn = st.vfn in
   let links = Array.sub st.touched 0 st.n_touched in
   let usage = Array.create_float st.n_touched in
   for k = 0 to st.n_touched - 1 do
     let l = links.(k) in
     let u = ref 0.0 in
     for c = link_row.(l) to link_row.(l + 1) - 1 do
-      u :=
-        !u
-        +. Redundancy_fn.apply_indexed st.vfn.(inc.Network.cell_session.(c)) st.rates
-             inc.Network.link_cells ~offset:0 ~lo:cell_first.(c) ~hi:cell_first.(c + 1)
+      let lo = Array.unsafe_get cell_first c and hi = Array.unsafe_get cell_first (c + 1) in
+      match Array.unsafe_get vfn (Array.unsafe_get cell_session c) with
+      | Redundancy_fn.Efficient ->
+          let mx = ref 0.0 in
+          for p = lo to hi - 1 do
+            let x = Array.unsafe_get rates (Array.unsafe_get link_cells p) in
+            if x > !mx then mx := x
+          done;
+          u := !u +. !mx
+      | v -> u := !u +. Redundancy_fn.apply_fold v ~n:(hi - lo) ~get:(fun j -> rates.(link_cells.(lo + j)))
     done;
     usage.(k) <- !u
   done;

@@ -79,6 +79,7 @@ type arena = {
       (* per expanded link: the session that expanded it, or -1 if
          every session on it joined then *)
   mutable seen : int array; (* per link: [scan] iff the current scan met it *)
+  mutable inside : int array; (* per session: [scan] iff the current scan listed it inside *)
   summaries : summary array;
 }
 
@@ -105,6 +106,7 @@ let new_arena () =
     expanded = [||];
     anchor = [||];
     seen = [||];
+    inside = [||];
     summaries =
       Array.init n_summaries (fun _ ->
           {
@@ -134,6 +136,7 @@ let start arena net =
   arena.expanded <- ensure arena.expanded nl;
   arena.anchor <- ensure arena.anchor nl;
   arena.seen <- ensure arena.seen nl;
+  arena.inside <- ensure arena.inside n;
   arena.stamp <- arena.stamp + 1;
   { net; arena; stamp = arena.stamp; members = []; n_sessions = 0; n_recv = 0 }
 
@@ -287,14 +290,22 @@ let views t (binding : binding) =
 
 let alloc_of s = match s.alloc with Some a -> a | None -> assert false
 
-(* The one pass over link [l]'s cells under [s]'s allocation. *)
+(* The one pass over link [l]'s cells under [s]'s allocation.  The
+   specs and rows are read straight off their spines and an
+   [Efficient] cell is folded in place: a call per cell would box the
+   float it returns (DESIGN §11).  Indices that come off the incidence
+   CSR, and weights (the network checks their count), skip the bounds
+   checks; a rate is read checked, since only the allocation's
+   constructor vouches for its row's length. *)
 let summarise t s l =
   if s.summed.(l) <> s.gen then begin
     let alloc = alloc_of s in
     let net = Allocation.network alloc in
     let inc = Network.incidence net in
+    let specs = Pvec.unsafe_spine (Network.unsafe_specs net) in
+    let rows = Pvec.unsafe_spine (Allocation.unsafe_rows alloc) in
     let session_first = inc.Network.session_first and cell_first = inc.Network.cell_first in
-    let link_cells = inc.Network.link_cells in
+    let link_cells = inc.Network.link_cells and cell_session = inc.Network.cell_session in
     let lo_cell = inc.Network.link_row.(l) and hi_cell = inc.Network.link_row.(l + 1) in
     let usage = ref 0.0 and top = ref 0.0 in
     let local = ref (inc == Network.incidence t.net) in
@@ -304,23 +315,25 @@ let summarise t s l =
       Array.blit s.cells 0 grown 0 base;
       s.cells <- grown
     end;
+    let cells = s.cells in
     for c = lo_cell to hi_cell - 1 do
-      let i = inc.Network.cell_session.(c) in
-      let spec = Network.session_spec net i in
-      let rates = Allocation.unsafe_rates_of_session alloc i and g0 = session_first.(i) in
-      let lo = cell_first.(c) and hi = cell_first.(c + 1) in
-      match (spec.Network.vfn, spec.Network.session_type) with
-      | Redundancy_fn.Efficient, Network.Multi_rate when !local ->
-          (* [Redundancy_fn.apply_indexed]'s max, next to the
+      let i = Array.unsafe_get cell_session c in
+      let spec = Array.unsafe_get (Array.unsafe_get specs (i lsr 5)) (i land 31) in
+      let rates = Array.unsafe_get (Array.unsafe_get rows (i lsr 5)) (i land 31) in
+      let g0 = Array.unsafe_get session_first i in
+      let lo = Array.unsafe_get cell_first c and hi = Array.unsafe_get cell_first (c + 1) in
+      match spec.Network.vfn with
+      | Redundancy_fn.Efficient when !local && spec.Network.session_type = Network.Multi_rate ->
+          (* [Redundancy_fn.apply_fold]'s max, next to the
              per-receiver reads; the same comparisons give the same
              bits. *)
           let mx = ref 0.0 and norm = ref 0.0 and pinned = ref true in
-          let rho = spec.Network.rho in
+          let rho = spec.Network.rho and weights = spec.Network.weights in
           for p = lo to hi - 1 do
-            let k = link_cells.(p) - g0 in
+            let k = Array.unsafe_get link_cells p - g0 in
             let a = rates.(k) in
             if a > !mx then mx := a;
-            let x = a /. spec.Network.weights.(k) in
+            let x = a /. Array.unsafe_get weights k in
             if x > !norm then norm := x;
             if a < rho then begin
               pinned := false;
@@ -329,11 +342,21 @@ let summarise t s l =
           done;
           usage := !usage +. !mx;
           let k = base + (2 * (c - lo_cell)) in
-          s.cells.(k) <- !norm;
-          s.cells.(k + 1) <- (if !pinned then !norm else Float.infinity)
-      | vfn, _ ->
+          Array.unsafe_set cells k !norm;
+          Array.unsafe_set cells (k + 1) (if !pinned then !norm else Float.infinity)
+      | Redundancy_fn.Efficient ->
           local := false;
-          usage := !usage +. Redundancy_fn.apply_indexed vfn rates link_cells ~offset:g0 ~lo ~hi
+          let mx = ref 0.0 in
+          for p = lo to hi - 1 do
+            let a = rates.(link_cells.(p) - g0) in
+            if a > !mx then mx := a
+          done;
+          usage := !usage +. !mx
+      | vfn ->
+          local := false;
+          usage :=
+            !usage
+            +. Redundancy_fn.apply_fold vfn ~n:(hi - lo) ~get:(fun j -> rates.(link_cells.(lo + j) - g0))
     done;
     s.link.(l) <- (2 * s.gen) + if binds_at (Network.graph net) l !usage then 1 else 0;
     s.summed.(l) <- s.gen;
@@ -353,7 +376,8 @@ let binds_one t s l =
   let alloc = alloc_of s in
   match Allocation.usage alloc with
   | Allocation.Every_link u ->
-      binds_at (Network.graph (Allocation.network alloc)) l (Pvec.get u l)
+      (* Off the spine: a call would box the float. *)
+      binds_at (Network.graph (Allocation.network alloc)) l (Pvec.unsafe_spine u).(l lsr 5).(l land 31)
   | Allocation.No_usage | Allocation.Solved _ ->
       if s.link.(l) lsr 1 <> s.gen then summarise t s l;
       s.link.(l) land 1 = 1
@@ -375,14 +399,15 @@ let stays_out t v l c =
 
 (* --- closure ------------------------------------------------------------ *)
 
-let add t i =
+(* [session_first] is the component's network's: receivers are counted
+   off the incidence, not the specs. *)
+let add t session_first i =
   if not (mem t i) then begin
     t.arena.member.(i) <- t.stamp;
     t.arena.parent.(i) <- i;
     t.members <- i :: t.members;
     t.n_sessions <- t.n_sessions + 1;
-    t.n_recv <-
-      t.n_recv + Array.length (Network.session_spec t.net i).Network.receivers
+    t.n_recv <- t.n_recv + session_first.(i + 1) - session_first.(i)
   end
 
 (* Grow by session [i] and everything reachable from it over binding
@@ -414,7 +439,7 @@ let absorb_views t views i =
   let link_row = inc.Network.link_row and cell_session = inc.Network.cell_session in
   let arena = t.arena in
   let stack = ref [ i ] in
-  add t i;
+  add t session_first i;
   while
     match !stack with
     | [] -> false
@@ -433,7 +458,7 @@ let absorb_views t views i =
               if mem t j then union t s j
               else if stays_out t views l c then skipped := true
               else begin
-                add t j;
+                add t session_first j;
                 stack := j :: !stack;
                 union t s j
               end
@@ -466,15 +491,24 @@ let absorb_link t ~binding l =
    its cell sits at its ρ below the top of the inside cells on the
    link, under the judge: then no inside receiver whose certificate is
    the link rates lower.  The judge's summary is only read when a
-   non-member is outside. *)
-let flags t v ~inside l =
+   non-member is outside.
+
+   Inside is [root]'s group, or every member when [root] is negative.
+   The scan marked the sessions it enumerates, so a cell's test is one
+   load; only an unmarked member of a group scan (another group's, or
+   one merged into this group after its sessions were listed) asks
+   [find]. *)
+let[@inline] inside t ~root j =
+  t.arena.inside.(j) = t.arena.scan || (root >= 0 && mem t j && find t j = root)
+
+let flags t v ~root l =
   let inc = Network.incidence t.net in
   let cell_session = inc.Network.cell_session in
   let lo = inc.Network.link_row.(l) and hi = inc.Network.link_row.(l + 1) in
   let other_group = ref false and non_member = ref false in
   for c = lo to hi - 1 do
     let j = cell_session.(c) in
-    if not (inside j) then if mem t j then other_group := true else non_member := true
+    if not (inside t ~root j) then if mem t j then other_group := true else non_member := true
   done;
   !other_group
   || !non_member
@@ -485,21 +519,23 @@ let flags t v ~inside l =
      ||
      let top = ref 0.0 and out = ref 0.0 in
      for c = lo to hi - 1 do
-       if inside cell_session.(c) then begin
+       if inside t ~root cell_session.(c) then begin
          if norm s l c > !top then top := norm s l c
        end
        else if pin s l c > !out then out := pin s l c
      done;
      not (!out < (1.0 -. eps_bind) *. !top)
 
-(* Links on the [inside] sessions' paths that bind and are flagged. *)
-let boundary_scan t ~binding ~inside iter_sessions =
+(* Links on the inside sessions' paths that bind and are flagged.  A
+   fresh scan generation marks the inside sessions among those
+   [iter_sessions] lists, and the links this scan has met. *)
+let boundary_scan t ~binding ~root iter_sessions =
   let views = views t binding in
   let inc = Network.incidence t.net in
-  (* A fresh scan generation marks the links this scan has met. *)
   let arena = t.arena in
   arena.scan <- arena.scan + 1;
   let scan = arena.scan in
+  iter_sessions (fun i -> if root < 0 || (mem t i && find t i = root) then arena.inside.(i) <- scan);
   let boundary = ref [] in
   (* A boundary link carries an inside receiver, so only links on the
      inside sessions' paths can qualify: enumerate those straight off
@@ -510,20 +546,15 @@ let boundary_scan t ~binding ~inside iter_sessions =
           let l = inc.Network.recv_cells.(p) in
           if arena.seen.(l) <> scan then begin
             arena.seen.(l) <- scan;
-            if binds_in t views l && flags t views ~inside l then boundary := l :: !boundary
+            if binds_in t views l && flags t views ~root l then boundary := l :: !boundary
           end
         done
       done);
   !boundary
 
 let boundary_links t ~binding =
-  boundary_scan t ~binding ~inside:(mem t) (fun f -> List.iter f (sorted_members t))
+  boundary_scan t ~binding ~root:(-1) (fun f -> List.iter f (sorted_members t))
 
 let group_boundary_links t ~binding group =
   if Array.length group = 0 then []
-  else begin
-    let root = find t group.(0) in
-    boundary_scan t ~binding
-      ~inside:(fun s -> mem t s && find t s = root)
-      (fun f -> Array.iter f group)
-  end
+  else boundary_scan t ~binding ~root:(find t group.(0)) (fun f -> Array.iter f group)

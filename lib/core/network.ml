@@ -313,6 +313,7 @@ let session_spec t i =
   check_session t i "session_spec";
   Pvec.get t.sessions i
 
+let unsafe_specs t = t.sessions
 let session_type t i = (session_spec t i).session_type
 
 let weight t (r : receiver_id) =

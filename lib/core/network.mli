@@ -93,6 +93,13 @@ val receiver_count : t -> int
 (** Total receivers over all sessions. *)
 
 val session_spec : t -> int -> session_spec
+
+val unsafe_specs : t -> session_spec Pvec.t
+(** Every session's spec, indexed by session: the vector the network
+    holds, not a copy.  For loops that visit many sessions, which read
+    it through {!Pvec.unsafe_spine} instead of calling {!session_spec}
+    per session.  Read-only. *)
+
 val session_type : t -> int -> session_type
 val rho : t -> int -> float
 val vfn : t -> int -> Redundancy_fn.t

@@ -8,6 +8,7 @@ let mask = chunk - 1
 type 'a t = { len : int; spine : 'a array array }
 
 let length v = v.len
+let unsafe_spine v = v.spine
 let n_chunks n = (n + mask) lsr bits
 let chunk_len n c = Stdlib.min chunk (n - (c lsl bits))
 

@@ -15,6 +15,15 @@ type 'a t
 
 val length : 'a t -> int
 
+val unsafe_spine : 'a t -> 'a array array
+(** The chunks themselves, for loops that read many entries: index [i]
+    is at [spine.(i lsr 5).(i land 31)].  Every chunk holds 32 entries
+    but the last, which holds the rest; a vector of length 0 has no
+    chunk.  Chunks may be shared with other vectors (and, after
+    {!make}, with each other), so callers must never write to them.
+    A read through the spine costs two loads and no call; for a float
+    vector it is not boxed, where {!get} returns a boxed float. *)
+
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] outside [0 .. length - 1]. *)
 

@@ -55,21 +55,6 @@ let apply_fold v ~n ~get =
         let rates = List.init n get in
         Float.max (f rates) (max_rate rates)
 
-(* Out of line: a function holding a closure is never inlined. *)
-let apply_indexed_fold v rates idx ~offset ~lo ~hi =
-  apply_fold v ~n:(hi - lo) ~get:(fun j -> rates.(idx.(lo + j) - offset))
-
-let[@inline] apply_indexed v rates idx ~offset ~lo ~hi =
-  match v with
-  | Efficient ->
-      let mx = ref 0.0 in
-      for p = lo to hi - 1 do
-        let x = rates.(idx.(p) - offset) in
-        if x > !mx then mx := x
-      done;
-      !mx
-  | Scaled _ | Additive | Custom _ -> apply_indexed_fold v rates idx ~offset ~lo ~hi
-
 let name = function
   | Efficient -> "efficient"
   | Scaled k -> Printf.sprintf "scaled(%g)" k

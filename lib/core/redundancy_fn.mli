@@ -39,17 +39,11 @@ val apply : t -> float list -> float
 val apply_fold : t -> n:int -> get:(int -> float) -> float
 (** [apply_fold v ~n ~get] is [apply v (List.init n get)] without
     building the list for the linear shapes ([Efficient], [Scaled],
-    [Additive]) — the allocator's hot loops fold the downstream rates
-    directly.  [Custom] functions consume a [float list] by
-    construction, so that shape alone still materializes the rates. *)
-
-val apply_indexed :
-  t -> float array -> int array -> offset:int -> lo:int -> hi:int -> float
-(** [apply_indexed v rates idx ~offset ~lo ~hi] is
-    [apply_fold v ~n:(hi - lo) ~get:(fun j -> rates.(idx.(lo + j) - offset))]
-    bit for bit: one incidence cell's link rate, the receivers listed
-    in [idx.(lo .. hi - 1)] and their rates read at [rates.(gid - offset)].
-    An [Efficient] cell is folded without a closure. *)
+    [Additive]).  [Custom] functions consume a [float list] by
+    construction, so that shape alone still materializes the rates.
+    The hot loops over a link's cells fold an [Efficient] cell in
+    place, with the same comparisons ([x > max], from [0.]), and call
+    this for the other shapes. *)
 
 val name : t -> string
 (** Short human-readable name for reports. *)

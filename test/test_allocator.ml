@@ -751,6 +751,90 @@ let test_nested_solves () =
       same "inner max_min" cold alone;
       same "inner max_min_partial" warm alone
 
+(* A partial solve over 100 sessions, five disjoint clusters of 20,
+   every third session solved and the rest pinned at their cold rows,
+   read through a frozen vector that [Pvec.update] built: chunk 1 is
+   copied (it rewrites the rows of solved sessions there, which the
+   solve never reads), chunks 0, 2 and 3 are the cold allocation's.  In
+   cluster [k] every receiver sits at [0.25 (k + 1)] behind its trunk:
+   the capacity is that level times the trunk's slope, every seventh
+   session is [Scaled 2], and with these dyadic values every level,
+   pinned sum and usage is exact, so each row and each carried usage
+   must equal the cold solve's bit for bit. *)
+let test_partial_over_chunks_bitwise () =
+  let module Pvec = Mmfair_core.Pvec in
+  let clusters = 5 and per = 20 and leaves = 3 in
+  let m = clusters * per in
+  let g = Graph.create ~nodes:(clusters * (2 + leaves)) in
+  let node k j = (k * (2 + leaves)) + j in
+  let vfn i = if i mod 7 = 0 then Redundancy_fn.Scaled 2.0 else Redundancy_fn.Efficient in
+  for k = 0 to clusters - 1 do
+    let slope = ref 0.0 in
+    for i = k * per to ((k + 1) * per) - 1 do
+      slope := !slope +. match vfn i with Redundancy_fn.Scaled v -> v | _ -> 1.0
+    done;
+    ignore (Graph.add_link g (node k 0) (node k 1) (0.25 *. float_of_int (k + 1) *. !slope));
+    for j = 0 to leaves - 1 do
+      ignore (Graph.add_link g (node k 1) (node k (2 + j)) 64.0)
+    done
+  done;
+  let net =
+    Network.make g
+      (Array.init m (fun i ->
+           let k = i / per in
+           let receivers = Array.init (1 + (i mod leaves)) (fun j -> node k (2 + j)) in
+           Network.session ~vfn:(vfn i) ~sender:(node k 0) ~receivers ()))
+  in
+  let cold = Allocator.max_min net in
+  let sessions = Array.of_list (List.filter (fun i -> i mod 3 = 0) (List.init m Fun.id)) in
+  let cold_rows = Allocation.unsafe_rows cold in
+  let frozen =
+    Pvec.update cold_rows (fun set ->
+        Array.iter (fun i -> if i / 32 = 1 then set i (Array.map (fun _ -> 0.0) (Pvec.get cold_rows i))) sessions)
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  Alcotest.(check bool) "chunk 1 copied" false (Pvec.get frozen 33 == Pvec.get cold_rows 33);
+  Alcotest.(check bool) "chunk 2 shared" true (Pvec.get frozen 65 == Pvec.get cold_rows 65);
+  let partial = Allocator.max_min_partial ~sessions ~frozen net in
+  for i = 0 to m - 1 do
+    Alcotest.(check (array int64))
+      (Printf.sprintf "session %d's row" i)
+      (bits (Allocation.rates_of_session cold i))
+      (bits (Allocation.rates_of_session partial i))
+  done;
+  Alcotest.(check (float 0.0)) "cluster 4's rate" 1.25 (Allocation.rate cold { Network.session = 99; index = 0 });
+  match Allocation.usage partial with
+  | Allocation.Solved { links; usage } ->
+      Array.iteri
+        (fun k l ->
+          Alcotest.(check int64)
+            (Printf.sprintf "link %d's usage" l)
+            (Int64.bits_of_float (Allocation.link_rate cold l))
+            (Int64.bits_of_float usage.(k)))
+        links
+  | Allocation.No_usage | Allocation.Every_link _ -> Alcotest.fail "a partial solve carries its usages"
+
+(* The words one cold solve allocates on the minor heap, pinned on the
+   2,048-node power-law network (one unicast per node) that the
+   solve-powerlaw benchmark solves.  The count is exact for one binary
+   (6,782 words when this gate was set: mostly the 2,048 result rows
+   and the row vector's chunks); the bound leaves about 10 % for
+   compiler and library drift.  A boxed float or a closure per session
+   on the cold path (4,096 words or more here) would cross it. *)
+let test_cold_solve_minor_words () =
+  let rng = Mmfair_prng.Xoshiro.create ~seed:1L () in
+  let g, specs = Mmfair_workload.Standard_nets.power_law ~rng ~nodes:2048 ~attach:2 in
+  let net = Network.make g specs in
+  (* The first solve grows the per-domain arena. *)
+  ignore (Sys.opaque_identity (Allocator.max_min net));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Allocator.max_min net));
+  let words = Gc.minor_words () -. w0 in
+  let bound = 7460.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per cold solve <= %.0f" words bound)
+    true (words <= bound)
+
 let suite =
   suite
   @ [
@@ -766,4 +850,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_certify_accepts_optimized;
       Alcotest.test_case "rounds are allocation-free" `Quick test_rounds_allocation_free;
       Alcotest.test_case "zero sessions" `Quick test_zero_sessions;
+      Alcotest.test_case "partial over chunks matches cold bitwise" `Quick
+        test_partial_over_chunks_bitwise;
+      Alcotest.test_case "cold solve allocates bounded minor words" `Quick test_cold_solve_minor_words;
     ]

@@ -321,6 +321,39 @@ let qcheck_closure_random_nets =
       closure_agrees rng net ~judge:(Allocator.max_min net) ~coin:(random_alloc rng net ~hi:2.0)
         ~extra:(random_alloc rng net ~hi:2.0))
 
+(* The same on larger random networks, so summaries and spine reads
+   run past the first 32-entry chunk: 33–80 sessions, a share of them
+   single-rate or [Scaled], and non-unit weights (one per single-rate
+   session, one per receiver otherwise). *)
+let qcheck_closure_random_nets_chunks =
+  QCheck.Test.make ~name:"absorb matches the naive closure past the first chunk" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Xoshiro.create ~seed:(Int64.of_int seed) () in
+      let config =
+        {
+          Random_nets.default with
+          Random_nets.nodes = 10 + Xoshiro.below rng 10;
+          extra_links = 4 + Xoshiro.below rng 8;
+          sessions = 33 + Xoshiro.below rng 48;
+          max_receivers = 4;
+          scaled_vfn_prob = 0.2;
+        }
+      in
+      let net = Random_nets.generate ~rng config in
+      let weight () = 0.5 +. float_of_int (Xoshiro.below rng 6) *. 0.5 in
+      let net =
+        Network.with_weights net
+          (Array.init (Network.session_count net) (fun i ->
+               let spec = Network.session_spec net i in
+               let k = Array.length spec.Network.receivers in
+               match spec.Network.session_type with
+               | Network.Single_rate -> Array.make k (weight ())
+               | Network.Multi_rate -> Array.init k (fun _ -> weight ())))
+      in
+      closure_agrees rng net ~judge:(Allocator.max_min net) ~coin:(random_alloc rng net ~hi:2.0)
+        ~extra:(random_alloc rng net ~hi:2.0))
+
 (* Slot pools on a star of stars, the flow simulator's shape: per
    cluster a few active sessions saturate the trunk and dozens of
    parked ones (tiny rho) sit on it too, so every member reaches the
@@ -373,4 +406,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_closure_random_nets;
     QCheck_alcotest.to_alcotest qcheck_closure_slot_pools;
     Alcotest.test_case "a binding names at most three allocations" `Quick test_binding_arity;
+    QCheck_alcotest.to_alcotest qcheck_closure_random_nets_chunks;
   ]
