@@ -10,7 +10,12 @@
      non-unit weights, which select the bisection engine and reach the
      [Custom] cells;
    - power-law-128: the benchmark's tiny solve input, one unicast
-     session per node of a 128-node Barabási–Albert graph (seed 1). *)
+     session per node of a 128-node Barabási–Albert graph (seed 1);
+   - tie-heavy: a balanced tree with one capacity on every link and
+     symmetric multi-hop multicast sessions, so that several links
+     saturate in one round and several ρ-heap keys tie;
+   - power-law-2048: the benchmark's full solve input, as one digest
+     of its %h lines (2,048 rows are too many to commit). *)
 
 module Graph = Mmfair_topology.Graph
 module Builders = Mmfair_topology.Builders
@@ -58,22 +63,57 @@ let mixed ~custom =
   Network.make g specs
 
 (* perfbench's solve-powerlaw input at its tiny size. *)
-let power_law () =
-  let g, specs =
-    Mmfair_workload.Standard_nets.power_law ~rng:(Xoshiro.create ~seed:1L ()) ~nodes:128 ~attach:2
-  in
+let power_law ~nodes =
+  let g, specs = Mmfair_workload.Standard_nets.power_law ~rng:(Xoshiro.create ~seed:1L ()) ~nodes ~attach:2 in
   Network.make g specs
 
-let print name net =
+(* A depth-3, fanout-3 tree (27 leaves in nine groups of three) with
+   capacity 1 on every link.  Each group is the receiver set of three
+   sessions: one from the root (three hops), one from the group's
+   level-1 node (two hops, single-rate for every third group) and one
+   from the group's level-2 node at ρ 0.1.  The groups are alike, so
+   the 27 ρ receivers share one key and freeze in one round, the three
+   root links saturate together, and then the 27 leaf links do.  Two
+   cross-tree sessions from a leaf to leaves of two other subtrees
+   break the symmetry on their own paths. *)
+let tie_heavy () =
+  let tree = Builders.balanced_tree ~depth:3 ~fanout:3 ~capacity_at:(fun _ -> 1.0) in
+  let level = tree.Builders.level_nodes in
+  let leaves = level.(3) in
+  let group j = Array.sub leaves (3 * j) 3 in
+  let per_group =
+    List.concat_map
+      (fun j ->
+        let session_type = if j mod 3 = 2 then Network.Single_rate else Network.Multi_rate in
+        [
+          Network.session ~sender:tree.Builders.root ~receivers:(group j) ();
+          Network.session ~session_type ~sender:level.(1).(j / 3) ~receivers:(group j) ();
+          Network.session ~rho:0.1 ~sender:level.(2).(j) ~receivers:(group j) ();
+        ])
+      (List.init 9 Fun.id)
+  in
+  let cross =
+    List.init 2 (fun k -> Network.session ~sender:leaves.(k) ~receivers:[| leaves.(9 + k); leaves.(18 + k) |] ())
+  in
+  Network.make tree.Builders.graph (Array.of_list (per_group @ cross))
+
+let row_lines net =
   let a = Allocator.max_min net in
+  List.init (Network.session_count net) (fun i ->
+      String.concat " "
+        (Printf.sprintf "S%d" i :: List.map (Printf.sprintf "%h") (Array.to_list (Allocation.rates_of_session a i))))
+
+let print name net =
   Printf.printf "# %s\n" name;
-  for i = 0 to Network.session_count net - 1 do
-    Printf.printf "S%d" i;
-    Array.iter (Printf.printf " %h") (Allocation.rates_of_session a i);
-    print_newline ()
-  done
+  List.iter print_endline (row_lines net)
+
+let print_digest name net =
+  Printf.printf "# %s\n" name;
+  print_endline (Digest.to_hex (Digest.string (String.concat "\n" (row_lines net))))
 
 let () =
   print "mixed-linear" (mixed ~custom:false);
   print "mixed-bisection" (mixed ~custom:true);
-  print "power-law-128" (power_law ())
+  print "power-law-128" (power_law ~nodes:128);
+  print "tie-heavy" (tie_heavy ());
+  print_digest "power-law-2048" (power_law ~nodes:2048)
