@@ -36,25 +36,30 @@ let heap_make n = { keys = Array.make (Int.max n 1) 0.0; vals = Array.make (Int.
 
 (* Both sifts move a hole: the entry at [i] is written once, at its
    final slot.  They make the comparisons a swapping sift makes and
-   leave the same array, so pop order and ties do not depend on it. *)
+   leave the same array, so pop order and ties do not depend on it.
+
+   [sift_down] and [heap_pop] index only below [size], which a push
+   never takes past the arrays' length, so they skip the bounds
+   checks. *)
 let sift_down h i =
-  let k = h.keys.(i) and v = h.vals.(i) in
+  let keys = h.keys and vals = h.vals and size = h.size in
+  let k = Array.unsafe_get keys i and v = Array.unsafe_get vals i in
   let i = ref i and moving = ref true in
   while !moving do
     let l = (2 * !i) + 1 in
-    if l >= h.size then moving := false
+    if l >= size then moving := false
     else begin
-      let c = if l + 1 < h.size && h.keys.(l + 1) < h.keys.(l) then l + 1 else l in
-      if h.keys.(c) < k then begin
-        h.keys.(!i) <- h.keys.(c);
-        h.vals.(!i) <- h.vals.(c);
+      let c = if l + 1 < size && Array.unsafe_get keys (l + 1) < Array.unsafe_get keys l then l + 1 else l in
+      if Array.unsafe_get keys c < k then begin
+        Array.unsafe_set keys !i (Array.unsafe_get keys c);
+        Array.unsafe_set vals !i (Array.unsafe_get vals c);
         i := c
       end
       else moving := false
     end
   done;
-  h.keys.(!i) <- k;
-  h.vals.(!i) <- v
+  Array.unsafe_set keys !i k;
+  Array.unsafe_set vals !i v
 
 let sift_up h i =
   let k = h.keys.(i) and v = h.vals.(i) in
@@ -85,12 +90,46 @@ let[@inline] heap_push h k v =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
+(* Floyd's bottom-up deletion: the root's hole moves to a leaf along
+   the smaller child (ties to the left, as in [sift_down]), one
+   comparison per level, then the last entry climbs back while its
+   parent's key is [>=] its own.  Keys never fall along that path, so
+   the entry settles exactly where [sift_down] would have stopped it
+   (the first child with a key [>=] its own), and the array, the pop
+   order and the tie order are the ones a sift from the root leaves.
+   That needs keys totally ordered, and they are: [link_key] maps a
+   NaN level to infinity, and ρ and the weights are positive and
+   finite.
+   The last entry usually belongs near the bottom, so the climb is
+   short and a pop costs about one comparison per level instead of
+   two. *)
 let heap_pop h =
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.keys.(0) <- h.keys.(h.size);
-    h.vals.(0) <- h.vals.(h.size);
-    sift_down h 0
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then begin
+    let keys = h.keys and vals = h.vals in
+    let k = Array.unsafe_get keys n and v = Array.unsafe_get vals n in
+    let i = ref 0 and child = ref 1 in
+    while !child < n do
+      let l = !child in
+      let c = if l + 1 < n && Array.unsafe_get keys (l + 1) < Array.unsafe_get keys l then l + 1 else l in
+      Array.unsafe_set keys !i (Array.unsafe_get keys c);
+      Array.unsafe_set vals !i (Array.unsafe_get vals c);
+      i := c;
+      child := (2 * c) + 1
+    done;
+    let moving = ref true in
+    while !moving && !i > 0 do
+      let p = (!i - 1) / 2 in
+      if Array.unsafe_get keys p >= k then begin
+        Array.unsafe_set keys !i (Array.unsafe_get keys p);
+        Array.unsafe_set vals !i (Array.unsafe_get vals p);
+        i := p
+      end
+      else moving := false
+    done;
+    Array.unsafe_set keys !i k;
+    Array.unsafe_set vals !i v
   end
 
 let[@inline] heap_rekey_top h k =
@@ -100,7 +139,7 @@ let[@inline] heap_rekey_top h k =
 type state = {
   net : Network.t;
   inc : Network.incidence;
-  cap : float array; (* capacity per link *)
+  cap : float array; (* capacity per link: the graph's own array, read only *)
   vfn : Redundancy_fn.t array; (* per session *)
   rho : float array; (* per session *)
   single_rate : bool array; (* per session; cleared once its cascade is queued *)
@@ -159,7 +198,6 @@ type scratch = {
   mutable busy : bool;
   mutable stamp : int;
   (* per link *)
-  mutable l_cap : float array;
   mutable l_const : float array;
   mutable l_slope : float array;
   mutable l_active : int array;
@@ -193,7 +231,6 @@ let new_scratch () =
   {
     busy = false;
     stamp = 1;
-    l_cap = [||];
     l_const = [||];
     l_slope = [||];
     l_active = [||];
@@ -251,7 +288,8 @@ let ensure_vfn a n =
    3. per-cell frozen aggregates and per-link usage models over the
       dirty-list only.
 
-   A cold solve lists every session, so pass 2 pins nobody.
+   A cold solve lists every session, so pass 2 would pin nobody: it is
+   skipped whenever the component holds every session.
 
    Also picks the engine for the restricted problem: the linear model
    needs every involved session linear — including pinned neighbors,
@@ -267,7 +305,6 @@ let init sc net ~component ~frozen =
   let nc = inc.Network.n_cells in
   if Pvec.length frozen <> m then
     invalid_arg "Allocator.max_min_partial: frozen rates must cover every session";
-  sc.l_cap <- ensure_f sc.l_cap nl;
   sc.l_const <- ensure_f sc.l_const nl;
   sc.l_slope <- ensure_f sc.l_slope nl;
   sc.l_active <- ensure_i sc.l_active nl;
@@ -346,38 +383,42 @@ let init sc net ~component ~frozen =
      model in locals (from 0, in cell order) and stores it with the
      link's other state once.  Indices come straight off the CSR (and
      a frozen row's length is checked before it is read), so both
-     passes skip the bounds checks. *)
+     passes skip the bounds checks.  Pass 2 runs only when some
+     session is outside the component: otherwise every session's seen
+     stamp is already the solve's and it would pin nobody. *)
   let link_row = inc.Network.link_row and cell_session = inc.Network.cell_session in
   let cell_first = inc.Network.cell_first and link_cells = inc.Network.link_cells in
   let frozen_rows = Pvec.unsafe_spine frozen in
   let seen = sc.s_seen_stamp and s_vfn = sc.s_vfn in
   let g_active = sc.g_active and g_rates = sc.g_rates in
-  for tp = 0 to !n_touched - 1 do
-    let l = sc.l_touched.(tp) in
-    for c = link_row.(l) to link_row.(l + 1) - 1 do
-      let i = Array.unsafe_get cell_session c in
-      if Array.unsafe_get seen i <> stamp then begin
-        Array.unsafe_set seen i stamp;
-        let lo = Array.unsafe_get session_first i and hi = Array.unsafe_get session_first (i + 1) in
-        let row = Array.unsafe_get (Array.unsafe_get frozen_rows (i lsr 5)) (i land 31) in
-        if Array.length row <> hi - lo then
-          invalid_arg
-            (Printf.sprintf "Allocator.max_min_partial: session %d frozen rate count mismatch" i);
-        let vfn = (Array.unsafe_get (Array.unsafe_get specs (i lsr 5)) (i land 31)).Network.vfn in
-        Array.unsafe_set s_vfn i vfn;
-        (match vfn with Redundancy_fn.Custom _ -> all_linear := false | _ -> ());
-        for gid = lo to hi - 1 do
-          let r = Array.unsafe_get row (gid - lo) in
-          if not (Float.is_finite r && r >= 0.0) then
+  if !n_solve < m then begin
+    for tp = 0 to !n_touched - 1 do
+      let l = sc.l_touched.(tp) in
+      for c = link_row.(l) to link_row.(l + 1) - 1 do
+        let i = Array.unsafe_get cell_session c in
+        if Array.unsafe_get seen i <> stamp then begin
+          Array.unsafe_set seen i stamp;
+          let lo = Array.unsafe_get session_first i and hi = Array.unsafe_get session_first (i + 1) in
+          let row = Array.unsafe_get (Array.unsafe_get frozen_rows (i lsr 5)) (i land 31) in
+          if Array.length row <> hi - lo then
             invalid_arg
-              (Printf.sprintf
-                 "Allocator.max_min_partial: session %d has a negative or non-finite frozen rate" i);
-          Array.unsafe_set g_active gid false;
-          Array.unsafe_set g_rates gid r
-        done
-      end
+              (Printf.sprintf "Allocator.max_min_partial: session %d frozen rate count mismatch" i);
+          let vfn = (Array.unsafe_get (Array.unsafe_get specs (i lsr 5)) (i land 31)).Network.vfn in
+          Array.unsafe_set s_vfn i vfn;
+          (match vfn with Redundancy_fn.Custom _ -> all_linear := false | _ -> ());
+          for gid = lo to hi - 1 do
+            let r = Array.unsafe_get row (gid - lo) in
+            if not (Float.is_finite r && r >= 0.0) then
+              invalid_arg
+                (Printf.sprintf
+                   "Allocator.max_min_partial: session %d has a negative or non-finite frozen rate" i);
+            Array.unsafe_set g_active gid false;
+            Array.unsafe_set g_rates gid r
+          done
+        end
+      done
     done
-  done;
+  end;
   let c_active = sc.c_active and c_max = sc.c_max and c_sum = sc.c_sum in
   let n_active_links = ref 0 in
   for tp = 0 to !n_touched - 1 do
@@ -409,7 +450,6 @@ let init sc net ~component ~frozen =
       | Redundancy_fn.Custom _ -> ());
       active := !active + !n_act
     done;
-    sc.l_cap.(l) <- Graph.capacity g l;
     sc.l_const.(l) <- !const;
     sc.l_slope.(l) <- !slope;
     sc.l_active.(l) <- !active;
@@ -425,7 +465,7 @@ let init sc net ~component ~frozen =
     {
       net;
       inc;
-      cap = sc.l_cap;
+      cap = Graph.unsafe_capacities g;
       vfn = sc.s_vfn;
       rho = sc.s_rho;
       single_rate = sc.s_single;
@@ -459,22 +499,31 @@ let init sc net ~component ~frozen =
   in
   (st, !all_linear && !unit_weights)
 
+(* The round path below ([retire_link], [shift], [freeze],
+   [freeze_link], [link_key], [settle_links] and the pops of
+   [linear_saturated]) skips the bounds checks on its per-link,
+   per-cell and per-receiver reads.  Every index is a link, cell or
+   receiver id of the network: it comes off the incidence CSR, off a
+   heap that holds only such ids, or off [active_links] below
+   [n_active_links]; the arena sizes its arrays for every link, cell,
+   receiver and session, and [cap] is the graph's own array.  The
+   per-round lists ([sat], [cascade]) stay checked. *)
 let retire_link st l =
-  let p = st.link_pos.(l) in
+  let p = Array.unsafe_get st.link_pos l in
   if p >= 0 then begin
     let last = st.n_active_links - 1 in
-    let moved = st.active_links.(last) in
-    st.active_links.(p) <- moved;
-    st.link_pos.(moved) <- p;
+    let moved = Array.unsafe_get st.active_links last in
+    Array.unsafe_set st.active_links p moved;
+    Array.unsafe_set st.link_pos moved p;
     st.n_active_links <- last;
-    st.link_pos.(l) <- -1
+    Array.unsafe_set st.link_pos l (-1)
   end
 
 (* Apply a cell's change of (const, slope) contribution to its link's
    usage model. *)
 let[@inline] shift st l ~oc ~os ~nc ~ns =
-  st.link_const.(l) <- st.link_const.(l) +. (nc -. oc);
-  st.link_slope.(l) <- st.link_slope.(l) +. (ns -. os)
+  Array.unsafe_set st.link_const l (Array.unsafe_get st.link_const l +. (nc -. oc));
+  Array.unsafe_set st.link_slope l (Array.unsafe_get st.link_slope l +. (ns -. os))
 
 (* Freeze receiver [gid] at rate [a] unless it is frozen already:
    O(|data-path|), updating only the cells its path crosses.  Each
@@ -484,23 +533,24 @@ let[@inline] shift st l ~oc ~os ~nc ~ns =
    single-rate session losing its first receiver is queued for the
    round's cascade. *)
 let[@inline] freeze st gid a =
-  if st.active.(gid) then begin
-    st.active.(gid) <- false;
+  if Array.unsafe_get st.active gid then begin
+    Array.unsafe_set st.active gid false;
     st.n_active <- st.n_active - 1;
-    st.rates.(gid) <- a;
+    Array.unsafe_set st.rates gid a;
     let inc = st.inc in
-    let i = inc.Network.gid_session.(gid) in
-    let vfn = st.vfn.(i) in
+    let i = Array.unsafe_get inc.Network.gid_session gid in
+    let vfn = Array.unsafe_get st.vfn i in
     let rr = inc.Network.recv_row in
-    for p = rr.(gid) to rr.(gid + 1) - 1 do
-      let l = inc.Network.recv_cells.(p) and c = inc.Network.recv_cell_of.(p) in
-      let n_old = st.cell_active.(c) in
-      let max_old = st.cell_max_frozen.(c) and sum_old = st.cell_sum_frozen.(c) in
+    for p = Array.unsafe_get rr gid to Array.unsafe_get rr (gid + 1) - 1 do
+      let l = Array.unsafe_get inc.Network.recv_cells p and c = Array.unsafe_get inc.Network.recv_cell_of p in
+      let n_old = Array.unsafe_get st.cell_active c in
+      let max_old = Array.unsafe_get st.cell_max_frozen c in
+      let sum_old = Array.unsafe_get st.cell_sum_frozen c in
       let n_new = n_old - 1 in
       let max_new = if a > max_old then a else max_old and sum_new = sum_old +. a in
-      st.cell_active.(c) <- n_new;
-      st.cell_max_frozen.(c) <- max_new;
-      st.cell_sum_frozen.(c) <- sum_new;
+      Array.unsafe_set st.cell_active c n_new;
+      Array.unsafe_set st.cell_max_frozen c max_new;
+      Array.unsafe_set st.cell_sum_frozen c sum_new;
       (match vfn with
       | Redundancy_fn.Efficient ->
           shift st l
@@ -517,13 +567,14 @@ let[@inline] freeze st gid a =
       | Redundancy_fn.Additive ->
           shift st l ~oc:sum_old ~os:(float_of_int n_old) ~nc:sum_new ~ns:(float_of_int n_new)
       | Redundancy_fn.Custom _ -> shift st l ~oc:0.0 ~os:0.0 ~nc:0.0 ~ns:0.0);
-      st.link_active.(l) <- st.link_active.(l) - 1;
-      if st.link_active.(l) = 0 then retire_link st l
+      let left = Array.unsafe_get st.link_active l - 1 in
+      Array.unsafe_set st.link_active l left;
+      if left = 0 then retire_link st l
     done;
     st.n_frozen <- st.n_frozen + 1;
     if st.want then st.frozen_gids <- gid :: st.frozen_gids;
-    if st.single_rate.(i) then begin
-      st.single_rate.(i) <- false;
+    if Array.unsafe_get st.single_rate i then begin
+      Array.unsafe_set st.single_rate i false;
       st.cascade.(st.n_cascade) <- i;
       st.n_cascade <- st.n_cascade + 1
     end
@@ -532,10 +583,11 @@ let[@inline] freeze st gid a =
 (* Freeze every active receiver crossing link [l] at level [t]. *)
 let[@inline] freeze_link st l t =
   let inc = st.inc in
-  for p = inc.Network.cell_first.(inc.Network.link_row.(l))
-      to inc.Network.cell_first.(inc.Network.link_row.(l + 1)) - 1 do
-    let gid = inc.Network.link_cells.(p) in
-    freeze st gid (st.weight.(gid) *. t)
+  let cell_first = inc.Network.cell_first and link_row = inc.Network.link_row in
+  for p = Array.unsafe_get cell_first (Array.unsafe_get link_row l)
+      to Array.unsafe_get cell_first (Array.unsafe_get link_row (l + 1)) - 1 do
+    let gid = Array.unsafe_get inc.Network.link_cells p in
+    freeze st gid (Array.unsafe_get st.weight gid *. t)
   done
 
 (* Session usage on one link at common normalized level [t]:
@@ -579,9 +631,9 @@ let link_usage_at st ~link t =
 (* Linear engine: the level at which link [l] saturates under its
    current usage model; a NaN model never binds. *)
 let[@inline] link_key st l =
-  let slope = st.link_slope.(l) in
+  let slope = Array.unsafe_get st.link_slope l in
   if slope > 0.0 then
-    let k = (st.cap.(l) -. st.link_const.(l)) /. slope in
+    let k = (Array.unsafe_get st.cap l -. Array.unsafe_get st.link_const l) /. slope in
     if Float.is_nan k then infinity else k
   else infinity
 
@@ -592,14 +644,14 @@ let[@inline] link_key st l =
 let rec settle_links st =
   let h = st.link_heap in
   if h.size > 0 then begin
-    let l = h.vals.(0) in
-    if st.link_pos.(l) < 0 then begin
+    let l = Array.unsafe_get h.vals 0 in
+    if Array.unsafe_get st.link_pos l < 0 then begin
       heap_pop h;
       settle_links st
     end
     else
       let k = link_key st l in
-      if k <> h.keys.(0) then begin
+      if k <> Array.unsafe_get h.keys 0 then begin
         heap_rekey_top h k;
         settle_links st
       end
@@ -665,10 +717,10 @@ let bisection_bound st ~max_cap t_cur rho_bound =
 let[@inline] linear_saturated st ~window t =
   let h = st.link_heap in
   let popped = ref 0 in
-  while h.size > 0 && h.keys.(0) <= t +. window do
-    let l = h.vals.(0) in
+  while h.size > 0 && Array.unsafe_get h.keys 0 <= t +. window do
+    let l = Array.unsafe_get h.vals 0 in
     heap_pop h;
-    if st.link_pos.(l) >= 0 then begin
+    if Array.unsafe_get st.link_pos l >= 0 then begin
       st.sat.(!popped) <- l;
       incr popped
     end
@@ -676,9 +728,10 @@ let[@inline] linear_saturated st ~window t =
   let n = ref 0 in
   for j = 0 to !popped - 1 do
     let l = st.sat.(j) in
-    let slack = st.cap.(l) -. (st.link_const.(l) +. (st.link_slope.(l) *. t)) in
-    if slack <= tol_for st.cap.(l) then begin
-      st.ever_saturated.(l) <- true;
+    let cap = Array.unsafe_get st.cap l in
+    let slack = cap -. (Array.unsafe_get st.link_const l +. (Array.unsafe_get st.link_slope l *. t)) in
+    if slack <= tol_for cap then begin
+      Array.unsafe_set st.ever_saturated l true;
       st.sat.(!n) <- l;
       incr n
     end
@@ -905,10 +958,17 @@ let solve net ~component ~frozen k =
       water_fill st ~use_linear;
       k st)
 
-(* Session [i]'s solved rates, a fresh row cut from the arena. *)
+(* Session [i]'s solved rates, a fresh row cut from the arena by a
+   loop over a float array: [Array.sub] is a polymorphic C call that
+   inspects its argument's tag, once per session. *)
 let row st i =
-  let session_first = st.inc.Network.session_first in
-  Array.sub st.rates session_first.(i) (session_first.(i + 1) - session_first.(i))
+  let session_first = st.inc.Network.session_first and rates = st.rates in
+  let lo = session_first.(i) in
+  let r = Array.create_float (session_first.(i + 1) - lo) in
+  for k = 0 to Array.length r - 1 do
+    r.(k) <- rates.(lo + k)
+  done;
+  r
 
 (* The final usage of every link the solve touched, summed as
    [Allocation.link_rate] sums it (cells in link order, each folded by
@@ -945,13 +1005,17 @@ let solved_usage st =
   Allocation.Solved { links; usage }
 
 (* A cold solve is the restricted solve over every session, with its
-   result validated; nothing is pinned, so [frozen] is never read.
-   Each row is cut once from the arena, validated and adopted.  It
-   carries no usage. *)
+   result validated; nothing is pinned, so [frozen] is never read (and
+   [init] skips its pin pass).  The component is filled by a loop, not
+   a closure call per session.  Each row is cut once from the arena,
+   validated and adopted.  It carries no usage. *)
 let max_min net =
   let m = Network.session_count net in
-  solve net ~component:(Array.init m Fun.id) ~frozen:(Pvec.make m [||]) (fun st ->
-      Allocation.of_fresh_rows net (row st))
+  let component = Array.make m 0 in
+  for i = 1 to m - 1 do
+    component.(i) <- i
+  done;
+  solve net ~component ~frozen:(Pvec.make m [||]) (fun st -> Allocation.of_fresh_rows net (row st))
 
 (* A partial solve's result is one batched update of [frozen]: the
    spine plus the chunks holding the solved sessions are copied, every

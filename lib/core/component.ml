@@ -14,7 +14,9 @@ let eps_bind = 1e-7
    when it carries it ([Allocation.usage]): a read of the carried
    vector, or a bit set from a solve's touched links when the slot is
    bound.  Only for a link the allocation carries nothing about is the
-   bit the summary's.
+   bit the summary's.  Binding a slot also keeps the graph's capacity
+   array and the carried vector's spine in it, so a check reads both
+   straight off arrays, with no call into another module.
 
    A summary is a single pass over a link's cells.  It yields whether
    the link binds (its usage summed in [Allocation.link_rate]'s order,
@@ -38,6 +40,8 @@ type summary = {
   mutable alloc : Allocation.t option; (* the summarised allocation; [None] = free *)
   mutable gen : int; (* bumped whenever the slot is rebound *)
   mutable used : int; (* clock of the last lookup, for eviction *)
+  mutable caps : float array; (* the allocation's graph's capacities (Graph.unsafe_capacities) *)
+  mutable every : float array array; (* an [Every_link] usage's spine, [[||]] for other usages *)
   mutable link : int array; (* per link: [2 gen + 1] if binding, [2 gen] if not *)
   mutable summed : int array; (* per link: [gen] once summarised *)
   mutable top : float array; (* per link *)
@@ -113,6 +117,8 @@ let new_arena () =
             alloc = None;
             gen = 0;
             used = 0;
+            caps = [||];
+            every = [||];
             link = [||];
             summed = [||];
             top = [||];
@@ -153,7 +159,12 @@ let with_component net f =
        not keep an old epoch's allocations alive. *)
     Fun.protect
       ~finally:(fun () ->
-        Array.iter (fun s -> s.alloc <- None) arena.summaries;
+        Array.iter
+          (fun s ->
+            s.alloc <- None;
+            s.caps <- [||];
+            s.every <- [||])
+          arena.summaries;
         arena.busy <- false)
       (fun () -> f (start arena net))
   end
@@ -231,9 +242,9 @@ let binding ?(also = []) alloc =
          (n_summaries - 1));
   alloc :: also
 
-(* Whether usage [u] binds link [l] of graph [g]. *)
-let[@inline] binds_at g l u =
-  let cap = Graph.capacity g l in
+(* Whether usage [u] binds link [l], whose capacity is [caps.(l)]. *)
+let[@inline] binds_at caps l u =
+  let cap = caps.(l) in
   (* [max 1.0 cap], spelled monomorphically. *)
   let scale = if 1.0 >= cap then 1.0 else cap in
   u >= cap -. (eps_bind *. scale)
@@ -256,22 +267,25 @@ let summary t alloc =
         let s = ref slots.(0) in
         Array.iter (fun x -> if x.used < !s.used then s := x) slots;
         let s = !s in
-        let nl = Graph.link_count (Network.graph (Allocation.network alloc)) in
+        let g = Network.graph (Allocation.network alloc) in
+        let nl = Graph.link_count g in
         s.alloc <- Some alloc;
+        s.caps <- Graph.unsafe_capacities g;
         s.gen <- s.gen + 1;
         s.link <- ensure s.link nl;
         s.summed <- ensure s.summed nl;
         s.top <- ensure_f s.top nl;
         s.first <- ensure s.first nl;
         s.fill <- 0;
+        s.every <- [||];
         (match Allocation.usage alloc with
         | Allocation.Solved { links; usage } ->
-            let g = Network.graph (Allocation.network alloc) in
             for k = 0 to Array.length links - 1 do
               let l = links.(k) in
-              s.link.(l) <- (2 * s.gen) + if binds_at g l usage.(k) then 1 else 0
+              s.link.(l) <- (2 * s.gen) + if binds_at s.caps l usage.(k) then 1 else 0
             done
-        | Allocation.No_usage | Allocation.Every_link _ -> ());
+        | Allocation.Every_link u -> s.every <- Pvec.unsafe_spine u
+        | Allocation.No_usage -> ());
         s
   in
   s.used <- arena.clock;
@@ -358,7 +372,7 @@ let summarise t s l =
             !usage
             +. Redundancy_fn.apply_fold vfn ~n:(hi - lo) ~get:(fun j -> rates.(link_cells.(lo + j) - g0))
     done;
-    s.link.(l) <- (2 * s.gen) + if binds_at (Network.graph net) l !usage then 1 else 0;
+    s.link.(l) <- (2 * s.gen) + if binds_at s.caps l !usage then 1 else 0;
     s.summed.(l) <- s.gen;
     if !local then begin
       s.top.(l) <- !top;
@@ -372,15 +386,14 @@ let summarise t s l =
 let norm s l c = s.cells.(s.first.(l) + (2 * c))
 let pin s l c = s.cells.(s.first.(l) + (2 * c) + 1)
 
+(* An [Every_link] usage is read off the spine the slot keeps: a call
+   would box the float. *)
 let binds_one t s l =
-  let alloc = alloc_of s in
-  match Allocation.usage alloc with
-  | Allocation.Every_link u ->
-      (* Off the spine: a call would box the float. *)
-      binds_at (Network.graph (Allocation.network alloc)) l (Pvec.unsafe_spine u).(l lsr 5).(l land 31)
-  | Allocation.No_usage | Allocation.Solved _ ->
-      if s.link.(l) lsr 1 <> s.gen then summarise t s l;
-      s.link.(l) land 1 = 1
+  if Array.length s.every > 0 then binds_at s.caps l s.every.(l lsr 5).(l land 31)
+  else begin
+    if s.link.(l) lsr 1 <> s.gen then summarise t s l;
+    s.link.(l) land 1 = 1
+  end
 
 (* The others first: the previous epoch's allocation is usually among
    them and already summarised by the closure. *)

@@ -50,6 +50,15 @@ val set_capacity : t -> link_id -> float -> unit
 val capacity : t -> link_id -> float
 (** The paper's [c_j].  Raises [Invalid_argument] on a bad id. *)
 
+val unsafe_capacities : t -> float array
+(** Every link's capacity in one flat array: entry [l] is
+    [capacity g l] for each [l < link_count g].  Entries past
+    [link_count g] are padding.  A read-only view, not a copy: callers
+    must not write to it.  [add_link] may replace the array when it
+    grows, so a caller holding the view across an [add_link] must ask
+    again; [set_capacity] writes the view in place.  For per-link
+    loops that would otherwise call {!capacity} once per link. *)
+
 val endpoints : t -> link_id -> node * node
 (** The two nodes a link connects, in insertion order. *)
 

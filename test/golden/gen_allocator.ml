@@ -93,15 +93,16 @@ let tie_heavy () =
       (List.init 9 Fun.id)
   in
   let cross =
-    List.init 2 (fun k -> Network.session ~sender:leaves.(k) ~receivers:[| leaves.(9 + k); leaves.(18 + k) |] ())
+    List.init 2 (fun k ->
+        Network.session ~sender:leaves.(k) ~receivers:[| leaves.(9 + k); leaves.(18 + k) |] ())
   in
   Network.make tree.Builders.graph (Array.of_list (per_group @ cross))
 
 let row_lines net =
   let a = Allocator.max_min net in
   List.init (Network.session_count net) (fun i ->
-      String.concat " "
-        (Printf.sprintf "S%d" i :: List.map (Printf.sprintf "%h") (Array.to_list (Allocation.rates_of_session a i))))
+      let rates = Array.to_list (Allocation.rates_of_session a i) in
+      String.concat " " (Printf.sprintf "S%d" i :: List.map (Printf.sprintf "%h") rates))
 
 let print name net =
   Printf.printf "# %s\n" name;

@@ -30,6 +30,47 @@ let test_graph_invalid () =
   Alcotest.check_raises "unknown node" (Invalid_argument "Graph.add_link: unknown node 5") (fun () ->
       ignore (Graph.add_link g 0 5 1.0))
 
+(* Capacities live in one flat array beside the link records; the
+   network surgery copies a graph and then sets capacities on the copy,
+   so the copy must own its array. *)
+let test_graph_copy_owns_capacities () =
+  let g = Graph.create ~nodes:2 in
+  let l = Graph.add_link g 0 1 5.0 in
+  let c = Graph.copy g in
+  Graph.set_capacity c l 7.0;
+  Alcotest.(check (float 0.0)) "original" 5.0 (Graph.capacity g l);
+  Alcotest.(check (float 0.0)) "copy" 7.0 (Graph.capacity c l);
+  Graph.set_capacity g l 3.0;
+  Alcotest.(check (float 0.0)) "copy after the original's change" 7.0 (Graph.capacity c l);
+  Alcotest.(check (float 0.0)) "view of the original" 3.0 (Graph.unsafe_capacities g).(l)
+
+let test_graph_capacities_survive_growth () =
+  let g = Graph.create ~nodes:2 in
+  let cap l = 1.0 +. (0.25 *. float_of_int l) in
+  let ids = List.init 37 (fun l -> Graph.add_link g 0 1 (cap l)) in
+  Alcotest.(check (list int)) "ids" (List.init 37 Fun.id) ids;
+  let view = Graph.unsafe_capacities g in
+  List.iter
+    (fun l ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "capacity l%d" l) (cap l) (Graph.capacity g l);
+      Alcotest.(check (float 0.0)) (Printf.sprintf "view l%d" l) (cap l) view.(l))
+    ids;
+  Graph.set_capacity g 20 9.0;
+  Alcotest.(check (float 0.0)) "set past the first slots" 9.0 (Graph.capacity g 20);
+  Alcotest.(check (float 0.0)) "neighbour untouched" (cap 21) (Graph.capacity g 21)
+
+let test_graph_unknown_link_capacity () =
+  let g = Graph.create ~nodes:2 in
+  ignore (Graph.add_link g 0 1 1.0);
+  List.iter
+    (fun l ->
+      Alcotest.check_raises "capacity" (Invalid_argument (Printf.sprintf "Graph.capacity: unknown link %d" l))
+        (fun () -> ignore (Graph.capacity g l));
+      Alcotest.check_raises "set_capacity"
+        (Invalid_argument (Printf.sprintf "Graph.set_capacity: unknown link %d" l))
+        (fun () -> Graph.set_capacity g l 2.0))
+    [ -1; 1; 8 ]
+
 let test_graph_parallel_links () =
   let g = Graph.create ~nodes:2 in
   let a = Graph.add_link g 0 1 1.0 in
@@ -361,6 +402,9 @@ let suite =
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
     Alcotest.test_case "graph add_node" `Quick test_graph_add_node;
     Alcotest.test_case "graph invalid" `Quick test_graph_invalid;
+    Alcotest.test_case "graph copy owns its capacities" `Quick test_graph_copy_owns_capacities;
+    Alcotest.test_case "graph capacities survive growth" `Quick test_graph_capacities_survive_growth;
+    Alcotest.test_case "graph unknown link capacity raises" `Quick test_graph_unknown_link_capacity;
     Alcotest.test_case "graph parallel links" `Quick test_graph_parallel_links;
     Alcotest.test_case "graph neighbors order" `Quick test_graph_neighbors_order;
     Alcotest.test_case "graph dot export" `Quick test_graph_dot;
