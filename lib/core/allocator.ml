@@ -99,10 +99,9 @@ let[@inline] heap_push h k v =
    order and the tie order are the ones a sift from the root leaves.
    That needs keys totally ordered, and they are: [link_key] maps a
    NaN level to infinity, and ρ and the weights are positive and
-   finite.
-   The last entry usually belongs near the bottom, so the climb is
-   short and a pop costs about one comparison per level instead of
-   two. *)
+   finite.  The last entry usually belongs near the bottom, so the
+   climb is short and a pop costs about one comparison per level
+   instead of two. *)
 let heap_pop h =
   let n = h.size - 1 in
   h.size <- n;

@@ -816,11 +816,14 @@ let test_partial_over_chunks_bitwise () =
 
 (* The words one cold solve allocates on the minor heap, pinned on the
    2,048-node power-law network (one unicast per node) that the
-   solve-powerlaw benchmark solves.  The count is exact for one binary
-   (6,782 words when this gate was set: mostly the 2,048 result rows
-   and the row vector's chunks); the bound leaves about 10 % for
-   compiler and library drift.  A boxed float or a closure per session
-   on the cold path (4,096 words or more here) would cross it. *)
+   solve-powerlaw benchmark solves.  The count is exact for one binary:
+   6,782 words, mostly the 2,048 two-word result rows and the row
+   vector's chunks.  It read the same before and after the typed row
+   cut and the component loop replaced [Array.sub] and [Array.init]
+   (the 2,048-entry component goes straight to the major heap either
+   way).  The bound leaves about 10 % for compiler and library drift.
+   A boxed float or a closure per session on the cold path (4,096
+   words or more here) would cross it. *)
 let test_cold_solve_minor_words () =
   let rng = Mmfair_prng.Xoshiro.create ~seed:1L () in
   let g, specs = Mmfair_workload.Standard_nets.power_law ~rng ~nodes:2048 ~attach:2 in
