@@ -54,20 +54,25 @@ let allocator doc =
     Json.each [ "curves" ]
       (fun c ->
         let name = Json.str [ "name" ] c in
-        ignore (Json.num [ "build_exponent" ] c);
+        let build_exp = Json.num [ "build_exponent" ] c in
         let solve_exp = Json.num [ "solve_exponent" ] c in
         let event_exp = Json.num [ "event_exponent" ] c in
         if List.length (Json.items [ "points" ] c) < 2 then
           Json.fail [ "points" ] "curve %S needs at least two points" name;
-        ignore
-          (Json.each [ "points" ]
-             (fun pt ->
-               ignore (Json.str [ "label" ] pt);
-               positive
-                 [ "sessions"; "links"; "receivers"; "build_ns"; "solve_ns"; "event_ns";
-                   "peak_live_words" ]
-                 pt)
-             c);
+        (* The largest point by session count: its size and live words
+           head the summary beside the exponents. *)
+        let sessions, words =
+          List.fold_left max (0.0, 0.0)
+            (Json.each [ "points" ]
+               (fun pt ->
+                 ignore (Json.str [ "label" ] pt);
+                 positive
+                   [ "sessions"; "links"; "receivers"; "build_ns"; "solve_ns"; "event_ns";
+                     "peak_live_words" ]
+                   pt;
+                 (Json.num [ "sessions" ] pt, Json.num [ "peak_live_words" ] pt))
+               c)
+        in
         if name = "fat-tree" && (not quick) && event_exp >= 1.0 then
           Json.fail [ "event_exponent" ]
             "fat-tree per-event exponent %.3f is not sub-linear — the churn path scans" event_exp;
@@ -75,9 +80,14 @@ let allocator doc =
           Json.fail [ "solve_exponent" ]
             "power-law solve exponent %.3f is not below 1.5 — the water-filling rounds scan"
             solve_exp;
-        name)
+        ( name,
+          Printf.sprintf
+            "%s build/solve/event exponents %.3f/%.3f/%.3f, largest point %.0f sessions at %.0f \
+             peak live words"
+            name build_exp solve_exp event_exp sessions words ))
       doc
   in
+  let curves, curve_notes = List.split curves in
   if not (List.mem "fat-tree" curves) then Json.fail [ "curves" ] "missing the fat-tree curve";
   let names =
     Json.each [ "entries" ]
@@ -101,7 +111,8 @@ let allocator doc =
   in
   if not (List.mem "ablation/linear-engine-30-sessions" names) then
     Json.fail [ "entries" ] "missing the ablation/linear-engine-30-sessions tracking entry";
-  Printf.sprintf "schema %s OK, %d entries" allocator_schema (List.length names)
+  String.concat "; "
+    (Printf.sprintf "schema %s OK, %d entries" allocator_schema (List.length names) :: curve_notes)
 
 (* The baselines scaling.exe --check-overhead re-measures: the
    linear-100 sweep entry's time_ns, and the fat-tree k=16 curve
@@ -191,9 +202,7 @@ let churn doc =
   let par_speedup = List.assoc 4 par_rows in
   let par_note =
     if quick then " (quick: speedup gates skipped)"
-    else if host_cpus < 4 then
-      Printf.sprintf " (parallel gate waived: generating host had %d CPU%s)" host_cpus
-        (if host_cpus = 1 then "" else "s")
+    else if host_cpus < 4 then " (parallel gate waived below 4 CPUs)"
     else if par_speedup < 2.0 then
       Json.fail (parallel "rows")
         "parallel speedup %.2fx at 4 domains is below the required 2x (host_cpus %d)" par_speedup
@@ -250,33 +259,34 @@ let churn doc =
             departures arrivals;
         let ordered lo hi =
           let a = Json.num ~min:0.0 [ lo ] r and b = Json.num ~min:0.0 [ hi ] r in
-          if a > b then Json.fail [ lo ] "stability rho=%.1f: %s %.4g > %s %.4g" load lo a hi b
+          if a > b then Json.fail [ lo ] "stability rho=%.1f: %s %.4g > %s %.4g" load lo a hi b;
+          (a, b)
         in
-        ordered "sojourn_p50" "sojourn_p99";
-        ordered "flow_rate_p50" "flow_rate_p99";
-        (load, (verdict, events_per_s)))
+        let tails = (ordered "sojourn_p50" "sojourn_p99", ordered "flow_rate_p50" "flow_rate_p99") in
+        (load, (verdict, events_per_s, tails)))
       doc
   in
   let bracket load want =
     match List.find_opt (fun (l, _) -> Float.abs (l -. load) < 1e-9) st_rows with
     | None -> Json.fail [ "stability"; "rows" ] "stability rows missing the rho=%.1f entry" load
-    | Some (_, (v, events_per_s)) ->
+    | Some (_, (v, events_per_s, tails)) ->
         if v <> want then
           Json.fail [ "stability"; "rows" ] "stability verdict at rho=%.1f is %S (want %S)" load v
             want;
-        events_per_s
+        (events_per_s, tails)
   in
-  let st_events_per_s = bracket 0.8 "stable" in
+  let st_events_per_s, ((soj50, soj99), (rate50, rate99)) = bracket 0.8 "stable" in
   ignore (bracket 1.2 "divergent");
   if (not quick) && st_events_per_s < 200.0 then
     Json.fail [ "stability"; "rows" ]
       "stability throughput %.1f events/s at rho=0.8 is below the required 200" st_events_per_s;
   Printf.sprintf
-    "schema %s OK, %d classes, batch speedup %.2fx, parallel %.2fx at 4 domains, serving %.0f \
-     events/s (staleness %.4f s, sampler duty %.4f%%), stability stable@0.8 divergent@1.2 (%.0f \
-     events/s)%s"
-    churn_schema (List.length by_kind) batch_speedup par_speedup events_per_s max_staleness
-    (duty *. 100.0) st_events_per_s par_note
+    "schema %s OK, %d classes, batch speedup %.2fx, parallel %.2fx at 4 domains on a %d-CPU host, \
+     serving %.0f events/s (staleness %.4f s, sampler duty %.4f%%), stability stable@0.8 \
+     divergent@1.2 (%.0f events/s; at 0.8 sojourn p50/p99 %.4g/%.4g, flow rate p50/p99 \
+     %.4g/%.4g)%s"
+    churn_schema (List.length by_kind) batch_speedup par_speedup host_cpus events_per_s
+    max_staleness (duty *. 100.0) st_events_per_s soj50 soj99 rate50 rate99 par_note
 
 (* --- telemetry artifacts -------------------------------------------- *)
 

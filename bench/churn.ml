@@ -128,6 +128,11 @@ let bucket_events ~per_class net =
 
 let int n = Json.Num (float_of_int n)
 
+(* The allocation every timed reset restores: an engine's own, which
+   carries every link's usage, so [Batch.create] adopts it in O(1) and
+   each timed apply starts where the daemon's and [Sim.run]'s do. *)
+let engine_allocation net = Batch.allocation (Batch.create net)
+
 (* One "classes" row: medians over events of the per-event best-of
    times and of the per-event scratch/incremental speedup. *)
 let measure ~min_time net base_alloc (kind, bucket) =
@@ -263,7 +268,7 @@ let rate_matrix net alloc =
 
 let measure_parallel ~min_time () =
   let net, spares = star_of_stars () in
-  let base_alloc = Allocator.max_min net in
+  let base_alloc = engine_allocation net in
   let burst =
     List.mapi
       (fun c spare ->
@@ -589,7 +594,7 @@ let () =
       let min_time = if !min_time > 0.0 then !min_time else if !quick then 0.02 else 0.25 in
       let per_class = if !per_class > 0 then !per_class else if !quick then 4 else 15 in
       let net = Standard_nets.churn_bench () in
-      let base_alloc = Allocator.max_min net in
+      let base_alloc = engine_allocation net in
       let buckets = bucket_events ~per_class net in
       List.iter
         (fun (k, evs) ->

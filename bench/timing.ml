@@ -1,13 +1,12 @@
-(* The one timed sample both bench executables build their best-of
-   estimates from, and that estimate.  A sample runs with the null
+(* The one timed sample scaling.exe, churn.exe and main.exe build
+   their best-of estimates from, and that estimate.  A sample runs with the null
    probe sink installed, whatever the surrounding bench plumbing does:
    the committed numbers are the telemetry-disabled baseline that CI's
    overhead gate compares against.
 
-   Monotonic, like bench/main.ml's Bechamel instance: an NTP step mid
-   sample must not record negative or skewed durations and trip (or
-   mask) the overhead/speedup gates.  Wall time is fine only for
-   metadata. *)
+   Monotonic: an NTP step mid sample must not record negative or
+   skewed durations and trip (or mask) the overhead/speedup gates.
+   Wall time is fine only for metadata. *)
 
 module Obs = Mmfair_obs
 

@@ -9,8 +9,6 @@
 module Graph = Mmfair_topology.Graph
 module Obs = Mmfair_obs
 
-type engine = [ `Auto | `Linear | `Bisection ]
-
 let tol_for x = 1e-9 *. Stdlib.max 1.0 (Float.abs x)
 
 let session_usage_at net rates active ~session ~link t =
@@ -98,7 +96,7 @@ let bisection_bound net rates active t_cur rho_bound =
 
 let solver_name = "Allocator_reference"
 
-let run engine net =
+let run net =
   let g = Network.graph net in
   let m = Network.session_count net in
   let rates = Array.init m (fun i -> Array.map (fun _ -> 0.0) (Network.session_spec net i).Network.receivers) in
@@ -110,18 +108,7 @@ let run engine net =
     done;
     !ok
   in
-  let unit_weights = Network.all_weights_unit net in
-  let use_linear =
-    match engine with
-    | `Linear ->
-        if not all_linear then
-          invalid_arg "Allocator_reference.max_min: linear engine requires linear link-rate functions";
-        if not unit_weights then
-          invalid_arg "Allocator_reference.max_min: linear engine requires unit weights";
-        true
-    | `Bisection -> false
-    | `Auto -> all_linear && unit_weights
-  in
+  let use_linear = all_linear && Network.all_weights_unit net in
   let any_active () = Array.exists (Array.exists Fun.id) active in
   let t_cur = ref 0.0 in
   let round_no = ref 0 in
@@ -253,7 +240,5 @@ let run engine net =
   done;
   Allocation.make net rates
 
-let max_min ?(engine = `Auto) net = run engine net
-
-let max_min_result ?(engine = `Auto) net =
-  Solver_error.protect ~solver:solver_name (fun () -> run engine net)
+let max_min net = run net
+let max_min_result net = Solver_error.protect ~solver:solver_name (fun () -> run net)

@@ -14,14 +14,14 @@
 
     Keep it slow and obvious; do not optimize it. *)
 
-type engine = [ `Auto | `Linear | `Bisection ]
-
-val max_min : ?engine:engine -> Network.t -> Allocation.t
+val max_min : Network.t -> Allocation.t
 (** Same contract as {!Allocator.max_min}, computed by the original
-    per-round full rescan.  Raises {!Solver_error.Error} on solver
+    per-round full rescan: the linear step when every session's
+    link-rate function is linear and every weight is 1, bisection
+    otherwise.  Raises {!Solver_error.Error} on solver
     stalls, like the optimized engine. *)
 
-val max_min_result : ?engine:engine -> Network.t -> (Allocation.t, Solver_error.t) result
+val max_min_result : Network.t -> (Allocation.t, Solver_error.t) result
 (** Typed-error variant of {!max_min} — same contract as
     {!Allocator.max_min_result}.  The differential fuzz harness runs
     both [_result] entry points side by side and requires agreement on

@@ -506,13 +506,11 @@ let absorb_link t ~binding l =
    the link rates lower.  The judge's summary is only read when a
    non-member is outside.
 
-   Inside is [root]'s group, or every member when [root] is negative.
-   The scan marked the sessions it enumerates, so a cell's test is one
-   load; only an unmarked member of a group scan (another group's, or
-   one merged into this group after its sessions were listed) asks
-   [find]. *)
-let[@inline] inside t ~root j =
-  t.arena.inside.(j) = t.arena.scan || (root >= 0 && mem t j && find t j = root)
+   Inside is [root]'s group.  The scan marked the sessions it
+   enumerates, so a cell's test is one load; only an unmarked member
+   (another group's, or one merged into this group after its sessions
+   were listed) asks [find]. *)
+let[@inline] inside t ~root j = t.arena.inside.(j) = t.arena.scan || (mem t j && find t j = root)
 
 let flags t v ~root l =
   let inc = Network.incidence t.net in
@@ -548,7 +546,7 @@ let boundary_scan t ~binding ~root iter_sessions =
   let arena = t.arena in
   arena.scan <- arena.scan + 1;
   let scan = arena.scan in
-  iter_sessions (fun i -> if root < 0 || (mem t i && find t i = root) then arena.inside.(i) <- scan);
+  iter_sessions (fun i -> if mem t i && find t i = root then arena.inside.(i) <- scan);
   let boundary = ref [] in
   (* A boundary link carries an inside receiver, so only links on the
      inside sessions' paths can qualify: enumerate those straight off
@@ -564,9 +562,6 @@ let boundary_scan t ~binding ~root iter_sessions =
         done
       done);
   !boundary
-
-let boundary_links t ~binding =
-  boundary_scan t ~binding ~root:(-1) (fun f -> List.iter f (sorted_members t))
 
 let group_boundary_links t ~binding group =
   if Array.length group = 0 then []

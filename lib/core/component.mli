@@ -107,16 +107,20 @@ val binds : t -> binding -> Mmfair_topology.Graph.link_id -> bool
 (** Whether the link binds under [binding]. *)
 
 val group_boundary_links : t -> binding:binding -> int array -> Mmfair_topology.Graph.link_id list
-(** {!boundary_links} restricted to one group of {!groups}: the binding
-    links that carry both a receiver of the group and an outside
-    receiver that may not stay out.  "Outside" includes {e other
-    groups'} members, which never stay out: a link two groups both
-    lean on is flagged, and absorbing it merges them.  A non-member
+(** The links that violate one group's restricted-solve invariant: the
+    links binding under [binding] (whose first allocation should be the
+    {e candidate}) that carry both a receiver of [group], one of
+    {!groups}, and an outside receiver that may not stay out.
+    "Outside" includes {e other groups'} members, which never stay
+    out: a link two groups both lean on is flagged, and absorbing it
+    merges them.  A non-member
     stays out when, under [binding]'s first allocation, the link is
     pinned-exempt ({!type-binding}) for it with [top] the highest normalised rate of
     the group's own receivers on the link.  The empty list certifies
     the group's restricted solve against everything it was frozen
-    against. *)
+    against; otherwise absorb the boundary links' sessions and re-solve
+    (DESIGN.md §11).  Scans only the group's paths straight off the
+    incidence CSR, not every link of the network. *)
 
 val receiver_count : t -> int
 (** Total receivers over the member sessions. *)
@@ -143,12 +147,3 @@ val absorb_link : t -> binding:binding -> Mmfair_topology.Graph.link_id -> unit
     path (its links are gone from the session's new link set, yet their
     freed capacity lets bystanders rise) and to absorb a flagged
     boundary link. *)
-
-val boundary_links : t -> binding:binding -> Mmfair_topology.Graph.link_id list
-(** The links that violate the restricted-solve invariant: binding (per
-    [binding], whose first allocation should be the {e candidate}) and
-    carrying both a member and a non-member receiver that may not stay
-    out.  A restricted solve is the global optimum precisely when this
-    list is empty; otherwise absorb the boundary links' sessions and
-    re-solve (DESIGN.md §11).  Scans only the member sessions' paths
-    straight off the incidence CSR, not every link of the network. *)

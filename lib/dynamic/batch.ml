@@ -52,16 +52,21 @@ let create ?(solver = Solve_engine.default) ?(domains = 1) ?retain ?allocation n
     if domains = 1 then List.iter (fun f -> f ())
     else Mmfair_core.Domain_pool.run (Mmfair_core.Domain_pool.shared ~domains)
   in
-  (* Epoch 0's own solve is a full solve: it folds every link's usage,
-     which each epoch then carries into the next.  A restored
-     allocation is kept as it is. *)
+  (* Epoch 0 carries every link's usage, which each epoch then carries
+     into the next: an allocation that already carries it (an earlier
+     engine's) is adopted as it is, any other, epoch 0's own solve
+     included, is folded once. *)
   let allocation =
-    match allocation with
-    | Some a -> a
-    | None ->
-        let (module E : Solve_engine.S) = solver in
-        let a = E.solve net in
-        with_usage a (every_link_usage a)
+    let a =
+      match allocation with
+      | Some a -> a
+      | None ->
+          let (module E : Solve_engine.S) = solver in
+          E.solve net
+    in
+    match Allocation.usage a with
+    | Allocation.Every_link _ -> a
+    | Allocation.No_usage | Allocation.Solved _ -> with_usage a (every_link_usage a)
   in
   { solver; run; store = Store.create ?retain net allocation; network = net; allocation }
 
@@ -192,48 +197,40 @@ let diff_session old_net old_alloc new_net i =
    - So is every link in [refold].
    - A link nobody touched keeps its value: its cells and their rows
      did not change.
-   - After a full solve every link is folded.
+   - After a full solve every link is folded, and so after a solve
+     that returned no [Solved] usage (only a caller-supplied
+     {!Solve_engine} can): every epoch carries every link's usage.
 
-   Without the previous epoch's usages (a restored allocation) or a
-   solve's, [final] carries none, and the component folds the links it
-   asks about until the next full solve. *)
+   [old] always carries it: {!create} folds it for epoch 0. *)
 let carry_usage ~old ~final ~full ~solved ~refold =
-  if full then every_link_usage final
-  else
-    match Allocation.usage old with
-    | Allocation.No_usage | Allocation.Solved _ -> Allocation.No_usage
-    | Allocation.Every_link prev -> (
-        let parts =
-          List.filter_map
-            (fun a ->
-              match Allocation.usage a with
-              | Allocation.Solved { links; usage } -> Some (links, usage)
-              | Allocation.No_usage | Allocation.Every_link _ -> None)
-            solved
-        in
-        if List.compare_lengths parts solved <> 0 then Allocation.No_usage
-        else
-          let refold =
-            match parts with
-            | [] | [ _ ] -> refold
-            | _ ->
-                let seen = Hashtbl.create 64 and refold = ref refold in
-                List.iter
-                  (fun (links, _) ->
-                    Array.iter
-                      (fun l ->
-                        if Hashtbl.mem seen l then refold := l :: !refold
-                        else Hashtbl.add seen l ())
-                      links)
-                  parts;
-                !refold
-          in
-          Allocation.Every_link
-            (Pvec.update prev (fun set ->
-                 List.iter
-                   (fun (links, usage) -> Array.iteri (fun k l -> set l usage.(k)) links)
-                   parts;
-                 List.iter (fun l -> set l (Allocation.link_rate final l)) refold)))
+  let parts =
+    List.filter_map
+      (fun a ->
+        match Allocation.usage a with
+        | Allocation.Solved { links; usage } -> Some (links, usage)
+        | Allocation.No_usage | Allocation.Every_link _ -> None)
+      solved
+  in
+  match Allocation.usage old with
+  | Allocation.Every_link prev when (not full) && List.compare_lengths parts solved = 0 ->
+      let refold =
+        match parts with
+        | [] | [ _ ] -> refold
+        | _ ->
+            let seen = Hashtbl.create 64 and refold = ref refold in
+            List.iter
+              (fun (links, _) ->
+                Array.iter
+                  (fun l -> if Hashtbl.mem seen l then refold := l :: !refold else Hashtbl.add seen l ())
+                  links)
+              parts;
+            !refold
+      in
+      Allocation.Every_link
+        (Pvec.update prev (fun set ->
+             List.iter (fun (links, usage) -> Array.iteri (fun k l -> set l usage.(k)) links) parts;
+             List.iter (fun l -> set l (Allocation.link_rate final l)) refold))
+  | Allocation.Every_link _ | Allocation.No_usage | Allocation.Solved _ -> every_link_usage final
 
 let apply t events =
   if events = [] then invalid_arg "Dynamic.Batch.apply: empty batch";

@@ -27,8 +27,7 @@
     epoch's closure reads its binding links from it instead of folding
     their cells again.  Each carried value is bitwise
     {!Mmfair_core.Allocation.link_rate}'s.  (An engine restored from an
-    allocation without usages carries none until its next full solve;
-    see {!create}.)
+    allocation carries it from epoch 0 too; see {!create}.)
 
     Per-event churn is the singleton batch [apply t [ ev ]], a
     one-event surgery: there is one implementation, so the per-event
@@ -98,10 +97,9 @@ val create :
     is the max-min fair allocation of [net] (benchmarks use it to
     reset an engine between repetitions without paying the initial
     solve) — passing anything else silently corrupts every later
-    epoch.  It is kept as it is: unless it carries every link's usage
-    (an earlier engine's allocation does), the engine carries none, and
-    folds the links its closures ask about, until its next full
-    solve. *)
+    epoch.  One that carries every link's usage (an earlier engine's
+    {!allocation} does) is adopted as it is, in O(1); any other gets
+    every link's usage folded once, as epoch 0's own solve does. *)
 
 val create_result :
   ?solver:Mmfair_core.Solve_engine.t ->

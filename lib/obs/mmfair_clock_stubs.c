@@ -1,11 +1,9 @@
 /* Monotonic clock stub: CLOCK_MONOTONIC nanoseconds as an int64.
  *
  * The benches and the serving daemon must time against a clock that
- * NTP steps cannot move (bench/main.ml already gets one through
- * Bechamel; this gives the same guarantee to the hand-rolled timing
- * loops and to churnd's staleness accounting without a new opam
- * dependency).  The epoch is unspecified: only differences are
- * meaningful. */
+ * NTP steps cannot move: every bench's timing loop and churnd's
+ * staleness accounting read this one, without an opam dependency.
+ * The epoch is unspecified: only differences are meaningful. */
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>

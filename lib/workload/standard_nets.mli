@@ -1,6 +1,6 @@
 (** The generated networks that more than one caller uses, defined once.
 
-    The Bechamel ablations, the scaling and churn benches, the churn
+    The scaling bench's engine ablations, the churn bench, the churn
     differential and [mmfair topo] all build their inputs here, so
     their rows measure the same networks.  Every constructor is
     deterministic: the fixed seeds below, or the caller's [rng]. *)

@@ -38,15 +38,18 @@ let passes check doc =
   | _ -> ()
   | exception Json.Bad m -> Alcotest.failf "unexpected gate failure: %s" m
 
+let contains m part =
+  let n = String.length part in
+  let rec found i = i + n <= String.length m && (String.sub m i n = part || found (i + 1)) in
+  found 0
+
 (* The failure must come from the gate under test: its message names
    [because] (the gated key, or the gate's own words). *)
 let fails check ~because doc =
   match check doc with
   | _ -> Alcotest.fail "gate did not fire"
   | exception Json.Bad m ->
-      let n = String.length because in
-      let rec found i = i + n <= String.length m && (String.sub m i n = because || found (i + 1)) in
-      if not (found 0) then Alcotest.failf "failed for another reason: %s" m
+      if not (contains m because) then Alcotest.failf "failed for another reason: %s" m
 
 (* [at] sits on the threshold (allowed), [past] just beyond it. *)
 let gate check doc ?because path ~at ~past () =
@@ -114,6 +117,30 @@ let test_quick_skips_timing () =
   passes Checks.allocator slow_alloc;
   fails Checks.allocator ~because:"solve_exponent"
     (set (curve "power-law" "solve_exponent") (num 1.5) slow_alloc)
+
+(* The --validate summaries are the one place the committed headlines
+   are read back, so they must carry them: per allocator curve the
+   fitted exponents and the largest point's size and live words; for
+   churn the generating host's CPU count and the stability tails at
+   load 0.8. *)
+let test_summaries () =
+  let has summary part =
+    if not (contains summary part) then Alcotest.failf "summary lacks %S: %s" part summary
+  in
+  let alloc = Checks.allocator (Lazy.force allocator_doc) in
+  List.iter (has alloc)
+    [
+      "fat-tree build/solve/event exponents 1.061/0.982/0.758";
+      "largest point 104976 sessions at 7281786 peak live words";
+      "power-law build/solve/event exponents 1.088/1.326/0.863";
+      "largest point 8192 sessions at 1070417 peak live words";
+    ];
+  let churn = Checks.churn (Lazy.force churn_doc) in
+  List.iter (has churn)
+    [
+      "parallel 1.36x at 4 domains on a 1-CPU host"; "serving 7812 events/s";
+      "sojourn p50/p99 0.6813/12.12"; "flow rate p50/p99 1.212/4.642";
+    ]
 
 (* --check-overhead's baselines: the linear-100 entry's time and the
    fat-tree k=16 point's live words, read as the committed numbers. *)
@@ -185,6 +212,7 @@ let suite =
       (allocator_gate (curve "power-law" "solve_exponent") ~at:1.499 ~past:1.5);
     Alcotest.test_case "allocator samples_ns >= time_ns" `Quick test_samples_gate;
     Alcotest.test_case "quick documents skip the timing gates" `Quick test_quick_skips_timing;
+    Alcotest.test_case "summaries carry the committed headlines" `Quick test_summaries;
     Alcotest.test_case "overhead baselines read from the file" `Quick test_overhead_baseline;
     Alcotest.test_case "trace epoch instants carry every arg" `Quick test_trace_epoch_args;
   ]

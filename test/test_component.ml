@@ -61,15 +61,17 @@ let test_absorb_isolated () =
   Component.absorb comp ~binding 1;
   Alcotest.(check (array int)) "closure of the isolated session" [| 1 |] (Component.sessions comp);
   Alcotest.(check bool) "not full" false (Component.is_full comp);
+  Alcotest.(check (list (array int))) "one group" [ [| 1 |] ] (Component.groups comp);
   Alcotest.(check (list int)) "no boundary at the optimum" []
-    (Component.boundary_links comp ~binding);
+    (Component.group_boundary_links comp ~binding [| 1 |]);
   (* S1 and S3 share the saturated q: one seed absorbs both, and their
      joint component is also boundary-free at the optimum. *)
   let comp2 = Component.create net in
   Component.absorb comp2 ~binding 0;
   Alcotest.(check (array int)) "q couples S1 and S3" [| 0; 2 |] (Component.sessions comp2);
+  Alcotest.(check (list (array int))) "one joint group" [ [| 0; 2 |] ] (Component.groups comp2);
   Alcotest.(check (list int)) "no boundary at the optimum either" []
-    (Component.boundary_links comp2 ~binding)
+    (Component.group_boundary_links comp2 ~binding [| 0; 2 |])
 
 let test_absorb_link () =
   let net = fig2 () in

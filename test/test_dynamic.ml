@@ -1036,14 +1036,16 @@ let qcheck_carried_usage =
             QCheck.Test.fail_report "rejoin re-solved";
           if not rho.Batch.full_solve then QCheck.Test.fail_report "no full solve"
       | _ -> assert false);
-      (* A restored allocation without usages leaves the engine
-         carrying none until its next full solve. *)
+      (* An engine restored from an allocation without usages folds
+         them once and carries exact usages from epoch 0; one restored
+         from an engine's allocation adopts it as it is. *)
       let eng = Batch.create ~allocation:(Allocator.max_min small) small in
+      if not (carried_usage_exact eng) then QCheck.Test.fail_report "epoch 0 after a restore";
       ignore (Batch.apply eng cap);
-      (match Allocation.usage (Batch.allocation eng) with
-      | Allocation.No_usage -> ()
-      | Allocation.Solved _ | Allocation.Every_link _ ->
-          QCheck.Test.fail_report "a restored engine carries usages");
+      if not (carried_usage_exact eng) then QCheck.Test.fail_report "epoch 1 after a restore";
+      let carried = Batch.allocation eng in
+      if Batch.allocation (Batch.create ~allocation:carried (Batch.network eng)) != carried then
+        QCheck.Test.fail_report "a carried allocation is not adopted";
       ignore (Batch.apply eng rho);
       if not (carried_usage_exact eng) then QCheck.Test.fail_report "full solve after a restore";
       true)
