@@ -503,8 +503,16 @@ let absorb_link t ~binding l =
    multi-pack background pins it at zero).  A non-member stays out if
    its cell sits at its ρ below the top of the inside cells on the
    link, under the judge: then no inside receiver whose certificate is
-   the link rates lower.  The judge's summary is only read when a
+   the link rates lower.  Every non-member stays out, whatever its
+   rate, when every receiver on the link, inside or out, sits at its
+   ρ under the judge: each is certified by its own ρ, so the link is
+   nobody's certificate.  The judge's summary is only read when a
    non-member is outside.
+
+   The closure's [stays_out] must not take that second rule: it judges
+   by the previous allocation, under which the seed's own ρ may since
+   have risen, and a link all at ρ before the event can bind the
+   raised seed.
 
    Inside is [root]'s group.  The scan marked the sessions it
    enumerates, so a cell's test is one load; only an unmarked member
@@ -528,14 +536,15 @@ let flags t v ~root l =
      summarise t s l;
      s.top.(l) < 0.0
      ||
-     let top = ref 0.0 and out = ref 0.0 in
+     let top = ref 0.0 and out = ref 0.0 and pinned = ref true in
      for c = lo to hi - 1 do
        if inside t ~root cell_session.(c) then begin
-         if norm s l c > !top then top := norm s l c
+         if norm s l c > !top then top := norm s l c;
+         if pin s l c = Float.infinity then pinned := false
        end
        else if pin s l c > !out then out := pin s l c
      done;
-     not (!out < (1.0 -. eps_bind) *. !top)
+     not ((!pinned && !out < Float.infinity) || !out < (1.0 -. eps_bind) *. !top)
 
 (* Links on the inside sessions' paths that bind and are flagged.  A
    fresh scan generation marks the inside sessions among those

@@ -116,7 +116,15 @@ val group_boundary_links : t -> binding:binding -> int array -> Mmfair_topology.
     merges them.  A non-member
     stays out when, under [binding]'s first allocation, the link is
     pinned-exempt ({!type-binding}) for it with [top] the highest normalised rate of
-    the group's own receivers on the link.  The empty list certifies
+    the group's own receivers on the link.  Every non-member also
+    stays out, whatever its rate, when every session on the link is
+    multi-rate [Efficient] and every receiver on it, the group's and
+    the outside ones, sits at its [ρ] under that allocation: each is
+    certified by its own [ρ], so the link is nobody's certificate.
+    {!absorb} does not take this rule: it judges by the previous
+    allocation, under which a seed's [ρ] may since have risen, so a
+    link all at [ρ] before the event can bind the raised seed and the
+    pinned sessions on it must come in.  The empty list certifies
     the group's restricted solve against everything it was frozen
     against; otherwise absorb the boundary links' sessions and re-solve
     (DESIGN.md §11).  Scans only the group's paths straight off the

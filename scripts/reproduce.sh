@@ -23,9 +23,10 @@ if [ "${1:-}" = "--paper" ]; then
 fi
 
 echo "== per-experiment CSV dumps =="
-mkdir -p results/csv
-for cmd in fig5 fig6 latency priority layers tcpfair session-churn convergence single-rate compete ecn tcpfriendly membership claims; do
-  dune exec bin/mmfair.exe -- "$cmd" --csv > "results/csv/$cmd.csv"
+# One dump per committed results/csv/NAME.csv, the list CI checks.
+for f in results/csv/*.csv; do
+  cmd=$(basename "$f" .csv)
+  dune exec bin/mmfair.exe -- "$cmd" --csv > "$f"
 done
 echo "  -> results/csv/*.csv"
 

@@ -46,7 +46,10 @@
    headroom is the churn bench's network, where small components are
    the rule: the random nets mostly fall back to full solves, so this
    case fails if more than half of its epochs take the full-solve
-   path, keeping the 1e-9 gate on restricted solves.
+   path, keeping the 1e-9 gate on restricted solves.  Each topology
+   case prints its per-event replay's epoch count, full solves and
+   epochs that took more than one restricted solve (boundary
+   expansion); only the full-solve count is gated.
 
      churn_differential.exe [--events N] [--seeds S1,S2,...]
                             [--batch-sizes B1,B2,...] [--domains D1,D2,...]
@@ -72,6 +75,7 @@ let failures = ref 0
 let events_checked = ref 0
 let batches_checked = ref 0
 let full_solves = ref 0
+let multi_solves = ref 0
 let reuse_sum = ref 0.0
 
 let fail_case ~case fmt =
@@ -278,6 +282,7 @@ let replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace =
                 (Solver_error.to_string e)
           | Ok stats ->
               if stats.Batch.full_solve then incr full_solves;
+              if stats.Batch.solves > 1 then incr multi_solves;
               reuse_sum := !reuse_sum +. stats.Batch.reuse_fraction;
               (* Networks and allocations are immutable snapshots;
                  defer the expensive from-scratch checks to one pooled
@@ -416,11 +421,13 @@ let run_topology ~events ~batch_sizes ~domain_counts name idx =
     if name = "parked-star" then parked_star_trace rng net ~events
     else Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events; max_receivers = 5 }
   in
-  let full_before = !full_solves in
+  let full_before = !full_solves and multi_before = !multi_solves in
   replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace;
   (* On headroom the gate must compare restricted solves against full
      ones, not two full solves. *)
   let full = !full_solves - full_before and epochs = List.length trace in
+  Printf.printf "%s: %d epochs, %d full solves, %d with more than one solve\n%!" case epochs full
+    (!multi_solves - multi_before);
   if name = "headroom" && 2 * full > epochs then
     fail_case ~case "%d of %d epochs took the full-solve path (at most half may)" full epochs
 
@@ -470,8 +477,9 @@ let () =
     !topologies;
   let n = Stdlib.max 1 !events_checked in
   Printf.printf
-    "churn: %d events checked over %d seeds (%d full solves, mean reuse %.2f), %d batches, %d failures\n%!"
-    !events_checked (List.length !seeds) !full_solves
+    "churn: %d events checked over %d seeds (%d full solves, %d with more than one solve, mean \
+     reuse %.2f), %d batches, %d failures\n%!"
+    !events_checked (List.length !seeds) !full_solves !multi_solves
     (!reuse_sum /. float_of_int n)
     !batches_checked !failures;
   if !failures > 0 then exit 1

@@ -159,6 +159,48 @@ let test_groups_merge_on_expansion () =
         (Component.group_boundary_links comp ~binding:either merged)
   | gs -> Alcotest.fail (Printf.sprintf "expected one merged group, got %d" (List.length gs)))
 
+(* --- the all-at-ρ rule ---------------------------------------------------- *)
+
+(* One link of capacity 2 and three one-receiver sessions across it,
+   filled at rates 0.5, 1.0 and 0.5.  With the default specs every
+   receiver sits at its ρ, so the link is nobody's bottleneck and the
+   group of session 0 has no boundary, although session 1 rates above
+   the group's top there.  Each argument breaks that in one way. *)
+let all_at_rho_scan ?(rho0 = 0.5) ?(rho1 = 1.0) ?(session_type = Network.Multi_rate)
+    ?(vfn = Mmfair_core.Redundancy_fn.Efficient) ?(other_group = false) () =
+  let g = Graph.create ~nodes:2 in
+  let l = Graph.add_link g 0 1 2.0 in
+  let net =
+    Network.make g
+      [|
+        Network.session ~rho:rho0 ~sender:0 ~receivers:[| 1 |] ();
+        Network.session ~rho:rho1 ~sender:0 ~receivers:[| 1 |] ();
+        Network.session ~session_type ~vfn ~rho:0.5 ~sender:0 ~receivers:[| 1 |] ();
+      |]
+  in
+  (* Grown under an empty allocation, nothing binds: each seed is its
+     own group. *)
+  let slack = Component.binding (Allocation.make net [| [| 0.0 |]; [| 0.0 |]; [| 0.0 |] |]) in
+  let comp = Component.create net in
+  Component.absorb comp ~binding:slack 0;
+  if other_group then Component.absorb comp ~binding:slack 2;
+  let judge = Allocation.make net [| [| 0.5 |]; [| 1.0 |]; [| 0.5 |] |] in
+  (l, Component.group_boundary_links comp ~binding:(Component.binding judge) [| 0 |])
+
+let test_all_at_rho_boundary () =
+  let l, links = all_at_rho_scan () in
+  Alcotest.(check (list int)) "every receiver at its rho: no boundary" [] links;
+  List.iter
+    (fun (what, (_, links)) -> Alcotest.(check (list int)) what [ l ] links)
+    [
+      ("an outside receiver below its rho", all_at_rho_scan ~rho1:2.0 ());
+      ("the group's receiver below its rho", all_at_rho_scan ~rho0:Float.infinity ());
+      ("another group's member crosses it", all_at_rho_scan ~other_group:true ());
+      ("a single-rate session on it", all_at_rho_scan ~session_type:Network.Single_rate ());
+      ( "a session on it that is not Efficient",
+        all_at_rho_scan ~vfn:Mmfair_core.Redundancy_fn.Additive () );
+    ]
+
 (* --- closure oracle ------------------------------------------------------ *)
 
 (* The naive closure, kept as the oracle for [absorb]/[absorb_link]:
@@ -405,6 +447,7 @@ let suite =
     Alcotest.test_case "fill covers every session" `Quick test_fill;
     Alcotest.test_case "boundary expansion merges disjoint groups" `Quick
       test_groups_merge_on_expansion;
+    Alcotest.test_case "a link all at rho bounds no group" `Quick test_all_at_rho_boundary;
     QCheck_alcotest.to_alcotest qcheck_closure_random_nets;
     QCheck_alcotest.to_alcotest qcheck_closure_slot_pools;
     Alcotest.test_case "a binding names at most three allocations" `Quick test_binding_arity;

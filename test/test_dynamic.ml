@@ -884,6 +884,34 @@ let test_lone_rho_event_component () =
   Alcotest.(check int) "departure: the five live flows" 5 depart.Batch.component_sessions;
   check_matches_scratch "after the departure" eng
 
+(* A cluster's last live flow departs: the parked slot re-solves
+   alone, and its trunk, still binding under the previous epoch, now
+   carries only slots at their ρ.  Each is certified by its own ρ, so
+   the trunk is nobody's bottleneck and the boundary scan must not
+   flag it: one solve over one session, where absorbing the trunk
+   would pull in the cluster's eight slots and solve again. *)
+let test_last_departure_solves_once () =
+  let module Scenario = Mmfair_flow.Scenario in
+  let scn =
+    Scenario.star_of_stars ~clusters:2 ~slots:8 ~size:(Mmfair_flow.Size.Exponential 1.0)
+      ~rate:1.0 ()
+  in
+  let slot = Scenario.session_of scn ~cls:0 ~slot:3 in
+  let eng = Batch.create (Scenario.network scn) in
+  ignore (Batch.apply eng [ Event.Rho_change { session = slot; rho = Float.infinity } ]);
+  let park = Batch.apply eng [ Event.Rho_change { session = slot; rho = Scenario.park_rho scn } ] in
+  Alcotest.(check int) "one solve" 1 park.Batch.solves;
+  Alcotest.(check int) "the parked slot alone" 1 park.Batch.component_sessions;
+  let net = Batch.network eng in
+  let incremental = Batch.allocation eng and scratch = Allocator.max_min net in
+  Array.iter
+    (fun (r : Network.receiver_id) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "receiver (%d,%d) bitwise" r.Network.session r.Network.index)
+        (Int64.bits_of_float (Allocation.rate scratch r))
+        (Int64.bits_of_float (Allocation.rate incremental r)))
+    (Network.all_receivers net)
+
 (* --- carried link usage ----------------------------------------------- *)
 
 (* Every epoch's allocation carries each link's usage, and the carried
@@ -1079,6 +1107,8 @@ let suite =
     Alcotest.test_case "zero domains are rejected" `Quick test_batch_rejects_zero_domains;
     Alcotest.test_case "pinned bystander judged on the link" `Quick test_pinned_bystander_off_link;
     Alcotest.test_case "lone rho event re-solves live flows" `Quick test_lone_rho_event_component;
+    Alcotest.test_case "a cluster's last departure solves once" `Quick
+      test_last_departure_solves_once;
     QCheck_alcotest.to_alcotest qcheck_carried_usage;
     Alcotest.test_case "rho epochs allocate bounded minor words" `Quick test_rho_epoch_minor_words;
   ]

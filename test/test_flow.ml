@@ -289,6 +289,30 @@ let test_star_trajectory_golden () =
     "departure log digest" "3c7b754298bd05869069d6f42125ceca"
     (Digest.to_hex (Digest.string log))
 
+(* The same run, watched epoch by epoch: no epoch takes a second
+   solve.  An arrival re-solves its trunk's live flows and itself, a
+   departure the remaining live flows or, when it was the cluster's
+   last, the parked slot alone; neither leaves a binding link the
+   boundary scan must absorb. *)
+let test_star_epochs_solve_once () =
+  let scn =
+    Scenario.scale_to_load
+      (Scenario.star_of_stars ~clusters:8 ~slots:32 ~size:(Size.Exponential 1.0) ~rate:1.0 ())
+      ~load:0.8
+  in
+  let config = { Sim.default with Sim.horizon = 40.0; seed = 7L } in
+  let epochs = ref 0 and multi = ref 0 in
+  let sink =
+    Mmfair_obs.Sink.make
+      ~on_epoch:(fun ev ->
+        incr epochs;
+        if ev.Mmfair_obs.Events.solves > 1 then incr multi)
+      ()
+  in
+  let r = Mmfair_obs.Probe.with_sink sink (fun () -> Sim.run ~config scn) in
+  Alcotest.(check int) "every epoch observed" r.Sim.epochs !epochs;
+  Alcotest.(check int) "epochs with more than one solve" 0 !multi
+
 (* A too-small series capacity is a config error: [Sim.run] must
    reject it up front, under its own name, not after the initial solve
    from inside [Timeseries.create]. *)
@@ -348,6 +372,7 @@ let suite =
     Alcotest.test_case "figure-2 departure order golden" `Quick
       test_figure2_departure_order_golden;
     Alcotest.test_case "star-of-stars trajectory golden" `Quick test_star_trajectory_golden;
+    Alcotest.test_case "star-of-stars epochs solve once" `Quick test_star_epochs_solve_once;
     Alcotest.test_case "nominal load pinning" `Quick test_nominal_load_pinning;
     Alcotest.test_case "slot exhaustion counts blocked arrivals" `Quick test_blocked_accounting;
     Alcotest.test_case "flash-crowd pulse injects and drains" `Quick test_flash_crowd_pulse;
