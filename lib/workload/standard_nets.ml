@@ -51,3 +51,27 @@ let power_law ~rng ~nodes ~attach =
         match Graph.neighbors g v with
         | (u, _) :: _ -> Network.session ~sender:v ~receivers:[| u |] ()
         | [] -> invalid_arg (Printf.sprintf "isolated node %d" v)) )
+
+let full_heap () =
+  let t = Builders.balanced_tree ~depth:2 ~fanout:3 ~capacity_at:(fun d -> if d = 0 then 3.0 else 2.0) in
+  let level = t.Builders.level_nodes in
+  let leaves = level.(2) in
+  let group j = Array.sub leaves (3 * j) 3 in
+  let roots =
+    List.init 3 (fun j ->
+        Network.session ~rho:(0.6 +. (0.3 *. float_of_int j)) ~sender:t.Builders.root ~receivers:(group j) ())
+  in
+  let units =
+    List.init 9 (fun i ->
+        Network.session
+          ~rho:(0.5 +. (0.25 *. float_of_int (i mod 4)))
+          ~sender:level.(1).(i / 3) ~receivers:[| leaves.(i) |] ())
+  in
+  let cross =
+    [
+      Network.session ~rho:1.0 ~sender:leaves.(0) ~receivers:[| leaves.(4); leaves.(8) |] ();
+      Network.session ~session_type:Network.Single_rate ~rho:1.0 ~sender:leaves.(5)
+        ~receivers:[| leaves.(1); leaves.(6) |] ();
+    ]
+  in
+  Network.make t.Builders.graph (Array.of_list (roots @ units @ cross))

@@ -37,3 +37,12 @@ val power_law :
     (capacities uniform in [[1, 4)]) with one session per node, from
     the node to its first neighbor: hubs concentrate sharing.  Raises
     [Invalid_argument] on arguments the builder rejects. *)
+
+val full_heap : unit -> Mmfair_core.Network.t
+(** A 13-node tree (depth 2, fanout 3; capacity 3 on the root's links,
+    2 below) where every link carries a receiver and every receiver has
+    a finite [ρ], so a cold solve fills both of the water-filling
+    heaps to their full size: one entry per link, one per receiver.
+    Three multicast sessions from the root to each group of leaves,
+    one unicast from each leaf's parent, and two cross-tree sessions
+    (one single-rate); every [ρ] binds or ties somewhere. *)

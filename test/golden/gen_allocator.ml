@@ -1,5 +1,5 @@
 (* Allocator golden: [Allocator.max_min]'s rates, bit for bit (printed
-   with %h), on three seeded networks.  The committed
+   with %h), on seeded networks.  The committed
    test/golden/allocator_rates.expected is diffed against this output
    on every `dune runtest`; a change to the water-filling code must
    leave every bit of it alone.
@@ -14,8 +14,12 @@
    - tie-heavy: a balanced tree with one capacity on every link and
      symmetric multi-hop multicast sessions, so that several links
      saturate in one round and several ρ-heap keys tie;
+   - full-heap: a tree where every link carries a receiver and every
+     receiver has a finite ρ, so both heaps fill to their full size;
    - power-law-2048: the benchmark's full solve input, as one digest
-     of its %h lines (2,048 rows are too many to commit). *)
+     of its %h lines (2,048 rows are too many to commit);
+   - power-law-8192: the same graph family at 8,192 nodes, also as a
+     digest, where the link heap is 13 levels deep. *)
 
 module Graph = Mmfair_topology.Graph
 module Builders = Mmfair_topology.Builders
@@ -117,4 +121,6 @@ let () =
   print "mixed-bisection" (mixed ~custom:true);
   print "power-law-128" (power_law ~nodes:128);
   print "tie-heavy" (tie_heavy ());
-  print_digest "power-law-2048" (power_law ~nodes:2048)
+  print "full-heap" (Mmfair_workload.Standard_nets.full_heap ());
+  print_digest "power-law-2048" (power_law ~nodes:2048);
+  print_digest "power-law-8192" (power_law ~nodes:8192)
