@@ -29,27 +29,42 @@ let[@inline] tol_for x = 1e-9 *. fmax 1.0 (Float.abs x)
    the receivers it freezes) when nobody listens for the trace. *)
 
 (* A binary min-heap of (key, int) pairs over flat arrays sized by the
-   caller — solves keep theirs in the arena below. *)
+   caller — solves keep theirs in the arena below.  [keys] has one slot
+   past the largest [size] a caller fills, for the sentinel of
+   [min_child]. *)
 type heap = { mutable keys : float array; mutable vals : int array; mutable size : int }
 
-let heap_make n = { keys = Array.make (Int.max n 1) 0.0; vals = Array.make (Int.max n 1) 0; size = 0 }
+let heap_make n = { keys = Array.make (n + 1) 0.0; vals = Array.make (Int.max n 1) 0; size = 0 }
+
+(* The smaller child of a parent whose left child is [l], ties to the
+   left: [Bool.to_int] is [%identity], so this is a compare-and-set
+   with no jump to mispredict.  Each descent first writes a [+∞]
+   sentinel at [keys.(size)], so a missing right child needs no
+   [l + 1 < size] test: the sentinel is never strictly less than a key
+   ([link_key] maps NaN to infinity), so it is never picked, and the
+   picks are the ones that test makes.  Without the annotation the
+   reads would be polymorphic and the comparison a C call. *)
+let[@inline] min_child (keys : float array) l =
+  l + Bool.to_int (Array.unsafe_get keys (l + 1) < Array.unsafe_get keys l)
 
 (* Both sifts move a hole: the entry at [i] is written once, at its
    final slot.  They make the comparisons a swapping sift makes and
    leave the same array, so pop order and ties do not depend on it.
 
    [sift_down] and [heap_pop] index only below [size], which a push
-   never takes past the arrays' length, so they skip the bounds
-   checks. *)
+   never takes past the arrays' length, and at the sentinel slot they
+   write first, so they skip the bounds checks.  The sentinel store
+   itself is checked: one per descent. *)
 let sift_down h i =
   let keys = h.keys and vals = h.vals and size = h.size in
+  keys.(size) <- infinity;
   let k = Array.unsafe_get keys i and v = Array.unsafe_get vals i in
   let i = ref i and moving = ref true in
   while !moving do
     let l = (2 * !i) + 1 in
     if l >= size then moving := false
     else begin
-      let c = if l + 1 < size && Array.unsafe_get keys (l + 1) < Array.unsafe_get keys l then l + 1 else l in
+      let c = min_child keys l in
       if Array.unsafe_get keys c < k then begin
         Array.unsafe_set keys !i (Array.unsafe_get keys c);
         Array.unsafe_set vals !i (Array.unsafe_get vals c);
@@ -108,10 +123,10 @@ let heap_pop h =
   if n > 0 then begin
     let keys = h.keys and vals = h.vals in
     let k = Array.unsafe_get keys n and v = Array.unsafe_get vals n in
+    keys.(n) <- infinity;
     let i = ref 0 and child = ref 1 in
     while !child < n do
-      let l = !child in
-      let c = if l + 1 < n && Array.unsafe_get keys (l + 1) < Array.unsafe_get keys l then l + 1 else l in
+      let c = min_child keys !child in
       Array.unsafe_set keys !i (Array.unsafe_get keys c);
       Array.unsafe_set vals !i (Array.unsafe_get vals c);
       i := c;
@@ -313,7 +328,7 @@ let init sc net ~component ~frozen =
   sc.l_stamp <- ensure_i sc.l_stamp nl;
   sc.l_touched <- ensure_i sc.l_touched nl;
   sc.l_sat_list <- ensure_i sc.l_sat_list nl;
-  sc.l_heap.keys <- ensure_f sc.l_heap.keys nl;
+  sc.l_heap.keys <- ensure_f sc.l_heap.keys (nl + 1);
   sc.l_heap.vals <- ensure_i sc.l_heap.vals nl;
   sc.s_vfn <- ensure_vfn sc.s_vfn m;
   sc.s_rho <- ensure_f sc.s_rho m;
@@ -325,7 +340,7 @@ let init sc net ~component ~frozen =
   sc.g_weight <- ensure_f sc.g_weight n;
   sc.g_rates <- ensure_f sc.g_rates n;
   sc.g_active <- ensure_b sc.g_active n;
-  sc.g_rho_heap.keys <- ensure_f sc.g_rho_heap.keys n;
+  sc.g_rho_heap.keys <- ensure_f sc.g_rho_heap.keys (n + 1);
   sc.g_rho_heap.vals <- ensure_i sc.g_rho_heap.vals n;
   sc.c_active <- ensure_i sc.c_active nc;
   sc.c_max <- ensure_f sc.c_max nc;
@@ -959,15 +974,21 @@ let solve net ~component ~frozen k =
 
 (* Session [i]'s solved rates, a fresh row cut from the arena by a
    loop over a float array: [Array.sub] is a polymorphic C call that
-   inspects its argument's tag, once per session. *)
+   inspects its argument's tag, once per session.  A one-receiver row
+   is a literal, which is allocated inline: [Array.create_float] is a
+   C call too. *)
 let row st i =
   let session_first = st.inc.Network.session_first and rates = st.rates in
   let lo = session_first.(i) in
-  let r = Array.create_float (session_first.(i + 1) - lo) in
-  for k = 0 to Array.length r - 1 do
-    r.(k) <- rates.(lo + k)
-  done;
-  r
+  let n = session_first.(i + 1) - lo in
+  if n = 1 then [| rates.(lo) |]
+  else begin
+    let r = Array.create_float n in
+    for k = 0 to n - 1 do
+      r.(k) <- rates.(lo + k)
+    done;
+    r
+  end
 
 (* The final usage of every link the solve touched, summed as
    [Allocation.link_rate] sums it (cells in link order, each folded by

@@ -821,7 +821,9 @@ let test_partial_over_chunks_bitwise () =
    vector's chunks.  It read the same before and after the typed row
    cut and the component loop replaced [Array.sub] and [Array.init]
    (the 2,048-entry component goes straight to the major heap either
-   way).  The bound leaves about 10 % for compiler and library drift.
+   way), and again after one-receiver rows became inline literals (the
+   same two words each, without the C call).  The bound leaves about
+   10 % for compiler and library drift.
    A boxed float or a closure per session on the cold path (4,096
    words or more here) would cross it. *)
 let test_cold_solve_minor_words () =
@@ -837,6 +839,25 @@ let test_cold_solve_minor_words () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words per cold solve <= %.0f" words bound)
     true (words <= bound)
+
+(* Every link of [Standard_nets.full_heap] carries a receiver and every
+   receiver has a finite ρ, so a cold solve fills the link heap and the
+   ρ heap to their full size, and each heapify writes its [+∞] sentinel
+   one slot past the last entry.  A freshly spawned domain starts with
+   a fresh arena, whose key arrays are sized exactly [links + 1] and
+   [receivers + 1]: one slot fewer and the checked sentinel store
+   raises.  The rates must match the main domain's, bit for bit. *)
+let test_full_heaps_in_fresh_arena () =
+  let net = Mmfair_workload.Standard_nets.full_heap () in
+  let here = Allocator.max_min net in
+  let there = Domain.join (Domain.spawn (fun () -> Allocator.max_min net)) in
+  let bits a = Array.map Int64.bits_of_float a in
+  for i = 0 to Network.session_count net - 1 do
+    Alcotest.(check (array int64))
+      (Printf.sprintf "session %d's row" i)
+      (bits (Allocation.rates_of_session here i))
+      (bits (Allocation.rates_of_session there i))
+  done
 
 let suite =
   suite
@@ -856,4 +877,5 @@ let suite =
       Alcotest.test_case "partial over chunks matches cold bitwise" `Quick
         test_partial_over_chunks_bitwise;
       Alcotest.test_case "cold solve allocates bounded minor words" `Quick test_cold_solve_minor_words;
+      Alcotest.test_case "full heaps fit a fresh domain's arena" `Quick test_full_heaps_in_fresh_arena;
     ]
