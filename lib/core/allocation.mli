@@ -9,10 +9,10 @@
 
     An allocation may also carry link usages [u_j] its producer already
     knows ({!type-usage}): a warm-start solve knows those of the links
-    it touched, and the churn engine carries every link's from one
-    epoch to the next.  A carried usage is bitwise the one {!link_rate}
-    sums; it is what the fairness component reads its binding links
-    from. *)
+    it touched, and the churn engine carries every link's in every
+    candidate it judges, and so from one epoch to the next.  A carried
+    usage is bitwise the one {!link_rate} sums; it is what the fairness
+    component reads its binding links from. *)
 
 type t
 (** An immutable allocation bound to its network. *)
@@ -81,7 +81,9 @@ val unsafe_rows : t -> float array Pvec.t
     every chunk of rows) the epoch does not touch. *)
 
 val usage : t -> usage
-(** The link usages the allocation carries. *)
+(** The link usages the allocation carries.  The fairness component
+    ({!Component}) reads a link's binding bit from them, and calls
+    {!link_rate} only for a link they say nothing about. *)
 
 val session_link_rate : t -> session:int -> link:Mmfair_topology.Graph.link_id -> float
 (** The paper's [u_{i,j}] — [v_i] applied to the downstream receiver

@@ -11,38 +11,35 @@ let eps_bind = 1e-7
    link at a time.
 
    Whether a link binds comes from the usage the allocation carries
-   when it carries it ([Allocation.usage]): a read of the carried
-   vector, or a bit set from a solve's touched links when the slot is
-   bound.  Only for a link the allocation carries nothing about is the
-   bit the summary's.  Binding a slot also keeps the graph's capacity
-   array and the carried vector's spine in it, so a check reads both
-   straight off arrays, with no call into another module.
+   ([Allocation.usage]): a read of an [Every_link] vector's spine, or a
+   bit set from a solve's touched links when the slot is bound.  For a
+   link the allocation carries nothing about, the bit is
+   [Allocation.link_rate]'s, computed once per slot and link.  Binding
+   a slot also keeps the graph's capacity array and the carried
+   vector's spine in it, so a check reads both straight off arrays.
 
-   A summary is a single pass over a link's cells.  It yields whether
-   the link binds (its usage summed in [Allocation.link_rate]'s order,
-   so the bit is the one [link_rate] gives), the highest normalised
-   rate among its receivers below their ρ ([top]), and per cell the
-   highest normalised rate of the cell's receivers ([norm]) and that
-   rate again if every one of them sits at its ρ, infinity otherwise
-   ([pin]).  Only [stays_out] and the boundary scan's [flags] need
-   [top] and the pairs, so only they summarise a link whose bit is
-   carried.  After that no reader folds the link's rates a second
-   time.  The per-cell pairs are appended to [cells] as links are
-   summarised, so a summary costs the cells it was asked about, not
-   the network's.
+   A summary is the ρ-pin pass over a binding link's cells: the highest
+   normalised rate among its receivers below their ρ ([top]), and per
+   cell the highest normalised rate of the cell's receivers ([norm])
+   and that rate again if every one of them sits at its ρ, infinity
+   otherwise ([pin]).  Only [stays_out] and the boundary scan's [flags]
+   ask for one, and no reader folds the link's rates a second time.
+   The per-cell pairs are appended to [cells] as links are summarised,
+   so a summary costs the cells it was asked about, not the network's.
 
    [top] is negative when no receiver on the link may stay out: some
    session on it is single-rate or not [Efficient] (outside the domain
-   of the local max-min characterisation), or the allocation's
-   incidence is not the component's, so its cell numbers mean nothing
-   to the walks.  The link's cells are then not recorded. *)
+   of the local max-min characterisation, where the pass stops), or
+   the allocation's incidence is not the component's, so its cell
+   numbers mean nothing to the walks.  The link's cells are then not
+   recorded. *)
 type summary = {
   mutable alloc : Allocation.t option; (* the summarised allocation; [None] = free *)
   mutable gen : int; (* bumped whenever the slot is rebound *)
   mutable used : int; (* clock of the last lookup, for eviction *)
   mutable caps : float array; (* the allocation's graph's capacities (Graph.unsafe_capacities) *)
   mutable every : float array array; (* an [Every_link] usage's spine, [[||]] for other usages *)
-  mutable link : int array; (* per link: [2 gen + 1] if binding, [2 gen] if not *)
+  mutable link : int array; (* per link: [2 gen + 1] if binding, [2 gen] if not; unused for [every] *)
   mutable summed : int array; (* per link: [gen] once summarised *)
   mutable top : float array; (* per link *)
   mutable first : int array; (* per link: where its cells' pairs start in [cells] *)
@@ -169,7 +166,6 @@ let with_component net f =
       (fun () -> f (start arena net))
   end
 
-let network t = t.net
 let mem t i = t.arena.member.(i) = t.stamp
 let cardinal t = t.n_sessions
 let is_empty t = t.n_sessions = 0
@@ -304,82 +300,66 @@ let views t (binding : binding) =
 
 let alloc_of s = match s.alloc with Some a -> a | None -> assert false
 
-(* The one pass over link [l]'s cells under [s]'s allocation.  The
-   specs and rows are read straight off their spines and an
-   [Efficient] cell is folded in place: a call per cell would box the
-   float it returns (DESIGN §11).  Indices that come off the incidence
+(* The ρ-pin pass over link [l]'s cells under [s]'s allocation.  The
+   specs and rows are read straight off their spines and each cell is
+   folded in place: a call per cell would box the float it returns
+   (DESIGN §11).  Indices that come off the incidence
    CSR, and weights (the network checks their count), skip the bounds
    checks; a rate is read checked, since only the allocation's
-   constructor vouches for its row's length. *)
+   constructor vouches for its row's length.  The pass stops at the
+   first cell outside the local domain. *)
 let summarise t s l =
   if s.summed.(l) <> s.gen then begin
+    s.summed.(l) <- s.gen;
+    s.top.(l) <- -1.0;
     let alloc = alloc_of s in
     let net = Allocation.network alloc in
     let inc = Network.incidence net in
-    let specs = Pvec.unsafe_spine (Network.unsafe_specs net) in
-    let rows = Pvec.unsafe_spine (Allocation.unsafe_rows alloc) in
-    let session_first = inc.Network.session_first and cell_first = inc.Network.cell_first in
-    let link_cells = inc.Network.link_cells and cell_session = inc.Network.cell_session in
-    let lo_cell = inc.Network.link_row.(l) and hi_cell = inc.Network.link_row.(l + 1) in
-    let usage = ref 0.0 and top = ref 0.0 in
-    let local = ref (inc == Network.incidence t.net) in
-    let base = s.fill in
-    if !local && Array.length s.cells < base + (2 * (hi_cell - lo_cell)) then begin
-      let grown = Array.make (Int.max 64 (2 * (base + (2 * (hi_cell - lo_cell))))) 0.0 in
-      Array.blit s.cells 0 grown 0 base;
-      s.cells <- grown
-    end;
-    let cells = s.cells in
-    for c = lo_cell to hi_cell - 1 do
-      let i = Array.unsafe_get cell_session c in
-      let spec = Array.unsafe_get (Array.unsafe_get specs (i lsr 5)) (i land 31) in
-      let rates = Array.unsafe_get (Array.unsafe_get rows (i lsr 5)) (i land 31) in
-      let g0 = Array.unsafe_get session_first i in
-      let lo = Array.unsafe_get cell_first c and hi = Array.unsafe_get cell_first (c + 1) in
-      match spec.Network.vfn with
-      | Redundancy_fn.Efficient when !local && spec.Network.session_type = Network.Multi_rate ->
-          (* [Redundancy_fn.apply_fold]'s max, next to the
-             per-receiver reads; the same comparisons give the same
-             bits. *)
-          let mx = ref 0.0 and norm = ref 0.0 and pinned = ref true in
-          let rho = spec.Network.rho and weights = spec.Network.weights in
-          for p = lo to hi - 1 do
-            let k = Array.unsafe_get link_cells p - g0 in
-            let a = rates.(k) in
-            if a > !mx then mx := a;
-            let x = a /. Array.unsafe_get weights k in
-            if x > !norm then norm := x;
-            if a < rho then begin
-              pinned := false;
-              if x > !top then top := x
-            end
-          done;
-          usage := !usage +. !mx;
-          let k = base + (2 * (c - lo_cell)) in
-          Array.unsafe_set cells k !norm;
-          Array.unsafe_set cells (k + 1) (if !pinned then !norm else Float.infinity)
-      | Redundancy_fn.Efficient ->
-          local := false;
-          let mx = ref 0.0 in
-          for p = lo to hi - 1 do
-            let a = rates.(link_cells.(p) - g0) in
-            if a > !mx then mx := a
-          done;
-          usage := !usage +. !mx
-      | vfn ->
-          local := false;
-          usage :=
-            !usage
-            +. Redundancy_fn.apply_fold vfn ~n:(hi - lo) ~get:(fun j -> rates.(link_cells.(lo + j) - g0))
-    done;
-    s.link.(l) <- (2 * s.gen) + if binds_at s.caps l !usage then 1 else 0;
-    s.summed.(l) <- s.gen;
-    if !local then begin
-      s.top.(l) <- !top;
-      s.first.(l) <- base - (2 * lo_cell);
-      s.fill <- base + (2 * (hi_cell - lo_cell))
+    if inc == Network.incidence t.net then begin
+      let specs = Pvec.unsafe_spine (Network.unsafe_specs net) in
+      let rows = Pvec.unsafe_spine (Allocation.unsafe_rows alloc) in
+      let session_first = inc.Network.session_first and cell_first = inc.Network.cell_first in
+      let link_cells = inc.Network.link_cells and cell_session = inc.Network.cell_session in
+      let lo_cell = inc.Network.link_row.(l) and hi_cell = inc.Network.link_row.(l + 1) in
+      let base = s.fill in
+      if Array.length s.cells < base + (2 * (hi_cell - lo_cell)) then begin
+        let grown = Array.make (Int.max 64 (2 * (base + (2 * (hi_cell - lo_cell))))) 0.0 in
+        Array.blit s.cells 0 grown 0 base;
+        s.cells <- grown
+      end;
+      let cells = s.cells in
+      let top = ref 0.0 and c = ref lo_cell in
+      while !c < hi_cell do
+        let i = Array.unsafe_get cell_session !c in
+        let spec = Array.unsafe_get (Array.unsafe_get specs (i lsr 5)) (i land 31) in
+        match spec.Network.vfn with
+        | Redundancy_fn.Efficient when spec.Network.session_type = Network.Multi_rate ->
+            let rates = Array.unsafe_get (Array.unsafe_get rows (i lsr 5)) (i land 31) in
+            let g0 = Array.unsafe_get session_first i in
+            let norm = ref 0.0 and pinned = ref true in
+            let rho = spec.Network.rho and weights = spec.Network.weights in
+            for p = Array.unsafe_get cell_first !c to Array.unsafe_get cell_first (!c + 1) - 1 do
+              let k = Array.unsafe_get link_cells p - g0 in
+              let a = rates.(k) in
+              let x = a /. Array.unsafe_get weights k in
+              if x > !norm then norm := x;
+              if a < rho then begin
+                pinned := false;
+                if x > !top then top := x
+              end
+            done;
+            let k = base + (2 * (!c - lo_cell)) in
+            Array.unsafe_set cells k !norm;
+            Array.unsafe_set cells (k + 1) (if !pinned then !norm else Float.infinity);
+            incr c
+        | _ -> c := hi_cell + 1
+      done;
+      if !c = hi_cell then begin
+        s.top.(l) <- !top;
+        s.first.(l) <- base - (2 * lo_cell);
+        s.fill <- base + (2 * (hi_cell - lo_cell))
+      end
     end
-    else s.top.(l) <- -1.0
   end
 
 (* A recorded cell's pair: only for links whose [top] is not negative. *)
@@ -387,19 +367,22 @@ let norm s l c = s.cells.(s.first.(l) + (2 * c))
 let pin s l c = s.cells.(s.first.(l) + (2 * c) + 1)
 
 (* An [Every_link] usage is read off the spine the slot keeps: a call
-   would box the float. *)
-let binds_one t s l =
+   would box the float.  A link the allocation carries nothing about
+   takes [Allocation.link_rate]'s bit, once. *)
+let binds_one s l =
   if Array.length s.every > 0 then binds_at s.caps l s.every.(l lsr 5).(l land 31)
   else begin
-    if s.link.(l) lsr 1 <> s.gen then summarise t s l;
+    if s.link.(l) lsr 1 <> s.gen then
+      s.link.(l) <-
+        (2 * s.gen) + if binds_at s.caps l (Allocation.link_rate (alloc_of s) l) then 1 else 0;
     s.link.(l) land 1 = 1
   end
 
 (* The others first: the previous epoch's allocation is usually among
-   them and already summarised by the closure. *)
-let rec binds_any t l = function [] -> false | s :: rest -> binds_one t s l || binds_any t l rest
-let binds_in t v l = binds_any t l v.others || binds_one t v.judge l
-let binds t binding l = binds_in t (views t binding) l
+   them, and its bit is a read of its carried usage. *)
+let rec binds_any l = function [] -> false | s :: rest -> binds_one s l || binds_any l rest
+let binds_in v l = binds_any l v.others || binds_one v.judge l
+let binds t binding l = binds_in (views t binding) l
 
 (* Whether a non-member's cell [c] on [l] may stay out of the closure:
    it sits at its ρ, below the judge's top among the link's unpinned
@@ -463,7 +446,7 @@ let absorb_views t views i =
           if arena.expanded.(l) = t.stamp then begin
             if arena.anchor.(l) >= 0 then union t s arena.anchor.(l)
           end
-          else if binds_in t views l then begin
+          else if binds_in views l then begin
             arena.expanded.(l) <- t.stamp;
             let skipped = ref false in
             for c = link_row.(l) to link_row.(l + 1) - 1 do
@@ -488,7 +471,7 @@ let absorb t ~binding i = absorb_views t (views t binding) i
 
 let absorb_link t ~binding l =
   let views = views t binding in
-  if binds_in t views l then begin
+  if binds_in views l then begin
     let inc = Network.incidence t.net in
     for c = inc.Network.link_row.(l) to inc.Network.link_row.(l + 1) - 1 do
       let j = inc.Network.cell_session.(c) in
@@ -566,7 +549,7 @@ let boundary_scan t ~binding ~root iter_sessions =
           let l = inc.Network.recv_cells.(p) in
           if arena.seen.(l) <> scan then begin
             arena.seen.(l) <- scan;
-            if binds_in t views l && flags t views ~root l then boundary := l :: !boundary
+            if binds_in views l && flags t views ~root l then boundary := l :: !boundary
           end
         done
       done);

@@ -35,8 +35,8 @@ type binding
     against each allocation's {e own} network's capacities — for a
     pre-surgery allocation those are the pre-surgery capacities, which
     is what its binding set means.  A usage is the one the allocation
-    carries ({!Allocation.usage}) when it carries it, and is otherwise
-    summed from the link's cells; the two are bitwise equal.
+    carries ({!Allocation.usage}) when it carries it, and
+    {!Allocation.link_rate} otherwise; the two are bitwise equal.
 
     A frozen receiver pinned at its [ρ] may stay out of a component
     although it crosses a binding link.  The link is {e pinned-exempt}
@@ -65,7 +65,6 @@ val with_component : Network.t -> (t -> 'a) -> 'a
     A call nested inside another's [f] gets fresh arrays, as
     {!create}. *)
 
-val network : t -> Network.t
 val mem : t -> int -> bool
 val cardinal : t -> int
 (** Number of sessions inside. *)
@@ -96,12 +95,13 @@ val binding : ?also:Allocation.t list -> Allocation.t -> binding
     [also] (at most two; [Invalid_argument] otherwise); [a] also judges
     which frozen receivers stay out.  Nothing is computed here.  A
     component reads whether a link binds from the usage the allocation
-    carries: an array read for a churn epoch's allocation
-    ({!Allocation.Every_link}), a bit set once from a solve's touched
-    links ({!Allocation.Solved}).  It folds a link's cells only to
-    judge a ρ pin on a binding link, or for a link the allocation
-    carries nothing about: once per allocation and link, in one pass,
-    into arrays its arena reuses from epoch to epoch. *)
+    carries: an array read for every allocation the churn engine
+    builds ({!Allocation.Every_link}), a bit set once from a solve's
+    touched links ({!Allocation.Solved}).  For a link the allocation
+    carries nothing about, it calls {!Allocation.link_rate} once per
+    allocation and link.  It folds a link's cells itself only to judge
+    a ρ pin on a binding link: once per allocation and link, in one
+    pass, into arrays its arena reuses from epoch to epoch. *)
 
 val binds : t -> binding -> Mmfair_topology.Graph.link_id -> bool
 (** Whether the link binds under [binding]. *)

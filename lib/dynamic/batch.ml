@@ -184,8 +184,8 @@ let diff_session old_net old_alloc new_net i =
     departed_paths = !departed_paths;
   }
 
-(* The usages the epoch's allocation [final] is to carry: the previous
-   epoch's, shared, except where this epoch may have moved them.
+(* The usages the candidate [final] is to carry: the previous epoch's,
+   shared, except where this epoch may have moved them.
 
    - A link touched by exactly one of the [solved] allocations takes
      that solve's value.  Every component member crossing the link was
@@ -199,7 +199,7 @@ let diff_session old_net old_alloc new_net i =
      did not change.
    - After a full solve every link is folded, and so after a solve
      that returned no [Solved] usage (only a caller-supplied
-     {!Solve_engine} can): every epoch carries every link's usage.
+     {!Solve_engine} can): every candidate carries every link's usage.
 
    [old] always carries it: {!create} folds it for epoch 0. *)
 let carry_usage ~old ~final ~full ~solved ~refold =
@@ -413,32 +413,53 @@ let apply t events =
        the incoming group order. *)
     List.concat (List.mapi (fun k pack -> List.map (fun _ -> solved.(k)) pack) packs)
   in
+  (* Links whose cells changed without a solve touching them: a
+     departed receiver's old path, and the links of a rebuilt session
+     left out of the component. *)
+  let refold () =
+    List.concat_map
+      (fun (i, d) ->
+        let paths = List.concat d.departed_paths in
+        if d.rebuilt && not (Component.mem comp i) then Network.session_links new_net i @ paths
+        else paths)
+      cand_diffs
+  in
+  (* A candidate: [rows]' rates, carrying every link's usage from the
+     moment it is built, out of the distinct [solves] that hold its
+     rows. *)
+  let candidate rows solves =
+    with_usage rows
+      (carry_usage ~old:old_alloc ~final:rows ~full:!full ~solved:solves ~refold:(refold ()))
+  in
   (* Stitch per-group solves into one candidate allocation: every
      group solved over the same pinned background, and the groups are
      disjoint, so each group's rows come from its own solve and every
      unsolved session keeps its pin.  Rows are shared by pointer in
      both directions (no row is ever mutated once built); one batched
-     update of [pinned] writes the groups' rows. *)
+     update of [pinned] writes the groups' rows.  A lone solve listed
+     every member over [pinned] itself, so its rows are the
+     candidate's. *)
   let merge groups allocs =
-    match allocs with
-    | [ a ] -> a
+    let solves = List.fold_left (fun acc a -> if List.memq a acc then acc else a :: acc) [] allocs in
+    match solves with
+    | [ a ] -> candidate a solves
     | _ ->
-        Allocation.unsafe_of_rows new_net
-          (Pvec.update pinned (fun set ->
-               List.iter2
-                 (fun g a -> Array.iter (fun i -> set i (Allocation.unsafe_rates_of_session a i)) g)
-                 groups allocs))
+        candidate
+          (Allocation.unsafe_of_rows new_net
+             (Pvec.update pinned (fun set ->
+                  List.iter2
+                    (fun g a -> Array.iter (fun i -> set i (Allocation.unsafe_rates_of_session a i)) g)
+                    groups allocs)))
+          solves
   in
   let final_components = ref 0 in
-  (* The solves whose rows the candidate holds. *)
-  let solved = ref [] in
   let alloc =
     if Component.is_empty comp then
       (* Nobody's rates can move (pure cancellation, or a capacity
          change on an unused link): carry every rate forward verbatim,
          sharing the previous epoch's rows.  All frozen rows are full
          here — only unchanged sessions leave the component empty. *)
-      Allocation.unsafe_of_rows new_net pinned
+      candidate (Allocation.unsafe_of_rows new_net pinned) []
     else if Component.is_full comp && match Component.groups comp with [ _ ] -> true | _ -> false
     then begin
       (* A full component in one piece pins nothing — solve fresh.  A
@@ -448,7 +469,7 @@ let apply t events =
          independent solves, one task each. *)
       let a = solve_full () in
       final_components := 1;
-      a
+      candidate a []
     end
     else begin
       let groups = ref (Component.groups comp) in
@@ -475,8 +496,13 @@ let apply t events =
         List.iter2
           (fun g a ->
             (* The merged candidate comes first: it judges which
-               ρ-pinned receivers stay out of the group. *)
-            let bind = Component.binding ~also:[ old_alloc; a ] !merged in
+               ρ-pinned receivers stay out of the group.  A solve
+               whose rows are the candidate's adds nothing to it. *)
+            let also =
+              if Allocation.unsafe_rows a == Allocation.unsafe_rows !merged then [ old_alloc ]
+              else [ old_alloc; a ]
+            in
+            let bind = Component.binding ~also !merged in
             match Component.group_boundary_links comp ~binding:bind g with
             | [] -> ()
             | links ->
@@ -489,7 +515,7 @@ let apply t events =
           match next_groups with
           | [ g ] when Array.length g = Network.session_count new_net ->
               (* Everything leans on everything: the worst case. *)
-              merged := solve_full ();
+              merged := candidate (solve_full ()) [];
               continue_ := false
           | _ ->
               (* Memberships only grow and a group's root stays its
@@ -497,66 +523,27 @@ let apply t events =
                  diffed against the previous one by (root, size): a
                  match *is* the same session set — keep its
                  allocation; everything else (grown or merged groups)
-                 re-solves. *)
+                 re-solves, and takes the fresh solves in order. *)
+              let key g = (g.(0), Array.length g) in
               let prev = Hashtbl.create 16 in
-              List.iter2
-                (fun g a -> Hashtbl.replace prev (g.(0), Array.length g) a)
-                !groups !allocs;
-              let dirty =
-                List.filter (fun g -> not (Hashtbl.mem prev (g.(0), Array.length g))) next_groups
+              List.iter2 (fun g a -> Hashtbl.replace prev (key g) a) !groups !allocs;
+              let dirty = List.filter (fun g -> not (Hashtbl.mem prev (key g))) next_groups in
+              let _, next_allocs =
+                List.fold_left_map
+                  (fun fresh g ->
+                    match Hashtbl.find_opt prev (key g) with
+                    | Some a -> (fresh, a)
+                    | None -> (List.tl fresh, List.hd fresh))
+                  (solve_groups dirty) next_groups
               in
-              let fresh = Hashtbl.create 16 in
-              List.iter2
-                (fun g a -> Hashtbl.replace fresh (g.(0), Array.length g) a)
-                dirty (solve_groups dirty);
               groups := next_groups;
-              allocs :=
-                List.map
-                  (fun g ->
-                    let key = (g.(0), Array.length g) in
-                    match (Hashtbl.find_opt prev key, Hashtbl.find_opt fresh key) with
-                    | Some a, _ | None, Some a -> a
-                    | None, None ->
-                        (* Unreachable by construction: [dirty] is
-                           exactly the groups absent from [prev], and
-                           [solve_groups] returns one allocation per
-                           group.  Surface a miss as a typed error with
-                           the group's root as context, not a bare
-                           [Not_found]. *)
-                        Solver_error.raise_error
-                          (Solver_error.Scheduler_failure
-                             {
-                               solver = solver_name;
-                               task = g.(0);
-                               what =
-                                 Printf.sprintf
-                                   "regrouped component (root %d, %d sessions) has neither a \
-                                    carried nor a fresh solve"
-                                   g.(0) (Array.length g);
-                             }))
-                  next_groups;
+              allocs := next_allocs;
               merged := merge !groups !allocs
         end
       done;
       final_components := (if !full then 1 else List.length !groups);
-      solved := List.fold_left (fun acc a -> if List.memq a acc then acc else a :: acc) [] !allocs;
       !merged
     end
-  in
-  (* Links whose cells changed without a solve touching them: a
-     departed receiver's old path, and the links of a rebuilt session
-     left out of the component. *)
-  let refold =
-    List.concat_map
-      (fun (i, d) ->
-        let paths = List.concat d.departed_paths in
-        if d.rebuilt && not (Component.mem comp i) then Network.session_links new_net i @ paths
-        else paths)
-      cand_diffs
-  in
-  let alloc =
-    with_usage alloc
-      (carry_usage ~old:old_alloc ~final:alloc ~full:!full ~solved:!solved ~refold)
   in
   let component_receivers = Component.receiver_count comp in
   let reuse_fraction =

@@ -20,14 +20,16 @@
     the same sound fixed point as the per-event engine (DESIGN.md
     §11–13).
 
-    Every epoch's allocation carries every link's usage
+    Every candidate the expansion loop judges, and so every epoch's
+    allocation (the last candidate), carries every link's usage
     ({!Mmfair_core.Allocation.Every_link}), shared with the previous
-    epoch's except on the links the epoch's solves touched, the links
-    whose cells it changed, and every link after a full solve; the next
-    epoch's closure reads its binding links from it instead of folding
-    their cells again.  Each carried value is bitwise
-    {!Mmfair_core.Allocation.link_rate}'s.  (An engine restored from an
-    allocation carries it from epoch 0 too; see {!create}.)
+    epoch's except on the links the candidate's solves touched, the
+    links whose cells the epoch changed, and every link after a full
+    solve.  The boundary scan and the next epoch's closure read their
+    binding links from it instead of folding their cells again.  Each
+    carried value is bitwise {!Mmfair_core.Allocation.link_rate}'s.
+    (An engine restored from an allocation carries it from epoch 0
+    too; see {!create}.)
 
     Per-event churn is the singleton batch [apply t [ ev ]], a
     one-event surgery: there is one implementation, so the per-event

@@ -305,13 +305,39 @@ let random_alloc rng net ~hi =
            (Array.length (Network.session_spec net i).Network.receivers)
            (fun _ -> Xoshiro.float rng *. hi)))
 
+(* [a] carrying every link's usage, as the churn engine's allocations
+   do. *)
+let every_link a =
+  let net = Allocation.network a in
+  let usage =
+    Mmfair_core.Pvec.init (Graph.link_count (Network.graph net)) (Allocation.link_rate a)
+  in
+  Allocation.unsafe_of_rows ~usage:(Allocation.Every_link usage) net (Allocation.unsafe_rows a)
+
+(* A warm-start solve of a random half of the sessions over [frozen]'s
+   rows: it carries its touched links' usages ([Solved]) and nothing
+   about the others. *)
+let partial_solve rng net ~frozen =
+  let sessions =
+    List.filter (fun _ -> Xoshiro.below rng 2 = 0) (List.init (Network.session_count net) Fun.id)
+  in
+  Allocator.max_min_partial ~sessions:(Array.of_list sessions) ~frozen:(Allocation.unsafe_rows frozen)
+    net
+
 (* Drive [Component] and the oracle through the same absorb script —
    first under [judge] or [coin], then also under [extra], as the
-   batch engine's expansion loop widens its predicate — and compare
-   member sets and groups after every step.  [judge] decides who stays
-   out throughout. *)
+   batch engine's expansion loop widens its predicate, then under a
+   partial solve's result in [coin]'s place — and compare member sets
+   and groups after every step.  [judge] decides who stays out
+   throughout; half the time it carries every link's usage, so each
+   source of a binding bit (a carried [Every_link] value, a solve's
+   [Solved] links, [Allocation.link_rate] for the rest) meets the
+   oracle, which judges by [link_rate] alone. *)
 let closure_agrees rng net ~judge ~coin ~extra =
+  let judge = if Xoshiro.below rng 2 = 0 then judge else every_link judge in
+  let solved = partial_solve rng net ~frozen:coin in
   let narrow = [ judge; coin ] and wide = [ judge; coin; extra ] in
+  let solved_wide = [ judge; solved; extra ] in
   let comp = Component.create net and naive = Naive.create net in
   let m = Network.session_count net in
   let n_links = Graph.link_count (Network.graph net) in
@@ -345,7 +371,9 @@ let closure_agrees rng net ~judge ~coin ~extra =
     agrees ()
   in
   let rec steps k allocs = k = 0 || (step allocs && steps (k - 1) allocs) in
-  steps (1 + Xoshiro.below rng 4) narrow && steps (1 + Xoshiro.below rng 4) wide
+  steps (1 + Xoshiro.below rng 4) narrow
+  && steps (1 + Xoshiro.below rng 4) wide
+  && steps (1 + Xoshiro.below rng 4) solved_wide
 
 let qcheck_closure_random_nets =
   QCheck.Test.make ~name:"absorb matches the naive closure on random networks" ~count:1000

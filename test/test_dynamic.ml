@@ -776,6 +776,54 @@ let test_rho_epoch_minor_words () =
     true (per_event <= bound);
   check_matches_scratch "after 1,200 rho events" eng
 
+(* The words one lone join's [Network.surgery_commit] allocates on the
+   churn bench's network: every commit starts from the same base, and
+   the joins are the bench's join class (the seed-321 trace, joins
+   applicable to the base).  A join rebuilds every array of the
+   incidence, most of them above the minor heap's size limit, so the
+   bulk goes straight to the major heap.  The counts are exact for one
+   binary: 3,166 minor and 14,054 direct major words per commit
+   ([major_words − promoted_words]) when these bounds were set; each
+   bound leaves about 10 % for compiler and library drift.  A commit
+   that stops rebuilding the whole incidence should lower them. *)
+let test_join_commit_words () =
+  let net = Mmfair_workload.Standard_nets.churn_bench () in
+  let joins =
+    List.filter
+      (function
+        | Event.Join { session; node; _ } ->
+            let spec = Network.session_spec net session in
+            spec.Network.sender <> node && not (Array.exists (( = ) node) spec.Network.receivers)
+        | Event.Leave _ | Event.Rho_change _ | Event.Capacity_change _ -> false)
+      (Churn_gen.generate ~rng:(Xoshiro.create ~seed:321L ()) net
+         { Churn_gen.default with Churn_gen.events = 600; max_receivers = 4 })
+  in
+  let joins = Array.of_list (List.filteri (fun k _ -> k < 15) joins) in
+  Alcotest.(check int) "join events" 15 (Array.length joins);
+  let commit k =
+    let srg = Network.surgery_begin net in
+    Event.apply srg joins.(k mod Array.length joins);
+    ignore (Network.surgery_commit srg)
+  in
+  for k = 0 to 99 do
+    commit k
+  done;
+  let n = 2000 in
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  for k = 0 to n - 1 do
+    commit k
+  done;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let per f1 f0 = (f1 -. f0) /. float_of_int n in
+  let minor = per minor1 minor0 and direct = per (major1 -. promoted1) (major0 -. promoted0) in
+  let minor_bound = 3480.0 and major_bound = 15460.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per commit <= %.0f" minor minor_bound)
+    true (minor <= minor_bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f direct major words per commit <= %.0f" direct major_bound)
+    true (direct <= major_bound)
+
 (* --- pool telemetry follows the domain count ----------------------------- *)
 
 (* At one domain a batch's solve tasks run in order on the calling
@@ -1111,4 +1159,5 @@ let suite =
       test_last_departure_solves_once;
     QCheck_alcotest.to_alcotest qcheck_carried_usage;
     Alcotest.test_case "rho epochs allocate bounded minor words" `Quick test_rho_epoch_minor_words;
+    Alcotest.test_case "a lone join's commit allocates bounded words" `Quick test_join_commit_words;
   ]
