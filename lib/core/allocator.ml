@@ -207,10 +207,18 @@ type state = {
    The arena is per-domain ([Domain.DLS]), so pooled batch solves each
    get their own.  [busy] marks it taken: a solve started from inside
    another one on the same domain (a probe sink that solves) gets a
-   fresh scratch instead. *)
+   fresh scratch instead.
+
+   [n_links], [n_sessions], [n_receivers] and [n_cells] are the largest
+   network the arena has been grown for: every per-link array holds at
+   least [n_links] entries (the link heap's keys one more), and so on. *)
 type scratch = {
   mutable busy : bool;
   mutable stamp : int;
+  mutable n_links : int;
+  mutable n_sessions : int;
+  mutable n_receivers : int;
+  mutable n_cells : int;
   (* per link *)
   mutable l_const : float array;
   mutable l_slope : float array;
@@ -245,6 +253,10 @@ let new_scratch () =
   {
     busy = false;
     stamp = 1;
+    n_links = 0;
+    n_sessions = 0;
+    n_receivers = 0;
+    n_cells = 0;
     l_const = [||];
     l_slope = [||];
     l_active = [||];
@@ -273,12 +285,21 @@ let new_scratch () =
 
 let scratch_key = Domain.DLS.new_key new_scratch
 
+(* The arena is released on the way out, raise or return, by a plain
+   handler: the Stdlib protect combinator would cost two closures per
+   solve (the build lint refuses it here). *)
 let with_scratch f =
   let sc = Domain.DLS.get scratch_key in
   if sc.busy then f (new_scratch ())
   else begin
     sc.busy <- true;
-    Fun.protect ~finally:(fun () -> sc.busy <- false) (fun () -> f sc)
+    match f sc with
+    | r ->
+        sc.busy <- false;
+        r
+    | exception e ->
+        sc.busy <- false;
+        raise e
   end
 
 let ensure_f a n = if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0.0
@@ -289,36 +310,10 @@ let ensure_vfn a n =
   if Array.length a >= n then a
   else Array.make (Int.max n (2 * Array.length a)) Redundancy_fn.Efficient
 
-(* Pin every session outside [component] at its [frozen] row and build
-   the state directly in its post-freeze shape, touching only the
-   component's neighborhood.  Three passes, all proportional to the
-   component's sessions, receivers and incident cells:
-
-   1. stamp the component's sessions, activate their receivers, and
-      collect the dirty-list of links they cross;
-   2. pin the receivers of every other session sharing one of those
-      links (rows of sessions the solve never reads are adopted
-      without validation — see the .mli);
-   3. per-cell frozen aggregates and per-link usage models over the
-      dirty-list only.
-
-   A cold solve lists every session, so pass 2 would pin nobody: it is
-   skipped whenever the component holds every session.
-
-   Also picks the engine for the restricted problem: the linear model
-   needs every involved session linear — including pinned neighbors,
-   whose [Custom] cells would otherwise contribute a bogus constant 0
-   — while the unit-weight requirement only concerns the receivers
-   actually being raised. *)
-let init sc net ~component ~frozen =
-  let g = Network.graph net in
-  let inc = Network.incidence net in
-  let m = Network.session_count net in
-  let n = inc.Network.n_receivers in
-  let nl = Graph.link_count g in
-  let nc = inc.Network.n_cells in
-  if Pvec.length frozen <> m then
-    invalid_arg "Allocator.max_min_partial: frozen rates must cover every session";
+(* Grow every arena array to hold a network of [nl] links, [m]
+   sessions, [n] receivers and [nc] cells, and record the new high-water
+   marks.  Each array keeps its length when it already fits. *)
+let grow sc ~nl ~m ~n ~nc =
   sc.l_const <- ensure_f sc.l_const nl;
   sc.l_slope <- ensure_f sc.l_slope nl;
   sc.l_active <- ensure_i sc.l_active nl;
@@ -345,6 +340,48 @@ let init sc net ~component ~frozen =
   sc.c_active <- ensure_i sc.c_active nc;
   sc.c_max <- ensure_f sc.c_max nc;
   sc.c_sum <- ensure_f sc.c_sum nc;
+  sc.n_links <- Int.max sc.n_links nl;
+  sc.n_sessions <- Int.max sc.n_sessions m;
+  sc.n_receivers <- Int.max sc.n_receivers n;
+  sc.n_cells <- Int.max sc.n_cells nc
+
+(* Pin every session outside [component] at its [frozen] row and build
+   the state directly in its post-freeze shape, touching only the
+   component's neighborhood.  Three passes, all proportional to the
+   component's sessions, receivers and incident cells:
+
+   1. stamp the component's sessions, activate their receivers, and
+      collect the dirty-list of links they cross;
+   2. pin the receivers of every other session sharing one of those
+      links (rows of sessions the solve never reads are adopted
+      without validation — see the .mli);
+   3. per-cell frozen aggregates and per-link usage models over the
+      dirty-list only.
+
+   A cold solve lists every session, so pass 2 would pin nobody: it is
+   skipped whenever the component holds every session.
+
+   Before the passes, one comparison of the network's links, sessions,
+   receivers and cells with the arena's high-water marks decides
+   whether the arena must grow; a network it already fits costs no
+   store into the arena record.
+
+   Also picks the engine for the restricted problem: the linear model
+   needs every involved session linear — including pinned neighbors,
+   whose [Custom] cells would otherwise contribute a bogus constant 0
+   — while the unit-weight requirement only concerns the receivers
+   actually being raised. *)
+let init sc net ~component ~frozen =
+  let g = Network.graph net in
+  let inc = Network.incidence net in
+  let m = Network.session_count net in
+  let n = inc.Network.n_receivers in
+  let nl = Graph.link_count g in
+  let nc = inc.Network.n_cells in
+  if Pvec.length frozen <> m then
+    invalid_arg "Allocator.max_min_partial: frozen rates must cover every session";
+  if nl > sc.n_links || m > sc.n_sessions || n > sc.n_receivers || nc > sc.n_cells then
+    grow sc ~nl ~m ~n ~nc;
   sc.stamp <- sc.stamp + 1;
   let stamp = sc.stamp in
   let session_first = inc.Network.session_first in
@@ -991,34 +1028,38 @@ let row st i =
   end
 
 (* The final usage of every link the solve touched, summed as
-   [Allocation.link_rate] sums it (cells in link order, each folded by
-   [Redundancy_fn.apply_fold]'s comparisons, an [Efficient] cell in
-   place), from the arena's rates: every receiver on a touched link is
-   frozen or pinned by now, and the result's rows hold the same
-   values.  The same comparisons and additions in the same order give
-   the same bits.  Indices come off the CSR into arena arrays sized
-   for the network, so the reads skip the bounds checks. *)
+   [Allocation.link_rate] sums it: cells in link order, from 0, each
+   cell's term as [Redundancy_fn.apply_fold] computes it.  Every
+   receiver on a touched link is frozen or pinned by now, and the
+   result's rows hold the arena's rates.
+
+   An [Efficient] cell's term is read off [cell_max_frozen], not
+   folded again.  [init] started that value at 0.0 and raised it with
+   [>] over the cell's pinned rates, and each [freeze] since raised it
+   with [>] over the rate it wrote; so it is the [>]-from-0.0 maximum of
+   the cell's frozen rates, the value [apply_fold] and
+   [Allocation.link_rate] compute over the same rates in cell order.
+   That maximum is the same float in any order: a NaN never passes
+   [>], and -0.0 never replaces the starting 0.0, so the only equal
+   values with different bits never meet.  So the bits are the fold's.
+   Other functions keep the fold.  Indices come off the CSR into arena
+   arrays sized for the network, so the reads skip the bounds checks. *)
 let solved_usage st =
   let inc = st.inc in
   let link_row = inc.Network.link_row and cell_first = inc.Network.cell_first in
   let cell_session = inc.Network.cell_session and link_cells = inc.Network.link_cells in
-  let rates = st.rates and vfn = st.vfn in
+  let rates = st.rates and vfn = st.vfn and cell_max = st.cell_max_frozen in
   let links = Array.sub st.touched 0 st.n_touched in
   let usage = Array.create_float st.n_touched in
   for k = 0 to st.n_touched - 1 do
     let l = links.(k) in
     let u = ref 0.0 in
     for c = link_row.(l) to link_row.(l + 1) - 1 do
-      let lo = Array.unsafe_get cell_first c and hi = Array.unsafe_get cell_first (c + 1) in
       match Array.unsafe_get vfn (Array.unsafe_get cell_session c) with
-      | Redundancy_fn.Efficient ->
-          let mx = ref 0.0 in
-          for p = lo to hi - 1 do
-            let x = Array.unsafe_get rates (Array.unsafe_get link_cells p) in
-            if x > !mx then mx := x
-          done;
-          u := !u +. !mx
-      | v -> u := !u +. Redundancy_fn.apply_fold v ~n:(hi - lo) ~get:(fun j -> rates.(link_cells.(lo + j)))
+      | Redundancy_fn.Efficient -> u := !u +. Array.unsafe_get cell_max c
+      | v ->
+          let lo = Array.unsafe_get cell_first c and hi = Array.unsafe_get cell_first (c + 1) in
+          u := !u +. Redundancy_fn.apply_fold v ~n:(hi - lo) ~get:(fun j -> rates.(link_cells.(lo + j)))
     done;
     usage.(k) <- !u
   done;

@@ -51,15 +51,18 @@ let update v edit =
       ch.(i land mask) <- x);
   { len = v.len; spine }
 
+(* Two [for] loops over the spines, with no closure per chunk or
+   element: nothing is inlined across modules in a build with -opaque,
+   so an [Array.iteri] here would be a real call per chunk and a closure
+   call per element. *)
 let iter_changed f a b =
   if a.len <> b.len then invalid_arg "Pvec.iter_changed: length mismatch";
-  Array.iteri
-    (fun c ca ->
-      let cb = b.spine.(c) in
-      if ca != cb then
-        Array.iteri
-          (fun j x ->
-            let y = cb.(j) in
-            if x != y then f ((c lsl bits) + j) x y)
-          ca)
-    a.spine
+  let sa = a.spine and sb = b.spine in
+  for c = 0 to Array.length sa - 1 do
+    let ca = sa.(c) and cb = sb.(c) in
+    if ca != cb then
+      for j = 0 to Array.length ca - 1 do
+        let x = ca.(j) and y = cb.(j) in
+        if x != y then f ((c lsl bits) + j) x y
+      done
+  done

@@ -56,4 +56,6 @@ val iter_changed : (int -> 'a -> 'a -> unit) -> 'a t -> 'a t -> unit
     order, for every index whose elements are not physically equal.
     Chunks the two vectors share are skipped whole, so for two versions
     related by a few updates this costs the spine plus the written
-    chunks.  Raises [Invalid_argument] when the lengths differ. *)
+    chunks.  It builds no closure of its own: its one call per changed
+    element is [f].  Raises
+    [Invalid_argument] when the lengths differ. *)

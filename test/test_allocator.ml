@@ -859,6 +859,103 @@ let test_full_heaps_in_fresh_arena () =
       (bits (Allocation.rates_of_session there i))
   done
 
+(* The per-domain arena grows only when a network is larger than every
+   one it has solved, in links, sessions, receivers or cells.  One
+   spawned domain (so the arena starts empty) solves a sequence in
+   which each network exceeds the arena's high-water mark in exactly
+   one of those dimensions, in that order, then a smaller network; each
+   network's cold solve and its one-session restricted solves must
+   match the same solve in a domain of its own, bit for bit.  Growing a
+   dimension means using an index past the old arrays: link 3 of the
+   second network is on the solved path, and the restricted solve of
+   the fifth network's session 1 reads its cell 3.  A size check that
+   missed a dimension would read or write past an arena array. *)
+let test_arena_growth_by_dimension () =
+  let net n links sessions =
+    let g = Graph.create ~nodes:n in
+    List.iter (fun (a, b, c) -> ignore (Graph.add_link g a b c)) links;
+    Network.make g
+      (Array.of_list
+         (List.map
+            (fun (sender, receivers, rho) -> Network.session ~rho ~sender ~receivers:(Array.of_list receivers) ())
+            sessions))
+  in
+  let chain = [ (0, 1, 3.0); (1, 2, 2.0); (2, 3, 1.5) ] in
+  let nets =
+    [
+      ("base: 3 links, 1 session, 2 receivers, 3 cells", net 4 chain [ (0, [ 2; 3 ], infinity) ]);
+      ("links: 4", net 6 ((4, 5, 1.0) :: chain) [ (0, [ 2; 3 ], 1.25) ]);
+      ("sessions: 2", net 4 chain [ (0, [ 1 ], infinity); (2, [ 3 ], 0.5) ]);
+      ("receivers: 3", net 4 chain [ (0, [ 1; 2; 3 ], infinity) ]);
+      ("cells: 4", net 4 chain [ (0, [ 2 ], infinity); (1, [ 3 ], 0.75) ]);
+      ("smaller: 1 link", net 2 [ (0, 1, 2.0) ] [ (0, [ 1 ], infinity) ]);
+    ]
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  let rows alloc = Array.init (Network.session_count (Allocation.network alloc)) (fun i -> bits (Allocation.rates_of_session alloc i)) in
+  let usage alloc =
+    match Allocation.usage alloc with
+    | Allocation.Solved { links; usage } -> (links, bits usage)
+    | Allocation.No_usage | Allocation.Every_link _ -> ([||], [||])
+  in
+  let cold net = Allocator.max_min net in
+  let partial net i =
+    Allocator.max_min_partial ~sessions:[| i |] ~frozen:(Allocation.unsafe_rows (cold net)) net
+  in
+  let sessions net = List.init (Network.session_count net) Fun.id in
+  let in_sequence =
+    Domain.join
+      (Domain.spawn (fun () ->
+           List.map
+             (fun (_, net) ->
+               let c = cold net in
+               (rows c, List.map (fun i -> let p = partial net i in (rows p, usage p)) (sessions net)))
+             nets))
+  in
+  let fresh f = Domain.join (Domain.spawn f) in
+  List.iter2
+    (fun (what, net) (cold_rows, partials) ->
+      Alcotest.(check (array (array int64))) (what ^ ": cold rows") (fresh (fun () -> rows (cold net))) cold_rows;
+      List.iteri
+        (fun i (p_rows, (p_links, p_usage)) ->
+          let f_rows, (f_links, f_usage) = fresh (fun () -> let p = partial net i in (rows p, usage p)) in
+          let what = Printf.sprintf "%s: session %d's restricted solve" what i in
+          Alcotest.(check (array (array int64))) (what ^ ", rows") f_rows p_rows;
+          Alcotest.(check (array int)) (what ^ ", links") f_links p_links;
+          Alcotest.(check (array int64)) (what ^ ", usage") f_usage p_usage)
+        partials)
+    nets in_sequence
+
+(* The words one one-session restricted solve allocates on the minor
+   heap, pinned on [Standard_nets.churn_bench]: the result row, the
+   copied spine and chunk of the row vector, the touched links and
+   their usages, and the result's records and closures.  It read 166
+   words before the arena's size check, the cell-maxima usage and the
+   closure-free release, and 153 after.  The measured solve runs right
+   after one that raised (every frozen row has the wrong length), so
+   the count also shows the raise released the arena: a fresh scratch
+   would grow its arrays, thousands of words here.  The bound leaves
+   about 10 % for compiler and library drift. *)
+let test_partial_solve_minor_words () =
+  let net = Mmfair_workload.Standard_nets.churn_bench () in
+  let m = Network.session_count net in
+  let frozen = Allocation.unsafe_rows (Allocator.max_min net) in
+  (* Grows the arena, if this domain's has not solved a network this large. *)
+  ignore (Sys.opaque_identity (Allocator.max_min_partial ~sessions:[| 0 |] ~frozen net));
+  let raised =
+    match Allocator.max_min_partial ~sessions:[| 0 |] ~frozen:(Mmfair_core.Pvec.make m [||]) net with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "a frozen row of the wrong length raises" true raised;
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Allocator.max_min_partial ~sessions:[| 0 |] ~frozen net));
+  let words = Gc.minor_words () -. w0 in
+  let bound = 168.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per one-session restricted solve <= %.0f" words bound)
+    true (words <= bound)
+
 let suite =
   suite
   @ [
@@ -878,4 +975,6 @@ let suite =
         test_partial_over_chunks_bitwise;
       Alcotest.test_case "cold solve allocates bounded minor words" `Quick test_cold_solve_minor_words;
       Alcotest.test_case "full heaps fit a fresh domain's arena" `Quick test_full_heaps_in_fresh_arena;
+      Alcotest.test_case "arena grows one dimension at a time" `Quick test_arena_growth_by_dimension;
+      Alcotest.test_case "restricted solve allocates bounded minor words" `Quick test_partial_solve_minor_words;
     ]
