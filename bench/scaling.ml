@@ -134,10 +134,7 @@ let measure_point ~min_time w =
         a)
   in
   ignore (note_mem ());
-  (* [retain:1]: the live-words audit should track the engine's
-     resident footprint, not the configurable epoch-history policy
-     (the default keeps 8 epochs of superseded networks alive). *)
-  let batch = Batch.create ~retain:1 ?allocation:!last_alloc net in
+  let batch = Batch.create ?allocation:!last_alloc net in
   (* Churn under coalesced ingest (the serving daemon's operating
      mode): one batch joins an extra receiver into [n_toggle] spread
      sessions, the next batch leaves them all, restoring the exact

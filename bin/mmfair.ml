@@ -1520,5 +1520,9 @@ let () =
     | Sys_error msg ->
         Printf.eprintf "mmfair: %s\n%!" msg;
         exit_invalid_input
+    | Unix.Unix_error (err, call, arg) ->
+        Printf.eprintf "mmfair: %s%s: %s\n%!" call (if arg = "" then "" else " " ^ arg)
+          (Unix.error_message err);
+        exit_invalid_input
   in
   exit code

@@ -93,7 +93,6 @@ let expand graph specs =
   { net; specs; assignments; lowered }
 
 let network t = t.net
-let session_count t = Array.length t.specs
 
 let check_session t i =
   if i < 0 || i >= Array.length t.specs then invalid_arg "Multi_sender: unknown session"

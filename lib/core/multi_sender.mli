@@ -51,17 +51,10 @@ val network : t -> Network.t
 (** The lowered single-sender network (for properties, ordering and
     any other core analysis). *)
 
-val session_count : t -> int
-(** Number of {e original} multi-sender sessions. *)
-
 val assignment : t -> session:int -> int array
 (** [assignment t ~session] maps each receiver index of the original
     session to the index (into [spec.senders]) of its assigned
     sender. *)
-
-val receiver_id : t -> session:int -> receiver:int -> Network.receiver_id
-(** The lowered network's id for an original (session, receiver)
-    pair. *)
 
 val max_min : t -> Allocation.t
 (** The max-min fair allocation of the lowered network. *)

@@ -43,8 +43,6 @@ let to_string = function
   | Scheduler_failure { solver; task; what } ->
       Printf.sprintf "%s: scheduler failed solve task %d: %s" solver task what
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let raise_error e = raise (Error e)
 
 let of_exn ~solver = function

@@ -61,9 +61,6 @@ val to_string : t -> string
 (** One-line human-readable rendering, e.g.
     ["Allocator: stuck at round 3: no candidate link (residual slack nan); a session link-rate function likely returned NaN"]. *)
 
-val pp : Format.formatter -> t -> unit
-(** {!to_string} as a formatter. *)
-
 val raise_error : t -> 'a
 (** [raise_error e] raises [Error e]. *)
 

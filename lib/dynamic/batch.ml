@@ -23,7 +23,7 @@ type stats = {
 type t = {
   solver : Solve_engine.t;
   run : (unit -> unit) list -> unit;
-  store : Store.t;
+  mutable epoch : int;
   mutable network : Network.t;
   mutable allocation : Allocation.t;
 }
@@ -39,7 +39,7 @@ let every_link_usage a =
 let with_usage a usage =
   Allocation.unsafe_of_rows ~usage (Allocation.network a) (Allocation.unsafe_rows a)
 
-let create ?(solver = Solve_engine.default) ?(domains = 1) ?retain ?allocation net =
+let create ?(solver = Solve_engine.default) ?(domains = 1) ?retain:_ ?allocation net =
   if not (Solve_engine.capabilities solver).Solve_engine.partial then
     invalid_arg
       (Printf.sprintf "Dynamic.Batch.create: solver %s has no warm-start partial solve"
@@ -68,16 +68,14 @@ let create ?(solver = Solve_engine.default) ?(domains = 1) ?retain ?allocation n
     | Allocation.Every_link _ -> a
     | Allocation.No_usage | Allocation.Solved _ -> with_usage a (every_link_usage a)
   in
-  { solver; run; store = Store.create ?retain net allocation; network = net; allocation }
+  { solver; run; epoch = 0; network = net; allocation }
 
-let create_result ?solver ?domains ?retain ?allocation net =
-  Solver_error.protect ~solver:solver_name (fun () ->
-      create ?solver ?domains ?retain ?allocation net)
+let create_result ?solver ?domains ?allocation net =
+  Solver_error.protect ~solver:solver_name (fun () -> create ?solver ?domains ?allocation net)
 
 let network t = t.network
 let allocation t = t.allocation
-let epoch t = Store.epoch t.store
-let store t = t.store
+let epoch t = t.epoch
 
 (* --- coalescing diff --------------------------------------------------- *)
 
@@ -564,9 +562,9 @@ let apply t events =
       solves = !solves;
     }
   in
+  t.epoch <- t.epoch + 1;
   t.network <- new_net;
   t.allocation <- alloc;
-  let entry = Store.push t.store ~events ~network:new_net ~allocation:alloc in
   if Obs.Probe.enabled () then begin
     (* Fairness telemetry: how fair the landed allocation is and how
        hard rates moved this epoch.  [pinned] rows are the previous
@@ -595,7 +593,7 @@ let apply t events =
     in
     Obs.Probe.epoch
       {
-        Obs.Events.epoch = entry.Store.epoch;
+        Obs.Events.epoch = t.epoch;
         kind = (match events with [ e ] -> Event.kind e | _ -> "batch");
         events = raw;
         net_events;

@@ -74,8 +74,10 @@ val create :
   Mmfair_core.Network.t ->
   t
 (** [create net] solves epoch 0 through [solver]
-    ({!Mmfair_core.Solve_engine.default} unless given), folds every
-    link's usage for it, and seeds the store.  Raises [Invalid_argument] when the solver's
+    ({!Mmfair_core.Solve_engine.default} unless given) and folds every
+    link's usage for it.  The engine holds only the current epoch: its
+    network, its allocation and the epoch number.  Raises
+    [Invalid_argument] when the solver's
     {!Mmfair_core.Solve_engine.capabilities} lack [partial]: every
     epoch after the first is a warm-start restricted solve.
 
@@ -94,7 +96,9 @@ val create :
     the caller's sink.  The pool adds one [pool] probe event per
     hand-off ({!Mmfair_obs.Events.pool}); one domain adds none.
 
-    [retain] bounds the store window ({!Store.create}).
+    [retain] is ignored.  It is kept only because the end-to-end
+    benchmark ([perfbench/]), which may not change with the library,
+    passes it; new code should not.
     [allocation] is a {e trusted} warm restore: the caller asserts it
     is the max-min fair allocation of [net] (benchmarks use it to
     reset an engine between repetitions without paying the initial
@@ -106,7 +110,6 @@ val create :
 val create_result :
   ?solver:Mmfair_core.Solve_engine.t ->
   ?domains:int ->
-  ?retain:int ->
   ?allocation:Mmfair_core.Allocation.t ->
   Mmfair_core.Network.t ->
   (t, Mmfair_core.Solver_error.t) result
@@ -119,12 +122,12 @@ val allocation : t -> Mmfair_core.Allocation.t
 (** The current epoch's max-min fair allocation. *)
 
 val epoch : t -> int
-val store : t -> Store.t
+(** The current epoch: [0] at {!create}, then one more per {!apply}. *)
 
 val apply : t -> Event.t list -> stats
 (** Apply one batch of churn events as a single epoch: one surgery
     over all of them, state diff, union component, restricted
-    solve(s), store push, [epoch] probe emission.  Events
+    solve(s), epoch advance, [epoch] probe emission.  Events
     validate against the {e evolving} network in list order (so a join
     followed by a leave of the same node is legal in one batch, and a
     leave of a receiver that never existed is not), with the

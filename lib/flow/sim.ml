@@ -74,9 +74,7 @@ let run ?(config = default) scn =
   let classes = Scenario.classes scn in
   let park_rho = Scenario.park_rho scn in
   let horizon = config.horizon in
-  (* The simulator reads only the current epoch, so the store keeps
-     just that one. *)
-  let eng = Batch.create ~domains:config.domains ~retain:1 (Scenario.network scn) in
+  let eng = Batch.create ~domains:config.domains (Scenario.network scn) in
   (* One child rng per class, split off the master in class order:
      every class's draw sequence (arrival gap, size, gap, size, …) is
      then independent of the other classes, so trajectories are fully

@@ -26,25 +26,6 @@ let set m i j x =
   m.data.((i * m.c) + j) <- x
 
 let copy m = { m with data = Array.copy m.data }
-let transpose m = init m.c m.r (fun i j -> get m j i)
-
-let mul a b =
-  if a.c <> b.r then invalid_arg "Mat.mul: shape mismatch";
-  init a.r b.c (fun i j ->
-      let s = ref 0.0 in
-      for k = 0 to a.c - 1 do
-        s := !s +. (a.data.((i * a.c) + k) *. b.data.((k * b.c) + j))
-      done;
-      !s)
-
-let mul_vec a v =
-  if a.c <> Array.length v then invalid_arg "Mat.mul_vec: shape mismatch";
-  Array.init a.r (fun i ->
-      let s = ref 0.0 in
-      for k = 0 to a.c - 1 do
-        s := !s +. (a.data.((i * a.c) + k) *. v.(k))
-      done;
-      !s)
 
 let vec_mul v a =
   if a.r <> Array.length v then invalid_arg "Mat.vec_mul: shape mismatch";

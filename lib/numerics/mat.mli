@@ -9,9 +9,6 @@
 type t
 (** A dense [rows × cols] matrix. *)
 
-val make : int -> int -> float -> t
-(** [make r c x] is an [r × c] matrix filled with [x]. *)
-
 val init : int -> int -> (int -> int -> float) -> t
 (** [init r c f] has entry [f i j] at row [i], column [j]. *)
 
@@ -21,16 +18,6 @@ val rows : t -> int
 val cols : t -> int
 
 val get : t -> int -> int -> float
-val set : t -> int -> int -> float -> unit
-
-val copy : t -> t
-val transpose : t -> t
-
-val mul : t -> t -> t
-(** Matrix product; raises [Invalid_argument] on shape mismatch. *)
-
-val mul_vec : t -> Vec.t -> Vec.t
-(** [mul_vec a v] is [a·v]. *)
 
 val vec_mul : Vec.t -> t -> Vec.t
 (** [vec_mul v a] is the row-vector product [vᵀ·a] — one step of a

@@ -68,15 +68,6 @@ let get m i j =
   done;
   !result
 
-let mul_vec m v =
-  if m.c <> Array.length v then invalid_arg "Sparse.mul_vec: shape mismatch";
-  Array.init m.r (fun i ->
-      let s = ref 0.0 in
-      for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-        s := !s +. (m.values.(k) *. v.(m.col_idx.(k)))
-      done;
-      !s)
-
 let vec_mul v m =
   if m.r <> Array.length v then invalid_arg "Sparse.vec_mul: shape mismatch";
   let out = Array.make m.c 0.0 in

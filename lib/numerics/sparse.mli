@@ -31,9 +31,6 @@ val get : t -> int -> int -> float
 (** [get m i j] is entry [(i, j)] ([0.] if not stored).  Logarithmic in
     the row's entry count. *)
 
-val mul_vec : t -> Vec.t -> Vec.t
-(** [mul_vec m v] is [m·v]. *)
-
 val vec_mul : Vec.t -> t -> Vec.t
 (** [vec_mul v m] is [vᵀ·m] — one Markov step for a CSR transition
     matrix. *)

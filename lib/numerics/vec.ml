@@ -1,9 +1,6 @@
 type t = float array
 
 let make = Array.make
-let init = Array.init
-let copy = Array.copy
-let dim = Array.length
 
 let check_dims name a b =
   if Array.length a <> Array.length b then
@@ -13,31 +10,19 @@ let add a b =
   check_dims "add" a b;
   Array.mapi (fun i x -> x +. b.(i)) a
 
-let sub a b =
-  check_dims "sub" a b;
-  Array.mapi (fun i x -> x -. b.(i)) a
-
 let scale k v = Array.map (fun x -> k *. x) v
 
-let kahan_fold f a =
+(* Kahan compensated summation. *)
+let sum v =
   let s = ref 0.0 and c = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let y = f i x -. !c in
+  Array.iter
+    (fun x ->
+      let y = x -. !c in
       let t = !s +. y in
       c := t -. !s -. y;
       s := t)
-    a;
+    v;
   !s
-
-let dot a b =
-  check_dims "dot" a b;
-  kahan_fold (fun i x -> x *. b.(i)) a
-
-let sum v = kahan_fold (fun _ x -> x) v
-let norm1 v = kahan_fold (fun _ x -> Float.abs x) v
-let norm2 v = sqrt (dot v v)
-let norm_inf v = Array.fold_left (fun acc x -> Stdlib.max acc (Float.abs x)) 0.0 v
 
 let normalize1 v =
   let s = sum v in

@@ -10,33 +10,11 @@ type t = float array
 val make : int -> float -> t
 (** [make n x] is a length-[n] vector of [x]s. *)
 
-val init : int -> (int -> float) -> t
-(** [init n f] is [[| f 0; …; f (n−1) |]]. *)
-
-val copy : t -> t
-
-val dim : t -> int
-
 val add : t -> t -> t
 (** Elementwise sum. *)
 
-val sub : t -> t -> t
-(** Elementwise difference. *)
-
 val scale : float -> t -> t
 (** [scale k v] multiplies every component by [k]. *)
-
-val dot : t -> t -> float
-(** Inner product with Kahan compensation. *)
-
-val norm1 : t -> float
-(** Sum of absolute values. *)
-
-val norm2 : t -> float
-(** Euclidean norm. *)
-
-val norm_inf : t -> float
-(** Largest absolute component (0 for the empty vector). *)
 
 val sum : t -> float
 (** Compensated component sum. *)
@@ -46,7 +24,7 @@ val normalize1 : t -> t
     [Invalid_argument] when the sum is zero or not finite. *)
 
 val max_abs_diff : t -> t -> float
-(** [max_abs_diff a b = norm_inf (sub a b)] without the intermediate. *)
+(** The largest absolute componentwise difference (0 for empty vectors). *)
 
 val pp : Format.formatter -> t -> unit
 (** Renders as [[v0; v1; …]] with 6 significant digits. *)

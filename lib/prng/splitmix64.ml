@@ -15,25 +15,6 @@ let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-(* Top 53 bits scaled by 2^-53: the standard doubles-in-[0,1) recipe. *)
-let next_float t =
-  let bits = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
-
-let next_below t n =
-  if n <= 0 then invalid_arg "Splitmix64.next_below: n must be positive";
-  (* Rejection sampling on the high bits to avoid modulo bias. *)
-  let n64 = Int64.of_int n in
-  let rec go () =
-    let bits = Int64.shift_right_logical (next t) 1 in
-    let v = Int64.rem bits n64 in
-    (* Reject when bits lands in the final partial block. *)
-    if Int64.compare (Int64.sub bits v) (Int64.sub (Int64.sub Int64.max_int n64) 1L) > 0
-    then go ()
-    else Int64.to_int v
-  in
-  go ()
-
 let split t =
   let seed = next t in
   (* Mixing with a distinct constant decorrelates the child stream. *)

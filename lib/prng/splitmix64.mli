@@ -25,15 +25,6 @@ val copy : t -> t
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
 
-val next_float : t -> float
-(** [next_float t] is a float uniformly distributed in [[0, 1)], built
-    from the top 53 bits of {!next}. *)
-
-val next_below : t -> int -> int
-(** [next_below t n] is an integer uniform in [[0, n)].  [n] must be
-    positive.  Uses rejection sampling, so the result is exactly
-    uniform. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     (statistically) independent of [t]'s future outputs.  Used to give

@@ -60,14 +60,6 @@ let exponential t rate =
   (* 1 − u avoids log 0 since float is in [0, 1). *)
   -.log (1.0 -. float t) /. rate
 
-let log_uniform t lo hi =
-  if not (Float.is_finite lo && Float.is_finite hi && 0.0 < lo && lo < hi) then
-    invalid_arg "Xoshiro.log_uniform: need finite 0 < lo < hi";
-  (* Uniform in log space; clamp so float rounding of exp cannot
-     escape [lo, hi). *)
-  let x = exp (uniform t (log lo) (log hi)) in
-  if x < lo then lo else if x >= hi then Float.pred hi else x
-
 let pareto_bounded t ~alpha ~lo ~hi =
   if not (Float.is_finite alpha && alpha > 0.0) then
     invalid_arg "Xoshiro.pareto_bounded: alpha must be finite and positive";

@@ -46,12 +46,6 @@ val exponential : t -> float -> float
 (** [exponential t rate] samples Exp(rate); mean [1/rate].  [rate] must
     be positive. *)
 
-val log_uniform : t -> float -> float -> float
-(** [log_uniform t lo hi] samples [exp U] with [U] uniform in
-    [[log lo, log hi)] — density proportional to [1/x] on [[lo, hi)],
-    so every decade of the range is equally likely.  The workhorse for
-    scale-free parameter sweeps.  Requires finite [0 < lo < hi]. *)
-
 val pareto_bounded : t -> alpha:float -> lo:float -> hi:float -> float
 (** [pareto_bounded t ~alpha ~lo ~hi] samples the bounded Pareto
     distribution on [[lo, hi)] with tail index [alpha] (density

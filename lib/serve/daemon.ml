@@ -70,9 +70,7 @@ let create ?(config = default_config) parsed =
   if config.write_timeout <= 0.0 then
     invalid_arg
       (Printf.sprintf "Daemon.create: write_timeout must be > 0 (got %g)" config.write_timeout);
-  (* No protocol verb reads a past epoch, so the store keeps only the
-     current one. *)
-  match Batch.create_result ~domains:config.domains ~retain:1 parsed.Net_parser.net with
+  match Batch.create_result ~domains:config.domains parsed.Net_parser.net with
   | Error _ as e -> e
   | Ok engine ->
       let registry = Registry.create () in
@@ -541,7 +539,11 @@ let serve_socket t ~path =
   with_probe t @@ fun () ->
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  Unix.bind listener (Unix.ADDR_UNIX path);
+  (* [bind] reports no argument; name the path, and close the socket. *)
+  (try Unix.bind listener (Unix.ADDR_UNIX path)
+   with Unix.Unix_error (err, call, _) ->
+     Unix.close listener;
+     raise (Unix.Unix_error (err, call, path)));
   Unix.listen listener 16;
   (* Non-blocking, so a connection aborted between select and accept
      surfaces as EAGAIN in [accept] instead of blocking the whole loop. *)

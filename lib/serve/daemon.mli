@@ -67,7 +67,8 @@ val create : ?config:config -> Mmfair_workload.Net_parser.t -> (t, Mmfair_core.S
     [Sys_error] on an unopenable [series_out] path. *)
 
 val engine : t -> Mmfair_dynamic.Batch.t
-(** The underlying engine (current network, allocation, epoch store). *)
+(** The underlying engine: the current network, its allocation and
+    the epoch number. *)
 
 val registry : t -> Mmfair_obs.Registry.t
 (** The daemon's metrics: [serve.events.ingested.total],
@@ -115,4 +116,5 @@ val serve_socket : t -> path:string -> unit
     them coalesce into shared epochs.  A client that stops reading
     (its full send buffer stalls a response write for longer than
     [config.write_timeout]) is dropped; the other connections and the
-    daemon itself live on. *)
+    daemon itself live on.  A [path] that cannot be bound raises
+    [Unix.Unix_error (_, "bind", path)]. *)

@@ -1,4 +1,5 @@
 module Churn_parser = Mmfair_workload.Churn_parser
+module Net_parser = Mmfair_workload.Net_parser
 
 type query =
   | Rate of { session : string; node : string }
@@ -13,7 +14,7 @@ type command = Churn of Churn_parser.line | Query of query | Quit
 let fail lineno msg = raise (Churn_parser.Parse_error (lineno, msg))
 
 let parse p ~lineno raw =
-  match Churn_parser.tokens raw with
+  match Net_parser.tokens raw with
   | [] -> Churn Churn_parser.Blank
   | [ "rate"; session; node ] -> Query (Rate { session; node })
   | "rate" :: _ -> fail lineno "rate wants: rate SESSION NODE"

@@ -12,8 +12,6 @@ let schedule_at t ~time ev =
   if Float.is_nan time || time < t.clock then invalid_arg "Engine.schedule_at: time precedes now";
   Event_queue.add t.queue ~time ev
 
-let pending t = Event_queue.size t.queue
-
 type control = Continue | Stop
 
 let run ?(until = infinity) t ~handler =
@@ -34,7 +32,3 @@ let run ?(until = infinity) t ~handler =
                 (Mmfair_obs.Events.Fired { time; depth = Event_queue.size t.queue });
             match handler time payload with Continue -> () | Stop -> continue := false))
   done
-
-let reset t =
-  Event_queue.clear t.queue;
-  t.clock <- 0.0

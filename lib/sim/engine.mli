@@ -20,9 +20,6 @@ val schedule : 'a t -> delay:float -> 'a -> unit
 val schedule_at : 'a t -> time:float -> 'a -> unit
 (** Absolute-time variant; the time must not precede [now]. *)
 
-val pending : 'a t -> int
-(** Events still queued. *)
-
 type control = Continue | Stop
 
 val run : ?until:float -> 'a t -> handler:(float -> 'a -> control) -> unit
@@ -31,6 +28,3 @@ val run : ?until:float -> 'a t -> handler:(float -> 'a -> control) -> unit
     empty, the handler returns [Stop], or the next event's time
     exceeds [until] (that event stays queued and the clock advances to
     [until]). *)
-
-val reset : 'a t -> unit
-(** Drop all pending events and rewind the clock to 0. *)

@@ -24,8 +24,3 @@ let mean_ci ~rng ?(resamples = 2000) ?(level = 0.95) xs =
     level;
     n = Array.length xs;
   }
-
-let quantile_ci ~rng ?(resamples = 2000) ?(level = 0.95) ~q xs =
-  let stats = bootstrap_stats ~rng ~resamples ~stat:(fun s -> Descriptive.quantile s q) xs in
-  let alpha = (1.0 -. level) /. 2.0 in
-  (Descriptive.quantile stats alpha, Descriptive.quantile stats (1.0 -. alpha))

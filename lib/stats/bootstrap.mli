@@ -18,13 +18,3 @@ val mean_ci :
     0.95) re-expressed as a symmetric {!Ci.interval} around the sample
     mean (half-width = half the percentile interval's width).
     Requires at least two samples. *)
-
-val quantile_ci :
-  rng:Mmfair_prng.Xoshiro.t ->
-  ?resamples:int ->
-  ?level:float ->
-  q:float ->
-  float array ->
-  float * float
-(** Bootstrap percentile interval for the [q]-quantile of the data:
-    returns [(lo, hi)]. *)

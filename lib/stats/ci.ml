@@ -41,12 +41,6 @@ let of_samples ?(level = 0.95) xs =
   let t = t_critical ~level ~df:(n - 1) in
   { mean; half_width = t *. sd /. sqrt (float_of_int n); level; n }
 
-let relative_half_width ci =
-  if ci.mean = 0.0 then if ci.half_width = 0.0 then 0.0 else infinity
-  else ci.half_width /. Float.abs ci.mean
-
-let contains ci x = Float.abs (x -. ci.mean) <= ci.half_width
-
 let pp fmt ci =
   Format.fprintf fmt "%.4f ± %.4f (%.0f%% CI, n=%d)" ci.mean ci.half_width (100.0 *. ci.level)
     ci.n

@@ -25,14 +25,5 @@ val of_samples : ?level:float -> float array -> interval
     mean of [xs] (default level [0.95]).  Requires at least two
     samples. *)
 
-val relative_half_width : interval -> float
-(** [relative_half_width ci] is [ci.half_width /. |ci.mean|] — the
-    "variance … with 95% confidence" figure of merit the paper quotes
-    (below 0.01 for its Figure-8 points).  Infinite when the mean is
-    zero and the half-width is not. *)
-
-val contains : interval -> float -> bool
-(** [contains ci x] tests whether [x] lies in the closed interval. *)
-
 val pp : Format.formatter -> interval -> unit
 (** Renders as ["m ± h (95% CI, n=30)"]. *)

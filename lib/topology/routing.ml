@@ -71,13 +71,6 @@ let paths_from g src =
 
 let shortest_path g src dst = (search ~name:"Routing.shortest_path" g [| (src, [| dst |]) |]).(0).(0)
 
-let reachable g src dst =
-  Option.is_some (search ~name:"Routing.reachable" g [| (src, [| dst |]) |]).(0).(0)
-
-let same_path p q =
-  let sort = List.sort_uniq compare in
-  sort p = sort q
-
 (* A tiny pairing of (cost, node) orderable entries on a binary heap
    would be overkill here: graphs in this reproduction are small, so a
    simple O(n^2) Dijkstra keeps the code obvious. *)

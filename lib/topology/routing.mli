@@ -44,15 +44,6 @@ val paths_from : Graph.t -> Graph.node -> path option array
     Raises [Invalid_argument "Routing.paths_from: unknown source"] on a
     bad source. *)
 
-val same_path : path -> path -> bool
-(** Whether two data-paths traverse the same {e set} of links (the
-    paper's condition in same-path-receiver-fairness), regardless of
-    order. *)
-
-val reachable : Graph.t -> Graph.node -> Graph.node -> bool
-(** [reachable g src dst] is whether [shortest_path g src dst] is a
-    path; errors name [Routing.reachable]. *)
-
 val dijkstra :
   Graph.t -> weight:(Graph.link_id -> float) -> Graph.node -> (path * float) option array
 (** [dijkstra g ~weight src] computes, for every destination node, a

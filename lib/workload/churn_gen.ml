@@ -18,7 +18,6 @@ module Arrivals = struct
       invalid_arg "Churn_gen.Arrivals.poisson: start must be finite";
     { rng; rate; next = start +. Xoshiro.exponential rng rate }
 
-  let rate t = t.rate
   let peek t = t.next
 
   let pop t =

@@ -28,8 +28,6 @@ module Arrivals : sig
       from — and advances — [rng].  Raises [Invalid_argument] unless
       [rate] is finite and positive and [start] is finite. *)
 
-  val rate : t -> float
-
   val peek : t -> float
   (** The next arrival instant, without consuming it. *)
 

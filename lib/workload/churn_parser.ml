@@ -6,12 +6,6 @@ exception Parse_error of int * string
 
 let fail line msg = raise (Parse_error (line, msg))
 
-let tokens raw =
-  let line = match String.index_opt raw '#' with Some i -> String.sub raw 0 i | None -> raw in
-  String.split_on_char ' ' (String.trim line)
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun tok -> tok <> "")
-
 let parse_float line what s =
   match float_of_string_opt s with Some f -> f | None -> fail line (Printf.sprintf "bad %s: %S" what s)
 
@@ -59,7 +53,7 @@ let event_of_tokens (p : Net_parser.t) lineno toks =
   event lineno toks
 
 let parse_line p ~lineno raw =
-  match tokens raw with
+  match Net_parser.tokens raw with
   | [] -> Blank
   | [ "batch" ] -> Batch_open
   | "batch" :: _ -> fail lineno "batch takes no arguments"
@@ -108,17 +102,6 @@ let parse_items (p : Net_parser.t) text =
 let flatten items =
   List.concat_map (function Single ev -> [ ev ] | Batch evs -> evs) items
 
-let parse_string p text = flatten (parse_items p text)
-
-let wrap_errors f =
-  match f () with
-  | v -> Ok v
-  | exception Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
-  | exception Invalid_argument msg -> Error msg
-
-let parse_items_result p text = wrap_errors (fun () -> parse_items p text)
-let parse_string_result p text = wrap_errors (fun () -> parse_string p text)
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
@@ -148,28 +131,9 @@ let render_event (session_name, node_name, link_name) (ev : Event.t) =
   | Event.Rho_change { session; rho } -> Printf.sprintf "rho %s %.17g" (session_name session) rho
   | Event.Capacity_change { link; cap } -> Printf.sprintf "cap %s %.17g" (link_name link) cap
 
-let render_items ?names items =
-  let buf = Buffer.create 256 in
+let render ?names events =
   let r = renderers names in
-  List.iter
-    (fun item ->
-      match item with
-      | Single ev ->
-          Buffer.add_string buf (render_event r ev);
-          Buffer.add_char buf '\n'
-      | Batch evs ->
-          Buffer.add_string buf "batch\n";
-          List.iter
-            (fun ev ->
-              Buffer.add_string buf "  ";
-              Buffer.add_string buf (render_event r ev);
-              Buffer.add_char buf '\n')
-            evs;
-          Buffer.add_string buf "end\n")
-    items;
-  Buffer.contents buf
-
-let render ?names events = render_items ?names (List.map (fun ev -> Single ev) events)
+  String.concat "" (List.map (fun ev -> render_event r ev ^ "\n") events)
 
 let example =
   String.concat "\n"

@@ -36,11 +36,6 @@ type item = Single of Mmfair_dynamic.Event.t | Batch of Mmfair_dynamic.Event.t l
 exception Parse_error of int * string
 (** Line number (1-based) and message. *)
 
-val tokens : string -> string list
-(** The whitespace-separated (space or tab) tokens of one raw line,
-    after dropping a [#] comment; [[]] for a blank or comment-only
-    line.  The tokenizer of traces and of the churnd line protocol. *)
-
 val find_name : lineno:int -> string -> string array -> string -> int
 (** [find_name ~lineno what names name] is the first index of [name]
     in [names].  Raises {!Parse_error} [(lineno, "unknown WHAT \"NAME\"")]
@@ -83,10 +78,6 @@ val parse_items : Net_parser.t -> string -> item list
     block, or a [batch] left unclosed at end of input (reported at the
     opening line) — each with the offending line number. *)
 
-val parse_items_result : Net_parser.t -> string -> (item list, string) result
-(** Non-raising variant of {!parse_items}; parse errors are prefixed
-    with ["line N: "]. *)
-
 val parse_items_file : Net_parser.t -> string -> item list
 (** Reads the file and applies {!parse_items}.  Raises [Sys_error]
     when unreadable. *)
@@ -94,22 +85,11 @@ val parse_items_file : Net_parser.t -> string -> item list
 val flatten : item list -> Mmfair_dynamic.Event.t list
 (** The trace's events in application order, batch structure erased. *)
 
-val parse_string : Net_parser.t -> string -> Mmfair_dynamic.Event.t list
-(** [flatten] of {!parse_items}: the flat event list, for consumers
-    that replay per-event regardless of batch blocks. *)
-
-val parse_string_result : Net_parser.t -> string -> (Mmfair_dynamic.Event.t list, string) result
-(** Non-raising variant of {!parse_string}. *)
-
-val render_items : ?names:Net_parser.t -> item list -> string
-(** A [.churn] document that {!parse_items} reconstructs into the same
-    item list ([batch] blocks rendered with two-space indentation).
-    Without [names], uses the [n<i>]/[l<j>]/[s<i>] conventions of
-    {!Net_parser.render}, so generated traces pair with rendered
-    networks. *)
-
 val render : ?names:Net_parser.t -> Mmfair_dynamic.Event.t list -> string
-(** {!render_items} over lone events: one line per event, no blocks. *)
+(** A [.churn] document of lone events, one line per event, that
+    {!parse_items} reconstructs into the same events.  Without [names],
+    uses the [n<i>]/[l<j>]/[s<i>] conventions of {!Net_parser.render},
+    so generated traces pair with rendered networks. *)
 
 val example : string
 (** A self-contained example trace over the Figure-2 network (including

@@ -23,11 +23,11 @@ type pending_session = {
   p_receivers : string list;
 }
 
-let split_ws s =
-  String.split_on_char ' ' s |> List.concat_map (String.split_on_char '\t')
+let tokens raw =
+  let line = match String.index_opt raw '#' with Some i -> String.sub raw 0 i | None -> raw in
+  String.split_on_char ' ' (String.trim line)
+  |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun tok -> tok <> "")
-
-let strip_comment s = match String.index_opt s '#' with Some i -> String.sub s 0 i | None -> s
 
 let parse_float line what s =
   match float_of_string_opt s with Some f -> f | None -> fail line (Printf.sprintf "bad %s: %S" what s)
@@ -50,9 +50,7 @@ let parse_string text =
   List.iteri
     (fun idx raw ->
       let lineno = idx + 1 in
-      let line = String.trim (strip_comment raw) in
-      if line <> "" then begin
-        match split_ws line with
+      match tokens raw with
         | [ "node"; name ] -> ignore (node_of name)
         | [ "link"; name; a; b; cap ] ->
             let cap = parse_float lineno "capacity" cap in
@@ -108,8 +106,7 @@ let parse_string text =
               }
               :: !sessions
         | tok :: _ -> fail lineno (Printf.sprintf "unknown directive %S" tok)
-        | [] -> ()
-      end)
+        | [] -> ())
     lines;
   let links = List.rev !links and sessions = List.rev !sessions in
   if links = [] then fail 0 "network has no links";
@@ -155,12 +152,6 @@ let parse_string text =
     session_names = Array.of_list (List.map (fun p -> p.p_name) sessions);
   }
 
-let parse_string_result text =
-  match parse_string text with
-  | t -> Ok t
-  | exception Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
-  | exception Invalid_argument msg -> Error msg
-
 let parse_file path =
   let ic = open_in path in
   Fun.protect
@@ -198,15 +189,16 @@ let render net =
   done;
   Buffer.contents buf
 
+(* A literal, not a [String.concat] at module initialisation: a
+   literal is static data, so a program that links this module only
+   for {!tokens} (every churn and churnd program) does not carry the
+   document on its live heap. *)
 let example =
-  String.concat "\n"
-    [
-      "# The paper's Figure-2 network.";
-      "link l4 senders relay 6";
-      "link l1 relay shared_leaf 5";
-      "link l2 relay leaf2 2";
-      "link l3 relay leaf3 3";
-      "session s1 single rho=100 sender=senders receivers=shared_leaf,leaf2,leaf3";
-      "session s2 multi rho=100 sender=senders receivers=shared_leaf";
-      "";
-    ]
+  {|# The paper's Figure-2 network.
+link l4 senders relay 6
+link l1 relay shared_leaf 5
+link l2 relay leaf2 2
+link l3 relay leaf3 3
+session s1 single rho=100 sender=senders receivers=shared_leaf,leaf2,leaf3
+session s2 multi rho=100 sender=senders receivers=shared_leaf
+|}

@@ -35,11 +35,11 @@ val parse_string : string -> t
     [Invalid_argument] when the well-formed description still builds an
     invalid network (e.g. unreachable receiver). *)
 
-val parse_string_result : string -> (t, string) result
-(** Non-raising variant of {!parse_string}: both {!Parse_error} and
-    [Invalid_argument] come back as [Error] with a human-readable
-    message (parse errors are prefixed with ["line N: "]), so sweeps
-    over many description files can report and skip malformed ones. *)
+val tokens : string -> string list
+(** The whitespace-separated (space or tab) tokens of one raw line,
+    after dropping a [#] comment; [[]] for a blank or comment-only
+    line.  The one tokenizer of [.net] descriptions, [.churn] traces
+    and the churnd line protocol. *)
 
 val parse_file : string -> t
 (** Reads the file and applies {!parse_string}.  Raises [Sys_error]

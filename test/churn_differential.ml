@@ -303,13 +303,13 @@ let replay_case ~case ~bisection ~batch_sizes ~domain_counts net trace =
          re-render with the parsed name tables — the text must come
          back identical (the parser renumbers nodes by first
          appearance, so index-level equality is not the invariant). *)
-      (match Net_parser.parse_string_result (Net_parser.render net) with
-      | Error e -> fail_case ~case "rendered net does not re-parse: %s" e
-      | Ok parsed -> (
+      (match Net_parser.parse_string (Net_parser.render net) with
+      | exception e -> fail_case ~case "rendered net does not re-parse: %s" (Printexc.to_string e)
+      | parsed -> (
           let text = Churn_parser.render trace in
-          match Churn_parser.parse_string_result parsed text with
-          | Error e -> fail_case ~case "rendered trace does not re-parse: %s" e
-          | Ok trace' ->
+          match Churn_parser.flatten (Churn_parser.parse_items parsed text) with
+          | exception e -> fail_case ~case "rendered trace does not re-parse: %s" (Printexc.to_string e)
+          | trace' ->
               if Churn_parser.render ~names:parsed trace' <> text then
                 fail_case ~case "trace round-trip changed the events"));
       let reference = Batch.allocation eng in

@@ -249,10 +249,10 @@ let replay_corpus dir =
         incr n;
         let case = "corpus/" ^ name in
         let text = In_channel.with_open_text (Filename.concat dir name) In_channel.input_all in
-        match Net_parser.parse_string_result text with
-        | Error _ -> incr typed_errors
-        | Ok parsed -> differential ~case parsed.Net_parser.net
+        match Net_parser.parse_string text with
+        | exception (Net_parser.Parse_error _ | Invalid_argument _) -> incr typed_errors
         | exception e -> fail_case ~case "parser raised: %s" (Printexc.to_string e)
+        | parsed -> differential ~case parsed.Net_parser.net
       end)
     entries;
   !n

@@ -1,6 +1,6 @@
 (* Dynamic engine tests: engine-vs-scratch agreement on the paper's
    networks (including Figure 3's intra-session rate swings replayed
-   as churn), store retention and eviction, the leave/rejoin
+   as churn), the epoch counter, the leave/rejoin
    restoration property (a receiver that leaves and immediately
    rejoins puts every rate back where it was), .churn parsing
    diagnostics, generator determinism, and epoch probe emission into
@@ -16,7 +16,6 @@ module Allocation = Mmfair_core.Allocation
 module Allocator = Mmfair_core.Allocator
 module Batch = Mmfair_dynamic.Batch
 module Event = Mmfair_dynamic.Event
-module Store = Mmfair_dynamic.Store
 module Paper_nets = Mmfair_workload.Paper_nets
 module Random_nets = Mmfair_workload.Random_nets
 module Churn_gen = Mmfair_workload.Churn_gen
@@ -93,36 +92,6 @@ let test_engine_figure3_swings () =
   check_swing "fig3a" Paper_nets.figure3a ~before:(8.0, 2.0) ~after:(6.0, 4.0);
   check_swing "fig3b" Paper_nets.figure3b ~before:(6.0, 6.0) ~after:(7.0, 5.0)
 
-(* --- store retention / eviction --------------------------------------- *)
-
-let test_store_retention () =
-  let { Paper_nets.net; _ } = Paper_nets.figure2 () in
-  let eng = Batch.create ~retain:3 net in
-  let store = Batch.store eng in
-  Alcotest.(check int) "epoch 0 at creation" 0 (Store.epoch store);
-  Alcotest.(check bool) "epoch 0 has no events" true ((Store.current store).Store.events = []);
-  for k = 1 to 5 do
-    ignore (Batch.apply eng [ Event.Rho_change { session = 1; rho = float_of_int k } ])
-  done;
-  Alcotest.(check int) "five epochs" 5 (Store.epoch store);
-  Alcotest.(check (list int)) "window keeps the newest three" [ 5; 4; 3 ]
-    (Store.retained_epochs store);
-  Alcotest.(check bool) "epoch 1 evicted" true (Store.find store 1 = None);
-  (match Store.find store 4 with
-  | None -> Alcotest.fail "epoch 4 should be retained"
-  | Some e -> (
-      Alcotest.(check int) "entry numbering" 4 e.Store.epoch;
-      match e.Store.events with
-      | [ Event.Rho_change { rho; _ } ] -> feq "entry keeps its event" 4.0 rho
-      | _ -> Alcotest.fail "epoch 4 should record its rho change"));
-  (* A retained entry's allocation is the post-event solve, not a
-     reference to the live head. *)
-  (match Store.find store 3 with
-  | None -> Alcotest.fail "epoch 3 should be retained"
-  | Some e -> feq "epoch 3 rho bound applied" 3.0 (Network.rho e.Store.network 1));
-  Alcotest.check_raises "retain floor is 1" (Invalid_argument "Store.create: retain must be >= 1")
-    (fun () -> ignore (Store.create ~retain:0 net (Batch.allocation eng)))
-
 (* --- leave + immediate rejoin restores the allocation ------------------ *)
 
 (* The fuzz corpus seeds (fuzz_differential.ml defaults to 42; the
@@ -182,10 +151,11 @@ let test_leave_rejoin_restores () =
 
 (* --- .churn parsing diagnostics ---------------------------------------- *)
 
+(* The error of a trace that must not parse, as "line N: MESSAGE". *)
 let parse_err names text =
-  match Churn_parser.parse_string_result names text with
-  | Ok _ -> Alcotest.fail (Printf.sprintf "expected a parse error for %S" text)
-  | Error msg -> msg
+  match Churn_parser.parse_items names text with
+  | _ -> Alcotest.fail (Printf.sprintf "expected a parse error for %S" text)
+  | exception Churn_parser.Parse_error (line, msg) -> Printf.sprintf "line %d: %s" line msg
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -195,7 +165,10 @@ let test_churn_parser_diagnostics () =
     Net_parser.parse_string
       "link l1 a b 5.0\nlink l2 b c 2.0\nsession s1 multi sender=a receivers=c\nsession s2 multi sender=a receivers=b\n"
   in
-  (match Churn_parser.parse_string names "# warm-up\n\njoin s2 c w=2.0\nleave s1 c\nrho s1 inf\ncap l2 3.5\n" with
+  (match
+     Churn_parser.flatten
+       (Churn_parser.parse_items names "# warm-up\n\njoin s2 c w=2.0\nleave s1 c\nrho s1 inf\ncap l2 3.5\n")
+   with
   | [ Event.Join { session = 1; weight = Some 2.0; _ }; Event.Leave { session = 0; _ };
       Event.Rho_change { session = 0; rho }; Event.Capacity_change { cap = 3.5; _ } ] ->
       Alcotest.(check bool) "inf lifts the bound" true (rho = infinity)
@@ -220,7 +193,7 @@ let test_churn_parser_diagnostics () =
   (* The shipped example must parse against the example network. *)
   let fig2 = Net_parser.parse_string Net_parser.example in
   Alcotest.(check bool) "example trace parses" true
-    (Churn_parser.parse_string fig2 Churn_parser.example <> [])
+    (Churn_parser.parse_items fig2 Churn_parser.example <> [])
 
 (* --- generator determinism --------------------------------------------- *)
 
@@ -384,30 +357,6 @@ let test_batch_empty_rejected () =
   | Error _ -> ());
   Alcotest.(check int) "epoch unchanged" 0 (Batch.epoch eng)
 
-(* --- epoch range queries over the store -------------------------------- *)
-
-let test_fold_epochs () =
-  let { Paper_nets.net; _ } = Paper_nets.figure2 () in
-  let eng = Batch.create ~retain:3 net in
-  let store = Batch.store eng in
-  for k = 1 to 5 do
-    ignore (Batch.apply eng [ Event.Rho_change { session = 1; rho = float_of_int k } ])
-  done;
-  let epochs ?lo ?hi () =
-    List.rev (Store.fold_epochs ?lo ?hi store ~init:[] ~f:(fun acc e -> e.Store.epoch :: acc))
-  in
-  (* The fold is ascending and, like find, silently misses evicted
-     epochs: asking from 1 only surfaces what retention kept. *)
-  Alcotest.(check (list int)) "defaults cover the window, ascending" [ 3; 4; 5 ] (epochs ());
-  Alcotest.(check (list int)) "evicted epochs silently absent" [ 3; 4; 5 ] (epochs ~lo:1 ~hi:5 ());
-  Alcotest.(check (list int)) "lo clips" [ 4; 5 ] (epochs ~lo:4 ());
-  Alcotest.(check (list int)) "hi clips" [ 3; 4 ] (epochs ~hi:4 ());
-  Alcotest.(check (list int)) "point query" [ 4 ] (epochs ~lo:4 ~hi:4 ());
-  Alcotest.(check (list int)) "inverted range is empty" [] (epochs ~lo:5 ~hi:4 ());
-  Alcotest.(check (list int)) "fully evicted range is empty" [] (epochs ~hi:2 ());
-  Alcotest.(check int) "entries carry their events" 3
-    (Store.fold_epochs store ~init:0 ~f:(fun acc e -> acc + List.length e.Store.events))
-
 (* --- batch probes reach the metrics registry --------------------------- *)
 
 let test_batch_probe_registry () =
@@ -451,32 +400,23 @@ let test_churn_parser_batches () =
       "link l1 a b 5.0\nlink l2 b c 2.0\nsession s1 multi sender=a receivers=c\nsession s2 multi sender=a receivers=b\n"
   in
   let text = "join s2 c\nbatch\n  cap l1 4.5\n  leave s1 c\nend\nrho s2 2.0\n" in
-  (match Churn_parser.parse_items_result names text with
-  | Ok
-      [
-        Churn_parser.Single (Event.Join { session = 1; _ });
-        Churn_parser.Batch [ Event.Capacity_change { cap = 4.5; _ }; Event.Leave { session = 0; _ } ];
-        Churn_parser.Single (Event.Rho_change { rho = 2.0; _ });
-      ] ->
-      ()
-  | Ok items -> Alcotest.fail (Printf.sprintf "unexpected items: %d" (List.length items))
-  | Error e -> Alcotest.fail e);
-  (* Rendering the items and re-parsing must reproduce the text. *)
   let items = Churn_parser.parse_items names text in
-  let rendered = Churn_parser.render_items ~names items in
-  Alcotest.(check string) "batch blocks round-trip"
-    rendered
-    (Churn_parser.render_items ~names (Churn_parser.parse_items names rendered));
+  (match items with
+  | [
+   Churn_parser.Single (Event.Join { session = 1; _ });
+   Churn_parser.Batch [ Event.Capacity_change { cap = 4.5; _ }; Event.Leave { session = 0; _ } ];
+   Churn_parser.Single (Event.Rho_change { rho = 2.0; _ });
+  ] ->
+      ()
+  | items -> Alcotest.fail (Printf.sprintf "unexpected items: %d" (List.length items)));
   (* flatten erases the block structure but keeps the order. *)
   Alcotest.(check int) "flatten keeps every event" 4 (List.length (Churn_parser.flatten items));
   (* Malformed block structure, each reported at the right line. *)
   List.iter
     (fun (text, line) ->
-      match Churn_parser.parse_items_result names text with
-      | Ok _ -> Alcotest.fail (Printf.sprintf "expected a parse error for %S" text)
-      | Error msg ->
-          let prefix = Printf.sprintf "line %d:" line in
-          Alcotest.(check bool) (Printf.sprintf "%S -> %S" text msg) true (starts_with ~prefix msg))
+      let msg = parse_err names text in
+      let prefix = Printf.sprintf "line %d:" line in
+      Alcotest.(check bool) (Printf.sprintf "%S -> %S" text msg) true (starts_with ~prefix msg))
     [
       ("batch\nend", 1);
       ("join s2 c\nbatch\njoin s2 c\nbatch", 4);
@@ -657,9 +597,10 @@ let rate_bits alloc =
 
 (* Epochs share untouched rows and chunks with their predecessors, so a
    later epoch writing into a shared chunk would show in an earlier
-   one.  Every retained epoch must still read, bit for bit, what the
-   engine held right after the batch that made it. *)
-let test_store_epochs_stay_bitwise () =
+   one.  The test holds every epoch's allocation itself; after the
+   whole replay each must still read, bit for bit, what the engine held
+   right after the batch that made it. *)
+let test_epochs_stay_bitwise () =
   let rng = Xoshiro.create ~seed:0x5707eL () in
   let config =
     {
@@ -676,35 +617,27 @@ let test_store_epochs_stay_bitwise () =
   in
   let net = Random_nets.generate ~rng config in
   let events =
-    Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events = 60; max_receivers = 5 }
+    Churn_gen.generate ~rng net { Churn_gen.default with Churn_gen.events = 120; max_receivers = 5 }
   in
-  let eng = Batch.create ~retain:8 net in
-  let seen = Hashtbl.create 32 in
-  Hashtbl.replace seen 0 (rate_bits (Batch.allocation eng));
+  let eng = Batch.create net in
+  (* Epoch number, its allocation, and its bits as it landed; newest first. *)
+  let held = ref [ (0, Batch.allocation eng, rate_bits (Batch.allocation eng)) ] in
   (* Batches of one to three consecutive events of the trace. *)
   let rec replay k = function
     | [] -> ()
     | evs ->
         let n = 1 + (k mod 3) in
         ignore (Batch.apply eng (List.filteri (fun j _ -> j < n) evs));
-        Alcotest.(check bool) "the store holds the engine's allocation" true
-          ((Store.current (Batch.store eng)).Store.allocation == Batch.allocation eng);
-        Hashtbl.replace seen (Batch.epoch eng) (rate_bits (Batch.allocation eng));
+        held := (Batch.epoch eng, Batch.allocation eng, rate_bits (Batch.allocation eng)) :: !held;
         replay (k + 1) (List.filteri (fun j _ -> j >= n) evs)
   in
   replay 0 events;
-  let retained = Store.retained_epochs (Batch.store eng) in
-  Alcotest.(check int) "eight epochs retained" 8 (List.length retained);
+  (* 120 events in batches of 1, 2, 3, 1, 2, 3, …: 60 epochs. *)
+  Alcotest.(check int) "one epoch a batch" 60 (Batch.epoch eng);
   List.iter
-    (fun e ->
-      match Store.find (Batch.store eng) e with
-      | None -> Alcotest.failf "epoch %d missing" e
-      | Some entry ->
-          Alcotest.(check bool)
-            (Printf.sprintf "epoch %d reads as it landed" e)
-            true
-            (rate_bits entry.Store.allocation = Hashtbl.find seen e))
-    retained
+    (fun (e, alloc, bits) ->
+      Alcotest.(check bool) (Printf.sprintf "epoch %d reads as it landed" e) true (rate_bits alloc = bits))
+    !held
 
 (* An engine on the 3,072-session flow-star network after 200 lone ρ
    events, and the event stream: event [k] toggles one slot between
@@ -1130,7 +1063,6 @@ let suite =
   [
     Alcotest.test_case "engine matches scratch on figure 2 churn" `Quick test_engine_on_figure2;
     Alcotest.test_case "figure 3 intra-session swings as churn" `Quick test_engine_figure3_swings;
-    Alcotest.test_case "store retention and eviction" `Quick test_store_retention;
     Alcotest.test_case "leave then rejoin restores the allocation" `Quick test_leave_rejoin_restores;
     Alcotest.test_case "churn parser diagnostics" `Quick test_churn_parser_diagnostics;
     Alcotest.test_case "churn generator determinism" `Quick test_generator_determinism;
@@ -1141,7 +1073,6 @@ let suite =
     Alcotest.test_case "cancelling batches skip the solve" `Quick test_batch_cancellation;
     Alcotest.test_case "repeated writes keep the last value" `Quick test_batch_last_writer_wins;
     Alcotest.test_case "empty batches are rejected" `Quick test_batch_empty_rejected;
-    Alcotest.test_case "fold_epochs range queries" `Quick test_fold_epochs;
     Alcotest.test_case "batch probes reach the registry" `Quick test_batch_probe_registry;
     Alcotest.test_case "churn parser batch blocks" `Quick test_churn_parser_batches;
     QCheck_alcotest.to_alcotest qcheck_domains_bitwise_identical;
@@ -1149,7 +1080,7 @@ let suite =
     Alcotest.test_case "whole and dirty-subset re-solves" `Quick test_batch_background_paths;
     Alcotest.test_case "solvers without partial are refused" `Quick
       test_batch_rejects_solver_without_partial;
-    Alcotest.test_case "retained epochs stay bitwise" `Quick test_store_epochs_stay_bitwise;
+    Alcotest.test_case "retained epochs stay bitwise" `Quick test_epochs_stay_bitwise;
     Alcotest.test_case "rho epochs copy no O(sessions) array" `Quick test_rho_epoch_major_allocation;
     Alcotest.test_case "pool events follow the domain count" `Quick test_pool_events_per_domains;
     Alcotest.test_case "zero domains are rejected" `Quick test_batch_rejects_zero_domains;

@@ -522,12 +522,11 @@ let test_sim_probes () =
       Engine.run eng ~handler:(fun _ ev ->
           (* reschedule once from inside a handler *)
           if ev = `A then Engine.schedule eng ~delay:10.0 `D;
-          if ev = `D then Engine.Stop else Engine.Continue);
-      Engine.reset eng);
+          if ev = `D then Engine.Stop else Engine.Continue));
   Alcotest.(check int) "scheduled" 4 !scheduled;
   Alcotest.(check int) "fired" 4 !fired;
   Alcotest.(check int) "high-water depth" 3 !depth_max;
-  Alcotest.(check int) "nothing dropped on empty reset" 0 !dropped
+  Alcotest.(check int) "nothing dropped" 0 !dropped
 
 let test_sim_drop_and_hwm () =
   let dropped = ref 0 in

@@ -114,8 +114,7 @@ let test_routing_unreachable () =
   let g = Graph.create ~nodes:3 in
   ignore (Graph.add_link g 0 1 1.0);
   Alcotest.(check bool) "disconnected" true (Routing.shortest_path g 0 2 = None);
-  Alcotest.(check bool) "reachable" true (Routing.reachable g 0 1);
-  Alcotest.(check bool) "not reachable" false (Routing.reachable g 0 2)
+  Alcotest.(check bool) "connected" true (Routing.shortest_path g 0 1 <> None)
 
 let test_routing_bad_nodes () =
   (* Each public entry names itself, for a bad source and a bad
@@ -127,9 +126,6 @@ let test_routing_bad_nodes () =
       Routing.shortest_path g (-1) 0);
   raises "shortest_path destination" "Routing.shortest_path: unknown destination" (fun () ->
       Routing.shortest_path g 0 7);
-  raises "reachable source" "Routing.reachable: unknown source" (fun () -> Routing.reachable g 5 0);
-  raises "reachable destination" "Routing.reachable: unknown destination" (fun () ->
-      Routing.reachable g 0 (-2));
   raises "routes source" "Routing.routes: unknown source" (fun () -> Routing.routes g [| (9, [| 0 |]) |]);
   raises "routes destination" "Routing.routes: unknown destination" (fun () ->
       Routing.routes g [| (0, [| 1 |]); (1, [| 0; 3 |]) |])
@@ -161,10 +157,6 @@ let test_routing_deterministic () =
   let g = Builders.random_connected ~rng ~nodes:20 ~extra_links:15 ~cap_lo:1.0 ~cap_hi:2.0 in
   let p1 = Routing.shortest_path g 0 19 and p2 = Routing.shortest_path g 0 19 in
   Alcotest.(check bool) "same path twice" true (p1 = p2)
-
-let test_same_path () =
-  Alcotest.(check bool) "order-insensitive" true (Routing.same_path [ 1; 2; 3 ] [ 3; 2; 1 ]);
-  Alcotest.(check bool) "different sets" false (Routing.same_path [ 1; 2 ] [ 1; 3 ])
 
 let test_builder_star () =
   let s = Builders.star ~leaf_capacities:[| 1.0; 2.0; 3.0 |] in
@@ -414,7 +406,6 @@ let suite =
     Alcotest.test_case "routing bad nodes name their entry" `Quick test_routing_bad_nodes;
     Alcotest.test_case "routing tree prefix property" `Quick test_routing_paths_from_tree_property;
     Alcotest.test_case "routing deterministic" `Quick test_routing_deterministic;
-    Alcotest.test_case "same_path set semantics" `Quick test_same_path;
     Alcotest.test_case "builder star" `Quick test_builder_star;
     Alcotest.test_case "builder modified star" `Quick test_builder_modified_star;
     Alcotest.test_case "builder chain" `Quick test_builder_chain;

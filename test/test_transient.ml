@@ -97,12 +97,6 @@ let test_bootstrap_agrees_with_t () =
     true
     (Float.abs (t_ci.Ci.half_width -. b_ci.Ci.half_width) < 0.5 *. t_ci.Ci.half_width)
 
-let test_bootstrap_quantile_ci_brackets () =
-  let rng = Mmfair_prng.Xoshiro.create ~seed:62L () in
-  let xs = Array.init 200 (fun _ -> Mmfair_prng.Xoshiro.float rng) in
-  let lo, hi = Bootstrap.quantile_ci ~rng ~q:0.5 xs in
-  Alcotest.(check bool) "brackets the true median" true (lo <= 0.5 && 0.5 <= hi && lo < hi)
-
 let test_bootstrap_validation () =
   let rng = Mmfair_prng.Xoshiro.create ~seed:63L () in
   Alcotest.check_raises "too few samples" (Invalid_argument "Bootstrap: need at least two samples")
@@ -203,7 +197,6 @@ let suite =
     Alcotest.test_case "slots to reach" `Quick test_slots_to_reach;
     Alcotest.test_case "transient validation" `Quick test_trajectory_validation;
     Alcotest.test_case "bootstrap agrees with t" `Quick test_bootstrap_agrees_with_t;
-    Alcotest.test_case "bootstrap quantile brackets" `Quick test_bootstrap_quantile_ci_brackets;
     Alcotest.test_case "bootstrap validation" `Quick test_bootstrap_validation;
     Alcotest.test_case "bootstrap deterministic" `Quick test_bootstrap_deterministic;
     Alcotest.test_case "jain index" `Quick test_jain_index;
